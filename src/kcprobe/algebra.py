@@ -1,8 +1,8 @@
 """Measurement-free analysis of the system operator algebra.
 
-Covers closure of the algebra generated by the conditional Hamiltonians,
-commutativity and classicality predicates, commutant computation by
-null-space methods on the vectorized operator space, effect nondegeneracy,
+Covers the algebra generated by the conditional Hamiltonians (as a double
+commutant), commutativity and classicality predicates, commutant computation
+by null-space methods on the vectorized operator space, effect nondegeneracy,
 the level-spacing condition that forces degenerate effects for commuting
 families, and the zero-entanglement predicate for dephasing evolutions.
 """
@@ -22,7 +22,6 @@ from .linalg import (
     commutator,
     frobenius,
     hs_inner,
-    orthonormalize_hs,
 )
 from .model import DephasingModel, MeasurementProtocol, conditional_unitaries
 from .tolerances import DEFAULT, Tolerances
@@ -62,24 +61,19 @@ def _common_dimension(ops) -> int:
 
 
 def generate_algebra(generators, tol: Tolerances = DEFAULT) -> AlgebraBasis:
-    """Close the span of {1} u {generators} under operator products.
+    """Unital *-algebra generated by ``generators``, as a double commutant.
 
-    Alternates product formation with Hilbert-Schmidt orthonormalization
-    until the dimension stabilizes; terminates at ``d^2`` at the latest.
+    By von Neumann's double commutant theorem the *-algebra generated by
+    {1} u {G} u {G^H} is ``(A')'``: the commutant of the generators together
+    with their adjoints, then the commutant of that commutant's orthonormal
+    basis.  Non-Hermitian generators therefore bring their adjoints in.  The
+    second commutator stack is ``dim(A') d^2 x d^2`` complex, at most
+    ``d^6`` entries (4 MiB for d <= 8).
     """
     gens = tuple(np.asarray(g, dtype=complex) for g in generators)
-    d = _common_dimension(gens)
-    basis = orthonormalize_hs([np.eye(d, dtype=complex), *gens], tol.rank)
-    while True:
-        if len(basis) >= d * d:
-            break  # the full matrix algebra; products cannot leave it
-        products = [a @ b for a, b in itertools.product(basis, repeat=2)]
-        grown = orthonormalize_hs(list(basis) + products, tol.rank)
-        if len(grown) == len(basis):
-            basis = grown
-            break
-        basis = grown
-    return AlgebraBasis(gens, tuple(basis), len(basis), True)
+    commutant = commutant_basis([*gens, *(g.conj().T for g in gens)], tol)
+    algebra = commutant_basis(commutant.basis, tol)
+    return AlgebraBasis(gens, algebra.basis, algebra.dimension, True)
 
 
 def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:
@@ -186,9 +180,9 @@ def commutant_basis(ops, tol: Tolerances = DEFAULT) -> AlgebraBasis:
     eye = np.eye(d)
     rows = [np.kron(eye, g.T) - np.kron(g, eye) for g in mats]
     stacked = np.concatenate(rows, axis=0)
-    _, s, vh = np.linalg.svd(stacked)
-    svals = np.zeros(d * d)
-    svals[: s.size] = s
+    # the stack has at least d^2 rows, so the reduced SVD keeps all d^2
+    # singular values and right vectors and drops only the unused U
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     members = [vh[i].conj().reshape(d, d) for i in range(d * d) if svals[i] < tol.nullspace]
     return AlgebraBasis(tuple(mats), tuple(members), len(members), True, svals)
 

@@ -8,9 +8,10 @@ oracle <config>   cross-validate sequence statistics along the naive route
 search <config>   seeded searches (degenerate-effect or inequality-violation)
 
 Exit codes: 0 success (and expectations, if any, matched), 1 an expectation
-was not met, 2 configuration or usage error, 3 numerical fault.  Reports are
-deterministic for a fixed config; wall-clock timings go to a separate file
-so the report bundle stays byte-stable.
+was not met, 2 configuration or usage error (including invalid tolerances and
+non-finite config numbers), 3 numerical fault (including an oracle
+disagreement).  Reports are deterministic for a fixed config; wall-clock
+timings go to a separate file so the report bundle stays byte-stable.
 """
 
 from __future__ import annotations
@@ -318,6 +319,10 @@ def _cmd_oracle(args) -> int:
     )
     worst = max(row["max_abs_discrepancy"] for row in rows)
     print(f"oracle max discrepancy: {worst:.3e}")
+    disagreeing = [row["state"] for row in rows if not row["agrees"]]
+    if disagreeing:
+        print(f"numerical fault: oracle disagrees for state(s) {disagreeing}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

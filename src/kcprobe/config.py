@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -60,15 +61,27 @@ class Experiment:
     states: tuple[tuple[str, np.ndarray], ...] = field(default=())
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config contains the non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} overflows to {value}")
+    return value
+
+
 def load_run_config(path, overrides: dict | None = None, seed: int | None = None) -> RunConfig:
     """Parse and validate a configuration file.
 
     ``overrides`` patches tolerance fields; ``seed`` replaces the scenario
-    seed.  Any malformation raises :class:`ConfigError`.
+    seed.  Any malformation, including a non-finite number (``NaN``,
+    ``Infinity``, or a literal that overflows), raises :class:`ConfigError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -7,6 +7,8 @@ that each report can echo exactly the settings it was produced with.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -37,6 +39,20 @@ class Tolerances:
     weight_sum: float = 1e-12
     oracle_agreement: float = 1e-11
     enumeration_cap: int = 10**6      # maximum number of outcome sequences enumerated
+
+    def __post_init__(self) -> None:
+        # a NaN or non-positive cut would silently decide verdicts the wrong way
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"tolerance {f.name} must be a number, got {value!r}")
+            if f.name == "enumeration_cap":
+                if not (math.isfinite(value) and value == int(value) and value >= 1):
+                    raise ConfigError(f"enumeration_cap must be an integer >= 1, got {value!r}")
+                # an integral float (as parsed from --tol) is stored as an int
+                object.__setattr__(self, f.name, int(value))
+            elif not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"tolerance {f.name} must be finite and > 0, got {value!r}")
 
     def replace(self, **overrides) -> "Tolerances":
         unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}

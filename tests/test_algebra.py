@@ -42,6 +42,95 @@ class TestGenerateAlgebra:
                 assert algebra.projection_residual(a @ b) <= 1e-9
 
 
+def word_span_dimension(generators) -> int:
+    """Reference: dimension of the span of all words in {G} u {G^H}, with 1.
+
+    Grows words one letter at a time and keeps only those that raise the
+    rank; a word in the span of shorter words cannot raise it when extended.
+    """
+    d = generators[0].shape[0]
+    letters = [np.asarray(g, dtype=complex) for g in generators]
+    letters += [g.conj().T for g in letters]
+    frontier = [np.eye(d, dtype=complex)]
+    onb = [frontier[0].ravel() / np.sqrt(d)]
+    while frontier:
+        grown = []
+        for word in frontier:
+            for letter in letters:
+                product = word @ letter
+                v = product.ravel()
+                scale = np.linalg.norm(v)
+                for _ in range(2):
+                    v = v - np.array(onb).T @ (np.array(onb).conj() @ v)
+                if np.linalg.norm(v) > 1e-7 * max(scale, 1.0):
+                    onb.append(v / np.linalg.norm(v))
+                    grown.append(product)
+        frontier = grown
+    return len(onb)
+
+
+def _block_diag(a, b):
+    out = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=complex)
+    out[: a.shape[0], : a.shape[0]] = a
+    out[a.shape[0] :, a.shape[0] :] = b
+    return out
+
+
+def _reference_cases():
+    for seed in range(6):
+        for d_s in (2, 3, 5):
+            for commuting in (False, True):
+                yield kp.random_model(seed, 2 + seed % 2, d_s, commuting).hamiltonians
+    rng = np.random.default_rng(31)
+    for n_nuclei in (1, 2, 3):
+        varied = rng.uniform(-1.0, 1.0, size=(n_nuclei, 3))
+        identical = np.tile(rng.uniform(0.2, 1.0, size=3), (n_nuclei, 1))
+        for couplings in (varied, identical):
+            yield kp.nv_center_model(n_nuclei, 1.1, 0.3, couplings).hamiltonians
+    eye3 = np.eye(3)
+    yield [np.kron(random_hermitian(rng, 2), eye3), np.kron(random_hermitian(rng, 2), eye3)]
+    yield [np.kron(SIGMA_Z, eye3), np.kron(SIGMA_X, eye3), np.kron(SIGMA_Z, eye3)]
+    # M_2 (+) M_3 on C^5, and M_2 (+) C on C^3
+    yield [
+        _block_diag(random_hermitian(rng, 2), random_hermitian(rng, 3)),
+        _block_diag(random_hermitian(rng, 2), random_hermitian(rng, 3)),
+    ]
+    yield [_block_diag(SIGMA_Z, np.eye(1)), _block_diag(SIGMA_X, 2 * np.eye(1))]
+
+
+class TestDoubleCommutant:
+    def test_dimension_matches_word_span_reference(self):
+        cases = list(_reference_cases())
+        assert len(cases) == 46
+        dims = set()
+        for hams in cases:
+            want = word_span_dimension(hams)
+            assert kp.generate_algebra(hams).dimension == want
+            dims.add(want)
+        # commuting, M_2 (x) 1_3, M_2 (+) C, symmetric-bath and full algebras
+        assert {2, 4, 5, 10, 20, 25, 64} <= dims
+
+    def test_kron_pair_gives_m2_tensor_identity(self):
+        eye3 = np.eye(3)
+        algebra = kp.generate_algebra([np.kron(SIGMA_Z, eye3), np.kron(SIGMA_X, eye3)])
+        assert algebra.dimension == 4
+        assert algebra.contains(np.kron(SIGMA_Y, eye3) / np.sqrt(6.0))
+
+    def test_non_hermitian_generator_yields_star_algebra(self):
+        raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        algebra = kp.generate_algebra([raising])
+        # products of 1 and the raising operator alone span only 2 dimensions;
+        # its adjoint brings in the rest of M_2
+        assert algebra.dimension == 4
+        assert algebra.contains(raising.conj().T)
+        assert word_span_dimension([raising]) == 4
+
+    def test_non_hermitian_diagonal_generator(self):
+        algebra = kp.generate_algebra([np.diag([1.0, 1.0j, -1.0])])
+        assert algebra.dimension == 3
+        assert algebra.contains(np.diag([1.0, -1.0j, -1.0]) / np.sqrt(3.0))
+
+
 class TestIsCommutative:
     def test_scalar_multiples(self):
         ok, worst = kp.is_commutative([SIGMA_Z, 2 * SIGMA_Z])

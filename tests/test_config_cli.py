@@ -8,6 +8,7 @@ import kcprobe as kp
 from kcprobe.cli import main
 from kcprobe.config import build_experiment, load_run_config
 from kcprobe.errors import ConfigError
+from kcprobe.oracle import OracleReport
 from kcprobe.serialize import complex_pair, matrix_rows, pairs_vector, rows_matrix
 
 
@@ -185,6 +186,33 @@ class TestRunCommand:
         assert bundle["results"]["kc"]["verdict"] == "consistent"
 
 
+    @pytest.mark.parametrize("override", ["kc=nan", "kc=-1", "enumeration_cap=0"])
+    def test_invalid_tolerance_exits_two_without_reports(self, tmp_path, override):
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config())
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--tol", override]) == 2
+        assert not out.exists()
+
+    def test_integral_float_enumeration_cap_is_accepted(self, tmp_path):
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config())
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--tol", "enumeration_cap=1000"]) == 0
+        bundle = json.loads((out / "report.json").read_text())
+        assert bundle["tolerances"]["enumeration_cap"] == 1000
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_config_number_exits_two(self, tmp_path, literal):
+        step_time = f'"step_time": {np.pi / 2!r}'
+        text = json.dumps(sigma_pair_config())
+        assert step_time in text
+        text = text.replace(step_time, f'"step_time": {literal}')
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestClassicalNoiseRun:
     def test_run_with_witnesses_on_noise_protocol(self, tmp_path):
         cfg = {
@@ -265,6 +293,18 @@ class TestOracleCommand:
         assert main(["oracle", path, "--out", str(out)]) == 0
         report = json.loads((out / "oracle.json").read_text())
         assert all(r["max_abs_discrepancy"] <= 1e-11 for r in report["reports"])
+
+
+    def test_oracle_disagreement_exits_three(self, tmp_path, monkeypatch):
+        def disagreeing(protocol, rho, n_max, tol):
+            return OracleReport(n_max, 1.0, (1.0,) * n_max, 0.0, False, None, tol.as_dict())
+
+        monkeypatch.setattr("kcprobe.cli.oracle_compare", disagreeing)
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config())
+        out = tmp_path / "out"
+        assert main(["oracle", path, "--out", str(out)]) == 3
+        report = json.loads((out / "oracle.json").read_text())
+        assert not any(r["agrees"] for r in report["reports"])
 
 
 class TestSearchCommand:

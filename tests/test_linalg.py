@@ -28,6 +28,19 @@ def test_commutator_dimension_mismatch():
         kp.commutator(SIGMA_Z, np.eye(3))
 
 
+def test_transposed_input_is_accepted():
+    # a transposed view is not C-contiguous; the finiteness check must not care
+    assert np.allclose(kp.commutator(SIGMA_Y.T, SIGMA_Z), -kp.commutator(SIGMA_Y, SIGMA_Z))
+    assert kp.commutant_basis([SIGMA_Y.T]).dimension == 2
+    model = kp.DephasingModel(2, 2, (SIGMA_Z.T, SIGMA_X), 1.0)
+    assert np.allclose(model.hamiltonians[0], SIGMA_Z)
+
+
+def test_non_finite_entries_are_rejected():
+    with pytest.raises(InvariantViolation):
+        kp.commutator(np.array([[np.nan, 0.0], [0.0, 1.0]]).T, SIGMA_Z)
+
+
 def test_hermitian_eig_sigma_z():
     w, v = kp.hermitian_eig(SIGMA_Z)
     assert np.allclose(w, [-1.0, 1.0])
