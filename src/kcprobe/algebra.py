@@ -64,15 +64,21 @@ def generate_algebra(generators, tol: Tolerances = DEFAULT) -> AlgebraBasis:
     """Unital *-algebra generated by ``generators``, as a double commutant.
 
     By von Neumann's double commutant theorem the *-algebra generated by
-    {1} u {G} u {G^H} is ``(A')'``: the commutant of the generators together
-    with their adjoints, then the commutant of that commutant's orthonormal
-    basis.  Non-Hermitian generators therefore bring their adjoints in.  The
-    second commutator stack is ``dim(A') d^2 x d^2`` complex, at most
-    ``d^6`` entries (4 MiB for d <= 8).
+    {1} u {G} u {G^H} is ``(A')'``.  The first commutant is taken of the
+    generators together with their adjoints, so non-Hermitian generators
+    bring their adjoints in.  The second is taken of two seeded random
+    Hermitian elements of ``A'``, which generate the *-algebra ``A'`` for
+    all but a null set of draws.  Its commutator stack is ``2 d^2 x d^2``
+    complex (2 MiB at d = 16); the whole basis of ``A'`` would make it
+    ``dim(A') d^2 x d^2``, up to ``d^6`` entries (256 MiB at d = 16).
     """
     gens = tuple(np.asarray(g, dtype=complex) for g in generators)
     commutant = commutant_basis([*gens, *(g.conj().T for g in gens)], tol)
-    algebra = commutant_basis(commutant.basis, tol)
+    rng = np.random.default_rng(0)
+    shape = (2, commutant.dimension)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mixed = np.tensordot(coeffs, commutant.basis, axes=1)
+    algebra = commutant_basis([x + x.conj().T for x in mixed], tol)
     return AlgebraBasis(gens, algebra.basis, algebra.dimension, True)
 
 

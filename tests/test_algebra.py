@@ -116,6 +116,11 @@ class TestDoubleCommutant:
         assert algebra.dimension == 4
         assert algebra.contains(np.kron(SIGMA_Y, eye3) / np.sqrt(6.0))
 
+    def test_large_commutant(self):
+        # A' = M_8 (x) C^2 has dimension 128; the second commutant stays cheap
+        algebra = kp.generate_algebra([np.eye(16), np.kron(SIGMA_Z, np.eye(8))])
+        assert algebra.dimension == 2
+
     def test_non_hermitian_generator_yields_star_algebra(self):
         raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         algebra = kp.generate_algebra([raising])
