@@ -63,20 +63,15 @@ def _common_dimension(ops) -> int:
 def generate_algebra(generators, tol: Tolerances = DEFAULT) -> AlgebraBasis:
     """Unital *-algebra generated by ``generators``, as a double commutant.
 
-    By von Neumann's double commutant theorem the *-algebra generated by
-    {1} u {G} u {G^H} is ``(A')'``.  The first commutant is taken of the
-    generators together with their adjoints, so non-Hermitian generators
-    bring their adjoints in.  The second is taken of two seeded random
-    Hermitian elements of ``A'``, which generate the *-algebra ``A'`` for
-    all but a null set of draws.  Its commutator stack is ``2 d^2 x d^2``
-    complex (2 MiB at d = 16); the whole basis of ``A'`` would make it
-    ``dim(A') d^2 x d^2``, up to ``d^6`` entries (256 MiB at d = 16).
+    Von Neumann: the *-algebra generated by {1} u {G} u {G^H} is ``(A')'``,
+    so non-Hermitian generators bring their adjoints in.  The second
+    commutant is taken of two seeded random Hermitian elements of ``A'``,
+    which generate ``A'`` for almost every draw; its stack is ``2 d^2 x d^2``
+    where the basis of ``A'`` would give ``dim(A') d^2 x d^2`` (up to d^6).
     """
     gens = tuple(np.asarray(g, dtype=complex) for g in generators)
     commutant = commutant_basis([*gens, *(g.conj().T for g in gens)], tol)
-    rng = np.random.default_rng(0)
-    shape = (2, commutant.dimension)
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs = np.random.default_rng(0).standard_normal((2, 2 * commutant.dimension)).view(complex)
     mixed = np.tensordot(coeffs, commutant.basis, axes=1)
     algebra = commutant_basis([x + x.conj().T for x in mixed], tol)
     return AlgebraBasis(gens, algebra.basis, algebra.dimension, True)
@@ -186,8 +181,7 @@ def commutant_basis(ops, tol: Tolerances = DEFAULT) -> AlgebraBasis:
     eye = np.eye(d)
     rows = [np.kron(eye, g.T) - np.kron(g, eye) for g in mats]
     stacked = np.concatenate(rows, axis=0)
-    # the stack has at least d^2 rows, so the reduced SVD keeps all d^2
-    # singular values and right vectors and drops only the unused U
+    # >= d^2 rows: the reduced SVD keeps every singular value and right vector
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     members = [vh[i].conj().reshape(d, d) for i in range(d * d) if svals[i] < tol.nullspace]
     return AlgebraBasis(tuple(mats), tuple(members), len(members), True, svals)
