@@ -17,7 +17,9 @@ timings go to a separate file so the report bundle stays byte-stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -70,13 +72,40 @@ def _parse_grid(spec: str) -> list[float]:
     spec = spec.strip()
     if not spec:
         return []
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid range must be start:stop:num, got {spec!r}")
-        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-        return [float(x) for x in np.linspace(start, stop, num)]
-    return [float(x) for x in spec.split(",")]
+    try:
+        if ":" in spec:
+            parts = spec.split(":")
+            if len(parts) != 3:
+                raise ConfigError(f"grid range must be start:stop:num, got {spec!r}")
+            start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
+            if num < 0:
+                raise ConfigError(f"grid point count must not be negative, got {num}")
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite points fail below
+                values = [float(x) for x in np.linspace(start, stop, num)]
+        else:
+            values = [float(x) for x in spec.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"malformed --grid {spec!r}: {exc}") from exc
+    if not all(math.isfinite(x) for x in values):
+        raise ConfigError(f"--grid {spec!r} has a non-finite value")
+    return values
+
+
+def _out_dir(args, config) -> Path:
+    """The output directory, created if missing."""
+    out_dir = Path(args.out or config.output_dir or "kcprobe-out")
+    with _output_errors():
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+@contextlib.contextmanager
+def _output_errors():
+    """Turn a failure to create or write an output into a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _witness_rows(experiment: Experiment) -> list[dict]:
@@ -207,8 +236,7 @@ def _cmd_run(args) -> int:
     experiment = build_experiment(config)
     results, timings = _run_checks(experiment)
     expectations = _evaluate_expectations(experiment, results)
-    out_dir = Path(args.out or config.output_dir or "kcprobe-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, config)
     bundle = {
         "schema_version": SCHEMA_VERSION,
         "config": config.raw,
@@ -218,17 +246,28 @@ def _cmd_run(args) -> int:
         "expectations": expectations,
         "tolerances": config.tolerances.as_dict(),
     }
-    write_json(out_dir / "report.json", bundle)
-    write_json(out_dir / "timings.json", {"seconds": timings})
+    with _output_errors():
+        write_json(out_dir / "report.json", bundle)
+        write_json(out_dir / "timings.json", {"seconds": timings})
+    for row in expectations:
+        if not row["matched"]:
+            print(
+                f"expectation {row['name']}: expected {row['expected']}, got {row['actual']}",
+                file=sys.stderr,
+            )
+    if _oracle_disagrees(results.get("oracle", ())):
+        return EXIT_NUMERICAL
     if any(not row["matched"] for row in expectations):
-        for row in expectations:
-            if not row["matched"]:
-                print(
-                    f"expectation {row['name']}: expected {row['expected']}, got {row['actual']}",
-                    file=sys.stderr,
-                )
         return EXIT_EXPECTATION
     return EXIT_OK
+
+
+def _oracle_disagrees(rows) -> bool:
+    """Report oracle rows with ``agrees: false`` on stderr; True if there are any."""
+    disagreeing = [row["state"] for row in rows if not row["agrees"]]
+    if disagreeing:
+        print(f"numerical fault: oracle disagrees for state(s) {disagreeing}", file=sys.stderr)
+    return bool(disagreeing)
 
 
 def _sweep_model(experiment: Experiment, param: str, value: float):
@@ -273,8 +312,7 @@ def _cmd_sweep(args) -> int:
     if config.scenario.kind == "classical_noise":
         raise ConfigError("sweep is not defined for the classical_noise scenario")
     grid = _parse_grid(args.grid)
-    out_dir = Path(args.out or config.output_dir or "kcprobe-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, config)
     rows: list[list] = []
     if grid:
         workers = max(1, args.threads)
@@ -289,8 +327,7 @@ def _cmd_sweep(args) -> int:
         "delta_y_32",
         "commutator_norm",
     ]
-    path = out_dir / "sweep.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output_errors(), open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -307,23 +344,19 @@ def _cmd_oracle(args) -> int:
             experiment.protocol, rho, experiment.n_max, config.tolerances
         )
         rows.append({"state": state_name, **report.to_dict()})
-    out_dir = Path(args.out or config.output_dir or "kcprobe-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(
-        out_dir / "oracle.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "config_fingerprint": fingerprint(config.raw),
-            "reports": rows,
-        },
-    )
+    out_dir = _out_dir(args, config)
+    with _output_errors():
+        write_json(
+            out_dir / "oracle.json",
+            {
+                "schema_version": SCHEMA_VERSION,
+                "config_fingerprint": fingerprint(config.raw),
+                "reports": rows,
+            },
+        )
     worst = max(row["max_abs_discrepancy"] for row in rows)
     print(f"oracle max discrepancy: {worst:.3e}")
-    disagreeing = [row["state"] for row in rows if not row["agrees"]]
-    if disagreeing:
-        print(f"numerical fault: oracle disagrees for state(s) {disagreeing}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_NUMERICAL if _oracle_disagrees(rows) else EXIT_OK
 
 
 def _cmd_search(args) -> int:
@@ -352,17 +385,17 @@ def _cmd_search(args) -> int:
                 tol=config.tolerances,
             )
         ]
-    out_dir = Path(args.out or config.output_dir or "kcprobe-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(
-        out_dir / "search.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "config_fingerprint": fingerprint(config.raw),
-            "mode": mode,
-            "findings": findings,
-        },
-    )
+    out_dir = _out_dir(args, config)
+    with _output_errors():
+        write_json(
+            out_dir / "search.json",
+            {
+                "schema_version": SCHEMA_VERSION,
+                "config_fingerprint": fingerprint(config.raw),
+                "mode": mode,
+                "findings": findings,
+            },
+        )
     print(f"search findings: {len(findings)}")
     return EXIT_OK
 

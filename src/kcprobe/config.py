@@ -7,6 +7,7 @@ Configurations are JSON documents validated against the packaged schema
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
@@ -35,6 +36,15 @@ SCHEMA_VERSION = 1
 def load_schema() -> dict:
     text = importlib.resources.files("kcprobe").joinpath("config_schema.json").read_text()
     return json.loads(text)
+
+
+@functools.cache
+def _schema_validator():
+    """Validator for the packaged schema, meta-checked once per process."""
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 @dataclass(frozen=True)
@@ -86,10 +96,9 @@ def load_run_config(path, overrides: dict | None = None, seed: int | None = None
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, load_schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config does not match schema: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config does not match schema: {error.message}") from error
     scenario_raw = dict(raw["scenario"])
     kind = scenario_raw.pop("kind")
     cfg_seed = scenario_raw.pop("seed", 0)
@@ -141,12 +150,7 @@ def _resolve_state(spec: dict, dim: int) -> np.ndarray:
 def _resolve_protocol(model: DephasingModel, spec: dict, n_max: int) -> MeasurementProtocol:
     step_times = spec.get("step_times")
     if "axes" in spec:
-        protocol = qubit_xy_protocol(model, spec["axes"])
-        if step_times is not None:
-            protocol = MeasurementProtocol(
-                model, protocol.preparation, protocol.step_bases, tuple(step_times)
-            )
-        return protocol
+        return qubit_xy_protocol(model, spec["axes"], step_times)
     if "meter_bases" in spec:
         bases = tuple(
             MeterBasis(rows_matrix(rows), tuple(str(k) for k in range(model.probe_dim)))

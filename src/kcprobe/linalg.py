@@ -103,15 +103,23 @@ def hermitian_eig(h: np.ndarray, tol: Tolerances = DEFAULT):
     return w, v
 
 
-def unitary_from_hamiltonian(h: np.ndarray, t: float, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Return ``exp(-i t h)`` computed through the eigendecomposition of ``h``."""
+def unitary_from_eigensystem(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """Return ``exp(-i t h) = v diag(exp(-i w t)) v^H`` for ``h = v diag(w) v^H``.
+
+    ``(w, v)`` is an eigendecomposition as returned by :func:`hermitian_eig`;
+    ``t == 0`` gives the identity exactly.
+    """
     if not np.isfinite(t):
         raise InvariantViolation(f"time must be finite, got {t}")
-    h = check_hermitian(h, tol)
     if t == 0.0:
-        return np.eye(h.shape[0], dtype=complex)
-    w, v = np.linalg.eigh(h)
+        return np.eye(v.shape[0], dtype=complex)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def unitary_from_hamiltonian(h: np.ndarray, t: float, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Return ``exp(-i t h)`` computed through the eigendecomposition of ``h``."""
+    w, v = hermitian_eig(h, tol)
+    return unitary_from_eigensystem(w, v, t)
 
 
 def orthonormalize_hs(ops, rank_tol: float | None = None, tol: Tolerances = DEFAULT) -> list:

@@ -19,6 +19,7 @@ their own outcome-value conventions.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .linalg import (
     as_complex_matrix,
     check_hermitian,
     frobenius,
-    unitary_from_hamiltonian,
+    unitary_from_eigensystem,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -37,6 +38,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _finite_step_time(t) -> float:
+    if not np.isfinite(t):
+        raise InvariantViolation(f"step time must be finite, got {t}")
+    return float(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +97,18 @@ class MeterBasis:
 
 @dataclass(frozen=True, eq=False)
 class DephasingModel:
-    """Pure-dephasing coupling: one system Hamiltonian per probe pointer state."""
+    """Pure-dephasing coupling: one system Hamiltonian per probe pointer state.
+
+    ``eigensystems[i]`` is ``eigh(hamiltonians[i])``, computed once here, so
+    every conditional unitary of the model is formed without a new
+    diagonalization.
+    """
 
     probe_dim: int
     system_dim: int
     hamiltonians: tuple[np.ndarray, ...]
     step_time: float
+    eigensystems: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.probe_dim < 1 or self.system_dim < 1:
@@ -104,21 +117,30 @@ class DephasingModel:
             raise DimensionError(
                 f"expected {self.probe_dim} conditional Hamiltonians, got {len(self.hamiltonians)}"
             )
-        if not np.isfinite(self.step_time):
-            raise InvariantViolation(f"step time must be finite, got {self.step_time}")
+        step_time = _finite_step_time(self.step_time)
         hams = []
+        eigensystems = []
         for i, h in enumerate(self.hamiltonians):
             h = check_hermitian(h, what=f"conditional Hamiltonian {i}")
             if h.shape[0] != self.system_dim:
                 raise DimensionError(
                     f"conditional Hamiltonian {i} has dimension {h.shape[0]}, expected {self.system_dim}"
                 )
-            hams.append(_frozen(h))
+            h = _frozen(h)
+            w, v = np.linalg.eigh(h)
+            w.setflags(write=False)
+            v.setflags(write=False)
+            hams.append(h)
+            eigensystems.append((w, v))
         object.__setattr__(self, "hamiltonians", tuple(hams))
-        object.__setattr__(self, "step_time", float(self.step_time))
+        object.__setattr__(self, "step_time", step_time)
+        object.__setattr__(self, "eigensystems", tuple(eigensystems))
 
     def with_step_time(self, t: float) -> "DephasingModel":
-        return DephasingModel(self.probe_dim, self.system_dim, self.hamiltonians, t)
+        """The same model at step time ``t``; the eigensystems are shared."""
+        out = copy.copy(self)
+        object.__setattr__(out, "step_time", _finite_step_time(t))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +186,7 @@ def conditional_unitaries(model: DephasingModel, t: float | None = None) -> tupl
     """Per-pointer-state evolution operators ``U_i = exp(-i t H_i)``."""
     if t is None:
         t = model.step_time
-    return tuple(unitary_from_hamiltonian(h, t) for h in model.hamiltonians)
+    return tuple(unitary_from_eigensystem(w, v, t) for w, v in model.eigensystems)
 
 
 def induced_kraus(
@@ -246,14 +268,18 @@ class MeasurementProtocol:
                     f"{len(times)} step times for {len(self.step_bases)} steps"
                 )
             object.__setattr__(self, "step_times", times)
-        unitary_cache: dict[float, tuple[np.ndarray, ...]] = {}
+        # steps with the same basis and duration share one measurement
+        unitaries: dict[float, tuple[np.ndarray, ...]] = {}
+        built: dict[tuple[MeterBasis, float], InducedMeasurement] = {}
         measurements = []
         for basis, t in zip(self.step_bases, times):
-            if t not in unitary_cache:
-                unitary_cache[t] = conditional_unitaries(self.model, t)
-            measurements.append(
-                induced_kraus(self.model, self.preparation, basis, unitaries=unitary_cache[t])
-            )
+            if (basis, t) not in built:
+                if t not in unitaries:
+                    unitaries[t] = conditional_unitaries(self.model, t)
+                built[basis, t] = induced_kraus(
+                    self.model, self.preparation, basis, unitaries=unitaries[t]
+                )
+            measurements.append(built[basis, t])
         object.__setattr__(self, "step_bases", tuple(self.step_bases))
         object.__setattr__(self, "step_measurements", tuple(measurements))
 
@@ -278,13 +304,29 @@ class MeasurementProtocol:
             return self.step_times
         return tuple(self.model.step_time for _ in self.step_bases)
 
+    def _with_steps(self, pick) -> "MeasurementProtocol":
+        """Protocol of the steps ``pick`` selects from each per-step tuple.
+
+        The selected steps were validated and their measurements built when
+        this protocol was, so the result reuses them and skips ``__init__``.
+        """
+        sub = object.__new__(MeasurementProtocol)
+        for name, value in (
+            ("model", self.model),
+            ("preparation", self.preparation),
+            ("step_bases", pick(self.step_bases)),
+            ("step_times", None if self.step_times is None else pick(self.step_times)),
+            ("step_measurements", pick(self.step_measurements)),
+        ):
+            object.__setattr__(sub, name, value)
+        return sub
+
     def prefix(self, n: int) -> "MeasurementProtocol":
         if not 1 <= n <= self.n_steps:
             raise ProtocolError(f"cannot take {n}-step prefix of {self.n_steps}-step protocol")
         if n == self.n_steps:
             return self
-        times = self.step_times[:n] if self.step_times is not None else None
-        return MeasurementProtocol(self.model, self.preparation, self.step_bases[:n], times)
+        return self._with_steps(lambda steps: steps[:n])
 
     def drop_step(self, j: int) -> "MeasurementProtocol":
         """Protocol with step ``j`` (1-based) removed; remaining steps unchanged."""
@@ -292,12 +334,7 @@ class MeasurementProtocol:
             raise ProtocolError(f"step {j} out of range 1..{self.n_steps}")
         if self.n_steps == 1:
             raise ProtocolError("cannot drop the only step of a protocol")
-        keep = [k for k in range(self.n_steps) if k != j - 1]
-        bases = tuple(self.step_bases[k] for k in keep)
-        times = (
-            tuple(self.step_times[k] for k in keep) if self.step_times is not None else None
-        )
-        return MeasurementProtocol(self.model, self.preparation, bases, times)
+        return self._with_steps(lambda steps: steps[: j - 1] + steps[j:])
 
 
 def plus_x_preparation() -> PreparationState:
@@ -332,14 +369,19 @@ def fourier_meter_basis(d: int) -> MeterBasis:
     return MeterBasis(states, tuple(str(k) for k in idx), name="F")
 
 
-def qubit_xy_protocol(model: DephasingModel, axes) -> MeasurementProtocol:
-    """Protocol with ``|+x>`` re-preparations and per-step X or Y meter bases."""
+def qubit_xy_protocol(model: DephasingModel, axes, step_times=None) -> MeasurementProtocol:
+    """Protocol with ``|+x>`` re-preparations and per-step X or Y meter bases.
+
+    Steps along the same axis share one meter basis, so a protocol such as
+    ``"XXX"`` builds one induced measurement per distinct step time.
+    """
     if model.probe_dim != 2:
         raise DimensionError(f"X/Y protocols need a qubit probe, got dimension {model.probe_dim}")
-    bases = tuple(xy_meter_basis(a) for a in axes)
+    meters = {a: xy_meter_basis(a) for a in dict.fromkeys(axes)}
+    bases = tuple(meters[a] for a in axes)
     if not bases:
         raise ProtocolError("need at least one measurement axis")
-    return MeasurementProtocol(model, plus_x_preparation(), bases)
+    return MeasurementProtocol(model, plus_x_preparation(), bases, step_times)
 
 
 def fourier_protocol(model: DephasingModel, n_steps: int) -> MeasurementProtocol:

@@ -1,12 +1,13 @@
 import csv
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
 import kcprobe as kp
-from kcprobe.cli import main
-from kcprobe.config import build_experiment, load_run_config
+from kcprobe.cli import _parse_grid, main
+from kcprobe.config import build_experiment, load_run_config, load_schema
 from kcprobe.errors import ConfigError
 from kcprobe.oracle import OracleReport
 from kcprobe.serialize import complex_pair, matrix_rows, pairs_vector, rows_matrix
@@ -85,6 +86,21 @@ class TestConfigLoading:
         path = write_config(tmp_path / "cfg.json", cfg)
         with pytest.raises(ConfigError):
             load_run_config(path)
+
+    def test_packaged_schema_is_a_valid_schema(self):
+        schema = load_schema()
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_schema_error_message_matches_jsonschema_validate(self, tmp_path):
+        cfg = sigma_pair_config(surprise=True)
+        cfg["protocol"]["n_max"] = "two"
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(cfg, load_schema())
+        path = write_config(tmp_path / "cfg.json", cfg)
+        for _ in range(2):  # the validator is built on the first load and reused after
+            with pytest.raises(ConfigError) as got:
+                load_run_config(path)
+            assert str(got.value) == f"config does not match schema: {expected.value.message}"
 
     def test_tolerance_overrides(self, tmp_path):
         cfg = sigma_pair_config(tolerances={"kc": 1e-6})
@@ -278,6 +294,25 @@ class TestSweepCommand:
         rows = list(csv.reader((out / "sweep.csv").open()))
         assert len(rows) == 1
 
+    @pytest.mark.parametrize(
+        "grid",
+        ["nan", "inf", "0.5,-inf", "a,b", "0:1:-3", "0:1:2.5", "0:nan:3", "1e400:1:2",
+         "-1e308:1e308:3", "0:1"],
+    )
+    def test_malformed_grid_is_config_error(self, tmp_path, grid):
+        with pytest.raises(ConfigError):
+            _parse_grid(grid)
+        path = self.nv_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--param", "t", f"--grid={grid}", "--out", str(out)]) == 2
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "grid, values", [("0.5, 1", [0.5, 1.0]), ("0:1:3", [0.0, 0.5, 1.0]), ("0:1:0", []), (" ", [])]
+    )
+    def test_well_formed_grid(self, grid, values):
+        assert _parse_grid(grid) == values
+
     def test_unknown_parameter_is_config_error(self, tmp_path):
         cfg = sigma_pair_config()
         path = write_config(tmp_path / "cfg.json", cfg)
@@ -303,6 +338,54 @@ class TestOracleCommand:
         assert main(["oracle", path, "--out", str(out)]) == 3
         report = json.loads((out / "oracle.json").read_text())
         assert not any(r["agrees"] for r in report["reports"])
+
+
+class TestRunOracleCheck:
+    def test_run_exits_three_when_the_oracle_disagrees(self, tmp_path, monkeypatch, capsys):
+        def disagreeing(protocol, rho, n_max, tol):
+            return OracleReport(n_max, 1.0, (1.0,) * n_max, 0.0, False, None, tol.as_dict())
+
+        monkeypatch.setattr("kcprobe.cli.oracle_compare", disagreeing)
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["kc", "oracle"]))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["summary"]["oracle"] == "disagrees"
+        assert not any(r["agrees"] for r in report["results"]["oracle"])
+        assert "oracle disagrees" in capsys.readouterr().err
+
+    def test_run_exits_zero_when_the_oracle_agrees(self, tmp_path):
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["summary"]["oracle"] == "agrees"
+
+
+COMMAND_OUTPUTS = [
+    (["run"], "report.json"),
+    (["sweep", "--param", "t", "--grid", "0.5"], "sweep.csv"),
+    (["oracle"], "oracle.json"),
+    (["search"], "search.json"),
+]
+COMMAND_IDS = [command[0] for command, _ in COMMAND_OUTPUTS]
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("blocked", ["directory", "file"])
+    @pytest.mark.parametrize("command, output", COMMAND_OUTPUTS, ids=COMMAND_IDS)
+    def test_unwritable_out_is_a_one_line_config_error(
+        self, tmp_path, capsys, command, output, blocked
+    ):
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config(search={"trials": 2}))
+        if blocked == "directory":
+            out = tmp_path / "cfg.json" / "sub"  # below a regular file
+        else:
+            out = tmp_path / "out"
+            (out / output).mkdir(parents=True)  # a directory holds the output's name
+        assert main([command[0], path, *command[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output:")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestSearchCommand:

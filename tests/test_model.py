@@ -177,6 +177,130 @@ class TestProtocolShape:
         assert frobenius(protocol.step_measurements[0].kraus[0] - expected) <= 1e-12
 
 
+def _count_induced_kraus(monkeypatch) -> list:
+    """Count the calls protocol builds make to ``induced_kraus``."""
+    calls = []
+    original = kp.model.induced_kraus
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kp.model, "induced_kraus", counting)
+    return calls
+
+
+class TestProtocolSlicing:
+    def test_prefix_and_drop_step_reuse_the_parent_measurements(self, sigma_model):
+        protocol = kp.qubit_xy_protocol(sigma_model, "XYYX")
+        parent = protocol.step_measurements
+        for n, kept in ((1, (0,)), (3, (0, 1, 2))):
+            sub = protocol.prefix(n)
+            assert sub.step_bases == tuple(protocol.step_bases[k] for k in kept)
+            assert all(m is parent[k] for m, k in zip(sub.step_measurements, kept, strict=True))
+        for j, kept in ((1, (1, 2, 3)), (2, (0, 2, 3)), (4, (0, 1, 2))):
+            sub = protocol.drop_step(j)
+            assert sub.axes == tuple(protocol.axes[k] for k in kept)
+            assert all(m is parent[k] for m, k in zip(sub.step_measurements, kept, strict=True))
+            assert sub.step_times is None and sub.model is protocol.model
+        assert protocol.prefix(4) is protocol
+
+    def test_slices_keep_per_step_times(self):
+        realization = kp.NoiseRealization((0.3, -1.1, 2.0, 0.7), (1.0, 0.5, 1.0, 2.0))
+        protocol = kp.classical_noise_model(realization, 4)
+        times = protocol.step_times
+        assert len(set(times)) == 4
+        for sub, kept in (
+            (protocol.prefix(2), (0, 1)),
+            (protocol.drop_step(1), (1, 2, 3)),
+            (protocol.drop_step(3), (0, 1, 3)),
+            (protocol.drop_step(3).drop_step(1), (1, 3)),
+        ):
+            assert sub.step_times == tuple(times[k] for k in kept)
+            assert sub.effective_step_times() == sub.step_times
+            rebuilt = kp.MeasurementProtocol(
+                protocol.model, protocol.preparation, sub.step_bases, sub.step_times
+            )
+            for mine, fresh in zip(sub.step_measurements, rebuilt.step_measurements, strict=True):
+                assert all(np.array_equal(a, b) for a, b in zip(mine.kraus, fresh.kraus))
+                assert all(np.array_equal(a, b) for a, b in zip(mine.effects, fresh.effects))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda p: p.prefix(0), "cannot take 0-step prefix of 3-step protocol"),
+            (lambda p: p.prefix(4), "cannot take 4-step prefix of 3-step protocol"),
+            (lambda p: p.drop_step(0), "step 0 out of range 1..3"),
+            (lambda p: p.drop_step(4), "step 4 out of range 1..3"),
+            (lambda p: p.prefix(1).drop_step(1), "cannot drop the only step of a protocol"),
+        ],
+    )
+    def test_slicing_errors(self, sigma_model, call, message):
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            call(kp.qubit_xy_protocol(sigma_model, "XYX"))
+
+    def test_oracle_builds_no_measurement_after_the_protocol(self, monkeypatch):
+        model = kp.random_model(4, 3, 2, commuting=False)
+        protocol = kp.fourier_protocol(model, 4)
+        calls = _count_induced_kraus(monkeypatch)
+        report = kp.oracle_compare(protocol, np.eye(2) / 2, 4)
+        assert report.agrees
+        assert calls == []
+
+    @pytest.mark.parametrize("axes, builds", [("XXX", 1), ("XYX", 2), ("YXYY", 2), ("Y", 1)])
+    def test_identical_steps_share_one_measurement(self, sigma_model, monkeypatch, axes, builds):
+        calls = _count_induced_kraus(monkeypatch)
+        protocol = kp.qubit_xy_protocol(sigma_model, axes)
+        assert len(calls) == builds
+        for a, m in zip(protocol.axes, protocol.step_measurements):
+            assert m is protocol.step_measurements[protocol.axes.index(a)]
+
+    def test_steps_with_different_times_do_not_share(self, sigma_model):
+        basis = kp.xy_meter_basis("X")
+        protocol = kp.MeasurementProtocol(
+            sigma_model, kp.plus_x_preparation(), (basis,) * 3, (0.3, 0.9, 0.3)
+        )
+        first, second, third = protocol.step_measurements
+        assert first is third and first is not second
+
+
+class TestEigensystems:
+    @pytest.fixture
+    def model(self):
+        rng = np.random.default_rng(8)
+        return kp.DephasingModel(3, 4, tuple(random_hermitian(rng, 4) for _ in range(3)), 0.6)
+
+    def test_eigensystems_diagonalize_the_hamiltonians(self, model):
+        for h, (w, v) in zip(model.hamiltonians, model.eigensystems, strict=True):
+            assert frobenius((v * w) @ v.conj().T - h) <= 1e-12
+            assert not w.flags.writeable and not v.flags.writeable
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 0.6, -1.7, np.pi / 2, 12.5])
+    def test_conditional_unitaries_are_bitwise_unitary_from_hamiltonian(self, model, t):
+        expected = [kp.unitary_from_hamiltonian(h, t) for h in model.hamiltonians]
+        for u, ref in zip(kp.conditional_unitaries(model, t), expected, strict=True):
+            assert np.array_equal(u, ref)
+        if t == 0.0:
+            assert all(np.array_equal(u, np.eye(4)) for u in expected)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_raises(self, model, t):
+        with pytest.raises(InvariantViolation, match="time must be finite"):
+            kp.conditional_unitaries(model, t)
+        with pytest.raises(InvariantViolation, match="time must be finite"):
+            kp.unitary_from_hamiltonian(model.hamiltonians[0], t)
+
+    def test_with_step_time_shares_the_eigensystems(self, model):
+        moved = model.with_step_time(2.5)
+        assert moved.step_time == 2.5 and model.step_time == 0.6
+        assert moved.eigensystems is model.eigensystems
+        assert moved.hamiltonians is model.hamiltonians
+        for u, ref in zip(kp.conditional_unitaries(moved), kp.conditional_unitaries(model, 2.5)):
+            assert np.array_equal(u, ref)
+        with pytest.raises(InvariantViolation, match="step time must be finite"):
+            model.with_step_time(np.nan)
+
+
 class TestFourierBasis:
     def test_reduces_to_x_basis_for_qubits(self):
         fourier = kp.fourier_meter_basis(2)
