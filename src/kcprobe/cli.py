@@ -37,7 +37,7 @@ from .errors import (
     NumericalFault,
 )
 from .linalg import commutator, frobenius
-from .model import qubit_xy_protocol
+from .model import DephasingModel, MeasurementProtocol, qubit_xy_protocol
 from .oracle import oracle_compare
 from .scenarios import (
     ScenarioSpec,
@@ -108,38 +108,39 @@ def _output_errors():
         raise ConfigError(f"cannot write output: {exc}") from exc
 
 
-def _witness_rows(experiment: Experiment) -> list[dict]:
-    model = experiment.model
-    protocol = experiment.protocol
-    tol = experiment.config.tolerances
+def _witness_protocols(
+    model: DephasingModel, protocol: MeasurementProtocol | None = None
+) -> tuple[dict[str, MeasurementProtocol], MeasurementProtocol]:
+    """The protocols the witnesses read: ``{axis: protocol}`` and the LG check's.
+
+    A protocol with its own step times is read as it is.  Otherwise one
+    3-step protocol is built per axis, and Δ21, Δ32 and the LG check (on
+    ``XXX``) read its prefixes.  The LG check needs X steps; if the given
+    protocol has none, it reads ``XX`` at the model's step time.
+    """
     if model.probe_dim != 2:
-        raise ConfigError("witness checks need a qubit probe")
-    if protocol.step_times is not None:
-        # noise-style protocol: evaluate the witnesses on its own steps
-        axis = protocol.axes[0]
-        pairs = [(axis.lower(), protocol, protocol if protocol.n_steps >= 3 else None)]
+        raise ConfigError("witnesses need a qubit probe")
+    if protocol is not None and protocol.step_times is not None:
+        by_axis = {protocol.axes[0]: protocol}
     else:
-        pairs = [
-            ("x", qubit_xy_protocol(model, "XX"), qubit_xy_protocol(model, "XXX")),
-            ("y", qubit_xy_protocol(model, "YY"), qubit_xy_protocol(model, "YYY")),
-        ]
-    lg_protocol = (
-        protocol
-        if protocol.step_times is not None and protocol.axes[0] == "X"
-        else qubit_xy_protocol(model, "XX")
-    )
+        by_axis = {axis: qubit_xy_protocol(model, axis * 3) for axis in "XY"}
+    return by_axis, by_axis.get("X") or qubit_xy_protocol(model, "XX")
+
+
+def _witness_rows(experiment: Experiment) -> list[dict]:
+    tol = experiment.config.tolerances
+    by_axis, lg_protocol = _witness_protocols(experiment.model, experiment.protocol)
     rows = []
     for state_name, rho in experiment.states:
         entry: dict = {"state": state_name}
-        for axis, two, three in pairs:
-            value = delta_2_1(two, rho, tol)
-            entry[f"delta_{axis}_21"] = witness_report(
-                f"delta21_{axis}", value, two, {"state": state_name}, tol
-            ).to_dict()
-            if three is not None:
-                value = delta_3_2(three, rho, tol)
-                entry[f"delta_{axis}_32"] = witness_report(
-                    f"delta32_{axis}", value, three, {"state": state_name}, tol
+        for axis, protocol in by_axis.items():
+            axis = axis.lower()
+            for n, witness in ((2, delta_2_1), (3, delta_3_2)):
+                if n > max(protocol.n_steps, 2):
+                    break  # Δ32 needs three steps; Δ21 raises on fewer than two
+                value = witness(protocol, rho, tol)
+                entry[f"delta_{axis}_{n}{n - 1}"] = witness_report(
+                    f"delta{n}{n - 1}_{axis}", value, protocol.prefix(n), {"state": state_name}, tol
                 ).to_dict()
         entry["lg"] = lg_check(lg_protocol, rho, tol).to_dict()
         rows.append(entry)
@@ -216,15 +217,11 @@ def _evaluate_expectations(experiment: Experiment, results: dict) -> list[dict]:
         actual, _ = is_commutative(experiment.model.hamiltonians, tol)
         rows.append({"name": "commutative", "expected": expect["commutative"], "actual": actual})
     if "lg_satisfied" in expect:
-        if experiment.model.probe_dim != 2:
-            raise ConfigError("lg_satisfied expectation needs a qubit probe")
-        protocol = (
-            experiment.protocol
-            if experiment.protocol.step_times is not None
-            else qubit_xy_protocol(experiment.model, "XX")
-        )
-        rho = experiment.states[0][1]
-        actual = lg_check(protocol, rho, tol).lg_satisfied
+        if "witnesses" in results:
+            actual = results["witnesses"][0]["lg"]["lg_satisfied"]
+        else:
+            _, lg_protocol = _witness_protocols(experiment.model, experiment.protocol)
+            actual = lg_check(lg_protocol, experiment.states[0][1], tol).lg_satisfied
         rows.append({"name": "lg_satisfied", "expected": expect["lg_satisfied"], "actual": actual})
     for row in rows:
         row["matched"] = row["expected"] == row["actual"]
@@ -286,22 +283,15 @@ def _sweep_model(experiment: Experiment, param: str, value: float):
 def _sweep_row(experiment: Experiment, param: str, value: float) -> list:
     tol = experiment.config.tolerances
     model = _sweep_model(experiment, param, value)
-    if model.probe_dim != 2:
-        raise ConfigError("sweep witness columns need a qubit probe")
+    protocols = _witness_protocols(model)[0].values()
     rho = experiment.states[0][1]
     n_max = max(2, min(experiment.n_max, 3))
-    defect = 0.0
-    for axis in ("X", "Y"):
-        protocol = qubit_xy_protocol(model, axis * n_max)
-        defect = max(defect, check_kc_all(protocol, n_max, tol=tol).max_operator_defect)
+    defect = max(check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols)
     comm = frobenius(commutator(model.hamiltonians[0], model.hamiltonians[1]))
     return [
         value,
         defect,
-        delta_2_1(qubit_xy_protocol(model, "XX"), rho, tol),
-        delta_2_1(qubit_xy_protocol(model, "YY"), rho, tol),
-        delta_3_2(qubit_xy_protocol(model, "XXX"), rho, tol),
-        delta_3_2(qubit_xy_protocol(model, "YYY"), rho, tol),
+        *(witness(p, rho, tol) for witness in (delta_2_1, delta_3_2) for p in protocols),
         comm,
     ]
 
@@ -419,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--tol", action="append", metavar="NAME=VALUE", help="override one tolerance"
         )
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
         cmd.set_defaults(handler=fn)
         if name == "sweep":
+            cmd.add_argument("--threads", type=int, default=1, help="worker threads")
             cmd.add_argument("--param", required=True, choices=("t", "omega"))
             cmd.add_argument(
                 "--grid",
@@ -431,9 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_grid(argv: list[str]) -> list[str]:
+    """Write ``--grid VALUE`` as ``--grid=VALUE``, so that argparse does not
+    take a value such as ``-1,0`` for an option."""
+    while "--grid" in argv[:-1]:
+        i = argv.index("--grid")
+        argv[i : i + 2] = [f"--grid={argv[i + 1]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_grid(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.handler(args)
     except (NumericalFault, InvariantViolation) as exc:

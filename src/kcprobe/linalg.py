@@ -72,14 +72,6 @@ def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT, what: str = "matri
     return m
 
 
-def check_unitary(u: np.ndarray, tol: Tolerances = DEFAULT, what: str = "matrix") -> np.ndarray:
-    u = as_complex_matrix(u)
-    defect = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > tol.unitarity:
-        raise InvariantViolation(f"{what} is not unitary: |U^H U - 1|_F = {defect:.3e}")
-    return u
-
-
 def check_density(rho: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     rho = check_hermitian(rho, tol, what="density matrix")
     tr = np.trace(rho)

@@ -399,8 +399,6 @@ def nonselective_apply(
     preparation: PreparationState,
     a: np.ndarray,
     direction: str = "state",
-    *,
-    unitaries: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Apply the outcome-averaged measurement map.
 
@@ -415,11 +413,9 @@ def nonselective_apply(
         raise DimensionError(f"operator dimension {a.shape[0]} != system dimension {model.system_dim}")
     if direction not in ("state", "observable"):
         raise ProtocolError(f"direction must be 'state' or 'observable', got {direction!r}")
-    if unitaries is None:
-        unitaries = conditional_unitaries(model)
     probs = np.abs(preparation.amplitudes) ** 2
     out = np.zeros_like(a)
-    for p, u in zip(probs, unitaries):
+    for p, u in zip(probs, conditional_unitaries(model)):
         if direction == "state":
             out = out + p * (u @ a @ u.conj().T)
         else:

@@ -110,28 +110,18 @@ def _require_same_axis(protocol: MeasurementProtocol, n: int) -> str:
 def delta_2_1(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = DEFAULT) -> float:
     """Two-measurement witness: second-step average with an intermediate
     nonselective measurement minus the single-step average at the same
-    remaining duration.  Values are ``+1/-1``."""
+    remaining duration, i.e. :func:`delta_correlation` at ``(n, j) = (2, 1)``.
+    Values are ``+1/-1``."""
     _require_same_axis(protocol, 2)
-    two = protocol.prefix(2)
-    dist2 = full_distribution(two, rho, 2, tol)
-    dist1 = full_distribution(two.drop_step(1), rho, 1, tol)
-    first = sum(
-        PLUS_MINUS_VALUES[m2] * p for (m1, m2), p in dist2.table.items()
-    )
-    second = sum(PLUS_MINUS_VALUES[m2] * p for (m2,), p in dist1.table.items())
-    return first - second
+    return delta_correlation(protocol, rho, 2, 1, PLUS_MINUS_VALUES, tol)
 
 
 def delta_3_2(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = DEFAULT) -> float:
     """Three-measurement witness: first/third-step correlation defect when
-    the middle measurement is marginalized.  Values are ``+1/-1``."""
+    the middle measurement is marginalized, i.e. :func:`delta_correlation`
+    at ``(n, j) = (3, 2)``.  Values are ``+1/-1``."""
     _require_same_axis(protocol, 3)
-    total = 0.0
-    for m3 in range(2):
-        for m1 in range(2):
-            d = kc_defect_state(protocol, rho, 3, 2, (m1, m3), tol)
-            total += PLUS_MINUS_VALUES[m3] * PLUS_MINUS_VALUES[m1] * d
-    return total
+    return delta_correlation(protocol, rho, 3, 2, PLUS_MINUS_VALUES, tol)
 
 
 _LG_NOTE = (

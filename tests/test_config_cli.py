@@ -248,6 +248,72 @@ class TestClassicalNoiseRun:
         assert row["lg"]["lg_satisfied"]
 
 
+def count_protocol_builds(monkeypatch) -> list:
+    """Count full protocol builds; prefix and drop_step slices are not builds."""
+    builds = []
+    post_init = kp.MeasurementProtocol.__post_init__
+
+    def counted(self):
+        builds.append(self.axes)
+        post_init(self)
+
+    monkeypatch.setattr(kp.MeasurementProtocol, "__post_init__", counted)
+    return builds
+
+
+class TestWitnessProtocols:
+    def test_lg_expectation_reads_the_lg_row_protocol(self, tmp_path):
+        cfg = sigma_pair_config(
+            protocol={"axes": ["Y", "Y"], "step_times": [np.pi / 2, np.pi / 2], "n_max": 2},
+            checks=["witnesses"],
+            expect={"lg_satisfied": True},
+        )
+        path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        bundle = json.loads((out / "report.json").read_text())
+        (row,) = bundle["expectations"]
+        assert row["actual"] == bundle["results"]["witnesses"][0]["lg"]["lg_satisfied"]
+
+    def test_lg_expectation_without_the_witness_check(self, tmp_path):
+        cfg = sigma_pair_config(
+            protocol={"axes": ["Y", "Y"], "step_times": [np.pi / 2, np.pi / 2], "n_max": 2},
+            expect={"lg_satisfied": True},
+        )
+        path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        (row,) = json.loads((out / "report.json").read_text())["expectations"]
+        assert row["actual"] is True
+
+    def test_step_times_witnesses_fingerprint_the_prefix_they_read(self, tmp_path):
+        cfg = sigma_pair_config(
+            protocol={"axes": ["Y"] * 3, "step_times": [0.4, 0.9, 1.3], "n_max": 3},
+            checks=["witnesses"],
+        )
+        path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        protocol = build_experiment(load_run_config(path)).protocol
+        row = json.loads((out / "report.json").read_text())["results"]["witnesses"][0]
+        for key, n in (("delta_y_21", 2), ("delta_y_32", 3)):
+            want = kp.serialize.fingerprint(kp.serialize.protocol_payload(protocol.prefix(n)))
+            assert row[key]["model_fingerprint"] == want
+
+    def test_run_with_witnesses_builds_three_protocols(self, tmp_path, monkeypatch):
+        cfg = {
+            "schema_version": 1,
+            "scenario": {"kind": "random", "seed": 42, "probe_dim": 2, "system_dim": 4, "commuting": True},
+            "protocol": {"axes": ["X", "Y", "X"], "n_max": 3},
+            "states": [{"name": "random", "seed": 7}],
+            "checks": ["witnesses"],
+        }
+        path = write_config(tmp_path / "cfg.json", cfg)
+        builds = count_protocol_builds(monkeypatch)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert sorted(builds) == [("X", "X", "X"), ("X", "Y", "X"), ("Y", "Y", "Y")]
+
+
 class TestSweepCommand:
     def nv_config(self, tmp_path):
         cfg = {
@@ -287,6 +353,14 @@ class TestSweepCommand:
         ) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize("param, grid, points", [("t", "0.1:2:7", 7), ("omega", "0,0.5,1", 3)])
+    def test_builds_two_protocols_per_point(self, tmp_path, monkeypatch, param, grid, points):
+        path = self.nv_config(tmp_path)
+        builds = count_protocol_builds(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--param", param, "--grid", grid, "--out", str(out)]) == 0
+        assert len(builds) == 1 + 2 * points
+
     def test_empty_grid_writes_header_only(self, tmp_path):
         path = self.nv_config(tmp_path)
         out = tmp_path / "out"
@@ -307,6 +381,21 @@ class TestSweepCommand:
         assert main(["sweep", path, "--param", "t", f"--grid={grid}", "--out", str(out)]) == 2
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("grid, rows", [("-1,0", 2), ("-1:0:3", 3)])
+    def test_grid_value_may_start_with_a_minus(self, tmp_path, grid, rows):
+        path = self.nv_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--param", "t", "--grid", grid, "--out", str(out)]) == 0
+        assert len(list(csv.reader((out / "sweep.csv").open()))) == 1 + rows
+
+    def test_non_finite_grid_after_a_space_is_a_config_error(self, tmp_path, capsys):
+        path = self.nv_config(tmp_path)
+        out = tmp_path / "out"
+        argv = ["sweep", path, "--param", "t", "--grid", "-1e308:1e308:3", "--out", str(out)]
+        assert main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize(
         "grid, values", [("0.5, 1", [0.5, 1.0]), ("0:1:3", [0.0, 0.5, 1.0]), ("0:1:0", []), (" ", [])]
     )
@@ -317,6 +406,14 @@ class TestSweepCommand:
         cfg = sigma_pair_config()
         path = write_config(tmp_path / "cfg.json", cfg)
         assert main(["sweep", path, "--param", "omega", "--grid", "0,1", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "oracle", "search"])
+def test_threads_is_a_sweep_only_flag(tmp_path, command):
+    path = write_config(tmp_path / "cfg.json", sigma_pair_config(search={"trials": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--threads", "2", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
 
 
 class TestOracleCommand:

@@ -64,6 +64,22 @@ class TestDelta21:
             b = kp.delta_correlation(protocol, rho, 2, 1, PM)
             assert abs(a - b) <= 1e-12
 
+    def test_matches_table_sum(self):
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            d_s = int(rng.integers(2, 4))
+            model = kp.random_model(int(rng.integers(1 << 30)), 2, d_s, bool(rng.integers(2)))
+            axis = "X" if rng.integers(2) else "Y"
+            protocol = kp.qubit_xy_protocol(model, axis * 2)
+            rho = random_density(rng, d_s)
+            dist2 = kp.full_distribution(protocol, rho, 2)
+            dist1 = kp.full_distribution(protocol.drop_step(1), rho, 1)
+            explicit = 0.0
+            for m2 in range(2):
+                term = sum(dist2.table[(m1, m2)] for m1 in range(2)) - dist1.table[(m2,)]
+                explicit += PM[m2] * term
+            assert abs(kp.delta_2_1(protocol, rho) - explicit) <= 1e-12
+
 
 class TestDelta32:
     def test_commuting_model_vanishes(self):
