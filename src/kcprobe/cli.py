@@ -8,20 +8,22 @@ oracle <config>   cross-validate sequence statistics along the naive route
 search <config>   seeded searches (degenerate-effect or inequality-violation)
 
 Exit codes: 0 success (and expectations, if any, matched), 1 an expectation
-was not met, 2 configuration or usage error (including invalid tolerances and
-non-finite config numbers), 3 numerical fault (including an oracle
-disagreement).  Reports are deterministic for a fixed config; wall-clock
-timings go to a separate file so the report bundle stays byte-stable.
+was not met, 2 configuration or usage error (including invalid tolerances,
+config numbers and config objects), 3 numerical fault (including an oracle
+disagreement), 4 internal error.  Reports are deterministic for a fixed
+config; wall-clock timings go to a separate file so the report bundle stays
+byte-stable.  A command writes all of its output files or none.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import math
+import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_EXPECTATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_tol_overrides(pairs) -> dict:
@@ -91,21 +94,38 @@ def _parse_grid(spec: str) -> list[float]:
     return values
 
 
-def _out_dir(args, config) -> Path:
-    """The output directory, created if missing."""
+def _write_outputs(args, config, writers: dict) -> None:
+    """Write ``{file name: write(path)}`` into ``--out``, else ``output.dir``,
+    else ``kcprobe-out``.  Every file goes to a temporary name first and all
+    are renamed into place only once each is written; an ``OSError`` is a
+    config error."""
     out_dir = Path(args.out or config.output_dir or "kcprobe-out")
-    with _output_errors():
-        out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
-@contextlib.contextmanager
-def _output_errors():
-    """Turn a failure to create or write an output into a config error."""
+    staged = []
     try:
-        yield
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in writers.items():
+            staged.append((out_dir / f".{name}.{os.getpid()}.tmp", out_dir / name))
+            write(staged[-1][0])
+        for tmp, path in staged:
+            tmp.replace(path)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
+def _header(config) -> dict:
+    """The fields that ``report.json``, ``oracle.json`` and ``search.json`` share."""
+    return {"schema_version": SCHEMA_VERSION, "config_fingerprint": fingerprint(config.raw)}
+
+
+def _oracle_rows(experiment: Experiment) -> list[dict]:
+    tol = experiment.config.tolerances
+    return [
+        {"state": name, **oracle_compare(experiment.protocol, rho, experiment.n_max, tol).to_dict()}
+        for name, rho in experiment.states
+    ]
 
 
 def _witness_protocols(
@@ -169,11 +189,7 @@ def _run_checks(experiment: Experiment) -> tuple[dict, dict]:
                 rows.append({"state": state_name, "zero_entanglement": ok, "diagnostics": diag})
             results["entanglement"] = rows
         elif check == "oracle":
-            rows = []
-            for state_name, rho in experiment.states:
-                report = oracle_compare(experiment.protocol, rho, experiment.n_max, tol)
-                rows.append({"state": state_name, **report.to_dict()})
-            results["oracle"] = rows
+            results["oracle"] = _oracle_rows(experiment)
         timings[check] = time.perf_counter() - started
     return results, timings
 
@@ -228,24 +244,23 @@ def _evaluate_expectations(experiment: Experiment, results: dict) -> list[dict]:
     return rows
 
 
-def _cmd_run(args) -> int:
-    config = load_run_config(args.config, _parse_tol_overrides(args.tol), args.seed)
+def _cmd_run(args, config) -> int:
     experiment = build_experiment(config)
     results, timings = _run_checks(experiment)
     expectations = _evaluate_expectations(experiment, results)
-    out_dir = _out_dir(args, config)
     bundle = {
-        "schema_version": SCHEMA_VERSION,
+        **_header(config),
         "config": config.raw,
-        "config_fingerprint": fingerprint(config.raw),
         "results": results,
         "summary": _summarize(results),
         "expectations": expectations,
         "tolerances": config.tolerances.as_dict(),
     }
-    with _output_errors():
-        write_json(out_dir / "report.json", bundle)
-        write_json(out_dir / "timings.json", {"seconds": timings})
+    outputs = {
+        "report.json": lambda path: write_json(path, bundle),
+        "timings.json": lambda path: write_json(path, {"seconds": timings}),
+    }
+    _write_outputs(args, config, outputs)
     for row in expectations:
         if not row["matched"]:
             print(
@@ -296,18 +311,13 @@ def _sweep_row(experiment: Experiment, param: str, value: float) -> list:
     ]
 
 
-def _cmd_sweep(args) -> int:
-    config = load_run_config(args.config, _parse_tol_overrides(args.tol), args.seed)
+def _cmd_sweep(args, config) -> int:
     experiment = build_experiment(config)
     if config.scenario.kind == "classical_noise":
         raise ConfigError("sweep is not defined for the classical_noise scenario")
     grid = _parse_grid(args.grid)
-    out_dir = _out_dir(args, config)
-    rows: list[list] = []
-    if grid:
-        workers = max(1, args.threads)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(experiment, args.param, v), grid))
+    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+        rows = list(pool.map(lambda v: _sweep_row(experiment, args.param, v), grid))
     header = [
         args.param,
         "max_kc_defect",
@@ -317,40 +327,28 @@ def _cmd_sweep(args) -> int:
         "delta_y_32",
         "commutator_norm",
     ]
-    with _output_errors(), open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(x)) for x in row])
+
+    def write_csv(path):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(x)) for x in row])
+
+    _write_outputs(args, config, {"sweep.csv": write_csv})
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    config = load_run_config(args.config, _parse_tol_overrides(args.tol), args.seed)
-    experiment = build_experiment(config)
-    rows = []
-    for state_name, rho in experiment.states:
-        report = oracle_compare(
-            experiment.protocol, rho, experiment.n_max, config.tolerances
-        )
-        rows.append({"state": state_name, **report.to_dict()})
-    out_dir = _out_dir(args, config)
-    with _output_errors():
-        write_json(
-            out_dir / "oracle.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "config_fingerprint": fingerprint(config.raw),
-                "reports": rows,
-            },
-        )
+def _cmd_oracle(args, config) -> int:
+    rows = _oracle_rows(build_experiment(config))
+    document = {**_header(config), "reports": rows}
+    _write_outputs(args, config, {"oracle.json": lambda path: write_json(path, document)})
     worst = max(row["max_abs_discrepancy"] for row in rows)
     print(f"oracle max discrepancy: {worst:.3e}")
     return EXIT_NUMERICAL if _oracle_disagrees(rows) else EXIT_OK
 
 
-def _cmd_search(args) -> int:
-    config = load_run_config(args.config, _parse_tol_overrides(args.tol), args.seed)
+def _cmd_search(args, config) -> int:
     search = config.search
     trials = int(search.get("trials", 100))
     mode = search.get("mode", "degenerate")
@@ -375,17 +373,8 @@ def _cmd_search(args) -> int:
                 tol=config.tolerances,
             )
         ]
-    out_dir = _out_dir(args, config)
-    with _output_errors():
-        write_json(
-            out_dir / "search.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "config_fingerprint": fingerprint(config.raw),
-                "mode": mode,
-                "findings": findings,
-            },
-        )
+    document = {**_header(config), "mode": mode, "findings": findings}
+    _write_outputs(args, config, {"search.json": lambda path: write_json(path, document)})
     print(f"search findings: {len(findings)}")
     return EXIT_OK
 
@@ -434,8 +423,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_joined_grid(list(sys.argv[1:] if argv is None else argv)))
     try:
-        return args.handler(args)
-    except (NumericalFault, InvariantViolation) as exc:
+        config = load_run_config(args.config, _parse_tol_overrides(args.tol), args.seed)
+        return args.handler(args, config)
+    except (NumericalFault, InvariantViolation, np.linalg.LinAlgError) as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, CapacityError) as exc:
@@ -444,6 +434,9 @@ def main(argv=None) -> int:
     except KCProbeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import jsonschema
 import numpy as np
 
-from .errors import ConfigError, KCProbeError
+from .errors import ConfigError, InvariantViolation, KCProbeError
+from .linalg import check_density
 from .model import (
     DephasingModel,
     MeasurementProtocol,
@@ -134,7 +135,10 @@ def _resolve_state(spec: dict, dim: int) -> np.ndarray:
         ket = pairs_vector(spec["ket"])
         if ket.size != dim:
             raise ConfigError(f"ket has dimension {ket.size}, system has {dim}")
-        norm = float(np.linalg.norm(ket))
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = float(np.linalg.norm(ket))
+        if not math.isfinite(norm):
+            raise ConfigError(f"ket norm {norm} is not finite")
         if norm < 1e-12:
             raise ConfigError("ket has zero norm")
         ket = ket / norm
@@ -167,7 +171,19 @@ def _resolve_protocol(model: DephasingModel, spec: dict, n_max: int) -> Measurem
 
 
 def build_experiment(config: RunConfig) -> Experiment:
-    """Resolve a config into model, protocol, and concrete states."""
+    """Resolve a config into model, protocol, and concrete states.
+
+    A model, protocol or state that fails one of its defining invariants
+    (a non-Hermitian Hamiltonian, a non-orthonormal meter basis, a state
+    that is not a density matrix, ...) is a :class:`ConfigError`.
+    """
+    try:
+        return _build_experiment(config)
+    except InvariantViolation as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _build_experiment(config: RunConfig) -> Experiment:
     try:
         built = build_scenario(config.scenario)
     except KCProbeError:
@@ -198,4 +214,6 @@ def build_experiment(config: RunConfig) -> Experiment:
     states = tuple(
         (spec["name"], _resolve_state(spec, model.system_dim)) for spec in config.states
     )
+    for _, rho in states:
+        check_density(rho, config.tolerances)
     return Experiment(config=config, model=model, protocol=protocol, n_max=n_max, states=states)

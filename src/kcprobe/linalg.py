@@ -8,6 +8,8 @@ raise :class:`~kcprobe.errors.InvariantViolation`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, InvariantViolation
@@ -59,15 +61,21 @@ def hs_norm(a: np.ndarray) -> float:
 
 
 def is_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT) -> bool:
-    scale = max(frobenius(m), 1.0)
-    return frobenius(m - m.conj().T) <= tol.hermiticity * scale
+    """``|M - M^H|_F <= tol.hermiticity * max(|M|_F, 1)``; False if ``|M|_F`` overflows."""
+    with np.errstate(over="ignore"):
+        scale = frobenius(m)
+    if not math.isfinite(scale):
+        return False
+    return frobenius(m - m.conj().T) <= tol.hermiticity * max(scale, 1.0)
 
 
 def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT, what: str = "matrix") -> np.ndarray:
     m = as_complex_matrix(m)
     if not is_hermitian(m, tol):
+        with np.errstate(over="ignore"):
+            defect, scale = frobenius(m - m.conj().T), frobenius(m)
         raise InvariantViolation(
-            f"{what} is not Hermitian: |M - M^H|_F = {frobenius(m - m.conj().T):.3e}"
+            f"{what} is not Hermitian: |M - M^H|_F = {defect:.3e}, |M|_F = {scale:.3e}"
         )
     return m
 
@@ -99,12 +107,15 @@ def unitary_from_eigensystem(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarr
     """Return ``exp(-i t h) = v diag(exp(-i w t)) v^H`` for ``h = v diag(w) v^H``.
 
     ``(w, v)`` is an eigendecomposition as returned by :func:`hermitian_eig`;
-    ``t == 0`` gives the identity exactly.
+    ``t == 0`` gives the identity exactly.  A phase ``w t`` that overflows
+    raises :class:`InvariantViolation`.
     """
     if not np.isfinite(t):
         raise InvariantViolation(f"time must be finite, got {t}")
     if t == 0.0:
         return np.eye(v.shape[0], dtype=complex)
+    if not math.isfinite(float(np.max(np.abs(w))) * abs(t)):
+        raise InvariantViolation(f"phases w*t overflow at time {t}")
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 

@@ -223,13 +223,13 @@ def induced_kraus(
         kraus.append(_frozen(k))
         effects.append(_frozen(e))
     completeness = frobenius(sum(effects) - np.eye(model.system_dim))
-    if completeness > tol.povm_completeness:
+    if not completeness <= tol.povm_completeness:
         raise InvariantViolation(
             f"effects do not sum to the identity: defect {completeness:.3e}"
         )
     for m, e in enumerate(effects):
         lo = float(np.linalg.eigvalsh(e)[0])
-        if lo < -tol.effect_psd:
+        if not lo >= -tol.effect_psd:
             raise InvariantViolation(f"effect {m} has negative eigenvalue {lo:.3e}")
     return InducedMeasurement(tuple(kraus), tuple(effects), meter.labels)
 

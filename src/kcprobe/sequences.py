@@ -18,6 +18,7 @@ reported as a substantive check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,10 @@ def joint_probability(rho: np.ndarray, q, tol: Tolerances = DEFAULT) -> float:
     if rho.shape != mat.shape:
         raise ProtocolError(f"state shape {rho.shape} does not match operator {mat.shape}")
     val = complex(np.trace(rho @ mat))
-    if abs(val.imag) > tol.probability_imag:
+    if not abs(val.imag) <= tol.probability_imag:
         raise NumericalFault(f"probability has imaginary residue {val.imag:.3e}")
     p = val.real
-    if p < -tol.probability_clip or p > 1.0 + tol.probability_clip:
+    if not -tol.probability_clip <= p <= 1.0 + tol.probability_clip:
         raise NumericalFault(f"probability {p} outside [0, 1] beyond tolerance")
     return min(max(p, 0.0), 1.0)
 
@@ -140,7 +141,7 @@ def full_distribution(
 
     walk(0, (), np.eye(d, dtype=complex))
     total = sum(table.values())
-    if abs(total - 1.0) > tol.distribution_sum:
+    if not abs(total - 1.0) <= tol.distribution_sum:
         raise NumericalFault(f"distribution sums to {total}, expected 1")
     return JointDistribution(n, protocol.probe_dim, table)
 
@@ -180,7 +181,18 @@ def kc_defect_state(
     from the operator defect, so the two routes stay independent.
     """
     fixed = _check_defect_args(protocol, n, j, fixed)
-    rho = check_density(rho, tol)
+    return _kc_defect_state(protocol, check_density(rho, tol), n, j, fixed, tol)
+
+
+def _kc_defect_state(
+    protocol: MeasurementProtocol,
+    rho: np.ndarray,
+    n: int,
+    j: int,
+    fixed: OutcomeSequence,
+    tol: Tolerances,
+) -> float:
+    """:func:`kc_defect_state` on arguments that were already validated."""
     total = 0.0
     for m_j in range(protocol.probe_dim):
         seq = fixed[: j - 1] + (m_j,) + fixed[j - 1 :]
@@ -308,6 +320,10 @@ def check_kc_all(
             for fixed in itertools.product(range(protocol.probe_dim), repeat=n - 1):
                 defect = kc_defect_operator(protocol, n, j, fixed, tol)
                 norm = frobenius(defect)
+                if not math.isfinite(norm):
+                    raise NumericalFault(
+                        f"defect norm {norm} at n={n}, j={j}, fixed={fixed} is not finite"
+                    )
                 max_defect = max(max_defect, norm)
                 if n == 2 and j == 1:
                     max_defect_n2 = max(max_defect_n2, norm)

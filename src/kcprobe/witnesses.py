@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, ProtocolError
 from .model import MeasurementProtocol, plus_x_preparation, xy_meter_basis
-from .sequences import full_distribution, kc_defect_state
+from .linalg import check_density
+from .sequences import _kc_defect_state, full_distribution
 from .serialize import fingerprint, protocol_payload
 from .tolerances import DEFAULT, Tolerances
 
@@ -77,14 +78,17 @@ def delta_correlation(
     """Correlation-function difference over the outcomes of all steps but ``j``.
 
     Sums ``prod_{k != j} value(m_k) * deltaP_{n,j}(fixed)`` over every
-    assignment of the non-marginalized outcomes.
+    assignment of the non-marginalized outcomes; ``rho`` is validated once.
     """
     if n < 2 or not 1 <= j <= n - 1:
         raise ProtocolError(f"need n >= 2 and 1 <= j <= n-1, got n={n}, j={j}")
+    if n > protocol.n_steps:
+        raise ProtocolError(f"n = {n} not in 2..{protocol.n_steps}")
     labels = range(protocol.probe_dim)
     missing = [m for m in labels if m not in value_map]
     if missing:
         raise ProtocolError(f"value map lacks outcomes {missing}")
+    rho = check_density(rho, tol)
     total = 0.0
     for fixed in itertools.product(labels, repeat=n - 1):
         weight = 1.0
@@ -92,7 +96,7 @@ def delta_correlation(
             weight *= value_map[m]
         if weight == 0.0:
             continue
-        total += weight * kc_defect_state(protocol, rho, n, j, fixed, tol)
+        total += weight * _kc_defect_state(protocol, rho, n, j, fixed, tol)
     return total
 
 

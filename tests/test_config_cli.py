@@ -1,16 +1,22 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kcprobe as kp
 from kcprobe.cli import _parse_grid, main
 from kcprobe.config import build_experiment, load_run_config, load_schema
 from kcprobe.errors import ConfigError
 from kcprobe.oracle import OracleReport
-from kcprobe.serialize import complex_pair, matrix_rows, pairs_vector, rows_matrix
+from kcprobe.serialize import complex_pair, matrix_rows, pairs_vector, rows_matrix, write_json
 
 
 def write_config(path, data):
@@ -226,6 +232,138 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+PHASE_OVERFLOW = {
+    "schema_version": 1,
+    "scenario": {
+        "kind": "random",
+        "seed": 3,
+        "probe_dim": 2,
+        "system_dim": 2,
+        "scale": 3.0,
+        "step_time": 1e308,
+    },
+    "protocol": {"axes": ["X", "X", "X"], "n_max": 3},
+    "checks": ["kc"],
+}
+
+
+def invalid_object_configs() -> dict:
+    """Configs that pass the schema but describe an invalid model, protocol or state."""
+    not_hermitian = sigma_pair_config()
+    not_hermitian["scenario"]["hamiltonians"][0] = matrix_rows(np.array([[0, 1], [0, 0]]))
+    overflowing_norm = sigma_pair_config()
+    overflowing_norm["scenario"]["hamiltonians"][0][0][0] = [1.0, 1e308]
+    return {
+        "phase overflow": PHASE_OVERFLOW,
+        "non-Hermitian Hamiltonian": not_hermitian,
+        "Hamiltonian norm overflows": overflowing_norm,
+        "preparation norm^2 4": sigma_pair_config(
+            protocol={
+                "meter_bases": [matrix_rows(np.eye(2)), matrix_rows(np.eye(2))],
+                "preparation": [[2.0, 0.0], [0.0, 0.0]],
+            }
+        ),
+        "non-orthonormal meter basis": sigma_pair_config(
+            protocol={"meter_bases": [matrix_rows(np.ones((2, 2))), matrix_rows(np.eye(2))]}
+        ),
+        "overflowing ket": sigma_pair_config(
+            states=[{"name": "pure", "ket": [[1e308, 0.0], [1e308, 0.0]]}]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(invalid_object_configs()))
+def test_invalid_config_object_exits_two_without_outputs(tmp_path, capsys, name):
+    path = write_config(tmp_path / "cfg.json", invalid_object_configs()[name])
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+class TestExitCodes:
+    @pytest.fixture
+    def run_raising(self, tmp_path, monkeypatch, capsys):
+        def run(exc):
+            def raising(*args, **kwargs):
+                raise exc
+
+            monkeypatch.setattr("kcprobe.cli.check_kc_all", raising)
+            path = write_config(tmp_path / "cfg.json", sigma_pair_config())
+            code = main(["run", path, "--out", str(tmp_path / "out")])
+            return code, capsys.readouterr().err
+
+        return run
+
+    def test_linalg_error_is_a_numerical_fault(self, run_raising):
+        code, err = run_raising(np.linalg.LinAlgError("Eigenvalues did not converge"))
+        assert code == 3
+        assert err == "numerical fault: Eigenvalues did not converge\n"
+
+    def test_any_other_exception_is_an_internal_error_with_its_traceback(self, run_raising):
+        code, err = run_raising(RuntimeError("unexpected"))
+        assert code == 4
+        assert err.startswith("Traceback") and err.endswith("RuntimeError: unexpected\n")
+
+
+FUZZ_BASE = sigma_pair_config(checks=["kc", "witnesses", "algebra", "entanglement", "oracle"])
+
+
+def _paths(node, prefix=()):
+    """Every path below ``node``: ``(path, is_leaf)``, depth first."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        path = prefix + (key,)
+        is_leaf = not isinstance(child, (dict, list))
+        yield path, is_leaf
+        if not is_leaf:
+            yield from _paths(child, path)
+
+
+FUZZ_LEAVES = [path for path, is_leaf in _paths(FUZZ_BASE) if is_leaf]
+FUZZ_KEYS = [path for path, _ in _paths(FUZZ_BASE) if isinstance(path[-1], str)]
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 20),
+    st.sampled_from([0.0, 1e308, -1e308, 1e-320]),
+    st.text(max_size=4),
+    st.just([]),
+    st.sampled_from(["random", "nv", "classical_noise", "explicit", "X", "Y"]),
+)
+FUZZ_EDITS = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from(FUZZ_LEAVES), FUZZ_VALUES),
+    st.tuples(st.just("delete"), st.sampled_from(FUZZ_KEYS), st.none()),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(FUZZ_EDITS)
+def test_fuzzed_config_exits_with_a_documented_code_and_a_whole_bundle(edit):
+    action, path, value = edit
+    cfg = copy.deepcopy(FUZZ_BASE)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "replace":
+        parent[path[-1]] = value
+    else:
+        del parent[path[-1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = write_config(Path(tmp) / "cfg.json", cfg)
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", config_path, "--out", str(out)])
+        assert code in {0, 1, 2, 3}, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert written in ([], ["report.json", "timings.json"])
+        if written:
+            json.loads((out / "report.json").read_text())
 
 
 class TestClassicalNoiseRun:
@@ -483,6 +621,31 @@ class TestOutputErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write output:")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_failed_write_keeps_the_earlier_bundle(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config())
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        calls = []
+
+        def second_write_fails(file, data):
+            calls.append(file)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_json(file, data)
+
+        monkeypatch.setattr("kcprobe.cli.write_json", second_write_fails)
+        # a changed tolerance changes report.json, so a partial write would show
+        assert main(["run", path, "--out", str(out), "--tol", "kc=10"]) == 2
+        assert capsys.readouterr().err.endswith("cannot write output: disk full\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_sweep_creates_out_only_when_it_writes(self, tmp_path):
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config())
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--param", "omega", "--grid", "0", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestSearchCommand:

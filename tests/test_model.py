@@ -51,6 +51,12 @@ class TestConditionalUnitaries:
         assert np.allclose(u_up, -1j * SIGMA_Z, atol=1e-12)
         assert np.allclose(u_dn, -1j * SIGMA_X, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_phase_raises_without_a_warning(self):
+        model = kp.random_model(3, 2, 2, commuting=False, scale=3.0)
+        with pytest.raises(InvariantViolation, match="overflow"):
+            kp.conditional_unitaries(model, 1e308)
+
     def test_equal_hamiltonians_give_equal_unitaries(self):
         h = random_hermitian(np.random.default_rng(0), 3)
         model = kp.DephasingModel(2, 3, (h, h), 0.8)
@@ -79,6 +85,12 @@ class TestInducedKraus:
         )
         assert np.allclose(measurement.effects[0], I2 / 2, atol=1e-12)
         assert np.allclose(measurement.effects[1], I2 / 2, atol=1e-12)
+
+    def test_nan_unitaries_fail_completeness(self):
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        prep, meter = kp.plus_x_preparation(), kp.xy_meter_basis("X")
+        with pytest.raises(InvariantViolation, match="identity"):
+            kp.induced_kraus(trivial_model(), prep, meter, unitaries=(nan, nan))
 
     def test_meter_orthonormality_is_enforced(self):
         s = 1.0 / np.sqrt(2.0)

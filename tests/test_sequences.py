@@ -89,6 +89,10 @@ class TestJointProbability:
         with pytest.raises(NumericalFault):
             kp.joint_probability(I2 / 2, -0.1 * I2)
 
+    def test_rejects_nan(self):
+        with pytest.raises(NumericalFault):
+            kp.joint_probability(I2 / 2, np.full((2, 2), np.nan))
+
 
 class TestFullDistribution:
     def test_trivial_evolution_single_step(self):
@@ -178,6 +182,12 @@ class TestCheckKCAll:
         report = kp.check_kc_all(x_protocol, 4)
         assert report.verdict == "consistent"
         assert report.max_operator_defect <= 1e-10
+
+    def test_non_finite_defect_is_a_numerical_fault(self, y_protocol, monkeypatch):
+        nan_defect = lambda *args: np.full((2, 2), np.nan)  # noqa: E731
+        monkeypatch.setattr("kcprobe.sequences.kc_defect_operator", nan_defect)
+        with pytest.raises(NumericalFault, match="not finite"):
+            kp.check_kc_all(y_protocol, 2)
 
     def test_state_defects_recorded(self, y_protocol, plus_y_state):
         report = kp.check_kc_all(y_protocol, 2, (plus_y_state, I2 / 2))

@@ -5,6 +5,7 @@ import pytest
 
 import kcprobe as kp
 from kcprobe.errors import PreconditionError, ProtocolError
+from kcprobe.linalg import check_density
 from conftest import random_density, random_pure_state
 
 I2 = np.eye(2, dtype=complex)
@@ -32,6 +33,22 @@ class TestDeltaCorrelation:
     def test_zero_value_map(self, y_protocol, plus_y_state):
         zero_map = {0: 0.0, 1: 0.0}
         assert kp.delta_correlation(y_protocol, plus_y_state, 2, 1, zero_map) == 0.0
+
+    def test_validates_the_state_once(self, y_protocol, plus_y_state, monkeypatch):
+        calls = []
+
+        def counted(rho, tol):
+            calls.append(1)
+            return check_density(rho, tol)
+
+        monkeypatch.setattr("kcprobe.witnesses.check_density", counted)
+        monkeypatch.setattr("kcprobe.sequences.check_density", counted)
+        kp.delta_3_2(y_protocol, plus_y_state)
+        assert len(calls) == 1
+
+    def test_more_steps_than_the_protocol_has(self, y_protocol):
+        with pytest.raises(ProtocolError, match="not in 2..3"):
+            kp.delta_correlation(y_protocol, I2 / 2, 4, 2, PM)
 
 
 class TestDelta21:
