@@ -49,7 +49,14 @@ from .scenarios import (
 )
 from .sequences import check_kc_all
 from .serialize import fingerprint, write_json
-from .witnesses import delta_2_1, delta_3_2, lg_check, lg_violation_search, witness_report
+from .witnesses import (
+    _axis_delta,
+    delta_2_1,
+    delta_3_2,
+    lg_check,
+    lg_violation_search,
+    witness_report,
+)
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -299,14 +306,14 @@ def _sweep_row(experiment: Experiment, param: str, value: float) -> list:
     tol = experiment.config.tolerances
     model = _sweep_model(experiment, param, value)
     protocols = _witness_protocols(model)[0].values()
-    rho = experiment.states[0][1]
+    rho = experiment.states[0][1]  # validated once, by build_experiment
     n_max = max(2, min(experiment.n_max, 3))
     defect = max(check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols)
     comm = frobenius(commutator(model.hamiltonians[0], model.hamiltonians[1]))
     return [
         value,
         defect,
-        *(witness(p, rho, tol) for witness in (delta_2_1, delta_3_2) for p in protocols),
+        *(_axis_delta(p, rho, n, tol) for n in (2, 3) for p in protocols),
         comm,
     ]
 

@@ -79,7 +79,12 @@ class OracleReport:
 
     @property
     def agrees(self) -> bool:
-        return self.max_abs_discrepancy <= self.tolerances["oracle_agreement"]
+        """Every discrepancy, probabilities, defects and product form, is within tolerance."""
+        cut = self.tolerances["oracle_agreement"]
+        gated = [self.max_abs_discrepancy, self.max_defect_discrepancy]
+        if self.max_product_form_discrepancy is not None:
+            gated.append(self.max_product_form_discrepancy)
+        return all(x <= cut for x in gated)
 
     def to_dict(self) -> dict:
         return {

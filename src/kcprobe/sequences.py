@@ -5,6 +5,15 @@ An outcome sequence is a tuple of integer labels in time order,
 ``R = K_{m_n} ... K_{m_1}`` (later steps applied on the left), and the
 sequence probability is ``tr(rho Q)``.
 
+The probabilities of all ``d_P ** n`` sequences come from one batched route,
+:func:`_probabilities`, which :func:`full_distribution` and the witnesses
+share.  It grows level-by-level prefix tensors, ``R_{k+1}[a d_P + m] =
+K_m R_k[a]`` (one batched product per step, so index ``a`` runs over the
+prefixes in lexicographic order), and reads every ``tr(rho R^H R)`` at once.
+Only the trailing steps are batched: a block of prefix tensors holds at most
+:data:`PREFIX_BLOCK_BYTES`, and the leading outcomes are walked block by
+block, so the memory is bounded before anything is allocated.
+
 Kolmogorov consistency asks that summing an intermediate outcome of the
 n-step distribution reproduces the distribution of the protocol with that
 step removed.  The defect is computed both for a fixed state (``delta P``,
@@ -107,6 +116,66 @@ def joint_probability(rho: np.ndarray, q, tol: Tolerances = DEFAULT) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+# Most bytes one block of prefix tensors may hold, ``d_P**L * d**2 * 16`` for
+# the ``L`` trailing steps batched together.  Evaluating a block holds two
+# such tensors, so the work space of :func:`_probabilities` stays below twice
+# this bound.  It only trades speed for memory, so it is not a tolerance.
+PREFIX_BLOCK_BYTES = 16 * 2**20
+
+
+def _check_capacity(probe_dim: int, n: int, tol: Tolerances) -> None:
+    count = probe_dim**n
+    if count > tol.enumeration_cap:
+        raise CapacityError(f"{probe_dim}^{n} = {count} sequences exceeds cap {tol.enumeration_cap}")
+
+
+def _probabilities(
+    protocol: MeasurementProtocol, rho: np.ndarray, n: int, tol: Tolerances
+) -> np.ndarray:
+    """Probabilities of all sequences of the first ``n`` steps, lexicographic.
+
+    ``rho`` must already be a validated density matrix and ``d_P ** n``
+    within the enumeration cap.  Each entry passes the guards of
+    :func:`joint_probability`: an imaginary residue above
+    ``probability_imag`` or a value outside ``[-probability_clip,
+    1 + probability_clip]`` (NaN included) raises :class:`NumericalFault`;
+    the values are then clipped into ``[0, 1]``.
+    """
+    d_p, d = protocol.probe_dim, protocol.system_dim
+    if rho.shape != (d, d):
+        raise ProtocolError(f"state shape {rho.shape} does not match operator {(d, d)}")
+    kraus = [np.asarray(m.kraus) for m in protocol.step_measurements[:n]]
+    trailing = n
+    while trailing > 0 and d_p**trailing * d * d * 16 > PREFIX_BLOCK_BYTES:
+        trailing -= 1
+    lead = n - trailing
+    block = d_p**trailing
+    out = np.empty(d_p**n)
+    for i, head in enumerate(itertools.product(range(d_p), repeat=lead)):
+        r = np.eye(d, dtype=complex)
+        for k, m in enumerate(head):
+            r = kraus[k][m] @ r
+        r = r[None]
+        for k in range(lead, n):
+            r = (kraus[k] @ r[:, None]).reshape(-1, d, d)
+        # sum_{k,i} conj((R rho)_{ki}) R_{ki} = conj(tr(rho R^H R)); only the
+        # real part and the size of the imaginary part are read
+        r_rho = r @ rho
+        np.conjugate(r_rho, out=r_rho)
+        vals = np.einsum("aki,aki->a", r_rho, r)
+        del r, r_rho  # freed before the next block is built, to keep the bound
+        imag = np.abs(vals.imag)
+        bad = ~(imag <= tol.probability_imag)
+        if bad.any():
+            raise NumericalFault(f"probability has imaginary residue {imag[bad][0]:.3e}")
+        p = vals.real
+        bad = ~((-tol.probability_clip <= p) & (p <= 1.0 + tol.probability_clip))
+        if bad.any():
+            raise NumericalFault(f"probability {p[bad][0]} outside [0, 1] beyond tolerance")
+        out[i * block : (i + 1) * block] = np.clip(p, 0.0, 1.0)
+    return out
+
+
 def full_distribution(
     protocol: MeasurementProtocol,
     rho: np.ndarray,
@@ -115,31 +184,17 @@ def full_distribution(
 ) -> JointDistribution:
     """Enumerate all ``d_P ** n`` sequences of the first ``n`` steps.
 
-    Enumeration is lexicographic in ``(m_1, ..., m_n)`` and reuses prefix
-    Kraus products, so tables are byte-stable and cheap for the supported
-    sizes.
+    The table is keyed lexicographically in ``(m_1, ..., m_n)`` and is
+    byte-stable.  Its values come from the batched prefix-tensor route of
+    :func:`_probabilities`, whose work space stays below
+    ``2 * PREFIX_BLOCK_BYTES`` whatever ``n`` is.
     """
     if not 1 <= n <= protocol.n_steps:
         raise ProtocolError(f"n = {n} not in 1..{protocol.n_steps}")
-    count = protocol.probe_dim**n
-    if count > tol.enumeration_cap:
-        raise CapacityError(
-            f"{protocol.probe_dim}^{n} = {count} sequences exceeds cap {tol.enumeration_cap}"
-        )
+    _check_capacity(protocol.probe_dim, n, tol)
     rho = check_density(rho, tol)
-    d = protocol.system_dim
-    table: dict = {}
-
-    def walk(step: int, prefix: OutcomeSequence, r: np.ndarray):
-        if step == n:
-            q = r.conj().T @ r
-            table[prefix] = joint_probability(rho, (q + q.conj().T) / 2, tol)
-            return
-        kraus = protocol.step_measurements[step].kraus
-        for m in range(protocol.probe_dim):
-            walk(step + 1, prefix + (m,), kraus[m] @ r)
-
-    walk(0, (), np.eye(d, dtype=complex))
+    probs = _probabilities(protocol, rho, n, tol)
+    table = dict(zip(itertools.product(range(protocol.probe_dim), repeat=n), probs.tolist()))
     total = sum(table.values())
     if not abs(total - 1.0) <= tol.distribution_sum:
         raise NumericalFault(f"distribution sums to {total}, expected 1")
@@ -181,18 +236,7 @@ def kc_defect_state(
     from the operator defect, so the two routes stay independent.
     """
     fixed = _check_defect_args(protocol, n, j, fixed)
-    return _kc_defect_state(protocol, check_density(rho, tol), n, j, fixed, tol)
-
-
-def _kc_defect_state(
-    protocol: MeasurementProtocol,
-    rho: np.ndarray,
-    n: int,
-    j: int,
-    fixed: OutcomeSequence,
-    tol: Tolerances,
-) -> float:
-    """:func:`kc_defect_state` on arguments that were already validated."""
+    rho = check_density(rho, tol)
     total = 0.0
     for m_j in range(protocol.probe_dim):
         seq = fixed[: j - 1] + (m_j,) + fixed[j - 1 :]
@@ -299,11 +343,7 @@ def check_kc_all(
         raise ProtocolError(f"n_max must be at least 2, got {n_max}")
     if n_max > protocol.n_steps:
         raise ProtocolError(f"n_max = {n_max} exceeds protocol length {protocol.n_steps}")
-    if protocol.probe_dim**n_max > tol.enumeration_cap:
-        raise CapacityError(
-            f"{protocol.probe_dim}^{n_max} = {protocol.probe_dim**n_max} sequences "
-            f"exceeds cap {tol.enumeration_cap}"
-        )
+    _check_capacity(protocol.probe_dim, n_max, tol)
     states: tuple[np.ndarray, ...] | None
     if rho is None:
         states = None

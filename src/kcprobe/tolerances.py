@@ -61,7 +61,8 @@ class Tolerances:
         return dataclasses.replace(self, **overrides)
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # the fields are plain numbers, so asdict's deep copy is only cost
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 DEFAULT = Tolerances()

@@ -6,11 +6,16 @@ yields witness values at tolerance zero for every state.  Outcome-value
 conventions are explicit: correlation witnesses use ``+1/-1`` for the qubit
 outcomes ``+/-``; the two-measurement inequality check uses the ``{0, 1}``
 value assignment of its experimental convention.
+
+The correlation witnesses read two probability vectors from the batched
+route of :mod:`.sequences`: ``P_n`` of the first ``n`` steps and ``P_{n-1}``
+of the same steps with step ``j`` removed.  Summing ``P_n`` over step ``j``
+and subtracting ``P_{n-1}`` gives every defect at once, and the witness is
+that defect tensor contracted with the outcome values on each remaining step.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +23,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError, ProtocolError
 from .model import MeasurementProtocol, plus_x_preparation, xy_meter_basis
 from .linalg import check_density
-from .sequences import _kc_defect_state, full_distribution
+from .sequences import _check_capacity, _probabilities, full_distribution
 from .serialize import fingerprint, protocol_payload
 from .tolerances import DEFAULT, Tolerances
 
@@ -84,20 +89,31 @@ def delta_correlation(
         raise ProtocolError(f"need n >= 2 and 1 <= j <= n-1, got n={n}, j={j}")
     if n > protocol.n_steps:
         raise ProtocolError(f"n = {n} not in 2..{protocol.n_steps}")
-    labels = range(protocol.probe_dim)
-    missing = [m for m in labels if m not in value_map]
+    missing = [m for m in range(protocol.probe_dim) if m not in value_map]
     if missing:
         raise ProtocolError(f"value map lacks outcomes {missing}")
-    rho = check_density(rho, tol)
-    total = 0.0
-    for fixed in itertools.product(labels, repeat=n - 1):
-        weight = 1.0
-        for m in fixed:
-            weight *= value_map[m]
-        if weight == 0.0:
-            continue
-        total += weight * _kc_defect_state(protocol, rho, n, j, fixed, tol)
-    return total
+    _check_capacity(protocol.probe_dim, n, tol)
+    return _delta_correlation(protocol, check_density(rho, tol), n, j, value_map, tol)
+
+
+def _delta_correlation(
+    protocol: MeasurementProtocol,
+    rho: np.ndarray,
+    n: int,
+    j: int,
+    value_map,
+    tol: Tolerances,
+) -> float:
+    """:func:`delta_correlation` on arguments that were already validated."""
+    shape = (protocol.probe_dim,) * n
+    p_n = _probabilities(protocol, rho, n, tol).reshape(shape)
+    reduced = protocol.prefix(n).drop_step(j)
+    p_reduced = _probabilities(reduced, rho, n - 1, tol).reshape(shape[1:])
+    defects = p_n.sum(axis=j - 1) - p_reduced
+    values = np.array([value_map[m] for m in range(protocol.probe_dim)], dtype=float)
+    for _ in range(n - 1):
+        defects = defects @ values
+    return float(defects)
 
 
 def _require_same_axis(protocol: MeasurementProtocol, n: int) -> str:
@@ -126,6 +142,12 @@ def delta_3_2(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = 
     at ``(n, j) = (3, 2)``.  Values are ``+1/-1``."""
     _require_same_axis(protocol, 3)
     return delta_correlation(protocol, rho, 3, 2, PLUS_MINUS_VALUES, tol)
+
+
+def _axis_delta(protocol: MeasurementProtocol, rho: np.ndarray, n: int, tol: Tolerances) -> float:
+    """Δ21 (``n = 2``) or Δ32 (``n = 3``) of a state that was already validated."""
+    _require_same_axis(protocol, n)
+    return _delta_correlation(protocol, rho, n, n - 1, PLUS_MINUS_VALUES, tol)
 
 
 _LG_NOTE = (

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -15,6 +16,7 @@ import kcprobe as kp
 from kcprobe.cli import _parse_grid, main
 from kcprobe.config import build_experiment, load_run_config, load_schema
 from kcprobe.errors import ConfigError
+from kcprobe.linalg import check_density
 from kcprobe.oracle import OracleReport
 from kcprobe.serialize import complex_pair, matrix_rows, pairs_vector, rows_matrix, write_json
 
@@ -115,6 +117,13 @@ class TestConfigLoading:
         assert config.tolerances.kc == 1e-6
         with pytest.raises(ConfigError):
             load_run_config(path, overrides={"nonsense": 1.0})
+
+    @pytest.mark.parametrize("tol", [kp.DEFAULT, kp.DEFAULT.replace(kc=1e-6, enumeration_cap=7)])
+    def test_tolerances_as_dict_is_a_fresh_asdict(self, tol):
+        first = tol.as_dict()
+        assert first == dataclasses.asdict(tol)
+        assert list(first) == list(dataclasses.asdict(tol))
+        assert tol.as_dict() is not first
 
     def test_random_scenario_seed_override(self, tmp_path):
         cfg = {
@@ -499,6 +508,24 @@ class TestSweepCommand:
         assert main(["sweep", path, "--param", param, "--grid", grid, "--out", str(out)]) == 0
         assert len(builds) == 1 + 2 * points
 
+    def test_validates_the_state_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(rho, tol):
+            calls.append(1)
+            return check_density(rho, tol)
+
+        for module in ("config", "sequences", "witnesses"):
+            monkeypatch.setattr(f"kcprobe.{module}.check_density", counted)
+        path = self.nv_config(tmp_path)
+        counts = []
+        for points in (4, 40):
+            calls.clear()
+            out = tmp_path / f"out{points}"
+            assert main(["sweep", path, "--param", "t", "--grid", f"0.1:4:{points}", "--out", str(out)]) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] >= 1
+
     def test_empty_grid_writes_header_only(self, tmp_path):
         path = self.nv_config(tmp_path)
         out = tmp_path / "out"
@@ -588,6 +615,20 @@ class TestRunOracleCheck:
         assert report["summary"]["oracle"] == "disagrees"
         assert not any(r["agrees"] for r in report["results"]["oracle"])
         assert "oracle disagrees" in capsys.readouterr().err
+
+    def test_a_shifted_defect_route_fails_both_commands(self, tmp_path, monkeypatch):
+        def shifted(*args):
+            return kp.kc_defect_state(*args) + 1e-3
+
+        monkeypatch.setattr("kcprobe.oracle.kc_defect_state", shifted)
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))
+        assert main(["oracle", path, "--out", str(tmp_path / "o")]) == 3
+        rows = json.loads((tmp_path / "o" / "oracle.json").read_text())["reports"]
+        assert not any(r["agrees"] for r in rows)
+        assert all(r["max_abs_discrepancy"] <= 1e-11 for r in rows)
+        assert main(["run", path, "--out", str(tmp_path / "r")]) == 3
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert report["summary"]["oracle"] == "disagrees"
 
     def test_run_exits_zero_when_the_oracle_agrees(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))

@@ -60,3 +60,24 @@ def test_oracle_on_classical_noise_protocol():
     report = kp.oracle_compare(protocol, np.array([[1.0]], dtype=complex), 4)
     assert report.max_abs_discrepancy <= 1e-11
     assert report.commutative
+
+
+@pytest.mark.parametrize(
+    "defect, product, agrees",
+    [(0.0, None, True), (1e-3, None, False), (0.0, 0.0, True), (0.0, 1e-3, False)],
+)
+def test_agreement_gates_every_discrepancy(defect, product, agrees):
+    report = kp.OracleReport(3, 0.0, (0.0,) * 3, defect, product is not None, product, kp.DEFAULT.as_dict())
+    assert report.agrees is agrees
+    assert report.to_dict()["agrees"] is agrees
+
+
+def test_a_shifted_defect_route_disagrees(y_protocol, plus_y_state, monkeypatch):
+    def shifted(*args):
+        return kp.kc_defect_state(*args) + 1e-3
+
+    monkeypatch.setattr("kcprobe.oracle.kc_defect_state", shifted)
+    report = kp.oracle_compare(y_protocol, plus_y_state, 3)
+    assert report.max_abs_discrepancy <= 1e-11
+    assert report.max_defect_discrepancy == pytest.approx(1e-3)
+    assert not report.agrees

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from kcprobe.errors import (
     ProtocolError,
 )
 from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
+from kcprobe.sequences import PREFIX_BLOCK_BYTES, _probabilities
 
 from conftest import random_density
 
@@ -120,6 +123,109 @@ class TestFullDistribution:
         tight = kp.DEFAULT.replace(enumeration_cap=4)
         with pytest.raises(CapacityError, match="2\\^3 = 8"):
             kp.full_distribution(y_protocol, I2 / 2, 3, tight)
+
+
+def walk_reference(protocol, rho, n):
+    """Sequence probabilities from a recursive walk over prefix Kraus products."""
+    table = {}
+
+    def walk(step, prefix, r):
+        if step == n:
+            q = r.conj().T @ r
+            table[prefix] = kp.joint_probability(rho, (q + q.conj().T) / 2)
+            return
+        for m, k in enumerate(protocol.step_measurements[step].kraus):
+            walk(step + 1, prefix + (m,), k @ r)
+
+    walk(0, (), np.eye(protocol.system_dim, dtype=complex))
+    return table
+
+
+def noncommuting_model(seed, d_p, d_s):
+    if d_s > 1:
+        return kp.random_model(seed, d_p, d_s, commuting=False)
+    energies = np.random.default_rng(seed).standard_normal(d_p)
+    return kp.DephasingModel(d_p, 1, tuple(np.array([[e]], dtype=complex) for e in energies), 0.9)
+
+
+def assert_matches_walk(protocol, rho, n):
+    got = kp.full_distribution(protocol, rho, n).table
+    want = walk_reference(protocol, rho, n)
+    assert list(got) == list(want)
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-14
+
+
+class TestPrefixTensorProbabilities:
+    @pytest.mark.parametrize("d_p", [2, 3, 4])
+    @pytest.mark.parametrize("d_s", [1, 2, 3, 4])
+    def test_matches_the_recursive_walk(self, d_p, d_s):
+        protocol = kp.fourier_protocol(noncommuting_model(10 * d_p + d_s, d_p, d_s), 3)
+        rho = random_density(np.random.default_rng(d_p * d_s), d_s)
+        for n in (1, 2, 3):
+            assert_matches_walk(protocol, rho, n)
+
+    def test_step_times_protocol(self):
+        model = kp.random_model(4, 2, 3, commuting=False)
+        protocol = kp.qubit_xy_protocol(model, "XYXY", step_times=(0.3, 1.1, 0.7, 2.9))
+        assert_matches_walk(protocol, random_density(np.random.default_rng(4), 3), 4)
+
+    @pytest.mark.parametrize("seed", [13, 14])
+    def test_classical_noise_protocol(self, seed):
+        protocol = kp.classical_noise_model(kp.random_noise_realization(seed, 5), 5)
+        assert_matches_walk(protocol, np.array([[1.0]], dtype=complex), 5)
+
+    def test_leading_steps_walked_in_blocks(self, monkeypatch):
+        protocol = kp.fourier_protocol(kp.random_model(6, 3, 2, commuting=False), 4)
+        rho = random_density(np.random.default_rng(6), 2)
+        want = _probabilities(protocol, rho, 4, kp.DEFAULT)
+        for block in (1, 3 * 4 * 16):  # one sequence per block; one trailing step
+            monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block)
+            assert np.array_equal(_probabilities(protocol, rho, 4, kp.DEFAULT), want)
+        assert_matches_walk(protocol, rho, 4)
+
+    def test_memory_stays_within_the_block_bound(self):
+        d_s, n = 16, 14
+        assert 2**n * d_s * d_s * 16 >= 4 * PREFIX_BLOCK_BYTES  # unblocked, the last level is 64 MiB
+        protocol = kp.qubit_xy_protocol(kp.random_model(8, 2, d_s, commuting=False), "X" * n)
+        rho = np.eye(d_s, dtype=complex) / d_s
+        tracemalloc.start()
+        try:
+            dist = kp.full_distribution(protocol, rho, n)
+            table_bytes, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dist.table) == 2**n
+        assert peak <= 2 * PREFIX_BLOCK_BYTES + table_bytes
+
+    def test_nan_kraus_is_a_numerical_fault(self):
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        step = SimpleNamespace(kraus=(nan, nan))
+        protocol = SimpleNamespace(probe_dim=2, system_dim=2, n_steps=2, step_measurements=(step, step))
+        with pytest.raises(NumericalFault):
+            _probabilities(protocol, I2 / 2, 2, kp.DEFAULT)
+        with pytest.raises(NumericalFault):
+            kp.full_distribution(protocol, I2 / 2, 2)
+
+    def test_imaginary_residue_is_a_numerical_fault(self):
+        k = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex) / 2
+        protocol = SimpleNamespace(
+            probe_dim=2, system_dim=2, n_steps=1, step_measurements=(SimpleNamespace(kraus=(k, k)),)
+        )
+        skew = np.array([[0.5, 1j], [0.0, 0.5]])  # not Hermitian: tr(rho Q) gets an imaginary part
+        with pytest.raises(NumericalFault, match="imaginary residue"):
+            _probabilities(protocol, skew, 1, kp.DEFAULT)
+
+    def test_value_outside_the_unit_interval_is_a_numerical_fault(self):
+        k = 2 * I2
+        protocol = SimpleNamespace(
+            probe_dim=2, system_dim=2, n_steps=1, step_measurements=(SimpleNamespace(kraus=(k, k)),)
+        )
+        with pytest.raises(NumericalFault, match="outside"):
+            _probabilities(protocol, I2 / 2, 1, kp.DEFAULT)
+
+    def test_state_of_the_wrong_shape(self, y_protocol):
+        with pytest.raises(ProtocolError, match="does not match"):
+            kp.full_distribution(y_protocol, np.eye(3, dtype=complex) / 3, 2)
 
 
 class TestKCDefects:

@@ -46,6 +46,23 @@ class TestDeltaCorrelation:
         kp.delta_3_2(y_protocol, plus_y_state)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_explicit_defect_sum(self, seed):
+        rng = np.random.default_rng([41, seed])
+        d_p, d_s = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        model = kp.random_model(seed, d_p, d_s, commuting=False)
+        protocol = kp.fourier_protocol(model, 4)
+        rho = random_density(rng, d_s)
+        values = dict(enumerate(rng.uniform(-1.0, 1.0, d_p)))
+        for n in (2, 3, 4):
+            for j in range(1, n):
+                explicit = 0.0
+                for fixed in itertools.product(range(d_p), repeat=n - 1):
+                    weight = np.prod([values[m] for m in fixed])
+                    explicit += weight * kp.kc_defect_state(protocol, rho, n, j, fixed)
+                got = kp.delta_correlation(protocol, rho, n, j, values)
+                assert abs(got - explicit) <= 1e-14
+
     def test_more_steps_than_the_protocol_has(self, y_protocol):
         with pytest.raises(ProtocolError, match="not in 2..3"):
             kp.delta_correlation(y_protocol, I2 / 2, 4, 2, PM)
