@@ -29,12 +29,11 @@ from .tolerances import DEFAULT, Tolerances
 
 @dataclass(frozen=True, eq=False)
 class AlgebraBasis:
-    """Orthonormal basis of an operator subspace, with closure metadata."""
+    """Orthonormal basis of an operator subspace."""
 
     generators: tuple[np.ndarray, ...]
     basis: tuple[np.ndarray, ...]
     dimension: int
-    closed: bool
     singular_values: np.ndarray | None = None
 
     def contains(self, op: np.ndarray, residual_tol: float = 1e-8) -> bool:
@@ -74,7 +73,7 @@ def generate_algebra(generators, tol: Tolerances = DEFAULT) -> AlgebraBasis:
     coeffs = np.random.default_rng(0).standard_normal((2, 2 * commutant.dimension)).view(complex)
     mixed = np.tensordot(coeffs, commutant.basis, axes=1)
     algebra = commutant_basis([x + x.conj().T for x in mixed], tol)
-    return AlgebraBasis(gens, algebra.basis, algebra.dimension, True)
+    return AlgebraBasis(gens, algebra.basis, algebra.dimension)
 
 
 def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:
@@ -90,8 +89,6 @@ def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:
 
 def classical_wrt_state(rho: np.ndarray, algebra: AlgebraBasis, tol: Tolerances = DEFAULT):
     """Whether ``tr(rho [A, B])`` vanishes over the algebra, decided on basis pairs."""
-    if not algebra.closed:
-        raise PreconditionError("classicality test needs a closed algebra basis")
     rho = check_density(rho, tol)
     worst = 0.0
     for a, b in itertools.combinations(algebra.basis, 2):
@@ -184,7 +181,7 @@ def commutant_basis(ops, tol: Tolerances = DEFAULT) -> AlgebraBasis:
     # >= d^2 rows: the reduced SVD keeps every singular value and right vector
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     members = [vh[i].conj().reshape(d, d) for i in range(d * d) if svals[i] < tol.nullspace]
-    return AlgebraBasis(tuple(mats), tuple(members), len(members), True, svals)
+    return AlgebraBasis(tuple(mats), tuple(members), len(members), svals)
 
 
 def zero_entanglement_condition(rho: np.ndarray, model: DephasingModel, tol: Tolerances = DEFAULT):

@@ -183,7 +183,7 @@ def _run_checks(experiment: Experiment) -> tuple[dict, dict]:
         started = time.perf_counter()
         if check == "kc":
             rhos = [rho for _, rho in experiment.states]
-            report = check_kc_all(experiment.protocol, experiment.n_max, rhos or None, tol)
+            report = check_kc_all(experiment.protocol, experiment.n_max, rhos, tol)
             results["kc"] = report.to_dict()
         elif check == "witnesses":
             results["witnesses"] = _witness_rows(experiment)

@@ -108,14 +108,22 @@ def unitary_from_eigensystem(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarr
 
     ``(w, v)`` is an eigendecomposition as returned by :func:`hermitian_eig`;
     ``t == 0`` gives the identity exactly.  A phase ``w t`` that overflows
-    raises :class:`InvariantViolation`.
+    raises :class:`InvariantViolation`, and so does a phase whose rounding
+    error, ``|w t| * eps``, exceeds the default unitarity cut (``|w t|``
+    above about 4.5e5 rad): the unitary would then be arbitrary.
     """
     if not np.isfinite(t):
         raise InvariantViolation(f"time must be finite, got {t}")
     if t == 0.0:
         return np.eye(v.shape[0], dtype=complex)
-    if not math.isfinite(float(np.max(np.abs(w))) * abs(t)):
+    phase = float(np.max(np.abs(w))) * abs(t)
+    if not math.isfinite(phase):
         raise InvariantViolation(f"phases w*t overflow at time {t}")
+    if phase * np.finfo(float).eps > DEFAULT.unitarity:
+        raise InvariantViolation(
+            f"phase |w*t| = {phase:.3e} rad at time {t} has a rounding error above "
+            f"the unitarity cut {DEFAULT.unitarity:g}"
+        )
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 

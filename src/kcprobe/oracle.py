@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import is_commutative
-from .errors import CapacityError
+from .errors import CapacityError, ProtocolError
+from .linalg import check_density
 from .model import MeasurementProtocol
-from .sequences import full_distribution, kc_defect_state
+from .sequences import _state_defects, full_distribution
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -107,13 +108,17 @@ def oracle_compare(
 ) -> OracleReport:
     """Recompute every probability up to ``n_max`` naively and compare.
 
-    Also cross-checks all state-level consistency defects against their
-    naive reassembly, and, for commutative models, the effect-product form
-    of each probability.
+    Also cross-checks all state-level consistency defects, read from the
+    defect tensor of each ``(n, j)``, against their naive reassembly, and,
+    for commutative models, the effect-product form of each probability.
+    ``rho`` is validated once.
     """
     if n_max is None:
         n_max = protocol.n_steps
+    if n_max < 1:
+        raise ProtocolError(f"n_max must be at least 1, got {n_max}")
     n_max = min(n_max, protocol.n_steps)
+    rho = check_density(rho, tol)
     per_n = []
     commutative, _ = is_commutative(protocol.model.hamiltonians, tol)
     product_worst = 0.0 if commutative else None
@@ -131,12 +136,13 @@ def oracle_compare(
                 ),
             )
     defect_worst = 0.0
+    # full_distribution above checked the enumeration cap of every n
     for n in range(2, n_max + 1):
         for j in range(1, n):
+            defects = _state_defects(protocol, rho, n, j, tol)
             for fixed in itertools.product(range(protocol.probe_dim), repeat=n - 1):
-                a = kc_defect_state(protocol, rho, n, j, fixed, tol)
                 b = naive_kc_defect(protocol, rho, n, j, fixed)
-                defect_worst = max(defect_worst, abs(a - b))
+                defect_worst = max(defect_worst, abs(float(defects[fixed]) - b))
     return OracleReport(
         n_max=n_max,
         max_abs_discrepancy=max(per_n),

@@ -24,7 +24,13 @@ from .model import (
     qubit_xy_protocol,
     xy_meter_basis,
 )
-from .sequences import JointDistribution, check_kc_all, full_distribution
+from .sequences import (
+    JointDistribution,
+    _check_capacity,
+    _state_defects,
+    check_kc_all,
+    full_distribution,
+)
 from .serialize import fingerprint, model_payload
 from .tolerances import DEFAULT, Tolerances
 
@@ -196,13 +202,8 @@ def classical_noise_model(realization: NoiseRealization, n_steps: int) -> Measur
     )
 
 
-def noise_ensemble_average(
-    realizations,
-    weights,
-    n_steps: int,
-    tol: Tolerances = DEFAULT,
-) -> JointDistribution:
-    """Convex mixture of per-realization outcome distributions."""
+def _ensemble_weights(realizations, weights, tol: Tolerances) -> np.ndarray:
+    """Mixture weights, one per realization, nonnegative and summing to 1."""
     weights = np.asarray(weights, dtype=float)
     if len(realizations) != weights.size:
         raise PreconditionError(f"{len(realizations)} realizations for {weights.size} weights")
@@ -212,6 +213,17 @@ def noise_ensemble_average(
         raise PreconditionError("weights must be nonnegative")
     if abs(float(weights.sum()) - 1.0) > tol.weight_sum:
         raise PreconditionError(f"weights sum to {float(weights.sum())}, expected 1")
+    return weights
+
+
+def noise_ensemble_average(
+    realizations,
+    weights,
+    n_steps: int,
+    tol: Tolerances = DEFAULT,
+) -> JointDistribution:
+    """Convex mixture of per-realization outcome distributions."""
+    weights = _ensemble_weights(realizations, weights, tol)
     rho = np.array([[1.0]], dtype=complex)
     table: dict = {}
     for w, realization in zip(weights, realizations):
@@ -229,27 +241,22 @@ def ensemble_kc_max_defect(
 ) -> float:
     """Largest consistency defect of a noise-ensemble distribution family.
 
-    For each ``(n, j)`` the ``n``-step mixture is marginalized over step
-    ``j`` and compared with the mixture of the realizations with segment
-    ``j`` removed.
+    For each ``(n, j)`` the defect of the ``n``-step mixture marginalized
+    over step ``j`` against the mixture with segment ``j`` removed.  The
+    defects are linear in the distribution, so this is the weighted sum of
+    the realizations' state-defect tensors.
     """
     if n_max < 2:
         raise PreconditionError(f"n_max must be >= 2, got {n_max}")
+    weights = _ensemble_weights(realizations, weights, tol)
+    protocols = [classical_noise_model(r, n_max) for r in realizations]
+    _check_capacity(2, n_max, tol)
+    rho = np.array([[1.0]], dtype=complex)
     worst = 0.0
     for n in range(2, n_max + 1):
-        dist_n = noise_ensemble_average(realizations, weights, n, tol)
         for j in range(1, n):
-            reduced = [
-                NoiseRealization(
-                    r.xis[: j - 1] + r.xis[j:n] + r.xis[n:],
-                    r.durations[: j - 1] + r.durations[j:n] + r.durations[n:],
-                )
-                for r in realizations
-            ]
-            dist_reduced = noise_ensemble_average(reduced, weights, n - 1, tol)
-            marginal = dist_n.marginal_over_step(j)
-            for seq, p in marginal.items():
-                worst = max(worst, abs(p - dist_reduced.table[seq]))
+            mixed = sum(w * _state_defects(p, rho, n, j, tol) for w, p in zip(weights, protocols))
+            worst = max(worst, float(np.max(np.abs(mixed))))
     return worst
 
 

@@ -6,10 +6,12 @@ An outcome sequence is a tuple of integer labels in time order,
 sequence probability is ``tr(rho Q)``.
 
 The probabilities of all ``d_P ** n`` sequences come from one batched route,
-:func:`_probabilities`, which :func:`full_distribution` and the witnesses
-share.  It grows level-by-level prefix tensors, ``R_{k+1}[a d_P + m] =
-K_m R_k[a]`` (one batched product per step, so index ``a`` runs over the
-prefixes in lexicographic order), and reads every ``tr(rho R^H R)`` at once.
+:func:`_probabilities`, which :func:`full_distribution` reads directly and
+the witnesses, the oracle and the noise ensembles read through
+:func:`_state_defects`.  It grows level-by-level prefix tensors,
+``R_{k+1}[a d_P + m] = K_m R_k[a]`` (one batched product per step, so index
+``a`` runs over the prefixes in lexicographic order), and reads every
+``tr(rho R^H R)`` at once.
 Only the trailing steps are batched: a block of prefix tensors holds at most
 :data:`PREFIX_BLOCK_BYTES`, and the leading outcomes are walked block by
 block, so the memory is bounded before anything is allocated.
@@ -19,9 +21,12 @@ n-step distribution reproduces the distribution of the protocol with that
 step removed.  The defect is computed both for a fixed state (``delta P``,
 a real number) and at operator level (a Hermitian defect matrix ``D`` with
 ``delta P = tr(rho D)`` for every state), which decides the all-states
-question in one finite check.  Marginalizing the *final* step is trivially
-consistent by POVM completeness and is therefore rejected rather than
-reported as a substantive check.
+question in one finite check.  :func:`_state_defects` is the one place that
+forms the state-level defects of a whole ``(n, j)`` from probability
+vectors; :func:`kc_defect_state` keeps a single-entry route, which needs
+only ``d_P + 1`` sequences where the tensor needs ``d_P ** n``.
+Marginalizing the *final* step is trivially consistent by POVM completeness
+and is therefore rejected rather than reported as a substantive check.
 """
 
 from __future__ import annotations
@@ -139,7 +144,8 @@ def _probabilities(
     :func:`joint_probability`: an imaginary residue above
     ``probability_imag`` or a value outside ``[-probability_clip,
     1 + probability_clip]`` (NaN included) raises :class:`NumericalFault`;
-    the values are then clipped into ``[0, 1]``.
+    the values are then clipped into ``[0, 1]``.  A vector whose sum is
+    farther than ``distribution_sum`` from 1 raises :class:`NumericalFault`.
     """
     d_p, d = protocol.probe_dim, protocol.system_dim
     if rho.shape != (d, d):
@@ -173,7 +179,27 @@ def _probabilities(
         if bad.any():
             raise NumericalFault(f"probability {p[bad][0]} outside [0, 1] beyond tolerance")
         out[i * block : (i + 1) * block] = np.clip(p, 0.0, 1.0)
+    total = float(out.sum())
+    if not abs(total - 1.0) <= tol.distribution_sum:
+        raise NumericalFault(f"distribution sums to {total}, expected 1")
     return out
+
+
+def _state_defects(
+    protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, tol: Tolerances
+) -> np.ndarray:
+    """Every state-level defect ``sum_{m_j} P_n - P_{n-1}`` of one ``(n, j)``.
+
+    Entry ``[fixed]`` of the ``(d_P,) * (n - 1)`` result is
+    :func:`kc_defect_state` at the same ``fixed``: ``P_n`` summed over step
+    ``j``, minus ``P_{n-1}`` read on ``protocol.prefix(n).drop_step(j)``.
+    ``rho`` must already be a validated density matrix, ``d_P ** n`` within
+    the enumeration cap, ``2 <= n <= n_steps`` and ``1 <= j <= n - 1``.
+    """
+    shape = (protocol.probe_dim,) * n
+    p_n = _probabilities(protocol, rho, n, tol).reshape(shape)
+    reduced = protocol.prefix(n).drop_step(j)
+    return p_n.sum(axis=j - 1) - _probabilities(reduced, rho, n - 1, tol).reshape(shape[1:])
 
 
 def full_distribution(
@@ -195,9 +221,6 @@ def full_distribution(
     rho = check_density(rho, tol)
     probs = _probabilities(protocol, rho, n, tol)
     table = dict(zip(itertools.product(range(protocol.probe_dim), repeat=n), probs.tolist()))
-    total = sum(table.values())
-    if not abs(total - 1.0) <= tol.distribution_sum:
-        raise NumericalFault(f"distribution sums to {total}, expected 1")
     return JointDistribution(n, protocol.probe_dim, table)
 
 
@@ -336,8 +359,9 @@ def check_kc_all(
     the fixed outcomes, in lexicographic order.  The verdict is decided by
     the operator defects alone; if ``rho`` (one state or a sequence of
     states) is supplied, per-state defects ``tr(rho D)`` are recorded
-    alongside.  The report also notes whether the ``(n=2, j=1)`` conditions
-    already decide the verdict on their own.
+    alongside; an empty sequence of states is read as ``rho=None``.  The
+    report also notes whether the ``(n=2, j=1)`` conditions already decide
+    the verdict on their own.
     """
     if n_max < 2:
         raise ProtocolError(f"n_max must be at least 2, got {n_max}")
@@ -350,7 +374,7 @@ def check_kc_all(
     elif isinstance(rho, np.ndarray):
         states = (check_density(rho, tol),)
     else:
-        states = tuple(check_density(r, tol) for r in rho)
+        states = tuple(check_density(r, tol) for r in rho) or None
     entries = []
     max_defect = 0.0
     max_defect_n2 = 0.0

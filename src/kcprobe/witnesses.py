@@ -7,11 +7,9 @@ conventions are explicit: correlation witnesses use ``+1/-1`` for the qubit
 outcomes ``+/-``; the two-measurement inequality check uses the ``{0, 1}``
 value assignment of its experimental convention.
 
-The correlation witnesses read two probability vectors from the batched
-route of :mod:`.sequences`: ``P_n`` of the first ``n`` steps and ``P_{n-1}``
-of the same steps with step ``j`` removed.  Summing ``P_n`` over step ``j``
-and subtracting ``P_{n-1}`` gives every defect at once, and the witness is
-that defect tensor contracted with the outcome values on each remaining step.
+The correlation witnesses read the state-defect tensor of one ``(n, j)``
+from :mod:`.sequences`, every ``sum_{m_j} P_n - P_{n-1}`` at once, and
+contract it with the outcome values on each remaining step.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError, ProtocolError
 from .model import MeasurementProtocol, plus_x_preparation, xy_meter_basis
 from .linalg import check_density
-from .sequences import _check_capacity, _probabilities, full_distribution
+from .sequences import _check_capacity, _state_defects, full_distribution
 from .serialize import fingerprint, protocol_payload
 from .tolerances import DEFAULT, Tolerances
 
@@ -105,11 +103,7 @@ def _delta_correlation(
     tol: Tolerances,
 ) -> float:
     """:func:`delta_correlation` on arguments that were already validated."""
-    shape = (protocol.probe_dim,) * n
-    p_n = _probabilities(protocol, rho, n, tol).reshape(shape)
-    reduced = protocol.prefix(n).drop_step(j)
-    p_reduced = _probabilities(reduced, rho, n - 1, tol).reshape(shape[1:])
-    defects = p_n.sum(axis=j - 1) - p_reduced
+    defects = _state_defects(protocol, rho, n, j, tol)
     values = np.array([value_map[m] for m in range(protocol.probe_dim)], dtype=float)
     for _ in range(n - 1):
         defects = defects @ values

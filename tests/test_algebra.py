@@ -14,7 +14,6 @@ class TestGenerateAlgebra:
     def test_identity_alone(self):
         algebra = kp.generate_algebra([np.eye(2)])
         assert algebra.dimension == 1
-        assert algebra.closed
 
     def test_diagonal_algebra(self):
         algebra = kp.generate_algebra([SIGMA_Z])

@@ -18,6 +18,7 @@ from kcprobe.config import build_experiment, load_run_config, load_schema
 from kcprobe.errors import ConfigError
 from kcprobe.linalg import check_density
 from kcprobe.oracle import OracleReport
+from kcprobe.sequences import _state_defects
 from kcprobe.serialize import complex_pair, matrix_rows, pairs_vector, rows_matrix, write_json
 
 
@@ -291,6 +292,24 @@ def test_invalid_config_object_exits_two_without_outputs(tmp_path, capsys, name)
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+SIGMA_PAIR_Y = Path(__file__).resolve().parents[1] / "configs" / "sigma_pair_y.json"
+
+
+@pytest.mark.parametrize("step_time, code", [(1e308, 2), (1e6, 2), (1e5, 0)])
+def test_phase_beyond_double_precision_is_a_config_error(tmp_path, capsys, step_time, code):
+    cfg = json.loads(SIGMA_PAIR_Y.read_text())
+    cfg["scenario"]["step_time"] = step_time
+    path = write_config(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert err == "" and (out / "report.json").exists()
 
 
 class TestExitCodes:
@@ -618,9 +637,9 @@ class TestRunOracleCheck:
 
     def test_a_shifted_defect_route_fails_both_commands(self, tmp_path, monkeypatch):
         def shifted(*args):
-            return kp.kc_defect_state(*args) + 1e-3
+            return _state_defects(*args) + 1e-3
 
-        monkeypatch.setattr("kcprobe.oracle.kc_defect_state", shifted)
+        monkeypatch.setattr("kcprobe.oracle._state_defects", shifted)
         path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))
         assert main(["oracle", path, "--out", str(tmp_path / "o")]) == 3
         rows = json.loads((tmp_path / "o" / "oracle.json").read_text())["reports"]

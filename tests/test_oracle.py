@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
+from kcprobe.errors import ProtocolError
+from kcprobe.sequences import _state_defects
 
 from conftest import random_density
 
@@ -74,10 +76,16 @@ def test_agreement_gates_every_discrepancy(defect, product, agrees):
 
 def test_a_shifted_defect_route_disagrees(y_protocol, plus_y_state, monkeypatch):
     def shifted(*args):
-        return kp.kc_defect_state(*args) + 1e-3
+        return _state_defects(*args) + 1e-3
 
-    monkeypatch.setattr("kcprobe.oracle.kc_defect_state", shifted)
+    monkeypatch.setattr("kcprobe.oracle._state_defects", shifted)
     report = kp.oracle_compare(y_protocol, plus_y_state, 3)
     assert report.max_abs_discrepancy <= 1e-11
     assert report.max_defect_discrepancy == pytest.approx(1e-3)
     assert not report.agrees
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_n_max_below_one_is_a_protocol_error(y_protocol, plus_y_state, n_max):
+    with pytest.raises(ProtocolError, match="n_max"):
+        kp.oracle_compare(y_protocol, plus_y_state, n_max)

@@ -14,7 +14,7 @@ from kcprobe.errors import (
     ProtocolError,
 )
 from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
-from kcprobe.sequences import PREFIX_BLOCK_BYTES, _probabilities
+from kcprobe.sequences import PREFIX_BLOCK_BYTES, _probabilities, _state_defects
 
 from conftest import random_density
 
@@ -223,9 +223,45 @@ class TestPrefixTensorProbabilities:
         with pytest.raises(NumericalFault, match="outside"):
             _probabilities(protocol, I2 / 2, 1, kp.DEFAULT)
 
+    def test_distribution_not_summing_to_one_is_a_numerical_fault(self):
+        k = 0.9 * I2  # each probability 0.81 is in range, their sum 1.62 is not
+        protocol = SimpleNamespace(
+            probe_dim=2, system_dim=2, n_steps=1, step_measurements=(SimpleNamespace(kraus=(k, k)),)
+        )
+        with pytest.raises(NumericalFault, match="sums to"):
+            _probabilities(protocol, I2 / 2, 1, kp.DEFAULT)
+
     def test_state_of_the_wrong_shape(self, y_protocol):
         with pytest.raises(ProtocolError, match="does not match"):
             kp.full_distribution(y_protocol, np.eye(3, dtype=complex) / 3, 2)
+
+
+def assert_tensor_matches_single_entries(protocol, rho, n_max):
+    for n in range(2, n_max + 1):
+        for j in range(1, n):
+            tensor = _state_defects(protocol, rho, n, j, kp.DEFAULT)
+            assert tensor.shape == (protocol.probe_dim,) * (n - 1)
+            for fixed in itertools.product(range(protocol.probe_dim), repeat=n - 1):
+                assert abs(kp.kc_defect_state(protocol, rho, n, j, fixed) - tensor[fixed]) <= 1e-14
+
+
+class TestStateDefectTensor:
+    @pytest.mark.parametrize("d_p", [2, 3, 4])
+    @pytest.mark.parametrize("d_s", [1, 2, 3, 4])
+    def test_every_entry_is_the_single_entry_route(self, d_p, d_s):
+        protocol = kp.fourier_protocol(noncommuting_model(10 * d_p + d_s, d_p, d_s), 3)
+        assert_tensor_matches_single_entries(
+            protocol, random_density(np.random.default_rng(d_p + d_s), d_s), 3
+        )
+
+    def test_step_times_protocol(self):
+        model = kp.random_model(4, 2, 3, commuting=False)
+        protocol = kp.qubit_xy_protocol(model, "XYXY", step_times=(0.3, 1.1, 0.7, 2.9))
+        assert_tensor_matches_single_entries(protocol, random_density(np.random.default_rng(4), 3), 4)
+
+    def test_classical_noise_protocol(self):
+        protocol = kp.classical_noise_model(kp.random_noise_realization(13, 4), 4)
+        assert_tensor_matches_single_entries(protocol, np.array([[1.0]], dtype=complex), 4)
 
 
 class TestKCDefects:
@@ -300,6 +336,11 @@ class TestCheckKCAll:
         assert report.max_state_defect == pytest.approx(1.0, abs=1e-10)
         entry = report.entries[0]
         assert len(entry.state_defects) == 2
+
+    def test_empty_state_sequence_is_no_state(self, y_protocol):
+        report = kp.check_kc_all(y_protocol, 2, [])
+        assert report.to_dict() == kp.check_kc_all(y_protocol, 2).to_dict()
+        assert report.max_state_defect is None
 
     def test_final_marginal_always_consistent(self):
         rng = np.random.default_rng(8)
