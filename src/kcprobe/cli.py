@@ -304,8 +304,11 @@ def _sweep_model(experiment: Experiment, param: str, value: float):
 
 def _sweep_row(experiment: Experiment, param: str, value: float) -> list:
     tol = experiment.config.tolerances
-    model = _sweep_model(experiment, param, value)
-    protocols = _witness_protocols(model)[0].values()
+    try:  # a grid value that breaks an invariant is a config error, as in the config
+        model = _sweep_model(experiment, param, value)
+        protocols = _witness_protocols(model)[0].values()
+    except InvariantViolation as exc:
+        raise ConfigError(str(exc)) from exc
     rho = experiment.states[0][1]  # validated once, by build_experiment
     n_max = max(2, min(experiment.n_max, 3))
     defect = max(check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols)
@@ -323,7 +326,8 @@ def _cmd_sweep(args, config) -> int:
     if config.scenario.kind == "classical_noise":
         raise ConfigError("sweep is not defined for the classical_noise scenario")
     grid = _parse_grid(args.grid)
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+    # one worker, since more were no faster; perfbench counts one executor task per row
+    with ThreadPoolExecutor(max_workers=1) as pool:
         rows = list(pool.map(lambda v: _sweep_row(experiment, args.param, v), grid))
     header = [
         args.param,
@@ -407,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.set_defaults(handler=fn)
         if name == "sweep":
-            cmd.add_argument("--threads", type=int, default=1, help="worker threads")
             cmd.add_argument("--param", required=True, choices=("t", "omega"))
             cmd.add_argument(
                 "--grid",

@@ -145,15 +145,24 @@ class DephasingModel:
 
 @dataclass(frozen=True, eq=False)
 class InducedMeasurement:
-    """Kraus operators and effects induced on the system by one probe cycle."""
+    """Kraus operators and effects of one probe cycle, ``kraus[m]`` and
+    ``effects[m]`` for outcome ``m``, stored as read-only complex
+    ``(d_P, d, d)`` arrays whatever they are given as."""
 
-    kraus: tuple[np.ndarray, ...]
-    effects: tuple[np.ndarray, ...]
+    kraus: np.ndarray
+    effects: np.ndarray
     labels: tuple[str, ...]
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.kraus)
+    def __post_init__(self):
+        kraus, effects = _frozen(self.kraus), _frozen(self.effects)
+        if kraus.ndim != 3 or kraus.shape[1] != kraus.shape[2] or effects.shape != kraus.shape:
+            raise DimensionError(
+                f"Kraus operators {kraus.shape} and effects {effects.shape} must both be (d_P, d, d)"
+            )
+        if len(self.labels) != kraus.shape[0]:
+            raise DimensionError(f"{len(self.labels)} labels for {kraus.shape[0]} outcomes")
+        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "effects", effects)
 
 
 def build_conditional_hamiltonians(
@@ -194,7 +203,7 @@ def induced_kraus(
     preparation: PreparationState,
     meter: MeterBasis,
     *,
-    unitaries: tuple[np.ndarray, ...] | None = None,
+    unitaries: np.ndarray | tuple[np.ndarray, ...] | None = None,
     tol: Tolerances = DEFAULT,
 ) -> InducedMeasurement:
     """Build the induced measurement ``{K_m, E_m}`` for one probe cycle.
@@ -209,29 +218,22 @@ def induced_kraus(
         )
     if unitaries is None:
         unitaries = conditional_unitaries(model)
-    gamma = preparation.amplitudes
-    kraus = []
-    effects = []
-    for m in range(model.probe_dim):
-        weights = gamma * meter.states[m].conj()
-        k = np.zeros((model.system_dim, model.system_dim), dtype=complex)
-        for w, u in zip(weights, unitaries):
-            if w != 0.0:
-                k = k + w * u
-        e = k.conj().T @ k
-        e = (e + e.conj().T) / 2
-        kraus.append(_frozen(k))
-        effects.append(_frozen(e))
-    completeness = frobenius(sum(effects) - np.eye(model.system_dim))
+    # K_m = sum_i g_i conj(m_i) U_i for every outcome m at once
+    weights = preparation.amplitudes * meter.states.conj()
+    kraus = np.einsum("mi,ikl->mkl", weights, np.asarray(unitaries))
+    effects = kraus.conj().swapaxes(1, 2) @ kraus
+    effects = (effects + effects.conj().swapaxes(1, 2)) / 2
+    completeness = frobenius(effects.sum(axis=0) - np.eye(model.system_dim))
     if not completeness <= tol.povm_completeness:
         raise InvariantViolation(
             f"effects do not sum to the identity: defect {completeness:.3e}"
         )
-    for m, e in enumerate(effects):
-        lo = float(np.linalg.eigvalsh(e)[0])
-        if not lo >= -tol.effect_psd:
-            raise InvariantViolation(f"effect {m} has negative eigenvalue {lo:.3e}")
-    return InducedMeasurement(tuple(kraus), tuple(effects), meter.labels)
+    lowest = np.linalg.eigvalsh(effects)[:, 0]
+    bad = ~(lowest >= -tol.effect_psd)
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise InvariantViolation(f"effect {m} has negative eigenvalue {lowest[m]:.3e}")
+    return InducedMeasurement(kraus, effects, meter.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,13 +271,13 @@ class MeasurementProtocol:
                 )
             object.__setattr__(self, "step_times", times)
         # steps with the same basis and duration share one measurement
-        unitaries: dict[float, tuple[np.ndarray, ...]] = {}
+        unitaries: dict[float, np.ndarray] = {}
         built: dict[tuple[MeterBasis, float], InducedMeasurement] = {}
         measurements = []
         for basis, t in zip(self.step_bases, times):
             if (basis, t) not in built:
                 if t not in unitaries:
-                    unitaries[t] = conditional_unitaries(self.model, t)
+                    unitaries[t] = np.asarray(conditional_unitaries(self.model, t))
                 built[basis, t] = induced_kraus(
                     self.model, self.preparation, basis, unitaries=unitaries[t]
                 )

@@ -67,9 +67,6 @@ class JointDistribution:
     probe_dim: int
     table: dict
 
-    def probability(self, seq: OutcomeSequence) -> float:
-        return self.table[tuple(seq)]
-
     def marginal_over_step(self, j: int) -> dict:
         """Sum out step ``j`` (1-based); keys keep the remaining steps' time order."""
         if not 1 <= j <= self.n:
@@ -96,14 +93,36 @@ def _validate_sequence(protocol: MeasurementProtocol, seq) -> OutcomeSequence:
     return seq
 
 
+def _kraus_product(protocol: MeasurementProtocol, outcomes, start: int = 0) -> np.ndarray:
+    """``K_{m_last} ... K_{m_first}`` of ``outcomes`` at the 0-based steps
+    ``start, start + 1, ...``; the identity if ``outcomes`` is empty."""
+    r = np.eye(protocol.system_dim, dtype=complex)
+    for k, m in enumerate(outcomes, start):
+        r = protocol.step_measurements[k].kraus[m] @ r
+    return r
+
+
 def history_operator(protocol: MeasurementProtocol, seq) -> HistoryOperator:
     """History operator of an outcome sequence, built in step order."""
     seq = _validate_sequence(protocol, seq)
-    r = protocol.step_measurements[0].kraus[seq[0]]
-    for k in range(1, len(seq)):
-        r = protocol.step_measurements[k].kraus[seq[k]] @ r
+    r = _kraus_product(protocol, seq)
     q = r.conj().T @ r
     return HistoryOperator((q + q.conj().T) / 2, seq)
+
+
+def _born_rule(vals: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Real parts of the traces ``vals = tr(rho Q)``, clipped into ``[0, 1]``.
+    An imaginary part above ``probability_imag`` in size or a real part outside
+    ``[-probability_clip, 1 + probability_clip]`` (NaN included) raises
+    :class:`NumericalFault`, naming the first such value."""
+    bad = ~(np.abs(vals.imag) <= tol.probability_imag)
+    if bad.any():
+        raise NumericalFault(f"probability has imaginary residue {vals.imag[bad][0]:.3e}")
+    p = vals.real
+    bad = ~((-tol.probability_clip <= p) & (p <= 1.0 + tol.probability_clip))
+    if bad.any():
+        raise NumericalFault(f"probability {float(p[bad][0])} outside [0, 1] beyond tolerance")
+    return np.clip(p, 0.0, 1.0)
 
 
 def joint_probability(rho: np.ndarray, q, tol: Tolerances = DEFAULT) -> float:
@@ -112,13 +131,7 @@ def joint_probability(rho: np.ndarray, q, tol: Tolerances = DEFAULT) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != mat.shape:
         raise ProtocolError(f"state shape {rho.shape} does not match operator {mat.shape}")
-    val = complex(np.trace(rho @ mat))
-    if not abs(val.imag) <= tol.probability_imag:
-        raise NumericalFault(f"probability has imaginary residue {val.imag:.3e}")
-    p = val.real
-    if not -tol.probability_clip <= p <= 1.0 + tol.probability_clip:
-        raise NumericalFault(f"probability {p} outside [0, 1] beyond tolerance")
-    return min(max(p, 0.0), 1.0)
+    return float(_born_rule(np.array([np.trace(rho @ mat)]), tol)[0])
 
 
 # Most bytes one block of prefix tensors may hold, ``d_P**L * d**2 * 16`` for
@@ -141,16 +154,12 @@ def _probabilities(
 
     ``rho`` must already be a validated density matrix and ``d_P ** n``
     within the enumeration cap.  Each entry passes the guards of
-    :func:`joint_probability`: an imaginary residue above
-    ``probability_imag`` or a value outside ``[-probability_clip,
-    1 + probability_clip]`` (NaN included) raises :class:`NumericalFault`;
-    the values are then clipped into ``[0, 1]``.  A vector whose sum is
+    :func:`joint_probability`, the one :func:`_born_rule`.  A vector whose sum is
     farther than ``distribution_sum`` from 1 raises :class:`NumericalFault`.
     """
     d_p, d = protocol.probe_dim, protocol.system_dim
     if rho.shape != (d, d):
         raise ProtocolError(f"state shape {rho.shape} does not match operator {(d, d)}")
-    kraus = [np.asarray(m.kraus) for m in protocol.step_measurements[:n]]
     trailing = n
     while trailing > 0 and d_p**trailing * d * d * 16 > PREFIX_BLOCK_BYTES:
         trailing -= 1
@@ -158,27 +167,15 @@ def _probabilities(
     block = d_p**trailing
     out = np.empty(d_p**n)
     for i, head in enumerate(itertools.product(range(d_p), repeat=lead)):
-        r = np.eye(d, dtype=complex)
-        for k, m in enumerate(head):
-            r = kraus[k][m] @ r
-        r = r[None]
+        r = _kraus_product(protocol, head)[None]
         for k in range(lead, n):
-            r = (kraus[k] @ r[:, None]).reshape(-1, d, d)
-        # sum_{k,i} conj((R rho)_{ki}) R_{ki} = conj(tr(rho R^H R)); only the
-        # real part and the size of the imaginary part are read
+            r = (protocol.step_measurements[k].kraus @ r[:, None]).reshape(-1, d, d)
+        # sum_{k,i} conj((R rho)_{ki}) R_{ki} = conj(tr(rho R^H R))
         r_rho = r @ rho
         np.conjugate(r_rho, out=r_rho)
         vals = np.einsum("aki,aki->a", r_rho, r)
         del r, r_rho  # freed before the next block is built, to keep the bound
-        imag = np.abs(vals.imag)
-        bad = ~(imag <= tol.probability_imag)
-        if bad.any():
-            raise NumericalFault(f"probability has imaginary residue {imag[bad][0]:.3e}")
-        p = vals.real
-        bad = ~((-tol.probability_clip <= p) & (p <= 1.0 + tol.probability_clip))
-        if bad.any():
-            raise NumericalFault(f"probability {p[bad][0]} outside [0, 1] beyond tolerance")
-        out[i * block : (i + 1) * block] = np.clip(p, 0.0, 1.0)
+        out[i * block : (i + 1) * block] = _born_rule(vals.conj(), tol)
     total = float(out.sum())
     if not abs(total - 1.0) <= tol.distribution_sum:
         raise NumericalFault(f"distribution sums to {total}, expected 1")
@@ -282,20 +279,11 @@ def kc_defect_operator(
     ``(n, j, fixed)`` in one check.
     """
     fixed = _check_defect_args(protocol, n, j, fixed)
-    d = protocol.system_dim
-    pre = np.eye(d, dtype=complex)
-    for k in range(j - 1):
-        pre = protocol.step_measurements[k].kraus[fixed[k]] @ pre
-    post = np.eye(d, dtype=complex)
-    for k in range(j, n):
-        post = protocol.step_measurements[k].kraus[fixed[k - 1]] @ post
-    defect = np.zeros((d, d), dtype=complex)
-    kraus_j = protocol.step_measurements[j - 1].kraus
-    for m_j in range(protocol.probe_dim):
-        r = post @ kraus_j[m_j] @ pre
-        defect = defect + r.conj().T @ r
+    pre = _kraus_product(protocol, fixed[: j - 1])
+    post = _kraus_product(protocol, fixed[j - 1 :], start=j)
+    r = post @ protocol.step_measurements[j - 1].kraus @ pre  # one R per m_j
     r0 = post @ pre
-    defect = defect - r0.conj().T @ r0
+    defect = (r.conj().swapaxes(1, 2) @ r).sum(axis=0) - r0.conj().T @ r0
     return (defect + defect.conj().T) / 2
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError, ProtocolError
 from .model import MeasurementProtocol, plus_x_preparation, xy_meter_basis
 from .linalg import check_density
-from .sequences import _check_capacity, _state_defects, full_distribution
+from .sequences import _check_capacity, _kraus_product, _state_defects, full_distribution
 from .serialize import fingerprint, protocol_payload
 from .tolerances import DEFAULT, Tolerances
 
@@ -251,9 +251,9 @@ def lg_search_instance(seed: int, index: int, system_dims=(2, 3, 4), t_range=(0.
     t1, t2 = (float(x) for x in rng.uniform(t_range[0], t_range[1], size=2))
     basis = xy_meter_basis("X")
     protocol = MeasurementProtocol(model, plus_x_preparation(), (basis, basis), (t1, t2))
-    k1 = protocol.step_measurements[0].kraus[0]
+    r = _kraus_product(protocol, (0, 0))
     k2 = protocol.step_measurements[1].kraus[0]
-    strain = (k2 @ k1).conj().T @ (k2 @ k1) - k2.conj().T @ k2
+    strain = r.conj().T @ r - k2.conj().T @ k2
     w, v = np.linalg.eigh((strain + strain.conj().T) / 2)
     vec = v[:, -1]
     rho = np.outer(vec, vec.conj())

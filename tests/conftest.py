@@ -41,3 +41,16 @@ def random_pure_state(rng, d):
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+def zero_amplitude_cycle(rng, d_p, d_s, n_steps=1):
+    """A random model, ``n_steps`` random meter bases and a preparation whose
+    first amplitude is exactly zero."""
+    hams = tuple(random_hermitian(rng, d_s) for _ in range(d_p))
+    model = kp.DephasingModel(d_p, d_s, hams, float(rng.uniform(0.1, 2.0)))
+    bases = tuple(
+        kp.MeterBasis(kp.haar_unitary(d_p, rng), tuple(map(str, range(d_p)))) for _ in range(n_steps)
+    )
+    amps = rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)
+    amps[0] = 0.0
+    return model, kp.PreparationState(amps / np.linalg.norm(amps)), bases

@@ -294,7 +294,8 @@ def test_invalid_config_object_exits_two_without_outputs(tmp_path, capsys, name)
     assert not out.exists()
 
 
-SIGMA_PAIR_Y = Path(__file__).resolve().parents[1] / "configs" / "sigma_pair_y.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SIGMA_PAIR_Y = CONFIGS / "sigma_pair_y.json"
 
 
 @pytest.mark.parametrize("step_time, code", [(1e308, 2), (1e6, 2), (1e5, 0)])
@@ -501,23 +502,13 @@ class TestSweepCommand:
         path = self.nv_config(tmp_path)
         out = tmp_path / "out"
         assert main(["sweep", path, "--param", "omega", "--grid", "0,1", "--out", str(out)]) == 0
-        rows = list(csv.reader((out / "sweep.csv").open()))
+        rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
         assert rows[0][0] == "omega"
         zero_row = [float(x) for x in rows[1]]
         assert max(abs(v) for v in zero_row[1:]) <= 1e-9
         one_row = [float(x) for x in rows[2]]
         assert one_row[1] > 1e-3  # kc defect column
         assert one_row[6] == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-10)
-
-    def test_t_grid_parallel_matches_serial(self, tmp_path):
-        path = self.nv_config(tmp_path)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        grid = "0.2:1.0:5"
-        assert main(["sweep", path, "--param", "t", "--grid", grid, "--out", str(out1)]) == 0
-        assert main(
-            ["sweep", path, "--param", "t", "--grid", grid, "--out", str(out2), "--threads", "4"]
-        ) == 0
-        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
     @pytest.mark.parametrize("param, grid, points", [("t", "0.1:2:7", 7), ("omega", "0,0.5,1", 3)])
     def test_builds_two_protocols_per_point(self, tmp_path, monkeypatch, param, grid, points):
@@ -549,7 +540,7 @@ class TestSweepCommand:
         path = self.nv_config(tmp_path)
         out = tmp_path / "out"
         assert main(["sweep", path, "--param", "t", "--grid", "", "--out", str(out)]) == 0
-        rows = list(csv.reader((out / "sweep.csv").open()))
+        rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
         assert len(rows) == 1
 
     @pytest.mark.parametrize(
@@ -570,7 +561,7 @@ class TestSweepCommand:
         path = self.nv_config(tmp_path)
         out = tmp_path / "out"
         assert main(["sweep", path, "--param", "t", "--grid", grid, "--out", str(out)]) == 0
-        assert len(list(csv.reader((out / "sweep.csv").open()))) == 1 + rows
+        assert len(list(csv.reader((out / "sweep.csv").read_text().splitlines()))) == 1 + rows
 
     def test_non_finite_grid_after_a_space_is_a_config_error(self, tmp_path, capsys):
         path = self.nv_config(tmp_path)
@@ -586,18 +577,36 @@ class TestSweepCommand:
     def test_well_formed_grid(self, grid, values):
         assert _parse_grid(grid) == values
 
+    @pytest.mark.parametrize("param", ["t", "omega"])
+    def test_grid_phase_too_large_to_round_is_a_config_error(self, param, capsys, tmp_path):
+        out = tmp_path / "out"
+        argv = ["sweep", str(CONFIGS / "nv_sweep.json"), "--param", param, "--grid", "1e7", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("param", ["t", "omega"])
+    def test_grid_phase_that_rounds_still_runs(self, param, tmp_path):
+        out = tmp_path / "out"
+        argv = ["sweep", str(CONFIGS / "nv_sweep.json"), "--param", param, "--grid", "1e5", "--out", str(out)]
+        assert main(argv) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 2
+
     def test_unknown_parameter_is_config_error(self, tmp_path):
         cfg = sigma_pair_config()
         path = write_config(tmp_path / "cfg.json", cfg)
         assert main(["sweep", path, "--param", "omega", "--grid", "0,1", "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("command", ["run", "oracle", "search"])
-def test_threads_is_a_sweep_only_flag(tmp_path, command):
+@pytest.mark.parametrize("command", ["run", "oracle", "search", "sweep"])
+def test_threads_is_a_sweep_only_flag(tmp_path, command, capsys):
     path = write_config(tmp_path / "cfg.json", sigma_pair_config(search={"trials": 2}))
+    extra = ["--param", "t", "--grid", "0.5"] if command == "sweep" else []
     with pytest.raises(SystemExit) as exc:
-        main([command, path, "--threads", "2", "--out", str(tmp_path / "out")])
+        main([command, path, *extra, "--threads", "2", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 class TestOracleCommand:

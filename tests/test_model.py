@@ -6,7 +6,7 @@ import kcprobe as kp
 from kcprobe.errors import DimensionError, InvariantViolation, ProtocolError
 from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
 
-from conftest import random_hermitian
+from conftest import random_hermitian, zero_amplitude_cycle
 
 I2 = np.eye(2, dtype=complex)
 
@@ -96,6 +96,66 @@ class TestInducedKraus:
         s = 1.0 / np.sqrt(2.0)
         with pytest.raises(InvariantViolation):
             kp.MeterBasis(np.array([[s, s], [s, 0.9 * s]], dtype=complex), ("+", "-"))
+
+
+def loop_induced_kraus(model, preparation, meter):
+    """Per-outcome reference: each K_m summed weight by weight, zero weights skipped."""
+    unitaries = kp.conditional_unitaries(model)
+    kraus, effects = [], []
+    for m in range(model.probe_dim):
+        k = np.zeros((model.system_dim, model.system_dim), dtype=complex)
+        for w, u in zip(preparation.amplitudes * meter.states[m].conj(), unitaries):
+            if w != 0.0:
+                k = k + w * u
+        e = k.conj().T @ k
+        kraus.append(k)
+        effects.append((e + e.conj().T) / 2)
+    return np.array(kraus), np.array(effects)
+
+
+class TestStackedKraus:
+    @pytest.mark.parametrize("d_p", [2, 3, 4])
+    @pytest.mark.parametrize("d_s", [1, 2, 3, 4])
+    def test_matches_the_per_outcome_loop(self, d_p, d_s):
+        model, prep, (basis,) = zero_amplitude_cycle(np.random.default_rng([d_p, d_s]), d_p, d_s)
+        assert prep.amplitudes[0] == 0.0
+        measurement = kp.induced_kraus(model, prep, basis)
+        kraus, effects = loop_induced_kraus(model, prep, basis)
+        assert np.max(np.abs(measurement.kraus - kraus)) <= 1e-14
+        assert np.max(np.abs(measurement.effects - effects)) <= 1e-14
+
+    @staticmethod
+    def assert_read_only_stack(a, shape):
+        assert isinstance(a, np.ndarray) and a.shape == shape and a.dtype == np.complex128
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0, 0] = 1.0
+
+    def test_protocol_measurements_are_read_only_stacks(self):
+        model, prep, bases = zero_amplitude_cycle(np.random.default_rng(5), 3, 2, n_steps=2)
+        for measurement in kp.MeasurementProtocol(model, prep, bases).step_measurements:
+            self.assert_read_only_stack(measurement.kraus, (3, 2, 2))
+            self.assert_read_only_stack(measurement.effects, (3, 2, 2))
+
+    def test_tuples_are_stacked_and_copied(self):
+        k = [I2.copy(), np.zeros((2, 2))]
+        measurement = kp.InducedMeasurement(tuple(k), (I2, np.zeros((2, 2))), ("0", "1"))
+        self.assert_read_only_stack(measurement.kraus, (2, 2, 2))
+        self.assert_read_only_stack(measurement.effects, (2, 2, 2))
+        k[0][0, 0] = 5.0
+        assert measurement.kraus[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "kraus, effects",
+        [((I2, I2), (I2,)), (I2, I2), (np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))],
+    )
+    def test_other_shapes_raise(self, kraus, effects):
+        with pytest.raises(DimensionError, match=r"\(d_P, d, d\)"):
+            kp.InducedMeasurement(kraus, effects, ("0", "1"))
+
+    def test_one_label_per_outcome(self):
+        with pytest.raises(DimensionError, match="3 labels for 2 outcomes"):
+            kp.InducedMeasurement((I2, I2), (I2, I2), ("0", "1", "2"))
 
 
 class TestQubitXYProtocol:

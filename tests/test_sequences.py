@@ -16,7 +16,7 @@ from kcprobe.errors import (
 from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
 from kcprobe.sequences import PREFIX_BLOCK_BYTES, _probabilities, _state_defects
 
-from conftest import random_density
+from conftest import random_density, zero_amplitude_cycle
 
 I2 = np.eye(2, dtype=complex)
 
@@ -234,6 +234,60 @@ class TestPrefixTensorProbabilities:
     def test_state_of_the_wrong_shape(self, y_protocol):
         with pytest.raises(ProtocolError, match="does not match"):
             kp.full_distribution(y_protocol, np.eye(3, dtype=complex) / 3, 2)
+
+
+class TestOneBornRuleGuard:
+    """``joint_probability`` and the batched route share one guard."""
+
+    SKEW = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex) / 2  # Q = K^H K = [[1, 1], [1, 1]] / 4
+
+    @pytest.mark.parametrize(
+        "rho, k, message",
+        [
+            (np.array([[0.5, 1j], [0.0, 0.5]]), SKEW, "probability has imaginary residue 2.500e-01"),
+            (np.array([[0.5, -1j], [0.0, 0.5]]), SKEW, "probability has imaginary residue -2.500e-01"),
+            (I2 / 2, 2 * I2, "probability 4.0 outside [0, 1] beyond tolerance"),
+            (I2 / 2, np.full((2, 2), np.nan, dtype=complex), "probability has imaginary residue nan"),
+        ],
+    )
+    def test_same_message_for_the_same_value(self, rho, k, message):
+        q = k.conj().T @ k
+        step = kp.InducedMeasurement((k, k), (q, q), ("0", "1"))
+        protocol = SimpleNamespace(probe_dim=2, system_dim=2, n_steps=1, step_measurements=(step,))
+        with pytest.raises(NumericalFault) as batched:
+            _probabilities(protocol, rho.astype(complex), 1, kp.DEFAULT)
+        with pytest.raises(NumericalFault) as single:
+            kp.joint_probability(rho, q)
+        assert str(batched.value) == str(single.value) == message
+
+
+def loop_kc_defect_operator(protocol, n, j, fixed):
+    """Per-outcome reference: one ``R = post K_{m_j} pre`` per ``m_j``."""
+    d = protocol.system_dim
+    pre = np.eye(d, dtype=complex)
+    for k in range(j - 1):
+        pre = protocol.step_measurements[k].kraus[fixed[k]] @ pre
+    post = np.eye(d, dtype=complex)
+    for k in range(j, n):
+        post = protocol.step_measurements[k].kraus[fixed[k - 1]] @ post
+    defect = np.zeros((d, d), dtype=complex)
+    for k_j in protocol.step_measurements[j - 1].kraus:
+        r = post @ k_j @ pre
+        defect = defect + r.conj().T @ r
+    r0 = post @ pre
+    return defect - r0.conj().T @ r0
+
+
+@pytest.mark.parametrize("d_p", [2, 3, 4])
+@pytest.mark.parametrize("d_s", [1, 2, 3, 4])
+def test_defect_operator_matches_the_per_outcome_loop(d_p, d_s):
+    model, prep, bases = zero_amplitude_cycle(np.random.default_rng([d_p, d_s]), d_p, d_s, n_steps=3)
+    protocol = kp.MeasurementProtocol(model, prep, bases)
+    for n in (2, 3):
+        for j in range(1, n):
+            for fixed in itertools.product(range(d_p), repeat=n - 1):
+                batched = kp.kc_defect_operator(protocol, n, j, fixed)
+                assert np.max(np.abs(batched - loop_kc_defect_operator(protocol, n, j, fixed))) <= 1e-14
 
 
 def assert_tensor_matches_single_entries(protocol, rho, n_max):
