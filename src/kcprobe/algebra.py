@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, NumericalFault, PreconditionError
 from .linalg import (
     as_complex_matrix,
     check_density,
@@ -22,8 +22,10 @@ from .linalg import (
     commutator,
     frobenius,
     hs_inner,
+    is_hermitian,
 )
 from .model import DephasingModel, MeasurementProtocol, conditional_unitaries
+from .serialize import Record
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -63,17 +65,22 @@ def generate_algebra(generators, tol: Tolerances = DEFAULT) -> AlgebraBasis:
     """Unital *-algebra generated by ``generators``, as a double commutant.
 
     Von Neumann: the *-algebra generated by {1} u {G} u {G^H} is ``(A')'``,
-    so non-Hermitian generators bring their adjoints in.  The second
-    commutant is taken of two seeded random Hermitian elements of ``A'``,
-    which generate ``A'`` for almost every draw; its stack is ``2 d^2 x d^2``
-    where the basis of ``A'`` would give ``dim(A') d^2 x d^2`` (up to d^6).
+    so a non-Hermitian generator brings its adjoint in; a Hermitian one
+    enters the commutant stack once.
     """
-    gens = tuple(np.asarray(g, dtype=complex) for g in generators)
-    commutant = commutant_basis([*gens, *(g.conj().T for g in gens)], tol)
+    gens = tuple(as_complex_matrix(g) for g in generators)
+    adjoints = [g.conj().T for g in gens if not is_hermitian(g, tol)]
+    algebra = _second_commutant(commutant_basis([*gens, *adjoints], tol), tol)
+    return AlgebraBasis(gens, algebra.basis, algebra.dimension)
+
+
+def _second_commutant(commutant: AlgebraBasis, tol: Tolerances) -> AlgebraBasis:
+    """``(A')'`` from a basis of ``A'``: the commutant of two seeded random
+    Hermitian elements of ``A'``, which generate ``A'`` for almost every draw,
+    so the stack is ``2 d^2 x d^2``, not ``dim(A') d^2 x d^2`` (up to d^6)."""
     coeffs = np.random.default_rng(0).standard_normal((2, 2 * commutant.dimension)).view(complex)
     mixed = np.tensordot(coeffs, commutant.basis, axes=1)
-    algebra = commutant_basis([x + x.conj().T for x in mixed], tol)
-    return AlgebraBasis(gens, algebra.basis, algebra.dimension)
+    return commutant_basis([x + x.conj().T for x in mixed], tol)
 
 
 def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:
@@ -171,16 +178,21 @@ def commutant_basis(ops, tol: Tolerances = DEFAULT) -> AlgebraBasis:
 
     Stacks the vectorized maps ``A -> [A, G]`` and reads the commutant off
     the null space of the stack; singular values below the cut define the
-    null space and are recorded on the result.
+    null space and are recorded on the result.  The identity always
+    commutes, so an empty null space is a :class:`NumericalFault`.
     """
     mats = [as_complex_matrix(op) for op in ops]
     d = _common_dimension(mats)
     eye = np.eye(d)
-    rows = [np.kron(eye, g.T) - np.kron(g, eye) for g in mats]
-    stacked = np.concatenate(rows, axis=0)
+    stacked = np.concatenate([np.kron(eye, g.T) - np.kron(g, eye) for g in mats], axis=0)
     # >= d^2 rows: the reduced SVD keeps every singular value and right vector
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     members = [vh[i].conj().reshape(d, d) for i in range(d * d) if svals[i] < tol.nullspace]
+    if not members:
+        raise NumericalFault(
+            f"empty commutant: smallest singular value {svals[-1]:.3e} is not below "
+            f"the nullspace cut {tol.nullspace:.3e}"
+        )
     return AlgebraBasis(tuple(mats), tuple(members), len(members), svals)
 
 
@@ -212,8 +224,10 @@ def zero_entanglement_condition(rho: np.ndarray, model: DephasingModel, tol: Tol
 
 
 @dataclass(frozen=True)
-class AlgebraReport:
+class AlgebraReport(Record):
     """Summary of the operator algebra the probe can sense."""
+
+    OMIT_IF_NONE = ("effect_nondegeneracy",)
 
     dimension: int
     commutative: bool
@@ -223,19 +237,6 @@ class AlgebraReport:
     effect_nondegeneracy: tuple[dict, ...] | None
     tolerances: dict
 
-    def to_dict(self) -> dict:
-        out = {
-            "dimension": self.dimension,
-            "commutative": self.commutative,
-            "max_generator_commutator": self.max_generator_commutator,
-            "commutant_dimension": self.commutant_dimension,
-            "commutant_singular_values_near_cut": list(self.commutant_singular_values_near_cut),
-            "tolerances": self.tolerances,
-        }
-        if self.effect_nondegeneracy is not None:
-            out["effect_nondegeneracy"] = list(self.effect_nondegeneracy)
-        return out
-
 
 def algebra_report(
     model: DephasingModel,
@@ -244,12 +245,14 @@ def algebra_report(
 ) -> AlgebraReport:
     """Analyze the algebra generated by the conditional Hamiltonians.
 
+    The algebra is the second commutant of the commutant the report states,
+    so ``dimension`` and ``commutant_dimension`` come from one null space.
     When a protocol is given, every step effect is additionally screened for
     eigenvalue degeneracy.
     """
-    closed = generate_algebra(model.hamiltonians, tol)
     commutative, worst = is_commutative(model.hamiltonians, tol)
     commutant = commutant_basis(model.hamiltonians, tol)
+    closed = _second_commutant(commutant, tol)
     svals = commutant.singular_values
     near = tuple(
         float(s) for s in svals if tol.nullspace / 100.0 <= s <= tol.nullspace * 100.0

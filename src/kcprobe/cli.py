@@ -364,29 +364,26 @@ def _cmd_search(args, config) -> int:
     trials = int(search.get("trials", 100))
     mode = search.get("mode", "degenerate")
     if mode == "lg":
-        findings = [f.to_dict() for f in lg_violation_search(config.scenario.seed, trials, tol=config.tolerances)]
+        found = lg_violation_search(config.scenario.seed, trials, tol=config.tolerances)
     else:
         include = []
         if search.get("include_canonical", False):
             include.append((degenerate_qubit_instance(), "X"))
         t_grid = tuple(search.get("t_grid", (float(np.pi / 2),)))
         params = config.scenario.params
-        findings = [
-            f.to_dict()
-            for f in counterexample_search(
-                config.scenario.seed,
-                trials,
-                int(params.get("probe_dim", 2)),
-                int(params.get("system_dim", 2)),
-                t_grid,
-                include=include,
-                commuting=bool(params.get("commuting", False)),
-                tol=config.tolerances,
-            )
-        ]
-    document = {**_header(config), "mode": mode, "findings": findings}
+        found = counterexample_search(
+            config.scenario.seed,
+            trials,
+            int(params.get("probe_dim", 2)),
+            int(params.get("system_dim", 2)),
+            t_grid,
+            include=include,
+            commuting=bool(params.get("commuting", False)),
+            tol=config.tolerances,
+        )
+    document = {**_header(config), "mode": mode, "findings": [f.to_dict() for f in found]}
     _write_outputs(args, config, {"search.json": lambda path: write_json(path, document)})
-    print(f"search findings: {len(findings)}")
+    print(f"search findings: {len(found)}")
     return EXIT_OK
 
 

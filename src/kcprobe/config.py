@@ -104,6 +104,8 @@ def load_run_config(path, overrides: dict | None = None, seed: int | None = None
     kind = scenario_raw.pop("kind")
     cfg_seed = scenario_raw.pop("seed", 0)
     if seed is not None:
+        if not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {seed!r}")
         cfg_seed = seed
     if kind == "explicit":
         if "hamiltonians" not in scenario_raw:

@@ -19,6 +19,7 @@ from .errors import CapacityError, ProtocolError
 from .linalg import check_density
 from .model import MeasurementProtocol
 from .sequences import _state_defects, full_distribution
+from .serialize import Record
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -67,7 +68,7 @@ def effect_product_probability(protocol: MeasurementProtocol, rho: np.ndarray, s
 
 
 @dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     """Maximum discrepancies between the naive and optimized routes."""
 
     n_max: int
@@ -82,22 +83,11 @@ class OracleReport:
     def agrees(self) -> bool:
         """Every discrepancy, probabilities, defects and product form, is within tolerance."""
         cut = self.tolerances["oracle_agreement"]
-        gated = [self.max_abs_discrepancy, self.max_defect_discrepancy]
-        if self.max_product_form_discrepancy is not None:
-            gated.append(self.max_product_form_discrepancy)
-        return all(x <= cut for x in gated)
+        gated = (self.max_abs_discrepancy, self.max_defect_discrepancy, self.max_product_form_discrepancy)
+        return all(x is None or x <= cut for x in gated)
 
     def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "max_abs_discrepancy": self.max_abs_discrepancy,
-            "per_n": list(self.per_n),
-            "max_defect_discrepancy": self.max_defect_discrepancy,
-            "commutative": self.commutative,
-            "max_product_form_discrepancy": self.max_product_form_discrepancy,
-            "agrees": self.agrees,
-            "tolerances": self.tolerances,
-        }
+        return {**super().to_dict(), "agrees": self.agrees}
 
 
 def oracle_compare(

@@ -31,7 +31,7 @@ from .sequences import (
     check_kc_all,
     full_distribution,
 )
-from .serialize import fingerprint, model_payload
+from .serialize import Record, fingerprint, model_payload
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -267,7 +267,7 @@ def degenerate_qubit_instance(step_time: float = np.pi / 2) -> DephasingModel:
 
 
 @dataclass(frozen=True)
-class CounterexampleFinding:
+class CounterexampleFinding(Record):
     """A degenerate-effect, consistency-preserving, noncommutative instance."""
 
     source: str
@@ -279,19 +279,6 @@ class CounterexampleFinding:
     max_effect_gap: float
     generator_commutator: float
     model_fingerprint: str
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "seed": self.seed,
-            "index": self.index,
-            "axis": self.axis,
-            "step_time": self.step_time,
-            "max_operator_defect": self.max_operator_defect,
-            "max_effect_gap": self.max_effect_gap,
-            "generator_commutator": self.generator_commutator,
-            "model_fingerprint": self.model_fingerprint,
-        }
 
 
 def _single_axis_protocol(model: DephasingModel, axis: str, n_steps: int) -> MeasurementProtocol:

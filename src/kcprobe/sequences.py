@@ -46,6 +46,7 @@ from .errors import (
 )
 from .linalg import check_density, commutator, frobenius
 from .model import DephasingModel, MeasurementProtocol, PreparationState, nonselective_apply
+from .serialize import Record
 from .tolerances import DEFAULT, Tolerances
 
 OutcomeSequence = tuple[int, ...]
@@ -288,27 +289,18 @@ def kc_defect_operator(
 
 
 @dataclass(frozen=True)
-class KCEntry:
+class KCEntry(Record):
+    OMIT_IF_NONE = ("state_defects",)
+
     n: int
     j: int
     fixed: OutcomeSequence
     operator_defect: float
     state_defects: tuple[float, ...] | None
 
-    def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "j": self.j,
-            "fixed": list(self.fixed),
-            "operator_defect": self.operator_defect,
-        }
-        if self.state_defects is not None:
-            out["state_defects"] = list(self.state_defects)
-        return out
-
 
 @dataclass(frozen=True)
-class KCReport:
+class KCReport(Record):
     """Verdict and per-condition defects of a full consistency scan."""
 
     n_max: int
@@ -324,15 +316,7 @@ class KCReport:
         return self.verdict == "consistent"
 
     def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "verdict": self.verdict,
-            "max_operator_defect": self.max_operator_defect,
-            "max_state_defect": self.max_state_defect,
-            "decided_by_n2_j1": self.decided_by_n2_j1,
-            "entries": [e.to_dict() for e in self.entries],
-            "tolerances": self.tolerances,
-        }
+        return {**super().to_dict(), "entries": [e.to_dict() for e in self.entries]}
 
 
 def check_kc_all(

@@ -1,14 +1,43 @@
 """Serialization helpers: complex values as [re, im] pairs, matrices as
-row-major nested arrays, canonical JSON, and content fingerprints."""
+row-major nested arrays, one record rule for report dataclasses, canonical
+JSON, and content fingerprints."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import operator
 
 import numpy as np
 
 from .errors import ConfigError
+
+
+class Record:
+    """Report dataclass mixin: ``to_dict`` writes every field under its own
+    name, in field order, tuples as lists, and leaves out a field named in
+    ``OMIT_IF_NONE`` while it is ``None``."""
+
+    OMIT_IF_NONE: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        names, read = _record_fields(type(self))
+        out = {}
+        for name, value in zip(names, read(self)):
+            if isinstance(value, tuple):
+                out[name] = list(value)
+            elif value is not None or name not in self.OMIT_IF_NONE:
+                out[name] = value
+        return out
+
+
+@functools.cache
+def _record_fields(cls) -> tuple:
+    """A record's field names (two or more) and one getter that reads them all."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    return names, operator.attrgetter(*names)
 
 
 def complex_pair(z) -> list:

@@ -22,14 +22,14 @@ from .errors import DimensionError, PreconditionError, ProtocolError
 from .model import MeasurementProtocol, plus_x_preparation, xy_meter_basis
 from .linalg import check_density
 from .sequences import _check_capacity, _kraus_product, _state_defects, full_distribution
-from .serialize import fingerprint, protocol_payload
+from .serialize import Record, fingerprint, protocol_payload
 from .tolerances import DEFAULT, Tolerances
 
 PLUS_MINUS_VALUES = {0: 1.0, 1: -1.0}
 
 
 @dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     kind: str
     parameters: dict
     value: float
@@ -40,16 +40,6 @@ class WitnessReport:
     @property
     def nonzero(self) -> bool:
         return self.verdict == "nonzero"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parameters": self.parameters,
-            "value": self.value,
-            "verdict": self.verdict,
-            "model_fingerprint": self.model_fingerprint,
-            "tolerances": self.tolerances,
-        }
 
 
 def witness_report(
@@ -155,7 +145,7 @@ _LG_NOTE = (
 
 
 @dataclass(frozen=True)
-class LGResult:
+class LGResult(Record):
     """Two-measurement inequality check: ``P2(+,+) <= P1(+)`` up to tolerance."""
 
     delta: float
@@ -164,16 +154,6 @@ class LGResult:
     p2_plus_after_minus: float
     p1_plus: float
     note: str = _LG_NOTE
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "lg_satisfied": self.lg_satisfied,
-            "p2_plus_plus": self.p2_plus_plus,
-            "p2_plus_after_minus": self.p2_plus_after_minus,
-            "p1_plus": self.p1_plus,
-            "note": self.note,
-        }
 
 
 def lg_check(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = DEFAULT) -> LGResult:
@@ -208,7 +188,7 @@ def lg_check(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = D
 
 
 @dataclass(frozen=True)
-class LGFinding:
+class LGFinding(Record):
     """A reproducible inequality violation located by the seeded search."""
 
     seed: int
@@ -219,18 +199,6 @@ class LGFinding:
     p2_plus_plus: float
     p1_plus: float
     model_fingerprint: str
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "index": self.index,
-            "system_dim": self.system_dim,
-            "step_times": list(self.step_times),
-            "delta": self.delta,
-            "p2_plus_plus": self.p2_plus_plus,
-            "p1_plus": self.p1_plus,
-            "model_fingerprint": self.model_fingerprint,
-        }
 
 
 def lg_search_instance(seed: int, index: int, system_dims=(2, 3, 4), t_range=(0.1, 3.0)):

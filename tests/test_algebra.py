@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
-from kcprobe.errors import PreconditionError
+from kcprobe.errors import NumericalFault, PreconditionError
 from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
 
 from conftest import random_density, random_hermitian
@@ -258,6 +258,12 @@ class TestCommutantBasis:
             for member in commutant.basis:
                 assert max(frobenius(kp.commutator(member, g)) for g in ops) <= 1e-8
 
+    def test_empty_null_space_is_a_numerical_fault(self):
+        # the identity always commutes, so a cut below every singular value is a fault
+        tol = kp.DEFAULT.replace(nullspace=1e-17)
+        with pytest.raises(NumericalFault, match=r"smallest singular value .* cut 1\.000e-17"):
+            kp.commutant_basis([SIGMA_Z, SIGMA_X], tol)
+
 
 class TestFixedPointCommutantDuality:
     def test_duality_on_random_models(self):
@@ -320,3 +326,24 @@ class TestAlgebraReport:
         assert rows[(1, "+")] is False  # degenerate X effects
         assert rows[(2, "+")] is True
         assert report.to_dict()["commutative"] is False
+
+    def test_algebra_is_the_second_commutant_of_the_reported_commutant(self):
+        # a coupling near the null-space cut: the commutant is the diagonal
+        # algebra, so the algebra it generates is diagonal too
+        hams = (np.diag([0.0, 1.0]).astype(complex), 4e-10 * SIGMA_X)
+        report = kp.algebra_report(kp.DephasingModel(2, 2, hams, 1.0))
+        assert report.commutant_dimension == 2
+        assert report.dimension == 2
+        assert kp.generate_algebra(hams).dimension == 2
+
+    def test_one_commutant_and_one_second_commutant(self, sigma_model, monkeypatch):
+        stacks = []
+        real = kp.algebra.commutant_basis
+
+        def counting(ops, tol=kp.DEFAULT):
+            stacks.append(len(ops))
+            return real(ops, tol)
+
+        monkeypatch.setattr(kp.algebra, "commutant_basis", counting)
+        kp.algebra_report(sigma_model)
+        assert stacks == [2, 2]

@@ -136,6 +136,11 @@ class TestConfigLoading:
         overridden = build_experiment(load_run_config(path, seed=4)).model
         assert not np.allclose(base.hamiltonians[0], overridden.hamiltonians[0])
 
+    def test_negative_seed_override_is_rejected(self, tmp_path):
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config())
+        with pytest.raises(ConfigError, match="--seed must be a non-negative integer, got -1"):
+            load_run_config(path, seed=-1)
+
 
 class TestRunCommand:
     def test_run_writes_reports_and_exit_zero(self, tmp_path):
@@ -311,6 +316,27 @@ def test_phase_beyond_double_precision_is_a_config_error(tmp_path, capsys, step_
         assert not out.exists()
     else:
         assert err == "" and (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, seed",
+    [("search", "search_degenerate.json", "-5"), ("run", "commuting_random.json", "-1")],
+)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command, config, seed):
+    out = tmp_path / "out"
+    assert main([command, str(CONFIGS / config), "--seed", seed, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --seed must be a non-negative integer, got {seed}\n"
+    assert not out.exists()
+
+
+def test_empty_commutant_is_a_numerical_fault(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", str(SIGMA_PAIR_Y), "--tol", "nullspace=1e-17", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical fault: empty commutant") and err.count("\n") == 1
+    assert not (out / "report.json").exists()
 
 
 class TestExitCodes:
