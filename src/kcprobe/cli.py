@@ -26,18 +26,13 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .algebra import algebra_report, is_commutative, zero_entanglement_condition
 from .config import SCHEMA_VERSION, Experiment, build_experiment, load_run_config
-from .errors import (
-    CapacityError,
-    ConfigError,
-    InvariantViolation,
-    KCProbeError,
-    NumericalFault,
-)
+from .errors import ConfigError, InvariantViolation, KCProbeError, NumericalFault
 from .linalg import commutator, frobenius
 from .model import DephasingModel, MeasurementProtocol, qubit_xy_protocol
 from .oracle import oracle_compare
@@ -49,14 +44,7 @@ from .scenarios import (
 )
 from .sequences import check_kc_all
 from .serialize import fingerprint, write_json
-from .witnesses import (
-    _axis_delta,
-    delta_2_1,
-    delta_3_2,
-    lg_check,
-    lg_violation_search,
-    witness_report,
-)
+from .witnesses import _axis_delta, lg_check, lg_violation_search, witness_report
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -154,112 +142,123 @@ def _witness_protocols(
     return by_axis, by_axis.get("X") or qubit_xy_protocol(model, "XX")
 
 
+def _axis_deltas(by_axis: dict[str, MeasurementProtocol], rho: np.ndarray, tol):
+    """Yield ``(name, n, protocol, value)`` for Δ21 (``n = 2``) and Δ32
+    (``n = 3``) of each axis protocol, named ``delta_x_21``, ``delta_y_21``,
+    ``delta_x_32``, ...; ``rho`` must be validated (``build_experiment``
+    does that)."""
+    for n in (2, 3):
+        for axis, protocol in by_axis.items():
+            if n <= max(protocol.n_steps, 2):  # Δ32 needs three steps; Δ21 raises on fewer
+                name = f"delta_{axis.lower()}_{n}{n - 1}"
+                yield name, n, protocol, _axis_delta(protocol, rho, n, tol)
+
+
 def _witness_rows(experiment: Experiment) -> list[dict]:
     tol = experiment.config.tolerances
     by_axis, lg_protocol = _witness_protocols(experiment.model, experiment.protocol)
     rows = []
     for state_name, rho in experiment.states:
         entry: dict = {"state": state_name}
-        for axis, protocol in by_axis.items():
-            axis = axis.lower()
-            for n, witness in ((2, delta_2_1), (3, delta_3_2)):
-                if n > max(protocol.n_steps, 2):
-                    break  # Δ32 needs three steps; Δ21 raises on fewer than two
-                value = witness(protocol, rho, tol)
-                entry[f"delta_{axis}_{n}{n - 1}"] = witness_report(
-                    f"delta{n}{n - 1}_{axis}", value, protocol.prefix(n), {"state": state_name}, tol
-                ).to_dict()
+        for name, n, protocol, value in _axis_deltas(by_axis, rho, tol):
+            kind = f"delta{n}{n - 1}_{protocol.axes[0].lower()}"
+            entry[name] = witness_report(
+                kind, value, protocol.prefix(n), {"state": state_name}, tol
+            ).to_dict()
         entry["lg"] = lg_check(lg_protocol, rho, tol).to_dict()
         rows.append(entry)
     return rows
 
 
-def _run_checks(experiment: Experiment) -> tuple[dict, dict]:
-    config = experiment.config
-    tol = config.tolerances
-    results: dict = {}
-    timings: dict = {}
-    for check in config.checks:
-        started = time.perf_counter()
-        if check == "kc":
-            rhos = [rho for _, rho in experiment.states]
-            report = check_kc_all(experiment.protocol, experiment.n_max, rhos, tol)
-            results["kc"] = report.to_dict()
-        elif check == "witnesses":
-            results["witnesses"] = _witness_rows(experiment)
-        elif check == "algebra":
-            results["algebra"] = algebra_report(experiment.model, experiment.protocol, tol).to_dict()
-        elif check == "entanglement":
-            rows = []
-            for state_name, rho in experiment.states:
-                ok, diag = zero_entanglement_condition(rho, experiment.model, tol)
-                rows.append({"state": state_name, "zero_entanglement": ok, "diagnostics": diag})
-            results["entanglement"] = rows
-        elif check == "oracle":
-            results["oracle"] = _oracle_rows(experiment)
-        timings[check] = time.perf_counter() - started
-    return results, timings
+def _entanglement_rows(experiment: Experiment) -> list[dict]:
+    rows = []
+    for state_name, rho in experiment.states:
+        ok, diag = zero_entanglement_condition(rho, experiment.model, experiment.config.tolerances)
+        rows.append({"state": state_name, "zero_entanglement": ok, "diagnostics": diag})
+    return rows
 
 
-def _summarize(results: dict) -> dict:
-    """One-word outcome per executed check."""
-    summary = {}
-    if "kc" in results:
-        summary["kc"] = results["kc"]["verdict"]
+def _witnesses_fired(rows: list[dict]) -> bool:
+    return any(
+        value.get("verdict") == "nonzero" or value.get("lg_satisfied") is False
+        for row in rows
+        for value in row.values()
+        if isinstance(value, dict)
+    )
+
+
+class _Check(NamedTuple):
+    run: Callable[[Experiment], object]  # the check's result, as written to report.json
+    summary: Callable[[object], str]  # that result's one-word outcome
+
+
+# The checks of `kcprobe run`, in one place: config `checks` names one of these.
+_CHECKS = {
+    "kc": _Check(
+        lambda e: check_kc_all(
+            e.protocol, e.n_max, [rho for _, rho in e.states], e.config.tolerances
+        ).to_dict(),
+        lambda report: report["verdict"],
+    ),
+    "witnesses": _Check(
+        _witness_rows, lambda rows: "nonzero" if _witnesses_fired(rows) else "zero"
+    ),
+    "algebra": _Check(
+        lambda e: algebra_report(e.model, e.protocol, e.config.tolerances).to_dict(),
+        lambda report: "commutative" if report["commutative"] else "noncommutative",
+    ),
+    "entanglement": _Check(
+        _entanglement_rows,
+        lambda rows: "zero" if all(row["zero_entanglement"] for row in rows) else "nonzero",
+    ),
+    "oracle": _Check(
+        _oracle_rows, lambda rows: "agrees" if all(row["agrees"] for row in rows) else "disagrees"
+    ),
+}
+
+
+def _lg_satisfied(experiment: Experiment, results: dict) -> bool:
+    """The LG verdict of the first state; without the witness check, only
+    its LG row is evaluated."""
     if "witnesses" in results:
-        fired = any(
-            value.get("verdict") == "nonzero" or value.get("lg_satisfied") is False
-            for row in results["witnesses"]
-            for value in row.values()
-            if isinstance(value, dict)
-        )
-        summary["witnesses"] = "nonzero" if fired else "zero"
-    if "algebra" in results:
-        summary["algebra"] = "commutative" if results["algebra"]["commutative"] else "noncommutative"
-    if "entanglement" in results:
-        clean = all(row["zero_entanglement"] for row in results["entanglement"])
-        summary["entanglement"] = "zero" if clean else "nonzero"
-    if "oracle" in results:
-        summary["oracle"] = "agrees" if all(r["agrees"] for r in results["oracle"]) else "disagrees"
-    return summary
+        return results["witnesses"][0]["lg"]["lg_satisfied"]
+    _, lg_protocol = _witness_protocols(experiment.model, experiment.protocol)
+    return lg_check(lg_protocol, experiment.states[0][1], experiment.config.tolerances).lg_satisfied
+
+
+# Config `expect` names one of these; each gives the actual value, in this order.
+_EXPECTATIONS = {
+    "kc_verdict": lambda e, results: _CHECKS["kc"].summary(
+        results["kc"] if "kc" in results else _CHECKS["kc"].run(e)
+    ),
+    "commutative": lambda e, results: is_commutative(e.model.hamiltonians, e.config.tolerances)[0],
+    "lg_satisfied": _lg_satisfied,
+}
 
 
 def _evaluate_expectations(experiment: Experiment, results: dict) -> list[dict]:
     expect = experiment.config.expect
-    tol = experiment.config.tolerances
     rows = []
-    if "kc_verdict" in expect:
-        if "kc" in results:
-            actual = results["kc"]["verdict"]
-        else:
-            actual = check_kc_all(experiment.protocol, experiment.n_max, tol=tol).verdict
-        rows.append(
-            {"name": "kc_verdict", "expected": expect["kc_verdict"], "actual": actual}
-        )
-    if "commutative" in expect:
-        actual, _ = is_commutative(experiment.model.hamiltonians, tol)
-        rows.append({"name": "commutative", "expected": expect["commutative"], "actual": actual})
-    if "lg_satisfied" in expect:
-        if "witnesses" in results:
-            actual = results["witnesses"][0]["lg"]["lg_satisfied"]
-        else:
-            _, lg_protocol = _witness_protocols(experiment.model, experiment.protocol)
-            actual = lg_check(lg_protocol, experiment.states[0][1], tol).lg_satisfied
-        rows.append({"name": "lg_satisfied", "expected": expect["lg_satisfied"], "actual": actual})
-    for row in rows:
-        row["matched"] = row["expected"] == row["actual"]
+    for name, actual_of in _EXPECTATIONS.items():
+        if name in expect:
+            row = {"name": name, "expected": expect[name], "actual": actual_of(experiment, results)}
+            rows.append({**row, "matched": row["expected"] == row["actual"]})
     return rows
 
 
 def _cmd_run(args, config) -> int:
     experiment = build_experiment(config)
-    results, timings = _run_checks(experiment)
+    results, timings = {}, {}
+    for check in config.checks:
+        started = time.perf_counter()
+        results[check] = _CHECKS[check].run(experiment)
+        timings[check] = time.perf_counter() - started
     expectations = _evaluate_expectations(experiment, results)
     bundle = {
         **_header(config),
         "config": config.raw,
         "results": results,
-        "summary": _summarize(results),
+        "summary": {check: _CHECKS[check].summary(result) for check, result in results.items()},
         "expectations": expectations,
         "tolerances": config.tolerances.as_dict(),
     }
@@ -302,23 +301,24 @@ def _sweep_model(experiment: Experiment, param: str, value: float):
     raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
-def _sweep_row(experiment: Experiment, param: str, value: float) -> list:
+def _sweep_row(experiment: Experiment, param: str, value: float | None) -> dict:
+    """One ``sweep.csv`` row by column name; ``value`` None reads the config's own model."""
     tol = experiment.config.tolerances
     try:  # a grid value that breaks an invariant is a config error, as in the config
-        model = _sweep_model(experiment, param, value)
-        protocols = _witness_protocols(model)[0].values()
+        model = experiment.model if value is None else _sweep_model(experiment, param, value)
+        protocols = _witness_protocols(model)[0]
     except InvariantViolation as exc:
         raise ConfigError(str(exc)) from exc
     rho = experiment.states[0][1]  # validated once, by build_experiment
     n_max = max(2, min(experiment.n_max, 3))
-    defect = max(check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols)
-    comm = frobenius(commutator(model.hamiltonians[0], model.hamiltonians[1]))
-    return [
-        value,
-        defect,
-        *(_axis_delta(p, rho, n, tol) for n in (2, 3) for p in protocols),
-        comm,
-    ]
+    return {
+        param: value,
+        "max_kc_defect": max(
+            check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols.values()
+        ),
+        **{name: delta for name, _, _, delta in _axis_deltas(protocols, rho, tol)},
+        "commutator_norm": frobenius(commutator(model.hamiltonians[0], model.hamiltonians[1])),
+    }
 
 
 def _cmd_sweep(args, config) -> int:
@@ -329,22 +329,15 @@ def _cmd_sweep(args, config) -> int:
     # one worker, since more were no faster; perfbench counts one executor task per row
     with ThreadPoolExecutor(max_workers=1) as pool:
         rows = list(pool.map(lambda v: _sweep_row(experiment, args.param, v), grid))
-    header = [
-        args.param,
-        "max_kc_defect",
-        "delta_x_21",
-        "delta_y_21",
-        "delta_x_32",
-        "delta_y_32",
-        "commutator_norm",
-    ]
+    # an empty grid still gets every column, named by a row of the config's own model
+    header = list(rows[0] if rows else _sweep_row(experiment, args.param, None))
 
     def write_csv(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
+            writer = csv.DictWriter(fh, header)
+            writer.writeheader()
             for row in rows:
-                writer.writerow([repr(float(x)) for x in row])
+                writer.writerow({name: repr(float(x)) for name, x in row.items()})
 
     _write_outputs(args, config, {"sweep.csv": write_csv})
     return EXIT_OK
@@ -435,11 +428,8 @@ def main(argv=None) -> int:
     except (NumericalFault, InvariantViolation, np.linalg.LinAlgError) as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, CapacityError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except KCProbeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception:
         traceback.print_exc()

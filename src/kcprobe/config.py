@@ -33,6 +33,10 @@ from .tolerances import DEFAULT, Tolerances
 
 SCHEMA_VERSION = 1
 
+# Tolerances that no check reads (``unitarity`` is read only at its default),
+# so a setting would change nothing: a config or ``--tol`` naming one is refused.
+_INERT_TOLERANCES = frozenset({"closure", "kraus_effect", "rank", "unitarity"})
+
 
 def load_schema() -> dict:
     text = importlib.resources.files("kcprobe").joinpath("config_schema.json").read_text()
@@ -111,7 +115,11 @@ def load_run_config(path, overrides: dict | None = None, seed: int | None = None
         if "hamiltonians" not in scenario_raw:
             raise ConfigError("explicit scenario needs 'hamiltonians'")
         scenario_raw["hamiltonians"] = [rows_matrix(h) for h in scenario_raw["hamiltonians"]]
-    tol = DEFAULT.replace(**raw.get("tolerances", {}))
+    settings = raw.get("tolerances", {})
+    inert = sorted(_INERT_TOLERANCES.intersection([*settings, *(overrides or ())]))
+    if inert:
+        raise ConfigError(f"tolerance(s) {inert} cannot be set: no check reads them")
+    tol = DEFAULT.replace(**settings)
     if overrides:
         tol = tol.replace(**overrides)
     return RunConfig(
@@ -153,7 +161,7 @@ def _resolve_state(spec: dict, dim: int) -> np.ndarray:
     raise ConfigError(f"unknown state name {name!r}")
 
 
-def _resolve_protocol(model: DephasingModel, spec: dict, n_max: int) -> MeasurementProtocol:
+def _resolve_protocol(model: DephasingModel, spec: dict) -> MeasurementProtocol:
     step_times = spec.get("step_times")
     if "axes" in spec:
         return qubit_xy_protocol(model, spec["axes"], step_times)
@@ -168,8 +176,7 @@ def _resolve_protocol(model: DephasingModel, spec: dict, n_max: int) -> Measurem
             prep = uniform_preparation(model.probe_dim)
         times = tuple(step_times) if step_times is not None else None
         return MeasurementProtocol(model, prep, bases, times)
-    steps = int(spec.get("fourier_steps", n_max))
-    return fourier_protocol(model, max(steps, n_max))
+    return fourier_protocol(model, int(spec["fourier_steps"]))
 
 
 def build_experiment(config: RunConfig) -> Experiment:
@@ -208,7 +215,7 @@ def _build_experiment(config: RunConfig) -> Experiment:
                 spec["axes"] = ["X"] * max(n_max, 2)
             else:
                 spec["fourier_steps"] = max(n_max, 2)
-        protocol = _resolve_protocol(model, spec, n_max)
+        protocol = _resolve_protocol(model, spec)
         if n_max > protocol.n_steps:
             raise ConfigError(
                 f"n_max = {n_max} exceeds the protocol length {protocol.n_steps}"

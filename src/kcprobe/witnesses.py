@@ -131,6 +131,7 @@ def delta_3_2(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = 
 def _axis_delta(protocol: MeasurementProtocol, rho: np.ndarray, n: int, tol: Tolerances) -> float:
     """Δ21 (``n = 2``) or Δ32 (``n = 3``) of a state that was already validated."""
     _require_same_axis(protocol, n)
+    _check_capacity(protocol.probe_dim, n, tol)
     return _delta_correlation(protocol, rho, n, n - 1, PLUS_MINUS_VALUES, tol)
 
 

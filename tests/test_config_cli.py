@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kcprobe as kp
+from kcprobe import cli
 from kcprobe.cli import _parse_grid, main
 from kcprobe.config import build_experiment, load_run_config, load_schema
 from kcprobe.errors import ConfigError
@@ -47,6 +48,10 @@ def sigma_pair_config(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+# Tolerances that no check reads; the fields stay, but setting one is a config error.
+INERT = ("closure", "kraus_effect", "rank", "unitarity")
 
 
 class TestSerialize:
@@ -140,6 +145,20 @@ class TestConfigLoading:
         path = write_config(tmp_path / "cfg.json", sigma_pair_config())
         with pytest.raises(ConfigError, match="--seed must be a non-negative integer, got -1"):
             load_run_config(path, seed=-1)
+
+    def test_settable_tolerances_are_accepted_in_the_config_and_by_tol(self, tmp_path):
+        settable = [f.name for f in dataclasses.fields(kp.Tolerances) if f.name not in INERT]
+        assert len(settable) == 19
+        values = {name: getattr(kp.DEFAULT, name) * 2 for name in settable}
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config(tolerances=values))
+        assert load_run_config(path).tolerances == kp.DEFAULT.replace(**values)
+        plain = write_config(tmp_path / "plain.json", sigma_pair_config())
+        assert load_run_config(plain, overrides=values).tolerances == kp.DEFAULT.replace(**values)
+
+    def test_schema_names_the_checks_and_expectations_the_cli_runs(self):
+        properties = load_schema()["properties"]
+        assert set(properties["checks"]["items"]["enum"]) == set(cli._CHECKS)
+        assert set(properties["expect"]["properties"]) == set(cli._EXPECTATIONS)
 
 
 class TestRunCommand:
@@ -339,6 +358,62 @@ def test_empty_commutant_is_a_numerical_fault(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("name", INERT)
+@pytest.mark.parametrize("route", ["config", "--tol"])
+def test_inert_tolerance_is_a_config_error(tmp_path, capsys, name, route):
+    cfg = json.loads(SIGMA_PAIR_Y.read_text())
+    argv = []
+    if route == "config":
+        cfg["tolerances"] = {name: 1e-30}
+    else:
+        argv = ["--tol", f"{name}=1e-30"]
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path / "cfg.json", cfg), *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: tolerance(s) ['{name}'] cannot be set: no check reads them\n"
+    assert not out.exists()
+
+
+def test_every_exit_two_error_has_the_config_error_prefix(tmp_path, capsys):
+    cfg = {"schema_version": 1, "scenario": {"kind": "random", "system_dim": 1}}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: system dimension 1 not in 2..16\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fourier_steps, code", [(2, 2), (4, 0)])
+def test_fourier_steps_below_n_max_is_a_config_error(tmp_path, capsys, fourier_steps, code):
+    cfg = {
+        "schema_version": 1,
+        "scenario": {"kind": "random", "seed": 1, "probe_dim": 3},
+        "protocol": {"fourier_steps": fourier_steps, "n_max": 4},
+    }
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == "config error: n_max = 4 exceeds the protocol length 2\n"
+        assert not out.exists()
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["kc"]["n_max"] == 4
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_witnesses_keep_to_the_enumeration_cap(tmp_path, capsys, command):
+    # Δ32 reads the 2^3 sequences of three steps; the sweep's KC scan needs only 2^2
+    cfg = json.loads((CONFIGS / "nv_sweep.json").read_text())
+    cfg["checks"] = ["witnesses"]
+    argv = [command, write_config(tmp_path / "cfg.json", cfg)]
+    if command == "sweep":
+        argv += ["--param", "t", "--grid", "1,2"]
+    out = tmp_path / "out"
+    assert main([*argv, "--tol", "enumeration_cap=4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: 2^3 = 8 sequences exceeds cap 4\n"
+    assert not out.exists()
+
+
 class TestExitCodes:
     @pytest.fixture
     def run_raising(self, tmp_path, monkeypatch, capsys):
@@ -507,6 +582,37 @@ class TestWitnessProtocols:
         assert sorted(builds) == [("X", "X", "X"), ("X", "Y", "X"), ("Y", "Y", "Y")]
 
 
+    def test_run_validates_each_state_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(rho, tol):
+            calls.append(1)
+            return check_density(rho, tol)
+
+        monkeypatch.setattr("kcprobe.witnesses.check_density", counted)
+        cfg = json.loads(SIGMA_PAIR_Y.read_text())
+        cfg["checks"] = ["witnesses"]
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 0
+        assert len(json.loads((out / "report.json").read_text())["results"]["witnesses"]) == 2
+        assert calls == []
+
+    def test_sweep_columns_are_the_witness_names_of_run(self, tmp_path):
+        cfg = json.loads((CONFIGS / "nv_sweep.json").read_text())
+        cfg["checks"] = ["witnesses"]
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["run", path, "--out", str(tmp_path / "run")]) == 0
+        assert main(["sweep", path, "--param", "t", "--grid", "1.0", "--out", str(tmp_path / "sweep")]) == 0
+        row = json.loads((tmp_path / "run" / "report.json").read_text())["results"]["witnesses"][0]
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            (sweep_row,) = csv.DictReader(fh)
+        names = [key for key in sweep_row if key.startswith("delta_")]
+        assert names == ["delta_x_21", "delta_y_21", "delta_x_32", "delta_y_32"]
+        assert sorted(names) == sorted(key for key in row if key.startswith("delta_"))
+        for name in names:
+            assert float(sweep_row[name]) == row[name]["value"]
+
+
 class TestSweepCommand:
     def nv_config(self, tmp_path):
         cfg = {
@@ -568,6 +674,17 @@ class TestSweepCommand:
         assert main(["sweep", path, "--param", "t", "--grid", "", "--out", str(out)]) == 0
         rows = list(csv.reader((out / "sweep.csv").read_text().splitlines()))
         assert len(rows) == 1
+        assert main(["sweep", path, "--param", "t", "--grid", "1", "--out", str(tmp_path / "one")]) == 0
+        assert rows[0] == list(csv.reader((tmp_path / "one" / "sweep.csv").read_text().splitlines()))[0]
+
+    @pytest.mark.parametrize("grid", ["", "0.5"])
+    def test_qutrit_probe_cannot_be_swept_even_on_an_empty_grid(self, tmp_path, capsys, grid):
+        cfg = {"schema_version": 1, "scenario": {"kind": "random", "probe_dim": 3}}
+        out = tmp_path / "out"
+        argv = ["sweep", write_config(tmp_path / "q.json", cfg), "--param", "t", "--grid", grid]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: witnesses need a qubit probe\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "grid",
