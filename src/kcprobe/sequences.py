@@ -27,12 +27,22 @@ vectors; :func:`kc_defect_state` keeps a single-entry route, which needs
 only ``d_P + 1`` sequences where the tensor needs ``d_P ** n``.
 Marginalizing the *final* step is trivially consistent by POVM completeness
 and is therefore rejected rather than reported as a substantive check.
+
+:func:`check_kc_all` reads one ``(n, j)`` at a time.  It calls
+:func:`kc_defect_operator` once per entry, in lexicographic order, writes each
+``D`` into one preallocated ``(B, d, d)`` block, and takes the Frobenius
+norms, the finiteness test, every state defect ``tr(rho D)`` and the maxima
+of the block in one step each.  A block holds at most
+``PREFIX_BLOCK_BYTES // (16 d**2)`` entries, so a large ``(n, j)`` is walked
+in chunks and the memory is bounded before anything is allocated.  Each
+entry's values do not depend on how the entries are chunked.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,25 +92,41 @@ class JointDistribution:
         return float(sum(self.table.values()))
 
 
+def _labels(protocol: MeasurementProtocol, seq) -> OutcomeSequence:
+    """``seq`` as a tuple of outcome labels in ``0..d_P - 1``.
+
+    A label must be an integer (numpy integers included); anything else,
+    such as ``0.9``, raises :class:`LabelError` rather than being truncated.
+    """
+    try:
+        labels = tuple(map(operator.index, seq))
+    except TypeError:
+        raise LabelError(f"outcome labels must be integers, got {seq!r}") from None
+    d_p = protocol.probe_dim
+    if labels and not (0 <= min(labels) and max(labels) < d_p):
+        k, m = next((k, m) for k, m in enumerate(labels) if not 0 <= m < d_p)
+        raise LabelError(f"outcome {m} at position {k + 1} is not in 0..{d_p - 1}")
+    return labels
+
+
 def _validate_sequence(protocol: MeasurementProtocol, seq) -> OutcomeSequence:
-    seq = tuple(int(m) for m in seq)
+    seq = _labels(protocol, seq)
     if not 1 <= len(seq) <= protocol.n_steps:
         raise ProtocolError(
             f"sequence length {len(seq)} not in 1..{protocol.n_steps} for this protocol"
         )
-    for k, m in enumerate(seq):
-        if not 0 <= m < protocol.probe_dim:
-            raise LabelError(f"outcome {m} at step {k + 1} is not in 0..{protocol.probe_dim - 1}")
     return seq
 
 
 def _kraus_product(protocol: MeasurementProtocol, outcomes, start: int = 0) -> np.ndarray:
     """``K_{m_last} ... K_{m_first}`` of ``outcomes`` at the 0-based steps
-    ``start, start + 1, ...``; the identity if ``outcomes`` is empty."""
-    r = np.eye(protocol.system_dim, dtype=complex)
+    ``start, start + 1, ...``, starting from ``K_{m_first}`` (a read-only view
+    for one outcome); the identity only if ``outcomes`` is empty."""
+    steps = protocol.step_measurements
+    r = None
     for k, m in enumerate(outcomes, start):
-        r = protocol.step_measurements[k].kraus[m] @ r
-    return r
+        r = steps[k].kraus[m] if r is None else steps[k].kraus[m] @ r
+    return np.eye(protocol.system_dim, dtype=complex) if r is None else r
 
 
 def history_operator(protocol: MeasurementProtocol, seq) -> HistoryOperator:
@@ -232,12 +258,9 @@ def _check_defect_args(protocol: MeasurementProtocol, n: int, j: int, fixed) -> 
         )
     if not 1 <= j <= n - 1:
         raise ProtocolError(f"j = {j} not in 1..{n - 1}")
-    fixed = tuple(int(m) for m in fixed)
+    fixed = _labels(protocol, fixed)
     if len(fixed) != n - 1:
         raise ProtocolError(f"need {n - 1} fixed outcomes, got {len(fixed)}")
-    for m in fixed:
-        if not 0 <= m < protocol.probe_dim:
-            raise LabelError(f"outcome {m} is not in 0..{protocol.probe_dim - 1}")
     return fixed
 
 
@@ -280,10 +303,13 @@ def kc_defect_operator(
     ``(n, j, fixed)`` in one check.
     """
     fixed = _check_defect_args(protocol, n, j, fixed)
-    pre = _kraus_product(protocol, fixed[: j - 1])
     post = _kraus_product(protocol, fixed[j - 1 :], start=j)
-    r = post @ protocol.step_measurements[j - 1].kraus @ pre  # one R per m_j
-    r0 = post @ pre
+    r = post @ protocol.step_measurements[j - 1].kraus  # one R per m_j
+    r0 = post
+    if j > 1:  # for j = 1 the prefix is the identity, and skipping it is exact
+        pre = _kraus_product(protocol, fixed[: j - 1])
+        r = r @ pre
+        r0 = post @ pre
     defect = (r.conj().swapaxes(1, 2) @ r).sum(axis=0) - r0.conj().T @ r0
     return (defect + defect.conj().T) / 2
 
@@ -319,6 +345,23 @@ class KCReport(Record):
         return {**super().to_dict(), "entries": [e.to_dict() for e in self.entries]}
 
 
+def _stack_states(protocol: MeasurementProtocol, rho, tol: Tolerances) -> np.ndarray | None:
+    """The states of :func:`check_kc_all`, each validated once, as one
+    ``(s, d * d)`` stack of the entries of ``rho^T``, so that ``tr(rho D)`` is
+    a row's dot product with the entries of ``D``; ``None`` for no state or
+    an empty sequence of states."""
+    if rho is None:
+        return None
+    states = [check_density(r, tol) for r in ([rho] if isinstance(rho, np.ndarray) else rho)]
+    if not states:
+        return None
+    d = protocol.system_dim
+    for r in states:
+        if r.shape != (d, d):
+            raise ProtocolError(f"state shape {r.shape} does not match operator {(d, d)}")
+    return np.stack(states).transpose(0, 2, 1).reshape(len(states), d * d)
+
+
 def check_kc_all(
     protocol: MeasurementProtocol,
     n_max: int,
@@ -334,42 +377,51 @@ def check_kc_all(
     alongside; an empty sequence of states is read as ``rho=None``.  The
     report also notes whether the ``(n=2, j=1)`` conditions already decide
     the verdict on their own.
+
+    Each ``D`` comes from one :func:`kc_defect_operator` call; the entries
+    of one ``(n, j)`` are read as blocks (see the module docstring).
     """
     if n_max < 2:
         raise ProtocolError(f"n_max must be at least 2, got {n_max}")
     if n_max > protocol.n_steps:
         raise ProtocolError(f"n_max = {n_max} exceeds protocol length {protocol.n_steps}")
-    _check_capacity(protocol.probe_dim, n_max, tol)
-    states: tuple[np.ndarray, ...] | None
-    if rho is None:
-        states = None
-    elif isinstance(rho, np.ndarray):
-        states = (check_density(rho, tol),)
-    else:
-        states = tuple(check_density(r, tol) for r in rho) or None
+    d_p, d = protocol.probe_dim, protocol.system_dim
+    _check_capacity(d_p, n_max, tol)
+    states = _stack_states(protocol, rho, tol)
+    chunk_len = max(1, PREFIX_BLOCK_BYTES // (16 * d * d))
+    block = np.empty((min(chunk_len, d_p ** (n_max - 1)), d, d), dtype=complex)
     entries = []
     max_defect = 0.0
     max_defect_n2 = 0.0
     max_state = 0.0 if states is not None else None
     for n in range(2, n_max + 1):
         for j in range(1, n):
-            for fixed in itertools.product(range(protocol.probe_dim), repeat=n - 1):
-                defect = kc_defect_operator(protocol, n, j, fixed, tol)
-                norm = frobenius(defect)
-                if not math.isfinite(norm):
+            all_fixed = itertools.product(range(d_p), repeat=n - 1)
+            while chunk := tuple(itertools.islice(all_fixed, chunk_len)):
+                for i, fixed in enumerate(chunk):
+                    block[i] = kc_defect_operator(protocol, n, j, fixed, tol)
+                defects = block[: len(chunk)].reshape(len(chunk), -1)
+                parts = defects.view(float)  # real and imaginary parts
+                norms = np.sqrt(np.einsum("ak,ak->a", parts, parts))
+                top = float(norms.max())  # NaN if any norm is NaN
+                if not math.isfinite(top):
+                    i = int(np.argmin(np.isfinite(norms)))
                     raise NumericalFault(
-                        f"defect norm {norm} at n={n}, j={j}, fixed={fixed} is not finite"
+                        f"defect norm {norms[i]} at n={n}, j={j}, fixed={chunk[i]} is not finite"
                     )
-                max_defect = max(max_defect, norm)
+                max_defect = max(max_defect, top)
                 if n == 2 and j == 1:
-                    max_defect_n2 = max(max_defect_n2, norm)
-                state_defects = None
-                if states is not None:
-                    state_defects = tuple(
-                        float(np.trace(r @ defect).real) for r in states
-                    )
-                    max_state = max(max_state, max(abs(x) for x in state_defects))
-                entries.append(KCEntry(n, j, fixed, norm, state_defects))
+                    max_defect_n2 = max(max_defect_n2, top)
+                if states is None:
+                    rows = itertools.repeat(None)
+                else:
+                    traces = np.einsum("ak,sk->as", defects, states).real
+                    max_state = max(max_state, float(np.abs(traces).max()))
+                    rows = map(tuple, traces.tolist())
+                entries.extend(
+                    KCEntry(n, j, fixed, norm, row)
+                    for fixed, norm, row in zip(chunk, norms.tolist(), rows)
+                )
     verdict = "consistent" if max_defect <= tol.kc else "violated"
     decided = (max_defect_n2 > tol.kc) == (max_defect > tol.kc)
     return KCReport(

@@ -582,6 +582,32 @@ class TestWitnessProtocols:
         assert sorted(builds) == [("X", "X", "X"), ("X", "Y", "X"), ("Y", "Y", "Y")]
 
 
+    def test_lg_expectation_alone_builds_only_the_protocol_it_reads(self, tmp_path, monkeypatch):
+        cfg = json.loads((CONFIGS / "commuting_random.json").read_text())
+        cfg["checks"] = ["kc"]
+        cfg["expect"] = {"lg_satisfied": True}
+        path = write_config(tmp_path / "cfg.json", cfg)
+        builds = count_protocol_builds(monkeypatch)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert sorted(builds) == [("X", "X", "X"), ("X", "Y", "X")]
+
+    def test_kc_expectation_alone_reads_operator_defects_only(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(rho, tol):
+            calls.append(1)
+            return check_density(rho, tol)
+
+        monkeypatch.setattr("kcprobe.sequences.check_density", counted)
+        cfg = json.loads(SIGMA_PAIR_Y.read_text())
+        cfg["checks"] = ["algebra"]
+        cfg["expect"] = {"kc_verdict": "violated"}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 0
+        (row,) = json.loads((out / "report.json").read_text())["expectations"]
+        assert row == {"name": "kc_verdict", "expected": "violated", "actual": "violated", "matched": True}
+        assert calls == []
+
     def test_run_validates_each_state_once(self, tmp_path, monkeypatch):
         calls = []
 

@@ -56,6 +56,16 @@ class TestHistoryOperator:
         with pytest.raises(LabelError):
             kp.history_operator(y_protocol, (0, 2))
 
+    def test_non_integral_label_is_a_label_error(self, y_protocol):
+        with pytest.raises(LabelError, match="must be integers"):
+            kp.history_operator(y_protocol, (0.5, 1))
+
+    def test_numpy_integer_labels_are_accepted(self, y_protocol):
+        want = kp.history_operator(y_protocol, (0, 1))
+        got = kp.history_operator(y_protocol, (np.int64(0), np.uint8(1)))
+        assert got.sequence == (0, 1)
+        assert np.array_equal(got.q, want.q)
+
     def test_history_operators_stay_between_zero_and_one(self):
         rng = np.random.default_rng(40)
         for _ in range(10):
@@ -337,6 +347,25 @@ class TestKCDefects:
             0.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("fixed", [(0.9,), (1.0,), ("0",), (None,)])
+    def test_non_integral_fixed_outcome_is_a_label_error(self, y_protocol, fixed):
+        with pytest.raises(LabelError, match="must be integers"):
+            kp.kc_defect_operator(y_protocol, 2, 1, fixed)
+        with pytest.raises(LabelError, match="must be integers"):
+            kp.kc_defect_state(y_protocol, I2 / 2, 2, 1, fixed)
+
+    def test_numpy_integer_labels_are_accepted(self, y_protocol):
+        for m in range(2):
+            want = kp.kc_defect_operator(y_protocol, 3, 2, (m, 1))
+            got = kp.kc_defect_operator(y_protocol, 3, 2, np.array([m, 1], dtype=np.int32))
+            assert np.array_equal(got, want)
+
+    def test_out_of_range_fixed_outcome_is_a_label_error(self, y_protocol):
+        with pytest.raises(LabelError, match="outcome 2 at position 2"):
+            kp.kc_defect_operator(y_protocol, 3, 1, (0, 2))
+        with pytest.raises(LabelError, match="outcome -1 at position 1"):
+            kp.kc_defect_operator(y_protocol, 3, 1, (-1, 0))
+
     def test_marginalizing_final_step_is_rejected(self, y_protocol):
         with pytest.raises(ProtocolError):
             kp.kc_defect_state(y_protocol, I2 / 2, 2, 2, (0,))
@@ -382,7 +411,7 @@ class TestCheckKCAll:
     def test_non_finite_defect_is_a_numerical_fault(self, y_protocol, monkeypatch):
         nan_defect = lambda *args: np.full((2, 2), np.nan)  # noqa: E731
         monkeypatch.setattr("kcprobe.sequences.kc_defect_operator", nan_defect)
-        with pytest.raises(NumericalFault, match="not finite"):
+        with pytest.raises(NumericalFault, match=r"at n=2, j=1, fixed=\(0,\) is not finite"):
             kp.check_kc_all(y_protocol, 2)
 
     def test_state_defects_recorded(self, y_protocol, plus_y_state):
@@ -390,6 +419,12 @@ class TestCheckKCAll:
         assert report.max_state_defect == pytest.approx(1.0, abs=1e-10)
         entry = report.entries[0]
         assert len(entry.state_defects) == 2
+
+    def test_state_of_the_wrong_dimension_is_a_protocol_error(self, y_protocol):
+        with pytest.raises(ProtocolError, match=r"state shape \(3, 3\) does not match operator \(2, 2\)"):
+            kp.check_kc_all(y_protocol, 2, np.eye(3) / 3)
+        with pytest.raises(ProtocolError, match="state shape"):
+            kp.check_kc_all(y_protocol, 2, [I2 / 2, np.eye(3) / 3])
 
     def test_empty_state_sequence_is_no_state(self, y_protocol):
         report = kp.check_kc_all(y_protocol, 2, [])
@@ -454,6 +489,81 @@ class TestCheckKCAll:
             for fixed in itertools.product(range(2), repeat=2)
         )
         assert worst > 1e-3
+
+
+def random_basis_protocol(rng, d_p, d_s, n_steps, commuting):
+    """A random model read through a random meter basis per step."""
+    model = kp.random_model(int(rng.integers(1 << 30)), d_p, d_s, commuting)
+    bases = tuple(
+        kp.MeterBasis(kp.haar_unitary(d_p, rng), tuple(map(str, range(d_p)))) for _ in range(n_steps)
+    )
+    amps = rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)
+    return kp.MeasurementProtocol(model, kp.PreparationState(amps / np.linalg.norm(amps)), bases)
+
+
+def block_scan_ensemble():
+    """(protocol, states) over d_P 2-3 x d_S 2-4, commuting and not, 4 steps."""
+    rng = np.random.default_rng(9500)
+    cases = []
+    for d_p, d_s in itertools.product((2, 3), (2, 3, 4)):
+        for commuting in (False, True):
+            protocol = random_basis_protocol(rng, d_p, d_s, 4, commuting)
+            cases.append((protocol, [random_density(rng, d_s) for _ in range(3)]))
+    return cases
+
+
+class TestBlockScan:
+    """``check_kc_all`` reads each ``(n, j)`` as one block of per-entry defects."""
+
+    def test_one_defect_operator_call_per_entry_in_entry_order(self, monkeypatch):
+        protocol = kp.fourier_protocol(kp.random_model(3, 3, 2, commuting=False), 4)
+        calls = []
+        single = kp.kc_defect_operator
+
+        def counted(protocol, n, j, fixed, tol=kp.DEFAULT):
+            calls.append((n, j, tuple(fixed)))
+            return single(protocol, n, j, fixed, tol)
+
+        monkeypatch.setattr("kcprobe.sequences.kc_defect_operator", counted)
+        report = kp.check_kc_all(protocol, 4)
+        assert calls == [(e.n, e.j, e.fixed) for e in report.entries]
+        assert len(calls) == sum((n - 1) * 3 ** (n - 1) for n in (2, 3, 4))
+
+    def test_entries_match_the_single_entry_routes(self):
+        for protocol, states in block_scan_ensemble():
+            report = kp.check_kc_all(protocol, 4, states)
+            for e in report.entries:
+                defect = kp.kc_defect_operator(protocol, e.n, e.j, e.fixed)
+                norm = frobenius(defect)
+                assert abs(e.operator_defect - norm) <= 1e-15 * max(1.0, norm)
+                for rho, got in zip(states, e.state_defects, strict=True):
+                    assert abs(got - np.trace(rho @ defect).real) <= 1e-14
+            assert report.max_operator_defect == max(e.operator_defect for e in report.entries)
+            assert report.max_state_defect == max(
+                abs(x) for e in report.entries for x in e.state_defects
+            )
+
+    @pytest.mark.parametrize("block_bytes", [1, 16 * 4 * 3, 16 * 4 * 5])
+    def test_chunked_scan_gives_the_same_report(self, monkeypatch, block_bytes):
+        protocol = kp.fourier_protocol(kp.random_model(5, 3, 2, commuting=False), 4)
+        states = [I2 / 2, random_density(np.random.default_rng(5), 2)]
+        want = kp.check_kc_all(protocol, 4, states).to_dict()
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        assert kp.check_kc_all(protocol, 4, states).to_dict() == want
+
+    @pytest.mark.parametrize("block_bytes", [1, 16 * 4 * 2, PREFIX_BLOCK_BYTES])
+    def test_non_finite_defect_names_the_first_bad_entry(self, y_protocol, monkeypatch, block_bytes):
+        single = kp.kc_defect_operator
+
+        def defect(protocol, n, j, fixed, tol=kp.DEFAULT):
+            if (n, j) == (3, 2) and fixed[0] == 1:
+                return np.full((2, 2), np.inf if fixed[1] else np.nan)
+            return single(protocol, n, j, fixed, tol)
+
+        monkeypatch.setattr("kcprobe.sequences.kc_defect_operator", defect)
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        with pytest.raises(NumericalFault, match=r"at n=3, j=2, fixed=\(1, 0\) is not finite"):
+            kp.check_kc_all(y_protocol, 3, I2 / 2)
 
 
 class TestFixedPointCheck:
