@@ -356,6 +356,8 @@ def _cmd_oracle(args, config) -> int:
 
 
 def _cmd_search(args, config) -> int:
+    if config.scenario.kind != "random":  # both modes draw random models of their own
+        raise ConfigError(f"search needs the random scenario, not {config.scenario.kind!r}")
     search = config.search
     trials = int(search.get("trials", 100))
     mode = search.get("mode", "degenerate")

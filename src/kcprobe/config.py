@@ -16,16 +16,16 @@ from dataclasses import dataclass, field
 import jsonschema
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation, KCProbeError
+from .errors import ConfigError, InvariantViolation
 from .linalg import check_density
 from .model import (
     DephasingModel,
     MeasurementProtocol,
     MeterBasis,
     PreparationState,
-    fourier_protocol,
-    qubit_xy_protocol,
+    fourier_meter_basis,
     uniform_preparation,
+    xy_meter_basis,
 )
 from .scenarios import ScenarioSpec, build_scenario
 from .serialize import pairs_vector, rows_matrix
@@ -112,8 +112,6 @@ def load_run_config(path, overrides: dict | None = None, seed: int | None = None
             raise ConfigError(f"--seed must be a non-negative integer, got {seed!r}")
         cfg_seed = seed
     if kind == "explicit":
-        if "hamiltonians" not in scenario_raw:
-            raise ConfigError("explicit scenario needs 'hamiltonians'")
         scenario_raw["hamiltonians"] = [rows_matrix(h) for h in scenario_raw["hamiltonians"]]
     settings = raw.get("tolerances", {})
     inert = sorted(_INERT_TOLERANCES.intersection([*settings, *(overrides or ())]))
@@ -161,22 +159,41 @@ def _resolve_state(spec: dict, dim: int) -> np.ndarray:
     raise ConfigError(f"unknown state name {name!r}")
 
 
-def _resolve_protocol(model: DephasingModel, spec: dict) -> MeasurementProtocol:
-    step_times = spec.get("step_times")
-    if "axes" in spec:
-        return qubit_xy_protocol(model, spec["axes"], step_times)
+def _resolve_protocol(
+    built: DephasingModel | MeasurementProtocol, spec: dict, n_max: int
+) -> MeasurementProtocol:
+    """The protocol of a model and a config's protocol block.
+
+    The bases come from at most one of ``axes``, ``meter_bases`` and
+    ``fourier_steps``; without one, from X axes on a qubit probe and the
+    Fourier meter otherwise, ``max(n_max, 2)`` steps each.  ``preparation``
+    (default uniform, ``|+x>`` on a qubit) and ``step_times`` apply to every
+    form.  A ``classical_noise`` scenario is built as its own protocol, so its
+    block may hold only ``n_max``.
+    """
+    if isinstance(built, MeasurementProtocol):
+        fields = sorted(set(spec) - {"n_max"})
+        if fields:
+            raise ConfigError(f"classical_noise builds its own protocol: {fields} cannot be set")
+        return built
+    forms = [form for form in ("axes", "meter_bases", "fourier_steps") if form in spec]
+    if len(forms) > 1:
+        raise ConfigError(f"protocol names {len(forms)} forms {forms}; give at most one")
+    d = built.probe_dim
     if "meter_bases" in spec:
-        bases = tuple(
-            MeterBasis(rows_matrix(rows), tuple(str(k) for k in range(model.probe_dim)))
-            for rows in spec["meter_bases"]
-        )
-        if "preparation" in spec:
-            prep = PreparationState(pairs_vector(spec["preparation"]))
-        else:
-            prep = uniform_preparation(model.probe_dim)
-        times = tuple(step_times) if step_times is not None else None
-        return MeasurementProtocol(model, prep, bases, times)
-    return fourier_protocol(model, int(spec["fourier_steps"]))
+        labels = tuple(str(k) for k in range(d))
+        bases = tuple(MeterBasis(rows_matrix(rows), labels) for rows in spec["meter_bases"])
+    elif "fourier_steps" in spec or ("axes" not in spec and d != 2):
+        bases = (fourier_meter_basis(d),) * int(spec.get("fourier_steps", max(n_max, 2)))
+    else:
+        axes = spec.get("axes", ["X"] * max(n_max, 2))
+        meters = {axis: xy_meter_basis(axis) for axis in dict.fromkeys(axes)}  # shared per axis
+        bases = tuple(meters[axis] for axis in axes)
+    if "preparation" in spec:
+        preparation = PreparationState(pairs_vector(spec["preparation"]))
+    else:
+        preparation = uniform_preparation(d)
+    return MeasurementProtocol(built, preparation, bases, spec.get("step_times"))
 
 
 def build_experiment(config: RunConfig) -> Experiment:
@@ -186,43 +203,20 @@ def build_experiment(config: RunConfig) -> Experiment:
     (a non-Hermitian Hamiltonian, a non-orthonormal meter basis, a state
     that is not a density matrix, ...) is a :class:`ConfigError`.
     """
+    n_max = int(config.protocol_spec.get("n_max", 2))
     try:
-        return _build_experiment(config)
+        try:
+            built = build_scenario(config.scenario)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"scenario parameters are incomplete: {exc}") from exc
+        protocol = _resolve_protocol(built, config.protocol_spec, n_max)
+        if n_max > protocol.n_steps:
+            raise ConfigError(f"n_max = {n_max} exceeds the protocol length {protocol.n_steps}")
+        states = tuple(
+            (spec["name"], _resolve_state(spec, protocol.system_dim)) for spec in config.states
+        )
+        for _, rho in states:
+            check_density(rho, config.tolerances)
     except InvariantViolation as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _build_experiment(config: RunConfig) -> Experiment:
-    try:
-        built = build_scenario(config.scenario)
-    except KCProbeError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"scenario parameters are incomplete: {exc}") from exc
-    n_max = int(config.protocol_spec.get("n_max", 2))
-    if isinstance(built, MeasurementProtocol):
-        protocol = built
-        model = built.model
-        if n_max > protocol.n_steps:
-            raise ConfigError(
-                f"n_max = {n_max} exceeds the {protocol.n_steps}-step noise protocol"
-            )
-    else:
-        model = built
-        spec = dict(config.protocol_spec)
-        if "axes" not in spec and "meter_bases" not in spec and "fourier_steps" not in spec:
-            if model.probe_dim == 2:
-                spec["axes"] = ["X"] * max(n_max, 2)
-            else:
-                spec["fourier_steps"] = max(n_max, 2)
-        protocol = _resolve_protocol(model, spec)
-        if n_max > protocol.n_steps:
-            raise ConfigError(
-                f"n_max = {n_max} exceeds the protocol length {protocol.n_steps}"
-            )
-    states = tuple(
-        (spec["name"], _resolve_state(spec, model.system_dim)) for spec in config.states
-    )
-    for _, rho in states:
-        check_density(rho, config.tolerances)
-    return Experiment(config=config, model=model, protocol=protocol, n_max=n_max, states=states)
+    return Experiment(config, protocol.model, protocol, n_max, states)

@@ -10,12 +10,13 @@ plain effect-product form of the probability provides a third route.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import is_commutative
-from .errors import CapacityError, ProtocolError
+from .errors import CapacityError, LabelError, ProtocolError
 from .linalg import check_density
 from .model import MeasurementProtocol
 from .sequences import _state_defects, full_distribution
@@ -23,12 +24,25 @@ from .serialize import Record
 from .tolerances import DEFAULT, Tolerances
 
 
+def _outcomes(protocol: MeasurementProtocol, seq) -> tuple[int, ...]:
+    """``seq`` as integer outcomes in ``0..d_P - 1``; a label such as ``0.9``
+    raises :class:`LabelError` instead of being truncated."""
+    try:
+        seq = tuple(map(operator.index, seq))
+    except TypeError:
+        raise LabelError(f"outcome labels must be integers, got {seq!r}") from None
+    for k, m in enumerate(seq):
+        if not 0 <= m < protocol.probe_dim:
+            raise LabelError(f"outcome {m} at position {k + 1} is not in 0..{protocol.probe_dim - 1}")
+    return seq
+
+
 def naive_sequence_probability(protocol: MeasurementProtocol, rho: np.ndarray, seq) -> float:
     """Probability of one sequence with the Kraus product built from scratch."""
     d = protocol.system_dim
     r = np.eye(d, dtype=complex)
-    for step, m in enumerate(seq):
-        r = protocol.step_measurements[step].kraus[int(m)] @ r
+    for step, m in enumerate(_outcomes(protocol, seq)):
+        r = protocol.step_measurements[step].kraus[m] @ r
     q = r.conj().T @ r
     return float(np.trace(np.asarray(rho, dtype=complex) @ q).real)
 
@@ -49,7 +63,7 @@ def naive_kc_defect(
     protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, fixed
 ) -> float:
     """Consistency defect assembled purely from naive sequence probabilities."""
-    fixed = tuple(int(m) for m in fixed)
+    fixed = _outcomes(protocol, fixed)
     total = 0.0
     for m_j in range(protocol.probe_dim):
         seq = fixed[: j - 1] + (m_j,) + fixed[j - 1 :]
@@ -62,8 +76,8 @@ def effect_product_probability(protocol: MeasurementProtocol, rho: np.ndarray, s
     """Commutative-model probability ``tr(rho E_{m_n} ... E_{m_1})``."""
     d = protocol.system_dim
     prod = np.eye(d, dtype=complex)
-    for step, m in enumerate(seq):
-        prod = prod @ protocol.step_measurements[step].effects[int(m)]
+    for step, m in enumerate(_outcomes(protocol, seq)):
+        prod = prod @ protocol.step_measurements[step].effects[m]
     return float(np.trace(np.asarray(rho, dtype=complex) @ prod).real)
 
 

@@ -20,9 +20,7 @@ from .model import (
     DephasingModel,
     MeasurementProtocol,
     fourier_protocol,
-    plus_x_preparation,
     qubit_xy_protocol,
-    xy_meter_basis,
 )
 from .sequences import (
     JointDistribution,
@@ -193,13 +191,7 @@ def classical_noise_model(realization: NoiseRealization, n_steps: int) -> Measur
     model = DephasingModel(
         2, 1, (np.array([[1.0]], dtype=complex), np.array([[-1.0]], dtype=complex)), 1.0
     )
-    basis = xy_meter_basis("X")
-    return MeasurementProtocol(
-        model,
-        plus_x_preparation(),
-        (basis,) * n_steps,
-        realization.phases()[:n_steps],
-    )
+    return qubit_xy_protocol(model, "X" * n_steps, realization.phases()[:n_steps])
 
 
 def _ensemble_weights(realizations, weights, tol: Tolerances) -> np.ndarray:

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import is_commutative
 from .errors import DimensionError, PreconditionError, ProtocolError
-from .model import MeasurementProtocol, plus_x_preparation, xy_meter_basis
+from .model import MeasurementProtocol, qubit_xy_protocol
 from .linalg import check_density
 from .sequences import _check_capacity, _kraus_product, _state_defects, full_distribution
+from .scenarios import random_model
 from .serialize import Record, fingerprint, protocol_payload
 from .tolerances import DEFAULT, Tolerances
 
@@ -211,15 +213,12 @@ def lg_search_instance(seed: int, index: int, system_dims=(2, 3, 4), t_range=(0.
     violate the inequality (the plus-outcome Kraus operator is a
     contraction), so the two steps draw independent durations.
     """
-    from .scenarios import random_model  # local import to avoid a cycle
-
     rng = np.random.default_rng([seed, index])
     d_s = int(rng.choice(list(system_dims)))
     model_seed = int(rng.integers(0, 2**63 - 1))
     model = random_model(model_seed, 2, d_s, commuting=False)
     t1, t2 = (float(x) for x in rng.uniform(t_range[0], t_range[1], size=2))
-    basis = xy_meter_basis("X")
-    protocol = MeasurementProtocol(model, plus_x_preparation(), (basis, basis), (t1, t2))
+    protocol = qubit_xy_protocol(model, "XX", (t1, t2))
     r = _kraus_product(protocol, (0, 0))
     k2 = protocol.step_measurements[1].kraus[0]
     strain = r.conj().T @ r - k2.conj().T @ k2
@@ -243,8 +242,6 @@ def lg_violation_search(
     """
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
-    from .algebra import is_commutative
-
     findings = []
     for index in range(trials):
         protocol, rho = lg_search_instance(seed, index, system_dims, t_range)

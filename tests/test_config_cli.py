@@ -3,6 +3,7 @@ import copy
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -849,7 +850,10 @@ class TestOutputErrors:
     def test_unwritable_out_is_a_one_line_config_error(
         self, tmp_path, capsys, command, output, blocked
     ):
-        path = write_config(tmp_path / "cfg.json", sigma_pair_config(search={"trials": 2}))
+        cfg = sigma_pair_config(search={"trials": 2})
+        if command[0] == "search":  # search runs on random scenarios only
+            cfg.update(scenario={"kind": "random", "seed": 11}, protocol={})
+        path = write_config(tmp_path / "cfg.json", cfg)
         if blocked == "directory":
             out = tmp_path / "cfg.json" / "sub"  # below a regular file
         else:
@@ -911,3 +915,169 @@ class TestSearchCommand:
         report = json.loads((out / "search.json").read_text())
         assert report["mode"] == "lg"
         assert report["findings"]
+
+    @pytest.mark.parametrize("config", ["nv_sweep", "classical_noise", "sigma_pair_y"])
+    def test_search_on_a_scenario_it_does_not_read_is_a_config_error(self, tmp_path, capsys, config):
+        # both search modes draw their own random models, so another scenario is not searched
+        out = tmp_path / "out"
+        assert main(["search", str(CONFIGS / f"{config}.json"), "--out", str(out)]) == 2
+        out_err = capsys.readouterr()
+        assert out_err.out == ""
+        assert out_err.err.startswith("config error: search needs the random scenario")
+        assert out_err.err.count("\n") == 1
+        assert not out.exists()
+
+
+FORMS = ("axes", "meter_bases", "fourier_steps")
+RESOLVER_CASES = [
+    (form, d, prep, times)
+    for form in (*FORMS, None)
+    for d in (2, 3)
+    if not (form == "axes" and d == 3)
+    for prep in (False, True)
+    for times in (False, True)
+]
+
+
+def _protocol_config(d: int, protocol: dict, scenario: dict | None = None) -> dict:
+    return {
+        "schema_version": 1,
+        "scenario": scenario or {"kind": "random", "seed": 4, "probe_dim": d, "system_dim": 2},
+        "protocol": protocol,
+        "checks": ["kc"],
+    }
+
+
+def _protocol_fingerprint(protocol) -> str:
+    return kp.serialize.fingerprint(kp.serialize.protocol_payload(protocol))
+
+
+class TestProtocolResolution:
+    @pytest.mark.parametrize("form, d, prep, times", RESOLVER_CASES)
+    def test_each_form_builds_the_protocol_it_describes(self, tmp_path, form, d, prep, times):
+        rng = np.random.default_rng(d)
+        n = 3
+        spec = {"n_max": n}
+        if form == "axes":
+            spec["axes"] = ["X", "Y", "Y"]
+            bases = [kp.xy_meter_basis(axis) for axis in spec["axes"]]
+        elif form == "meter_bases":
+            spec["meter_bases"] = [matrix_rows(kp.haar_unitary(d, rng)) for _ in range(n)]
+            labels = tuple(map(str, range(d)))
+            bases = [kp.MeterBasis(rows_matrix(rows), labels) for rows in spec["meter_bases"]]
+        elif form == "fourier_steps" or d == 3:  # no form on a qutrit: the Fourier meter
+            if form:
+                spec["fourier_steps"] = n
+            bases = [kp.fourier_meter_basis(d)] * n
+        else:  # no form on a qubit: X axes
+            bases = [kp.xy_meter_basis("X")] * n
+        preparation = kp.uniform_preparation(d)
+        if prep:
+            amplitudes = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            spec["preparation"] = [complex_pair(a) for a in amplitudes / np.linalg.norm(amplitudes)]
+            preparation = kp.PreparationState(pairs_vector(spec["preparation"]))
+        step_times = None
+        if times:
+            step_times = spec["step_times"] = [0.1, 5.0, 0.3]
+        path = write_config(tmp_path / "cfg.json", _protocol_config(d, spec))
+        experiment = build_experiment(load_run_config(path))
+        direct = kp.MeasurementProtocol(experiment.model, preparation, tuple(bases), step_times)
+        assert _protocol_fingerprint(experiment.protocol) == _protocol_fingerprint(direct)
+
+    def test_uniform_preparation_is_plus_x_on_a_qubit(self):
+        uniform = kp.uniform_preparation(2).amplitudes
+        assert np.array_equal(uniform, kp.plus_x_preparation().amplitudes)
+
+    def test_fourier_preparation_and_step_times_decide_the_verdict(self, tmp_path):
+        # a pointer-state preparation never leaves the pointer basis, so KC holds
+        spec = {"fourier_steps": 3, "step_times": [0.1, 5.0, 0.3], "n_max": 3}
+        verdicts = {}
+        for name, prep in (("uniform", None), ("pointer", [[1, 0], [0, 0], [0, 0]])):
+            protocol = dict(spec, **({"preparation": prep} if prep else {}))
+            cfg = _protocol_config(3, protocol, {"kind": "random", "probe_dim": 3})
+            out = tmp_path / name
+            assert main(["run", write_config(tmp_path / f"{name}.json", cfg), "--out", str(out)]) == 0
+            verdicts[name] = json.loads((out / "report.json").read_text())["results"]["kc"]
+        assert verdicts["uniform"]["verdict"] == "violated"
+        assert verdicts["pointer"]["verdict"] == "consistent"
+        assert verdicts["pointer"]["max_operator_defect"] <= 1e-15
+
+    @pytest.mark.parametrize("pair", list(itertools.combinations(FORMS, 2)))
+    def test_two_forms_are_a_config_error(self, tmp_path, capsys, pair):
+        values = {"axes": ["X", "X"], "meter_bases": [matrix_rows(np.eye(2))] * 2, "fourier_steps": 2}
+        cfg = _protocol_config(2, {form: values[form] for form in pair})
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: protocol names 2 forms {list(pair)}; give at most one\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("axes", ["X", "X", "X"]), ("preparation", [[1, 0], [0, 0]]), ("step_times", [1.0] * 3)],
+    )
+    def test_classical_noise_takes_only_n_max(self, tmp_path, capsys, field, value):
+        cfg = _protocol_config(
+            2, {field: value, "n_max": 3}, {"kind": "classical_noise", "seed": 5, "n_segments": 4}
+        )
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: classical_noise builds its own protocol: ['{field}'] cannot be set\n"
+        )
+        assert not out.exists()
+
+    def test_every_protocol_field_in_the_schema_changes_the_experiment(self, tmp_path):
+        # ties the schema to the resolver: no declared field may be dropped on the way
+        settings = {
+            "axes": ["Y", "Y"],
+            "meter_bases": [matrix_rows(np.eye(2))] * 2,
+            "fourier_steps": 2,
+            "preparation": [[0.6, 0.0], [0.0, 0.8]],
+            "step_times": [0.3, 0.7],
+            "n_max": 3,
+        }
+        assert set(settings) == set(load_schema()["properties"]["protocol"]["properties"])
+
+        def built(protocol):
+            path = write_config(tmp_path / "cfg.json", _protocol_config(2, protocol))
+            experiment = build_experiment(load_run_config(path))
+            return _protocol_fingerprint(experiment.protocol), experiment.n_max
+
+        base_fingerprint, base_n_max = built({})
+        for name, value in settings.items():
+            fingerprint, n_max = built({name: value})
+            if name == "n_max":
+                assert n_max == value != base_n_max
+            else:
+                assert fingerprint != base_fingerprint, name
+
+
+# one field of another kind per scenario kind; every kind reads its seed
+UNREAD_SCENARIO_FIELDS = {
+    "random": {"kind": "random", "omega": 1.0},
+    "nv": {"kind": "nv", "n_nuclei": 1, "omega": 1.0, "couplings": [[1.0, 0.0, 0.0]], "probe_dim": 2},
+    "classical_noise": {"kind": "classical_noise", "n_segments": 4, "step_time": 0.5},
+    "explicit": {**sigma_pair_config()["scenario"], "omega": 1.0},
+}
+
+
+@pytest.mark.parametrize("kind", list(UNREAD_SCENARIO_FIELDS))
+def test_scenario_field_its_kind_does_not_read_is_a_config_error(tmp_path, capsys, kind):
+    scenario = dict(UNREAD_SCENARIO_FIELDS[kind])
+    unread = list(scenario)[-1]
+    cfg = {"schema_version": 1, "scenario": {**scenario, "seed": 3}}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config does not match schema: '{unread}' is not one of")
+    assert err.count("\n") == 1 and not out.exists()
+    del scenario[unread]
+    load_run_config(write_config(tmp_path / "cfg.json", {**cfg, "scenario": {**scenario, "seed": 3}}))
+
+
+def test_every_shipped_config_matches_the_schema():
+    root = CONFIGS.parent
+    for path in [*CONFIGS.glob("*.json"), *(root / "perfbench" / "inputs").glob("*.json")]:
+        load_run_config(path)

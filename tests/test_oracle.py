@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
-from kcprobe.errors import ProtocolError
+from kcprobe.errors import LabelError, ProtocolError
 from kcprobe.sequences import _state_defects
 
 from conftest import random_density
@@ -89,3 +89,24 @@ def test_a_shifted_defect_route_disagrees(y_protocol, plus_y_state, monkeypatch)
 def test_n_max_below_one_is_a_protocol_error(y_protocol, plus_y_state, n_max):
     with pytest.raises(ProtocolError, match="n_max"):
         kp.oracle_compare(y_protocol, plus_y_state, n_max)
+
+
+# Each naive route checks its own labels: a non-integral one is refused, not
+# truncated; numpy integers pass; an out-of-range one names its position.
+NAIVE_ROUTES = {
+    "naive_sequence_probability": lambda p, seq: kp.naive_sequence_probability(p, I2 / 2, seq),
+    "effect_product_probability": lambda p, seq: kp.effect_product_probability(p, I2 / 2, seq),
+    "naive_kc_defect": lambda p, seq: kp.naive_kc_defect(p, I2 / 2, 3, 1, seq),
+}
+
+
+@pytest.mark.parametrize("route", list(NAIVE_ROUTES))
+def test_naive_routes_refuse_labels_the_fast_route_refuses(y_protocol, route):
+    call = NAIVE_ROUTES[route]
+    with pytest.raises(LabelError, match="must be integers"):
+        call(y_protocol, (0.9, 1))
+    assert call(y_protocol, (np.int64(1), np.uint8(0))) == call(y_protocol, (1, 0))
+    with pytest.raises(LabelError, match="outcome 2 at position 2 is not in 0..1"):
+        call(y_protocol, (0, 2))
+    with pytest.raises(LabelError, match="outcome -1 at position 1"):
+        call(y_protocol, (-1, 0))
