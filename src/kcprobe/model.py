@@ -381,15 +381,11 @@ def qubit_xy_protocol(model: DephasingModel, axes, step_times=None) -> Measureme
         raise DimensionError(f"X/Y protocols need a qubit probe, got dimension {model.probe_dim}")
     meters = {a: xy_meter_basis(a) for a in dict.fromkeys(axes)}
     bases = tuple(meters[a] for a in axes)
-    if not bases:
-        raise ProtocolError("need at least one measurement axis")
     return MeasurementProtocol(model, plus_x_preparation(), bases, step_times)
 
 
 def fourier_protocol(model: DephasingModel, n_steps: int) -> MeasurementProtocol:
     """Uniform-superposition preparation with the Fourier meter basis at every step."""
-    if n_steps < 1:
-        raise ProtocolError("need at least one step")
     basis = fourier_meter_basis(model.probe_dim)
     return MeasurementProtocol(
         model, uniform_preparation(model.probe_dim), (basis,) * n_steps

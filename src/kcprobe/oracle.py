@@ -37,14 +37,18 @@ def _outcomes(protocol: MeasurementProtocol, seq) -> tuple[int, ...]:
     return seq
 
 
-def naive_sequence_probability(protocol: MeasurementProtocol, rho: np.ndarray, seq) -> float:
-    """Probability of one sequence with the Kraus product built from scratch."""
-    d = protocol.system_dim
-    r = np.eye(d, dtype=complex)
-    for step, m in enumerate(_outcomes(protocol, seq)):
+def _chain_probability(protocol: MeasurementProtocol, rho: np.ndarray, seq) -> float:
+    """``tr(rho K^H K)`` for the Kraus chain ``K`` of checked outcomes ``seq``."""
+    r = np.eye(protocol.system_dim, dtype=complex)
+    for step, m in enumerate(seq):
         r = protocol.step_measurements[step].kraus[m] @ r
     q = r.conj().T @ r
     return float(np.trace(np.asarray(rho, dtype=complex) @ q).real)
+
+
+def naive_sequence_probability(protocol: MeasurementProtocol, rho: np.ndarray, seq) -> float:
+    """Probability of one sequence with the Kraus product built from scratch."""
+    return _chain_probability(protocol, rho, _outcomes(protocol, seq))
 
 
 def naive_distribution(protocol: MeasurementProtocol, rho: np.ndarray, n: int, tol: Tolerances = DEFAULT) -> dict:
@@ -54,7 +58,7 @@ def naive_distribution(protocol: MeasurementProtocol, rho: np.ndarray, n: int, t
             f"{protocol.probe_dim}^{n} = {count} sequences exceeds cap {tol.enumeration_cap}"
         )
     return {
-        seq: naive_sequence_probability(protocol, rho, seq)
+        seq: _chain_probability(protocol, rho, seq)
         for seq in itertools.product(range(protocol.probe_dim), repeat=n)
     }
 
@@ -67,9 +71,9 @@ def naive_kc_defect(
     total = 0.0
     for m_j in range(protocol.probe_dim):
         seq = fixed[: j - 1] + (m_j,) + fixed[j - 1 :]
-        total += naive_sequence_probability(protocol, rho, seq)
+        total += _chain_probability(protocol, rho, seq)
     reduced = protocol.prefix(n).drop_step(j)
-    return total - naive_sequence_probability(reduced, rho, fixed)
+    return total - _chain_probability(reduced, rho, fixed)
 
 
 def effect_product_probability(protocol: MeasurementProtocol, rho: np.ndarray, seq) -> float:
