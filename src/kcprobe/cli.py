@@ -30,11 +30,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import algebra_report, is_commutative, zero_entanglement_condition
+from .algebra import algebra_report, zero_entanglement_condition
 from .config import SCHEMA_VERSION, Experiment, build_experiment, load_run_config
 from .errors import ConfigError, InvariantViolation, KCProbeError, NumericalFault
 from .linalg import commutator, frobenius
-from .model import DephasingModel, MeasurementProtocol, qubit_xy_protocol
+from .model import DephasingModel, MeasurementProtocol, PreparationState, xy_meter_basis
 from .oracle import oracle_compare
 from .scenarios import (
     ScenarioSpec,
@@ -124,22 +124,26 @@ def _oracle_rows(experiment: Experiment) -> list[dict]:
 
 
 def _witness_protocols(
-    model: DephasingModel, protocol: MeasurementProtocol | None = None, axes: str = "XY"
+    model: DephasingModel, preparation: PreparationState, timed: MeasurementProtocol | None = None
 ) -> tuple[dict[str, MeasurementProtocol], MeasurementProtocol]:
     """The protocols the witnesses read: ``{axis: protocol}`` and the LG check's.
 
-    A protocol with its own step times is read as it is.  Otherwise one
-    3-step protocol is built per axis in ``axes``, and Δ21, Δ32 and the LG
-    check (on ``XXX``) read its prefixes.  The LG check needs X steps; if
-    the given protocol has none, it reads ``XX`` at the model's step time.
+    ``timed``, if it has its own step times, is read as it is.  Otherwise one
+    3-step protocol of ``preparation`` is built per axis, X and Y, and Δ21,
+    Δ32 and the LG check (on ``XXX``) read its prefixes.  The LG check needs
+    X steps; if ``timed`` has none, it reads ``XX`` at the model's step time.
     """
     if model.probe_dim != 2:
         raise ConfigError("witnesses need a qubit probe")
-    if protocol is not None and protocol.step_times is not None:
-        by_axis = {protocol.axes[0]: protocol}
+
+    def steps(axis: str, n: int) -> MeasurementProtocol:
+        return MeasurementProtocol(model, preparation, (xy_meter_basis(axis),) * n)
+
+    if timed is not None and timed.step_times is not None:
+        by_axis = {timed.axes[0]: timed}
     else:
-        by_axis = {axis: qubit_xy_protocol(model, axis * 3) for axis in axes}
-    return by_axis, by_axis.get("X") or qubit_xy_protocol(model, "XX")
+        by_axis = {axis: steps(axis, 3) for axis in "XY"}
+    return by_axis, by_axis.get("X") or steps("X", 2)
 
 
 def _axis_deltas(by_axis: dict[str, MeasurementProtocol], rho: np.ndarray, tol):
@@ -156,7 +160,8 @@ def _axis_deltas(by_axis: dict[str, MeasurementProtocol], rho: np.ndarray, tol):
 
 def _witness_rows(experiment: Experiment) -> list[dict]:
     tol = experiment.config.tolerances
-    by_axis, lg_protocol = _witness_protocols(experiment.model, experiment.protocol)
+    configured = experiment.protocol
+    by_axis, lg_protocol = _witness_protocols(configured.model, configured.preparation, configured)
     rows = []
     for state_name, rho in experiment.states:
         entry: dict = {"state": state_name}
@@ -217,46 +222,29 @@ _CHECKS = {
 }
 
 
-def _lg_satisfied(experiment: Experiment, results: dict) -> bool:
-    """The LG verdict of the first state; without the witness check, only
-    its LG row is evaluated, on the one protocol it reads."""
-    if "witnesses" in results:
-        return results["witnesses"][0]["lg"]["lg_satisfied"]
-    _, lg_protocol = _witness_protocols(experiment.model, experiment.protocol, axes="X")
-    return lg_check(lg_protocol, experiment.states[0][1], experiment.config.tolerances).lg_satisfied
-
-
-# Config `expect` names one of these; each gives the actual value, in this order.
+# Config `expect` names one of these: (the check it reads, its value in that
+# check's result).  Rows are evaluated in this order.
 _EXPECTATIONS = {
-    # without the kc check, the verdict needs the operator defects only
-    "kc_verdict": lambda e, results: (
-        _CHECKS["kc"].summary(results["kc"])
-        if "kc" in results
-        else check_kc_all(e.protocol, e.n_max, tol=e.config.tolerances).verdict
-    ),
-    "commutative": lambda e, results: is_commutative(e.model.hamiltonians, e.config.tolerances)[0],
-    "lg_satisfied": _lg_satisfied,
+    "kc_verdict": ("kc", lambda report: report["verdict"]),
+    "commutative": ("algebra", lambda report: report["commutative"]),
+    "lg_satisfied": ("witnesses", lambda rows: rows[0]["lg"]["lg_satisfied"]),
 }
-
-
-def _evaluate_expectations(experiment: Experiment, results: dict) -> list[dict]:
-    expect = experiment.config.expect
-    rows = []
-    for name, actual_of in _EXPECTATIONS.items():
-        if name in expect:
-            row = {"name": name, "expected": expect[name], "actual": actual_of(experiment, results)}
-            rows.append({**row, "matched": row["expected"] == row["actual"]})
-    return rows
 
 
 def _cmd_run(args, config) -> int:
     experiment = build_experiment(config)
+    # the configured checks, then each check an expectation reads that they omit
+    expected_checks = [check for name, (check, _) in _EXPECTATIONS.items() if name in config.expect]
     results, timings = {}, {}
-    for check in config.checks:
+    for check in dict.fromkeys([*config.checks, *expected_checks]):
         started = time.perf_counter()
         results[check] = _CHECKS[check].run(experiment)
         timings[check] = time.perf_counter() - started
-    expectations = _evaluate_expectations(experiment, results)
+    expectations = []
+    for name, (check, read) in _EXPECTATIONS.items():
+        if name in config.expect:
+            row = {"name": name, "expected": config.expect[name], "actual": read(results[check])}
+            expectations.append({**row, "matched": row["expected"] == row["actual"]})
     bundle = {
         **_header(config),
         "config": config.raw,
@@ -309,10 +297,10 @@ def _sweep_row(experiment: Experiment, param: str, value: float | None) -> dict:
     tol = experiment.config.tolerances
     try:  # a grid value that breaks an invariant is a config error, as in the config
         model = experiment.model if value is None else _sweep_model(experiment, param, value)
-        protocols = _witness_protocols(model)[0]
+        protocols = _witness_protocols(model, experiment.protocol.preparation)[0]
     except InvariantViolation as exc:
         raise ConfigError(str(exc)) from exc
-    rho = experiment.states[0][1]  # validated once, by build_experiment
+    rho = experiment.states[0][1]  # the first state only, validated once by build_experiment
     n_max = max(2, min(experiment.n_max, 3))
     return {
         param: value,
@@ -355,12 +343,23 @@ def _cmd_oracle(args, config) -> int:
     return EXIT_NUMERICAL if _oracle_disagrees(rows) else EXIT_OK
 
 
+# The scenario and `search` fields that each search mode does not read.
+_SEARCH_UNREAD = {
+    "degenerate": {"scale", "step_time"},
+    "lg": {"probe_dim", "system_dim", "commuting", "scale", "step_time"}  # scenario
+    | {"t_grid", "include_canonical"},  # search
+}
+
+
 def _cmd_search(args, config) -> int:
     if config.scenario.kind != "random":  # both modes draw random models of their own
         raise ConfigError(f"search needs the random scenario, not {config.scenario.kind!r}")
     search = config.search
     trials = int(search.get("trials", 100))
     mode = search.get("mode", "degenerate")
+    unread = sorted(_SEARCH_UNREAD[mode].intersection([*config.scenario.params, *search]))
+    if unread:
+        raise ConfigError(f"search mode {mode!r} does not read {unread}")
     if mode == "lg":
         found = lg_violation_search(config.scenario.seed, trials, tol=config.tolerances)
     else:

@@ -33,9 +33,13 @@ from .tolerances import DEFAULT, Tolerances
 
 SCHEMA_VERSION = 1
 
-# Tolerances that no check reads (``unitarity`` is read only at its default),
-# so a setting would change nothing: a config or ``--tol`` naming one is refused.
-_INERT_TOLERANCES = frozenset({"closure", "kraus_effect", "rank", "unitarity"})
+# Tolerances that no command reads (``unitarity``, ``povm_completeness`` and
+# ``effect_psd`` are read only at their defaults), so a setting would change
+# nothing: a config or ``--tol`` naming one is refused.
+_INERT_TOLERANCES = frozenset({
+    "closure", "effect_psd", "fixed_point", "kraus_effect", "povm_completeness",
+    "rank", "spacing", "unitarity", "weight_sum",
+})
 
 
 def load_schema() -> dict:

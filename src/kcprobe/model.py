@@ -260,21 +260,17 @@ class MeasurementProtocol:
                 raise DimensionError(
                     f"meter basis dimension {basis.dim} != probe dimension {self.model.probe_dim}"
                 )
-        times: tuple[float, ...]
-        if self.step_times is None:
-            times = tuple(self.model.step_time for _ in self.step_bases)
-        else:
-            times = tuple(float(t) for t in self.step_times)
-            if len(times) != len(self.step_bases):
+        if self.step_times is not None:
+            object.__setattr__(self, "step_times", tuple(float(t) for t in self.step_times))
+            if len(self.step_times) != len(self.step_bases):
                 raise ProtocolError(
-                    f"{len(times)} step times for {len(self.step_bases)} steps"
+                    f"{len(self.step_times)} step times for {len(self.step_bases)} steps"
                 )
-            object.__setattr__(self, "step_times", times)
         # steps with the same basis and duration share one measurement
         unitaries: dict[float, np.ndarray] = {}
         built: dict[tuple[MeterBasis, float], InducedMeasurement] = {}
         measurements = []
-        for basis, t in zip(self.step_bases, times):
+        for basis, t in zip(self.step_bases, self.effective_step_times()):
             if (basis, t) not in built:
                 if t not in unitaries:
                     unitaries[t] = np.asarray(conditional_unitaries(self.model, t))

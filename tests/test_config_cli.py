@@ -51,8 +51,19 @@ def sigma_pair_config(**extra):
     return cfg
 
 
-# Tolerances that no check reads; the fields stay, but setting one is a config error.
-INERT = ("closure", "kraus_effect", "rank", "unitarity")
+# Tolerances that no command reads, or reads only at its default; the fields
+# stay, but setting one is a config error.
+INERT = (
+    "closure",
+    "effect_psd",
+    "fixed_point",
+    "kraus_effect",
+    "povm_completeness",
+    "rank",
+    "spacing",
+    "unitarity",
+    "weight_sum",
+)
 
 
 class TestSerialize:
@@ -149,7 +160,7 @@ class TestConfigLoading:
 
     def test_settable_tolerances_are_accepted_in_the_config_and_by_tol(self, tmp_path):
         settable = [f.name for f in dataclasses.fields(kp.Tolerances) if f.name not in INERT]
-        assert len(settable) == 19
+        assert len(settable) == 14
         values = {name: getattr(kp.DEFAULT, name) * 2 for name in settable}
         path = write_config(tmp_path / "cfg.json", sigma_pair_config(tolerances=values))
         assert load_run_config(path).tolerances == kp.DEFAULT.replace(**values)
@@ -160,6 +171,7 @@ class TestConfigLoading:
         properties = load_schema()["properties"]
         assert set(properties["checks"]["items"]["enum"]) == set(cli._CHECKS)
         assert set(properties["expect"]["properties"]) == set(cli._EXPECTATIONS)
+        assert all(check in cli._CHECKS for check, _ in cli._EXPECTATIONS.values())
 
 
 class TestRunCommand:
@@ -582,32 +594,78 @@ class TestWitnessProtocols:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert sorted(builds) == [("X", "X", "X"), ("X", "Y", "X"), ("Y", "Y", "Y")]
 
-
-    def test_lg_expectation_alone_builds_only_the_protocol_it_reads(self, tmp_path, monkeypatch):
-        cfg = json.loads((CONFIGS / "commuting_random.json").read_text())
-        cfg["checks"] = ["kc"]
-        cfg["expect"] = {"lg_satisfied": True}
-        path = write_config(tmp_path / "cfg.json", cfg)
-        builds = count_protocol_builds(monkeypatch)
-        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
-        assert sorted(builds) == [("X", "X", "X"), ("X", "Y", "X")]
-
-    def test_kc_expectation_alone_reads_operator_defects_only(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counted(rho, tol):
-            calls.append(1)
-            return check_density(rho, tol)
-
-        monkeypatch.setattr("kcprobe.sequences.check_density", counted)
+    @pytest.mark.parametrize(
+        "name, expected, check, read",
+        [
+            ("kc_verdict", "violated", "kc", lambda report: report["verdict"]),
+            ("commutative", False, "algebra", lambda report: report["commutative"]),
+            ("lg_satisfied", True, "witnesses", lambda rows: rows[0]["lg"]["lg_satisfied"]),
+        ],
+        ids=["kc_verdict", "commutative", "lg_satisfied"],
+    )
+    def test_expectation_reports_the_check_it_reads(self, tmp_path, name, expected, check, read):
         cfg = json.loads(SIGMA_PAIR_Y.read_text())
-        cfg["checks"] = ["algebra"]
-        cfg["expect"] = {"kc_verdict": "violated"}
+        cfg["checks"] = ["entanglement"]
+        cfg["expect"] = {name: expected}
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 0
-        (row,) = json.loads((out / "report.json").read_text())["expectations"]
-        assert row == {"name": "kc_verdict", "expected": "violated", "actual": "violated", "matched": True}
-        assert calls == []
+        bundle = json.loads((out / "report.json").read_text())
+        assert list(bundle["results"]) == sorted(["entanglement", check])
+        assert set(bundle["summary"]) == {"entanglement", check}
+        (row,) = bundle["expectations"]
+        assert row == {"name": name, "expected": expected, "actual": expected, "matched": True}
+        assert row["actual"] == read(bundle["results"][check])
+
+    def test_expectation_checks_run_once_after_the_configured_ones(self, tmp_path, monkeypatch):
+        ran = []
+
+        def counted(check, run):
+            def wrapper(experiment):
+                ran.append(check)
+                return run(experiment)
+
+            return wrapper
+
+        for check, entry in list(cli._CHECKS.items()):
+            monkeypatch.setitem(cli._CHECKS, check, entry._replace(run=counted(check, entry.run)))
+        cfg = json.loads(SIGMA_PAIR_Y.read_text())
+        cfg["checks"] = ["entanglement", "kc"]
+        cfg["expect"] = {"lg_satisfied": True, "commutative": False, "kc_verdict": "violated"}
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert ran == ["entanglement", "kc", "algebra", "witnesses"]
+
+    def test_witnesses_read_the_configured_preparation(self, tmp_path):
+        # a probe prepared in one pointer state reads no coherence: KC holds and
+        # the witnesses vanish, on the same protocol that the KC check reads
+        cfg = {
+            "schema_version": 1,
+            "scenario": {"kind": "random", "seed": 2, "probe_dim": 2},
+            "protocol": {"axes": ["X", "Y"]},
+            "checks": ["witnesses", "kc"],
+        }
+        rows, kc = {}, {}
+        for prep in (None, [[1, 0], [0, 0]]):
+            if prep is not None:
+                cfg["protocol"]["preparation"] = prep
+            path = write_config(tmp_path / "cfg.json", cfg)
+            out = tmp_path / f"out{prep is None}"
+            assert main(["run", path, "--out", str(out)]) == 0
+            results = json.loads((out / "report.json").read_text())["results"]
+            rows[prep is None], kc[prep is None] = results["witnesses"][0], results["kc"]
+        assert kc[True]["verdict"] == "violated" and kc[False]["verdict"] == "consistent"
+        assert rows[True]["delta_x_32"]["verdict"] == "nonzero"
+        assert rows[False]["delta_x_32"]["verdict"] == "zero"
+        assert rows[True]["lg"] != rows[False]["lg"]
+        assert rows[False]["lg"]["p1_plus"] == pytest.approx(0.5, abs=1e-12)
+        experiment = build_experiment(load_run_config(path))
+        for key in ("delta_x_21", "delta_y_21", "delta_x_32", "delta_y_32"):
+            n = int(key[-2])
+            steps = (kp.xy_meter_basis(key[6].upper()),) * n
+            read = kp.MeasurementProtocol(experiment.model, experiment.protocol.preparation, steps)
+            want = kp.serialize.fingerprint(kp.serialize.protocol_payload(read))
+            assert rows[False][key]["model_fingerprint"] == want
+            assert rows[True][key]["model_fingerprint"] != want
 
     def test_run_validates_each_state_once(self, tmp_path, monkeypatch):
         calls = []
@@ -637,6 +695,20 @@ class TestWitnessProtocols:
         assert names == ["delta_x_21", "delta_y_21", "delta_x_32", "delta_y_32"]
         assert sorted(names) == sorted(key for key in row if key.startswith("delta_"))
         for name in names:
+            assert float(sweep_row[name]) == row[name]["value"]
+
+    def test_sweep_reads_the_configured_preparation(self, tmp_path):
+        cfg = json.loads((CONFIGS / "nv_sweep.json").read_text())
+        cfg["checks"] = ["witnesses"]
+        cfg["protocol"]["preparation"] = [[1, 0], [0, 0]]
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["run", path, "--out", str(tmp_path / "run")]) == 0
+        assert main(["sweep", path, "--param", "t", "--grid", "1.0", "--out", str(tmp_path / "sweep")]) == 0
+        row = json.loads((tmp_path / "run" / "report.json").read_text())["results"]["witnesses"][0]
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            (sweep_row,) = csv.DictReader(fh)
+        assert float(sweep_row["max_kc_defect"]) <= 1e-9  # nonzero with the |+x> preparation
+        for name in ("delta_x_21", "delta_y_21", "delta_x_32", "delta_y_32"):
             assert float(sweep_row[name]) == row[name]["value"]
 
 
@@ -925,6 +997,62 @@ class TestSearchCommand:
         assert out_err.out == ""
         assert out_err.err.startswith("config error: search needs the random scenario")
         assert out_err.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, unread",
+        [
+            ("degenerate", {"scenario": {"scale": 7.0, "step_time": 0.1}}),
+            ("lg", {"scenario": {"probe_dim": 2}}),
+            ("lg", {"scenario": {"system_dim": 3}}),
+            ("lg", {"scenario": {"commuting": True}}),
+            ("lg", {"scenario": {"scale": 2.0}}),
+            ("lg", {"scenario": {"step_time": 0.5}}),
+            ("lg", {"search": {"t_grid": [0.5]}}),
+            ("lg", {"search": {"include_canonical": False}}),
+        ],
+    )
+    def test_a_field_the_search_mode_does_not_read_is_a_config_error(
+        self, tmp_path, capsys, mode, unread
+    ):
+        cfg = {
+            "schema_version": 1,
+            "scenario": {"kind": "random", "seed": 11, **unread.get("scenario", {})},
+            "search": {"trials": 2, "mode": mode, **unread.get("search", {})},
+        }
+        out = tmp_path / "out"
+        assert main(["search", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+        names = sorted([*unread.get("scenario", {}), *unread.get("search", {})])
+        assert capsys.readouterr().err == f"config error: search mode {mode!r} does not read {names}\n"
+        assert not out.exists()
+
+
+# Every shipped config under each command that reads a config alone.
+SHIPPED_EXIT_CODES = {
+    "classical_noise": {"run": 0, "oracle": 0, "search": 2},
+    "commuting_random": {"run": 0, "oracle": 0, "search": 2},
+    "nv_sweep": {"run": 0, "oracle": 0, "search": 2},
+    "search_degenerate": {"run": 0, "oracle": 0, "search": 0},
+    "sigma_pair_y": {"run": 0, "oracle": 0, "search": 2},
+}
+
+
+def test_shipped_exit_code_table_covers_every_config():
+    assert set(SHIPPED_EXIT_CODES) == {path.stem for path in CONFIGS.glob("*.json")}
+
+
+@pytest.mark.parametrize(
+    "config, command, code",
+    [(c, command, code) for c, codes in SHIPPED_EXIT_CODES.items() for command, code in codes.items()],
+)
+def test_shipped_config_exit_code(tmp_path, capsys, config, command, code):
+    out = tmp_path / "out"
+    assert main([command, str(CONFIGS / f"{config}.json"), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
 
 
