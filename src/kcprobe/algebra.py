@@ -21,7 +21,6 @@ from .linalg import (
     check_hermitian,
     commutator,
     frobenius,
-    hs_inner,
     is_hermitian,
 )
 from .model import DephasingModel, MeasurementProtocol, conditional_unitaries
@@ -35,19 +34,20 @@ class AlgebraBasis:
 
     generators: tuple[np.ndarray, ...]
     basis: tuple[np.ndarray, ...]
-    dimension: int
     singular_values: np.ndarray | None = None
 
-    def contains(self, op: np.ndarray, residual_tol: float = 1e-8) -> bool:
-        return self.projection_residual(op) <= residual_tol
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
+
+    def contains(self, op: np.ndarray) -> bool:
+        return self.projection_residual(op) <= 1e-8
 
     def projection_residual(self, op: np.ndarray) -> float:
         """Norm of the component of ``op`` outside the spanned subspace."""
         op = np.asarray(op, dtype=complex)
-        resid = op.copy()
-        for b in self.basis:
-            resid = resid - hs_inner(b, op) * b
-        return frobenius(resid)
+        coeffs = np.einsum("kab,ab->k", np.conj(self.basis), op)
+        return frobenius(op - np.tensordot(coeffs, self.basis, axes=1))
 
 
 def _common_dimension(ops) -> int:
@@ -71,16 +71,25 @@ def generate_algebra(generators, tol: Tolerances = DEFAULT) -> AlgebraBasis:
     gens = tuple(as_complex_matrix(g) for g in generators)
     adjoints = [g.conj().T for g in gens if not is_hermitian(g, tol)]
     algebra = _second_commutant(commutant_basis([*gens, *adjoints], tol), tol)
-    return AlgebraBasis(gens, algebra.basis, algebra.dimension)
+    return AlgebraBasis(gens, algebra.basis)
+
+
+def _random_hermitian(ops, count: int) -> list[np.ndarray]:
+    """``count`` Hermitian elements ``x + x^H`` of ``span(ops)``, with complex
+    Gaussian coefficients from ``default_rng(0)``: seeded, so every call on
+    the same operators draws the same elements, and generic, so almost every
+    draw shares no accidental symmetry or degeneracy with ``ops``
+    (Murota, Kanno, Kojima & Kojima 2010)."""
+    coeffs = np.random.default_rng(0).standard_normal((count, 2 * len(ops))).view(complex)
+    mixed = np.tensordot(coeffs, ops, axes=1)
+    return [x + x.conj().T for x in mixed]
 
 
 def _second_commutant(commutant: AlgebraBasis, tol: Tolerances) -> AlgebraBasis:
-    """``(A')'`` from a basis of ``A'``: the commutant of two seeded random
-    Hermitian elements of ``A'``, which generate ``A'`` for almost every draw,
-    so the stack is ``2 d^2 x d^2``, not ``dim(A') d^2 x d^2`` (up to d^6)."""
-    coeffs = np.random.default_rng(0).standard_normal((2, 2 * commutant.dimension)).view(complex)
-    mixed = np.tensordot(coeffs, commutant.basis, axes=1)
-    return commutant_basis([x + x.conj().T for x in mixed], tol)
+    """``(A')'`` from a basis of ``A'``: the commutant of two random Hermitian
+    elements of ``A'``, which generate ``A'`` for almost every draw, so the
+    stack is ``2 d^2 x d^2``, not ``dim(A') d^2 x d^2`` (up to d^6)."""
+    return commutant_basis(_random_hermitian(commutant.basis, 2), tol)
 
 
 def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:
@@ -95,54 +104,23 @@ def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:
 
 
 def classical_wrt_state(rho: np.ndarray, algebra: AlgebraBasis, tol: Tolerances = DEFAULT):
-    """Whether ``tr(rho [A, B])`` vanishes over the algebra, decided on basis pairs."""
+    """Whether ``tr(rho [A, B])`` vanishes over the algebra, decided on basis
+    pairs: ``tr(rho [a, b]) = M[a, b] - M[b, a]`` for ``M[a, b] = tr(rho a b)``."""
     rho = check_density(rho, tol)
-    worst = 0.0
-    for a, b in itertools.combinations(algebra.basis, 2):
-        worst = max(worst, abs(complex(np.trace(rho @ commutator(a, b)))))
+    gram = np.einsum("aij,bji->ab", rho @ np.array(algebra.basis), algebra.basis)
+    worst = float(np.max(np.abs(gram - gram.T)))
     return worst <= tol.commutator, worst
 
 
-def effect_nondegenerate(e: np.ndarray, gap_tol: float | None = None, tol: Tolerances = DEFAULT):
-    """Whether all eigenvalues of an effect are separated by more than ``gap_tol``."""
-    if gap_tol is None:
-        gap_tol = tol.gap
+def effect_nondegenerate(e: np.ndarray, tol: Tolerances = DEFAULT):
+    """Whether all eigenvalues of an effect are separated by more than
+    ``tol.gap``, and the smallest separation (None for one eigenvalue)."""
     e = check_hermitian(e, tol, what="effect")
     w = np.linalg.eigvalsh(e)
     if w.size < 2:
-        return True, float("inf")
+        return True, None
     min_gap = float(np.min(np.diff(w)))
-    return min_gap > gap_tol, min_gap
-
-
-def _simultaneous_eigenbasis(hams, tol: Tolerances) -> np.ndarray:
-    """Common eigenbasis of a pairwise-commuting Hermitian family.
-
-    Sequentially refines eigenspaces: diagonalize each Hamiltonian inside
-    the joint eigenspaces of the previous ones, splitting blocks at
-    eigenvalue gaps.
-    """
-    d = hams[0].shape[0]
-    basis = np.eye(d, dtype=complex)
-    blocks = [np.arange(d)]
-    for h in hams:
-        scale = max(frobenius(h), 1.0)
-        cluster = 1e-8 * scale
-        refined = []
-        for idx in blocks:
-            if idx.size == 1:
-                refined.append(idx)
-                continue
-            sub = basis[:, idx].conj().T @ h @ basis[:, idx]
-            w, v = np.linalg.eigh((sub + sub.conj().T) / 2)
-            basis[:, idx] = basis[:, idx] @ v
-            start = 0
-            for i in range(1, idx.size + 1):
-                if i == idx.size or w[i] - w[start] > cluster:
-                    refined.append(idx[start:i])
-                    start = i
-        blocks = refined
-    return basis
+    return min_gap > tol.gap, min_gap
 
 
 def spacing_degeneracy_predicate(hams, tol: Tolerances = DEFAULT) -> list[tuple[int, int]]:
@@ -151,8 +129,10 @@ def spacing_degeneracy_predicate(hams, tol: Tolerances = DEFAULT) -> list[tuple[
     Requires a pairwise-commuting family (shared eigenbasis).  A returned
     pair ``(l, l')`` has ``h_l(i) - h_l'(i)`` independent of ``i``, which
     makes the corresponding effect eigenvalues coincide for any preparation,
-    meter basis, and step time.  Levels are 0-based indices into the common
-    eigenbasis.
+    meter basis, and step time.  The common eigenbasis is that of one random
+    Hermitian element of the family's span, whose eigenspaces are, for almost
+    every draw, exactly the joint eigenspaces; levels are 0-based indices in
+    that element's ascending eigenvalue order.
     """
     mats = [check_hermitian(h, tol) for h in hams]
     d = _common_dimension(mats)
@@ -161,16 +141,12 @@ def spacing_degeneracy_predicate(hams, tol: Tolerances = DEFAULT) -> list[tuple[
         raise PreconditionError(
             f"spacing predicate needs commuting Hamiltonians (max commutator {worst:.3e})"
         )
-    basis = _simultaneous_eigenbasis(mats, tol)
-    levels = np.empty((d, len(mats)))
-    for i, h in enumerate(mats):
-        levels[:, i] = np.real(np.einsum("al,ab,bl->l", basis.conj(), h, basis))
-    pairs = []
-    for l1, l2 in itertools.combinations(range(d), 2):
-        spacings = levels[l1] - levels[l2]
-        if np.max(np.abs(spacings - spacings[0])) <= tol.spacing:
-            pairs.append((l1, l2))
-    return pairs
+    basis = np.linalg.eigh(_random_hermitian(mats, 1)[0])[1]
+    levels = np.real(np.einsum("al,iab,bl->li", basis.conj(), mats, basis))
+    first, second = np.triu_indices(d, 1)
+    spacings = levels[first] - levels[second]
+    flat = np.max(np.abs(spacings - spacings[:, :1]), axis=1) <= tol.spacing
+    return [(int(a), int(b)) for a, b in zip(first[flat], second[flat])]
 
 
 def commutant_basis(ops, tol: Tolerances = DEFAULT) -> AlgebraBasis:
@@ -193,7 +169,7 @@ def commutant_basis(ops, tol: Tolerances = DEFAULT) -> AlgebraBasis:
             f"empty commutant: smallest singular value {svals[-1]:.3e} is not below "
             f"the nullspace cut {tol.nullspace:.3e}"
         )
-    return AlgebraBasis(tuple(mats), tuple(members), len(members), svals)
+    return AlgebraBasis(tuple(mats), tuple(members), svals)
 
 
 def zero_entanglement_condition(rho: np.ndarray, model: DephasingModel, tol: Tolerances = DEFAULT):

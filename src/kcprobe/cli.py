@@ -30,10 +30,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import algebra_report, zero_entanglement_condition
+from .algebra import algebra_report, is_commutative, zero_entanglement_condition
 from .config import SCHEMA_VERSION, Experiment, build_experiment, load_run_config
 from .errors import ConfigError, InvariantViolation, KCProbeError, NumericalFault
-from .linalg import commutator, frobenius
 from .model import DephasingModel, MeasurementProtocol, PreparationState, xy_meter_basis
 from .oracle import oracle_compare
 from .scenarios import (
@@ -308,7 +307,7 @@ def _sweep_row(experiment: Experiment, param: str, value: float | None) -> dict:
             check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols.values()
         ),
         **{name: delta for name, _, _, delta in _axis_deltas(protocols, rho, tol)},
-        "commutator_norm": frobenius(commutator(model.hamiltonians[0], model.hamiltonians[1])),
+        "commutator_norm": is_commutative(model.hamiltonians, tol)[1],
     }
 
 
@@ -343,10 +342,13 @@ def _cmd_oracle(args, config) -> int:
     return EXIT_NUMERICAL if _oracle_disagrees(rows) else EXIT_OK
 
 
-# The scenario and `search` fields that each search mode does not read.
+# The config blocks, scenario fields and `search` fields that each search
+# mode does not read.
+_UNREAD_BLOCKS = {"protocol", "states", "checks", "expect"}
 _SEARCH_UNREAD = {
-    "degenerate": {"scale", "step_time"},
-    "lg": {"probe_dim", "system_dim", "commuting", "scale", "step_time"}  # scenario
+    "degenerate": _UNREAD_BLOCKS | {"scale", "step_time"},
+    "lg": _UNREAD_BLOCKS
+    | {"probe_dim", "system_dim", "commuting", "scale", "step_time"}  # scenario
     | {"t_grid", "include_canonical"},  # search
 }
 
@@ -357,7 +359,8 @@ def _cmd_search(args, config) -> int:
     search = config.search
     trials = int(search.get("trials", 100))
     mode = search.get("mode", "degenerate")
-    unread = sorted(_SEARCH_UNREAD[mode].intersection([*config.scenario.params, *search]))
+    named = [*config.raw, *config.scenario.params, *search]
+    unread = sorted(_SEARCH_UNREAD[mode].intersection(named))
     if unread:
         raise ConfigError(f"search mode {mode!r} does not read {unread}")
     if mode == "lg":

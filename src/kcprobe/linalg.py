@@ -56,10 +56,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(a.conj() * b))
 
 
-def hs_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(max(hs_inner(a, a).real, 0.0)))
-
-
 def is_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT) -> bool:
     """``|M - M^H|_F <= tol.hermiticity * max(|M|_F, 1)``; False if ``|M|_F`` overflows."""
     with np.errstate(over="ignore"):
@@ -154,7 +150,7 @@ def orthonormalize_hs(ops, rank_tol: float | None = None, tol: Tolerances = DEFA
         for _ in range(2):  # second pass keeps orthogonality near machine precision
             for b in basis:
                 v = v - hs_inner(b, v) * b
-        norm = hs_norm(v)
+        norm = float(np.sqrt(max(hs_inner(v, v).real, 0.0)))
         if norm >= rank_tol:
             basis.append(v / norm)
     return basis

@@ -8,14 +8,13 @@ pairs, which keeps individual trials reproducible in isolation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
 from .algebra import effect_nondegenerate, is_commutative
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius, commutator
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .model import (
     DephasingModel,
     MeasurementProtocol,
@@ -88,10 +87,7 @@ def random_model(
                 + 1j * rng.standard_normal((system_dim, system_dim))
             ) / np.sqrt(2.0)
             hams.append((g + g.conj().T) / 2)
-        worst = max(
-            frobenius(commutator(a, b)) for a, b in itertools.combinations(hams, 2)
-        )
-        if worst >= 1e-6:
+        if is_commutative(hams)[1] >= 1e-6:
             return DephasingModel(probe_dim, system_dim, tuple(hams), step_time)
 
 

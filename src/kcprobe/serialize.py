@@ -122,6 +122,8 @@ def fingerprint(data) -> str:
 
 
 def write_json(path, data) -> None:
+    """Write ``data`` as indented JSON; a NaN or infinite number raises
+    ``ValueError``, since it has no JSON form."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
+        json.dump(data, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")

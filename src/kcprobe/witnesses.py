@@ -204,7 +204,12 @@ class LGFinding(Record):
     model_fingerprint: str
 
 
-def lg_search_instance(seed: int, index: int, system_dims=(2, 3, 4), t_range=(0.1, 3.0)):
+# The system dimensions and the step-time range that each search trial draws from.
+LG_SYSTEM_DIMS = (2, 3, 4)
+LG_T_RANGE = (0.1, 3.0)
+
+
+def lg_search_instance(seed: int, index: int):
     """Deterministically rebuild the (protocol, rho) candidate of one search trial.
 
     The candidate state is the top eigenvector of
@@ -214,10 +219,10 @@ def lg_search_instance(seed: int, index: int, system_dims=(2, 3, 4), t_range=(0.
     contraction), so the two steps draw independent durations.
     """
     rng = np.random.default_rng([seed, index])
-    d_s = int(rng.choice(list(system_dims)))
+    d_s = int(rng.choice(LG_SYSTEM_DIMS))
     model_seed = int(rng.integers(0, 2**63 - 1))
     model = random_model(model_seed, 2, d_s, commuting=False)
-    t1, t2 = (float(x) for x in rng.uniform(t_range[0], t_range[1], size=2))
+    t1, t2 = (float(x) for x in rng.uniform(*LG_T_RANGE, size=2))
     protocol = qubit_xy_protocol(model, "XX", (t1, t2))
     r = _kraus_product(protocol, (0, 0))
     k2 = protocol.step_measurements[1].kraus[0]
@@ -228,13 +233,7 @@ def lg_search_instance(seed: int, index: int, system_dims=(2, 3, 4), t_range=(0.
     return protocol, rho
 
 
-def lg_violation_search(
-    seed: int,
-    trials: int,
-    system_dims=(2, 3, 4),
-    t_range=(0.1, 3.0),
-    tol: Tolerances = DEFAULT,
-) -> list[LGFinding]:
+def lg_violation_search(seed: int, trials: int, tol: Tolerances = DEFAULT) -> list[LGFinding]:
     """Seeded search for models and states violating ``P2(+,+) <= P1(+)``.
 
     Each finding is reproducible through :func:`lg_search_instance` with the
@@ -244,7 +243,7 @@ def lg_violation_search(
         raise PreconditionError(f"trials must be >= 1, got {trials}")
     findings = []
     for index in range(trials):
-        protocol, rho = lg_search_instance(seed, index, system_dims, t_range)
+        protocol, rho = lg_search_instance(seed, index)
         result = lg_check(protocol, rho, tol)
         if result.lg_satisfied:
             continue

@@ -184,9 +184,10 @@ def test_criterion_2(lemma_ensemble):
 def test_criterion_3(lemma_ensemble):
     qualifying = 0
     disagreements = 0
+    gap = kp.DEFAULT.replace(gap=1e-6)
     for model, protocol, _rho in lemma_ensemble:
         effects = protocol.step_measurements[0].effects
-        if not all(kp.effect_nondegenerate(e, gap_tol=1e-6)[0] for e in effects):
+        if not all(kp.effect_nondegenerate(e, gap)[0] for e in effects):
             continue
         qualifying += 1
         consistent = kp.check_kc_all(protocol, 3).consistent

@@ -1,3 +1,7 @@
+import collections
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -178,6 +182,16 @@ class TestClassicalWrtState:
         assert not ok
         assert worst > 0.1
 
+    def test_worst_matches_a_pair_loop(self):
+        rng = np.random.default_rng(3)
+        for d in (2, 3, 4):
+            for gens in ([random_hermitian(rng, d)], [random_hermitian(rng, d) for _ in range(2)]):
+                algebra = kp.generate_algebra(gens)
+                rho = random_density(rng, d)
+                pairs = itertools.combinations(algebra.basis, 2)
+                want = max((abs(np.trace(rho @ (a @ b - b @ a))) for a, b in pairs), default=0.0)
+                assert abs(kp.classical_wrt_state(rho, algebra)[1] - want) <= 1e-14
+
 
 class TestEffectNondegenerate:
     def test_projector_pair_effects(self, sigma_model):
@@ -194,6 +208,14 @@ class TestEffectNondegenerate:
     def test_spread_spectrum(self):
         ok, gap = kp.effect_nondegenerate(np.diag([0.1, 0.2, 0.3]))
         assert ok and gap == pytest.approx(0.1)
+
+    def test_gap_cut_is_read_from_the_tolerances(self):
+        effect = np.diag([0.1, 0.1 + 1e-7])
+        assert kp.effect_nondegenerate(effect)[0]
+        assert not kp.effect_nondegenerate(effect, kp.DEFAULT.replace(gap=1e-6))[0]
+
+    def test_one_eigenvalue_has_no_gap(self):
+        assert kp.effect_nondegenerate(np.array([[0.5]])) == (True, None)
 
 
 class TestSpacingDegeneracy:
@@ -233,10 +255,72 @@ class TestSpacingDegeneracy:
                     assert abs(e1 - e2) <= 1e-9
 
 
+def spacing_pairs_by_tuple(hams, spectra, v) -> collections.Counter:
+    """Flagged pairs of ``spacing_degeneracy_predicate``, each level named by
+    its tuple of eigenvalues, one per Hamiltonian.
+
+    ``h_i = v diag(spectra[i]) v^H``.  The predicate indexes levels in the
+    ascending eigenvalue order of the random element of ``span(hams)`` it
+    diagonalizes, which is ``v^H x v`` on the diagonal."""
+    x = kp.algebra._random_hermitian([np.asarray(h, dtype=complex) for h in hams], 1)[0]
+    order = np.argsort(np.real(np.einsum("al,ab,bl->l", v.conj(), x, v)), kind="stable")
+    tuples = [tuple(spectra[:, l]) for l in order]
+    return collections.Counter(
+        tuple(sorted((tuples[a], tuples[b]))) for a, b in kp.spacing_degeneracy_predicate(hams)
+    )
+
+
+def reference_pairs_by_tuple(spectra) -> collections.Counter:
+    """Level pairs whose spacing is the same for every Hamiltonian, from the spectra alone."""
+    d = spectra.shape[1]
+    return collections.Counter(
+        tuple(sorted((tuple(spectra[:, a]), tuple(spectra[:, b]))))
+        for a, b in itertools.combinations(range(d), 2)
+        if np.ptp(spectra[:, a] - spectra[:, b]) == 0
+    )
+
+
+class TestSpacingAgainstKnownSpectra:
+    def test_flagged_pairs_match_the_spectra_in_a_haar_basis(self):
+        # two or three Hamiltonians with small integer spectra, so that equal
+        # spacings and repeated levels are common
+        rng = np.random.default_rng(2024)
+        families = 0
+        while families < 120:
+            d, k = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+            spectra = rng.integers(-2, 3, size=(k, d)).astype(float)
+            want = reference_pairs_by_tuple(spectra)
+            if not want:
+                continue
+            families += 1
+            v = kp.haar_unitary(d, rng)
+            hams = []
+            for spectrum in spectra:
+                h = (v * spectrum) @ v.conj().T
+                hams.append((h + h.conj().T) / 2)
+            assert spacing_pairs_by_tuple(hams, spectra, v) == want
+
+
 class TestCommutantBasis:
     def test_identity_has_full_commutant(self):
         commutant = kp.commutant_basis([np.eye(3)])
         assert commutant.dimension == 9
+
+    def test_dimension_is_the_basis_length(self):
+        rng = np.random.default_rng(5)
+        hams = [random_hermitian(rng, 3), np.diag([1.0, 1.0, 2.0])]
+        bases = [kp.commutant_basis(hams[1:]), *(kp.generate_algebra(g) for g in (hams, hams[1:]))]
+        assert [b.dimension for b in bases] == [len(b.basis) for b in bases] == [5, 9, 2]
+        assert "dimension" not in {f.name for f in dataclasses.fields(kp.AlgebraBasis)}
+
+    def test_projection_residual_matches_a_projection_loop(self):
+        rng = np.random.default_rng(6)
+        commutant = kp.commutant_basis([np.diag([1.0, 1.0, 2.0])])
+        for _ in range(5):
+            op = random_hermitian(rng, 3) + 1j * random_hermitian(rng, 3)
+            resid = op - sum(np.vdot(b, op) * b for b in commutant.basis)
+            assert abs(commutant.projection_residual(op) - frobenius(resid)) <= 1e-14
+            assert commutant.contains(op - resid)
 
     def test_sigma_z_commutant_is_diagonal(self):
         commutant = kp.commutant_basis([SIGMA_Z])

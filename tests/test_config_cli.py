@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kcprobe as kp
 from kcprobe import cli
@@ -483,8 +483,18 @@ FUZZ_EDITS = st.one_of(
 )
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report.json holds the non-JSON number {name}")
+
+
+def read_report(path) -> dict:
+    """A written ``report.json``, parsed as strict JSON (no NaN or Infinity)."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+
+
 @settings(max_examples=50, deadline=None)
 @given(FUZZ_EDITS)
+@example(("replace", ("protocol", "n_max"), 1e308))
 def test_fuzzed_config_exits_with_a_documented_code_and_a_whole_bundle(edit):
     action, path, value = edit
     cfg = copy.deepcopy(FUZZ_BASE)
@@ -506,7 +516,7 @@ def test_fuzzed_config_exits_with_a_documented_code_and_a_whole_bundle(edit):
         written = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert written in ([], ["report.json", "timings.json"])
         if written:
-            json.loads((out / "report.json").read_text())
+            read_report(out / "report.json")
 
 
 class TestClassicalNoiseRun:
@@ -527,6 +537,89 @@ class TestClassicalNoiseRun:
         row = bundle["results"]["witnesses"][0]
         assert abs(row["delta_x_21"]["value"]) <= 1e-9
         assert row["lg"]["lg_satisfied"]
+
+
+NOISE_SCENARIO = {"kind": "classical_noise", "seed": 5, "n_segments": 4}
+
+
+class TestConfigBounds:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            sigma_pair_config(protocol={"n_max": 1e12}),
+            sigma_pair_config(protocol={"n_max": 1e308}),
+            sigma_pair_config(protocol={"n_max": 65}),
+            sigma_pair_config(protocol={"fourier_steps": 1e12}),
+            {"schema_version": 1, "scenario": {**NOISE_SCENARIO, "n_segments": 1e12}},
+            {"schema_version": 1, "scenario": {**NOISE_SCENARIO, "n_steps": 1e12}},
+        ],
+        ids=["n_max-1e12", "n_max-1e308", "n_max-65", "fourier_steps", "n_segments", "n_steps"],
+    )
+    def test_a_step_count_above_64_is_a_config_error(self, tmp_path, capsys, cfg):
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config does not match schema: ")
+        assert "is greater than the maximum of 64" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_step_count_of_64_loads(self, tmp_path):
+        cfg = sigma_pair_config(protocol={"fourier_steps": 64, "n_max": 64})
+        assert load_run_config(write_config(tmp_path / "cfg.json", cfg)).protocol_spec["n_max"] == 64
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            (["run"], {"expect": {"lg_satisfied": True}}),
+            (["run"], {}),
+            (["oracle"], {}),
+            (["sweep", "--param", "t", "--grid", "0.5"], {}),
+        ],
+        ids=["run-lg", "run-kc", "oracle", "sweep"],
+    )
+    def test_empty_states_is_a_config_error(self, tmp_path, capsys, command, extra):
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config(states=[], **extra))
+        out = tmp_path / "out"
+        assert main([command[0], path, *command[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config does not match schema: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestStrictJSON:
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            NOISE_SCENARIO,
+            {"kind": "explicit", "hamiltonians": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]},
+        ],
+        ids=["classical_noise", "explicit-1x1"],
+    )
+    def test_one_dimensional_system_writes_a_null_gap(self, tmp_path, scenario):
+        cfg = {"schema_version": 1, "scenario": scenario, "checks": ["algebra"]}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 0
+        rows = read_report(out / "report.json")["results"]["algebra"]["effect_nondegeneracy"]
+        assert rows
+        assert all(row["nondegenerate"] and row["min_gap"] is None for row in rows)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_write_json_refuses_a_non_finite_number(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "x.json", {"value": value})
+
+    def test_a_non_finite_result_writes_no_bundle(self, tmp_path, monkeypatch, capsys):
+        class Report:
+            def to_dict(self):
+                return {"verdict": "consistent", "max_operator_defect": float("inf")}
+
+        monkeypatch.setattr(cli, "check_kc_all", lambda *args, **kwargs: Report())
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config())
+        assert main(["run", path, "--out", str(out)]) == 4
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 def count_protocol_builds(monkeypatch) -> list:
@@ -922,9 +1015,13 @@ class TestOutputErrors:
     def test_unwritable_out_is_a_one_line_config_error(
         self, tmp_path, capsys, command, output, blocked
     ):
-        cfg = sigma_pair_config(search={"trials": 2})
-        if command[0] == "search":  # search runs on random scenarios only
-            cfg.update(scenario={"kind": "random", "seed": 11}, protocol={})
+        cfg = sigma_pair_config()
+        if command[0] == "search":  # search reads a random scenario and its own block only
+            cfg = {
+                "schema_version": 1,
+                "scenario": {"kind": "random", "seed": 11},
+                "search": {"trials": 2},
+            }
         path = write_config(tmp_path / "cfg.json", cfg)
         if blocked == "directory":
             out = tmp_path / "cfg.json" / "sub"  # below a regular file
@@ -1024,6 +1121,31 @@ class TestSearchCommand:
         assert main(["search", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
         names = sorted([*unread.get("scenario", {}), *unread.get("search", {})])
         assert capsys.readouterr().err == f"config error: search mode {mode!r} does not read {names}\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "block, value",
+        [
+            ("protocol", {"n_max": 2}),
+            ("states", [{"name": "maximally_mixed"}]),
+            ("checks", ["kc"]),
+            ("expect", {"kc_verdict": "consistent"}),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["degenerate", "lg"])
+    def test_a_config_block_search_does_not_read_is_a_config_error(
+        self, tmp_path, capsys, mode, block, value
+    ):
+        cfg = {
+            "schema_version": 1,
+            "scenario": {"kind": "random", "seed": 11},
+            "search": {"trials": 2, "mode": mode},
+            block: value,
+        }
+        out = tmp_path / "out"
+        assert main(["search", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: search mode {mode!r} does not read {[block]}\n"
         assert not out.exists()
 
 

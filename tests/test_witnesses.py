@@ -175,6 +175,14 @@ class TestLGCheck:
         assert result.p2_plus_plus == pytest.approx(first.p2_plus_plus, abs=1e-12)
         assert not kp.is_commutative(protocol.model.hamiltonians)[0]
 
+    def test_findings_are_drawn_from_the_module_ranges(self):
+        lo, hi = kp.witnesses.LG_T_RANGE
+        for finding in kp.lg_violation_search(20240811, 40):
+            assert finding.system_dim in kp.witnesses.LG_SYSTEM_DIMS
+            assert all(lo <= t <= hi for t in finding.step_times)
+            protocol, _ = kp.lg_search_instance(finding.seed, finding.index)
+            assert protocol.step_times == finding.step_times
+
     def test_search_requires_trials(self):
         with pytest.raises(PreconditionError):
             kp.lg_violation_search(1, 0)
