@@ -51,6 +51,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERNAL = 4
 
+# Most points a `start:stop:num` grid may ask for, checked before any is made.
+MAX_GRID_POINTS = 10**5
+
 
 def _parse_tol_overrides(pairs) -> dict:
     overrides = {}
@@ -75,8 +78,8 @@ def _parse_grid(spec: str) -> list[float]:
             if len(parts) != 3:
                 raise ConfigError(f"grid range must be start:stop:num, got {spec!r}")
             start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-            if num < 0:
-                raise ConfigError(f"grid point count must not be negative, got {num}")
+            if not 0 <= num <= MAX_GRID_POINTS:
+                raise ConfigError(f"grid point count {num} not in 0..{MAX_GRID_POINTS}")
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite points fail below
                 values = [float(x) for x in np.linspace(start, stop, num)]
         else:
@@ -346,7 +349,7 @@ def _cmd_oracle(args, config) -> int:
 # mode does not read.
 _UNREAD_BLOCKS = {"protocol", "states", "checks", "expect"}
 _SEARCH_UNREAD = {
-    "degenerate": _UNREAD_BLOCKS | {"scale", "step_time"},
+    "degenerate": _UNREAD_BLOCKS | {"commuting", "scale", "step_time"},
     "lg": _UNREAD_BLOCKS
     | {"probe_dim", "system_dim", "commuting", "scale", "step_time"}  # scenario
     | {"t_grid", "include_canonical"},  # search
@@ -371,16 +374,18 @@ def _cmd_search(args, config) -> int:
             include.append((degenerate_qubit_instance(), "X"))
         t_grid = tuple(search.get("t_grid", (float(np.pi / 2),)))
         params = config.scenario.params
-        found = counterexample_search(
-            config.scenario.seed,
-            trials,
-            int(params.get("probe_dim", 2)),
-            int(params.get("system_dim", 2)),
-            t_grid,
-            include=include,
-            commuting=bool(params.get("commuting", False)),
-            tol=config.tolerances,
-        )
+        try:  # a t_grid time that breaks an invariant is a config error, as a step_time is
+            found = counterexample_search(
+                config.scenario.seed,
+                trials,
+                int(params.get("probe_dim", 2)),
+                int(params.get("system_dim", 2)),
+                t_grid,
+                include=include,
+                tol=config.tolerances,
+            )
+        except InvariantViolation as exc:
+            raise ConfigError(str(exc)) from exc
     document = {**_header(config), "mode": mode, "findings": [f.to_dict() for f in found]}
     _write_outputs(args, config, {"search.json": lambda path: write_json(path, document)})
     print(f"search findings: {len(found)}")

@@ -191,8 +191,7 @@ def _resolve_protocol(
         bases = (fourier_meter_basis(d),) * int(spec.get("fourier_steps", max(n_max, 2)))
     else:
         axes = spec.get("axes", ["X"] * max(n_max, 2))
-        meters = {axis: xy_meter_basis(axis) for axis in dict.fromkeys(axes)}  # shared per axis
-        bases = tuple(meters[axis] for axis in axes)
+        bases = tuple(map(xy_meter_basis, axes))
     if "preparation" in spec:
         preparation = PreparationState(pairs_vector(spec["preparation"]))
     else:

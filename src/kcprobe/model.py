@@ -20,6 +20,7 @@ their own outcome-value conventions.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,18 +267,19 @@ class MeasurementProtocol:
                 raise ProtocolError(
                     f"{len(self.step_times)} step times for {len(self.step_bases)} steps"
                 )
-        # steps with the same basis and duration share one measurement
+        # steps with equal meter kets, labels and duration share one measurement
         unitaries: dict[float, np.ndarray] = {}
-        built: dict[tuple[MeterBasis, float], InducedMeasurement] = {}
+        built: dict[tuple[bytes, tuple[str, ...], float], InducedMeasurement] = {}
         measurements = []
         for basis, t in zip(self.step_bases, self.effective_step_times()):
-            if (basis, t) not in built:
+            key = (basis.states.tobytes(), basis.labels, t)
+            if key not in built:
                 if t not in unitaries:
                     unitaries[t] = np.asarray(conditional_unitaries(self.model, t))
-                built[basis, t] = induced_kraus(
+                built[key] = induced_kraus(
                     self.model, self.preparation, basis, unitaries=unitaries[t]
                 )
-            measurements.append(built[basis, t])
+            measurements.append(built[key])
         object.__setattr__(self, "step_bases", tuple(self.step_bases))
         object.__setattr__(self, "step_measurements", tuple(measurements))
 
@@ -343,6 +345,7 @@ def uniform_preparation(d: int) -> PreparationState:
     return PreparationState(np.full(d, 1.0 / np.sqrt(d), dtype=complex))
 
 
+@functools.cache  # a MeterBasis is immutable, so every step may hold the same one
 def xy_meter_basis(axis: str) -> MeterBasis:
     """Qubit meter basis along X or Y.
 
@@ -370,13 +373,12 @@ def fourier_meter_basis(d: int) -> MeterBasis:
 def qubit_xy_protocol(model: DephasingModel, axes, step_times=None) -> MeasurementProtocol:
     """Protocol with ``|+x>`` re-preparations and per-step X or Y meter bases.
 
-    Steps along the same axis share one meter basis, so a protocol such as
+    Steps along the same axis have equal meter kets, so a protocol such as
     ``"XXX"`` builds one induced measurement per distinct step time.
     """
     if model.probe_dim != 2:
         raise DimensionError(f"X/Y protocols need a qubit probe, got dimension {model.probe_dim}")
-    meters = {a: xy_meter_basis(a) for a in dict.fromkeys(axes)}
-    bases = tuple(meters[a] for a in axes)
+    bases = tuple(map(xy_meter_basis, axes))
     return MeasurementProtocol(model, plus_x_preparation(), bases, step_times)
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import is_commutative
-from .errors import CapacityError, LabelError, ProtocolError
+from .errors import LabelError, ProtocolError
 from .linalg import check_density
 from .model import MeasurementProtocol
-from .sequences import _state_defects, full_distribution
+from .sequences import _check_capacity, _state_defects, full_distribution
 from .serialize import Record
 from .tolerances import DEFAULT, Tolerances
 
@@ -52,11 +52,7 @@ def naive_sequence_probability(protocol: MeasurementProtocol, rho: np.ndarray, s
 
 
 def naive_distribution(protocol: MeasurementProtocol, rho: np.ndarray, n: int, tol: Tolerances = DEFAULT) -> dict:
-    count = protocol.probe_dim**n
-    if count > tol.enumeration_cap:
-        raise CapacityError(
-            f"{protocol.probe_dim}^{n} = {count} sequences exceeds cap {tol.enumeration_cap}"
-        )
+    _check_capacity(protocol.probe_dim, n, tol)
     return {
         seq: _chain_probability(protocol, rho, seq)
         for seq in itertools.product(range(protocol.probe_dim), repeat=n)
@@ -123,9 +119,8 @@ def oracle_compare(
     """
     if n_max is None:
         n_max = protocol.n_steps
-    if n_max < 1:
-        raise ProtocolError(f"n_max must be at least 1, got {n_max}")
-    n_max = min(n_max, protocol.n_steps)
+    if not 1 <= n_max <= protocol.n_steps:
+        raise ProtocolError(f"n_max = {n_max} not in 1..{protocol.n_steps}")
     rho = check_density(rho, tol)
     per_n = []
     commutative, _ = is_commutative(protocol.model.hamiltonians, tol)
@@ -144,7 +139,6 @@ def oracle_compare(
                 ),
             )
     defect_worst = 0.0
-    # full_distribution above checked the enumeration cap of every n
     for n in range(2, n_max + 1):
         for j in range(1, n):
             defects = _state_defects(protocol, rho, n, j, tol)

@@ -269,22 +269,19 @@ class CounterexampleFinding(Record):
     model_fingerprint: str
 
 
-def _single_axis_protocol(model: DephasingModel, axis: str, n_steps: int) -> MeasurementProtocol:
-    if model.probe_dim == 2 and axis in ("X", "Y"):
-        return qubit_xy_protocol(model, axis * n_steps)
-    return fourier_protocol(model, n_steps)
-
-
 def _evaluate_candidate(model, axis, t, source, seed, index, tol) -> CounterexampleFinding | None:
+    """The finding of ``model`` at step time ``t`` on three steps of ``axis``, or ``None``."""
     candidate = model.with_step_time(t)
-    protocol = _single_axis_protocol(candidate, axis, 3)
+    if model.probe_dim == 2 and axis in ("X", "Y"):
+        protocol = qubit_xy_protocol(candidate, axis * 3)
+    else:
+        protocol = fourier_protocol(candidate, 3)
     gaps = []
-    for measurement in protocol.step_measurements[:1]:
-        for effect in measurement.effects:
-            ok, gap = effect_nondegenerate(effect, tol=tol)
-            if ok:
-                return None
-            gaps.append(gap)
+    for effect in protocol.step_measurements[0].effects:
+        ok, gap = effect_nondegenerate(effect, tol=tol)
+        if ok:
+            return None
+        gaps.append(gap)
     commutative, worst = is_commutative(candidate.hamiltonians, tol)
     if commutative:
         return None
@@ -311,17 +308,16 @@ def counterexample_search(
     system_dim: int = 2,
     t_grid=(np.pi / 2,),
     include=(),
-    commuting: bool = False,
     tol: Tolerances = DEFAULT,
 ) -> list[CounterexampleFinding]:
     """Search for degenerate-effect models that keep consistency despite
     noncommuting generators.
 
     ``include`` holds ``(model, axis)`` pairs evaluated at every grid time
-    before the random trials; random trials draw seeded models (commuting
-    ones only if ``commuting=True``, which documents that the
-    noncommutativity filter then rejects everything).  Findings carry full
-    reproduction data; an empty result is a valid outcome.
+    before the random trials; random trials draw seeded noncommuting models,
+    read along X or Y on a qubit probe and along the Fourier meter
+    otherwise.  Findings carry full reproduction data; an empty result is a
+    valid outcome.
     """
     if trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
@@ -335,7 +331,7 @@ def counterexample_search(
     for index in range(trials):
         rng = np.random.default_rng([seed, index])
         model_seed = int(rng.integers(0, 2**63 - 1))
-        model = random_model(model_seed, probe_dim, system_dim, commuting=commuting)
+        model = random_model(model_seed, probe_dim, system_dim, commuting=False)
         axis = axes[int(rng.integers(0, len(axes)))]
         for t in t_grid:
             found = _evaluate_candidate(model, axis, t, "random", seed, index, tol)

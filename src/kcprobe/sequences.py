@@ -209,6 +209,19 @@ def _probabilities(
     return out
 
 
+def _check_step_pair(protocol: MeasurementProtocol, n: int, j: int) -> None:
+    """Raise :class:`ProtocolError` unless ``(n, j)`` is a substantive consistency condition."""
+    if n < 2 or n > protocol.n_steps:
+        raise ProtocolError(f"n = {n} not in 2..{protocol.n_steps}")
+    if j == n:
+        raise ProtocolError(
+            "marginalizing the final step is trivially consistent (POVM completeness); "
+            "the defect is exactly 0 and is not a substantive consistency check"
+        )
+    if not 1 <= j <= n - 1:
+        raise ProtocolError(f"j = {j} not in 1..{n - 1}")
+
+
 def _state_defects(
     protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, tol: Tolerances
 ) -> np.ndarray:
@@ -217,9 +230,11 @@ def _state_defects(
     Entry ``[fixed]`` of the ``(d_P,) * (n - 1)`` result is
     :func:`kc_defect_state` at the same ``fixed``: ``P_n`` summed over step
     ``j``, minus ``P_{n-1}`` read on ``protocol.prefix(n).drop_step(j)``.
-    ``rho`` must already be a validated density matrix, ``d_P ** n`` within
-    the enumeration cap, ``2 <= n <= n_steps`` and ``1 <= j <= n - 1``.
+    ``rho`` must already be a validated density matrix; ``(n, j)`` and the
+    enumeration cap of ``d_P ** n`` are checked here.
     """
+    _check_step_pair(protocol, n, j)
+    _check_capacity(protocol.probe_dim, n, tol)
     shape = (protocol.probe_dim,) * n
     p_n = _probabilities(protocol, rho, n, tol).reshape(shape)
     reduced = protocol.prefix(n).drop_step(j)
@@ -249,15 +264,7 @@ def full_distribution(
 
 
 def _check_defect_args(protocol: MeasurementProtocol, n: int, j: int, fixed) -> OutcomeSequence:
-    if n < 2 or n > protocol.n_steps:
-        raise ProtocolError(f"n = {n} not in 2..{protocol.n_steps}")
-    if j == n:
-        raise ProtocolError(
-            "marginalizing the final step is trivially consistent (POVM completeness); "
-            "the defect is exactly 0 and is not a substantive consistency check"
-        )
-    if not 1 <= j <= n - 1:
-        raise ProtocolError(f"j = {j} not in 1..{n - 1}")
+    _check_step_pair(protocol, n, j)
     fixed = _labels(protocol, fixed)
     if len(fixed) != n - 1:
         raise ProtocolError(f"need {n - 1} fixed outcomes, got {len(fixed)}")

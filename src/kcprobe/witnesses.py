@@ -22,7 +22,7 @@ from .algebra import is_commutative
 from .errors import DimensionError, PreconditionError, ProtocolError
 from .model import MeasurementProtocol, qubit_xy_protocol
 from .linalg import check_density
-from .sequences import _check_capacity, _kraus_product, _state_defects, full_distribution
+from .sequences import _kraus_product, _state_defects, full_distribution
 from .scenarios import random_model
 from .serialize import Record, fingerprint, protocol_payload
 from .tolerances import DEFAULT, Tolerances
@@ -75,34 +75,23 @@ def delta_correlation(
     Sums ``prod_{k != j} value(m_k) * deltaP_{n,j}(fixed)`` over every
     assignment of the non-marginalized outcomes; ``rho`` is validated once.
     """
-    if n < 2 or not 1 <= j <= n - 1:
-        raise ProtocolError(f"need n >= 2 and 1 <= j <= n-1, got n={n}, j={j}")
-    if n > protocol.n_steps:
-        raise ProtocolError(f"n = {n} not in 2..{protocol.n_steps}")
     missing = [m for m in range(protocol.probe_dim) if m not in value_map]
     if missing:
         raise ProtocolError(f"value map lacks outcomes {missing}")
-    _check_capacity(protocol.probe_dim, n, tol)
-    return _delta_correlation(protocol, check_density(rho, tol), n, j, value_map, tol)
+    defects = _state_defects(protocol, check_density(rho, tol), n, j, tol)
+    return _correlation(defects, value_map)
 
 
-def _delta_correlation(
-    protocol: MeasurementProtocol,
-    rho: np.ndarray,
-    n: int,
-    j: int,
-    value_map,
-    tol: Tolerances,
-) -> float:
-    """:func:`delta_correlation` on arguments that were already validated."""
-    defects = _state_defects(protocol, rho, n, j, tol)
-    values = np.array([value_map[m] for m in range(protocol.probe_dim)], dtype=float)
-    for _ in range(n - 1):
+def _correlation(defects: np.ndarray, value_map) -> float:
+    """Sum of ``prod_k value(fixed_k) * defects[fixed]`` over every entry of a
+    state-defect tensor."""
+    values = np.array([value_map[m] for m in range(defects.shape[0])], dtype=float)
+    for _ in range(defects.ndim):
         defects = defects @ values
     return float(defects)
 
 
-def _require_same_axis(protocol: MeasurementProtocol, n: int) -> str:
+def _require_same_axis(protocol: MeasurementProtocol, n: int) -> None:
     if protocol.probe_dim != 2:
         raise DimensionError("axis witnesses need a qubit probe")
     if protocol.n_steps < n:
@@ -110,7 +99,6 @@ def _require_same_axis(protocol: MeasurementProtocol, n: int) -> str:
     axes = set(protocol.axes[:n])
     if len(axes) != 1 or axes & {"X", "Y"} != axes:
         raise ProtocolError(f"steps 1..{n} must share one axis in X/Y, got {protocol.axes[:n]}")
-    return protocol.axes[0]
 
 
 def delta_2_1(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = DEFAULT) -> float:
@@ -133,8 +121,7 @@ def delta_3_2(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = 
 def _axis_delta(protocol: MeasurementProtocol, rho: np.ndarray, n: int, tol: Tolerances) -> float:
     """Δ21 (``n = 2``) or Δ32 (``n = 3``) of a state that was already validated."""
     _require_same_axis(protocol, n)
-    _check_capacity(protocol.probe_dim, n, tol)
-    return _delta_correlation(protocol, rho, n, n - 1, PLUS_MINUS_VALUES, tol)
+    return _correlation(_state_defects(protocol, rho, n, n - 1, tol), PLUS_MINUS_VALUES)
 
 
 _LG_NOTE = (

@@ -466,8 +466,6 @@ def _paths(node, prefix=()):
             yield from _paths(child, path)
 
 
-FUZZ_LEAVES = [path for path, is_leaf in _paths(FUZZ_BASE) if is_leaf]
-FUZZ_KEYS = [path for path, _ in _paths(FUZZ_BASE) if isinstance(path[-1], str)]
 FUZZ_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -477,10 +475,16 @@ FUZZ_VALUES = st.one_of(
     st.just([]),
     st.sampled_from(["random", "nv", "classical_noise", "explicit", "X", "Y"]),
 )
-FUZZ_EDITS = st.one_of(
-    st.tuples(st.just("replace"), st.sampled_from(FUZZ_LEAVES), FUZZ_VALUES),
-    st.tuples(st.just("delete"), st.sampled_from(FUZZ_KEYS), st.none()),
-)
+
+
+def fuzz_edits(base):
+    """One edit of ``base``: a leaf replaced by a fuzz value, or a key deleted."""
+    leaves = [path for path, is_leaf in _paths(base) if is_leaf]
+    keys = [path for path, _ in _paths(base) if isinstance(path[-1], str)]
+    return st.one_of(
+        st.tuples(st.just("replace"), st.sampled_from(leaves), FUZZ_VALUES),
+        st.tuples(st.just("delete"), st.sampled_from(keys), st.none()),
+    )
 
 
 def _refuse_constant(name):
@@ -492,12 +496,12 @@ def read_report(path) -> dict:
     return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
 
 
-@settings(max_examples=50, deadline=None)
-@given(FUZZ_EDITS)
-@example(("replace", ("protocol", "n_max"), 1e308))
-def test_fuzzed_config_exits_with_a_documented_code_and_a_whole_bundle(edit):
+def run_fuzzed(command: str, base: dict, edit, outputs: list[str]) -> int:
+    """Run ``command`` on ``base`` with ``edit`` applied and return its exit
+    code, which must be documented; the command must print no traceback and
+    write ``outputs`` whole (the first one strict JSON) or nothing."""
     action, path, value = edit
-    cfg = copy.deepcopy(FUZZ_BASE)
+    cfg = copy.deepcopy(base)
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
@@ -510,13 +514,37 @@ def test_fuzzed_config_exits_with_a_documented_code_and_a_whole_bundle(edit):
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["run", config_path, "--out", str(out)])
+            code = main([command, config_path, "--out", str(out)])
         assert code in {0, 1, 2, 3}, err.getvalue()
         assert "Traceback" not in err.getvalue()
         written = sorted(p.name for p in out.iterdir()) if out.exists() else []
-        assert written in ([], ["report.json", "timings.json"])
+        assert written in ([], outputs)
         if written:
-            read_report(out / "report.json")
+            read_report(out / outputs[0])
+    return code
+
+
+@settings(max_examples=50, deadline=None)
+@given(fuzz_edits(FUZZ_BASE))
+@example(("replace", ("protocol", "n_max"), 1e308))
+def test_fuzzed_config_exits_with_a_documented_code_and_a_whole_bundle(edit):
+    run_fuzzed("run", FUZZ_BASE, edit, ["report.json", "timings.json"])
+
+
+SEARCH_FUZZ_BASE = {
+    "schema_version": 1,
+    "scenario": {"kind": "random", "seed": 11, "probe_dim": 2, "system_dim": 2},
+    "search": {"trials": 3, "t_grid": [0.5, 1.5], "include_canonical": True, "mode": "degenerate"},
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(fuzz_edits(SEARCH_FUZZ_BASE))
+@example(("replace", ("search", "trials"), 1e308))
+@example(("replace", ("search", "t_grid", 0), 1e300))
+def test_fuzzed_search_config_exits_with_a_documented_code_and_a_whole_bundle(edit):
+    # search has no expectations and no oracle: it succeeds or refuses its config
+    assert run_fuzzed("search", SEARCH_FUZZ_BASE, edit, ["search.json"]) in {0, 2}
 
 
 class TestClassicalNoiseRun:
@@ -540,6 +568,7 @@ class TestClassicalNoiseRun:
 
 
 NOISE_SCENARIO = {"kind": "classical_noise", "seed": 5, "n_segments": 4}
+RANDOM_SCENARIO = {"kind": "random", "seed": 11}
 
 
 class TestConfigBounds:
@@ -562,6 +591,28 @@ class TestConfigBounds:
         assert err.startswith("config error: config does not match schema: ")
         assert "is greater than the maximum of 64" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["degenerate", "lg"])
+    @pytest.mark.parametrize("trials", [100001, 1e12, 1e308])
+    def test_search_trials_above_the_bound_exit_two_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, mode, trials
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a search trial ran")
+
+        monkeypatch.setattr(cli, "counterexample_search", refuse)
+        monkeypatch.setattr(cli, "lg_violation_search", refuse)
+        cfg = {"schema_version": 1, "scenario": RANDOM_SCENARIO, "search": {"trials": trials, "mode": mode}}
+        out = tmp_path / "out"
+        assert main(["search", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config does not match schema: ")
+        assert "is greater than the maximum of 100000" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_search_trials_at_the_bound_load(self, tmp_path):
+        cfg = {"schema_version": 1, "scenario": RANDOM_SCENARIO, "search": {"trials": 100000}}
+        assert load_run_config(write_config(tmp_path / "cfg.json", cfg)).search["trials"] == 100000
 
     def test_a_step_count_of_64_loads(self, tmp_path):
         cfg = sigma_pair_config(protocol={"fourier_steps": 64, "n_max": 64})
@@ -881,7 +932,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "grid",
         ["nan", "inf", "0.5,-inf", "a,b", "0:1:-3", "0:1:2.5", "0:nan:3", "1e400:1:2",
-         "-1e308:1e308:3", "0:1"],
+         "-1e308:1e308:3", "0:1", "0:1:100001", "0:1:1000000000000"],
     )
     def test_malformed_grid_is_config_error(self, tmp_path, grid):
         with pytest.raises(ConfigError):
@@ -905,6 +956,9 @@ class TestSweepCommand:
         assert main(argv) == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    def test_grid_point_count_at_the_bound_parses(self):
+        assert len(_parse_grid(f"0:1:{cli.MAX_GRID_POINTS}")) == cli.MAX_GRID_POINTS
 
     @pytest.mark.parametrize(
         "grid, values", [("0.5, 1", [0.5, 1.0]), ("0:1:3", [0.0, 0.5, 1.0]), ("0:1:0", []), (" ", [])]
@@ -1100,6 +1154,7 @@ class TestSearchCommand:
         "mode, unread",
         [
             ("degenerate", {"scenario": {"scale": 7.0, "step_time": 0.1}}),
+            ("degenerate", {"scenario": {"commuting": False}}),
             ("lg", {"scenario": {"probe_dim": 2}}),
             ("lg", {"scenario": {"system_dim": 3}}),
             ("lg", {"scenario": {"commuting": True}}),
@@ -1123,6 +1178,20 @@ class TestSearchCommand:
         assert capsys.readouterr().err == f"config error: search mode {mode!r} does not read {names}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("include_canonical", [False, True])
+    @pytest.mark.parametrize("t", [1e6, 1e300])
+    def test_a_t_grid_time_that_breaks_an_invariant_is_a_config_error(
+        self, tmp_path, capsys, t, include_canonical
+    ):
+        # as the same time does as a scenario step_time or a sweep --grid value
+        search = {"trials": 2, "t_grid": [t], "include_canonical": include_canonical}
+        cfg = {"schema_version": 1, "scenario": RANDOM_SCENARIO, "search": search}
+        out = tmp_path / "out"
+        assert main(["search", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: phase |w*t| = ") and err.count("\n") == 1
+        assert f"at time {t!r} " in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "block, value",
@@ -1233,6 +1302,14 @@ class TestProtocolResolution:
         experiment = build_experiment(load_run_config(path))
         direct = kp.MeasurementProtocol(experiment.model, preparation, tuple(bases), step_times)
         assert _protocol_fingerprint(experiment.protocol) == _protocol_fingerprint(direct)
+
+    def test_repeated_meter_bases_rows_share_one_measurement(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows, other = (matrix_rows(kp.haar_unitary(3, rng)) for _ in range(2))
+        spec = {"meter_bases": [rows, other, rows], "n_max": 3}
+        path = write_config(tmp_path / "cfg.json", _protocol_config(3, spec))
+        first, second, third = build_experiment(load_run_config(path)).protocol.step_measurements
+        assert first is third and first is not second
 
     def test_uniform_preparation_is_plus_x_on_a_qubit(self):
         uniform = kp.uniform_preparation(2).amplitudes

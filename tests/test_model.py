@@ -335,6 +335,25 @@ class TestProtocolSlicing:
         first, second, third = protocol.step_measurements
         assert first is third and first is not second
 
+    def test_distinct_bases_with_equal_kets_and_labels_share(self, sigma_model, monkeypatch):
+        calls = _count_induced_kraus(monkeypatch)
+        first = kp.xy_meter_basis("X")
+        second = kp.MeterBasis(first.states.copy(), first.labels)
+        protocol = kp.MeasurementProtocol(
+            sigma_model, kp.plus_x_preparation(), (first, second, first, second), (0.3, 0.3, 0.9, 0.9)
+        )
+        assert len(calls) == 2  # one per duration
+        a, b, c, d = protocol.step_measurements
+        assert a is b and c is d and a is not c
+
+    def test_bases_with_different_labels_do_not_share(self, sigma_model, monkeypatch):
+        calls = _count_induced_kraus(monkeypatch)
+        x = kp.xy_meter_basis("X")
+        relabelled = kp.MeterBasis(x.states, ("0", "1"), name="X")
+        protocol = kp.MeasurementProtocol(sigma_model, kp.plus_x_preparation(), (x, relabelled))
+        assert len(calls) == 2
+        assert [m.labels for m in protocol.step_measurements] == [("+", "-"), ("0", "1")]
+
 
 class TestEigensystems:
     @pytest.fixture

@@ -42,6 +42,13 @@ def test_commuting_model_product_form_is_a_third_route():
     assert report.agrees
 
 
+@pytest.mark.parametrize("n_max", [4, 10])
+def test_n_max_beyond_the_protocol_is_a_protocol_error(y_protocol, plus_y_state, n_max):
+    # the same n_max raises in check_kc_all and full_distribution; it is not clamped
+    with pytest.raises(ProtocolError, match=f"^n_max = {n_max} not in 1..3$"):
+        kp.oracle_compare(y_protocol, plus_y_state, n_max)
+
+
 def test_noncommutative_model_skips_product_form(y_protocol, plus_y_state):
     report = kp.oracle_compare(y_protocol, plus_y_state, 2)
     assert not report.commutative

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
-from kcprobe.errors import DimensionError, PreconditionError
-from kcprobe.linalg import frobenius
+from kcprobe.errors import CapacityError, DimensionError, PreconditionError
+from kcprobe.linalg import SIGMA_X, SIGMA_Z, frobenius
 from kcprobe.serialize import fingerprint, model_payload
 
 
@@ -135,6 +135,15 @@ class TestNoiseEnsemble:
         with pytest.raises(PreconditionError):
             kp.noise_ensemble_average([realization], [0.9], 2)
 
+    def test_cap_is_checked_before_any_defect(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("kcprobe.scenarios._state_defects", lambda *args: calls.append(args))
+        realizations = [kp.random_noise_realization(s, 4) for s in (1, 2)]
+        tol = kp.DEFAULT.replace(enumeration_cap=8)
+        with pytest.raises(CapacityError, match=r"^2\^4 = 16 sequences exceeds cap 8$"):
+            kp.ensemble_kc_max_defect(realizations, [0.5, 0.5], 4, tol)
+        assert calls == []
+
 
 class TestCounterexampleSearch:
     def test_canonical_instance_is_found(self):
@@ -151,13 +160,54 @@ class TestCounterexampleSearch:
             assert f.max_operator_defect <= 1e-10
             assert f.generator_commutator == pytest.approx(2 * np.sqrt(2.0))
 
-    def test_commuting_ensemble_yields_nothing(self):
-        findings = kp.counterexample_search(7, 25, commuting=True)
-        assert findings == []
-
     def test_zero_trials_rejected(self):
         with pytest.raises(PreconditionError):
             kp.counterexample_search(0, 0)
+
+    def test_qutrit_trials_read_fourier_protocols(self, monkeypatch):
+        # every effect passes as degenerate, so that each candidate reaches the scan
+        read = []
+
+        def scan(protocol, n_max, tol):
+            read.append(protocol.axes)
+            return kp.check_kc_all(protocol, n_max, tol=tol)
+
+        monkeypatch.setattr("kcprobe.scenarios.effect_nondegenerate", lambda e, tol: (False, 0.0))
+        monkeypatch.setattr("kcprobe.scenarios.check_kc_all", scan)
+        findings = kp.counterexample_search(3, 4, probe_dim=3, t_grid=(0.5, np.pi / 2))
+        assert read == [("F", "F", "F")] * 8
+        assert all(f.axis == "F" for f in findings)
+
+    def test_qutrit_include_with_an_x_axis_reads_the_fourier_protocol(self):
+        # the Fourier effects of (sigma_z, sigma_x, sigma_z) are multiples of
+        # the identity, so the model is a finding at every time
+        model = kp.DephasingModel(3, 2, (SIGMA_Z, SIGMA_X, SIGMA_Z), 1.0)
+        findings = kp.counterexample_search(0, 1, t_grid=(0.7, np.pi / 2), include=[(model, "X")])
+        included = [f for f in findings if f.source == "include"]
+        assert [(f.axis, f.step_time) for f in included] == [("X", 0.7), ("X", np.pi / 2)]
+        for f in included:
+            fourier = kp.fourier_protocol(model.with_step_time(f.step_time), 3)
+            assert f.max_operator_defect == kp.check_kc_all(fourier, 3).max_operator_defect
+
+    def test_include_with_a_violated_scan_is_rejected(self):
+        # (sigma_z (+) 0, sigma_x (+) 1) on Y at pi/2: degenerate effects,
+        # noncommuting generators, and the sigma pair's violation
+        h0, h1 = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+        h0[:2, :2], h1[:2, :2], h1[2, 2] = SIGMA_Z, SIGMA_X, 1.0
+        model = kp.DephasingModel(2, 3, (h0, h1), np.pi / 2)
+        protocol = kp.qubit_xy_protocol(model, "YYY")
+        assert not any(kp.effect_nondegenerate(e)[0] for e in protocol.step_measurements[0].effects)
+        assert not kp.is_commutative(model.hamiltonians)[0]
+        assert kp.check_kc_all(protocol, 3).verdict == "violated"
+        findings = kp.counterexample_search(0, 1, t_grid=(np.pi / 2,), include=[(model, "Y")])
+        assert [f for f in findings if f.source == "include"] == []
+
+    def test_include_with_commuting_generators_is_rejected(self):
+        model = kp.DephasingModel(2, 2, (SIGMA_Z, SIGMA_Z), np.pi / 2)
+        protocol = kp.qubit_xy_protocol(model, "XXX")
+        assert not any(kp.effect_nondegenerate(e)[0] for e in protocol.step_measurements[0].effects)
+        findings = kp.counterexample_search(0, 1, t_grid=(np.pi / 2,), include=[(model, "X")])
+        assert [f for f in findings if f.source == "include"] == []
 
 
 class TestScenarioSpec:

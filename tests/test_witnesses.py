@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
-from kcprobe.errors import PreconditionError, ProtocolError
+from kcprobe.errors import CapacityError, PreconditionError, ProtocolError
 from kcprobe.linalg import check_density
 from conftest import random_density, random_pure_state
 
@@ -66,6 +66,28 @@ class TestDeltaCorrelation:
     def test_more_steps_than_the_protocol_has(self, y_protocol):
         with pytest.raises(ProtocolError, match="not in 2..3"):
             kp.delta_correlation(y_protocol, I2 / 2, 4, 2, PM)
+
+    @pytest.mark.parametrize(
+        "n, j, message",
+        [
+            (1, 1, "n = 1 not in 2..3"),
+            (3, 3, "marginalizing the final step is trivially consistent"),
+            (3, 0, "j = 0 not in 1..2"),
+        ],
+    )
+    def test_out_of_range_n_or_j_is_the_defect_check_error(self, y_protocol, n, j, message):
+        with pytest.raises(ProtocolError, match=f"^{message}"):
+            kp.delta_correlation(y_protocol, I2 / 2, n, j, PM)
+
+    def test_value_map_is_checked_first(self, y_protocol):
+        with pytest.raises(ProtocolError, match=r"^value map lacks outcomes \[1\]$"):
+            kp.delta_correlation(y_protocol, I2 / 2, 1, 1, {0: 1.0})
+
+    def test_keeps_to_the_enumeration_cap(self, y_protocol, plus_y_state):
+        tol = kp.DEFAULT.replace(enumeration_cap=4)
+        with pytest.raises(CapacityError, match=r"^2\^3 = 8 sequences exceeds cap 4$"):
+            kp.delta_3_2(y_protocol, plus_y_state, tol)
+        assert kp.delta_2_1(y_protocol, plus_y_state, tol) == pytest.approx(2.0, abs=1e-10)
 
 
 class TestDelta21:
