@@ -94,13 +94,19 @@ def _second_commutant(commutant: AlgebraBasis, tol: Tolerances) -> AlgebraBasis:
 
 def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:
     """Pairwise commutativity of a generator set; sufficient for the whole
-    generated algebra when the generators are Hermitian."""
+    generated algebra when the generators are Hermitian.
+
+    Returns the verdict and the largest ``|[a, b]|_F``.  The verdict cuts that
+    norm at ``tol.commutator`` times the largest ``|g|_F ** 2``, so it does
+    not depend on the units of the generators; all-zero generators commute.
+    """
     gens = [as_complex_matrix(g) for g in generators]
     _common_dimension(gens)
     worst = 0.0
     for a, b in itertools.combinations(gens, 2):
         worst = max(worst, frobenius(commutator(a, b)))
-    return worst <= tol.commutator, worst
+    scale = max(map(frobenius, gens), default=0.0) ** 2
+    return worst <= tol.commutator * scale, worst
 
 
 def classical_wrt_state(rho: np.ndarray, algebra: AlgebraBasis, tol: Tolerances = DEFAULT):

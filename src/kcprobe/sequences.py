@@ -9,9 +9,9 @@ The probabilities of all ``d_P ** n`` sequences come from one batched route,
 :func:`_probabilities`, which :func:`full_distribution` reads directly and
 the witnesses, the oracle and the noise ensembles read through
 :func:`_state_defects`.  It grows level-by-level prefix tensors,
-``R_{k+1}[a d_P + m] = K_m R_k[a]`` (one batched product per step, so index
-``a`` runs over the prefixes in lexicographic order), and reads every
-``tr(rho R^H R)`` at once.
+``R_{k+1}[a d_P + m] = K_m R_k[a]`` (:func:`_grow_prefixes`, one batched
+product per step, so index ``a`` runs over the prefixes in lexicographic
+order), and reads every ``tr(rho R^H R)`` at once.
 Only the trailing steps are batched: a block of prefix tensors holds at most
 :data:`PREFIX_BLOCK_BYTES`, and the leading outcomes are walked block by
 block, so the memory is bounded before anything is allocated.
@@ -28,14 +28,25 @@ only ``d_P + 1`` sequences where the tensor needs ``d_P ** n``.
 Marginalizing the *final* step is trivially consistent by POVM completeness
 and is therefore rejected rather than reported as a substantive check.
 
-:func:`check_kc_all` reads one ``(n, j)`` at a time.  It calls
-:func:`kc_defect_operator` once per entry, in lexicographic order, writes each
-``D`` into one preallocated ``(B, d, d)`` block, and takes the Frobenius
-norms, the finiteness test, every state defect ``tr(rho D)`` and the maxima
-of the block in one step each.  A block holds at most
-``PREFIX_BLOCK_BYTES // (16 d**2)`` entries, so a large ``(n, j)`` is walked
-in chunks and the memory is bounded before anything is allocated.  Each
-entry's values do not depend on how the entries are chunked.
+:func:`check_kc_all` lists every operator defect of each ``(n, j)`` from two
+batched stacks.  With ``a`` the outcomes before step ``j`` and ``b`` those
+after it, ``D[a, b] = pre_a^H M_b pre_a``, where ``pre_a`` is a prefix
+product grown by the same level recursion as the probabilities
+(:func:`_grow_prefixes`), and ``M_b = sum_m K_m^H P_b K_m - P_b`` is the
+defect, under step ``j``'s Kraus operators ``K_m``, of the suffix effect
+``P_b = post_b^H post_b``.  The suffix effects come from the backward
+(Heisenberg-picture) recursion ``P_(m, b) = K_m^H P_b K_m`` of
+:func:`_suffix_effects`, which puts each earlier step in front, so
+flattening ``(a, b)`` lists the entries in the lexicographic order of
+``fixed``.  A block of any of these stacks holds at most
+``PREFIX_BLOCK_BYTES // (16 d**2)`` matrices, and its length is fixed
+before it is built: the trailing suffix steps are batched as far as a block
+allows (their leading outcomes walked one by one), then the trailing prefix
+steps as far as the suffix block leaves room.  The scan's work space thus
+stays below ``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides its entries, and
+an entry's value does not depend on how the entries are chunked.
+:func:`kc_defect_operator` keeps the per-entry route, ``post K_{m_j} pre``
+for one ``fixed``, which the scan agrees with to rounding.
 """
 
 from __future__ import annotations
@@ -161,10 +172,12 @@ def joint_probability(rho: np.ndarray, q, tol: Tolerances = DEFAULT) -> float:
     return float(_born_rule(np.array([np.trace(rho @ mat)]), tol)[0])
 
 
-# Most bytes one block of prefix tensors may hold, ``d_P**L * d**2 * 16`` for
-# the ``L`` trailing steps batched together.  Evaluating a block holds two
-# such tensors, so the work space of :func:`_probabilities` stays below twice
-# this bound.  It only trades speed for memory, so it is not a tolerance.
+# Most bytes one block of prefix tensors, suffix effects or operator defects
+# may hold, ``16 d**2`` for each ``d x d`` complex matrix in it.  Evaluating a
+# block of probabilities holds two prefix tensors, so the work space of
+# :func:`_probabilities` stays below twice this bound, and that of
+# :func:`check_kc_all` below :data:`SCAN_BLOCKS` times it.  It only trades
+# speed for memory, so it is not a tolerance.
 PREFIX_BLOCK_BYTES = 16 * 2**20
 
 
@@ -172,6 +185,56 @@ def _check_capacity(probe_dim: int, n: int, tol: Tolerances) -> None:
     count = probe_dim**n
     if count > tol.enumeration_cap:
         raise CapacityError(f"{probe_dim}^{n} = {count} sequences exceeds cap {tol.enumeration_cap}")
+
+
+def _block_len(d: int) -> int:
+    """How many ``d x d`` complex matrices one block may hold (at least one)."""
+    return max(1, PREFIX_BLOCK_BYTES // (16 * d * d))
+
+
+def _batched_steps(d_p: int, steps: int, count: int) -> int:
+    """The most trailing steps of ``steps`` whose ``d_p ** t`` outcomes fit in ``count``."""
+    t = steps
+    while t > 0 and d_p**t > count:
+        t -= 1
+    return t
+
+
+def _grow_prefixes(protocol: MeasurementProtocol, head: tuple, stop: int):
+    """Kraus products of every outcome sequence of the first ``stop`` steps
+    that starts with the outcomes ``head``, as a ``(d_P ** (stop - len(head)),
+    d, d)`` stack in lexicographic order, or ``None`` if there is no step.
+
+    The products of ``head`` come from :func:`_kraus_product`; each later
+    step is one batched product, ``R_{k+1}[a d_P + m] = K_m R_k[a]``, so the
+    new outcome is the trailing index.  An empty ``head`` starts from the
+    first step's Kraus operators.
+    """
+    d = protocol.system_dim
+    r = _kraus_product(protocol, head)[None] if head else None
+    for k in range(len(head), stop):
+        kraus = np.asarray(protocol.step_measurements[k].kraus)
+        r = kraus if r is None else (kraus @ r[:, None]).reshape(-1, d, d)
+    return r
+
+
+def _suffix_effects(protocol: MeasurementProtocol, start: int, stop: int) -> np.ndarray:
+    """Effects ``P_b = post_b^H post_b`` of every outcome sequence ``b`` of the
+    0-based steps ``start .. stop - 1``, as a ``(d_P ** (stop - start), d, d)``
+    stack in lexicographic order of ``b``.
+
+    Built by the backward (Heisenberg-picture) recursion
+    ``P_(m, b) = K_m^H P_b K_m``, one batched product per step from the last
+    step back, so the new (earlier) step is the leading index.  No step
+    gives the single effect ``1``.
+    """
+    d = protocol.system_dim
+    p = None
+    for k in reversed(range(start, stop)):
+        kraus = np.asarray(protocol.step_measurements[k].kraus)
+        adj = kraus.conj().swapaxes(1, 2)
+        p = adj @ kraus if p is None else (adj[:, None] @ p @ kraus[:, None]).reshape(-1, d, d)
+    return np.eye(d, dtype=complex)[None] if p is None else p
 
 
 def _probabilities(
@@ -187,16 +250,12 @@ def _probabilities(
     d_p, d = protocol.probe_dim, protocol.system_dim
     if rho.shape != (d, d):
         raise ProtocolError(f"state shape {rho.shape} does not match operator {(d, d)}")
-    trailing = n
-    while trailing > 0 and d_p**trailing * d * d * 16 > PREFIX_BLOCK_BYTES:
-        trailing -= 1
+    trailing = _batched_steps(d_p, n, _block_len(d))
     lead = n - trailing
     block = d_p**trailing
     out = np.empty(d_p**n)
     for i, head in enumerate(itertools.product(range(d_p), repeat=lead)):
-        r = _kraus_product(protocol, head)[None]
-        for k in range(lead, n):
-            r = (protocol.step_measurements[k].kraus @ r[:, None]).reshape(-1, d, d)
+        r = _grow_prefixes(protocol, head, n)
         # sum_{k,i} conj((R rho)_{ki}) R_{ki} = conj(tr(rho R^H R))
         r_rho = r @ rho
         np.conjugate(r_rho, out=r_rho)
@@ -369,6 +428,71 @@ def _stack_states(protocol: MeasurementProtocol, rho, tol: Tolerances) -> np.nda
     return np.stack(states).transpose(0, 2, 1).reshape(len(states), d * d)
 
 
+# Most blocks of PREFIX_BLOCK_BYTES that :func:`check_kc_all` holds at once.
+# The most is held while a walked suffix outcome's ``M`` is summed: the suffix
+# effects, the walked effect, ``M`` and two products.  Batched prefixes hold
+# less: ``A`` prefixes and their adjoints, ``B`` suffix effects and their
+# ``M``, and two ``A * B`` blocks of defects, with ``A * B`` at most a block.
+SCAN_BLOCKS = 5
+
+
+def _pull_back(protocol: MeasurementProtocol, effects: np.ndarray, outcomes, start: int) -> np.ndarray:
+    """``C^H P C`` for every effect ``P`` of the stack, with ``C`` the Kraus
+    chain of ``outcomes`` at the 0-based steps ``start, start + 1, ...``,
+    taken one step at a time from the last, as :func:`_suffix_effects` takes
+    them."""
+    for k in reversed(range(len(outcomes))):
+        k_m = protocol.step_measurements[start + k].kraus[outcomes[k]]
+        effects = k_m.conj().T @ effects @ k_m
+    return effects
+
+
+def _effect_defects(kraus: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """``M_b = sum_m K_m^H P_b K_m - P_b`` for every effect ``P_b`` of the stack."""
+    out = -effects
+    for k in kraus:
+        out += k.conj().T @ effects @ k
+    return out
+
+
+def _sandwich(pre, m_ops: np.ndarray) -> np.ndarray:
+    """``D[a, b] = pre_a^H M_b pre_a`` for every ``(a, b)``, ``a`` major (just
+    ``M_b`` if ``pre`` is ``None``), each made Hermitian as
+    :func:`kc_defect_operator` makes it, ``(D + D^H) / 2``."""
+    if pre is None:
+        block = m_ops
+    else:
+        block = pre.conj().swapaxes(1, 2)[:, None] @ (m_ops @ pre[:, None])
+        block = block.reshape(-1, *m_ops.shape[1:])
+    herm = np.conjugate(block.swapaxes(1, 2))
+    herm += block
+    herm /= 2
+    return herm
+
+
+def _defect_blocks(protocol: MeasurementProtocol, n: int, j: int):
+    """Yield every operator defect ``D[a, b] = pre_a^H M_b pre_a`` of one
+    ``(n, j)``, in entry order, as Hermitian ``(B, d, d)`` blocks that each
+    fit in ``PREFIX_BLOCK_BYTES`` (the factorisation and the chunking are
+    described in the module docstring)."""
+    d_p, d = protocol.probe_dim, protocol.system_dim
+    count = _block_len(d)
+    kraus = np.asarray(protocol.step_measurements[j - 1].kraus)
+    suffix = _batched_steps(d_p, n - j, count)
+    effects = _suffix_effects(protocol, n - suffix, n)
+    walked = n - j - suffix  # leading suffix outcomes; if any, a block holds one prefix
+    prefix = _batched_steps(d_p, j - 1, count // len(effects))
+    lead = j - 1 - prefix
+    m_ops = None if walked else _effect_defects(kraus, effects)
+    for head in itertools.product(range(d_p), repeat=lead):
+        pre = _grow_prefixes(protocol, head, j - 1)
+        for outcomes in itertools.product(range(d_p), repeat=walked):
+            if walked:
+                yield _sandwich(pre, _effect_defects(kraus, _pull_back(protocol, effects, outcomes, j)))
+            else:
+                yield _sandwich(pre, m_ops)
+
+
 def check_kc_all(
     protocol: MeasurementProtocol,
     n_max: int,
@@ -385,29 +509,30 @@ def check_kc_all(
     report also notes whether the ``(n=2, j=1)`` conditions already decide
     the verdict on their own.
 
-    Each ``D`` comes from one :func:`kc_defect_operator` call; the entries
-    of one ``(n, j)`` are read as blocks (see the module docstring).
+    Each ``(n, j)`` is factorised into prefix products and suffix effects
+    (see the module docstring), so its defects come out as a few batched
+    products per block, not one :func:`kc_defect_operator` call per entry;
+    each entry agrees with that call to rounding.  The work space stays
+    below ``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides the entries.
     """
     if n_max < 2:
         raise ProtocolError(f"n_max must be at least 2, got {n_max}")
     if n_max > protocol.n_steps:
         raise ProtocolError(f"n_max = {n_max} exceeds protocol length {protocol.n_steps}")
-    d_p, d = protocol.probe_dim, protocol.system_dim
+    d_p = protocol.probe_dim
     _check_capacity(d_p, n_max, tol)
     states = _stack_states(protocol, rho, tol)
-    chunk_len = max(1, PREFIX_BLOCK_BYTES // (16 * d * d))
-    block = np.empty((min(chunk_len, d_p ** (n_max - 1)), d, d), dtype=complex)
     entries = []
     max_defect = 0.0
     max_defect_n2 = 0.0
     max_state = 0.0 if states is not None else None
-    for n in range(2, n_max + 1):
-        for j in range(1, n):
+    pairs = ((n, j) for n in range(2, n_max + 1) for j in range(1, n))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
+        for n, j in pairs:
             all_fixed = itertools.product(range(d_p), repeat=n - 1)
-            while chunk := tuple(itertools.islice(all_fixed, chunk_len)):
-                for i, fixed in enumerate(chunk):
-                    block[i] = kc_defect_operator(protocol, n, j, fixed, tol)
-                defects = block[: len(chunk)].reshape(len(chunk), -1)
+            for block in _defect_blocks(protocol, n, j):
+                chunk = tuple(itertools.islice(all_fixed, len(block)))
+                defects = block.reshape(len(chunk), -1)
                 parts = defects.view(float)  # real and imaginary parts
                 norms = np.sqrt(np.einsum("ak,ak->a", parts, parts))
                 top = float(norms.max())  # NaN if any norm is NaN
@@ -429,6 +554,7 @@ def check_kc_all(
                     KCEntry(n, j, fixed, norm, row)
                     for fixed, norm, row in zip(chunk, norms.tolist(), rows)
                 )
+                del block, defects, parts  # freed before the next block is built, to keep the bound
     verdict = "consistent" if max_defect <= tol.kc else "violated"
     decided = (max_defect_n2 > tol.kc) == (max_defect > tol.kc)
     return KCReport(

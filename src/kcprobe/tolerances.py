@@ -29,7 +29,7 @@ class Tolerances:
     distribution_sum: float = 1e-9
     kc: float = 1e-9                  # operator-defect norm deciding a consistency verdict
     witness: float = 1e-9
-    commutator: float = 1e-10         # pairwise commutator norm deciding commutativity
+    commutator: float = 1e-10         # commutator-norm cut; is_commutative scales it by max |g|_F^2
     closure: float = 1e-9
     nullspace: float = 1e-9           # singular-value cut for commutant computation
     gap: float = 1e-8                 # minimum eigenvalue gap for a nondegenerate effect

@@ -162,6 +162,27 @@ class TestIsCommutative:
             ok_basis, worst = kp.is_commutative(closed.basis)
             assert ok_basis, f"closed basis not commutative: {worst}"
 
+    def test_verdict_does_not_depend_on_the_units(self):
+        # scaling by 1000 multiplies the commutator roundoff by 10^6, far
+        # above an absolute 1e-10 cut; the verdict must not move
+        for seed in range(50):
+            hams = kp.random_model(seed, 2, 4, commuting=True).hamiltonians
+            assert kp.is_commutative(hams)[0]
+            assert kp.is_commutative([1000 * h for h in hams])[0]
+            assert kp.is_commutative([1e-3 * h for h in hams])[0]
+        noncommuting = kp.random_model(0, 2, 4, commuting=False).hamiltonians
+        for scale in (1e-3, 1.0, 1e3):
+            assert not kp.is_commutative([scale * h for h in noncommuting])[0]
+
+    def test_worst_is_the_absolute_commutator_norm(self):
+        ok, worst = kp.is_commutative([1000 * SIGMA_Z, 1000 * SIGMA_X])
+        assert not ok
+        assert worst == frobenius(kp.commutator(1000 * SIGMA_Z, 1000 * SIGMA_X))
+
+    def test_zero_generators_commute(self):
+        zero = np.zeros((2, 2), dtype=complex)
+        assert kp.is_commutative([zero, zero]) == (True, 0.0)
+
 
 class TestClassicalWrtState:
     def test_commutative_algebra_any_state(self):

@@ -1247,6 +1247,20 @@ def test_shipped_config_exit_code(tmp_path, capsys, config, command, code):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [42, *range(8)])  # 42 is the shipped seed
+def test_commuting_config_at_a_thousand_times_the_energy_scale_passes(tmp_path, capsys, seed):
+    # H -> 1000 H with t -> t / 1000 leaves every unitary as it was, so the
+    # verdicts and the `commutative: true` expectation must hold as well
+    cfg = json.loads((CONFIGS / "commuting_random.json").read_text())
+    cfg["scenario"].update(seed=seed, scale=1000, step_time=0.001)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    algebra = read_report(out / "report.json")["results"]["algebra"]
+    assert algebra["commutative"] is True
+    assert algebra["dimension"] == 4
+
+
 FORMS = ("axes", "meter_bases", "fourier_steps")
 RESOLVER_CASES = [
     (form, d, prep, times)

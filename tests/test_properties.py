@@ -1,0 +1,84 @@
+"""Property tests on small models drawn near and far from the numerical cuts.
+
+Every example draws a model with ``d_P`` 2-3 and ``d_S`` 1-4 from one of four
+families:
+
+- ``far``: independent random Hermitian generators, far from every cut;
+- ``commuting``: generators diagonal in one shared Haar basis;
+- ``near_cut``: a commuting family plus a random rest of relative size
+  1e-12..1e-8, the whole scaled by 1e-3..1e3 (with the step time divided by
+  the same scale, so the unitaries stay alike);
+- ``resonant``: integer spectra, each in its own Haar basis, at
+  ``t`` in ``{pi, 2 pi}``, where every unitary is ``+-1`` on each eigenspace.
+
+A protocol of three random meter bases and a random preparation reads the
+model, at equal step times or at three unequal ones.  The draws are
+derandomised, so every run checks the same examples.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+import kcprobe as kp
+
+from conftest import random_density, random_hermitian
+
+FAMILIES = ("far", "commuting", "near_cut", "resonant")
+N_STEPS = 3
+
+
+def commuting_family(rng, d_p, d_s):
+    v = kp.haar_unitary(d_s, rng)
+    return [(v * rng.uniform(-1.0, 1.0, d_s)) @ v.conj().T for _ in range(d_p)]
+
+
+def family_model(family, seed, d_p, d_s):
+    rng = np.random.default_rng(seed)
+    t = float(rng.uniform(0.3, 2.0))
+    if family == "far":
+        hams = [random_hermitian(rng, d_s) for _ in range(d_p)]
+    elif family == "commuting":
+        hams = commuting_family(rng, d_p, d_s)
+    elif family == "near_cut":
+        scale = 10 ** rng.uniform(-3.0, 3.0)
+        rest = 10 ** rng.uniform(-12.0, -8.0)
+        hams = [scale * (h + rest * random_hermitian(rng, d_s)) for h in commuting_family(rng, d_p, d_s)]
+        t /= scale
+    else:
+        hams = []
+        for _ in range(d_p):
+            v = kp.haar_unitary(d_s, rng)
+            hams.append((v * rng.integers(-3, 4, d_s)) @ v.conj().T)
+        t = float(rng.choice([np.pi, 2 * np.pi]))
+    hams = tuple((h + h.conj().T) / 2 for h in hams)
+    return kp.DephasingModel(d_p, d_s, hams, t), rng
+
+
+def family_protocol(family, seed, d_p, d_s, unequal_times):
+    model, rng = family_model(family, seed, d_p, d_s)
+    labels = tuple(map(str, range(d_p)))
+    bases = tuple(kp.MeterBasis(kp.haar_unitary(d_p, rng), labels) for _ in range(N_STEPS))
+    amps = rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)
+    times = tuple(model.step_time * f for f in (1.0, 0.5, 1.5)) if unequal_times else None
+    protocol = kp.MeasurementProtocol(model, kp.PreparationState(amps / np.linalg.norm(amps)), bases, times)
+    return protocol, random_density(rng, d_s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3),
+    st.integers(1, 4),
+    st.booleans(),
+)
+@example("near_cut", 3, 3, 4, True)
+@example("resonant", 5, 2, 3, True)
+def test_scan_state_defects_match_the_single_entry_route(family, seed, d_p, d_s, unequal_times):
+    """``tr(rho D)`` of every ``check_kc_all`` entry is ``kc_defect_state``."""
+    protocol, rho = family_protocol(family, seed, d_p, d_s, unequal_times)
+    report = kp.check_kc_all(protocol, N_STEPS, rho)
+    assert len(report.entries) == sum((n - 1) * d_p ** (n - 1) for n in range(2, N_STEPS + 1))
+    for e in report.entries:
+        (got,) = e.state_defects
+        assert abs(got - kp.kc_defect_state(protocol, rho, e.n, e.j, e.fixed)) <= 1e-12

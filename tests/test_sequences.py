@@ -14,7 +14,8 @@ from kcprobe.errors import (
     ProtocolError,
 )
 from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
-from kcprobe.sequences import PREFIX_BLOCK_BYTES, _probabilities, _state_defects
+from kcprobe.sequences import PREFIX_BLOCK_BYTES, SCAN_BLOCKS, _probabilities, _state_defects
+from kcprobe.serialize import canonical_json
 
 from conftest import random_density, zero_amplitude_cycle
 
@@ -408,11 +409,10 @@ class TestCheckKCAll:
         assert report.verdict == "consistent"
         assert report.max_operator_defect <= 1e-10
 
-    def test_non_finite_defect_is_a_numerical_fault(self, y_protocol, monkeypatch):
-        nan_defect = lambda *args: np.full((2, 2), np.nan)  # noqa: E731
-        monkeypatch.setattr("kcprobe.sequences.kc_defect_operator", nan_defect)
+    def test_non_finite_defect_is_a_numerical_fault(self, y_protocol):
+        protocol = poisoned_protocol(y_protocol, 1, 0, np.nan)
         with pytest.raises(NumericalFault, match=r"at n=2, j=1, fixed=\(0,\) is not finite"):
-            kp.check_kc_all(y_protocol, 2)
+            kp.check_kc_all(protocol, 2)
 
     def test_state_defects_recorded(self, y_protocol, plus_y_state):
         report = kp.check_kc_all(y_protocol, 2, (plus_y_state, I2 / 2))
@@ -512,22 +512,44 @@ def block_scan_ensemble():
     return cases
 
 
+def poisoned_protocol(protocol, step, outcome, value):
+    """``protocol``'s Kraus data, with Kraus operator ``outcome`` of the 0-based
+    ``step`` filled with ``value``."""
+    steps = []
+    for k, measurement in enumerate(protocol.step_measurements):
+        kraus = np.array(measurement.kraus)
+        if k == step:
+            kraus[outcome] = value
+        steps.append(SimpleNamespace(kraus=kraus))
+    return SimpleNamespace(
+        probe_dim=protocol.probe_dim,
+        system_dim=protocol.system_dim,
+        n_steps=protocol.n_steps,
+        step_measurements=tuple(steps),
+    )
+
+
+def scan_order(d_p, n_max):
+    return [
+        (n, j, fixed)
+        for n in range(2, n_max + 1)
+        for j in range(1, n)
+        for fixed in itertools.product(range(d_p), repeat=n - 1)
+    ]
+
+
 class TestBlockScan:
-    """``check_kc_all`` reads each ``(n, j)`` as one block of per-entry defects."""
+    """``check_kc_all`` reads each ``(n, j)`` as blocks of factorised defects."""
 
-    def test_one_defect_operator_call_per_entry_in_entry_order(self, monkeypatch):
+    def test_every_entry_is_the_defect_operator_in_entry_order(self):
         protocol = kp.fourier_protocol(kp.random_model(3, 3, 2, commuting=False), 4)
-        calls = []
-        single = kp.kc_defect_operator
-
-        def counted(protocol, n, j, fixed, tol=kp.DEFAULT):
-            calls.append((n, j, tuple(fixed)))
-            return single(protocol, n, j, fixed, tol)
-
-        monkeypatch.setattr("kcprobe.sequences.kc_defect_operator", counted)
         report = kp.check_kc_all(protocol, 4)
-        assert calls == [(e.n, e.j, e.fixed) for e in report.entries]
-        assert len(calls) == sum((n - 1) * 3 ** (n - 1) for n in (2, 3, 4))
+        order = scan_order(3, 4)
+        assert len(order) == sum((n - 1) * 3 ** (n - 1) for n in (2, 3, 4))
+        assert [(e.n, e.j, e.fixed) for e in report.entries] == order
+        for e in report.entries:
+            norm = frobenius(kp.kc_defect_operator(protocol, e.n, e.j, e.fixed))
+            assert abs(e.operator_defect - norm) <= 1e-15 * max(1.0, norm)
 
     def test_entries_match_the_single_entry_routes(self):
         for protocol, states in block_scan_ensemble():
@@ -545,25 +567,49 @@ class TestBlockScan:
 
     @pytest.mark.parametrize("block_bytes", [1, 16 * 4 * 3, 16 * 4 * 5])
     def test_chunked_scan_gives_the_same_report(self, monkeypatch, block_bytes):
+        # d_P = 3, d = 2: one, three or five matrices a block, so prefixes and
+        # leading suffix outcomes are walked
         protocol = kp.fourier_protocol(kp.random_model(5, 3, 2, commuting=False), 4)
         states = [I2 / 2, random_density(np.random.default_rng(5), 2)]
-        want = kp.check_kc_all(protocol, 4, states).to_dict()
+        want = canonical_json(kp.check_kc_all(protocol, 4, states).to_dict())
         monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
-        assert kp.check_kc_all(protocol, 4, states).to_dict() == want
+        assert canonical_json(kp.check_kc_all(protocol, 4, states).to_dict()) == want
 
     @pytest.mark.parametrize("block_bytes", [1, 16 * 4 * 2, PREFIX_BLOCK_BYTES])
-    def test_non_finite_defect_names_the_first_bad_entry(self, y_protocol, monkeypatch, block_bytes):
-        single = kp.kc_defect_operator
-
-        def defect(protocol, n, j, fixed, tol=kp.DEFAULT):
-            if (n, j) == (3, 2) and fixed[0] == 1:
-                return np.full((2, 2), np.inf if fixed[1] else np.nan)
-            return single(protocol, n, j, fixed, tol)
-
-        monkeypatch.setattr("kcprobe.sequences.kc_defect_operator", defect)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_defect_names_the_first_bad_entry(self, y_protocol, monkeypatch, block_bytes, value):
+        # only the last step's second Kraus operator is bad, so the first bad
+        # entry is the second one of (n, j) = (3, 1), inside its block
+        protocol = poisoned_protocol(y_protocol, 2, 1, value)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the products
+            first = next(
+                (n, j, fixed)
+                for n, j, fixed in scan_order(2, 3)
+                if not np.isfinite(kp.kc_defect_operator(protocol, n, j, fixed)).all()
+            )
+        assert first == (3, 1, (0, 1))
         monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
-        with pytest.raises(NumericalFault, match=r"at n=3, j=2, fixed=\(1, 0\) is not finite"):
-            kp.check_kc_all(y_protocol, 3, I2 / 2)
+        with pytest.raises(NumericalFault, match=r"at n=3, j=1, fixed=\(0, 1\) is not finite"):
+            kp.check_kc_all(protocol, 3, I2 / 2)
+
+    def test_memory_stays_within_the_block_bound(self, monkeypatch):
+        block_bytes = 2**16  # 16 matrices of 16 x 16
+        d_s, n = 16, 9
+        assert 2 ** (n - 1) * d_s * d_s * 16 >= 16 * block_bytes  # unchunked, one (n, j) is 1 MiB
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        protocol = kp.qubit_xy_protocol(kp.random_model(8, 2, d_s, commuting=False), "XY" * 5)
+        states = [np.eye(d_s, dtype=complex) / d_s]
+        tracemalloc.start()
+        try:
+            report = kp.check_kc_all(protocol, n, states)
+            entry_bytes, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        entries = len(report.entries)
+        assert entries == len(scan_order(2, n))
+        # besides the entries, the scan holds its blocks and the list of
+        # entries that becomes the report's tuple
+        assert peak - entry_bytes <= SCAN_BLOCKS * block_bytes + 16 * entries
 
 
 class TestFixedPointCheck:
