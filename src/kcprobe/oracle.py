@@ -25,8 +25,9 @@ from .tolerances import DEFAULT, Tolerances
 
 
 def _outcomes(protocol: MeasurementProtocol, seq) -> tuple[int, ...]:
-    """``seq`` as integer outcomes in ``0..d_P - 1``; a label such as ``0.9``
-    raises :class:`LabelError` instead of being truncated."""
+    """``seq`` as integer outcomes in ``0..d_P - 1`` of ``1..n_steps`` steps;
+    a label such as ``0.9`` raises :class:`LabelError` instead of being
+    truncated, and an empty or too long sequence :class:`ProtocolError`."""
     try:
         seq = tuple(map(operator.index, seq))
     except TypeError:
@@ -34,6 +35,8 @@ def _outcomes(protocol: MeasurementProtocol, seq) -> tuple[int, ...]:
     for k, m in enumerate(seq):
         if not 0 <= m < protocol.probe_dim:
             raise LabelError(f"outcome {m} at position {k + 1} is not in 0..{protocol.probe_dim - 1}")
+    if not 1 <= len(seq) <= protocol.n_steps:
+        raise ProtocolError(f"{len(seq)} outcomes for a protocol of {protocol.n_steps} steps")
     return seq
 
 
@@ -52,6 +55,8 @@ def naive_sequence_probability(protocol: MeasurementProtocol, rho: np.ndarray, s
 
 
 def naive_distribution(protocol: MeasurementProtocol, rho: np.ndarray, n: int, tol: Tolerances = DEFAULT) -> dict:
+    if not 1 <= n <= protocol.n_steps:
+        raise ProtocolError(f"n = {n} not in 1..{protocol.n_steps}")
     _check_capacity(protocol.probe_dim, n, tol)
     return {
         seq: _chain_probability(protocol, rho, seq)
@@ -62,8 +67,19 @@ def naive_distribution(protocol: MeasurementProtocol, rho: np.ndarray, n: int, t
 def naive_kc_defect(
     protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, fixed
 ) -> float:
-    """Consistency defect assembled purely from naive sequence probabilities."""
+    """Consistency defect assembled purely from naive sequence probabilities.
+
+    ``(n, j)`` must be a substantive condition, ``2 <= n <= n_steps`` and
+    ``1 <= j <= n - 1``, and ``fixed`` must hold ``n - 1`` outcomes; else
+    :class:`ProtocolError`.
+    """
+    if not 2 <= n <= protocol.n_steps:
+        raise ProtocolError(f"n = {n} not in 2..{protocol.n_steps}")
+    if not 1 <= j <= n - 1:
+        raise ProtocolError(f"j = {j} not in 1..{n - 1} (the final step's defect is 0 by completeness)")
     fixed = _outcomes(protocol, fixed)
+    if len(fixed) != n - 1:
+        raise ProtocolError(f"need {n - 1} fixed outcomes, got {len(fixed)}")
     total = 0.0
     for m_j in range(protocol.probe_dim):
         seq = fixed[: j - 1] + (m_j,) + fixed[j - 1 :]

@@ -18,6 +18,7 @@ from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .model import (
     DephasingModel,
     MeasurementProtocol,
+    conditional_unitaries,
     fourier_protocol,
     qubit_xy_protocol,
 )
@@ -283,7 +284,8 @@ def _evaluate_candidate(model, axis, t, source, seed, index, tol) -> Counterexam
             return None
         gaps.append(gap)
     commutative, worst = is_commutative(candidate.hamiltonians, tol)
-    if commutative:
+    # commuting unitaries (as at t = 0) make every defect exactly 0
+    if commutative or is_commutative(conditional_unitaries(candidate), tol)[0]:
         return None
     report = check_kc_all(protocol, 3, tol=tol)
     if not report.consistent:

@@ -29,22 +29,23 @@ Marginalizing the *final* step is trivially consistent by POVM completeness
 and is therefore rejected rather than reported as a substantive check.
 
 :func:`check_kc_all` lists every operator defect of each ``(n, j)`` from two
-batched stacks.  With ``a`` the outcomes before step ``j`` and ``b`` those
-after it, ``D[a, b] = pre_a^H M_b pre_a``, where ``pre_a`` is a prefix
-product grown by the same level recursion as the probabilities
-(:func:`_grow_prefixes`), and ``M_b = sum_m K_m^H P_b K_m - P_b`` is the
-defect, under step ``j``'s Kraus operators ``K_m``, of the suffix effect
-``P_b = post_b^H post_b``.  The suffix effects come from the backward
-(Heisenberg-picture) recursion ``P_(m, b) = K_m^H P_b K_m`` of
-:func:`_suffix_effects`, which puts each earlier step in front, so
+primitives.  :func:`_grow_prefixes` makes every batched stack of Kraus
+products by the level recursion above, and :func:`_pull_back` makes every
+Heisenberg step ``C^H X C`` of a stack.  With ``a`` the outcomes before
+step ``j`` and ``b`` those after it, ``D[a, b] = pre_a^H M_b pre_a``: the
+suffix products ``post_b`` (grown from step ``j + 1``) give the effects
+``P_b = post_b^H post_b``, step ``j``'s Kraus operators ``K_m`` pull them
+back to ``M_b = sum_m K_m^H P_b K_m - P_b``, and the prefix products
+``pre_a`` pull ``M_b`` back to ``D[a, b]``, with ``a`` leading, so
 flattening ``(a, b)`` lists the entries in the lexicographic order of
-``fixed``.  A block of any of these stacks holds at most
-``PREFIX_BLOCK_BYTES // (16 d**2)`` matrices, and its length is fixed
-before it is built: the trailing suffix steps are batched as far as a block
-allows (their leading outcomes walked one by one), then the trailing prefix
-steps as far as the suffix block leaves room.  The scan's work space thus
-stays below ``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides its entries, and
-an entry's value does not depend on how the entries are chunked.
+``fixed``.  A stack of suffix products or of defects holds at most
+``PREFIX_BLOCK_BYTES // (16 d**2 d_P)`` matrices (at least one), and its
+length is fixed before it is built: the trailing suffix steps are batched
+as far as that allows, their leading outcomes walked as the ``head`` of
+the suffix recursion, then the trailing prefix steps as far as the suffix
+stack leaves room.  The scan's work space thus stays below
+``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides its entries, and an entry's
+value does not depend on how the entries are chunked.
 :func:`kc_defect_operator` keeps the per-entry route, ``post K_{m_j} pre``
 for one ``fixed``, which the scan agrees with to rounding.
 """
@@ -172,7 +173,7 @@ def joint_probability(rho: np.ndarray, q, tol: Tolerances = DEFAULT) -> float:
     return float(_born_rule(np.array([np.trace(rho @ mat)]), tol)[0])
 
 
-# Most bytes one block of prefix tensors, suffix effects or operator defects
+# Most bytes one block of Kraus products, suffix effects or operator defects
 # may hold, ``16 d**2`` for each ``d x d`` complex matrix in it.  Evaluating a
 # block of probabilities holds two prefix tensors, so the work space of
 # :func:`_probabilities` stays below twice this bound, and that of
@@ -200,41 +201,35 @@ def _batched_steps(d_p: int, steps: int, count: int) -> int:
     return t
 
 
-def _grow_prefixes(protocol: MeasurementProtocol, head: tuple, stop: int):
-    """Kraus products of every outcome sequence of the first ``stop`` steps
-    that starts with the outcomes ``head``, as a ``(d_P ** (stop - len(head)),
-    d, d)`` stack in lexicographic order, or ``None`` if there is no step.
+def _grow_prefixes(protocol: MeasurementProtocol, head: tuple, stop: int, start: int = 0):
+    """Kraus products of every outcome sequence of the 0-based steps
+    ``start .. stop - 1`` that starts with the outcomes ``head``, as a
+    ``(d_P ** (stop - start - len(head)), d, d)`` stack in lexicographic
+    order, or ``None`` if there is no step.
 
-    The products of ``head`` come from :func:`_kraus_product`; each later
+    The product of ``head`` comes from :func:`_kraus_product`; each later
     step is one batched product, ``R_{k+1}[a d_P + m] = K_m R_k[a]``, so the
-    new outcome is the trailing index.  An empty ``head`` starts from the
-    first step's Kraus operators.
+    new outcome is the trailing index.  An empty ``head`` starts from step
+    ``start``'s Kraus operators.  Every batched Kraus product of this module
+    comes from here: the prefixes of the probabilities and of the defects,
+    and the suffixes of the defects.
     """
     d = protocol.system_dim
-    r = _kraus_product(protocol, head)[None] if head else None
-    for k in range(len(head), stop):
+    r = _kraus_product(protocol, head, start)[None] if head else None
+    for k in range(start + len(head), stop):
         kraus = np.asarray(protocol.step_measurements[k].kraus)
         r = kraus if r is None else (kraus @ r[:, None]).reshape(-1, d, d)
     return r
 
 
-def _suffix_effects(protocol: MeasurementProtocol, start: int, stop: int) -> np.ndarray:
-    """Effects ``P_b = post_b^H post_b`` of every outcome sequence ``b`` of the
-    0-based steps ``start .. stop - 1``, as a ``(d_P ** (stop - start), d, d)``
-    stack in lexicographic order of ``b``.
-
-    Built by the backward (Heisenberg-picture) recursion
-    ``P_(m, b) = K_m^H P_b K_m``, one batched product per step from the last
-    step back, so the new (earlier) step is the leading index.  No step
-    gives the single effect ``1``.
-    """
-    d = protocol.system_dim
-    p = None
-    for k in reversed(range(start, stop)):
-        kraus = np.asarray(protocol.step_measurements[k].kraus)
-        adj = kraus.conj().swapaxes(1, 2)
-        p = adj @ kraus if p is None else (adj[:, None] @ p @ kraus[:, None]).reshape(-1, d, d)
-    return np.eye(d, dtype=complex)[None] if p is None else p
+def _pull_back(products: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """The Heisenberg step ``C_c^H X_b C_c`` for every product ``C_c`` of the
+    stack ``products`` and every ``X_b`` of the stack ``x``, as a
+    ``(len(products), len(x), d, d)`` array with ``c`` leading; ``x`` itself
+    if ``products`` is ``None``."""
+    if products is None:
+        return x
+    return products.conj().swapaxes(1, 2)[:, None] @ (x @ products[:, None])
 
 
 def _probabilities(
@@ -429,68 +424,29 @@ def _stack_states(protocol: MeasurementProtocol, rho, tol: Tolerances) -> np.nda
 
 
 # Most blocks of PREFIX_BLOCK_BYTES that :func:`check_kc_all` holds at once.
-# The most is held while a walked suffix outcome's ``M`` is summed: the suffix
-# effects, the walked effect, ``M`` and two products.  Batched prefixes hold
-# less: ``A`` prefixes and their adjoints, ``B`` suffix effects and their
-# ``M``, and two ``A * B`` blocks of defects, with ``A * B`` at most a block.
-SCAN_BLOCKS = 5
-
-
-def _pull_back(protocol: MeasurementProtocol, effects: np.ndarray, outcomes, start: int) -> np.ndarray:
-    """``C^H P C`` for every effect ``P`` of the stack, with ``C`` the Kraus
-    chain of ``outcomes`` at the 0-based steps ``start, start + 1, ...``,
-    taken one step at a time from the last, as :func:`_suffix_effects` takes
-    them."""
-    for k in reversed(range(len(outcomes))):
-        k_m = protocol.step_measurements[start + k].kraus[outcomes[k]]
-        effects = k_m.conj().T @ effects @ k_m
-    return effects
-
-
-def _effect_defects(kraus: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    """``M_b = sum_m K_m^H P_b K_m - P_b`` for every effect ``P_b`` of the stack."""
-    out = -effects
-    for k in kraus:
-        out += k.conj().T @ effects @ k
-    return out
-
-
-def _sandwich(pre, m_ops: np.ndarray) -> np.ndarray:
-    """``D[a, b] = pre_a^H M_b pre_a`` for every ``(a, b)``, ``a`` major (just
-    ``M_b`` if ``pre`` is ``None``), each made Hermitian as
-    :func:`kc_defect_operator` makes it, ``(D + D^H) / 2``."""
-    if pre is None:
-        block = m_ops
-    else:
-        block = pre.conj().swapaxes(1, 2)[:, None] @ (m_ops @ pre[:, None])
-        block = block.reshape(-1, *m_ops.shape[1:])
-    herm = np.conjugate(block.swapaxes(1, 2))
-    herm += block
-    herm /= 2
-    return herm
+# Its stacks of suffix products, suffix effects and defects hold at most
+# ``1 / d_P`` of a block each, so the most is held while step ``j`` pulls the
+# suffix effects back: the effects, and two products ``d_P`` times as long.
+SCAN_BLOCKS = 3
 
 
 def _defect_blocks(protocol: MeasurementProtocol, n: int, j: int):
     """Yield every operator defect ``D[a, b] = pre_a^H M_b pre_a`` of one
-    ``(n, j)``, in entry order, as Hermitian ``(B, d, d)`` blocks that each
-    fit in ``PREFIX_BLOCK_BYTES`` (the factorisation and the chunking are
-    described in the module docstring)."""
+    ``(n, j)``, in entry order, as ``(B, d, d)`` blocks, not yet made
+    Hermitian (the factorisation and the chunking are described in the
+    module docstring)."""
     d_p, d = protocol.probe_dim, protocol.system_dim
-    count = _block_len(d)
+    count = _block_len(d) // d_p
     kraus = np.asarray(protocol.step_measurements[j - 1].kraus)
     suffix = _batched_steps(d_p, n - j, count)
-    effects = _suffix_effects(protocol, n - suffix, n)
-    walked = n - j - suffix  # leading suffix outcomes; if any, a block holds one prefix
-    prefix = _batched_steps(d_p, j - 1, count // len(effects))
-    lead = j - 1 - prefix
-    m_ops = None if walked else _effect_defects(kraus, effects)
-    for head in itertools.product(range(d_p), repeat=lead):
-        pre = _grow_prefixes(protocol, head, j - 1)
-        for outcomes in itertools.product(range(d_p), repeat=walked):
-            if walked:
-                yield _sandwich(pre, _effect_defects(kraus, _pull_back(protocol, effects, outcomes, j)))
-            else:
-                yield _sandwich(pre, m_ops)
+    prefix = _batched_steps(d_p, j - 1, count // d_p**suffix)
+    for head in itertools.product(range(d_p), repeat=j - 1 - prefix):
+        for b_head in itertools.product(range(d_p), repeat=n - j - suffix):
+            post = _grow_prefixes(protocol, b_head, n, start=j)
+            m_ops = post.conj().swapaxes(1, 2) @ post  # the suffix effects P_b
+            del post  # freed before the pull-back, to keep the bound
+            m_ops = _pull_back(kraus, m_ops).sum(axis=0) - m_ops
+            yield _pull_back(_grow_prefixes(protocol, head, j - 1), m_ops).reshape(-1, d, d)
 
 
 def check_kc_all(
@@ -509,11 +465,12 @@ def check_kc_all(
     report also notes whether the ``(n=2, j=1)`` conditions already decide
     the verdict on their own.
 
-    Each ``(n, j)`` is factorised into prefix products and suffix effects
-    (see the module docstring), so its defects come out as a few batched
-    products per block, not one :func:`kc_defect_operator` call per entry;
-    each entry agrees with that call to rounding.  The work space stays
-    below ``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides the entries.
+    Each ``(n, j)`` is factorised into prefix and suffix products (see the
+    module docstring), so its defects come out as a few batched products per
+    block, not one :func:`kc_defect_operator` call per entry; each entry
+    agrees with that call to rounding and is made Hermitian as that call
+    makes it.  The work space stays below ``SCAN_BLOCKS * PREFIX_BLOCK_BYTES``
+    besides the entries.
     """
     if n_max < 2:
         raise ProtocolError(f"n_max must be at least 2, got {n_max}")
@@ -532,7 +489,12 @@ def check_kc_all(
             all_fixed = itertools.product(range(d_p), repeat=n - 1)
             for block in _defect_blocks(protocol, n, j):
                 chunk = tuple(itertools.islice(all_fixed, len(block)))
-                defects = block.reshape(len(chunk), -1)
+                # Hermitian as kc_defect_operator makes it, (D + D^H) / 2
+                defects = np.conjugate(block.swapaxes(1, 2))
+                defects += block
+                defects /= 2
+                del block
+                defects = defects.reshape(len(chunk), -1)
                 parts = defects.view(float)  # real and imaginary parts
                 norms = np.sqrt(np.einsum("ak,ak->a", parts, parts))
                 top = float(norms.max())  # NaN if any norm is NaN
@@ -554,7 +516,7 @@ def check_kc_all(
                     KCEntry(n, j, fixed, norm, row)
                     for fixed, norm, row in zip(chunk, norms.tolist(), rows)
                 )
-                del block, defects, parts  # freed before the next block is built, to keep the bound
+                del defects, parts  # freed before the next block is built, to keep the bound
     verdict = "consistent" if max_defect <= tol.kc else "violated"
     decided = (max_defect_n2 > tol.kc) == (max_defect > tol.kc)
     return KCReport(
@@ -587,7 +549,9 @@ def fixed_point_check(
     commuting with every conditional Hamiltonian; both sides are evaluated
     and a disagreement beyond tolerance raises :class:`NumericalFault`
     (e.g. at resonant step times where the unitaries commute with ``a``
-    but the Hamiltonians do not).
+    but the Hamiltonians do not).  The commutator side cuts
+    ``max_i |[H_i, a]|_F`` at ``tol.commutator * max_i |H_i|_F * |a|_F``, so
+    it does not depend on the units of ``H`` or of ``a``.
     """
     probs = np.abs(preparation.amplitudes) ** 2
     if float(probs.min()) <= 1e-12:
@@ -598,7 +562,8 @@ def fixed_point_check(
     map_defect = frobenius(mapped - np.asarray(a, dtype=complex))
     is_fixed = map_defect <= tol.fixed_point
     norms = tuple(frobenius(commutator(h, a)) for h in model.hamiltonians)
-    commutes = max(norms) <= tol.commutator
+    scale = max(map(frobenius, model.hamiltonians)) * frobenius(a)
+    commutes = max(norms) <= tol.commutator * scale
     if is_fixed != commutes:
         raise NumericalFault(
             f"fixed-point predicate ({map_defect:.3e}) and commutator predicate "

@@ -29,7 +29,7 @@ class Tolerances:
     distribution_sum: float = 1e-9
     kc: float = 1e-9                  # operator-defect norm deciding a consistency verdict
     witness: float = 1e-9
-    commutator: float = 1e-10         # commutator-norm cut; is_commutative scales it by max |g|_F^2
+    commutator: float = 1e-10         # commutator-norm cut; is_commutative, fixed_point_check scale it by norms
     closure: float = 1e-9
     nullspace: float = 1e-9           # singular-value cut for commutant computation
     gap: float = 1e-8                 # minimum eigenvalue gap for a nondegenerate effect

@@ -117,3 +117,41 @@ def test_naive_routes_refuse_labels_the_fast_route_refuses(y_protocol, route):
         call(y_protocol, (0, 2))
     with pytest.raises(LabelError, match="outcome -1 at position 1"):
         call(y_protocol, (-1, 0))
+
+
+# Each naive route also checks its own lengths and (n, j), in code of its own,
+# where it used to raise IndexError or answer a question the fast route refuses.
+@pytest.mark.parametrize("route", ["naive_sequence_probability", "effect_product_probability"])
+@pytest.mark.parametrize("seq", [(), (0, 1, 0, 1)])
+def test_naive_probabilities_refuse_a_length_the_protocol_lacks(y_protocol, route, seq):
+    with pytest.raises(ProtocolError, match=f"^{len(seq)} outcomes for a protocol of 3 steps$"):
+        NAIVE_ROUTES[route](y_protocol, seq)
+
+
+@pytest.mark.parametrize("fixed", [(0,), (0, 1, 0)])
+def test_naive_kc_defect_refuses_a_wrong_length_fixed(y_protocol, fixed):
+    with pytest.raises(ProtocolError, match=f"^need 2 fixed outcomes, got {len(fixed)}$"):
+        kp.naive_kc_defect(y_protocol, I2 / 2, 3, 1, fixed)
+
+
+@pytest.mark.parametrize(
+    "n, j, message",
+    [
+        (3, 3, "j = 3 not in 1..2"),
+        (3, 0, "j = 0 not in 1..2"),
+        (1, 1, "n = 1 not in 2..3"),
+        (4, 1, "n = 4 not in 2..3"),
+    ],
+)
+def test_naive_kc_defect_refuses_what_the_fast_route_refuses(y_protocol, n, j, message):
+    fixed = (0,) * (n - 1)
+    with pytest.raises(ProtocolError):
+        kp.kc_defect_state(y_protocol, I2 / 2, n, j, fixed)
+    with pytest.raises(ProtocolError, match=f"^{message}"):
+        kp.naive_kc_defect(y_protocol, I2 / 2, n, j, fixed)
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_naive_distribution_refuses_n_outside_the_protocol(y_protocol, n):
+    with pytest.raises(ProtocolError, match=f"^n = {n} not in 1..3$"):
+        kp.naive_distribution(y_protocol, I2 / 2, n)

@@ -14,6 +14,10 @@ families:
 A protocol of three random meter bases and a random preparation reads the
 model, at equal step times or at three unequal ones.  The draws are
 derandomised, so every run checks the same examples.
+
+The scan must not depend on the units of the generators (``H -> c H`` with
+``t -> t / c``) nor on a common shift ``H_i -> H_i + s 1``, which only
+multiplies every Kraus operator of a step by one phase.
 """
 
 import numpy as np
@@ -54,8 +58,12 @@ def family_model(family, seed, d_p, d_s):
     return kp.DephasingModel(d_p, d_s, hams, t), rng
 
 
-def family_protocol(family, seed, d_p, d_s, unequal_times):
+def family_protocol(family, seed, d_p, d_s, unequal_times, scale=1.0, shift=0.0):
+    """The protocol of one draw, read on the generators ``scale * H_i + shift * 1``
+    at the step times divided by ``scale``, and a random state."""
     model, rng = family_model(family, seed, d_p, d_s)
+    hams = tuple(scale * h + shift * np.eye(d_s) for h in model.hamiltonians)
+    model = kp.DephasingModel(d_p, d_s, hams, model.step_time / scale)
     labels = tuple(map(str, range(d_p)))
     bases = tuple(kp.MeterBasis(kp.haar_unitary(d_p, rng), labels) for _ in range(N_STEPS))
     amps = rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)
@@ -82,3 +90,28 @@ def test_scan_state_defects_match_the_single_entry_route(family, seed, d_p, d_s,
     for e in report.entries:
         (got,) = e.state_defects
         assert abs(got - kp.kc_defect_state(protocol, rho, e.n, e.j, e.fixed)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3),
+    st.integers(1, 4),
+    st.booleans(),
+    st.sampled_from([1e-3, 1e3]),
+    st.floats(-5.0, 5.0),
+)
+def test_scan_does_not_depend_on_the_units_or_a_common_shift(
+    family, seed, d_p, d_s, unequal_times, scale, shift
+):
+    """Every entry norm moves by at most 1e-12, and the verdict not at all."""
+    protocol, _ = family_protocol(family, seed, d_p, d_s, unequal_times)
+    report = kp.check_kc_all(protocol, N_STEPS)
+    if family == "commuting":
+        assert report.consistent
+    norms = np.array([e.operator_defect for e in report.entries])
+    for moved in ({"scale": scale}, {"shift": shift}):
+        other = kp.check_kc_all(family_protocol(family, seed, d_p, d_s, unequal_times, **moved)[0], N_STEPS)
+        assert other.verdict == report.verdict
+        assert np.abs(np.array([e.operator_defect for e in other.entries]) - norms).max() <= 1e-12

@@ -209,6 +209,18 @@ class TestCounterexampleSearch:
         findings = kp.counterexample_search(0, 1, t_grid=(np.pi / 2,), include=[(model, "X")])
         assert [f for f in findings if f.source == "include"] == []
 
+    @pytest.mark.parametrize("t", [0.0, 1e-320])
+    def test_a_time_with_commuting_unitaries_gives_no_finding(self, t):
+        # with no evolution every defect is exactly 0, so a finding is vacuous
+        assert kp.counterexample_search(3, 5, t_grid=(t,)) == []
+
+    def test_canonical_include_at_pi_is_rejected(self):
+        # exp(-i pi sigma) = -1 for both generators: the unitaries commute
+        model = kp.degenerate_qubit_instance()
+        assert kp.is_commutative(kp.conditional_unitaries(model, np.pi))[0]
+        findings = kp.counterexample_search(0, 1, t_grid=(np.pi, np.pi / 2), include=[(model, "X")])
+        assert [f.step_time for f in findings if f.source == "include"] == [np.pi / 2]
+
 
 class TestScenarioSpec:
     def test_build_random(self):

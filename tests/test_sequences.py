@@ -575,6 +575,17 @@ class TestBlockScan:
         monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
         assert canonical_json(kp.check_kc_all(protocol, 4, states).to_dict()) == want
 
+    @pytest.mark.parametrize("block_bytes", [16 * 4 * 9, 16 * 4 * 27])
+    def test_partly_batched_scan_gives_the_same_report(self, monkeypatch, block_bytes):
+        # d_P = 3, d = 2: suffix and defect stacks of at most three or nine
+        # matrices, so one or two trailing suffix steps and, at nine, one
+        # trailing prefix step are batched, while the rest are walked
+        protocol = kp.fourier_protocol(kp.random_model(5, 3, 2, commuting=False), 4)
+        states = [I2 / 2, random_density(np.random.default_rng(5), 2)]
+        want = canonical_json(kp.check_kc_all(protocol, 4, states).to_dict())
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        assert canonical_json(kp.check_kc_all(protocol, 4, states).to_dict()) == want
+
     @pytest.mark.parametrize("block_bytes", [1, 16 * 4 * 2, PREFIX_BLOCK_BYTES])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_defect_names_the_first_bad_entry(self, y_protocol, monkeypatch, block_bytes, value):
@@ -629,6 +640,20 @@ class TestFixedPointCheck:
         result = kp.fixed_point_check(SIGMA_Z, sigma_model, kp.plus_x_preparation())
         assert not result.is_fixed
         assert result.commutator_norms[1] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e5, 1e7])
+    def test_verdict_does_not_depend_on_the_units(self, scale):
+        # H -> c H with t -> t / c leaves every unitary, and so the map, as it is
+        model = kp.random_model(17, 2, 3, commuting=True)
+        effect = kp.qubit_xy_protocol(model, "X").step_measurements[0].effects[0]
+        scaled = kp.DephasingModel(
+            2, 3, tuple(scale * h for h in model.hamiltonians), model.step_time / scale
+        )
+        assert kp.fixed_point_check(effect, scaled, kp.plus_x_preparation()).is_fixed
+        noncommuting = kp.DephasingModel(2, 2, (scale * SIGMA_Z, scale * SIGMA_X), np.pi / 2 / scale)
+        result = kp.fixed_point_check(SIGMA_Z, noncommuting, kp.plus_x_preparation())
+        assert not result.is_fixed
+        assert result.commutator_norms[1] == pytest.approx(scale * 2.0 * np.sqrt(2.0))
 
     def test_zero_amplitude_preparation_rejected(self, sigma_model):
         prep = kp.PreparationState(np.array([1.0, 0.0]))
