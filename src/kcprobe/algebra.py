@@ -88,8 +88,15 @@ def _random_hermitian(ops, count: int) -> list[np.ndarray]:
 def _second_commutant(commutant: AlgebraBasis, tol: Tolerances) -> AlgebraBasis:
     """``(A')'`` from a basis of ``A'``: the commutant of two random Hermitian
     elements of ``A'``, which generate ``A'`` for almost every draw, so the
-    stack is ``2 d^2 x d^2``, not ``dim(A') d^2 x d^2`` (up to d^6)."""
-    return commutant_basis(_random_hermitian(commutant.basis, 2), tol)
+    stack is ``2 d^2 x d^2``, not ``dim(A') d^2 x d^2`` (up to d^6).  They are
+    drawn from the traceless part of ``A'``, so the rounding of an identity
+    in the basis cannot shrink ``(A')'``; for ``A' = C 1`` they are zero and
+    ``(A')'`` is all of ``M_d``."""
+    basis = np.array(commutant.basis)
+    d = basis.shape[1]
+    traceless = basis - np.einsum("kii->k", basis)[:, None, None] * np.eye(d) / d
+    vh = np.linalg.svd(traceless.reshape(len(basis), d * d), full_matrices=False)[2]
+    return commutant_basis(_random_hermitian(vh[: len(basis) - 1].reshape(-1, d, d), 2), tol)
 
 
 def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:

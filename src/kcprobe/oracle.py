@@ -3,8 +3,9 @@
 Every probability is recomputed along the most naive route available:
 the full Kraus product of each sequence is multiplied out from scratch,
 with no prefix reuse and no shared intermediates, and compared entry by
-entry against the optimized enumeration.  For commutative models the
-plain effect-product form of the probability provides a third route.
+entry against the optimized enumeration, as is every KC defect against
+``tr(rho D)`` of the scan's operator defects ``D``.  For commutative models
+the plain effect-product form of the probability provides a third route.
 """
 
 from __future__ import annotations
@@ -128,16 +129,23 @@ def oracle_compare(
 ) -> OracleReport:
     """Recompute every probability up to ``n_max`` naively and compare.
 
-    Also cross-checks all state-level consistency defects, read from the
-    defect tensor of each ``(n, j)``, against their naive reassembly, and,
-    for commutative models, the effect-product form of each probability.
-    ``rho`` is validated once.
+    First cross-checks every KC defect, ``tr(rho D)`` for the operator
+    defects ``D`` of :func:`check_kc_all` (a non-finite one raises their
+    fault), against its naive reassembly, and, for commutative models, the
+    effect-product form of each probability.  ``rho`` is validated once.
     """
     if n_max is None:
         n_max = protocol.n_steps
     if not 1 <= n_max <= protocol.n_steps:
         raise ProtocolError(f"n_max = {n_max} not in 1..{protocol.n_steps}")
     rho = check_density(rho, tol)
+    defect_worst = 0.0
+    for n in range(2, n_max + 1):
+        for j in range(1, n):
+            defects = _state_defects(protocol, rho, n, j, tol)
+            for fixed in itertools.product(range(protocol.probe_dim), repeat=n - 1):
+                b = naive_kc_defect(protocol, rho, n, j, fixed)
+                defect_worst = max(defect_worst, abs(float(defects[fixed]) - b))
     per_n = []
     commutative, _ = is_commutative(protocol.model.hamiltonians, tol)
     product_worst = 0.0 if commutative else None
@@ -154,13 +162,6 @@ def oracle_compare(
                     for seq in naive
                 ),
             )
-    defect_worst = 0.0
-    for n in range(2, n_max + 1):
-        for j in range(1, n):
-            defects = _state_defects(protocol, rho, n, j, tol)
-            for fixed in itertools.product(range(protocol.probe_dim), repeat=n - 1):
-                b = naive_kc_defect(protocol, rho, n, j, fixed)
-                defect_worst = max(defect_worst, abs(float(defects[fixed]) - b))
     return OracleReport(
         n_max=n_max,
         max_abs_discrepancy=max(per_n),

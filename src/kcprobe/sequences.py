@@ -6,48 +6,42 @@ An outcome sequence is a tuple of integer labels in time order,
 sequence probability is ``tr(rho Q)``.
 
 The probabilities of all ``d_P ** n`` sequences come from one batched route,
-:func:`_probabilities`, which :func:`full_distribution` reads directly and
-the witnesses, the oracle and the noise ensembles read through
-:func:`_state_defects`.  It grows level-by-level prefix tensors,
-``R_{k+1}[a d_P + m] = K_m R_k[a]`` (:func:`_grow_prefixes`, one batched
-product per step, so index ``a`` runs over the prefixes in lexicographic
-order), and reads every ``tr(rho R^H R)`` at once.
-Only the trailing steps are batched: a block of prefix tensors holds at most
-:data:`PREFIX_BLOCK_BYTES`, and the leading outcomes are walked block by
-block, so the memory is bounded before anything is allocated.
+:func:`_probabilities`, which :func:`full_distribution` reads.  It grows
+level-by-level prefix tensors, ``R_{k+1}[a d_P + m] = K_m R_k[a]``
+(:func:`_grow_prefixes`, one batched product per step, so index ``a`` runs
+over the prefixes in lexicographic order), and reads every
+``tr(rho R^H R)`` at once.  Only the trailing steps are batched: a block of
+prefix tensors holds at most :data:`PREFIX_BLOCK_BYTES`, and the leading
+outcomes are walked block by block, so the memory is bounded before
+anything is allocated.
 
-Kolmogorov consistency asks that summing an intermediate outcome of the
-n-step distribution reproduces the distribution of the protocol with that
-step removed.  The defect is computed both for a fixed state (``delta P``,
-a real number) and at operator level (a Hermitian defect matrix ``D`` with
-``delta P = tr(rho D)`` for every state), which decides the all-states
-question in one finite check.  :func:`_state_defects` is the one place that
-forms the state-level defects of a whole ``(n, j)`` from probability
-vectors; :func:`kc_defect_state` keeps a single-entry route, which needs
-only ``d_P + 1`` sequences where the tensor needs ``d_P ** n``.
-Marginalizing the *final* step is trivially consistent by POVM completeness
-and is therefore rejected rather than reported as a substantive check.
+Kolmogorov consistency asks that summing out an intermediate step of the
+n-step distribution gives that of the protocol without the step.  Its
+defect is a Hermitian ``D`` with ``delta P = tr(rho D)`` for every state, so
+``D = 0`` decides all states in one finite check.  Summing out the *final*
+step is consistent by POVM completeness, and is rejected.
 
-:func:`check_kc_all` lists every operator defect of each ``(n, j)`` from two
-primitives.  :func:`_grow_prefixes` makes every batched stack of Kraus
-products by the level recursion above, and :func:`_pull_back` makes every
-Heisenberg step ``C^H X C`` of a stack.  With ``a`` the outcomes before
-step ``j`` and ``b`` those after it, ``D[a, b] = pre_a^H M_b pre_a``: the
-suffix products ``post_b`` (grown from step ``j + 1``) give the effects
+Every batched defect comes from :func:`_defect_blocks`, which makes each
+block Hermitian, takes its norms and owns the non-finite fault.
+:func:`check_kc_all` lists its operator defects, and :func:`_state_defects`
+its ``tr(rho D)`` for the witnesses, the oracle's defect gate and the noise
+ensembles.  With ``a`` the outcomes before step ``j`` and ``b`` those after
+it, ``D[a, b] = pre_a^H M_b pre_a``: the suffix products ``post_b`` (grown
+from step ``j + 1`` by the recursion above) give the effects
 ``P_b = post_b^H post_b``, step ``j``'s Kraus operators ``K_m`` pull them
 back to ``M_b = sum_m K_m^H P_b K_m - P_b``, and the prefix products
-``pre_a`` pull ``M_b`` back to ``D[a, b]``, with ``a`` leading, so
-flattening ``(a, b)`` lists the entries in the lexicographic order of
-``fixed``.  A stack of suffix products or of defects holds at most
-``PREFIX_BLOCK_BYTES // (16 d**2 d_P)`` matrices (at least one), and its
-length is fixed before it is built: the trailing suffix steps are batched
-as far as that allows, their leading outcomes walked as the ``head`` of
-the suffix recursion, then the trailing prefix steps as far as the suffix
-stack leaves room.  The scan's work space thus stays below
-``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides its entries, and an entry's
-value does not depend on how the entries are chunked.
-:func:`kc_defect_operator` keeps the per-entry route, ``post K_{m_j} pre``
-for one ``fixed``, which the scan agrees with to rounding.
+``pre_a`` pull ``M_b`` back to ``D[a, b]``; each pull-back is one
+:func:`_pull_back`.  With ``a`` leading, flattening ``(a, b)`` lists the
+entries in the lexicographic order of ``fixed``.  A stack of suffix
+products or of defects holds at most ``PREFIX_BLOCK_BYTES // (16 d**2 d_P)``
+matrices (at least one), fixed before it is built: the trailing suffix
+steps are batched as far as that allows, their leading outcomes walked as
+the ``head`` of the recursion, then the trailing prefix steps as far as the
+suffix stack leaves room.  So the work space stays below
+``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides the results, and no value
+depends on the chunking.  The single-entry routes stay independent:
+:func:`kc_defect_operator` forms ``post K_{m_j} pre`` for one ``fixed``, and
+:func:`kc_defect_state` reads ``d_P + 1`` sequence probabilities.
 """
 
 from __future__ import annotations
@@ -121,15 +115,6 @@ def _labels(protocol: MeasurementProtocol, seq) -> OutcomeSequence:
     return labels
 
 
-def _validate_sequence(protocol: MeasurementProtocol, seq) -> OutcomeSequence:
-    seq = _labels(protocol, seq)
-    if not 1 <= len(seq) <= protocol.n_steps:
-        raise ProtocolError(
-            f"sequence length {len(seq)} not in 1..{protocol.n_steps} for this protocol"
-        )
-    return seq
-
-
 def _kraus_product(protocol: MeasurementProtocol, outcomes, start: int = 0) -> np.ndarray:
     """``K_{m_last} ... K_{m_first}`` of ``outcomes`` at the 0-based steps
     ``start, start + 1, ...``, starting from ``K_{m_first}`` (a read-only view
@@ -143,7 +128,11 @@ def _kraus_product(protocol: MeasurementProtocol, outcomes, start: int = 0) -> n
 
 def history_operator(protocol: MeasurementProtocol, seq) -> HistoryOperator:
     """History operator of an outcome sequence, built in step order."""
-    seq = _validate_sequence(protocol, seq)
+    seq = _labels(protocol, seq)
+    if not 1 <= len(seq) <= protocol.n_steps:
+        raise ProtocolError(
+            f"sequence length {len(seq)} not in 1..{protocol.n_steps} for this protocol"
+        )
     r = _kraus_product(protocol, seq)
     q = r.conj().T @ r
     return HistoryOperator((q + q.conj().T) / 2, seq)
@@ -177,7 +166,7 @@ def joint_probability(rho: np.ndarray, q, tol: Tolerances = DEFAULT) -> float:
 # may hold, ``16 d**2`` for each ``d x d`` complex matrix in it.  Evaluating a
 # block of probabilities holds two prefix tensors, so the work space of
 # :func:`_probabilities` stays below twice this bound, and that of
-# :func:`check_kc_all` below :data:`SCAN_BLOCKS` times it.  It only trades
+# :func:`_defect_blocks` below :data:`SCAN_BLOCKS` times it.  It only trades
 # speed for memory, so it is not a tolerance.
 PREFIX_BLOCK_BYTES = 16 * 2**20
 
@@ -274,25 +263,6 @@ def _check_step_pair(protocol: MeasurementProtocol, n: int, j: int) -> None:
         )
     if not 1 <= j <= n - 1:
         raise ProtocolError(f"j = {j} not in 1..{n - 1}")
-
-
-def _state_defects(
-    protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, tol: Tolerances
-) -> np.ndarray:
-    """Every state-level defect ``sum_{m_j} P_n - P_{n-1}`` of one ``(n, j)``.
-
-    Entry ``[fixed]`` of the ``(d_P,) * (n - 1)`` result is
-    :func:`kc_defect_state` at the same ``fixed``: ``P_n`` summed over step
-    ``j``, minus ``P_{n-1}`` read on ``protocol.prefix(n).drop_step(j)``.
-    ``rho`` must already be a validated density matrix; ``(n, j)`` and the
-    enumeration cap of ``d_P ** n`` are checked here.
-    """
-    _check_step_pair(protocol, n, j)
-    _check_capacity(protocol.probe_dim, n, tol)
-    shape = (protocol.probe_dim,) * n
-    p_n = _probabilities(protocol, rho, n, tol).reshape(shape)
-    reduced = protocol.prefix(n).drop_step(j)
-    return p_n.sum(axis=j - 1) - _probabilities(reduced, rho, n - 1, tol).reshape(shape[1:])
 
 
 def full_distribution(
@@ -423,7 +393,7 @@ def _stack_states(protocol: MeasurementProtocol, rho, tol: Tolerances) -> np.nda
     return np.stack(states).transpose(0, 2, 1).reshape(len(states), d * d)
 
 
-# Most blocks of PREFIX_BLOCK_BYTES that :func:`check_kc_all` holds at once.
+# Most blocks of PREFIX_BLOCK_BYTES that :func:`_defect_blocks` holds at once.
 # Its stacks of suffix products, suffix effects and defects hold at most
 # ``1 / d_P`` of a block each, so the most is held while step ``j`` pulls the
 # suffix effects back: the effects, and two products ``d_P`` times as long.
@@ -431,22 +401,63 @@ SCAN_BLOCKS = 3
 
 
 def _defect_blocks(protocol: MeasurementProtocol, n: int, j: int):
-    """Yield every operator defect ``D[a, b] = pre_a^H M_b pre_a`` of one
-    ``(n, j)``, in entry order, as ``(B, d, d)`` blocks, not yet made
-    Hermitian (the factorisation and the chunking are described in the
-    module docstring)."""
+    """Yield the operator defects ``D[a, b] = pre_a^H M_b pre_a`` of one
+    ``(n, j)`` in entry order, block by block, each as a ``(B, d * d)`` stack
+    of Hermitian ``(D + D^H) / 2`` (as :func:`kc_defect_operator` makes it)
+    with its ``B`` Frobenius norms; a non-finite norm raises
+    :class:`NumericalFault` naming the first such ``(n, j, fixed)``."""
     d_p, d = protocol.probe_dim, protocol.system_dim
     count = _block_len(d) // d_p
     kraus = np.asarray(protocol.step_measurements[j - 1].kraus)
     suffix = _batched_steps(d_p, n - j, count)
     prefix = _batched_steps(d_p, j - 1, count // d_p**suffix)
+    done = 0
     for head in itertools.product(range(d_p), repeat=j - 1 - prefix):
         for b_head in itertools.product(range(d_p), repeat=n - j - suffix):
-            post = _grow_prefixes(protocol, b_head, n, start=j)
-            m_ops = post.conj().swapaxes(1, 2) @ post  # the suffix effects P_b
-            del post  # freed before the pull-back, to keep the bound
-            m_ops = _pull_back(kraus, m_ops).sum(axis=0) - m_ops
-            yield _pull_back(_grow_prefixes(protocol, head, j - 1), m_ops).reshape(-1, d, d)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
+                post = _grow_prefixes(protocol, b_head, n, start=j)
+                m_ops = post.conj().swapaxes(1, 2) @ post  # the suffix effects P_b
+                del post  # freed before the pull-back, to keep the bound
+                m_ops = _pull_back(kraus, m_ops).sum(axis=0) - m_ops
+                defects = _pull_back(_grow_prefixes(protocol, head, j - 1), m_ops).reshape(-1, d, d)
+                defects += defects.conj().swapaxes(1, 2)  # (D + D^H) / 2, as kc_defect_operator
+                defects /= 2
+                defects = defects.reshape(len(defects), -1)
+                parts = defects.view(float)  # real and imaginary parts
+                norms = np.sqrt(np.einsum("ak,ak->a", parts, parts))
+                del parts
+            if not math.isfinite(float(norms.max())):  # NaN if any norm is NaN
+                i = int(np.argmin(np.isfinite(norms)))
+                fixed = tuple(map(int, np.unravel_index(done + i, (d_p,) * (n - 1))))
+                raise NumericalFault(
+                    f"defect norm {norms[i]} at n={n}, j={j}, fixed={fixed} is not finite"
+                )
+            done += len(norms)
+            yield defects, norms
+            del defects  # freed before the next block is built, to keep the bound
+
+
+def _state_defects(
+    protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, tol: Tolerances
+) -> np.ndarray:
+    """Every state-level defect ``sum_{m_j} P_n - P_{n-1}`` of one ``(n, j)``:
+    ``tr(rho D)`` for each operator defect of :func:`_defect_blocks`, as a
+    ``(d_P,) * (n - 1)`` tensor indexed by ``fixed``.  ``rho`` must be a
+    validated density matrix; ``(n, j)`` and the cap of ``d_P ** n`` are
+    checked here."""
+    _check_step_pair(protocol, n, j)
+    _check_capacity(protocol.probe_dim, n, tol)
+    d = protocol.system_dim
+    if rho.shape != (d, d):
+        raise ProtocolError(f"state shape {rho.shape} does not match operator {(d, d)}")
+    state = rho.T.reshape(d * d)  # tr(rho D) is its dot product with the entries of D
+    out = np.empty(protocol.probe_dim ** (n - 1))
+    done = 0
+    for defects, _ in _defect_blocks(protocol, n, j):
+        out[done : done + len(defects)] = (defects @ state).real
+        done += len(defects)
+        del defects  # freed before the next block is built, to keep the bound
+    return out.reshape((protocol.probe_dim,) * (n - 1))
 
 
 def check_kc_all(
@@ -463,14 +474,8 @@ def check_kc_all(
     states) is supplied, per-state defects ``tr(rho D)`` are recorded
     alongside; an empty sequence of states is read as ``rho=None``.  The
     report also notes whether the ``(n=2, j=1)`` conditions already decide
-    the verdict on their own.
-
-    Each ``(n, j)`` is factorised into prefix and suffix products (see the
-    module docstring), so its defects come out as a few batched products per
-    block, not one :func:`kc_defect_operator` call per entry; each entry
-    agrees with that call to rounding and is made Hermitian as that call
-    makes it.  The work space stays below ``SCAN_BLOCKS * PREFIX_BLOCK_BYTES``
-    besides the entries.
+    the verdict on their own.  Each entry agrees with
+    :func:`kc_defect_operator` to rounding.
     """
     if n_max < 2:
         raise ProtocolError(f"n_max must be at least 2, got {n_max}")
@@ -484,39 +489,25 @@ def check_kc_all(
     max_defect_n2 = 0.0
     max_state = 0.0 if states is not None else None
     pairs = ((n, j) for n in range(2, n_max + 1) for j in range(1, n))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
-        for n, j in pairs:
-            all_fixed = itertools.product(range(d_p), repeat=n - 1)
-            for block in _defect_blocks(protocol, n, j):
-                chunk = tuple(itertools.islice(all_fixed, len(block)))
-                # Hermitian as kc_defect_operator makes it, (D + D^H) / 2
-                defects = np.conjugate(block.swapaxes(1, 2))
-                defects += block
-                defects /= 2
-                del block
-                defects = defects.reshape(len(chunk), -1)
-                parts = defects.view(float)  # real and imaginary parts
-                norms = np.sqrt(np.einsum("ak,ak->a", parts, parts))
-                top = float(norms.max())  # NaN if any norm is NaN
-                if not math.isfinite(top):
-                    i = int(np.argmin(np.isfinite(norms)))
-                    raise NumericalFault(
-                        f"defect norm {norms[i]} at n={n}, j={j}, fixed={chunk[i]} is not finite"
-                    )
-                max_defect = max(max_defect, top)
-                if n == 2 and j == 1:
-                    max_defect_n2 = max(max_defect_n2, top)
-                if states is None:
-                    rows = itertools.repeat(None)
-                else:
-                    traces = np.einsum("ak,sk->as", defects, states).real
-                    max_state = max(max_state, float(np.abs(traces).max()))
-                    rows = map(tuple, traces.tolist())
-                entries.extend(
-                    KCEntry(n, j, fixed, norm, row)
-                    for fixed, norm, row in zip(chunk, norms.tolist(), rows)
-                )
-                del defects, parts  # freed before the next block is built, to keep the bound
+    for n, j in pairs:
+        all_fixed = itertools.product(range(d_p), repeat=n - 1)
+        for defects, norms in _defect_blocks(protocol, n, j):
+            chunk = tuple(itertools.islice(all_fixed, len(defects)))
+            top = float(norms.max())
+            max_defect = max(max_defect, top)
+            if n == 2 and j == 1:
+                max_defect_n2 = max(max_defect_n2, top)
+            if states is None:
+                rows = itertools.repeat(None)
+            else:
+                traces = np.einsum("ak,sk->as", defects, states).real
+                max_state = max(max_state, float(np.abs(traces).max()))
+                rows = map(tuple, traces.tolist())
+            entries.extend(
+                KCEntry(n, j, fixed, norm, row)
+                for fixed, norm, row in zip(chunk, norms.tolist(), rows)
+            )
+            del defects  # freed before the next block is built, to keep the bound
     verdict = "consistent" if max_defect <= tol.kc else "violated"
     decided = (max_defect_n2 > tol.kc) == (max_defect > tol.kc)
     return KCReport(

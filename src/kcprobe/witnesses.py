@@ -7,9 +7,10 @@ conventions are explicit: correlation witnesses use ``+1/-1`` for the qubit
 outcomes ``+/-``; the two-measurement inequality check uses the ``{0, 1}``
 value assignment of its experimental convention.
 
-The correlation witnesses read the state-defect tensor of one ``(n, j)``
-from :mod:`.sequences`, every ``sum_{m_j} P_n - P_{n-1}`` at once, and
-contract it with the outcome values on each remaining step.
+The correlation witnesses contract the state-defect tensor of one ``(n, j)``,
+``tr(rho D)`` for every operator defect ``D`` of the KC scan, with the
+outcome values on each remaining step, so they are linear in the ``D``
+that decides the KC verdict.
 """
 
 from __future__ import annotations
@@ -106,16 +107,14 @@ def delta_2_1(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = 
     nonselective measurement minus the single-step average at the same
     remaining duration, i.e. :func:`delta_correlation` at ``(n, j) = (2, 1)``.
     Values are ``+1/-1``."""
-    _require_same_axis(protocol, 2)
-    return delta_correlation(protocol, rho, 2, 1, PLUS_MINUS_VALUES, tol)
+    return _axis_delta(protocol, check_density(rho, tol), 2, tol)
 
 
 def delta_3_2(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = DEFAULT) -> float:
     """Three-measurement witness: first/third-step correlation defect when
     the middle measurement is marginalized, i.e. :func:`delta_correlation`
     at ``(n, j) = (3, 2)``.  Values are ``+1/-1``."""
-    _require_same_axis(protocol, 3)
-    return delta_correlation(protocol, rho, 3, 2, PLUS_MINUS_VALUES, tol)
+    return _axis_delta(protocol, check_density(rho, tol), 3, tol)
 
 
 def _axis_delta(protocol: MeasurementProtocol, rho: np.ndarray, n: int, tol: Tolerances) -> float:

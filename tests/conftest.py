@@ -54,3 +54,10 @@ def zero_amplitude_cycle(rng, d_p, d_s, n_steps=1):
     amps = rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)
     amps[0] = 0.0
     return model, kp.PreparationState(amps / np.linalg.norm(amps)), bases
+
+
+def transposed_pull_back(products, x):
+    """The scan's Heisenberg step with ``C^T`` in place of ``C^H``."""
+    if products is None:
+        return x
+    return products.swapaxes(1, 2)[:, None] @ (x @ products[:, None])

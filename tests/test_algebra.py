@@ -452,3 +452,19 @@ class TestAlgebraReport:
         monkeypatch.setattr(kp.algebra, "commutant_basis", counting)
         kp.algebra_report(sigma_model)
         assert stacks == [2, 2]
+
+    @pytest.mark.parametrize("seed", [1, 8, 19, 34])
+    def test_a_coupling_just_above_the_cut_generates_everything(self, seed):
+        # H_1 = a H_0 + eps |H_0| G with the commutant C 1 by a margin near
+        # the cut: the second commutant is all of M_d, in every basis.  The
+        # identity drawn with its rounding gave d = 4, 3, 2 and 3 (in place of
+        # 16, 9, 4 and 9) for these seeds.
+        rng = np.random.default_rng([99, seed])
+        d = int(rng.integers(2, 5))
+        h0 = 10 ** rng.uniform(-3.0, 3.0) * random_hermitian(rng, d)
+        eps = 10 ** rng.uniform(-12.0, -8.0)
+        h1 = rng.uniform(-2.0, 2.0) * h0 + eps * frobenius(h0) * random_hermitian(rng, d)
+        v = kp.haar_unitary(d, rng)
+        for hams in ((h0, h1), (v @ h0 @ v.conj().T, v @ h1 @ v.conj().T)):
+            report = kp.algebra_report(kp.DephasingModel(2, d, hams, 1.0))
+            assert (report.commutant_dimension, report.dimension) == (1, d * d)

@@ -23,6 +23,8 @@ from kcprobe.oracle import OracleReport
 from kcprobe.sequences import _state_defects
 from kcprobe.serialize import complex_pair, matrix_rows, pairs_vector, rows_matrix, write_json
 
+from conftest import transposed_pull_back
+
 
 def write_config(path, data):
     path.write_text(json.dumps(data))
@@ -1046,6 +1048,13 @@ class TestRunOracleCheck:
         assert main(["run", path, "--out", str(tmp_path / "r")]) == 3
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert report["summary"]["oracle"] == "disagrees"
+
+    def test_a_slip_in_the_scan_fails_the_oracle_command(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("kcprobe.sequences._pull_back", transposed_pull_back)
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))
+        assert main(["oracle", path, "--out", str(tmp_path / "o")]) == 3
+        rows = json.loads((tmp_path / "o" / "oracle.json").read_text())["reports"]
+        assert not any(r["agrees"] for r in rows)
 
     def test_run_exits_zero_when_the_oracle_agrees(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))

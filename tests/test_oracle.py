@@ -5,7 +5,7 @@ import kcprobe as kp
 from kcprobe.errors import LabelError, ProtocolError
 from kcprobe.sequences import _state_defects
 
-from conftest import random_density
+from conftest import random_density, transposed_pull_back
 
 I2 = np.eye(2, dtype=complex)
 
@@ -90,6 +90,17 @@ def test_a_shifted_defect_route_disagrees(y_protocol, plus_y_state, monkeypatch)
     assert report.max_abs_discrepancy <= 1e-11
     assert report.max_defect_discrepancy == pytest.approx(1e-3)
     assert not report.agrees
+
+
+def test_a_slip_in_the_scan_disagrees(monkeypatch):
+    # the defect gate reads the operator scan, so a wrong pull-back there
+    # shows against the naive Kraus chains, on every random qubit model
+    monkeypatch.setattr("kcprobe.sequences._pull_back", transposed_pull_back)
+    for seed in range(5):
+        protocol = kp.qubit_xy_protocol(kp.random_model(seed, 2, 2, commuting=False), "XYX")
+        report = kp.oracle_compare(protocol, random_density(np.random.default_rng(seed), 2), 3)
+        assert report.max_abs_discrepancy <= 1e-11
+        assert not report.agrees
 
 
 @pytest.mark.parametrize("n_max", [0, -1])

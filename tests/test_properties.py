@@ -115,3 +115,40 @@ def test_scan_does_not_depend_on_the_units_or_a_common_shift(
         other = kp.check_kc_all(family_protocol(family, seed, d_p, d_s, unequal_times, **moved)[0], N_STEPS)
         assert other.verdict == report.verdict
         assert np.abs(np.array([e.operator_defect for e in other.entries]) - norms).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3),
+    st.integers(1, 4),
+    st.booleans(),
+    st.sampled_from([(2, 1), (3, 1), (3, 2)]),
+)
+def test_witness_of_a_commuting_family_is_zero(seed, d_p, d_s, unequal_times, step_pair):
+    """Any value map's correlation difference of a commuting family is 0."""
+    protocol, rho = family_protocol("commuting", seed, d_p, d_s, unequal_times)
+    values = dict(enumerate(np.random.default_rng(seed).uniform(-1.0, 1.0, d_p)))
+    assert abs(kp.delta_correlation(protocol, rho, *step_pair, values)) <= kp.DEFAULT.witness
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 4))
+@example("near_cut", 1, 2, 4)
+def test_a_trivial_commutant_means_the_full_algebra(family, seed, d_p, d_s):
+    """``commutant_dimension == 1`` only with ``dimension == d**2``: the
+    algebra is the second commutant, and that of ``C 1`` is all of ``M_d``."""
+    report = kp.algebra_report(family_model(family, seed, d_p, d_s)[0])
+    assert report.commutant_dimension != 1 or report.dimension == d_s**2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(1, 4))
+@example("near_cut", 4, 2, 4)
+def test_algebra_dimensions_do_not_depend_on_the_system_basis(family, seed, d_p, d_s):
+    """``H_i -> V H_i V^H`` for a Haar unitary ``V`` moves neither dimension."""
+    model, rng = family_model(family, seed, d_p, d_s)
+    v = kp.haar_unitary(d_s, rng)
+    rotated = kp.DephasingModel(d_p, d_s, tuple(v @ h @ v.conj().T for h in model.hamiltonians), model.step_time)
+    report, other = kp.algebra_report(model), kp.algebra_report(rotated)
+    assert (other.dimension, other.commutant_dimension) == (report.dimension, report.commutant_dimension)

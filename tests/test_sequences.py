@@ -16,6 +16,7 @@ from kcprobe.errors import (
 from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
 from kcprobe.sequences import PREFIX_BLOCK_BYTES, SCAN_BLOCKS, _probabilities, _state_defects
 from kcprobe.serialize import canonical_json
+from kcprobe.witnesses import PLUS_MINUS_VALUES
 
 from conftest import random_density, zero_amplitude_cycle
 
@@ -522,6 +523,7 @@ def poisoned_protocol(protocol, step, outcome, value):
             kraus[outcome] = value
         steps.append(SimpleNamespace(kraus=kraus))
     return SimpleNamespace(
+        model=protocol.model,
         probe_dim=protocol.probe_dim,
         system_dim=protocol.system_dim,
         n_steps=protocol.n_steps,
@@ -602,6 +604,55 @@ class TestBlockScan:
         monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
         with pytest.raises(NumericalFault, match=r"at n=3, j=1, fixed=\(0, 1\) is not finite"):
             kp.check_kc_all(protocol, 3, I2 / 2)
+
+    @pytest.mark.parametrize("block_bytes", [1, 16 * 4 * 2, PREFIX_BLOCK_BYTES])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "step, first",
+        [(1, (2, 1, (1,))), (2, (3, 1, (0, 1)))],
+        ids=["second-step", "third-step"],
+    )
+    def test_every_defect_reader_raises_the_scan_fault(
+        self, y_protocol, monkeypatch, block_bytes, value, step, first
+    ):
+        # the state-level readers go through the scan's own guard, so they
+        # name the same first bad entry in the same words, not a NaN witness
+        protocol = poisoned_protocol(y_protocol, step, 1, value)
+        n, j, _ = first
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        with pytest.raises(NumericalFault) as scan:
+            kp.check_kc_all(protocol, 3, I2 / 2)
+        message = str(scan.value)
+        assert message.endswith(f"at n={n}, j={j}, fixed={first[2]} is not finite")
+        readers = [
+            lambda: _state_defects(protocol, I2 / 2, n, j, kp.DEFAULT),
+            lambda: kp.delta_correlation(protocol, I2 / 2, n, j, PLUS_MINUS_VALUES),
+        ]
+        # past n = 2, the oracle first runs naive_kc_defect at n = 2, which
+        # needs the prefix and drop_step that this stand-in lacks
+        if n == 2:
+            readers.append(lambda: kp.oracle_compare(protocol, I2 / 2, 3))
+        for read in readers:
+            with pytest.raises(NumericalFault) as got:
+                read()
+            assert str(got.value) == message
+
+    def test_state_defects_stay_within_the_block_bound(self, monkeypatch):
+        # the witnesses' reader walks the scan's blocks too, within its bound
+        block_bytes = 2**16  # 16 matrices of 16 x 16
+        d_s, n = 16, 9
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        protocol = kp.qubit_xy_protocol(kp.random_model(8, 2, d_s, commuting=False), "XY" * 5)
+        rho = np.eye(d_s, dtype=complex) / d_s
+        for j in range(1, n):
+            tracemalloc.start()
+            try:
+                defects = _state_defects(protocol, rho, n, j, kp.DEFAULT)
+                result_bytes, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert defects.shape == (2,) * (n - 1)
+            assert peak - result_bytes <= SCAN_BLOCKS * block_bytes
 
     def test_memory_stays_within_the_block_bound(self, monkeypatch):
         block_bytes = 2**16  # 16 matrices of 16 x 16
