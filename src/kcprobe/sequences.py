@@ -23,10 +23,12 @@ step is consistent by POVM completeness, and is rejected.
 
 Every batched defect comes from :func:`_defect_blocks`, which makes each
 block Hermitian, takes its norms and owns the non-finite fault.
-:func:`check_kc_all` lists its operator defects, and :func:`_state_defects`
-its ``tr(rho D)`` for the witnesses, the oracle's defect gate and the noise
-ensembles.  With ``a`` the outcomes before step ``j`` and ``b`` those after
-it, ``D[a, b] = pre_a^H M_b pre_a``: the suffix products ``post_b`` (grown
+:func:`check_kc_all` writes their norms, and their ``tr(rho D)`` for its
+states, into two arrays sized before the scan, and makes a :class:`KCEntry`
+only when one is read; :func:`_state_defects` gives their ``tr(rho D)`` for
+the witnesses, the oracle's defect gate and the noise ensembles.  With
+``a`` the outcomes before step ``j`` and ``b`` those after it,
+``D[a, b] = pre_a^H M_b pre_a``: the suffix products ``post_b`` (grown
 from step ``j + 1`` by the recursion above) give the effects
 ``P_b = post_b^H post_b``, step ``j``'s Kraus operators ``K_m`` pull them
 back to ``M_b = sum_m K_m^H P_b K_m - P_b``, and the prefix products
@@ -46,9 +48,11 @@ depends on the chunking.  The single-entry routes stay independent:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,12 +360,91 @@ class KCEntry(Record):
     state_defects: tuple[float, ...] | None
 
 
+class _KCEntries(Sequence):
+    """The entries of a consistency scan, held as arrays: one Frobenius norm
+    per entry in ``norms`` and, per state, one ``tr(rho D)`` in the rows of
+    the ``(entries, s)`` array ``traces`` (``s = 0`` for no state), in the
+    scan's order.  ``starts[k]`` is the first entry of ``(n, j) = pairs[k]``.
+    A :class:`KCEntry` is made only when one is read."""
+
+    def __init__(self, d_p: int, pairs: list, norms: np.ndarray, traces: np.ndarray):
+        self._d_p = d_p
+        self._pairs = pairs
+        self._starts = list(itertools.accumulate((d_p ** (n - 1) for n, _ in pairs), initial=0))
+        self._norms = norms
+        self._traces = traces
+
+    def __len__(self) -> int:
+        return len(self._norms)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("KC entry index out of range")
+        pair = bisect.bisect_right(self._starts, k) - 1
+        n, j = self._pairs[pair]
+        rest, fixed = k - self._starts[pair], []
+        for _ in range(n - 1):
+            rest, m = divmod(rest, self._d_p)
+            fixed.append(m)
+        row = tuple(self._traces[k].tolist()) if self._traces.shape[1] else None
+        return KCEntry(n, j, tuple(reversed(fixed)), self._norms[k].item(), row)
+
+    def _rows(self, row_type=None):
+        """``(n, j, fixed, norm, state defects or None)`` of every entry in
+        order, the state defects as ``row_type`` (a list if ``None``)."""
+        repeat = itertools.repeat
+        for (n, j), start, stop in zip(self._pairs, self._starts, self._starts[1:]):
+            if self._traces.shape[1]:
+                rows = self._traces[start:stop].tolist()
+                rows = rows if row_type is None else map(row_type, rows)
+            else:
+                rows = repeat(None)
+            fixed = itertools.product(range(self._d_p), repeat=n - 1)
+            yield from zip(repeat(n), repeat(j), fixed, self._norms[start:stop].tolist(), rows)
+
+    def __iter__(self):
+        return itertools.starmap(KCEntry, self._rows(tuple))
+
+    def dicts(self) -> list:
+        """``[e.to_dict() for e in self]``, written straight from the arrays."""
+        out = []
+        for n, j, fixed, norm, row in self._rows():
+            entry = {"n": n, "j": j, "fixed": list(fixed), "operator_defect": norm}
+            if row is not None:
+                entry["state_defects"] = row
+            out.append(entry)
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, _KCEntries):
+            return (
+                self._d_p == other._d_p
+                and self._pairs == other._pairs
+                and np.array_equal(self._norms, other._norms)
+                and np.array_equal(self._traces, other._traces)
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class KCReport(Record):
-    """Verdict and per-condition defects of a full consistency scan."""
+    """Verdict and per-condition defects of a full consistency scan.
+
+    ``entries`` is a read-only sequence of :class:`KCEntry` in scan order;
+    :func:`check_kc_all` holds them as arrays and makes each entry when it
+    is read."""
 
     n_max: int
-    entries: tuple[KCEntry, ...]
+    entries: Sequence[KCEntry]
     verdict: str
     max_operator_defect: float
     max_state_defect: float | None
@@ -373,7 +456,12 @@ class KCReport(Record):
         return self.verdict == "consistent"
 
     def to_dict(self) -> dict:
-        return {**super().to_dict(), "entries": [e.to_dict() for e in self.entries]}
+        entries = self.entries
+        if isinstance(entries, _KCEntries):
+            rows = entries.dicts()
+        else:
+            rows = [e.to_dict() for e in entries]
+        return {**super().to_dict(), "entries": rows}
 
 
 def _stack_states(protocol: MeasurementProtocol, rho, tol: Tolerances) -> np.ndarray | None:
@@ -475,7 +563,9 @@ def check_kc_all(
     alongside; an empty sequence of states is read as ``rho=None``.  The
     report also notes whether the ``(n=2, j=1)`` conditions already decide
     the verdict on their own.  Each entry agrees with
-    :func:`kc_defect_operator` to rounding.
+    :func:`kc_defect_operator` to rounding.  The entries are held as arrays,
+    8 bytes per norm and per state defect, and a :class:`KCEntry` is made
+    only when one is read.
     """
     if n_max < 2:
         raise ProtocolError(f"n_max must be at least 2, got {n_max}")
@@ -484,35 +574,27 @@ def check_kc_all(
     d_p = protocol.probe_dim
     _check_capacity(d_p, n_max, tol)
     states = _stack_states(protocol, rho, tol)
-    entries = []
-    max_defect = 0.0
-    max_defect_n2 = 0.0
-    max_state = 0.0 if states is not None else None
-    pairs = ((n, j) for n in range(2, n_max + 1) for j in range(1, n))
+    pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
+    count = sum(d_p ** (n - 1) for n, _ in pairs)
+    norms = np.empty(count)
+    traces = np.empty((count, 0 if states is None else len(states)))
+    done = 0
     for n, j in pairs:
-        all_fixed = itertools.product(range(d_p), repeat=n - 1)
-        for defects, norms in _defect_blocks(protocol, n, j):
-            chunk = tuple(itertools.islice(all_fixed, len(defects)))
-            top = float(norms.max())
-            max_defect = max(max_defect, top)
-            if n == 2 and j == 1:
-                max_defect_n2 = max(max_defect_n2, top)
-            if states is None:
-                rows = itertools.repeat(None)
-            else:
-                traces = np.einsum("ak,sk->as", defects, states).real
-                max_state = max(max_state, float(np.abs(traces).max()))
-                rows = map(tuple, traces.tolist())
-            entries.extend(
-                KCEntry(n, j, fixed, norm, row)
-                for fixed, norm, row in zip(chunk, norms.tolist(), rows)
-            )
+        for defects, block in _defect_blocks(protocol, n, j):
+            stop = done + len(block)
+            norms[done:stop] = block
+            if states is not None:
+                traces[done:stop] = np.einsum("ak,sk->as", defects, states).real
+            done = stop
             del defects  # freed before the next block is built, to keep the bound
+    max_defect = float(norms.max())
+    max_defect_n2 = float(norms[:d_p].max())  # (n, j) = (2, 1) comes first
+    max_state = float(np.abs(traces).max()) if states is not None else None
     verdict = "consistent" if max_defect <= tol.kc else "violated"
     decided = (max_defect_n2 > tol.kc) == (max_defect > tol.kc)
     return KCReport(
         n_max=n_max,
-        entries=tuple(entries),
+        entries=_KCEntries(d_p, pairs, norms, traces),
         verdict=verdict,
         max_operator_defect=max_defect,
         max_state_defect=max_state,

@@ -77,6 +77,16 @@ def test_keys_are_the_dataclass_fields(records, cls):
 def test_report_entries_are_entry_dicts(records):
     report = records[kp.KCReport]
     assert report.to_dict()["entries"] == [e.to_dict() for e in report.entries]
+    protocol = kp.qubit_xy_protocol(kp.degenerate_qubit_instance(), "XYX")
+    report = kp.check_kc_all(protocol, 3)
+    assert report.to_dict()["entries"] == [e.to_dict() for e in report.entries]
+
+
+def test_hand_built_report_with_a_tuple_of_entries(records):
+    report = records[kp.KCReport]
+    by_hand = dataclasses.replace(report, entries=tuple(report.entries))
+    assert by_hand.to_dict() == report.to_dict()
+    assert by_hand == report
 
 
 def test_oracle_dict_carries_the_gate(records):

@@ -654,6 +654,65 @@ class TestBlockScan:
             assert defects.shape == (2,) * (n - 1)
             assert peak - result_bytes <= SCAN_BLOCKS * block_bytes
 
+    @pytest.mark.parametrize("block_bytes", [1, 16 * 4 * 3, 16 * 4 * 5])
+    def test_entries_behave_like_a_tuple(self, monkeypatch, block_bytes):
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        protocol = kp.fourier_protocol(kp.random_model(5, 3, 2, commuting=False), 4)
+        states = [I2 / 2, random_density(np.random.default_rng(5), 2)]
+        for rho in (None, states):
+            entries = kp.check_kc_all(protocol, 4, rho).entries
+            walked = list(entries)
+            assert len(entries) == len(walked) == len(scan_order(3, 4))
+            assert [(e.n, e.j, e.fixed) for e in walked] == scan_order(3, 4)
+            for k in range(len(walked)):
+                assert entries[k] == walked[k]
+                assert entries[-k - 1] == walked[-k - 1]
+            for cut in (slice(None), slice(3, 40, 7), slice(-5, None), slice(None, None, -11)):
+                assert type(entries[cut]) is tuple
+                assert entries[cut] == tuple(walked[cut])
+            assert list(entries) == walked
+            with pytest.raises(IndexError):
+                entries[len(walked)]
+            with pytest.raises(IndexError):
+                entries[-len(walked) - 1]
+        assert kp.check_kc_all(protocol, 4) == kp.check_kc_all(protocol, 4)
+        assert kp.check_kc_all(protocol, 4, states) == kp.check_kc_all(protocol, 4, states)
+        assert kp.check_kc_all(protocol, 4) != kp.check_kc_all(protocol, 4, states)
+
+    def test_the_scan_makes_no_entry_until_one_is_read(self, monkeypatch):
+        made = []
+        init = kp.KCEntry.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(kp.KCEntry, "__init__", counting_init)
+        protocol = kp.fourier_protocol(kp.random_model(5, 3, 2, commuting=False), 4)
+        report = kp.check_kc_all(protocol, 4, I2 / 2)
+        assert made == []
+        report.to_dict()
+        assert made == []
+        entries = list(report.entries)
+        assert len(made) == len(entries) == len(report.entries)
+
+    @pytest.mark.parametrize("states", [0, 1])
+    def test_entries_retain_eight_bytes_per_value(self, states):
+        # d_P 2, d_S 2, n_max 12: 40962 entries, held as one norm and one
+        # float per state each, with room for the report's other fields
+        protocol = kp.qubit_xy_protocol(kp.random_model(8, 2, 2, commuting=False), "XY" * 6)
+        assert len(protocol.step_measurements) == 12
+        rho = [I2 / 2] if states else None
+        tracemalloc.start()
+        try:
+            report = kp.check_kc_all(protocol, 12, rho)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        entries = len(report.entries)
+        assert entries == len(scan_order(2, 12)) == 40962
+        assert retained <= 8 * (1 + states) * entries + 64 * 2**10
+
     def test_memory_stays_within_the_block_bound(self, monkeypatch):
         block_bytes = 2**16  # 16 matrices of 16 x 16
         d_s, n = 16, 9
@@ -669,8 +728,8 @@ class TestBlockScan:
             tracemalloc.stop()
         entries = len(report.entries)
         assert entries == len(scan_order(2, n))
-        # besides the entries, the scan holds its blocks and the list of
-        # entries that becomes the report's tuple
+        # besides the entries' arrays, which entry_bytes counts, the scan
+        # holds its blocks
         assert peak - entry_bytes <= SCAN_BLOCKS * block_bytes + 16 * entries
 
 
