@@ -387,12 +387,9 @@ class _KCEntries(Sequence):
             raise IndexError("KC entry index out of range")
         pair = bisect.bisect_right(self._starts, k) - 1
         n, j = self._pairs[pair]
-        rest, fixed = k - self._starts[pair], []
-        for _ in range(n - 1):
-            rest, m = divmod(rest, self._d_p)
-            fixed.append(m)
+        fixed = tuple(map(int, np.unravel_index(k - self._starts[pair], (self._d_p,) * (n - 1))))
         row = tuple(self._traces[k].tolist()) if self._traces.shape[1] else None
-        return KCEntry(n, j, tuple(reversed(fixed)), self._norms[k].item(), row)
+        return KCEntry(n, j, fixed, self._norms[k].item(), row)
 
     def _rows(self, row_type=None):
         """``(n, j, fixed, norm, state defects or None)`` of every entry in
@@ -421,30 +418,26 @@ class _KCEntries(Sequence):
         return out
 
     def __eq__(self, other):
-        if isinstance(other, _KCEntries):
-            return (
-                self._d_p == other._d_p
-                and self._pairs == other._pairs
-                and np.array_equal(self._norms, other._norms)
-                and np.array_equal(self._traces, other._traces)
-            )
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    __hash__ = None
+        if not isinstance(other, _KCEntries):
+            return NotImplemented
+        return (
+            self._d_p == other._d_p
+            and self._pairs == other._pairs
+            and np.array_equal(self._norms, other._norms)
+            and np.array_equal(self._traces, other._traces)
+        )
 
 
 @dataclass(frozen=True)
 class KCReport(Record):
     """Verdict and per-condition defects of a full consistency scan.
 
-    ``entries`` is a read-only sequence of :class:`KCEntry` in scan order;
-    :func:`check_kc_all` holds them as arrays and makes each entry when it
-    is read."""
+    ``entries`` is the read-only sequence of :class:`KCEntry` in scan order
+    that :func:`check_kc_all` returns: it holds the entries as arrays and
+    makes each one when it is read."""
 
     n_max: int
-    entries: Sequence[KCEntry]
+    entries: _KCEntries
     verdict: str
     max_operator_defect: float
     max_state_defect: float | None
@@ -456,12 +449,7 @@ class KCReport(Record):
         return self.verdict == "consistent"
 
     def to_dict(self) -> dict:
-        entries = self.entries
-        if isinstance(entries, _KCEntries):
-            rows = entries.dicts()
-        else:
-            rows = [e.to_dict() for e in entries]
-        return {**super().to_dict(), "entries": rows}
+        return {**super().to_dict(), "entries": self.entries.dicts()}
 
 
 def _stack_states(protocol: MeasurementProtocol, rho, tol: Tolerances) -> np.ndarray | None:

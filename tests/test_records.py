@@ -82,13 +82,6 @@ def test_report_entries_are_entry_dicts(records):
     assert report.to_dict()["entries"] == [e.to_dict() for e in report.entries]
 
 
-def test_hand_built_report_with_a_tuple_of_entries(records):
-    report = records[kp.KCReport]
-    by_hand = dataclasses.replace(report, entries=tuple(report.entries))
-    assert by_hand.to_dict() == report.to_dict()
-    assert by_hand == report
-
-
 def test_oracle_dict_carries_the_gate(records):
     report = records[kp.OracleReport]
     assert report.to_dict()["agrees"] is report.agrees is True
