@@ -118,11 +118,21 @@ def _header(config) -> dict:
 
 
 def _oracle_rows(experiment: Experiment) -> list[dict]:
+    """One oracle report per state.  A non-finite discrepancy disagrees and
+    has no JSON form, so it is a numerical fault and no bundle is written."""
     tol = experiment.config.tolerances
-    return [
-        {"state": name, **oracle_compare(experiment.protocol, rho, experiment.n_max, tol).to_dict()}
-        for name, rho in experiment.states
-    ]
+    rows = []
+    for name, rho in experiment.states:
+        report = oracle_compare(experiment.protocol, rho, experiment.n_max, tol)
+        gaps = (
+            report.max_abs_discrepancy,
+            report.max_defect_discrepancy,
+            report.max_product_form_discrepancy,
+        )
+        if not all(x is None or math.isfinite(x) for x in gaps):
+            raise NumericalFault(f"oracle disagrees for state {name!r}: a discrepancy is not finite")
+        rows.append({"state": name, **report.to_dict()})
+    return rows
 
 
 def _witness_protocols(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
+from kcprobe.oracle import _chain_probabilities
 
 
 @pytest.fixture
@@ -61,3 +62,16 @@ def transposed_pull_back(products, x):
     if products is None:
         return x
     return products.swapaxes(1, 2)[:, None] @ (x @ products[:, None])
+
+
+def nan_chain(steps, row):
+    """The oracle's ``_chain_probabilities`` with NaN for the chain of the
+    outcomes ``row`` over the 0-based ``steps``."""
+
+    def chain(protocol, rho, seqs, chain_steps):
+        out = _chain_probabilities(protocol, rho, seqs, chain_steps)
+        if tuple(chain_steps) == steps:
+            out[(np.asarray(seqs) == row).all(axis=1)] = np.nan
+        return out
+
+    return chain

@@ -23,7 +23,7 @@ from kcprobe.oracle import OracleReport
 from kcprobe.sequences import _state_defects
 from kcprobe.serialize import complex_pair, matrix_rows, pairs_vector, rows_matrix, write_json
 
-from conftest import transposed_pull_back
+from conftest import nan_chain, transposed_pull_back
 
 
 def write_config(path, data):
@@ -1055,6 +1055,19 @@ class TestRunOracleCheck:
         assert main(["oracle", path, "--out", str(tmp_path / "o")]) == 3
         rows = json.loads((tmp_path / "o" / "oracle.json").read_text())["reports"]
         assert not any(r["agrees"] for r in rows)
+
+    @pytest.mark.parametrize("steps", [(0,), (1,)], ids=["probabilities", "defects"])
+    def test_a_nan_discrepancy_fails_both_commands(self, tmp_path, monkeypatch, capsys, steps):
+        # a NaN at the second sequence of the n = 1 chains or of the reduced
+        # chains of (n, j) = (2, 1); it has no JSON form, so no bundle either
+        monkeypatch.setattr("kcprobe.oracle._chain_probabilities", nan_chain(steps, (1,)))
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))
+        for command in ("oracle", "run"):
+            out = tmp_path / command
+            assert main([command, path, "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err == "numerical fault: oracle disagrees for state 'pure': a discrepancy is not finite\n"
+            assert not out.exists()
 
     def test_run_exits_zero_when_the_oracle_agrees(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))

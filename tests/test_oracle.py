@@ -1,11 +1,18 @@
+import ast
+import inspect
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import kcprobe as kp
+import kcprobe.oracle
 from kcprobe.errors import LabelError, ProtocolError
-from kcprobe.sequences import _state_defects
+from kcprobe.oracle import _all_outcomes, _chain_probabilities, _effect_products, _naive_defects
+from kcprobe.sequences import PREFIX_BLOCK_BYTES, _kraus_product, _state_defects
 
-from conftest import random_density, transposed_pull_back
+from conftest import nan_chain, random_density, random_hermitian, transposed_pull_back
 
 I2 = np.eye(2, dtype=complex)
 
@@ -101,6 +108,143 @@ def test_a_slip_in_the_scan_disagrees(monkeypatch):
         report = kp.oracle_compare(protocol, random_density(np.random.default_rng(seed), 2), 3)
         assert report.max_abs_discrepancy <= 1e-11
         assert not report.agrees
+
+
+def reversed_grow_prefixes(protocol, head, stop, start=0):
+    """The scan's prefix recursion with ``R_k K_m`` in place of ``K_m R_k``."""
+    d = protocol.system_dim
+    r = _kraus_product(protocol, head, start)[None] if head else None
+    for k in range(start + len(head), stop):
+        kraus = np.asarray(protocol.step_measurements[k].kraus)
+        r = kraus if r is None else (r[:, None] @ kraus).reshape(-1, d, d)
+    return r
+
+
+def test_a_wrong_product_order_disagrees(monkeypatch):
+    # the stacked naive chains share no product with the fast route, so a
+    # product taken in the wrong order there shows on every random model
+    monkeypatch.setattr("kcprobe.sequences._grow_prefixes", reversed_grow_prefixes)
+    for seed in range(5):
+        protocol = kp.qubit_xy_protocol(kp.random_model(seed, 2, 3, commuting=False), "XYX")
+        report = kp.oracle_compare(protocol, random_density(np.random.default_rng(seed), 3), 3)
+        assert not report.agrees
+
+
+@pytest.mark.parametrize(
+    "steps, row, gate",
+    [
+        ((0,), (1,), "max_abs_discrepancy"),  # an n = 1 chain: only the probabilities read it
+        ((0, 2), (1, 1), "max_defect_discrepancy"),  # the reduced chain of (n, j) = (3, 2)
+    ],
+    ids=["probabilities", "defects"],
+)
+def test_a_nan_discrepancy_disagrees(monkeypatch, steps, row, gate):
+    # the NaN sits at a sequence other than the first, where a fold with
+    # Python's max would drop it
+    monkeypatch.setattr("kcprobe.oracle._chain_probabilities", nan_chain(steps, row))
+    protocol = kp.qubit_xy_protocol(kp.random_model(3, 2, 2, commuting=False), "XYX")
+    report = kp.oracle_compare(protocol, random_density(np.random.default_rng(3), 2), 3)
+    other = ({"max_abs_discrepancy", "max_defect_discrepancy"} - {gate}).pop()
+    assert np.isnan(getattr(report, gate))
+    assert getattr(report, other) <= 1e-11
+    assert not report.agrees
+
+
+def loop_chain_probability(protocol, rho, seq, steps):
+    """``tr(rho K^H K)``, with ``K`` applied one step at a time to the identity."""
+    r = np.eye(protocol.system_dim, dtype=complex)
+    for step, m in zip(steps, seq):
+        r = protocol.step_measurements[step].kraus[m] @ r
+    return float(np.trace(rho @ r.conj().T @ r).real)
+
+
+def distinct_steps_protocol(rng, d_p, d_s, n_steps):
+    """A random model with a random meter basis and duration at each step."""
+    hams = tuple(random_hermitian(rng, d_s) for _ in range(d_p))
+    model = kp.DephasingModel(d_p, d_s, hams, 1.0)
+    bases = tuple(
+        kp.MeterBasis(kp.haar_unitary(d_p, rng), tuple(map(str, range(d_p)))) for _ in range(n_steps)
+    )
+    amps = rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)
+    preparation = kp.PreparationState(amps / np.linalg.norm(amps))
+    return kp.MeasurementProtocol(model, preparation, bases, tuple(rng.uniform(0.3, 1.5, n_steps)))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 16 * 16 * 5, PREFIX_BLOCK_BYTES])
+@pytest.mark.parametrize("d_s", [1, 2, 3, 4])
+@pytest.mark.parametrize("d_p", [2, 3])
+def test_stacked_chains_match_a_loop_per_sequence(monkeypatch, d_p, d_s, block_bytes):
+    monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(10 * d_p + d_s)
+    protocol = distinct_steps_protocol(rng, d_p, d_s, 4)
+    rho = random_density(rng, d_s)
+    for k in range(1, 5):
+        seqs = list(itertools.product(range(d_p), repeat=k))
+        got = _chain_probabilities(protocol, rho, _all_outcomes(d_p, k), range(k))
+        want = [loop_chain_probability(protocol, rho, seq, range(k)) for seq in seqs]
+        assert np.abs(got - want).max() <= 1e-15
+    for n in range(2, 5):
+        fixed = list(itertools.product(range(d_p), repeat=n - 1))
+        for j in range(1, n):
+            # the reduced chain: the protocol's own steps with step j left out
+            steps = [s for s in range(n) if s != j - 1]
+            got = _chain_probabilities(protocol, rho, _all_outcomes(d_p, n - 1), steps)
+            want = [loop_chain_probability(protocol, rho, seq, steps) for seq in fixed]
+            assert np.abs(got - want).max() <= 1e-15
+            totals = [
+                sum(
+                    loop_chain_probability(protocol, rho, f[: j - 1] + (m,) + f[j - 1 :], range(n))
+                    for m in range(d_p)
+                )
+                for f in fixed
+            ]
+            got = _naive_defects(protocol, rho, j, _all_outcomes(d_p, n - 1))
+            assert np.abs(got - (np.array(totals) - want)).max() <= 1e-15
+
+
+def test_naive_work_space_stays_within_the_block_bound(monkeypatch):
+    # a stack holds the gathered factors and the old and the new product, so
+    # three blocks; the outcome rows and the (d_P * F) chain values of one
+    # defect reassembly add one more at most
+    block_bytes = 2**16  # 16 matrices of 16 x 16
+    d_s, n = 16, 9
+    monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+    protocol = kp.qubit_xy_protocol(kp.random_model(8, 2, d_s, commuting=False), "XY" * 5)
+    rho = np.eye(d_s, dtype=complex) / d_s
+    seqs, fixed = _all_outcomes(2, n), _all_outcomes(2, n - 1)
+    reads = [
+        lambda: _chain_probabilities(protocol, rho, seqs, range(n)),
+        lambda: _effect_products(protocol, rho, seqs),
+        *(lambda j=j: _naive_defects(protocol, rho, j, fixed) for j in range(1, n)),
+    ]
+    for read in reads:
+        tracemalloc.start()
+        try:
+            values = read()
+            result_bytes, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape in {(2**n,), (2 ** (n - 1),)}
+        assert peak - result_bytes <= 4 * block_bytes
+
+
+def test_the_naive_route_reads_no_code_of_the_fast_route():
+    # from kcprobe.sequences the oracle takes its fast side, the cap check
+    # and the block bound, which it reads at call time; no product or pull-back
+    tree = ast.parse(inspect.getsource(kcprobe.oracle))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "sequences"
+        for alias in node.names
+    }
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sequences"
+    }
+    assert imported == {"_check_capacity", "_state_defects", "full_distribution"}
+    assert read == {"PREFIX_BLOCK_BYTES"}
 
 
 @pytest.mark.parametrize("n_max", [0, -1])

@@ -627,11 +627,8 @@ class TestBlockScan:
         readers = [
             lambda: _state_defects(protocol, I2 / 2, n, j, kp.DEFAULT),
             lambda: kp.delta_correlation(protocol, I2 / 2, n, j, PLUS_MINUS_VALUES),
+            lambda: kp.oracle_compare(protocol, I2 / 2, 3),
         ]
-        # past n = 2, the oracle first runs naive_kc_defect at n = 2, which
-        # needs the prefix and drop_step that this stand-in lacks
-        if n == 2:
-            readers.append(lambda: kp.oracle_compare(protocol, I2 / 2, 3))
         for read in readers:
             with pytest.raises(NumericalFault) as got:
                 read()
