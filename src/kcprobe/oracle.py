@@ -1,18 +1,19 @@
 """Brute-force cross-validation of sequence statistics.
 
-Every probability is recomputed along the most naive route available: the
-full Kraus product ``K_{m_k} ... K_{m_1}`` of each sequence is multiplied
-out from scratch, from its own first factor, with no prefix reuse and no
-intermediate shared between sequences.  The sequences go through in stacks,
-one batched product per step (:func:`_chain_probabilities`), so no Python
-loop runs per sequence; a stack holds at most
-``PREFIX_BLOCK_BYTES // (16 d**2)`` matrices (at least one).  The results
-are compared array by array with the optimized enumeration, as is every KC
-defect with ``tr(rho D)`` of the scan's operator defects ``D``; the reduced
-chain of a defect reads the protocol's own step list with step ``j`` left
-out.  For commutative models the plain effect-product form of the
-probability provides a third route.  No product or pull-back code is shared
-with :mod:`kcprobe.sequences`.
+Every probability and KC defect is recomputed along the most naive route
+available: the Kraus chain ``K = K_{m_k} ... K_{m_1}`` of each sequence is
+multiplied out from its own first factor, with no prefix reuse and no
+intermediate shared between sequences, and read through its effect
+``K^H K`` (:func:`_chain_effects`).  The chains go through in stacks of at
+most ``PREFIX_BLOCK_BYTES // (16 d**2)`` matrices (at least one), one
+batched product per step.  A defect's reduced chain reads the protocol's
+own steps with step ``j`` left out.  The probabilities are compared with
+the optimized enumeration, and every operator defect ``D`` of the scan with
+its naive reassembly in Frobenius norm, which bounds the gap in
+``tr(rho D)`` for every state.  For commutative models the effect-product
+form of the probability is a third route.  No product or pull-back code is
+shared with :mod:`kcprobe.sequences`, whose single-entry routes call the
+helpers here.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .algebra import is_commutative
 from .errors import LabelError, ProtocolError
 from .linalg import check_density
 from .model import MeasurementProtocol
-from .sequences import _check_capacity, _state_defects, full_distribution
+from .sequences import _check_capacity, _defect_blocks, full_distribution
 from .serialize import Record
 from .tolerances import DEFAULT, Tolerances
 
@@ -63,41 +64,68 @@ def _stacks(seqs: np.ndarray, d: int):
         yield lo, seqs[lo : lo + count]
 
 
-def _chain_probabilities(
-    protocol: MeasurementProtocol, rho: np.ndarray, seqs: np.ndarray, steps
-) -> np.ndarray:
-    """``tr(rho K^H K)`` for the Kraus chain ``K = K_{m_k} ... K_{m_1}`` of
-    each row ``(m_1, ..., m_k)`` of the checked outcomes ``seqs``, whose
-    column ``c`` is an outcome of the 0-based step ``steps[c]``.  Each chain
-    is multiplied out from its own first factor, a stack of rows at a time."""
+def _chain_effects(protocol: MeasurementProtocol, seqs: np.ndarray, steps):
+    """Yield ``(lo, effects)`` per stack of the checked outcomes ``seqs``, whose
+    column ``c`` is an outcome of the 0-based step ``steps[c]``: ``effects[a]``
+    is the Hermitian ``K^H K`` of the Kraus chain of row ``lo + a``."""
     kraus = [np.asarray(protocol.step_measurements[s].kraus) for s in steps]
-    rho = np.asarray(rho, dtype=complex)
-    out = np.empty(len(seqs))
     for lo, rows in _stacks(seqs, protocol.system_dim):
         r = kraus[0][rows[:, 0]]
         for c in range(1, len(kraus)):
             r = kraus[c][rows[:, c]] @ r
-        # sum_{k,i} conj((R rho)_{ki}) R_{ki} = conj(tr(rho R^H R))
-        r_rho = r @ rho
-        np.conjugate(r_rho, out=r_rho)
-        out[lo : lo + len(rows)] = np.einsum("aki,aki->a", r_rho, r).real
-        del r, r_rho  # freed before the next stack is built, to keep the bound
+        effects = r.conj().swapaxes(1, 2) @ r
+        del r  # freed before the effects are read, to keep the bound
+        effects += effects.conj().swapaxes(1, 2)
+        effects /= 2
+        yield lo, effects
+        del effects  # freed before the next stack is built, to keep the bound
+
+
+def _chain_probabilities(
+    protocol: MeasurementProtocol, rho: np.ndarray, seqs: np.ndarray, steps
+) -> np.ndarray:
+    """``tr(rho K^H K)`` for the Kraus chain of each row of ``seqs`` over ``steps``."""
+    out = np.empty(len(seqs))
+    for lo, effects in _chain_effects(protocol, seqs, steps):
+        out[lo : lo + len(effects)] = np.einsum("ij,aji->a", rho, effects).real
+        del effects  # freed before the next stack is built, to keep the bound
     return out
 
 
-def _naive_defects(
-    protocol: MeasurementProtocol, rho: np.ndarray, j: int, fixed: np.ndarray
-) -> np.ndarray:
-    """``sum_{m_j} P(m_1 .. m_n) - P'(fixed)`` for each row ``fixed`` of
-    ``n - 1`` checked outcomes, from ``d_P + 1`` fresh Kraus chains a row:
-    one per ``m_j`` put in at step ``j``, and the reduced chain ``P'`` over
-    the steps ``1..n`` but ``j``."""
-    d_p, n = protocol.probe_dim, fixed.shape[1] + 1
-    m_j = np.tile(np.arange(d_p), len(fixed))
-    rows = np.insert(np.repeat(fixed, d_p, axis=0), j - 1, m_j, axis=1)
-    total = _chain_probabilities(protocol, rho, rows, range(n)).reshape(-1, d_p).sum(axis=1)
-    reduced = [s for s in range(n) if s != j - 1]
-    return total - _chain_probabilities(protocol, rho, fixed, reduced)
+def _naive_defects(protocol: MeasurementProtocol, j: int, fixed: np.ndarray) -> np.ndarray:
+    """The operator defects ``sum_{m_j} E(m_1 .. m_n) - E'(fixed)``, one for each
+    row of the ``n - 1`` checked outcomes ``fixed``, from one chain per ``m_j``
+    put in at step ``j`` and the reduced chain ``E'`` of the steps but ``j``."""
+    d_p, d, n = protocol.probe_dim, protocol.system_dim, fixed.shape[1] + 1
+    rows = np.empty((d_p, len(fixed), n), dtype=fixed.dtype)  # the full chains, m_j leading
+    rows[:, :, : j - 1] = fixed[:, : j - 1]
+    rows[:, :, j - 1] = np.arange(d_p)[:, None]
+    rows[:, :, j:] = fixed[:, j - 1 :]
+    out = np.zeros((len(fixed), d, d), dtype=complex)
+    for m_j_rows in rows:
+        for lo, effects in _chain_effects(protocol, m_j_rows, range(n)):
+            out[lo : lo + len(effects)] += effects
+            del effects  # freed before the next stack is built, to keep the bound
+    for lo, effects in _chain_effects(protocol, fixed, [s for s in range(n) if s != j - 1]):
+        out[lo : lo + len(effects)] -= effects
+        del effects  # likewise
+    return out
+
+
+def _defect_gaps(protocol: MeasurementProtocol, n: int, j: int, fixed: np.ndarray) -> np.ndarray:
+    """``|D - D_naive|_F`` for each operator defect ``D`` of ``(n, j)``, whose rows
+    are ``fixed``; a block's naive slice is built only after the scan has
+    yielded, and so checked, the block."""
+    out = np.empty(len(fixed))
+    done = 0
+    for defects, _ in _defect_blocks(protocol, n, j):
+        stop = done + len(defects)
+        naive = _naive_defects(protocol, j, fixed[done:stop]).reshape(stop - done, -1)
+        gap = (defects - naive).view(float)  # real and imaginary parts
+        out[done:stop] = np.sqrt(np.einsum("ak,ak->a", gap, gap))
+        del defects, naive, gap  # freed before the next block is built, to keep the bound
+        done = stop
+    return out
 
 
 def _effect_products(
@@ -135,11 +163,9 @@ def naive_distribution(protocol: MeasurementProtocol, rho: np.ndarray, n: int, t
 def naive_kc_defect(
     protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, fixed
 ) -> float:
-    """Consistency defect assembled purely from naive sequence probabilities.
-
-    ``(n, j)`` must be a substantive condition, ``2 <= n <= n_steps`` and
-    ``1 <= j <= n - 1``, and ``fixed`` must hold ``n - 1`` outcomes; else
-    :class:`ProtocolError`.
+    """Consistency defect ``tr(rho D)`` of the operator defect ``D`` assembled
+    from naive Kraus chains.  ``(n, j)`` must be a substantive condition and
+    ``fixed`` hold ``n - 1`` outcomes; else :class:`ProtocolError`.
     """
     if not 2 <= n <= protocol.n_steps:
         raise ProtocolError(f"n = {n} not in 2..{protocol.n_steps}")
@@ -148,7 +174,7 @@ def naive_kc_defect(
     fixed = _outcomes(protocol, fixed)
     if len(fixed) != n - 1:
         raise ProtocolError(f"need {n - 1} fixed outcomes, got {len(fixed)}")
-    return float(_naive_defects(protocol, rho, j, np.array([fixed]))[0])
+    return float(np.einsum("ij,ji->", rho, _naive_defects(protocol, j, np.array([fixed]))[0]).real)
 
 
 def effect_product_probability(protocol: MeasurementProtocol, rho: np.ndarray, seq) -> float:
@@ -187,12 +213,12 @@ def oracle_compare(
 ) -> OracleReport:
     """Recompute every probability up to ``n_max`` naively and compare.
 
-    First cross-checks every KC defect, ``tr(rho D)`` for the operator
-    defects ``D`` of :func:`check_kc_all` (a non-finite one raises their
-    fault), against its naive reassembly, and, for commutative models, the
-    effect-product form of each probability.  ``rho`` is validated once.
-    Each gate compares whole arrays and takes its maximum with ``np.max``,
-    so a NaN discrepancy anywhere makes the report disagree.
+    First gates every operator defect ``D`` of :func:`check_kc_all` (a
+    non-finite one raises their fault): ``max_defect_discrepancy`` is the
+    largest ``|D - D_naive|_F``, which bounds ``|tr(rho (D - D_naive))|`` for
+    every state.  For commutative models it also checks the effect-product
+    form.  ``rho`` is validated once.  Each gate takes its maximum with
+    ``np.max``, so a NaN discrepancy anywhere makes the report disagree.
     """
     if n_max is None:
         n_max = protocol.n_steps
@@ -202,10 +228,9 @@ def oracle_compare(
     d_p = protocol.probe_dim
     defect_gaps = [0.0]
     for n in range(2, n_max + 1):
+        _check_capacity(d_p, n, tol)
         fixed = _all_outcomes(d_p, n - 1)
-        for j in range(1, n):
-            defects = _state_defects(protocol, rho, n, j, tol).reshape(-1)
-            defect_gaps.append(np.max(np.abs(defects - _naive_defects(protocol, rho, j, fixed))))
+        defect_gaps += (np.max(_defect_gaps(protocol, n, j, fixed)) for j in range(1, n))
     per_n = []
     commutative, _ = is_commutative(protocol.model.hamiltonians, tol)
     product_gaps = [0.0]

@@ -26,24 +26,23 @@ block Hermitian, takes its norms and owns the non-finite fault.
 :func:`check_kc_all` writes their norms, and their ``tr(rho D)`` for its
 states, into two arrays sized before the scan, and makes a :class:`KCEntry`
 only when one is read; :func:`_state_defects` gives their ``tr(rho D)`` for
-the witnesses, the oracle's defect gate and the noise ensembles.  With
-``a`` the outcomes before step ``j`` and ``b`` those after it,
-``D[a, b] = pre_a^H M_b pre_a``: the suffix products ``post_b`` (grown
-from step ``j + 1`` by the recursion above) give the effects
-``P_b = post_b^H post_b``, step ``j``'s Kraus operators ``K_m`` pull them
-back to ``M_b = sum_m K_m^H P_b K_m - P_b``, and the prefix products
-``pre_a`` pull ``M_b`` back to ``D[a, b]``; each pull-back is one
+the witnesses and the noise ensembles.  With ``a`` the outcomes before step
+``j`` and ``b`` those after it, ``D[a, b] = pre_a^H M_b pre_a``: the suffix
+products ``post_b`` (grown from step ``j + 1`` by the recursion above) give
+the effects ``P_b = post_b^H post_b``, step ``j``'s Kraus operators ``K_m``
+pull them back to ``M_b = sum_m K_m^H P_b K_m - P_b``, and the prefix
+products ``pre_a`` pull ``M_b`` back to ``D[a, b]``; each pull-back is one
 :func:`_pull_back`.  With ``a`` leading, flattening ``(a, b)`` lists the
-entries in the lexicographic order of ``fixed``.  A stack of suffix
-products or of defects holds at most ``PREFIX_BLOCK_BYTES // (16 d**2 d_P)``
-matrices (at least one), fixed before it is built: the trailing suffix
-steps are batched as far as that allows, their leading outcomes walked as
-the ``head`` of the recursion, then the trailing prefix steps as far as the
-suffix stack leaves room.  So the work space stays below
+entries in the lexicographic order of ``fixed``.  A stack of suffix products
+or of defects holds at most ``PREFIX_BLOCK_BYTES // (16 d**2 d_P)`` matrices
+(at least one), fixed before it is built: the trailing suffix steps are
+batched as far as that allows, their leading outcomes walked as the ``head``
+of the recursion, then the trailing prefix steps as far as the suffix stack
+leaves room.  So the work space stays below
 ``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides the results, and no value
-depends on the chunking.  The single-entry routes stay independent:
-:func:`kc_defect_operator` forms ``post K_{m_j} pre`` for one ``fixed``, and
-:func:`kc_defect_state` reads ``d_P + 1`` sequence probabilities.
+depends on the chunking.  The other route to a defect is the oracle's Kraus
+chains, read as a batch of one by :func:`history_operator`,
+:func:`kc_defect_operator` and :func:`kc_defect_state`.
 """
 
 from __future__ import annotations
@@ -119,27 +118,15 @@ def _labels(protocol: MeasurementProtocol, seq) -> OutcomeSequence:
     return labels
 
 
-def _kraus_product(protocol: MeasurementProtocol, outcomes, start: int = 0) -> np.ndarray:
-    """``K_{m_last} ... K_{m_first}`` of ``outcomes`` at the 0-based steps
-    ``start, start + 1, ...``, starting from ``K_{m_first}`` (a read-only view
-    for one outcome); the identity only if ``outcomes`` is empty."""
-    steps = protocol.step_measurements
-    r = None
-    for k, m in enumerate(outcomes, start):
-        r = steps[k].kraus[m] if r is None else steps[k].kraus[m] @ r
-    return np.eye(protocol.system_dim, dtype=complex) if r is None else r
-
-
 def history_operator(protocol: MeasurementProtocol, seq) -> HistoryOperator:
-    """History operator of an outcome sequence, built in step order."""
+    """History operator of an outcome sequence, from the oracle's Kraus chain."""
+    from .oracle import _chain_effects
+
     seq = _labels(protocol, seq)
     if not 1 <= len(seq) <= protocol.n_steps:
-        raise ProtocolError(
-            f"sequence length {len(seq)} not in 1..{protocol.n_steps} for this protocol"
-        )
-    r = _kraus_product(protocol, seq)
-    q = r.conj().T @ r
-    return HistoryOperator((q + q.conj().T) / 2, seq)
+        raise ProtocolError(f"sequence length {len(seq)} not in 1..{protocol.n_steps} for this protocol")
+    _, (q,) = next(_chain_effects(protocol, np.array([seq]), range(len(seq))))
+    return HistoryOperator(q, seq)
 
 
 def _born_rule(vals: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -198,19 +185,17 @@ def _grow_prefixes(protocol: MeasurementProtocol, head: tuple, stop: int, start:
     """Kraus products of every outcome sequence of the 0-based steps
     ``start .. stop - 1`` that starts with the outcomes ``head``, as a
     ``(d_P ** (stop - start - len(head)), d, d)`` stack in lexicographic
-    order, or ``None`` if there is no step.
-
-    The product of ``head`` comes from :func:`_kraus_product`; each later
-    step is one batched product, ``R_{k+1}[a d_P + m] = K_m R_k[a]``, so the
-    new outcome is the trailing index.  An empty ``head`` starts from step
-    ``start``'s Kraus operators.  Every batched Kraus product of this module
-    comes from here: the prefixes of the probabilities and of the defects,
-    and the suffixes of the defects.
+    order, or ``None`` if there is no step.  Each step is one batched
+    product, ``R_{k+1}[a d_P + m] = K_m R_k[a]`` (``m`` trailing), over the
+    outcome of ``head`` alone at a step of ``head``.  Every Kraus product of
+    this module comes from here.
     """
     d = protocol.system_dim
-    r = _kraus_product(protocol, head, start)[None] if head else None
-    for k in range(start + len(head), stop):
+    r = None
+    for k in range(start, stop):
         kraus = np.asarray(protocol.step_measurements[k].kraus)
+        if k - start < len(head):
+            kraus = kraus[head[k - start]][None]
         r = kraus if r is None else (kraus @ r[:, None]).reshape(-1, d, d)
     return r
 
@@ -300,53 +285,42 @@ def _check_defect_args(protocol: MeasurementProtocol, n: int, j: int, fixed) -> 
 
 
 def kc_defect_state(
-    protocol: MeasurementProtocol,
-    rho: np.ndarray,
-    n: int,
-    j: int,
-    fixed,
-    tol: Tolerances = DEFAULT,
+    protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, fixed, tol: Tolerances = DEFAULT
 ) -> float:
     """State-level consistency defect ``sum_{m_j} P_n - P_{n-1}``.
 
     ``fixed`` lists the outcomes of all steps except ``j`` in time order;
     the ``P_{n-1}`` term uses the protocol with step ``j`` removed and the
-    remaining steps unchanged.  Computed from sequence probabilities, not
-    from the operator defect, so the two routes stay independent.
+    remaining steps unchanged.  It is ``tr(rho D)`` for the ``D`` of
+    :func:`kc_defect_operator`; a non-finite value raises :class:`NumericalFault`.
     """
+    from .oracle import _naive_defects
+
     fixed = _check_defect_args(protocol, n, j, fixed)
     rho = check_density(rho, tol)
-    total = 0.0
-    for m_j in range(protocol.probe_dim):
-        seq = fixed[: j - 1] + (m_j,) + fixed[j - 1 :]
-        total += joint_probability(rho, history_operator(protocol.prefix(n), seq), tol)
-    reduced = protocol.prefix(n).drop_step(j)
-    return total - joint_probability(rho, history_operator(reduced, fixed), tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
+        defect = _naive_defects(protocol, j, np.array([fixed]))[0]
+        if rho.shape != defect.shape:
+            raise ProtocolError(f"state shape {rho.shape} does not match operator {defect.shape}")
+        value = float(np.einsum("ij,ji->", rho, defect).real)
+    if not math.isfinite(value):
+        raise NumericalFault(f"defect {value} at n={n}, j={j}, fixed={fixed} is not finite")
+    return value
 
 
 def kc_defect_operator(
-    protocol: MeasurementProtocol,
-    n: int,
-    j: int,
-    fixed,
-    tol: Tolerances = DEFAULT,
+    protocol: MeasurementProtocol, n: int, j: int, fixed, tol: Tolerances = DEFAULT
 ) -> np.ndarray:
     """Operator-level defect ``D = sum_{m_j} Q_n - Q_{n-1}``.
 
     For every state, ``tr(rho D)`` equals :func:`kc_defect_state`, so
     ``D = 0`` decides the all-states consistency question for this
-    ``(n, j, fixed)`` in one check.
+    ``(n, j, fixed)`` in one check.  ``D`` comes from the oracle's Kraus chains.
     """
+    from .oracle import _naive_defects
+
     fixed = _check_defect_args(protocol, n, j, fixed)
-    post = _kraus_product(protocol, fixed[j - 1 :], start=j)
-    r = post @ protocol.step_measurements[j - 1].kraus  # one R per m_j
-    r0 = post
-    if j > 1:  # for j = 1 the prefix is the identity, and skipping it is exact
-        pre = _kraus_product(protocol, fixed[: j - 1])
-        r = r @ pre
-        r0 = post @ pre
-    defect = (r.conj().swapaxes(1, 2) @ r).sum(axis=0) - r0.conj().T @ r0
-    return (defect + defect.conj().T) / 2
+    return _naive_defects(protocol, j, np.array([fixed]))[0]
 
 
 @dataclass(frozen=True)
@@ -479,9 +453,9 @@ SCAN_BLOCKS = 3
 def _defect_blocks(protocol: MeasurementProtocol, n: int, j: int):
     """Yield the operator defects ``D[a, b] = pre_a^H M_b pre_a`` of one
     ``(n, j)`` in entry order, block by block, each as a ``(B, d * d)`` stack
-    of Hermitian ``(D + D^H) / 2`` (as :func:`kc_defect_operator` makes it)
-    with its ``B`` Frobenius norms; a non-finite norm raises
-    :class:`NumericalFault` naming the first such ``(n, j, fixed)``."""
+    of Hermitian ``(D + D^H) / 2`` with its ``B`` Frobenius norms; a
+    non-finite norm raises :class:`NumericalFault` naming the first such
+    ``(n, j, fixed)``."""
     d_p, d = protocol.probe_dim, protocol.system_dim
     count = _block_len(d) // d_p
     kraus = np.asarray(protocol.step_measurements[j - 1].kraus)
@@ -496,7 +470,7 @@ def _defect_blocks(protocol: MeasurementProtocol, n: int, j: int):
                 del post  # freed before the pull-back, to keep the bound
                 m_ops = _pull_back(kraus, m_ops).sum(axis=0) - m_ops
                 defects = _pull_back(_grow_prefixes(protocol, head, j - 1), m_ops).reshape(-1, d, d)
-                defects += defects.conj().swapaxes(1, 2)  # (D + D^H) / 2, as kc_defect_operator
+                defects += defects.conj().swapaxes(1, 2)  # (D + D^H) / 2
                 defects /= 2
                 defects = defects.reshape(len(defects), -1)
                 parts = defects.view(float)  # real and imaginary parts

@@ -23,7 +23,7 @@ from .algebra import is_commutative
 from .errors import DimensionError, PreconditionError, ProtocolError
 from .model import MeasurementProtocol, qubit_xy_protocol
 from .linalg import check_density
-from .sequences import _kraus_product, _state_defects, full_distribution
+from .sequences import _state_defects, full_distribution
 from .scenarios import random_model
 from .serialize import Record, fingerprint, protocol_payload
 from .tolerances import DEFAULT, Tolerances
@@ -210,8 +210,8 @@ def lg_search_instance(seed: int, index: int):
     model = random_model(model_seed, 2, d_s, commuting=False)
     t1, t2 = (float(x) for x in rng.uniform(*LG_T_RANGE, size=2))
     protocol = qubit_xy_protocol(model, "XX", (t1, t2))
-    r = _kraus_product(protocol, (0, 0))
-    k2 = protocol.step_measurements[1].kraus[0]
+    k1, k2 = (measurement.kraus[0] for measurement in protocol.step_measurements)
+    r = k2 @ k1
     strain = r.conj().T @ r - k2.conj().T @ k2
     w, v = np.linalg.eigh((strain + strain.conj().T) / 2)
     vec = v[:, -1]

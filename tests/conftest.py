@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
-from kcprobe.oracle import _chain_probabilities
+from kcprobe.oracle import _chain_effects
+from kcprobe.sequences import _defect_blocks
 
 
 @pytest.fixture
@@ -65,13 +66,24 @@ def transposed_pull_back(products, x):
 
 
 def nan_chain(steps, row):
-    """The oracle's ``_chain_probabilities`` with NaN for the chain of the
+    """The oracle's ``_chain_effects`` with a NaN effect for the chain of the
     outcomes ``row`` over the 0-based ``steps``."""
 
-    def chain(protocol, rho, seqs, chain_steps):
-        out = _chain_probabilities(protocol, rho, seqs, chain_steps)
-        if tuple(chain_steps) == steps:
-            out[(np.asarray(seqs) == row).all(axis=1)] = np.nan
-        return out
+    def chain(protocol, seqs, chain_steps):
+        for lo, effects in _chain_effects(protocol, seqs, chain_steps):
+            if tuple(chain_steps) == steps:
+                effects[(np.asarray(seqs[lo : lo + len(effects)]) == row).all(axis=1)] = np.nan
+            yield lo, effects
 
     return chain
+
+
+def shifted_blocks(shift):
+    """The scan's ``_defect_blocks`` with the ``d x d`` matrix ``shift`` added
+    to every operator defect it yields."""
+
+    def blocks(protocol, n, j):
+        for defects, norms in _defect_blocks(protocol, n, j):
+            yield defects + shift.reshape(-1), norms
+
+    return blocks

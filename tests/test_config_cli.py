@@ -20,10 +20,9 @@ from kcprobe.config import build_experiment, load_run_config, load_schema
 from kcprobe.errors import ConfigError
 from kcprobe.linalg import check_density
 from kcprobe.oracle import OracleReport
-from kcprobe.sequences import _state_defects
 from kcprobe.serialize import complex_pair, matrix_rows, pairs_vector, rows_matrix, write_json
 
-from conftest import nan_chain, transposed_pull_back
+from conftest import nan_chain, shifted_blocks, transposed_pull_back
 
 
 def write_config(path, data):
@@ -1036,18 +1035,31 @@ class TestRunOracleCheck:
         assert "oracle disagrees" in capsys.readouterr().err
 
     def test_a_shifted_defect_route_fails_both_commands(self, tmp_path, monkeypatch):
-        def shifted(*args):
-            return _state_defects(*args) + 1e-3
-
-        monkeypatch.setattr("kcprobe.oracle._state_defects", shifted)
+        # every D gains 1e-3 times the identity, whose Frobenius norm is 1e-3 sqrt(2)
+        monkeypatch.setattr("kcprobe.oracle._defect_blocks", shifted_blocks(1e-3 * np.eye(2)))
         path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))
         assert main(["oracle", path, "--out", str(tmp_path / "o")]) == 3
         rows = json.loads((tmp_path / "o" / "oracle.json").read_text())["reports"]
         assert not any(r["agrees"] for r in rows)
         assert all(r["max_abs_discrepancy"] <= 1e-11 for r in rows)
+        assert all(r["max_defect_discrepancy"] == pytest.approx(1e-3 * np.sqrt(2)) for r in rows)
         assert main(["run", path, "--out", str(tmp_path / "r")]) == 3
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert report["summary"]["oracle"] == "disagrees"
+
+    def test_a_traceless_slip_fails_at_the_maximally_mixed_state(self, tmp_path, monkeypatch):
+        # the only state is 1 / 2, which sees only tr D, so a slip of eps T
+        # with a traceless T shows only in the gate on the whole operator
+        eps, slip = 1e-6, kp.SIGMA_X
+        for target in ("kcprobe.sequences._defect_blocks", "kcprobe.oracle._defect_blocks"):
+            monkeypatch.setattr(target, shifted_blocks(eps * slip), raising=False)
+        cfg = sigma_pair_config(checks=["oracle"], states=[{"name": "maximally_mixed"}])
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["oracle", path, "--out", str(tmp_path / "o")]) == 3
+        (row,) = json.loads((tmp_path / "o" / "oracle.json").read_text())["reports"]
+        assert row["agrees"] is False
+        assert row["max_abs_discrepancy"] <= 1e-11
+        assert row["max_defect_discrepancy"] == pytest.approx(eps * np.sqrt(2), rel=1e-9)
 
     def test_a_slip_in_the_scan_fails_the_oracle_command(self, tmp_path, monkeypatch):
         monkeypatch.setattr("kcprobe.sequences._pull_back", transposed_pull_back)
@@ -1060,7 +1072,7 @@ class TestRunOracleCheck:
     def test_a_nan_discrepancy_fails_both_commands(self, tmp_path, monkeypatch, capsys, steps):
         # a NaN at the second sequence of the n = 1 chains or of the reduced
         # chains of (n, j) = (2, 1); it has no JSON form, so no bundle either
-        monkeypatch.setattr("kcprobe.oracle._chain_probabilities", nan_chain(steps, (1,)))
+        monkeypatch.setattr("kcprobe.oracle._chain_effects", nan_chain(steps, (1,)))
         path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))
         for command in ("oracle", "run"):
             out = tmp_path / command

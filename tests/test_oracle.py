@@ -9,10 +9,17 @@ import pytest
 import kcprobe as kp
 import kcprobe.oracle
 from kcprobe.errors import LabelError, ProtocolError
-from kcprobe.oracle import _all_outcomes, _chain_probabilities, _effect_products, _naive_defects
-from kcprobe.sequences import PREFIX_BLOCK_BYTES, _kraus_product, _state_defects
+from kcprobe.oracle import (
+    _all_outcomes,
+    _chain_effects,
+    _chain_probabilities,
+    _defect_gaps,
+    _effect_products,
+    _naive_defects,
+)
+from kcprobe.sequences import PREFIX_BLOCK_BYTES
 
-from conftest import nan_chain, random_density, random_hermitian, transposed_pull_back
+from conftest import nan_chain, random_density, random_hermitian, shifted_blocks, transposed_pull_back
 
 I2 = np.eye(2, dtype=complex)
 
@@ -89,13 +96,26 @@ def test_agreement_gates_every_discrepancy(defect, product, agrees):
 
 
 def test_a_shifted_defect_route_disagrees(y_protocol, plus_y_state, monkeypatch):
-    def shifted(*args):
-        return _state_defects(*args) + 1e-3
-
-    monkeypatch.setattr("kcprobe.oracle._state_defects", shifted)
+    # every D gains 1e-3 times the identity, whose Frobenius norm is 1e-3 sqrt(2)
+    monkeypatch.setattr("kcprobe.oracle._defect_blocks", shifted_blocks(1e-3 * I2))
     report = kp.oracle_compare(y_protocol, plus_y_state, 3)
     assert report.max_abs_discrepancy <= 1e-11
-    assert report.max_defect_discrepancy == pytest.approx(1e-3)
+    assert report.max_defect_discrepancy == pytest.approx(1e-3 * np.sqrt(2))
+    assert not report.agrees
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+def test_a_traceless_slip_disagrees_at_the_maximally_mixed_state(monkeypatch, eps):
+    # tr(D / d) cannot see eps T for a traceless T, so only a gate on the
+    # whole operator defect catches it; both bindings of the scan slip
+    d_s = 3
+    slip = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    for target in ("kcprobe.sequences._defect_blocks", "kcprobe.oracle._defect_blocks"):
+        monkeypatch.setattr(target, shifted_blocks(eps * slip), raising=False)
+    protocol = kp.qubit_xy_protocol(kp.random_model(4, 2, d_s, commuting=False), "XYX")
+    report = kp.oracle_compare(protocol, np.eye(d_s, dtype=complex) / d_s, 3)
+    assert report.max_abs_discrepancy <= 1e-11
+    assert report.max_defect_discrepancy == pytest.approx(eps * np.sqrt(2), rel=1e-6)
     assert not report.agrees
 
 
@@ -111,11 +131,14 @@ def test_a_slip_in_the_scan_disagrees(monkeypatch):
 
 
 def reversed_grow_prefixes(protocol, head, stop, start=0):
-    """The scan's prefix recursion with ``R_k K_m`` in place of ``K_m R_k``."""
+    """The scan's prefix recursion with ``R_k K_m`` in place of ``K_m R_k``,
+    for the steps of ``head`` too."""
     d = protocol.system_dim
-    r = _kraus_product(protocol, head, start)[None] if head else None
-    for k in range(start + len(head), stop):
+    r = None
+    for k in range(start, stop):
         kraus = np.asarray(protocol.step_measurements[k].kraus)
+        if k - start < len(head):
+            kraus = kraus[head[k - start]][None]
         r = kraus if r is None else (r[:, None] @ kraus).reshape(-1, d, d)
     return r
 
@@ -141,7 +164,7 @@ def test_a_wrong_product_order_disagrees(monkeypatch):
 def test_a_nan_discrepancy_disagrees(monkeypatch, steps, row, gate):
     # the NaN sits at a sequence other than the first, where a fold with
     # Python's max would drop it
-    monkeypatch.setattr("kcprobe.oracle._chain_probabilities", nan_chain(steps, row))
+    monkeypatch.setattr("kcprobe.oracle._chain_effects", nan_chain(steps, row))
     protocol = kp.qubit_xy_protocol(kp.random_model(3, 2, 2, commuting=False), "XYX")
     report = kp.oracle_compare(protocol, random_density(np.random.default_rng(3), 2), 3)
     other = ({"max_abs_discrepancy", "max_defect_discrepancy"} - {gate}).pop()
@@ -150,12 +173,31 @@ def test_a_nan_discrepancy_disagrees(monkeypatch, steps, row, gate):
     assert not report.agrees
 
 
-def loop_chain_probability(protocol, rho, seq, steps):
-    """``tr(rho K^H K)``, with ``K`` applied one step at a time to the identity."""
+def loop_chain(protocol, seq, steps):
+    """``K``, applied one step at a time to the identity."""
     r = np.eye(protocol.system_dim, dtype=complex)
     for step, m in zip(steps, seq):
         r = protocol.step_measurements[step].kraus[m] @ r
+    return r
+
+
+def loop_chain_probability(protocol, rho, seq, steps):
+    """``tr(rho K^H K)`` of :func:`loop_chain`."""
+    r = loop_chain(protocol, seq, steps)
     return float(np.trace(rho @ r.conj().T @ r).real)
+
+
+def loop_chain_effect(protocol, seq, steps):
+    """``K^H K`` of :func:`loop_chain`."""
+    r = loop_chain(protocol, seq, steps)
+    return r.conj().T @ r
+
+
+def stacked_effects(protocol, seqs, steps):
+    """Every effect of :func:`_chain_effects`, its stacks checked to follow on."""
+    stacks = list(_chain_effects(protocol, seqs, steps))
+    assert [lo for lo, _ in stacks] == list(itertools.accumulate((len(e) for _, e in stacks[:-1]), initial=0))
+    return np.concatenate([effects for _, effects in stacks])
 
 
 def distinct_steps_protocol(rng, d_p, d_s, n_steps):
@@ -183,6 +225,9 @@ def test_stacked_chains_match_a_loop_per_sequence(monkeypatch, d_p, d_s, block_b
         got = _chain_probabilities(protocol, rho, _all_outcomes(d_p, k), range(k))
         want = [loop_chain_probability(protocol, rho, seq, range(k)) for seq in seqs]
         assert np.abs(got - want).max() <= 1e-15
+        got = stacked_effects(protocol, _all_outcomes(d_p, k), range(k))
+        want = [loop_chain_effect(protocol, seq, range(k)) for seq in seqs]
+        assert np.abs(got - want).max() <= 1e-15
     for n in range(2, 5):
         fixed = list(itertools.product(range(d_p), repeat=n - 1))
         for j in range(1, n):
@@ -191,21 +236,26 @@ def test_stacked_chains_match_a_loop_per_sequence(monkeypatch, d_p, d_s, block_b
             got = _chain_probabilities(protocol, rho, _all_outcomes(d_p, n - 1), steps)
             want = [loop_chain_probability(protocol, rho, seq, steps) for seq in fixed]
             assert np.abs(got - want).max() <= 1e-15
-            totals = [
-                sum(
-                    loop_chain_probability(protocol, rho, f[: j - 1] + (m,) + f[j - 1 :], range(n))
-                    for m in range(d_p)
-                )
+            reduced = np.array([loop_chain_effect(protocol, seq, steps) for seq in fixed])
+            assert np.abs(stacked_effects(protocol, _all_outcomes(d_p, n - 1), steps) - reduced).max() <= 1e-15
+            totals = np.array([
+                sum(loop_chain_effect(protocol, f[: j - 1] + (m,) + f[j - 1 :], range(n)) for m in range(d_p))
                 for f in fixed
-            ]
-            got = _naive_defects(protocol, rho, j, _all_outcomes(d_p, n - 1))
-            assert np.abs(got - (np.array(totals) - want)).max() <= 1e-15
+            ])
+            want = totals - reduced
+            want = (want + want.conj().swapaxes(1, 2)) / 2
+            got = _naive_defects(protocol, j, _all_outcomes(d_p, n - 1))
+            assert np.abs(got - want).max() <= 1e-15
 
 
 def test_naive_work_space_stays_within_the_block_bound(monkeypatch):
     # a stack holds the gathered factors and the old and the new product, so
-    # three blocks; the outcome rows and the (d_P * F) chain values of one
-    # defect reassembly add one more at most
+    # three blocks, and the outcome rows add a little.  The operator gate
+    # holds a block of the scan's defects and suffix effects, the naive slice
+    # of the same rows and its difference, each at most 1 / d_P of a block,
+    # and the chains of that slice, 3 / d_P blocks: 3.5 blocks at d_P = 2,
+    # while the scan holds at most SCAN_BLOCKS = 3 as it builds a block.  So
+    # four blocks beyond the result bound every read, whatever n is
     block_bytes = 2**16  # 16 matrices of 16 x 16
     d_s, n = 16, 9
     monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
@@ -215,7 +265,8 @@ def test_naive_work_space_stays_within_the_block_bound(monkeypatch):
     reads = [
         lambda: _chain_probabilities(protocol, rho, seqs, range(n)),
         lambda: _effect_products(protocol, rho, seqs),
-        *(lambda j=j: _naive_defects(protocol, rho, j, fixed) for j in range(1, n)),
+        *(lambda j=j: _naive_defects(protocol, j, fixed) for j in range(1, n)),
+        *(lambda j=j: _defect_gaps(protocol, n, j, fixed) for j in range(1, n)),
     ]
     for read in reads:
         tracemalloc.start()
@@ -224,13 +275,14 @@ def test_naive_work_space_stays_within_the_block_bound(monkeypatch):
             result_bytes, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert values.shape in {(2**n,), (2 ** (n - 1),)}
+        assert values.shape in {(2**n,), (2 ** (n - 1),), (2 ** (n - 1), d_s, d_s)}
         assert peak - result_bytes <= 4 * block_bytes
 
 
 def test_the_naive_route_reads_no_code_of_the_fast_route():
-    # from kcprobe.sequences the oracle takes its fast side, the cap check
-    # and the block bound, which it reads at call time; no product or pull-back
+    # from kcprobe.sequences the oracle takes its fast side (the scan's
+    # blocks and the distribution), the cap check and the block bound, which
+    # it reads at call time; no product or pull-back
     tree = ast.parse(inspect.getsource(kcprobe.oracle))
     imported = {
         alias.name
@@ -243,7 +295,7 @@ def test_the_naive_route_reads_no_code_of_the_fast_route():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sequences"
     }
-    assert imported == {"_check_capacity", "_state_defects", "full_distribution"}
+    assert imported == {"_check_capacity", "_defect_blocks", "full_distribution"}
     assert read == {"PREFIX_BLOCK_BYTES"}
 
 

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import tracemalloc
 from types import SimpleNamespace
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
+import kcprobe.sequences
 from kcprobe.errors import (
     CapacityError,
     LabelError,
@@ -302,6 +305,31 @@ def test_defect_operator_matches_the_per_outcome_loop(d_p, d_s):
                 assert np.max(np.abs(batched - loop_kc_defect_operator(protocol, n, j, fixed))) <= 1e-14
 
 
+def test_two_routes_to_a_defect_share_no_product():
+    # every product of Kraus operators in sequences.py comes from
+    # _grow_prefixes, and the scan hands step j's operators to the pull-back
+    # only; the single-entry routes read the oracle's chains at call time
+    tree = ast.parse(inspect.getsource(kcprobe.sequences))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def nodes(name, kind):
+        return [node for node in ast.walk(functions[name]) if isinstance(node, kind)]
+
+    readers = {name for name in functions if any(node.attr == "kraus" for node in nodes(name, ast.Attribute))}
+    assert readers == {"_grow_prefixes", "_defect_blocks"}
+    uses = [n for n in nodes("_defect_blocks", ast.Name) if n.id == "kraus" and isinstance(n.ctx, ast.Load)]
+    pulled = [
+        arg
+        for call in nodes("_defect_blocks", ast.Call)
+        if isinstance(call.func, ast.Name) and call.func.id == "_pull_back"
+        for arg in call.args
+        if isinstance(arg, ast.Name) and arg.id == "kraus"
+    ]
+    assert uses and uses == pulled
+    for name in ("history_operator", "kc_defect_state", "kc_defect_operator"):
+        assert [(node.module, node.level) for node in nodes(name, ast.ImportFrom)] == [("oracle", 1)]
+
+
 def assert_tensor_matches_single_entries(protocol, rho, n_max):
     for n in range(2, n_max + 1):
         for j in range(1, n):
@@ -371,6 +399,10 @@ class TestKCDefects:
     def test_marginalizing_final_step_is_rejected(self, y_protocol):
         with pytest.raises(ProtocolError):
             kp.kc_defect_state(y_protocol, I2 / 2, 2, 2, (0,))
+
+    def test_state_of_the_wrong_dimension_is_a_protocol_error(self, y_protocol):
+        with pytest.raises(ProtocolError, match=r"^state shape \(3, 3\) does not match operator \(2, 2\)$"):
+            kp.kc_defect_state(y_protocol, np.eye(3) / 3, 2, 1, (0,))
 
     def test_operator_defect_commuting_model(self):
         model = kp.random_model(29, 2, 4, commuting=True)
@@ -633,6 +665,17 @@ class TestBlockScan:
             with pytest.raises(NumericalFault) as got:
                 read()
             assert str(got.value) == message
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_single_entry_defect_is_a_fault(self, y_protocol, value):
+        # the single-entry state route reads the oracle's chains, which would
+        # give NaN; it raises instead, while the operator route stays raw
+        protocol = poisoned_protocol(y_protocol, 1, 1, value)
+        with pytest.raises(NumericalFault, match=r"^defect nan at n=2, j=1, fixed=\(1,\) is not finite$"):
+            kp.kc_defect_state(protocol, I2 / 2, 2, 1, (1,))
+        with np.errstate(invalid="ignore"):  # inf * 0 in the products
+            assert not np.isfinite(kp.kc_defect_operator(protocol, 2, 1, (1,))).all()
+        assert np.isfinite(kp.kc_defect_state(protocol, I2 / 2, 2, 1, (0,)))
 
     def test_state_defects_stay_within_the_block_bound(self, monkeypatch):
         # the witnesses' reader walks the scan's blocks too, within its bound
