@@ -43,7 +43,7 @@ from .scenarios import (
 )
 from .sequences import check_kc_all
 from .serialize import fingerprint, write_json
-from .witnesses import _axis_delta, lg_check, lg_violation_search, witness_report
+from .witnesses import _axis_delta, _lg, lg_violation_search, witness_report
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -117,6 +117,10 @@ def _header(config) -> dict:
     return {"schema_version": SCHEMA_VERSION, "config_fingerprint": fingerprint(config.raw)}
 
 
+# The discrepancies an oracle report gates; ``None`` where one does not apply.
+_GATED = ("max_abs_discrepancy", "max_defect_discrepancy", "max_product_form_discrepancy")
+
+
 def _oracle_rows(experiment: Experiment) -> list[dict]:
     """One oracle report per state.  A non-finite discrepancy disagrees and
     has no JSON form, so it is a numerical fault and no bundle is written."""
@@ -124,14 +128,10 @@ def _oracle_rows(experiment: Experiment) -> list[dict]:
     rows = []
     for name, rho in experiment.states:
         report = oracle_compare(experiment.protocol, rho, experiment.n_max, tol)
-        gaps = (
-            report.max_abs_discrepancy,
-            report.max_defect_discrepancy,
-            report.max_product_form_discrepancy,
-        )
-        if not all(x is None or math.isfinite(x) for x in gaps):
+        row = {"state": name, **report.to_dict()}
+        if not all(row[key] is None or math.isfinite(row[key]) for key in _GATED):
             raise NumericalFault(f"oracle disagrees for state {name!r}: a discrepancy is not finite")
-        rows.append({"state": name, **report.to_dict()})
+        rows.append(row)
     return rows
 
 
@@ -182,7 +182,7 @@ def _witness_rows(experiment: Experiment) -> list[dict]:
             entry[name] = witness_report(
                 kind, value, protocol.prefix(n), {"state": state_name}, tol
             ).to_dict()
-        entry["lg"] = lg_check(lg_protocol, rho, tol).to_dict()
+        entry["lg"] = _lg(lg_protocol, rho, tol).to_dict()
         rows.append(entry)
     return rows
 
@@ -350,7 +350,7 @@ def _cmd_oracle(args, config) -> int:
     rows = _oracle_rows(build_experiment(config))
     document = {**_header(config), "reports": rows}
     _write_outputs(args, config, {"oracle.json": lambda path: write_json(path, document)})
-    worst = max(row["max_abs_discrepancy"] for row in rows)
+    worst = max(row[key] for row in rows for key in _GATED if row[key] is not None)
     print(f"oracle max discrepancy: {worst:.3e}")
     return EXIT_NUMERICAL if _oracle_disagrees(rows) else EXIT_OK
 

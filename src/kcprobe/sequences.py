@@ -22,11 +22,11 @@ defect is a Hermitian ``D`` with ``delta P = tr(rho D)`` for every state, so
 step is consistent by POVM completeness, and is rejected.
 
 Every batched defect comes from :func:`_defect_blocks`, which makes each
-block Hermitian, takes its norms and owns the non-finite fault.
-:func:`check_kc_all` writes their norms, and their ``tr(rho D)`` for its
-states, into two arrays sized before the scan, and makes a :class:`KCEntry`
-only when one is read; :func:`_state_defects` gives their ``tr(rho D)`` for
-the witnesses and the noise ensembles.  With ``a`` the outcomes before step
+block Hermitian, takes its norms and owns the non-finite fault.  Its one
+loop, :func:`_scan`, writes their norms and ``tr(rho D)`` for a stack of
+states into two arrays sized before the scan, for :func:`check_kc_all`
+(every ``(n, j)``) and :func:`_state_defects` (one ``(n, j)`` and state, for
+the witnesses and the noise ensembles).  With ``a`` the outcomes before step
 ``j`` and ``b`` those after it, ``D[a, b] = pre_a^H M_b pre_a``: the suffix
 products ``post_b`` (grown from step ``j + 1`` by the recursion above) give
 the effects ``P_b = post_b^H post_b``, step ``j``'s Kraus operators ``K_m``
@@ -426,21 +426,18 @@ class KCReport(Record):
         return {**super().to_dict(), "entries": self.entries.dicts()}
 
 
-def _stack_states(protocol: MeasurementProtocol, rho, tol: Tolerances) -> np.ndarray | None:
+def _stack_states(protocol: MeasurementProtocol, rho, tol: Tolerances) -> np.ndarray:
     """The states of :func:`check_kc_all`, each validated once, as one
     ``(s, d * d)`` stack of the entries of ``rho^T``, so that ``tr(rho D)`` is
-    a row's dot product with the entries of ``D``; ``None`` for no state or
+    a row's dot product with the entries of ``D``; ``s = 0`` for no state or
     an empty sequence of states."""
-    if rho is None:
-        return None
-    states = [check_density(r, tol) for r in ([rho] if isinstance(rho, np.ndarray) else rho)]
-    if not states:
-        return None
+    states = [] if rho is None else [rho] if isinstance(rho, np.ndarray) else rho
+    states = [check_density(r, tol) for r in states]
     d = protocol.system_dim
     for r in states:
         if r.shape != (d, d):
             raise ProtocolError(f"state shape {r.shape} does not match operator {(d, d)}")
-    return np.stack(states).transpose(0, 2, 1).reshape(len(states), d * d)
+    return np.array([r.T for r in states], dtype=complex).reshape(len(states), d * d)
 
 
 # Most blocks of PREFIX_BLOCK_BYTES that :func:`_defect_blocks` holds at once.
@@ -487,11 +484,32 @@ def _defect_blocks(protocol: MeasurementProtocol, n: int, j: int):
             del defects  # freed before the next block is built, to keep the bound
 
 
+def _scan(
+    protocol: MeasurementProtocol, pairs: list, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Frobenius norms ``(entries,)`` and the ``tr(rho D)`` ``(entries, s)``,
+    one row per state of the ``(s, d * d)`` stack ``states``, of the operator
+    defects of every ``(n, j)`` of ``pairs`` in scan order: the one loop over
+    :func:`_defect_blocks`, filling both arrays, sized first, block by block."""
+    count = sum(protocol.probe_dim ** (n - 1) for n, _ in pairs)
+    norms = np.empty(count)
+    traces = np.empty((count, len(states)))
+    done = 0
+    for n, j in pairs:
+        for defects, block in _defect_blocks(protocol, n, j):
+            stop = done + len(block)
+            norms[done:stop] = block
+            traces[done:stop] = np.einsum("ak,sk->as", defects, states).real
+            done = stop
+            del defects  # freed before the next block is built, to keep the bound
+    return norms, traces
+
+
 def _state_defects(
     protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, tol: Tolerances
 ) -> np.ndarray:
     """Every state-level defect ``sum_{m_j} P_n - P_{n-1}`` of one ``(n, j)``:
-    ``tr(rho D)`` for each operator defect of :func:`_defect_blocks`, as a
+    ``tr(rho D)`` for each operator defect of :func:`_scan`, as a
     ``(d_P,) * (n - 1)`` tensor indexed by ``fixed``.  ``rho`` must be a
     validated density matrix; ``(n, j)`` and the cap of ``d_P ** n`` are
     checked here."""
@@ -500,14 +518,8 @@ def _state_defects(
     d = protocol.system_dim
     if rho.shape != (d, d):
         raise ProtocolError(f"state shape {rho.shape} does not match operator {(d, d)}")
-    state = rho.T.reshape(d * d)  # tr(rho D) is its dot product with the entries of D
-    out = np.empty(protocol.probe_dim ** (n - 1))
-    done = 0
-    for defects, _ in _defect_blocks(protocol, n, j):
-        out[done : done + len(defects)] = (defects @ state).real
-        done += len(defects)
-        del defects  # freed before the next block is built, to keep the bound
-    return out.reshape((protocol.probe_dim,) * (n - 1))
+    _, traces = _scan(protocol, [(n, j)], rho.T.reshape(1, d * d))
+    return traces.reshape((protocol.probe_dim,) * (n - 1))
 
 
 def check_kc_all(
@@ -537,21 +549,10 @@ def check_kc_all(
     _check_capacity(d_p, n_max, tol)
     states = _stack_states(protocol, rho, tol)
     pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
-    count = sum(d_p ** (n - 1) for n, _ in pairs)
-    norms = np.empty(count)
-    traces = np.empty((count, 0 if states is None else len(states)))
-    done = 0
-    for n, j in pairs:
-        for defects, block in _defect_blocks(protocol, n, j):
-            stop = done + len(block)
-            norms[done:stop] = block
-            if states is not None:
-                traces[done:stop] = np.einsum("ak,sk->as", defects, states).real
-            done = stop
-            del defects  # freed before the next block is built, to keep the bound
+    norms, traces = _scan(protocol, pairs, states)
     max_defect = float(norms.max())
     max_defect_n2 = float(norms[:d_p].max())  # (n, j) = (2, 1) comes first
-    max_state = float(np.abs(traces).max()) if states is not None else None
+    max_state = float(np.abs(traces).max()) if len(states) else None
     verdict = "consistent" if max_defect <= tol.kc else "violated"
     decided = (max_defect_n2 > tol.kc) == (max_defect > tol.kc)
     return KCReport(

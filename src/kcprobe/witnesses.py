@@ -10,7 +10,8 @@ value assignment of its experimental convention.
 The correlation witnesses contract the state-defect tensor of one ``(n, j)``,
 ``tr(rho D)`` for every operator defect ``D`` of the KC scan, with the
 outcome values on each remaining step, so they are linear in the ``D``
-that decides the KC verdict.
+that decides the KC verdict; the inequality check reads its ``delta`` off
+the ``(2, 1)`` tensor at ``fixed = (+,)``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .algebra import is_commutative
 from .errors import DimensionError, PreconditionError, ProtocolError
 from .model import MeasurementProtocol, qubit_xy_protocol
 from .linalg import check_density
-from .sequences import _state_defects, full_distribution
+from .sequences import _probabilities, _state_defects
 from .scenarios import random_model
 from .serialize import Record, fingerprint, protocol_payload
 from .tolerances import DEFAULT, Tolerances
@@ -149,31 +150,28 @@ def lg_check(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = D
     """Evaluate the two-measurement inequality on an X-axis protocol.
 
     ``delta`` is the ``{0, 1}``-valued correlation difference, which equals
-    the consistency defect ``P2(+,+) + P2(m1=-, m2=+) - P1(+)``; it vanishes
-    for every commutative model, and together with nonnegativity of the
-    cross term implies ``P2(+,+) <= P1(+)``.  Both probabilities are exposed
-    so either post-selection reading of the inequality can be applied.
+    the consistency defect ``P2(+,+) + P2(m1=-, m2=+) - P1(+)``, read off the
+    KC scan at ``(n, j) = (2, 1)``, ``fixed = (+,)``; it vanishes for every
+    commutative model, and together with nonnegativity of the cross term
+    implies ``P2(+,+) <= P1(+)``.  Both probabilities are exposed so either
+    post-selection reading of the inequality can be applied.
     """
+    return _lg(protocol, check_density(rho, tol), tol)
+
+
+def _lg(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances) -> LGResult:
+    """:func:`lg_check` of a state that was already validated."""
     if protocol.probe_dim != 2:
         raise DimensionError("the inequality check needs a qubit probe")
     if protocol.n_steps < 2:
         raise ProtocolError("need two measurement steps")
     if protocol.axes[0] != "X" or protocol.axes[1] != "X":
         raise ProtocolError(f"steps 1..2 must both be X measurements, got {protocol.axes[:2]}")
-    two = protocol.prefix(2)
-    dist2 = full_distribution(two, rho, 2, tol)
-    dist1 = full_distribution(two.drop_step(1), rho, 1, tol)
-    p2_pp = dist2.table[(0, 0)]
-    p2_pm = dist2.table[(1, 0)]
-    p1_p = dist1.table[(0,)]
-    delta = p2_pp + p2_pm - p1_p
-    return LGResult(
-        delta=float(delta),
-        lg_satisfied=bool(p2_pp <= p1_p + tol.witness),
-        p2_plus_plus=float(p2_pp),
-        p2_plus_after_minus=float(p2_pm),
-        p1_plus=float(p1_p),
-    )
+    delta = float(_state_defects(protocol, rho, 2, 1, tol)[0])
+    p2 = _probabilities(protocol, rho, 2, tol)
+    p2_pp, p2_pm = float(p2[0]), float(p2[2])  # (m1, m2) = (+, +) and (-, +)
+    p1_p = p2_pp + p2_pm - delta
+    return LGResult(delta, bool(p2_pp <= p1_p + tol.witness), p2_pp, p2_pm, p1_p)
 
 
 @dataclass(frozen=True)

@@ -1019,6 +1019,17 @@ class TestOracleCommand:
         report = json.loads((out / "oracle.json").read_text())
         assert not any(r["agrees"] for r in report["reports"])
 
+    def test_stdout_reports_the_worst_gated_discrepancy(self, tmp_path, monkeypatch, capsys):
+        # a traceless slip of 1e-6 sigma_x fails only the defect gate at the
+        # maximally mixed state; the printed worst must be that gate's 1.4e-6
+        for target in ("kcprobe.sequences._defect_blocks", "kcprobe.oracle._defect_blocks"):
+            monkeypatch.setattr(target, shifted_blocks(1e-6 * kp.SIGMA_X))
+        cfg = sigma_pair_config(checks=["oracle"], states=[{"name": "maximally_mixed"}])
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert main(["oracle", path, "--out", str(tmp_path / "o")]) == 3
+        (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("oracle max discrepancy:")]
+        assert float(line.rpartition(" ")[2]) >= 1e-6
+
 
 class TestRunOracleCheck:
     def test_run_exits_three_when_the_oracle_disagrees(self, tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -328,6 +329,38 @@ def test_two_routes_to_a_defect_share_no_product():
     assert uses and uses == pulled
     for name in ("history_operator", "kc_defect_state", "kc_defect_operator"):
         assert [(node.module, node.level) for node in nodes(name, ast.ImportFrom)] == [("oracle", 1)]
+
+
+def test_one_loop_reads_the_scan():
+    # _defect_blocks has two readers, the scan's one loop and the oracle's
+    # gate; check_kc_all and _state_defects reach it only through _scan, and
+    # no witness forms a defect by subtracting two distributions
+    package = Path(inspect.getsourcefile(kcprobe.sequences)).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+
+    def names(node):
+        """Every name read under ``node``: bare, as an attribute or imported."""
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    readers = {
+        (module, getattr(top, "name", None))
+        for module, tree in trees.items()
+        for top in tree.body
+        if not isinstance(top, ast.ImportFrom) and "_defect_blocks" in set(names(top))
+    }
+    assert readers == {("sequences", "_scan"), ("oracle", "_defect_gaps")}
+    assert not {"full_distribution", "prefix", "drop_step"} & set(names(trees["witnesses"]))
+    functions = {top.name: top for top in trees["sequences"].body if isinstance(top, ast.FunctionDef)}
+    for name in ("check_kc_all", "_state_defects"):
+        loops = [node.iter for node in ast.walk(functions[name]) if isinstance(node, (ast.For, ast.comprehension))]
+        assert not any("_defect_blocks" in set(names(it)) for it in loops)
+        assert "_scan" in set(names(functions[name]))
 
 
 def assert_tensor_matches_single_entries(protocol, rho, n_max):

@@ -187,6 +187,45 @@ class TestLGCheck:
         with pytest.raises(ProtocolError):
             kp.lg_check(y_protocol, I2 / 2)
 
+    def test_matches_the_two_enumerations(self):
+        # the fields as differences of the distributions of the first two steps
+        # and of the second step alone, the LG check's earlier arithmetic
+        cases = [kp.lg_search_instance(seed, index) for seed in range(3) for index in range(10)]
+        timed = kp.qubit_xy_protocol(kp.random_model(5, 2, 3, commuting=False), "XXX", (0.4, 1.3, 2.2))
+        cases.append((timed, random_density(np.random.default_rng(5), 3)))
+        verdicts = set()
+        for protocol, rho in cases:
+            two = protocol.prefix(2)
+            p2 = kp.full_distribution(two, rho, 2).table
+            p1_plus = kp.full_distribution(two.drop_step(1), rho, 1).table[(0,)]
+            want = {
+                "delta": p2[(0, 0)] + p2[(1, 0)] - p1_plus,
+                "p2_plus_plus": p2[(0, 0)],
+                "p2_plus_after_minus": p2[(1, 0)],
+                "p1_plus": p1_plus,
+            }
+            result = kp.lg_check(protocol, rho)
+            for name, value in want.items():
+                assert abs(getattr(result, name) - value) <= 1e-15, name
+            assert result.lg_satisfied == (p2[(0, 0)] <= p1_plus + kp.DEFAULT.witness)
+            verdicts.add(result.lg_satisfied)
+        assert verdicts == {True, False}
+
+    def test_validates_the_state_once(self, monkeypatch):
+        calls = {"witnesses": 0, "sequences": 0}
+
+        def counter(module):
+            def counted(rho, tol):
+                calls[module] += 1
+                return check_density(rho, tol)
+
+            return counted
+
+        for module in calls:
+            monkeypatch.setattr(f"kcprobe.{module}.check_density", counter(module))
+        kp.lg_check(*kp.lg_search_instance(0, 0))
+        assert calls == {"witnesses": 1, "sequences": 0}
+
     def test_search_finds_reproducible_violation(self):
         findings = kp.lg_violation_search(20240811, 40)
         assert findings
