@@ -145,7 +145,9 @@ def spacing_degeneracy_predicate(hams, tol: Tolerances = DEFAULT) -> list[tuple[
     meter basis, and step time.  The common eigenbasis is that of one random
     Hermitian element of the family's span, whose eigenspaces are, for almost
     every draw, exactly the joint eigenspaces; levels are 0-based indices in
-    that element's ascending eigenvalue order.
+    that element's ascending eigenvalue order.  Spacings count as equal
+    within ``tol.spacing * max_i |h_i|_F``, so the pairs do not depend on
+    the units of ``h``.
     """
     mats = [check_hermitian(h, tol) for h in hams]
     d = _common_dimension(mats)
@@ -158,7 +160,8 @@ def spacing_degeneracy_predicate(hams, tol: Tolerances = DEFAULT) -> list[tuple[
     levels = np.real(np.einsum("al,iab,bl->li", basis.conj(), mats, basis))
     first, second = np.triu_indices(d, 1)
     spacings = levels[first] - levels[second]
-    flat = np.max(np.abs(spacings - spacings[:, :1]), axis=1) <= tol.spacing
+    cut = tol.spacing * max(map(frobenius, mats))
+    flat = np.max(np.abs(spacings - spacings[:, :1]), axis=1) <= cut
     return [(int(a), int(b)) for a, b in zip(first[flat], second[flat])]
 
 

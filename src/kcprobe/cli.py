@@ -34,7 +34,7 @@ from .algebra import algebra_report, is_commutative, zero_entanglement_condition
 from .config import SCHEMA_VERSION, Experiment, build_experiment, load_run_config
 from .errors import ConfigError, InvariantViolation, KCProbeError, NumericalFault
 from .model import DephasingModel, MeasurementProtocol, PreparationState, xy_meter_basis
-from .oracle import oracle_compare
+from .oracle import OracleReport, oracle_compare
 from .scenarios import (
     ScenarioSpec,
     build_scenario,
@@ -43,7 +43,7 @@ from .scenarios import (
 )
 from .sequences import check_kc_all
 from .serialize import fingerprint, write_json
-from .witnesses import _axis_delta, _lg, lg_violation_search, witness_report
+from .witnesses import _axis_deltas, _lg, lg_violation_search, witness_report
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -117,10 +117,6 @@ def _header(config) -> dict:
     return {"schema_version": SCHEMA_VERSION, "config_fingerprint": fingerprint(config.raw)}
 
 
-# The discrepancies an oracle report gates; ``None`` where one does not apply.
-_GATED = ("max_abs_discrepancy", "max_defect_discrepancy", "max_product_form_discrepancy")
-
-
 def _oracle_rows(experiment: Experiment) -> list[dict]:
     """One oracle report per state.  A non-finite discrepancy disagrees and
     has no JSON form, so it is a numerical fault and no bundle is written."""
@@ -129,7 +125,7 @@ def _oracle_rows(experiment: Experiment) -> list[dict]:
     for name, rho in experiment.states:
         report = oracle_compare(experiment.protocol, rho, experiment.n_max, tol)
         row = {"state": name, **report.to_dict()}
-        if not all(row[key] is None or math.isfinite(row[key]) for key in _GATED):
+        if not all(math.isfinite(row[key]) for key in OracleReport.GATED if row[key] is not None):
             raise NumericalFault(f"oracle disagrees for state {name!r}: a discrepancy is not finite")
         rows.append(row)
     return rows
@@ -158,31 +154,32 @@ def _witness_protocols(
     return by_axis, by_axis.get("X") or steps("X", 2)
 
 
-def _axis_deltas(by_axis: dict[str, MeasurementProtocol], rho: np.ndarray, tol):
-    """Yield ``(name, n, protocol, value)`` for Δ21 (``n = 2``) and Δ32
-    (``n = 3``) of each axis protocol, named ``delta_x_21``, ``delta_y_21``,
-    ``delta_x_32``, ...; ``rho`` must be validated (``build_experiment``
-    does that)."""
-    for n in (2, 3):
-        for axis, protocol in by_axis.items():
-            if n <= max(protocol.n_steps, 2):  # Δ32 needs three steps; Δ21 raises on fewer
-                name = f"delta_{axis.lower()}_{n}{n - 1}"
-                yield name, n, protocol, _axis_delta(protocol, rho, n, tol)
+def _delta_columns(by_axis: dict[str, MeasurementProtocol], states: list, tol) -> dict:
+    """``{name: (n, axis, values, tensor)}`` of Δ21 (``n = 2``) and Δ32 (``n = 3``) of every
+    validated state, named ``delta_x_21``, ``delta_y_21``, ..., one scan per axis protocol."""
+    read = {}
+    for axis, protocol in by_axis.items():
+        ns = (2, 3) if protocol.n_steps >= 3 else (2,)  # Δ21 raises on fewer than two steps
+        read.update(zip([(n, axis) for n in ns], _axis_deltas(protocol, states, ns, tol)))
+    return {f"delta_{a.lower()}_{n}{n - 1}": (n, a, *read[n, a]) for n, a in sorted(read)}
 
 
 def _witness_rows(experiment: Experiment) -> list[dict]:
     tol = experiment.config.tolerances
     configured = experiment.protocol
     by_axis, lg_protocol = _witness_protocols(configured.model, configured.preparation, configured)
+    states = [rho for _, rho in experiment.states]
+    columns = _delta_columns(by_axis, states, tol)
+    # the LG check reads the X protocol's Δ21 tensor; off X, that of its own XX
+    x_columns = columns if "X" in by_axis else _delta_columns({"X": lg_protocol}, states, tol)
+    lg_defects = x_columns["delta_x_21"][3]
     rows = []
-    for state_name, rho in experiment.states:
-        entry: dict = {"state": state_name}
-        for name, n, protocol, value in _axis_deltas(by_axis, rho, tol):
-            kind = f"delta{n}{n - 1}_{protocol.axes[0].lower()}"
-            entry[name] = witness_report(
-                kind, value, protocol.prefix(n), {"state": state_name}, tol
-            ).to_dict()
-        entry["lg"] = _lg(lg_protocol, rho, tol).to_dict()
+    for i, (state, rho) in enumerate(experiment.states):
+        entry: dict = {"state": state}
+        for name, (n, axis, values, _) in columns.items():
+            kind, protocol = f"delta{n}{n - 1}_{axis.lower()}", by_axis[axis].prefix(n)
+            entry[name] = witness_report(kind, values[i], protocol, {"state": state}, tol).to_dict()
+        entry["lg"] = _lg(lg_protocol, rho, float(lg_defects[i, 0]), tol).to_dict()
         rows.append(entry)
     return rows
 
@@ -319,7 +316,7 @@ def _sweep_row(experiment: Experiment, param: str, value: float | None) -> dict:
         "max_kc_defect": max(
             check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols.values()
         ),
-        **{name: delta for name, _, _, delta in _axis_deltas(protocols, rho, tol)},
+        **{name: column[2][0] for name, column in _delta_columns(protocols, [rho], tol).items()},
         "commutator_norm": is_commutative(model.hamiltonians, tol)[1],
     }
 
@@ -350,7 +347,7 @@ def _cmd_oracle(args, config) -> int:
     rows = _oracle_rows(build_experiment(config))
     document = {**_header(config), "reports": rows}
     _write_outputs(args, config, {"oracle.json": lambda path: write_json(path, document)})
-    worst = max(row[key] for row in rows for key in _GATED if row[key] is not None)
+    worst = max(row[key] for row in rows for key in OracleReport.GATED if row[key] is not None)
     print(f"oracle max discrepancy: {worst:.3e}")
     return EXIT_NUMERICAL if _oracle_disagrees(rows) else EXIT_OK
 

@@ -146,9 +146,21 @@ def _effect_products(
     return out
 
 
-def naive_sequence_probability(protocol: MeasurementProtocol, rho: np.ndarray, seq) -> float:
+def _checked_state(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``rho`` validated as a density matrix of the protocol's system."""
+    rho = check_density(rho, tol)
+    d = protocol.system_dim
+    if rho.shape != (d, d):
+        raise ProtocolError(f"state shape {rho.shape} does not match operator {(d, d)}")
+    return rho
+
+
+def naive_sequence_probability(
+    protocol: MeasurementProtocol, rho: np.ndarray, seq, tol: Tolerances = DEFAULT
+) -> float:
     """Probability of one sequence with the Kraus product built from scratch."""
     seq = _outcomes(protocol, seq)
+    rho = _checked_state(protocol, rho, tol)
     return float(_chain_probabilities(protocol, rho, np.array([seq]), range(len(seq)))[0])
 
 
@@ -156,12 +168,13 @@ def naive_distribution(protocol: MeasurementProtocol, rho: np.ndarray, n: int, t
     if not 1 <= n <= protocol.n_steps:
         raise ProtocolError(f"n = {n} not in 1..{protocol.n_steps}")
     _check_capacity(protocol.probe_dim, n, tol)
+    rho = _checked_state(protocol, rho, tol)
     probs = _chain_probabilities(protocol, rho, _all_outcomes(protocol.probe_dim, n), range(n))
     return dict(zip(itertools.product(range(protocol.probe_dim), repeat=n), probs.tolist()))
 
 
 def naive_kc_defect(
-    protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, fixed
+    protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, fixed, tol: Tolerances = DEFAULT
 ) -> float:
     """Consistency defect ``tr(rho D)`` of the operator defect ``D`` assembled
     from naive Kraus chains.  ``(n, j)`` must be a substantive condition and
@@ -174,17 +187,25 @@ def naive_kc_defect(
     fixed = _outcomes(protocol, fixed)
     if len(fixed) != n - 1:
         raise ProtocolError(f"need {n - 1} fixed outcomes, got {len(fixed)}")
+    rho = _checked_state(protocol, rho, tol)
     return float(np.einsum("ij,ji->", rho, _naive_defects(protocol, j, np.array([fixed]))[0]).real)
 
 
-def effect_product_probability(protocol: MeasurementProtocol, rho: np.ndarray, seq) -> float:
+def effect_product_probability(
+    protocol: MeasurementProtocol, rho: np.ndarray, seq, tol: Tolerances = DEFAULT
+) -> float:
     """Commutative-model probability ``tr(rho E_{m_1} ... E_{m_n})``."""
-    return float(_effect_products(protocol, rho, np.array([_outcomes(protocol, seq)]))[0])
+    seq = _outcomes(protocol, seq)
+    rho = _checked_state(protocol, rho, tol)
+    return float(_effect_products(protocol, rho, np.array([seq]))[0])
 
 
 @dataclass(frozen=True)
 class OracleReport(Record):
     """Maximum discrepancies between the naive and optimized routes."""
+
+    # the discrepancies that :attr:`agrees` gates; ``None`` where one does not apply
+    GATED = ("max_abs_discrepancy", "max_defect_discrepancy", "max_product_form_discrepancy")
 
     n_max: int
     max_abs_discrepancy: float
@@ -198,8 +219,7 @@ class OracleReport(Record):
     def agrees(self) -> bool:
         """Every discrepancy, probabilities, defects and product form, is within tolerance."""
         cut = self.tolerances["oracle_agreement"]
-        gated = (self.max_abs_discrepancy, self.max_defect_discrepancy, self.max_product_form_discrepancy)
-        return all(x is None or x <= cut for x in gated)
+        return all(getattr(self, name) is None or getattr(self, name) <= cut for name in self.GATED)
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "agrees": self.agrees}

@@ -8,6 +8,7 @@ pairs, which keeps individual trials reproducible in isolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,6 @@ from .model import (
 )
 from .sequences import (
     JointDistribution,
-    _check_capacity,
     _state_defects,
     check_kc_all,
     full_distribution,
@@ -63,10 +63,13 @@ def random_model(
 
     ``commuting=True`` draws one Haar basis and independent spectra in
     ``[-scale, scale]``, so the conditional Hamiltonians commute exactly.
-    Otherwise they are independent Gaussian Hermitian matrices, redrawn in
-    the (measure-zero) event that the pair is numerically too close to
-    commuting to be a useful noncommutative sample.
+    Otherwise they are independent Gaussian Hermitian matrices of entries of
+    size ``scale``, redrawn in the (measure-zero) event that their largest
+    commutator norm is below ``1e-6 * scale**2``, too close to commuting to
+    be a useful noncommutative sample.  ``scale`` must be finite and nonzero.
     """
+    if not (math.isfinite(scale) and scale != 0):
+        raise PreconditionError(f"scale must be finite and nonzero, got {scale}")
     if not 2 <= probe_dim <= 4:
         raise DimensionError(f"probe dimension {probe_dim} not in 2..4")
     if not 2 <= system_dim <= 16:
@@ -88,7 +91,7 @@ def random_model(
                 + 1j * rng.standard_normal((system_dim, system_dim))
             ) / np.sqrt(2.0)
             hams.append((g + g.conj().T) / 2)
-        if is_commutative(hams)[1] >= 1e-6:
+        if is_commutative(hams)[1] >= 1e-6 * scale**2:
             return DephasingModel(probe_dim, system_dim, tuple(hams), step_time)
 
 
@@ -233,20 +236,18 @@ def ensemble_kc_max_defect(
     For each ``(n, j)`` the defect of the ``n``-step mixture marginalized
     over step ``j`` against the mixture with segment ``j`` removed.  The
     defects are linear in the distribution, so this is the weighted sum of
-    the realizations' state-defect tensors.
+    the realizations' state-defect tensors, from one scan per realization.
     """
     if n_max < 2:
         raise PreconditionError(f"n_max must be >= 2, got {n_max}")
     weights = _ensemble_weights(realizations, weights, tol)
     protocols = [classical_noise_model(r, n_max) for r in realizations]
-    _check_capacity(2, n_max, tol)
     rho = np.array([[1.0]], dtype=complex)
-    worst = 0.0
-    for n in range(2, n_max + 1):
-        for j in range(1, n):
-            mixed = sum(w * _state_defects(p, rho, n, j, tol) for w, p in zip(weights, protocols))
-            worst = max(worst, float(np.max(np.abs(mixed))))
-    return worst
+    pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
+    mixed = [0.0] * len(pairs)
+    for w, p in zip(weights, protocols):
+        mixed = [m + w * t for m, t in zip(mixed, _state_defects(p, [rho], pairs, tol))]
+    return max(float(np.max(np.abs(m))) for m in mixed)
 
 
 def degenerate_qubit_instance(step_time: float = np.pi / 2) -> DephasingModel:

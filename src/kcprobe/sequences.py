@@ -25,9 +25,9 @@ Every batched defect comes from :func:`_defect_blocks`, which makes each
 block Hermitian, takes its norms and owns the non-finite fault.  Its one
 loop, :func:`_scan`, writes their norms and ``tr(rho D)`` for a stack of
 states into two arrays sized before the scan, for :func:`check_kc_all`
-(every ``(n, j)``) and :func:`_state_defects` (one ``(n, j)`` and state, for
-the witnesses and the noise ensembles).  With ``a`` the outcomes before step
-``j`` and ``b`` those after it, ``D[a, b] = pre_a^H M_b pre_a``: the suffix
+(every ``(n, j)``) and :func:`_state_defects` (every ``(n, j)`` and state
+one witness or noise-ensemble reader needs).  With ``a`` the outcomes before
+step ``j`` and ``b`` those after it, ``D[a, b] = pre_a^H M_b pre_a``: the suffix
 products ``post_b`` (grown from step ``j + 1`` by the recursion above) give
 the effects ``P_b = post_b^H post_b``, step ``j``'s Kraus operators ``K_m``
 pull them back to ``M_b = sum_m K_m^H P_b K_m - P_b``, and the prefix
@@ -426,13 +426,10 @@ class KCReport(Record):
         return {**super().to_dict(), "entries": self.entries.dicts()}
 
 
-def _stack_states(protocol: MeasurementProtocol, rho, tol: Tolerances) -> np.ndarray:
-    """The states of :func:`check_kc_all`, each validated once, as one
-    ``(s, d * d)`` stack of the entries of ``rho^T``, so that ``tr(rho D)`` is
-    a row's dot product with the entries of ``D``; ``s = 0`` for no state or
-    an empty sequence of states."""
-    states = [] if rho is None else [rho] if isinstance(rho, np.ndarray) else rho
-    states = [check_density(r, tol) for r in states]
+def _stack_states(protocol: MeasurementProtocol, states) -> np.ndarray:
+    """The validated ``states`` as one ``(s, d * d)`` stack of the entries of
+    ``rho^T``, so that ``tr(rho D)`` is a row's dot product with the entries
+    of ``D``; a state of the wrong shape raises :class:`ProtocolError`."""
     d = protocol.system_dim
     for r in states:
         if r.shape != (d, d):
@@ -506,20 +503,21 @@ def _scan(
 
 
 def _state_defects(
-    protocol: MeasurementProtocol, rho: np.ndarray, n: int, j: int, tol: Tolerances
-) -> np.ndarray:
-    """Every state-level defect ``sum_{m_j} P_n - P_{n-1}`` of one ``(n, j)``:
-    ``tr(rho D)`` for each operator defect of :func:`_scan`, as a
-    ``(d_P,) * (n - 1)`` tensor indexed by ``fixed``.  ``rho`` must be a
-    validated density matrix; ``(n, j)`` and the cap of ``d_P ** n`` are
-    checked here."""
-    _check_step_pair(protocol, n, j)
-    _check_capacity(protocol.probe_dim, n, tol)
-    d = protocol.system_dim
-    if rho.shape != (d, d):
-        raise ProtocolError(f"state shape {rho.shape} does not match operator {(d, d)}")
-    _, traces = _scan(protocol, [(n, j)], rho.T.reshape(1, d * d))
-    return traces.reshape((protocol.probe_dim,) * (n - 1))
+    protocol: MeasurementProtocol, states, pairs: list, tol: Tolerances
+) -> list[np.ndarray]:
+    """Every state-level defect ``sum_{m_j} P_n - P_{n-1}`` of each ``(n, j)``
+    of ``pairs`` and each validated state, from one :func:`_scan`: per pair,
+    ``tr(rho D)`` for each operator defect as an ``(s,) + (d_P,) * (n - 1)``
+    tensor indexed by state, then ``fixed``.  Each ``(n, j)`` and the cap of
+    the largest ``d_P ** n`` are checked here."""
+    d_p = protocol.probe_dim
+    for n, j in pairs:
+        _check_step_pair(protocol, n, j)
+    _check_capacity(d_p, max(n for n, _ in pairs), tol)
+    _, traces = _scan(protocol, pairs, _stack_states(protocol, states))
+    starts = itertools.accumulate((d_p ** (n - 1) for n, _ in pairs), initial=0)
+    bounds = zip(itertools.pairwise(starts), pairs)
+    return [traces[a:b].T.reshape((len(states),) + (d_p,) * (n - 1)) for (a, b), (n, _) in bounds]
 
 
 def check_kc_all(
@@ -547,7 +545,8 @@ def check_kc_all(
         raise ProtocolError(f"n_max = {n_max} exceeds protocol length {protocol.n_steps}")
     d_p = protocol.probe_dim
     _check_capacity(d_p, n_max, tol)
-    states = _stack_states(protocol, rho, tol)
+    states = [] if rho is None else [rho] if isinstance(rho, np.ndarray) else rho
+    states = _stack_states(protocol, [check_density(r, tol) for r in states])
     pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
     norms, traces = _scan(protocol, pairs, states)
     max_defect = float(norms.max())
@@ -586,8 +585,9 @@ def fixed_point_check(
     and a disagreement beyond tolerance raises :class:`NumericalFault`
     (e.g. at resonant step times where the unitaries commute with ``a``
     but the Hamiltonians do not).  The commutator side cuts
-    ``max_i |[H_i, a]|_F`` at ``tol.commutator * max_i |H_i|_F * |a|_F``, so
-    it does not depend on the units of ``H`` or of ``a``.
+    ``max_i |[H_i, a]|_F`` at ``tol.commutator * max_i |H_i|_F * |a|_F`` and
+    the map side ``|Phi(a) - a|_F`` at ``tol.fixed_point * |a|_F``, so
+    neither depends on the units of ``H`` or of ``a``.
     """
     probs = np.abs(preparation.amplitudes) ** 2
     if float(probs.min()) <= 1e-12:
@@ -596,7 +596,7 @@ def fixed_point_check(
         )
     mapped = nonselective_apply(model, preparation, a, direction="observable")
     map_defect = frobenius(mapped - np.asarray(a, dtype=complex))
-    is_fixed = map_defect <= tol.fixed_point
+    is_fixed = map_defect <= tol.fixed_point * frobenius(a)
     norms = tuple(frobenius(commutator(h, a)) for h in model.hamiltonians)
     scale = max(map(frobenius, model.hamiltonians)) * frobenius(a)
     commutes = max(norms) <= tol.commutator * scale

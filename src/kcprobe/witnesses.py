@@ -80,27 +80,17 @@ def delta_correlation(
     missing = [m for m in range(protocol.probe_dim) if m not in value_map]
     if missing:
         raise ProtocolError(f"value map lacks outcomes {missing}")
-    defects = _state_defects(protocol, check_density(rho, tol), n, j, tol)
-    return _correlation(defects, value_map)
+    (defects,) = _state_defects(protocol, [check_density(rho, tol)], [(n, j)], tol)
+    return float(_correlation(defects, value_map)[0])
 
 
-def _correlation(defects: np.ndarray, value_map) -> float:
-    """Sum of ``prod_k value(fixed_k) * defects[fixed]`` over every entry of a
-    state-defect tensor."""
-    values = np.array([value_map[m] for m in range(defects.shape[0])], dtype=float)
-    for _ in range(defects.ndim):
+def _correlation(defects: np.ndarray, value_map) -> np.ndarray:
+    """Per state, the sum of ``prod_k value(fixed_k) * defects[state, fixed]``
+    over every entry of an ``(s,) + (d_P,) * (n - 1)`` state-defect tensor."""
+    values = np.array([value_map[m] for m in range(defects.shape[-1])], dtype=float)
+    for _ in range(defects.ndim - 1):
         defects = defects @ values
-    return float(defects)
-
-
-def _require_same_axis(protocol: MeasurementProtocol, n: int) -> None:
-    if protocol.probe_dim != 2:
-        raise DimensionError("axis witnesses need a qubit probe")
-    if protocol.n_steps < n:
-        raise ProtocolError(f"protocol has {protocol.n_steps} steps, need {n}")
-    axes = set(protocol.axes[:n])
-    if len(axes) != 1 or axes & {"X", "Y"} != axes:
-        raise ProtocolError(f"steps 1..{n} must share one axis in X/Y, got {protocol.axes[:n]}")
+    return defects
 
 
 def delta_2_1(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = DEFAULT) -> float:
@@ -108,20 +98,31 @@ def delta_2_1(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = 
     nonselective measurement minus the single-step average at the same
     remaining duration, i.e. :func:`delta_correlation` at ``(n, j) = (2, 1)``.
     Values are ``+1/-1``."""
-    return _axis_delta(protocol, check_density(rho, tol), 2, tol)
+    [(delta, _)] = _axis_deltas(protocol, [check_density(rho, tol)], (2,), tol)
+    return float(delta[0])
 
 
 def delta_3_2(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = DEFAULT) -> float:
     """Three-measurement witness: first/third-step correlation defect when
     the middle measurement is marginalized, i.e. :func:`delta_correlation`
     at ``(n, j) = (3, 2)``.  Values are ``+1/-1``."""
-    return _axis_delta(protocol, check_density(rho, tol), 3, tol)
+    [(delta, _)] = _axis_deltas(protocol, [check_density(rho, tol)], (3,), tol)
+    return float(delta[0])
 
 
-def _axis_delta(protocol: MeasurementProtocol, rho: np.ndarray, n: int, tol: Tolerances) -> float:
-    """Δ21 (``n = 2``) or Δ32 (``n = 3``) of a state that was already validated."""
-    _require_same_axis(protocol, n)
-    return _correlation(_state_defects(protocol, rho, n, n - 1, tol), PLUS_MINUS_VALUES)
+def _axis_deltas(protocol: MeasurementProtocol, states, ns, tol: Tolerances) -> list:
+    """Δ21 (``n = 2``) and/or Δ32 (``n = 3``) of every validated state from one
+    scan: per ``n`` of ``ns``, the values and the state-defect tensor they contract."""
+    if protocol.probe_dim != 2:
+        raise DimensionError("axis witnesses need a qubit probe")
+    for n in ns:
+        if protocol.n_steps < n:
+            raise ProtocolError(f"protocol has {protocol.n_steps} steps, need {n}")
+        axes = set(protocol.axes[:n])
+        if len(axes) != 1 or axes & {"X", "Y"} != axes:
+            raise ProtocolError(f"steps 1..{n} must share one axis in X/Y, got {protocol.axes[:n]}")
+    tensors = _state_defects(protocol, states, [(n, n - 1) for n in ns], tol)
+    return [(_correlation(t, PLUS_MINUS_VALUES), t) for t in tensors]
 
 
 _LG_NOTE = (
@@ -156,18 +157,19 @@ def lg_check(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = D
     implies ``P2(+,+) <= P1(+)``.  Both probabilities are exposed so either
     post-selection reading of the inequality can be applied.
     """
-    return _lg(protocol, check_density(rho, tol), tol)
-
-
-def _lg(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances) -> LGResult:
-    """:func:`lg_check` of a state that was already validated."""
+    rho = check_density(rho, tol)
     if protocol.probe_dim != 2:
         raise DimensionError("the inequality check needs a qubit probe")
     if protocol.n_steps < 2:
         raise ProtocolError("need two measurement steps")
     if protocol.axes[0] != "X" or protocol.axes[1] != "X":
         raise ProtocolError(f"steps 1..2 must both be X measurements, got {protocol.axes[:2]}")
-    delta = float(_state_defects(protocol, rho, 2, 1, tol)[0])
+    (defects,) = _state_defects(protocol, [rho], [(2, 1)], tol)
+    return _lg(protocol, rho, float(defects[0, 0]), tol)
+
+
+def _lg(protocol: MeasurementProtocol, rho: np.ndarray, delta: float, tol: Tolerances) -> LGResult:
+    """:func:`lg_check` of a validated state on a checked protocol, given its ``delta``."""
     p2 = _probabilities(protocol, rho, 2, tol)
     p2_pp, p2_pm = float(p2[0]), float(p2[2])  # (m1, m2) = (+, +) and (-, +)
     p1_p = p2_pp + p2_pm - delta

@@ -256,6 +256,17 @@ class TestSpacingDegeneracy:
         with pytest.raises(PreconditionError):
             kp.spacing_degeneracy_predicate([SIGMA_Z, SIGMA_X])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-6, 1e4, 1e8])
+    def test_pairs_do_not_depend_on_the_units(self, scale):
+        # one flat pair, levels 0 and 1, in a Haar basis
+        spectra = np.array([[0.0, 1, 3], [0.0, 1, 5]])
+        v = kp.haar_unitary(3, np.random.default_rng(11))
+        hams = []
+        for spectrum in scale * spectra:
+            h = (v * spectrum) @ v.conj().T
+            hams.append((h + h.conj().T) / 2)
+        assert spacing_pairs_by_tuple(hams, scale * spectra, v) == reference_pairs_by_tuple(scale * spectra)
+
     def test_flagged_pairs_make_effects_degenerate(self):
         # flagged level pairs share effect eigenvalues for any basis and time
         rng = np.random.default_rng(7)

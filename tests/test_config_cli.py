@@ -827,20 +827,36 @@ class TestWitnessProtocols:
         assert len(json.loads((out / "report.json").read_text())["results"]["witnesses"]) == 2
         assert calls == []
 
+    @pytest.mark.parametrize("config", ["sigma_pair_y", "commuting_random"])
+    def test_run_scans_once_per_protocol(self, tmp_path, monkeypatch, config):
+        # the KC check, then one scan per witness axis gives every state's
+        # Δ21, Δ32 and LG delta: 3 + 2 + 2 (n, j)
+        scans = []
+        scan = kp.sequences._scan
+        monkeypatch.setattr("kcprobe.sequences._scan", lambda *args: scans.append(args[1]) or scan(*args))
+        assert main(["run", str(CONFIGS / f"{config}.json"), "--out", str(tmp_path / "out")]) == 0
+        assert scans == [[(2, 1), (3, 1), (3, 2)], [(2, 1), (3, 2)], [(2, 1), (3, 2)]]
+
     def test_sweep_columns_are_the_witness_names_of_run(self, tmp_path):
-        cfg = json.loads((CONFIGS / "nv_sweep.json").read_text())
-        cfg["checks"] = ["witnesses"]
-        path = write_config(tmp_path / "cfg.json", cfg)
-        assert main(["run", path, "--out", str(tmp_path / "run")]) == 0
-        assert main(["sweep", path, "--param", "t", "--grid", "1.0", "--out", str(tmp_path / "sweep")]) == 0
-        row = json.loads((tmp_path / "run" / "report.json").read_text())["results"]["witnesses"][0]
-        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
-            (sweep_row,) = csv.DictReader(fh)
-        names = [key for key in sweep_row if key.startswith("delta_")]
-        assert names == ["delta_x_21", "delta_y_21", "delta_x_32", "delta_y_32"]
-        assert sorted(names) == sorted(key for key in row if key.startswith("delta_"))
-        for name in names:
-            assert float(sweep_row[name]) == row[name]["value"]
+        # with one state and with two, whose first the sweep reads alone
+        two = [{"name": "pure", "ket": [[0.6, 0], [0, 0.8]]}, {"name": "maximally_mixed"}]
+        for k, states in enumerate((None, two)):
+            cfg = json.loads((CONFIGS / "nv_sweep.json").read_text())
+            cfg["checks"] = ["witnesses"]
+            if states is not None:
+                cfg["states"] = states
+            path = write_config(tmp_path / f"cfg{k}.json", cfg)
+            assert main(["run", path, "--out", str(tmp_path / f"run{k}")]) == 0
+            sweep = ["sweep", path, "--param", "t", "--grid", "1.0", "--out", str(tmp_path / f"sweep{k}")]
+            assert main(sweep) == 0
+            row = json.loads((tmp_path / f"run{k}" / "report.json").read_text())["results"]["witnesses"][0]
+            with open(tmp_path / f"sweep{k}" / "sweep.csv", newline="") as fh:
+                (sweep_row,) = csv.DictReader(fh)
+            names = [key for key in sweep_row if key.startswith("delta_")]
+            assert names == ["delta_x_21", "delta_y_21", "delta_x_32", "delta_y_32"]
+            assert sorted(names) == sorted(key for key in row if key.startswith("delta_"))
+            for name in names:
+                assert float(sweep_row[name]) == row[name]["value"]
 
     def test_sweep_reads_the_configured_preparation(self, tmp_path):
         cfg = json.loads((CONFIGS / "nv_sweep.json").read_text())
@@ -1304,6 +1320,15 @@ def test_commuting_config_at_a_thousand_times_the_energy_scale_passes(tmp_path, 
     algebra = read_report(out / "report.json")["results"]["algebra"]
     assert algebra["commutative"] is True
     assert algebra["dimension"] == 4
+
+
+def test_zero_energy_scale_is_a_config_error(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "commuting_random.json").read_text())
+    cfg["scenario"].update(commuting=False, scale=0)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: scale must be finite and nonzero, got 0.0\n"
+    assert not out.exists()
 
 
 FORMS = ("axes", "meter_bases", "fourier_steps")

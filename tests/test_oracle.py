@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import itertools
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 
 import kcprobe as kp
 import kcprobe.oracle
-from kcprobe.errors import LabelError, ProtocolError
+from kcprobe.errors import InvariantViolation, LabelError, ProtocolError
 from kcprobe.oracle import (
     _all_outcomes,
     _chain_effects,
@@ -93,6 +94,31 @@ def test_agreement_gates_every_discrepancy(defect, product, agrees):
     report = kp.OracleReport(3, 0.0, (0.0,) * 3, defect, product is not None, product, kp.DEFAULT.as_dict())
     assert report.agrees is agrees
     assert report.to_dict()["agrees"] is agrees
+
+
+def test_the_gated_discrepancies_are_fields_named_in_one_place():
+    fields = [f.name for f in dataclasses.fields(kp.OracleReport)]
+    assert "GATED" not in fields
+    assert [name for name in fields if name in kp.OracleReport.GATED] == list(kp.OracleReport.GATED)
+
+
+NAIVE_READERS = {
+    "naive_sequence_probability": lambda p, rho: kp.naive_sequence_probability(p, rho, (0, 1)),
+    "naive_distribution": lambda p, rho: kp.naive_distribution(p, rho, 2),
+    "naive_kc_defect": lambda p, rho: kp.naive_kc_defect(p, rho, 2, 1, (0,)),
+    "effect_product_probability": lambda p, rho: kp.effect_product_probability(p, rho, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("reader", list(NAIVE_READERS))
+def test_the_naive_readers_validate_the_state(y_protocol, reader):
+    read = NAIVE_READERS[reader]
+    with pytest.raises(ProtocolError, match=r"^state shape \(3, 3\) does not match operator \(2, 2\)$"):
+        read(y_protocol, np.eye(3, dtype=complex) / 3)
+    for bad in (np.full((2, 2), np.nan), np.diag([1.5, -0.5])):
+        with pytest.raises(InvariantViolation):
+            read(y_protocol, bad)
+    read(y_protocol, I2 / 2)
 
 
 def test_a_shifted_defect_route_disagrees(y_protocol, plus_y_state, monkeypatch):

@@ -27,6 +27,21 @@ class TestRandomModel:
             assert np.array_equal(ha, hb)
         assert fingerprint(model_payload(a)) == fingerprint(model_payload(b))
 
+    def test_a_small_scale_draws_the_scaled_model(self):
+        # the redraw cut scales with scale**2, so a small scale neither hangs
+        # nor redraws more often than scale 1
+        for seed in range(5):
+            unit = kp.random_model(seed, 2, 3, commuting=False)
+            small = kp.random_model(seed, 2, 3, commuting=False, scale=1e-4)
+            for h, h_small in zip(unit.hamiltonians, small.hamiltonians):
+                assert frobenius(h_small - 1e-4 * h) <= 1e-15 * frobenius(h_small)
+
+    @pytest.mark.parametrize("scale", [0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("commuting", [False, True])
+    def test_zero_or_non_finite_scale_is_refused(self, scale, commuting):
+        with pytest.raises(PreconditionError, match="scale must be finite and nonzero"):
+            kp.random_model(0, 2, 2, commuting, scale=scale)
+
     def test_dimension_limits(self):
         with pytest.raises(DimensionError):
             kp.random_model(0, 5, 2, commuting=True)
@@ -137,12 +152,20 @@ class TestNoiseEnsemble:
 
     def test_cap_is_checked_before_any_defect(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("kcprobe.scenarios._state_defects", lambda *args: calls.append(args))
+        monkeypatch.setattr("kcprobe.sequences._scan", lambda *args: calls.append(args))
         realizations = [kp.random_noise_realization(s, 4) for s in (1, 2)]
         tol = kp.DEFAULT.replace(enumeration_cap=8)
         with pytest.raises(CapacityError, match=r"^2\^4 = 16 sequences exceeds cap 8$"):
             kp.ensemble_kc_max_defect(realizations, [0.5, 0.5], 4, tol)
         assert calls == []
+
+    def test_one_scan_per_realization(self, monkeypatch):
+        scans = []
+        scan = kp.sequences._scan
+        monkeypatch.setattr("kcprobe.sequences._scan", lambda *args: scans.append(args[1]) or scan(*args))
+        realizations = [kp.random_noise_realization(s, 5) for s in range(4)]
+        assert kp.ensemble_kc_max_defect(realizations, [0.25] * 4, 5) <= 1e-10
+        assert scans == [[(n, j) for n in range(2, 6) for j in range(1, n)]] * 4
 
 
 class TestCounterexampleSearch:

@@ -364,12 +364,11 @@ def test_one_loop_reads_the_scan():
 
 
 def assert_tensor_matches_single_entries(protocol, rho, n_max):
-    for n in range(2, n_max + 1):
-        for j in range(1, n):
-            tensor = _state_defects(protocol, rho, n, j, kp.DEFAULT)
-            assert tensor.shape == (protocol.probe_dim,) * (n - 1)
-            for fixed in itertools.product(range(protocol.probe_dim), repeat=n - 1):
-                assert abs(kp.kc_defect_state(protocol, rho, n, j, fixed) - tensor[fixed]) <= 1e-14
+    pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
+    for (n, j), tensor in zip(pairs, _state_defects(protocol, [rho], pairs, kp.DEFAULT), strict=True):
+        assert tensor.shape == (1,) + (protocol.probe_dim,) * (n - 1)
+        for fixed in itertools.product(range(protocol.probe_dim), repeat=n - 1):
+            assert abs(kp.kc_defect_state(protocol, rho, n, j, fixed) - tensor[(0, *fixed)]) <= 1e-14
 
 
 class TestStateDefectTensor:
@@ -389,6 +388,20 @@ class TestStateDefectTensor:
     def test_classical_noise_protocol(self):
         protocol = kp.classical_noise_model(kp.random_noise_realization(13, 4), 4)
         assert_tensor_matches_single_entries(protocol, np.array([[1.0]], dtype=complex), 4)
+
+    @pytest.mark.parametrize("d_p, d_s", [(2, 2), (2, 16), (3, 3)])
+    def test_a_stack_of_states_reads_as_each_state_alone(self, d_p, d_s):
+        # exactly, so that a sweep row of the first state matches its run row
+        rng = np.random.default_rng(d_p * d_s)
+        protocol = kp.fourier_protocol(noncommuting_model(d_s, d_p, d_s), 3)
+        states = [random_density(rng, d_s) for _ in range(3)]
+        pairs = [(3, 2), (2, 1)]
+        stacked = _state_defects(protocol, states, pairs, kp.DEFAULT)
+        for i, rho in enumerate(states):
+            alone = _state_defects(protocol, [rho], pairs, kp.DEFAULT)
+            for (n, _), tensor, single in zip(pairs, stacked, alone, strict=True):
+                assert tensor.shape == (3,) + (d_p,) * (n - 1)
+                assert np.array_equal(tensor[i], single[0])
 
 
 class TestKCDefects:
@@ -690,7 +703,7 @@ class TestBlockScan:
         message = str(scan.value)
         assert message.endswith(f"at n={n}, j={j}, fixed={first[2]} is not finite")
         readers = [
-            lambda: _state_defects(protocol, I2 / 2, n, j, kp.DEFAULT),
+            lambda: _state_defects(protocol, [I2 / 2], [(n, j)], kp.DEFAULT),
             lambda: kp.delta_correlation(protocol, I2 / 2, n, j, PLUS_MINUS_VALUES),
             lambda: kp.oracle_compare(protocol, I2 / 2, 3),
         ]
@@ -720,11 +733,11 @@ class TestBlockScan:
         for j in range(1, n):
             tracemalloc.start()
             try:
-                defects = _state_defects(protocol, rho, n, j, kp.DEFAULT)
+                (defects,) = _state_defects(protocol, [rho], [(n, j)], kp.DEFAULT)
                 result_bytes, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert defects.shape == (2,) * (n - 1)
+            assert defects.shape == (1,) + (2,) * (n - 1)
             assert peak - result_bytes <= SCAN_BLOCKS * block_bytes
 
     @pytest.mark.parametrize("block_bytes", [1, 16 * 4 * 3, 16 * 4 * 5])
@@ -826,17 +839,21 @@ class TestFixedPointCheck:
 
     @pytest.mark.parametrize("scale", [1.0, 1e3, 1e5, 1e7])
     def test_verdict_does_not_depend_on_the_units(self, scale):
-        # H -> c H with t -> t / c leaves every unitary, and so the map, as it is
+        # H -> c H with t -> t / c leaves every unitary, and so the map, as it
+        # is; a -> c' a scales both sides of the map's defect
         model = kp.random_model(17, 2, 3, commuting=True)
         effect = kp.qubit_xy_protocol(model, "X").step_measurements[0].effects[0]
         scaled = kp.DephasingModel(
             2, 3, tuple(scale * h for h in model.hamiltonians), model.step_time / scale
         )
-        assert kp.fixed_point_check(effect, scaled, kp.plus_x_preparation()).is_fixed
+        h0 = model.hamiltonians[0]
         noncommuting = kp.DephasingModel(2, 2, (scale * SIGMA_Z, scale * SIGMA_X), np.pi / 2 / scale)
-        result = kp.fixed_point_check(SIGMA_Z, noncommuting, kp.plus_x_preparation())
-        assert not result.is_fixed
-        assert result.commutator_norms[1] == pytest.approx(scale * 2.0 * np.sqrt(2.0))
+        for a_scale in (1.0, 1e-12, 1e6, 1e9):
+            for a in (effect, h0 @ h0):
+                assert kp.fixed_point_check(a_scale * a, scaled, kp.plus_x_preparation()).is_fixed
+            result = kp.fixed_point_check(a_scale * SIGMA_Z, noncommuting, kp.plus_x_preparation())
+            assert not result.is_fixed
+            assert result.commutator_norms[1] == pytest.approx(a_scale * scale * 2.0 * np.sqrt(2.0))
 
     def test_zero_amplitude_preparation_rejected(self, sigma_model):
         prep = kp.PreparationState(np.array([1.0, 0.0]))
