@@ -119,7 +119,7 @@ def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:
 def classical_wrt_state(rho: np.ndarray, algebra: AlgebraBasis, tol: Tolerances = DEFAULT):
     """Whether ``tr(rho [A, B])`` vanishes over the algebra, decided on basis
     pairs: ``tr(rho [a, b]) = M[a, b] - M[b, a]`` for ``M[a, b] = tr(rho a b)``."""
-    rho = check_density(rho, tol)
+    rho = check_density(rho, len(algebra.basis[0]), tol)
     gram = np.einsum("aij,bji->ab", rho @ np.array(algebra.basis), algebra.basis)
     worst = float(np.max(np.abs(gram - gram.T)))
     return worst <= tol.commutator, worst
@@ -195,9 +195,7 @@ def zero_entanglement_condition(rho: np.ndarray, model: DephasingModel, tol: Tol
     coincide; for larger probes the conditional unitaries must additionally
     commute pairwise.  Returns the verdict and the per-pair norms backing it.
     """
-    rho = check_density(rho, tol)
-    if rho.shape[0] != model.system_dim:
-        raise DimensionError(f"state dimension {rho.shape[0]} != system dimension {model.system_dim}")
+    rho = check_density(rho, model.system_dim, tol)
     us = conditional_unitaries(model)
     evolved = [u @ rho @ u.conj().T for u in us]
     state_norms = {}

@@ -42,8 +42,8 @@ from .scenarios import (
     degenerate_qubit_instance,
 )
 from .sequences import check_kc_all
-from .serialize import fingerprint, write_json
-from .witnesses import _axis_deltas, _lg, lg_violation_search, witness_report
+from .serialize import fingerprint, protocol_payload, write_json
+from .witnesses import _axis_deltas, _lg, _witness_report, lg_violation_search
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -173,14 +173,16 @@ def _witness_rows(experiment: Experiment) -> list[dict]:
     # the LG check reads the X protocol's Δ21 tensor; off X, that of its own XX
     x_columns = columns if "X" in by_axis else _delta_columns({"X": lg_protocol}, states, tol)
     lg_defects = x_columns["delta_x_21"][3]
-    rows = []
-    for i, (state, rho) in enumerate(experiment.states):
-        entry: dict = {"state": state}
-        for name, (n, axis, values, _) in columns.items():
-            kind, protocol = f"delta{n}{n - 1}_{axis.lower()}", by_axis[axis].prefix(n)
-            entry[name] = witness_report(kind, values[i], protocol, {"state": state}, tol).to_dict()
-        entry["lg"] = _lg(lg_protocol, rho, float(lg_defects[i, 0]), tol).to_dict()
-        rows.append(entry)
+    rows = [{"state": state} for state, _ in experiment.states]
+    for name, (n, axis, values, _) in columns.items():
+        # one protocol and fingerprint per column, shared by its states
+        kind = f"delta{n}{n - 1}_{axis.lower()}"
+        model_fingerprint = fingerprint(protocol_payload(by_axis[axis].prefix(n)))
+        for entry, value in zip(rows, values):
+            report = _witness_report(kind, value, model_fingerprint, {"state": entry["state"]}, tol)
+            entry[name] = report.to_dict()
+    for entry, (_, rho), defects in zip(rows, experiment.states, lg_defects):
+        entry["lg"] = _lg(lg_protocol, rho, float(defects[0]), tol).to_dict()
     return rows
 
 
@@ -289,16 +291,12 @@ def _oracle_disagrees(rows) -> bool:
 
 
 def _sweep_model(experiment: Experiment, param: str, value: float):
-    scenario = experiment.config.scenario
+    """The model at ``value`` of ``param``: the step time ``t`` or the nv
+    scenario's ``omega``, which :func:`_cmd_sweep` has checked."""
     if param == "t":
         return experiment.model.with_step_time(value)
-    if param == "omega":
-        if scenario.kind != "nv":
-            raise ConfigError("parameter 'omega' is only defined for the nv scenario")
-        params = dict(scenario.params)
-        params["omega"] = value
-        return build_scenario(ScenarioSpec("nv", scenario.seed, params))
-    raise ConfigError(f"unknown sweep parameter {param!r}")
+    scenario = experiment.config.scenario
+    return build_scenario(ScenarioSpec("nv", scenario.seed, {**scenario.params, "omega": value}))
 
 
 def _sweep_row(experiment: Experiment, param: str, value: float | None) -> dict:
@@ -326,6 +324,8 @@ def _cmd_sweep(args, config) -> int:
     if config.scenario.kind == "classical_noise":
         raise ConfigError("sweep is not defined for the classical_noise scenario")
     grid = _parse_grid(args.grid)
+    if args.param == "omega" and config.scenario.kind != "nv":
+        raise ConfigError("parameter 'omega' is only defined for the nv scenario")
     # one worker, since more were no faster; perfbench counts one executor task per row
     with ThreadPoolExecutor(max_workers=1) as pool:
         rows = list(pool.map(lambda v: _sweep_row(experiment, args.param, v), grid))

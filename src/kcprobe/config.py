@@ -219,7 +219,7 @@ def build_experiment(config: RunConfig) -> Experiment:
             (spec["name"], _resolve_state(spec, protocol.system_dim)) for spec in config.states
         )
         for _, rho in states:
-            check_density(rho, config.tolerances)
+            check_density(rho, protocol.system_dim, config.tolerances)
     except InvariantViolation as exc:
         raise ConfigError(str(exc)) from exc
     return Experiment(config, protocol.model, protocol, n_max, states)

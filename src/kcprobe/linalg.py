@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, InvariantViolation
+from .errors import DimensionError, InvariantViolation, ProtocolError
 from .tolerances import DEFAULT, Tolerances
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -76,7 +76,10 @@ def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT, what: str = "matri
     return m
 
 
-def check_density(rho: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def check_density(rho: np.ndarray, dim: int, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """``rho`` as a density matrix of a ``dim``-dimensional system: one that is
+    not a density matrix raises :class:`InvariantViolation`, and a valid one of
+    another size the :class:`ProtocolError` every state reader shares."""
     rho = check_hermitian(rho, tol, what="density matrix")
     tr = np.trace(rho)
     if abs(tr - 1.0) > tol.density_trace:
@@ -84,6 +87,8 @@ def check_density(rho: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     lo = float(np.linalg.eigvalsh(rho)[0])
     if lo < -tol.density_eig:
         raise InvariantViolation(f"density matrix has negative eigenvalue {lo:.3e}")
+    if rho.shape != (dim, dim):
+        raise ProtocolError(f"state shape {rho.shape} does not match operator {(dim, dim)}")
     return rho
 
 

@@ -14,18 +14,22 @@ normalized.
 
 Outcome labels are integers ``0 .. d_P-1`` throughout; meter bases carry
 display labels (``+``/``-`` for the qubit X/Y bases) and witnesses apply
-their own outcome-value conventions.
+their own outcome-value conventions.  The outcome sequences, ``(n, j)``
+pairs and ``fixed`` outcomes given to a protocol are checked here, once for
+the fast route of :mod:`kcprobe.sequences` and the naive one of
+:mod:`kcprobe.oracle` alike.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvariantViolation, ProtocolError
+from .errors import DimensionError, InvariantViolation, LabelError, ProtocolError
 from .linalg import (
     as_complex_matrix,
     check_hermitian,
@@ -335,6 +339,53 @@ class MeasurementProtocol:
         if self.n_steps == 1:
             raise ProtocolError("cannot drop the only step of a protocol")
         return self._with_steps(lambda steps: steps[: j - 1] + steps[j:])
+
+
+def _labels(protocol: MeasurementProtocol, seq) -> tuple[int, ...]:
+    """``seq`` as a tuple of outcome labels in ``0..d_P - 1``.
+
+    A label must be an integer (numpy integers included); anything else,
+    such as ``0.9``, raises :class:`LabelError` rather than being truncated.
+    """
+    try:
+        labels = tuple(map(operator.index, seq))
+    except TypeError:
+        raise LabelError(f"outcome labels must be integers, got {seq!r}") from None
+    d_p = protocol.probe_dim
+    if labels and not (0 <= min(labels) and max(labels) < d_p):
+        k, m = next((k, m) for k, m in enumerate(labels) if not 0 <= m < d_p)
+        raise LabelError(f"outcome {m} at position {k + 1} is not in 0..{d_p - 1}")
+    return labels
+
+
+def _sequence(protocol: MeasurementProtocol, seq) -> tuple[int, ...]:
+    """``seq`` as the labels of an outcome sequence of ``1..n_steps`` steps;
+    an empty or too long one raises :class:`ProtocolError`."""
+    seq = _labels(protocol, seq)
+    if not 1 <= len(seq) <= protocol.n_steps:
+        raise ProtocolError(f"{len(seq)} outcomes for a protocol of {protocol.n_steps} steps")
+    return seq
+
+
+def _defect_args(protocol: MeasurementProtocol, n: int, j: int, fixed=None):
+    """Raise :class:`ProtocolError` unless ``(n, j)`` is a substantive
+    consistency condition; then ``fixed``, if given, as the labels of its
+    ``n - 1`` outcomes."""
+    if n < 2 or n > protocol.n_steps:
+        raise ProtocolError(f"n = {n} not in 2..{protocol.n_steps}")
+    if j == n:
+        raise ProtocolError(
+            "marginalizing the final step is trivially consistent (POVM completeness); "
+            "the defect is exactly 0 and is not a substantive consistency check"
+        )
+    if not 1 <= j <= n - 1:
+        raise ProtocolError(f"j = {j} not in 1..{n - 1}")
+    if fixed is None:
+        return None
+    fixed = _labels(protocol, fixed)
+    if len(fixed) != n - 1:
+        raise ProtocolError(f"need {n - 1} fixed outcomes, got {len(fixed)}")
+    return fixed
 
 
 def plus_x_preparation() -> PreparationState:

@@ -13,41 +13,26 @@ its naive reassembly in Frobenius norm, which bounds the gap in
 ``tr(rho D)`` for every state.  For commutative models the effect-product
 form of the probability is a third route.  No product or pull-back code is
 shared with :mod:`kcprobe.sequences`, whose single-entry routes call the
-helpers here.
+helpers here.  Both routes check their inputs with the same functions,
+:func:`~kcprobe.linalg.check_density` and the outcome and ``(n, j)`` checks
+of :mod:`kcprobe.model`.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sequences
 from .algebra import is_commutative
-from .errors import LabelError, ProtocolError
+from .errors import ProtocolError
 from .linalg import check_density
-from .model import MeasurementProtocol
+from .model import MeasurementProtocol, _defect_args, _sequence
 from .sequences import _check_capacity, _defect_blocks, full_distribution
 from .serialize import Record
 from .tolerances import DEFAULT, Tolerances
-
-
-def _outcomes(protocol: MeasurementProtocol, seq) -> tuple[int, ...]:
-    """``seq`` as integer outcomes in ``0..d_P - 1`` of ``1..n_steps`` steps;
-    a label such as ``0.9`` raises :class:`LabelError` instead of being
-    truncated, and an empty or too long sequence :class:`ProtocolError`."""
-    try:
-        seq = tuple(map(operator.index, seq))
-    except TypeError:
-        raise LabelError(f"outcome labels must be integers, got {seq!r}") from None
-    for k, m in enumerate(seq):
-        if not 0 <= m < protocol.probe_dim:
-            raise LabelError(f"outcome {m} at position {k + 1} is not in 0..{protocol.probe_dim - 1}")
-    if not 1 <= len(seq) <= protocol.n_steps:
-        raise ProtocolError(f"{len(seq)} outcomes for a protocol of {protocol.n_steps} steps")
-    return seq
 
 
 def _all_outcomes(d_p: int, k: int) -> np.ndarray:
@@ -146,21 +131,12 @@ def _effect_products(
     return out
 
 
-def _checked_state(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """``rho`` validated as a density matrix of the protocol's system."""
-    rho = check_density(rho, tol)
-    d = protocol.system_dim
-    if rho.shape != (d, d):
-        raise ProtocolError(f"state shape {rho.shape} does not match operator {(d, d)}")
-    return rho
-
-
 def naive_sequence_probability(
     protocol: MeasurementProtocol, rho: np.ndarray, seq, tol: Tolerances = DEFAULT
 ) -> float:
     """Probability of one sequence with the Kraus product built from scratch."""
-    seq = _outcomes(protocol, seq)
-    rho = _checked_state(protocol, rho, tol)
+    seq = _sequence(protocol, seq)
+    rho = check_density(rho, protocol.system_dim, tol)
     return float(_chain_probabilities(protocol, rho, np.array([seq]), range(len(seq)))[0])
 
 
@@ -168,7 +144,7 @@ def naive_distribution(protocol: MeasurementProtocol, rho: np.ndarray, n: int, t
     if not 1 <= n <= protocol.n_steps:
         raise ProtocolError(f"n = {n} not in 1..{protocol.n_steps}")
     _check_capacity(protocol.probe_dim, n, tol)
-    rho = _checked_state(protocol, rho, tol)
+    rho = check_density(rho, protocol.system_dim, tol)
     probs = _chain_probabilities(protocol, rho, _all_outcomes(protocol.probe_dim, n), range(n))
     return dict(zip(itertools.product(range(protocol.probe_dim), repeat=n), probs.tolist()))
 
@@ -180,14 +156,8 @@ def naive_kc_defect(
     from naive Kraus chains.  ``(n, j)`` must be a substantive condition and
     ``fixed`` hold ``n - 1`` outcomes; else :class:`ProtocolError`.
     """
-    if not 2 <= n <= protocol.n_steps:
-        raise ProtocolError(f"n = {n} not in 2..{protocol.n_steps}")
-    if not 1 <= j <= n - 1:
-        raise ProtocolError(f"j = {j} not in 1..{n - 1} (the final step's defect is 0 by completeness)")
-    fixed = _outcomes(protocol, fixed)
-    if len(fixed) != n - 1:
-        raise ProtocolError(f"need {n - 1} fixed outcomes, got {len(fixed)}")
-    rho = _checked_state(protocol, rho, tol)
+    fixed = _defect_args(protocol, n, j, fixed)
+    rho = check_density(rho, protocol.system_dim, tol)
     return float(np.einsum("ij,ji->", rho, _naive_defects(protocol, j, np.array([fixed]))[0]).real)
 
 
@@ -195,8 +165,8 @@ def effect_product_probability(
     protocol: MeasurementProtocol, rho: np.ndarray, seq, tol: Tolerances = DEFAULT
 ) -> float:
     """Commutative-model probability ``tr(rho E_{m_1} ... E_{m_n})``."""
-    seq = _outcomes(protocol, seq)
-    rho = _checked_state(protocol, rho, tol)
+    seq = _sequence(protocol, seq)
+    rho = check_density(rho, protocol.system_dim, tol)
     return float(_effect_products(protocol, rho, np.array([seq]))[0])
 
 
@@ -244,7 +214,7 @@ def oracle_compare(
         n_max = protocol.n_steps
     if not 1 <= n_max <= protocol.n_steps:
         raise ProtocolError(f"n_max = {n_max} not in 1..{protocol.n_steps}")
-    rho = check_density(rho, tol)
+    rho = check_density(rho, protocol.system_dim, tol)
     d_p = protocol.probe_dim
     defect_gaps = [0.0]
     for n in range(2, n_max + 1):

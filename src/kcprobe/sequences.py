@@ -56,15 +56,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    LabelError,
-    NumericalFault,
-    PreconditionError,
-    ProtocolError,
-)
+from .errors import CapacityError, NumericalFault, PreconditionError, ProtocolError
 from .linalg import check_density, commutator, frobenius
-from .model import DephasingModel, MeasurementProtocol, PreparationState, nonselective_apply
+from .model import (
+    DephasingModel,
+    MeasurementProtocol,
+    PreparationState,
+    _defect_args,
+    _sequence,
+    nonselective_apply,
+)
 from .serialize import Record
 from .tolerances import DEFAULT, Tolerances
 
@@ -101,30 +102,11 @@ class JointDistribution:
         return float(sum(self.table.values()))
 
 
-def _labels(protocol: MeasurementProtocol, seq) -> OutcomeSequence:
-    """``seq`` as a tuple of outcome labels in ``0..d_P - 1``.
-
-    A label must be an integer (numpy integers included); anything else,
-    such as ``0.9``, raises :class:`LabelError` rather than being truncated.
-    """
-    try:
-        labels = tuple(map(operator.index, seq))
-    except TypeError:
-        raise LabelError(f"outcome labels must be integers, got {seq!r}") from None
-    d_p = protocol.probe_dim
-    if labels and not (0 <= min(labels) and max(labels) < d_p):
-        k, m = next((k, m) for k, m in enumerate(labels) if not 0 <= m < d_p)
-        raise LabelError(f"outcome {m} at position {k + 1} is not in 0..{d_p - 1}")
-    return labels
-
-
 def history_operator(protocol: MeasurementProtocol, seq) -> HistoryOperator:
     """History operator of an outcome sequence, from the oracle's Kraus chain."""
     from .oracle import _chain_effects
 
-    seq = _labels(protocol, seq)
-    if not 1 <= len(seq) <= protocol.n_steps:
-        raise ProtocolError(f"sequence length {len(seq)} not in 1..{protocol.n_steps} for this protocol")
+    seq = _sequence(protocol, seq)
     _, (q,) = next(_chain_effects(protocol, np.array([seq]), range(len(seq))))
     return HistoryOperator(q, seq)
 
@@ -215,14 +197,12 @@ def _probabilities(
 ) -> np.ndarray:
     """Probabilities of all sequences of the first ``n`` steps, lexicographic.
 
-    ``rho`` must already be a validated density matrix and ``d_P ** n``
-    within the enumeration cap.  Each entry passes the guards of
+    ``rho`` must already be a validated density matrix of the system and
+    ``d_P ** n`` within the enumeration cap.  Each entry passes the guards of
     :func:`joint_probability`, the one :func:`_born_rule`.  A vector whose sum is
     farther than ``distribution_sum`` from 1 raises :class:`NumericalFault`.
     """
     d_p, d = protocol.probe_dim, protocol.system_dim
-    if rho.shape != (d, d):
-        raise ProtocolError(f"state shape {rho.shape} does not match operator {(d, d)}")
     trailing = _batched_steps(d_p, n, _block_len(d))
     lead = n - trailing
     block = d_p**trailing
@@ -241,19 +221,6 @@ def _probabilities(
     return out
 
 
-def _check_step_pair(protocol: MeasurementProtocol, n: int, j: int) -> None:
-    """Raise :class:`ProtocolError` unless ``(n, j)`` is a substantive consistency condition."""
-    if n < 2 or n > protocol.n_steps:
-        raise ProtocolError(f"n = {n} not in 2..{protocol.n_steps}")
-    if j == n:
-        raise ProtocolError(
-            "marginalizing the final step is trivially consistent (POVM completeness); "
-            "the defect is exactly 0 and is not a substantive consistency check"
-        )
-    if not 1 <= j <= n - 1:
-        raise ProtocolError(f"j = {j} not in 1..{n - 1}")
-
-
 def full_distribution(
     protocol: MeasurementProtocol,
     rho: np.ndarray,
@@ -270,18 +237,10 @@ def full_distribution(
     if not 1 <= n <= protocol.n_steps:
         raise ProtocolError(f"n = {n} not in 1..{protocol.n_steps}")
     _check_capacity(protocol.probe_dim, n, tol)
-    rho = check_density(rho, tol)
+    rho = check_density(rho, protocol.system_dim, tol)
     probs = _probabilities(protocol, rho, n, tol)
     table = dict(zip(itertools.product(range(protocol.probe_dim), repeat=n), probs.tolist()))
     return JointDistribution(n, protocol.probe_dim, table)
-
-
-def _check_defect_args(protocol: MeasurementProtocol, n: int, j: int, fixed) -> OutcomeSequence:
-    _check_step_pair(protocol, n, j)
-    fixed = _labels(protocol, fixed)
-    if len(fixed) != n - 1:
-        raise ProtocolError(f"need {n - 1} fixed outcomes, got {len(fixed)}")
-    return fixed
 
 
 def kc_defect_state(
@@ -291,18 +250,15 @@ def kc_defect_state(
 
     ``fixed`` lists the outcomes of all steps except ``j`` in time order;
     the ``P_{n-1}`` term uses the protocol with step ``j`` removed and the
-    remaining steps unchanged.  It is ``tr(rho D)`` for the ``D`` of
-    :func:`kc_defect_operator`; a non-finite value raises :class:`NumericalFault`.
+    remaining steps unchanged.  It is :func:`~kcprobe.oracle.naive_kc_defect`,
+    ``tr(rho D)`` for the ``D`` of :func:`kc_defect_operator`, except that a
+    non-finite value raises :class:`NumericalFault`.
     """
-    from .oracle import _naive_defects
+    from .oracle import naive_kc_defect
 
-    fixed = _check_defect_args(protocol, n, j, fixed)
-    rho = check_density(rho, tol)
+    fixed = _defect_args(protocol, n, j, fixed)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
-        defect = _naive_defects(protocol, j, np.array([fixed]))[0]
-        if rho.shape != defect.shape:
-            raise ProtocolError(f"state shape {rho.shape} does not match operator {defect.shape}")
-        value = float(np.einsum("ij,ji->", rho, defect).real)
+        value = naive_kc_defect(protocol, rho, n, j, fixed, tol)
     if not math.isfinite(value):
         raise NumericalFault(f"defect {value} at n={n}, j={j}, fixed={fixed} is not finite")
     return value
@@ -319,7 +275,7 @@ def kc_defect_operator(
     """
     from .oracle import _naive_defects
 
-    fixed = _check_defect_args(protocol, n, j, fixed)
+    fixed = _defect_args(protocol, n, j, fixed)
     return _naive_defects(protocol, j, np.array([fixed]))[0]
 
 
@@ -426,17 +382,6 @@ class KCReport(Record):
         return {**super().to_dict(), "entries": self.entries.dicts()}
 
 
-def _stack_states(protocol: MeasurementProtocol, states) -> np.ndarray:
-    """The validated ``states`` as one ``(s, d * d)`` stack of the entries of
-    ``rho^T``, so that ``tr(rho D)`` is a row's dot product with the entries
-    of ``D``; a state of the wrong shape raises :class:`ProtocolError`."""
-    d = protocol.system_dim
-    for r in states:
-        if r.shape != (d, d):
-            raise ProtocolError(f"state shape {r.shape} does not match operator {(d, d)}")
-    return np.array([r.T for r in states], dtype=complex).reshape(len(states), d * d)
-
-
 # Most blocks of PREFIX_BLOCK_BYTES that :func:`_defect_blocks` holds at once.
 # Its stacks of suffix products, suffix effects and defects hold at most
 # ``1 / d_P`` of a block each, so the most is held while step ``j`` pulls the
@@ -482,12 +427,15 @@ def _defect_blocks(protocol: MeasurementProtocol, n: int, j: int):
 
 
 def _scan(
-    protocol: MeasurementProtocol, pairs: list, states: np.ndarray
+    protocol: MeasurementProtocol, pairs: list, states: list
 ) -> tuple[np.ndarray, np.ndarray]:
     """The Frobenius norms ``(entries,)`` and the ``tr(rho D)`` ``(entries, s)``,
-    one row per state of the ``(s, d * d)`` stack ``states``, of the operator
-    defects of every ``(n, j)`` of ``pairs`` in scan order: the one loop over
+    one row per validated state of ``states``, of the operator defects of
+    every ``(n, j)`` of ``pairs`` in scan order: the one loop over
     :func:`_defect_blocks`, filling both arrays, sized first, block by block."""
+    d = protocol.system_dim
+    # the entries of each rho^T, so that tr(rho D) is a dot product with those of D
+    states = np.array([r.T for r in states], dtype=complex).reshape(len(states), d * d)
     count = sum(protocol.probe_dim ** (n - 1) for n, _ in pairs)
     norms = np.empty(count)
     traces = np.empty((count, len(states)))
@@ -512,9 +460,9 @@ def _state_defects(
     the largest ``d_P ** n`` are checked here."""
     d_p = protocol.probe_dim
     for n, j in pairs:
-        _check_step_pair(protocol, n, j)
+        _defect_args(protocol, n, j)
     _check_capacity(d_p, max(n for n, _ in pairs), tol)
-    _, traces = _scan(protocol, pairs, _stack_states(protocol, states))
+    _, traces = _scan(protocol, pairs, states)
     starts = itertools.accumulate((d_p ** (n - 1) for n, _ in pairs), initial=0)
     bounds = zip(itertools.pairwise(starts), pairs)
     return [traces[a:b].T.reshape((len(states),) + (d_p,) * (n - 1)) for (a, b), (n, _) in bounds]
@@ -530,9 +478,9 @@ def check_kc_all(
 
     Scans all ``2 <= n <= n_max``, ``1 <= j <= n-1`` and all assignments of
     the fixed outcomes, in lexicographic order.  The verdict is decided by
-    the operator defects alone; if ``rho`` (one state or a sequence of
-    states) is supplied, per-state defects ``tr(rho D)`` are recorded
-    alongside; an empty sequence of states is read as ``rho=None``.  The
+    the operator defects alone; if ``rho`` (one state, a 2-D array-like, or
+    a sequence of states) is supplied, per-state defects ``tr(rho D)`` are
+    recorded alongside; an empty sequence of states is read as ``rho=None``.  The
     report also notes whether the ``(n=2, j=1)`` conditions already decide
     the verdict on their own.  Each entry agrees with
     :func:`kc_defect_operator` to rounding.  The entries are held as arrays,
@@ -545,8 +493,12 @@ def check_kc_all(
         raise ProtocolError(f"n_max = {n_max} exceeds protocol length {protocol.n_steps}")
     d_p = protocol.probe_dim
     _check_capacity(d_p, n_max, tol)
-    states = [] if rho is None else [rho] if isinstance(rho, np.ndarray) else rho
-    states = _stack_states(protocol, [check_density(r, tol) for r in states])
+    try:
+        one_state = np.ndim(rho) == 2
+    except ValueError:  # states of different shapes make no array
+        one_state = False
+    states = [rho] if one_state else [] if rho is None else rho
+    states = [check_density(r, protocol.system_dim, tol) for r in states]
     pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
     norms, traces = _scan(protocol, pairs, states)
     max_defect = float(norms.max())

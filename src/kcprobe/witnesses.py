@@ -53,13 +53,20 @@ def witness_report(
     parameters: dict | None = None,
     tol: Tolerances = DEFAULT,
 ) -> WitnessReport:
+    return _witness_report(kind, value, fingerprint(protocol_payload(protocol)), parameters, tol)
+
+
+def _witness_report(
+    kind: str, value: float, model_fingerprint: str, parameters: dict | None, tol: Tolerances
+) -> WitnessReport:
+    """:func:`witness_report` of a protocol whose fingerprint is ``model_fingerprint``."""
     verdict = "nonzero" if abs(value) > tol.witness else "zero"
     return WitnessReport(
         kind=kind,
         parameters=dict(parameters or {}),
         value=float(value),
         verdict=verdict,
-        model_fingerprint=fingerprint(protocol_payload(protocol)),
+        model_fingerprint=model_fingerprint,
         tolerances=tol.as_dict(),
     )
 
@@ -80,7 +87,8 @@ def delta_correlation(
     missing = [m for m in range(protocol.probe_dim) if m not in value_map]
     if missing:
         raise ProtocolError(f"value map lacks outcomes {missing}")
-    (defects,) = _state_defects(protocol, [check_density(rho, tol)], [(n, j)], tol)
+    rho = check_density(rho, protocol.system_dim, tol)
+    (defects,) = _state_defects(protocol, [rho], [(n, j)], tol)
     return float(_correlation(defects, value_map)[0])
 
 
@@ -98,7 +106,7 @@ def delta_2_1(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = 
     nonselective measurement minus the single-step average at the same
     remaining duration, i.e. :func:`delta_correlation` at ``(n, j) = (2, 1)``.
     Values are ``+1/-1``."""
-    [(delta, _)] = _axis_deltas(protocol, [check_density(rho, tol)], (2,), tol)
+    [(delta, _)] = _axis_deltas(protocol, [check_density(rho, protocol.system_dim, tol)], (2,), tol)
     return float(delta[0])
 
 
@@ -106,7 +114,7 @@ def delta_3_2(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = 
     """Three-measurement witness: first/third-step correlation defect when
     the middle measurement is marginalized, i.e. :func:`delta_correlation`
     at ``(n, j) = (3, 2)``.  Values are ``+1/-1``."""
-    [(delta, _)] = _axis_deltas(protocol, [check_density(rho, tol)], (3,), tol)
+    [(delta, _)] = _axis_deltas(protocol, [check_density(rho, protocol.system_dim, tol)], (3,), tol)
     return float(delta[0])
 
 
@@ -157,7 +165,7 @@ def lg_check(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = D
     implies ``P2(+,+) <= P1(+)``.  Both probabilities are exposed so either
     post-selection reading of the inequality can be applied.
     """
-    rho = check_density(rho, tol)
+    rho = check_density(rho, protocol.system_dim, tol)
     if protocol.probe_dim != 2:
         raise DimensionError("the inequality check needs a qubit probe")
     if protocol.n_steps < 2:

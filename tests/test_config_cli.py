@@ -726,6 +726,33 @@ class TestWitnessProtocols:
             want = kp.serialize.fingerprint(kp.serialize.protocol_payload(protocol.prefix(n)))
             assert row[key]["model_fingerprint"] == want
 
+    def test_each_column_takes_its_protocol_and_fingerprint_once(self, tmp_path, monkeypatch):
+        # sigma_pair_y has two states and four Δ columns, plus the config's own fingerprint
+        calls = {"prefix": 0, "fingerprint": 0}
+        prefix, fingerprint = kp.MeasurementProtocol.prefix, kp.serialize.fingerprint
+
+        def counted_prefix(protocol, n):
+            calls["prefix"] += 1
+            return prefix(protocol, n)
+
+        def counted_fingerprint(payload):
+            calls["fingerprint"] += 1
+            return fingerprint(payload)
+
+        monkeypatch.setattr(kp.MeasurementProtocol, "prefix", counted_prefix)
+        for module in ("cli", "witnesses"):
+            monkeypatch.setattr(f"kcprobe.{module}.fingerprint", counted_fingerprint)
+        cfg = json.loads(SIGMA_PAIR_Y.read_text())
+        cfg["checks"] = ["witnesses"]
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 0
+        assert calls == {"prefix": 4, "fingerprint": 4 + 1}
+        rows = json.loads((out / "report.json").read_text())["results"]["witnesses"]
+        assert [row["state"] for row in rows] == ["pure", "maximally_mixed"]
+        for key in ("delta_y_21", "delta_y_32", "delta_x_21", "delta_x_32"):
+            assert rows[0][key]["model_fingerprint"] == rows[1][key]["model_fingerprint"]
+            assert [row[key]["parameters"] for row in rows] == [{"state": "pure"}, {"state": "maximally_mixed"}]
+
     def test_run_with_witnesses_builds_three_protocols(self, tmp_path, monkeypatch):
         cfg = {
             "schema_version": 1,
@@ -815,9 +842,9 @@ class TestWitnessProtocols:
     def test_run_validates_each_state_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counted(rho, tol):
+        def counted(rho, dim, tol):
             calls.append(1)
-            return check_density(rho, tol)
+            return check_density(rho, dim, tol)
 
         monkeypatch.setattr("kcprobe.witnesses.check_density", counted)
         cfg = json.loads(SIGMA_PAIR_Y.read_text())
@@ -913,9 +940,9 @@ class TestSweepCommand:
     def test_validates_the_state_once_per_sweep(self, tmp_path, monkeypatch):
         calls = []
 
-        def counted(rho, tol):
+        def counted(rho, dim, tol):
             calls.append(1)
-            return check_density(rho, tol)
+            return check_density(rho, dim, tol)
 
         for module in ("config", "sequences", "witnesses"):
             monkeypatch.setattr(f"kcprobe.{module}.check_density", counted)
@@ -1003,6 +1030,13 @@ class TestSweepCommand:
         cfg = sigma_pair_config()
         path = write_config(tmp_path / "cfg.json", cfg)
         assert main(["sweep", path, "--param", "omega", "--grid", "0,1", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("grid", ["", "0,1"])
+    def test_omega_off_nv_is_a_config_error_whatever_the_grid(self, tmp_path, capsys, grid):
+        out = tmp_path / "out"
+        assert main(["sweep", str(SIGMA_PAIR_Y), "--param", "omega", "--grid", grid, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: parameter 'omega' is only defined for the nv scenario\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "oracle", "search", "sweep"])

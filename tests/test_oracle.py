@@ -331,8 +331,9 @@ def test_n_max_below_one_is_a_protocol_error(y_protocol, plus_y_state, n_max):
         kp.oracle_compare(y_protocol, plus_y_state, n_max)
 
 
-# Each naive route checks its own labels: a non-integral one is refused, not
-# truncated; numpy integers pass; an out-of-range one names its position.
+# Each naive route checks its labels with the fast route's check: a
+# non-integral one is refused, not truncated; numpy integers pass; an
+# out-of-range one names its position.
 NAIVE_ROUTES = {
     "naive_sequence_probability": lambda p, seq: kp.naive_sequence_probability(p, I2 / 2, seq),
     "effect_product_probability": lambda p, seq: kp.effect_product_probability(p, I2 / 2, seq),
@@ -352,8 +353,9 @@ def test_naive_routes_refuse_labels_the_fast_route_refuses(y_protocol, route):
         call(y_protocol, (-1, 0))
 
 
-# Each naive route also checks its own lengths and (n, j), in code of its own,
-# where it used to raise IndexError or answer a question the fast route refuses.
+# Each naive route also checks its lengths and (n, j) with the fast route's
+# checks, where it used to raise IndexError or answer a question the fast
+# route refuses.
 @pytest.mark.parametrize("route", ["naive_sequence_probability", "effect_product_probability"])
 @pytest.mark.parametrize("seq", [(), (0, 1, 0, 1)])
 def test_naive_probabilities_refuse_a_length_the_protocol_lacks(y_protocol, route, seq):
@@ -370,7 +372,7 @@ def test_naive_kc_defect_refuses_a_wrong_length_fixed(y_protocol, fixed):
 @pytest.mark.parametrize(
     "n, j, message",
     [
-        (3, 3, "j = 3 not in 1..2"),
+        (3, 3, "marginalizing the final step is trivially consistent"),
         (3, 0, "j = 0 not in 1..2"),
         (1, 1, "n = 1 not in 2..3"),
         (4, 1, "n = 4 not in 2..3"),

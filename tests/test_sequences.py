@@ -505,6 +505,15 @@ class TestCheckKCAll:
         with pytest.raises(ProtocolError, match="state shape"):
             kp.check_kc_all(y_protocol, 2, [I2 / 2, np.eye(3) / 3])
 
+    def test_an_array_of_states_and_a_nested_list_read_by_their_dimensions(self, y_protocol, plus_y_state):
+        pair = (plus_y_state, I2 / 2)
+        want = kp.check_kc_all(y_protocol, 3, pair).to_dict()
+        assert kp.check_kc_all(y_protocol, 3, np.array(pair)).to_dict() == want
+        one = [[1, 0], [0, 0]]
+        want = kp.check_kc_all(y_protocol, 3, (np.array(one, dtype=complex),)).to_dict()
+        assert kp.check_kc_all(y_protocol, 3, one).to_dict() == want
+        assert len(want["entries"][0]["state_defects"]) == 1
+
     def test_empty_state_sequence_is_no_state(self, y_protocol):
         report = kp.check_kc_all(y_protocol, 2, [])
         assert report.to_dict() == kp.check_kc_all(y_protocol, 2).to_dict()
@@ -859,3 +868,29 @@ class TestFixedPointCheck:
         prep = kp.PreparationState(np.array([1.0, 0.0]))
         with pytest.raises(PreconditionError):
             kp.fixed_point_check(I2, sigma_model, prep)
+
+
+# Every public reader of a state checks it with the one ``check_density``, so
+# a state of the wrong size gets the same error from each.
+STATE_READERS = {
+    "full_distribution": lambda p, rho: kp.full_distribution(p, rho, 2),
+    "check_kc_all": lambda p, rho: kp.check_kc_all(p, 2, rho),
+    "kc_defect_state": lambda p, rho: kp.kc_defect_state(p, rho, 2, 1, (0,)),
+    "naive_sequence_probability": lambda p, rho: kp.naive_sequence_probability(p, rho, (0,)),
+    "naive_distribution": lambda p, rho: kp.naive_distribution(p, rho, 2),
+    "naive_kc_defect": lambda p, rho: kp.naive_kc_defect(p, rho, 2, 1, (0,)),
+    "effect_product_probability": lambda p, rho: kp.effect_product_probability(p, rho, (0,)),
+    "oracle_compare": lambda p, rho: kp.oracle_compare(p, rho, 2),
+    "delta_correlation": lambda p, rho: kp.delta_correlation(p, rho, 2, 1, PLUS_MINUS_VALUES),
+    "delta_2_1": lambda p, rho: kp.delta_2_1(p, rho),
+    "delta_3_2": lambda p, rho: kp.delta_3_2(p, rho),
+    "lg_check": lambda p, rho: kp.lg_check(p, rho),
+    "classical_wrt_state": lambda p, rho: kp.classical_wrt_state(rho, kp.generate_algebra(p.model.hamiltonians)),
+    "zero_entanglement_condition": lambda p, rho: kp.zero_entanglement_condition(rho, p.model),
+}
+
+
+@pytest.mark.parametrize("reader", list(STATE_READERS))
+def test_every_state_reader_refuses_a_state_of_the_wrong_size_alike(x_protocol, reader):
+    with pytest.raises(ProtocolError, match=r"^state shape \(3, 3\) does not match operator \(2, 2\)$"):
+        STATE_READERS[reader](x_protocol, np.eye(3) / 3)

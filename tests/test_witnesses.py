@@ -37,9 +37,9 @@ class TestDeltaCorrelation:
     def test_validates_the_state_once(self, y_protocol, plus_y_state, monkeypatch):
         calls = []
 
-        def counted(rho, tol):
+        def counted(rho, dim, tol):
             calls.append(1)
-            return check_density(rho, tol)
+            return check_density(rho, dim, tol)
 
         monkeypatch.setattr("kcprobe.witnesses.check_density", counted)
         monkeypatch.setattr("kcprobe.sequences.check_density", counted)
@@ -215,9 +215,9 @@ class TestLGCheck:
         calls = {"witnesses": 0, "sequences": 0}
 
         def counter(module):
-            def counted(rho, tol):
+            def counted(rho, dim, tol):
                 calls[module] += 1
-                return check_density(rho, tol)
+                return check_density(rho, dim, tol)
 
             return counted
 
