@@ -27,7 +27,6 @@ from .linalg import (
     commutator,
     hermitian_eig,
     hs_inner,
-    kron,
     orthonormalize_hs,
     unitary_from_hamiltonian,
 )

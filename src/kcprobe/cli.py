@@ -154,14 +154,22 @@ def _witness_protocols(
     return by_axis, by_axis.get("X") or steps("X", 2)
 
 
+def _delta_names(by_axis: dict[str, MeasurementProtocol]) -> dict[str, tuple[int, str]]:
+    """``{name: (n, axis)}`` of Δ21 (``n = 2``) and Δ32 (``n = 3``) on the protocols
+    ``by_axis``, in column order: ``delta_x_21``, ``delta_y_21``, ..."""
+    # Δ21 raises on fewer than two steps
+    keys = sorted((n, a) for a, p in by_axis.items() for n in ((2, 3) if p.n_steps >= 3 else (2,)))
+    return {f"delta_{a.lower()}_{n}{n - 1}": (n, a) for n, a in keys}
+
+
 def _delta_columns(by_axis: dict[str, MeasurementProtocol], states: list, tol) -> dict:
-    """``{name: (n, axis, values, tensor)}`` of Δ21 (``n = 2``) and Δ32 (``n = 3``) of every
-    validated state, named ``delta_x_21``, ``delta_y_21``, ..., one scan per axis protocol."""
+    """``{name: (n, axis, values, tensor)}`` of the columns of :func:`_delta_names`
+    for every validated state, one scan per axis protocol."""
     read = {}
     for axis, protocol in by_axis.items():
-        ns = (2, 3) if protocol.n_steps >= 3 else (2,)  # Δ21 raises on fewer than two steps
-        read.update(zip([(n, axis) for n in ns], _axis_deltas(protocol, states, ns, tol)))
-    return {f"delta_{a.lower()}_{n}{n - 1}": (n, a, *read[n, a]) for n, a in sorted(read)}
+        keys = list(_delta_names({axis: protocol}).values())
+        read.update(zip(keys, _axis_deltas(protocol, states, [n for n, _ in keys], tol)))
+    return {name: (*key, *read[key]) for name, key in _delta_names(by_axis).items()}
 
 
 def _witness_rows(experiment: Experiment) -> list[dict]:
@@ -299,11 +307,11 @@ def _sweep_model(experiment: Experiment, param: str, value: float):
     return build_scenario(ScenarioSpec("nv", scenario.seed, {**scenario.params, "omega": value}))
 
 
-def _sweep_row(experiment: Experiment, param: str, value: float | None) -> dict:
-    """One ``sweep.csv`` row by column name; ``value`` None reads the config's own model."""
+def _sweep_row(experiment: Experiment, param: str, value: float) -> dict:
+    """One ``sweep.csv`` row by column name."""
     tol = experiment.config.tolerances
     try:  # a grid value that breaks an invariant is a config error, as in the config
-        model = experiment.model if value is None else _sweep_model(experiment, param, value)
+        model = _sweep_model(experiment, param, value)
         protocols = _witness_protocols(model, experiment.protocol.preparation)[0]
     except InvariantViolation as exc:
         raise ConfigError(str(exc)) from exc
@@ -329,8 +337,9 @@ def _cmd_sweep(args, config) -> int:
     # one worker, since more were no faster; perfbench counts one executor task per row
     with ThreadPoolExecutor(max_workers=1) as pool:
         rows = list(pool.map(lambda v: _sweep_row(experiment, args.param, v), grid))
-    # an empty grid still gets every column, named by a row of the config's own model
-    header = list(rows[0] if rows else _sweep_row(experiment, args.param, None))
+    # an empty grid still gets every column, named from the witness protocols of the config's model
+    by_axis = None if rows else _witness_protocols(experiment.model, experiment.protocol.preparation)[0]
+    header = list(rows[0]) if rows else [args.param, "max_kc_defect", *_delta_names(by_axis), "commutator_norm"]
 
     def write_csv(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:

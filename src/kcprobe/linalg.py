@@ -159,8 +159,3 @@ def orthonormalize_hs(ops, rank_tol: float | None = None, tol: Tolerances = DEFA
         if norm >= rank_tol:
             basis.append(v / norm)
     return basis
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))

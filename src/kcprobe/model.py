@@ -367,6 +367,12 @@ def _sequence(protocol: MeasurementProtocol, seq) -> tuple[int, ...]:
     return seq
 
 
+def _prefix(protocol: MeasurementProtocol, n: int) -> None:
+    """Raise :class:`ProtocolError` unless ``n`` is a prefix length, ``1..n_steps``."""
+    if not 1 <= n <= protocol.n_steps:
+        raise ProtocolError(f"n = {n} not in 1..{protocol.n_steps}")
+
+
 def _defect_args(protocol: MeasurementProtocol, n: int, j: int, fixed=None):
     """Raise :class:`ProtocolError` unless ``(n, j)`` is a substantive
     consistency condition; then ``fixed``, if given, as the labels of its

@@ -29,7 +29,7 @@ from . import sequences
 from .algebra import is_commutative
 from .errors import ProtocolError
 from .linalg import check_density
-from .model import MeasurementProtocol, _defect_args, _sequence
+from .model import MeasurementProtocol, _defect_args, _prefix, _sequence
 from .sequences import _check_capacity, _defect_blocks, full_distribution
 from .serialize import Record
 from .tolerances import DEFAULT, Tolerances
@@ -141,8 +141,7 @@ def naive_sequence_probability(
 
 
 def naive_distribution(protocol: MeasurementProtocol, rho: np.ndarray, n: int, tol: Tolerances = DEFAULT) -> dict:
-    if not 1 <= n <= protocol.n_steps:
-        raise ProtocolError(f"n = {n} not in 1..{protocol.n_steps}")
+    _prefix(protocol, n)
     _check_capacity(protocol.probe_dim, n, tol)
     rho = check_density(rho, protocol.system_dim, tol)
     probs = _chain_probabilities(protocol, rho, _all_outcomes(protocol.probe_dim, n), range(n))
@@ -225,8 +224,7 @@ def oracle_compare(
     commutative, _ = is_commutative(protocol.model.hamiltonians, tol)
     product_gaps = [0.0]
     for n in range(1, n_max + 1):
-        table = full_distribution(protocol, rho, n, tol).table
-        fast = np.array(list(map(table.__getitem__, itertools.product(range(d_p), repeat=n))))
+        fast = np.array(list(full_distribution(protocol, rho, n, tol).table.values()))
         seqs = _all_outcomes(d_p, n)
         naive = _chain_probabilities(protocol, rho, seqs, range(n))
         per_n.append(float(np.max(np.abs(fast - naive))))

@@ -10,10 +10,11 @@ The probabilities of all ``d_P ** n`` sequences come from one batched route,
 level-by-level prefix tensors, ``R_{k+1}[a d_P + m] = K_m R_k[a]``
 (:func:`_grow_prefixes`, one batched product per step, so index ``a`` runs
 over the prefixes in lexicographic order), and reads every
-``tr(rho R^H R)`` at once.  Only the trailing steps are batched: a block of
-prefix tensors holds at most :data:`PREFIX_BLOCK_BYTES`, and the leading
-outcomes are walked block by block, so the memory is bounded before
-anything is allocated.
+``tr(rho R^H R)`` at once.  Every batched stack of this module is sized by
+one rule, :func:`_heads`: the leading outcomes are walked in lexicographic
+order, each such ``head`` leaving at most a given count of sequences of the
+trailing steps to one stack, so the memory is bounded before anything is
+allocated and the stacks come out in lexicographic order by construction.
 
 Kolmogorov consistency asks that summing out an intermediate step of the
 n-step distribution gives that of the protocol without the step.  Its
@@ -33,15 +34,15 @@ the effects ``P_b = post_b^H post_b``, step ``j``'s Kraus operators ``K_m``
 pull them back to ``M_b = sum_m K_m^H P_b K_m - P_b``, and the prefix
 products ``pre_a`` pull ``M_b`` back to ``D[a, b]``; each pull-back is one
 :func:`_pull_back`.  With ``a`` leading, flattening ``(a, b)`` lists the
-entries in the lexicographic order of ``fixed``.  A stack of suffix products
-or of defects holds at most ``PREFIX_BLOCK_BYTES // (16 d**2 d_P)`` matrices
-(at least one), fixed before it is built: the trailing suffix steps are
-batched as far as that allows, their leading outcomes walked as the ``head``
-of the recursion, then the trailing prefix steps as far as the suffix stack
-leaves room.  So the work space stays below
-``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides the results, and no value
-depends on the chunking.  The other route to a defect is the oracle's Kraus
-chains, read as a batch of one by :func:`history_operator`,
+entries in the lexicographic order of ``fixed``.  The heads of ``fixed`` are
+walked so that a stack of suffix products or of defects holds at most
+``PREFIX_BLOCK_BYTES // (16 d**2 d_P)`` matrices (at least one), fixed before
+it is built; each head splits at step ``j`` into the outcomes that the
+prefix and the suffix recursions start from.  So the work space stays below
+``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides the results, which the scan
+lays out once per ``(n, j)`` in the :class:`_KCEntries` it fills, and no
+value depends on the chunking.  The other route to a defect is the
+oracle's Kraus chains, read as a batch of one by :func:`history_operator`,
 :func:`kc_defect_operator` and :func:`kc_defect_state`.
 """
 
@@ -63,6 +64,7 @@ from .model import (
     MeasurementProtocol,
     PreparationState,
     _defect_args,
+    _prefix,
     _sequence,
     nonselective_apply,
 )
@@ -97,9 +99,6 @@ class JointDistribution:
             key = seq[: j - 1] + seq[j:]
             out[key] = out.get(key, 0.0) + p
         return out
-
-    def total(self) -> float:
-        return float(sum(self.table.values()))
 
 
 def history_operator(protocol: MeasurementProtocol, seq) -> HistoryOperator:
@@ -155,12 +154,13 @@ def _block_len(d: int) -> int:
     return max(1, PREFIX_BLOCK_BYTES // (16 * d * d))
 
 
-def _batched_steps(d_p: int, steps: int, count: int) -> int:
-    """The most trailing steps of ``steps`` whose ``d_p ** t`` outcomes fit in ``count``."""
-    t = steps
-    while t > 0 and d_p**t > count:
-        t -= 1
-    return t
+def _heads(d_p: int, steps: int, count: int):
+    """The outcomes of the fewest leading steps of ``steps``, in lexicographic order,
+    that leave at most ``count`` (at least one) sequences of the trailing steps to each."""
+    lead = 0
+    while lead < steps and d_p ** (steps - lead) > count:
+        lead += 1
+    return itertools.product(range(d_p), repeat=lead)
 
 
 def _grow_prefixes(protocol: MeasurementProtocol, head: tuple, stop: int, start: int = 0):
@@ -203,18 +203,17 @@ def _probabilities(
     farther than ``distribution_sum`` from 1 raises :class:`NumericalFault`.
     """
     d_p, d = protocol.probe_dim, protocol.system_dim
-    trailing = _batched_steps(d_p, n, _block_len(d))
-    lead = n - trailing
-    block = d_p**trailing
     out = np.empty(d_p**n)
-    for i, head in enumerate(itertools.product(range(d_p), repeat=lead)):
+    done = 0
+    for head in _heads(d_p, n, _block_len(d)):
         r = _grow_prefixes(protocol, head, n)
         # sum_{k,i} conj((R rho)_{ki}) R_{ki} = conj(tr(rho R^H R))
         r_rho = r @ rho
         np.conjugate(r_rho, out=r_rho)
         vals = np.einsum("aki,aki->a", r_rho, r)
         del r, r_rho  # freed before the next block is built, to keep the bound
-        out[i * block : (i + 1) * block] = _born_rule(vals.conj(), tol)
+        out[done : done + len(vals)] = _born_rule(vals.conj(), tol)
+        done += len(vals)
     total = float(out.sum())
     if not abs(total - 1.0) <= tol.distribution_sum:
         raise NumericalFault(f"distribution sums to {total}, expected 1")
@@ -234,8 +233,7 @@ def full_distribution(
     :func:`_probabilities`, whose work space stays below
     ``2 * PREFIX_BLOCK_BYTES`` whatever ``n`` is.
     """
-    if not 1 <= n <= protocol.n_steps:
-        raise ProtocolError(f"n = {n} not in 1..{protocol.n_steps}")
+    _prefix(protocol, n)
     _check_capacity(protocol.probe_dim, n, tol)
     rho = check_density(rho, protocol.system_dim, tol)
     probs = _probabilities(protocol, rho, n, tol)
@@ -293,16 +291,21 @@ class KCEntry(Record):
 class _KCEntries(Sequence):
     """The entries of a consistency scan, held as arrays: one Frobenius norm
     per entry in ``norms`` and, per state, one ``tr(rho D)`` in the rows of
-    the ``(entries, s)`` array ``traces`` (``s = 0`` for no state), in the
-    scan's order.  ``starts[k]`` is the first entry of ``(n, j) = pairs[k]``.
-    A :class:`KCEntry` is made only when one is read."""
+    the ``(entries, s)`` array ``traces`` (``s = 0`` for no state), laid out
+    before the scan fills them: ``starts[k]`` is the first entry of
+    ``(n, j) = pairs[k]``.  A :class:`KCEntry` is made only when one is read."""
 
-    def __init__(self, d_p: int, pairs: list, norms: np.ndarray, traces: np.ndarray):
+    def __init__(self, d_p: int, pairs: list, states: int):
         self._d_p = d_p
         self._pairs = pairs
         self._starts = list(itertools.accumulate((d_p ** (n - 1) for n, _ in pairs), initial=0))
-        self._norms = norms
-        self._traces = traces
+        self._norms = np.empty(self._starts[-1])
+        self._traces = np.empty((self._starts[-1], states))
+
+    def _pair(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The norms and the rows of ``traces`` of the entries of ``pairs[k]``, as views."""
+        part = slice(self._starts[k], self._starts[k + 1])
+        return self._norms[part], self._traces[part]
 
     def __len__(self) -> int:
         return len(self._norms)
@@ -325,14 +328,15 @@ class _KCEntries(Sequence):
         """``(n, j, fixed, norm, state defects or None)`` of every entry in
         order, the state defects as ``row_type`` (a list if ``None``)."""
         repeat = itertools.repeat
-        for (n, j), start, stop in zip(self._pairs, self._starts, self._starts[1:]):
-            if self._traces.shape[1]:
-                rows = self._traces[start:stop].tolist()
+        for k, (n, j) in enumerate(self._pairs):
+            norms, traces = self._pair(k)
+            if traces.shape[1]:
+                rows = traces.tolist()
                 rows = rows if row_type is None else map(row_type, rows)
             else:
                 rows = repeat(None)
             fixed = itertools.product(range(self._d_p), repeat=n - 1)
-            yield from zip(repeat(n), repeat(j), fixed, self._norms[start:stop].tolist(), rows)
+            yield from zip(repeat(n), repeat(j), fixed, norms.tolist(), rows)
 
     def __iter__(self):
         return itertools.starmap(KCEntry, self._rows(tuple))
@@ -396,58 +400,49 @@ def _defect_blocks(protocol: MeasurementProtocol, n: int, j: int):
     non-finite norm raises :class:`NumericalFault` naming the first such
     ``(n, j, fixed)``."""
     d_p, d = protocol.probe_dim, protocol.system_dim
-    count = _block_len(d) // d_p
     kraus = np.asarray(protocol.step_measurements[j - 1].kraus)
-    suffix = _batched_steps(d_p, n - j, count)
-    prefix = _batched_steps(d_p, j - 1, count // d_p**suffix)
     done = 0
-    for head in itertools.product(range(d_p), repeat=j - 1 - prefix):
-        for b_head in itertools.product(range(d_p), repeat=n - j - suffix):
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
-                post = _grow_prefixes(protocol, b_head, n, start=j)
-                m_ops = post.conj().swapaxes(1, 2) @ post  # the suffix effects P_b
-                del post  # freed before the pull-back, to keep the bound
-                m_ops = _pull_back(kraus, m_ops).sum(axis=0) - m_ops
-                defects = _pull_back(_grow_prefixes(protocol, head, j - 1), m_ops).reshape(-1, d, d)
-                defects += defects.conj().swapaxes(1, 2)  # (D + D^H) / 2
-                defects /= 2
-                defects = defects.reshape(len(defects), -1)
-                parts = defects.view(float)  # real and imaginary parts
-                norms = np.sqrt(np.einsum("ak,ak->a", parts, parts))
-                del parts
-            if not math.isfinite(float(norms.max())):  # NaN if any norm is NaN
-                i = int(np.argmin(np.isfinite(norms)))
-                fixed = tuple(map(int, np.unravel_index(done + i, (d_p,) * (n - 1))))
-                raise NumericalFault(
-                    f"defect norm {norms[i]} at n={n}, j={j}, fixed={fixed} is not finite"
-                )
-            done += len(norms)
-            yield defects, norms
-            del defects  # freed before the next block is built, to keep the bound
+    for head in _heads(d_p, n - 1, _block_len(d) // d_p):
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
+            post = _grow_prefixes(protocol, head[j - 1 :], n, start=j)
+            m_ops = post.conj().swapaxes(1, 2) @ post  # the suffix effects P_b
+            del post  # freed before the pull-back, to keep the bound
+            m_ops = _pull_back(kraus, m_ops).sum(axis=0) - m_ops
+            defects = _pull_back(_grow_prefixes(protocol, head[: j - 1], j - 1), m_ops).reshape(-1, d, d)
+            defects += defects.conj().swapaxes(1, 2)  # (D + D^H) / 2
+            defects /= 2
+            defects = defects.reshape(len(defects), -1)
+            parts = defects.view(float)  # real and imaginary parts
+            norms = np.sqrt(np.einsum("ak,ak->a", parts, parts))
+            del parts
+        if not math.isfinite(float(norms.max())):  # NaN if any norm is NaN
+            i = int(np.argmin(np.isfinite(norms)))
+            fixed = tuple(map(int, np.unravel_index(done + i, (d_p,) * (n - 1))))
+            raise NumericalFault(f"defect norm {norms[i]} at n={n}, j={j}, fixed={fixed} is not finite")
+        done += len(norms)
+        yield defects, norms
+        del defects  # freed before the next block is built, to keep the bound
 
 
-def _scan(
-    protocol: MeasurementProtocol, pairs: list, states: list
-) -> tuple[np.ndarray, np.ndarray]:
-    """The Frobenius norms ``(entries,)`` and the ``tr(rho D)`` ``(entries, s)``,
-    one row per validated state of ``states``, of the operator defects of
-    every ``(n, j)`` of ``pairs`` in scan order: the one loop over
-    :func:`_defect_blocks`, filling both arrays, sized first, block by block."""
+def _scan(protocol: MeasurementProtocol, pairs: list, states: list) -> _KCEntries:
+    """The entries of the operator defects of every ``(n, j)`` of ``pairs``,
+    with ``tr(rho D)`` for each validated state of ``states``: the one loop
+    over :func:`_defect_blocks`, filling the arrays of the layout that
+    :class:`_KCEntries` sizes first, block by block."""
     d = protocol.system_dim
     # the entries of each rho^T, so that tr(rho D) is a dot product with those of D
     states = np.array([r.T for r in states], dtype=complex).reshape(len(states), d * d)
-    count = sum(protocol.probe_dim ** (n - 1) for n, _ in pairs)
-    norms = np.empty(count)
-    traces = np.empty((count, len(states)))
-    done = 0
-    for n, j in pairs:
+    entries = _KCEntries(protocol.probe_dim, pairs, len(states))
+    for k, (n, j) in enumerate(pairs):
+        norms, traces = entries._pair(k)
+        done = 0
         for defects, block in _defect_blocks(protocol, n, j):
             stop = done + len(block)
             norms[done:stop] = block
             traces[done:stop] = np.einsum("ak,sk->as", defects, states).real
             done = stop
             del defects  # freed before the next block is built, to keep the bound
-    return norms, traces
+    return entries
 
 
 def _state_defects(
@@ -458,14 +453,12 @@ def _state_defects(
     ``tr(rho D)`` for each operator defect as an ``(s,) + (d_P,) * (n - 1)``
     tensor indexed by state, then ``fixed``.  Each ``(n, j)`` and the cap of
     the largest ``d_P ** n`` are checked here."""
-    d_p = protocol.probe_dim
     for n, j in pairs:
         _defect_args(protocol, n, j)
+    d_p = protocol.probe_dim
     _check_capacity(d_p, max(n for n, _ in pairs), tol)
-    _, traces = _scan(protocol, pairs, states)
-    starts = itertools.accumulate((d_p ** (n - 1) for n, _ in pairs), initial=0)
-    bounds = zip(itertools.pairwise(starts), pairs)
-    return [traces[a:b].T.reshape((len(states),) + (d_p,) * (n - 1)) for (a, b), (n, _) in bounds]
+    entries = _scan(protocol, pairs, states)
+    return [entries._pair(k)[1].T.reshape((len(states),) + (d_p,) * (n - 1)) for k, (n, _) in enumerate(pairs)]
 
 
 def check_kc_all(
@@ -491,8 +484,7 @@ def check_kc_all(
         raise ProtocolError(f"n_max must be at least 2, got {n_max}")
     if n_max > protocol.n_steps:
         raise ProtocolError(f"n_max = {n_max} exceeds protocol length {protocol.n_steps}")
-    d_p = protocol.probe_dim
-    _check_capacity(d_p, n_max, tol)
+    _check_capacity(protocol.probe_dim, n_max, tol)
     try:
         one_state = np.ndim(rho) == 2
     except ValueError:  # states of different shapes make no array
@@ -500,15 +492,15 @@ def check_kc_all(
     states = [rho] if one_state else [] if rho is None else rho
     states = [check_density(r, protocol.system_dim, tol) for r in states]
     pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
-    norms, traces = _scan(protocol, pairs, states)
-    max_defect = float(norms.max())
-    max_defect_n2 = float(norms[:d_p].max())  # (n, j) = (2, 1) comes first
-    max_state = float(np.abs(traces).max()) if len(states) else None
+    entries = _scan(protocol, pairs, states)
+    max_defect = float(entries._norms.max())
+    max_defect_n2 = float(entries._pair(0)[0].max())  # (n, j) = (2, 1) comes first
+    max_state = float(np.abs(entries._traces).max()) if len(states) else None
     verdict = "consistent" if max_defect <= tol.kc else "violated"
     decided = (max_defect_n2 > tol.kc) == (max_defect > tol.kc)
     return KCReport(
         n_max=n_max,
-        entries=_KCEntries(d_p, pairs, norms, traces),
+        entries=entries,
         verdict=verdict,
         max_operator_defect=max_defect,
         max_state_defect=max_state,

@@ -964,6 +964,15 @@ class TestSweepCommand:
         assert main(["sweep", path, "--param", "t", "--grid", "1", "--out", str(tmp_path / "one")]) == 0
         assert rows[0] == list(csv.reader((tmp_path / "one" / "sweep.csv").read_text().splitlines()))[0]
 
+    def test_empty_grid_makes_no_scan(self, tmp_path, monkeypatch):
+        # the header is named from the witness protocols, not from a scanned row
+        scans = []
+        scan = kp.sequences._scan
+        monkeypatch.setattr("kcprobe.sequences._scan", lambda *args: scans.append(args[1]) or scan(*args))
+        argv = ["sweep", str(CONFIGS / "nv_sweep.json"), "--param", "t", "--grid", ""]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert scans == []
+
     @pytest.mark.parametrize("grid", ["", "0.5"])
     def test_qutrit_probe_cannot_be_swept_even_on_an_empty_grid(self, tmp_path, capsys, grid):
         cfg = {"schema_version": 1, "scenario": {"kind": "random", "probe_dim": 3}}

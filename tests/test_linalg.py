@@ -114,13 +114,6 @@ def test_orthonormalize_drops_below_rank_tolerance():
     assert len(basis) == 1
 
 
-def test_kron_basics():
-    assert np.array_equal(kp.kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.allclose(kp.kron(SIGMA_Z, np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0]))
-    anti = kp.kron(SIGMA_X, SIGMA_X)
-    assert np.allclose(anti, np.fliplr(np.eye(4)))
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.integers(2, 32))
 def test_eig_reconstruction_random(seed, d):

@@ -142,7 +142,7 @@ class TestNoiseEnsemble:
         weights = rng.uniform(0.2, 1.0, size=5)
         weights = weights / weights.sum()
         dist = kp.noise_ensemble_average(realizations, weights, 4)
-        assert dist.total() == pytest.approx(1.0, abs=1e-10)
+        assert sum(dist.table.values()) == pytest.approx(1.0, abs=1e-10)
         assert kp.ensemble_kc_max_defect(realizations, weights, 4) <= 1e-10
 
     def test_weights_must_normalize(self):
