@@ -131,18 +131,24 @@ def _oracle_rows(experiment: Experiment) -> list[dict]:
     return rows
 
 
+def _witness_steps(model: DephasingModel) -> dict[str, int]:
+    """``{axis: steps}`` of the protocols that :func:`_witness_protocols` builds for ``model``."""
+    if model.probe_dim != 2:
+        raise ConfigError("witnesses need a qubit probe")
+    return dict.fromkeys("XY", 3)
+
+
 def _witness_protocols(
     model: DephasingModel, preparation: PreparationState, timed: MeasurementProtocol | None = None
 ) -> tuple[dict[str, MeasurementProtocol], MeasurementProtocol]:
     """The protocols the witnesses read: ``{axis: protocol}`` and the LG check's.
 
     ``timed``, if it has its own step times, is read as it is.  Otherwise one
-    3-step protocol of ``preparation`` is built per axis, X and Y, and Δ21,
-    Δ32 and the LG check (on ``XXX``) read its prefixes.  The LG check needs
-    X steps; if ``timed`` has none, it reads ``XX`` at the model's step time.
+    protocol per axis of :func:`_witness_steps` is built, and Δ21, Δ32 and
+    the LG check (on ``XXX``) read its prefixes.  The LG check needs X
+    steps; if ``timed`` has none, it reads ``XX`` at the model's step time.
     """
-    if model.probe_dim != 2:
-        raise ConfigError("witnesses need a qubit probe")
+    own_steps = _witness_steps(model)
 
     def steps(axis: str, n: int) -> MeasurementProtocol:
         return MeasurementProtocol(model, preparation, (xy_meter_basis(axis),) * n)
@@ -150,26 +156,27 @@ def _witness_protocols(
     if timed is not None and timed.step_times is not None:
         by_axis = {timed.axes[0]: timed}
     else:
-        by_axis = {axis: steps(axis, 3) for axis in "XY"}
+        by_axis = {axis: steps(axis, n) for axis, n in own_steps.items()}
     return by_axis, by_axis.get("X") or steps("X", 2)
 
 
-def _delta_names(by_axis: dict[str, MeasurementProtocol]) -> dict[str, tuple[int, str]]:
-    """``{name: (n, axis)}`` of Δ21 (``n = 2``) and Δ32 (``n = 3``) on the protocols
-    ``by_axis``, in column order: ``delta_x_21``, ``delta_y_21``, ..."""
+def _delta_names(steps: dict[str, int]) -> dict[str, tuple[int, str]]:
+    """``{name: (n, axis)}`` of Δ21 (``n = 2``) and Δ32 (``n = 3``) on protocols of
+    ``{axis: steps}``, in column order: ``delta_x_21``, ``delta_y_21``, ..."""
     # Δ21 raises on fewer than two steps
-    keys = sorted((n, a) for a, p in by_axis.items() for n in ((2, 3) if p.n_steps >= 3 else (2,)))
+    keys = sorted((n, a) for a, k in steps.items() for n in ((2, 3) if k >= 3 else (2,)))
     return {f"delta_{a.lower()}_{n}{n - 1}": (n, a) for n, a in keys}
 
 
 def _delta_columns(by_axis: dict[str, MeasurementProtocol], states: list, tol) -> dict:
     """``{name: (n, axis, values, tensor)}`` of the columns of :func:`_delta_names`
     for every validated state, one scan per axis protocol."""
+    names = _delta_names({axis: protocol.n_steps for axis, protocol in by_axis.items()})
     read = {}
     for axis, protocol in by_axis.items():
-        keys = list(_delta_names({axis: protocol}).values())
-        read.update(zip(keys, _axis_deltas(protocol, states, [n for n, _ in keys], tol)))
-    return {name: (*key, *read[key]) for name, key in _delta_names(by_axis).items()}
+        ns = [n for n, a in names.values() if a == axis]
+        read.update(zip([(n, axis) for n in ns], _axis_deltas(protocol, states, ns, tol)))
+    return {name: (n, a, *read[n, a]) for name, (n, a) in names.items()}
 
 
 def _witness_rows(experiment: Experiment) -> list[dict]:
@@ -334,12 +341,12 @@ def _cmd_sweep(args, config) -> int:
     grid = _parse_grid(args.grid)
     if args.param == "omega" and config.scenario.kind != "nv":
         raise ConfigError("parameter 'omega' is only defined for the nv scenario")
+    # every grid's columns, an empty one's too; a row's witness steps do not depend on its value
+    deltas = _delta_names(_witness_steps(experiment.model))
+    header = [args.param, "max_kc_defect", *deltas, "commutator_norm"]
     # one worker, since more were no faster; perfbench counts one executor task per row
     with ThreadPoolExecutor(max_workers=1) as pool:
         rows = list(pool.map(lambda v: _sweep_row(experiment, args.param, v), grid))
-    # an empty grid still gets every column, named from the witness protocols of the config's model
-    by_axis = None if rows else _witness_protocols(experiment.model, experiment.protocol.preparation)[0]
-    header = list(rows[0]) if rows else [args.param, "max_kc_defect", *_delta_names(by_axis), "commutator_norm"]
 
     def write_csv(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:

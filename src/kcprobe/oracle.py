@@ -102,14 +102,11 @@ def _defect_gaps(protocol: MeasurementProtocol, n: int, j: int, fixed: np.ndarra
     are ``fixed``; a block's naive slice is built only after the scan has
     yielded, and so checked, the block."""
     out = np.empty(len(fixed))
-    done = 0
-    for defects, _ in _defect_blocks(protocol, n, j):
-        stop = done + len(defects)
-        naive = _naive_defects(protocol, j, fixed[done:stop]).reshape(stop - done, -1)
+    for part, defects, _ in _defect_blocks(protocol, n, j):
+        naive = _naive_defects(protocol, j, fixed[part]).reshape(len(defects), -1)
         gap = (defects - naive).view(float)  # real and imaginary parts
-        out[done:stop] = np.sqrt(np.einsum("ak,ak->a", gap, gap))
+        out[part] = np.sqrt(np.einsum("ak,ak->a", gap, gap))
         del defects, naive, gap  # freed before the next block is built, to keep the bound
-        done = stop
     return out
 
 

@@ -8,6 +8,7 @@ pairs, which keeps individual trials reproducible in isolation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,10 +99,7 @@ def random_model(
 def _site_operator(n_sites: int, site: int, op: np.ndarray) -> np.ndarray:
     mats = [np.eye(2, dtype=complex)] * n_sites
     mats[site] = op
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+    return functools.reduce(np.kron, mats)
 
 
 def nv_center_model(

@@ -13,8 +13,8 @@ over the prefixes in lexicographic order), and reads every
 ``tr(rho R^H R)`` at once.  Every batched stack of this module is sized by
 one rule, :func:`_heads`: the leading outcomes are walked in lexicographic
 order, each such ``head`` leaving at most a given count of sequences of the
-trailing steps to one stack, so the memory is bounded before anything is
-allocated and the stacks come out in lexicographic order by construction.
+trailing steps to one stack at the offset the walk gives, so the memory is
+bounded before allocation and the stacks are lexicographic by construction.
 
 Kolmogorov consistency asks that summing out an intermediate step of the
 n-step distribution gives that of the protocol without the step.  Its
@@ -155,12 +155,15 @@ def _block_len(d: int) -> int:
 
 
 def _heads(d_p: int, steps: int, count: int):
-    """The outcomes of the fewest leading steps of ``steps``, in lexicographic order,
-    that leave at most ``count`` (at least one) sequences of the trailing steps to each."""
+    """``(start, head)`` for the outcomes ``head`` of the fewest leading steps of
+    ``steps`` that leave at most ``count`` (at least one) sequences of the trailing
+    steps to each, in lexicographic order; ``start`` indexes the first of those
+    sequences among all ``d_p ** steps``."""
     lead = 0
     while lead < steps and d_p ** (steps - lead) > count:
         lead += 1
-    return itertools.product(range(d_p), repeat=lead)
+    heads = itertools.product(range(d_p), repeat=lead)
+    return zip(itertools.count(0, d_p ** (steps - lead)), heads)
 
 
 def _grow_prefixes(protocol: MeasurementProtocol, head: tuple, stop: int, start: int = 0):
@@ -204,16 +207,14 @@ def _probabilities(
     """
     d_p, d = protocol.probe_dim, protocol.system_dim
     out = np.empty(d_p**n)
-    done = 0
-    for head in _heads(d_p, n, _block_len(d)):
+    for start, head in _heads(d_p, n, _block_len(d)):
         r = _grow_prefixes(protocol, head, n)
         # sum_{k,i} conj((R rho)_{ki}) R_{ki} = conj(tr(rho R^H R))
         r_rho = r @ rho
         np.conjugate(r_rho, out=r_rho)
         vals = np.einsum("aki,aki->a", r_rho, r)
         del r, r_rho  # freed before the next block is built, to keep the bound
-        out[done : done + len(vals)] = _born_rule(vals.conj(), tol)
-        done += len(vals)
+        out[start : start + len(vals)] = _born_rule(vals.conj(), tol)
     total = float(out.sum())
     if not abs(total - 1.0) <= tol.distribution_sum:
         raise NumericalFault(f"distribution sums to {total}, expected 1")
@@ -302,10 +303,16 @@ class _KCEntries(Sequence):
         self._norms = np.empty(self._starts[-1])
         self._traces = np.empty((self._starts[-1], states))
 
-    def _pair(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The norms and the rows of ``traces`` of the entries of ``pairs[k]``, as views."""
+    def _pair(self, n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The norms and the rows of ``traces`` of the entries of ``(n, j)``, as views."""
+        k = self._pairs.index((n, j))
         part = slice(self._starts[k], self._starts[k + 1])
         return self._norms[part], self._traces[part]
+
+    def _max(self) -> tuple[float, float | None]:
+        """The largest norm and the largest ``|tr(rho D)|`` (None for no state)."""
+        max_state = float(np.abs(self._traces).max()) if self._traces.shape[1] else None
+        return float(self._norms.max()), max_state
 
     def __len__(self) -> int:
         return len(self._norms)
@@ -328,8 +335,8 @@ class _KCEntries(Sequence):
         """``(n, j, fixed, norm, state defects or None)`` of every entry in
         order, the state defects as ``row_type`` (a list if ``None``)."""
         repeat = itertools.repeat
-        for k, (n, j) in enumerate(self._pairs):
-            norms, traces = self._pair(k)
+        for n, j in self._pairs:
+            norms, traces = self._pair(n, j)
             if traces.shape[1]:
                 rows = traces.tolist()
                 rows = rows if row_type is None else map(row_type, rows)
@@ -354,12 +361,7 @@ class _KCEntries(Sequence):
     def __eq__(self, other):
         if not isinstance(other, _KCEntries):
             return NotImplemented
-        return (
-            self._d_p == other._d_p
-            and self._pairs == other._pairs
-            and np.array_equal(self._norms, other._norms)
-            and np.array_equal(self._traces, other._traces)
-        )
+        return self.dicts() == other.dicts()
 
 
 @dataclass(frozen=True)
@@ -395,14 +397,13 @@ SCAN_BLOCKS = 3
 
 def _defect_blocks(protocol: MeasurementProtocol, n: int, j: int):
     """Yield the operator defects ``D[a, b] = pre_a^H M_b pre_a`` of one
-    ``(n, j)`` in entry order, block by block, each as a ``(B, d * d)`` stack
-    of Hermitian ``(D + D^H) / 2`` with its ``B`` Frobenius norms; a
-    non-finite norm raises :class:`NumericalFault` naming the first such
-    ``(n, j, fixed)``."""
+    ``(n, j)`` in entry order, block by block, each as the slice of the
+    ``(n, j)`` entries it holds, a ``(B, d * d)`` stack of Hermitian
+    ``(D + D^H) / 2`` and its ``B`` Frobenius norms; a non-finite norm raises
+    :class:`NumericalFault` naming the first such ``(n, j, fixed)``."""
     d_p, d = protocol.probe_dim, protocol.system_dim
     kraus = np.asarray(protocol.step_measurements[j - 1].kraus)
-    done = 0
-    for head in _heads(d_p, n - 1, _block_len(d) // d_p):
+    for start, head in _heads(d_p, n - 1, _block_len(d) // d_p):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
             post = _grow_prefixes(protocol, head[j - 1 :], n, start=j)
             m_ops = post.conj().swapaxes(1, 2) @ post  # the suffix effects P_b
@@ -417,10 +418,11 @@ def _defect_blocks(protocol: MeasurementProtocol, n: int, j: int):
             del parts
         if not math.isfinite(float(norms.max())):  # NaN if any norm is NaN
             i = int(np.argmin(np.isfinite(norms)))
-            fixed = tuple(map(int, np.unravel_index(done + i, (d_p,) * (n - 1))))
-            raise NumericalFault(f"defect norm {norms[i]} at n={n}, j={j}, fixed={fixed} is not finite")
-        done += len(norms)
-        yield defects, norms
+            fixed = tuple(map(int, np.unravel_index(start + i, (d_p,) * (n - 1))))
+            raise NumericalFault(
+                f"defect norm {norms[i]} at n={n}, j={j}, fixed={fixed} is not finite"
+            )
+        yield slice(start, start + len(norms)), defects, norms
         del defects  # freed before the next block is built, to keep the bound
 
 
@@ -433,14 +435,11 @@ def _scan(protocol: MeasurementProtocol, pairs: list, states: list) -> _KCEntrie
     # the entries of each rho^T, so that tr(rho D) is a dot product with those of D
     states = np.array([r.T for r in states], dtype=complex).reshape(len(states), d * d)
     entries = _KCEntries(protocol.probe_dim, pairs, len(states))
-    for k, (n, j) in enumerate(pairs):
-        norms, traces = entries._pair(k)
-        done = 0
-        for defects, block in _defect_blocks(protocol, n, j):
-            stop = done + len(block)
-            norms[done:stop] = block
-            traces[done:stop] = np.einsum("ak,sk->as", defects, states).real
-            done = stop
+    for n, j in pairs:
+        norms, traces = entries._pair(n, j)
+        for part, defects, block in _defect_blocks(protocol, n, j):
+            norms[part] = block
+            traces[part] = np.einsum("ak,sk->as", defects, states).real
             del defects  # freed before the next block is built, to keep the bound
     return entries
 
@@ -458,7 +457,7 @@ def _state_defects(
     d_p = protocol.probe_dim
     _check_capacity(d_p, max(n for n, _ in pairs), tol)
     entries = _scan(protocol, pairs, states)
-    return [entries._pair(k)[1].T.reshape((len(states),) + (d_p,) * (n - 1)) for k, (n, _) in enumerate(pairs)]
+    return [entries._pair(n, j)[1].T.reshape((len(states),) + (d_p,) * (n - 1)) for n, j in pairs]
 
 
 def check_kc_all(
@@ -493,9 +492,8 @@ def check_kc_all(
     states = [check_density(r, protocol.system_dim, tol) for r in states]
     pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
     entries = _scan(protocol, pairs, states)
-    max_defect = float(entries._norms.max())
-    max_defect_n2 = float(entries._pair(0)[0].max())  # (n, j) = (2, 1) comes first
-    max_state = float(np.abs(entries._traces).max()) if len(states) else None
+    max_defect, max_state = entries._max()
+    max_defect_n2 = float(entries._pair(2, 1)[0].max())
     verdict = "consistent" if max_defect <= tol.kc else "violated"
     decided = (max_defect_n2 > tol.kc) == (max_defect > tol.kc)
     return KCReport(

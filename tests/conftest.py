@@ -83,7 +83,7 @@ def shifted_blocks(shift):
     to every operator defect it yields."""
 
     def blocks(protocol, n, j):
-        for defects, norms in _defect_blocks(protocol, n, j):
-            yield defects + shift.reshape(-1), norms
+        for part, defects, norms in _defect_blocks(protocol, n, j):
+            yield part, defects + shift.reshape(-1), norms
 
     return blocks

@@ -929,7 +929,10 @@ class TestSweepCommand:
         assert one_row[1] > 1e-3  # kc defect column
         assert one_row[6] == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-10)
 
-    @pytest.mark.parametrize("param, grid, points", [("t", "0.1:2:7", 7), ("omega", "0,0.5,1", 3)])
+    # an empty grid builds only the configured protocol: its header needs none
+    @pytest.mark.parametrize(
+        "param, grid, points", [("t", "0.1:2:7", 7), ("omega", "0,0.5,1", 3), ("t", "", 0)]
+    )
     def test_builds_two_protocols_per_point(self, tmp_path, monkeypatch, param, grid, points):
         path = self.nv_config(tmp_path)
         builds = count_protocol_builds(monkeypatch)
