@@ -8,6 +8,7 @@ raise :class:`~kcprobe.errors.InvariantViolation`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,6 +39,63 @@ def require_same_dim(a: np.ndarray, b: np.ndarray) -> int:
 
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
+
+
+@functools.cache
+def _layout(d: int) -> tuple[np.ndarray, ...]:
+    """Where the coordinates of :func:`_coordinates` sit among the real and
+    imaginary parts of a flattened ``d x d`` matrix: the parts each coordinate
+    reads as its ``plus`` and ``minus`` term, the sign of the latter and the
+    scale of their sum; then the parts :func:`_matrices` writes, the
+    coordinate each one takes and its factor."""
+    i, k = np.triu_indices(d, 1)
+    diag, upper, lower = 2 * np.arange(d) * (d + 1), 2 * (i * d + k), 2 * (k * d + i)
+    count, s = len(i), math.sqrt(0.5)
+    plus = np.concatenate((diag, upper, upper + 1))
+    minus = np.concatenate((diag, lower, lower + 1))
+    sign = np.concatenate((np.ones(d + count), -np.ones(count)))
+    scale = np.concatenate((np.full(d, 0.5), np.full(2 * count, s)))
+    written = np.concatenate((plus, minus[d:]))
+    source = np.concatenate((np.arange(d * d), np.arange(d, d * d)))
+    factor = np.concatenate((np.ones(d), np.full(2 * count, s), np.full(count, s), np.full(count, -s)))
+    layout = plus, minus, sign, scale, written, source, factor
+    for part in layout:
+        part.setflags(write=False)
+    return layout
+
+
+def _coordinates(x: np.ndarray) -> np.ndarray:
+    """The real coordinates ``c(X)``, shape ``(..., d**2)``, of each ``d x d``
+    matrix of the stack ``x`` in the orthonormal Hermitian basis ``E_ii``, then
+    ``(E_ik + E_ki) / sqrt(2)`` and then ``i (E_ik - E_ki) / sqrt(2)`` for each
+    ``i < k`` in row order: ``c_a(X) = Re tr(B_a X)``.  So ``c`` reads the
+    Hermitian part of ``X``, its Euclidean norm is the Frobenius norm of a
+    Hermitian ``X``, and ``tr(rho X) = c(rho) . c(X)`` for Hermitian ``rho, X``.
+    The result is C-ordered whatever the stack, so that every later product
+    rounds a matrix's coordinates alike."""
+    d = x.shape[-1]
+    plus, minus, sign, scale, *_ = _layout(d)
+    parts = np.ascontiguousarray(x, dtype=complex).reshape(x.shape[:-2] + (d * d,)).view(float)
+    return np.ascontiguousarray((parts[..., plus] + sign * parts[..., minus]) * scale)
+
+
+def _matrices(c: np.ndarray) -> np.ndarray:
+    """The Hermitian ``d x d`` matrices whose coordinates (:func:`_coordinates`)
+    are the rows of the real ``(..., d**2)`` stack ``c``."""
+    d = math.isqrt(c.shape[-1])
+    *_, written, source, factor = _layout(d)
+    parts = np.zeros(c.shape[:-1] + (2 * d * d,))
+    parts[..., written] = c[..., source] * factor
+    return parts.view(complex).reshape(c.shape[:-1] + (d, d))
+
+
+@functools.cache
+def _basis(d: int) -> np.ndarray:
+    """The basis of :func:`_coordinates`, one flattened ``d x d`` matrix ``B_a``
+    per row, so that ``X = c(X) @ basis`` for a Hermitian ``X``."""
+    basis = _matrices(np.eye(d * d)).reshape(d * d, d * d)
+    basis.setflags(write=False)
+    return basis
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, InvariantViolation, LabelError, ProtocolError
 from .linalg import (
+    _basis,
     as_complex_matrix,
     check_hermitian,
     frobenius,
@@ -168,6 +169,28 @@ class InducedMeasurement:
             raise DimensionError(f"{len(self.labels)} labels for {kraus.shape[0]} outcomes")
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "effects", effects)
+
+
+def _transfer(measurement) -> np.ndarray:
+    """The real ``(d_P, d**2, d**2)`` transfer ``T`` of the Kraus operators of
+    ``measurement`` in the coordinates ``c`` of :func:`~kcprobe.linalg._coordinates`:
+    ``c(K_m^H X K_m) = c(X) @ T[m]`` for every Hermitian ``X``, so row ``a`` of
+    ``T[m]`` is ``c(K_m^H B_a K_m)``.  It is built at the first call and kept on
+    the measurement, ``8 d_P d**4`` bytes, so the steps that share a
+    measurement share one transfer across every scan of them."""
+    kept = vars(measurement)
+    if "_transfer" not in kept:
+        kraus = np.asarray(measurement.kraus)
+        d_p, d = kraus.shape[:2]
+        # pairs[m, (k, l), (i, j)] = conj(K_m)_ki (K_m)_lj, so that
+        # (K_m^H X K_m)_ij = sum_kl X_kl pairs[m, (k, l), (i, j)]
+        pairs = (kraus.conj()[:, :, None, :, None] * kraus[:, None, :, None, :]).reshape(d_p, d * d, d * d)
+        basis = _basis(d)
+        # row a of basis @ pairs[m] is the flattened K_m^H B_a K_m; its
+        # coordinates are the dot products of its real and imaginary parts
+        # with those of each B_b
+        kept["_transfer"] = (basis @ pairs).view(float) @ basis.view(float).T
+    return kept["_transfer"]
 
 
 def build_conditional_hamiltonians(
@@ -371,6 +394,12 @@ def _prefix(protocol: MeasurementProtocol, n: int) -> None:
     """Raise :class:`ProtocolError` unless ``n`` is a prefix length, ``1..n_steps``."""
     if not 1 <= n <= protocol.n_steps:
         raise ProtocolError(f"n = {n} not in 1..{protocol.n_steps}")
+
+
+def _n_max(protocol: MeasurementProtocol, n_max: int, least: int) -> None:
+    """Raise :class:`ProtocolError` unless ``n_max`` is in ``least..n_steps``."""
+    if not least <= n_max <= protocol.n_steps:
+        raise ProtocolError(f"n_max = {n_max} not in {least}..{protocol.n_steps}")
 
 
 def _defect_args(protocol: MeasurementProtocol, n: int, j: int, fixed=None):

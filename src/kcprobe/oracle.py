@@ -27,9 +27,8 @@ import numpy as np
 
 from . import sequences
 from .algebra import is_commutative
-from .errors import ProtocolError
-from .linalg import check_density
-from .model import MeasurementProtocol, _defect_args, _prefix, _sequence
+from .linalg import _matrices, check_density
+from .model import MeasurementProtocol, _defect_args, _n_max, _prefix, _sequence
 from .sequences import _check_capacity, _defect_blocks, full_distribution
 from .serialize import Record
 from .tolerances import DEFAULT, Tolerances
@@ -99,14 +98,17 @@ def _naive_defects(protocol: MeasurementProtocol, j: int, fixed: np.ndarray) -> 
 
 def _defect_gaps(protocol: MeasurementProtocol, n: int, j: int, fixed: np.ndarray) -> np.ndarray:
     """``|D - D_naive|_F`` for each operator defect ``D`` of ``(n, j)``, whose rows
-    are ``fixed``; a block's naive slice is built only after the scan has
-    yielded, and so checked, the block."""
+    are ``fixed``, with the scan's coordinates of ``D`` turned back into
+    matrices; a block's naive slice is built only after the scan has yielded,
+    and so checked, the block."""
     out = np.empty(len(fixed))
-    for part, defects, _ in _defect_blocks(protocol, n, j):
-        naive = _naive_defects(protocol, j, fixed[part]).reshape(len(defects), -1)
-        gap = (defects - naive).view(float)  # real and imaginary parts
+    for _, part, defects, _ in _defect_blocks(protocol, n, {j}):
+        gap = _matrices(defects)
+        del defects
+        gap -= _naive_defects(protocol, j, fixed[part])
+        gap = gap.reshape(len(gap), -1).view(float)  # real and imaginary parts
         out[part] = np.sqrt(np.einsum("ak,ak->a", gap, gap))
-        del defects, naive, gap  # freed before the next block is built, to keep the bound
+        del gap  # freed before the next block is built, to keep the bound
     return out
 
 
@@ -208,8 +210,7 @@ def oracle_compare(
     """
     if n_max is None:
         n_max = protocol.n_steps
-    if not 1 <= n_max <= protocol.n_steps:
-        raise ProtocolError(f"n_max = {n_max} not in 1..{protocol.n_steps}")
+    _n_max(protocol, n_max, 1)
     rho = check_density(rho, protocol.system_dim, tol)
     d_p = protocol.probe_dim
     defect_gaps = [0.0]

@@ -22,28 +22,45 @@ defect is a Hermitian ``D`` with ``delta P = tr(rho D)`` for every state, so
 ``D = 0`` decides all states in one finite check.  Summing out the *final*
 step is consistent by POVM completeness, and is rejected.
 
-Every batched defect comes from :func:`_defect_blocks`, which makes each
-block Hermitian, takes its norms and owns the non-finite fault.  Its one
-loop, :func:`_scan`, writes their norms and ``tr(rho D)`` for a stack of
-states into two arrays sized before the scan, for :func:`check_kc_all`
-(every ``(n, j)``) and :func:`_state_defects` (every ``(n, j)`` and state
-one witness or noise-ensemble reader needs).  With ``a`` the outcomes before
-step ``j`` and ``b`` those after it, ``D[a, b] = pre_a^H M_b pre_a``: the suffix
-products ``post_b`` (grown from step ``j + 1`` by the recursion above) give
-the effects ``P_b = post_b^H post_b``, step ``j``'s Kraus operators ``K_m``
-pull them back to ``M_b = sum_m K_m^H P_b K_m - P_b``, and the prefix
-products ``pre_a`` pull ``M_b`` back to ``D[a, b]``; each pull-back is one
-:func:`_pull_back`.  With ``a`` leading, flattening ``(a, b)`` lists the
-entries in the lexicographic order of ``fixed``.  The heads of ``fixed`` are
-walked so that a stack of suffix products or of defects holds at most
-``PREFIX_BLOCK_BYTES // (16 d**2 d_P)`` matrices (at least one), fixed before
-it is built; each head splits at step ``j`` into the outcomes that the
-prefix and the suffix recursions start from.  So the work space stays below
-``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides the results, which the scan
-lays out once per ``(n, j)`` in the :class:`_KCEntries` it fills, and no
-value depends on the chunking.  The other route to a defect is the
-oracle's Kraus chains, read as a batch of one by :func:`history_operator`,
-:func:`kc_defect_operator` and :func:`kc_defect_state`.
+Every batched defect comes from :func:`_defect_blocks`, which takes the
+norms and owns the non-finite fault.  Its one loop, :func:`_scan`, writes
+their norms and ``tr(rho D)`` for a stack of states into two arrays sized
+before the scan, for :func:`check_kc_all` (every ``(n, j)``) and
+:func:`_state_defects` (every ``(n, j)`` and state one witness or
+noise-ensemble reader needs).
+
+The scan holds each operator as its ``d**2`` real coordinates ``c(X)`` in a
+fixed orthonormal Hermitian basis (:func:`~kcprobe.linalg._coordinates`), so
+a Frobenius norm is a Euclidean norm, ``tr(rho D) = c(rho) . c(D)``, and
+every ``D`` is Hermitian by construction.  Up to :data:`_TRANSFER_MAX_DIM`
+the Heisenberg step of a step's Kraus operators is a real
+``(d_P, d**2, d**2)`` transfer ``T``, ``c(K_m^H X K_m) = c(X) @ T[m]``
+(:func:`~kcprobe.model._transfer`, built once per distinct step measurement
+and kept on it, ``8 d_P d**4`` bytes), so pulling a stack back through a
+step is one BLAS product per outcome (:func:`_pull`).  Above it the scan
+holds ``d x d`` matrices and pulls them back through ``K_m^H X K_m``
+(:func:`_pull_back`), the steps before ``j`` through their Kraus products.
+
+Each ``n`` is one backward sweep (:func:`_sweep`): ``P = 1`` pulled back
+through step ``n``; then for ``j = n - 1 .. 1``, ``X`` is ``P`` pulled back
+through step ``j`` (every outcome), ``M = sum_m X[m] - P``, ``D(n, j)`` is
+``M`` pulled back through the steps ``j - 1 .. 1``, and ``P`` becomes ``X``.
+With ``a`` the outcomes before step ``j`` and ``b`` those after it,
+``D[a, b] = pre_a^H M_b pre_a`` for the Kraus products ``pre_a``, and each
+pull-back puts its outcome first, so the entries come out in the
+lexicographic order of ``fixed``.  The leading outcomes of ``fixed`` are
+walked so that a stack holds at most ``PREFIX_BLOCK_BYTES // (32 d**2 d_P)``
+operators (at least one) before a pull-back, fixed before it is built; while
+``P`` would hold more, it stays at the last level that fits, and each head
+pulls its own suffix outcomes back from there.  So the work space stays
+below ``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides the results, which the
+scan lays out once per ``(n, j)`` in the :class:`_KCEntries` it fills, and
+besides the transfers, whose first build holds about six times a
+transfer's size for a moment.  No value depends on the chunking: each
+product is computed alike whatever the length of its stack.  The other
+route to a defect is the oracle's Kraus chains, read as a batch of one by
+:func:`history_operator`, :func:`kc_defect_operator` and
+:func:`kc_defect_state`.
 """
 
 from __future__ import annotations
@@ -58,14 +75,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericalFault, PreconditionError, ProtocolError
-from .linalg import check_density, commutator, frobenius
+from .linalg import _coordinates, check_density, commutator, frobenius
 from .model import (
     DephasingModel,
     MeasurementProtocol,
     PreparationState,
     _defect_args,
+    _n_max,
     _prefix,
     _sequence,
+    _transfer,
     nonselective_apply,
 )
 from .serialize import Record
@@ -89,16 +108,6 @@ class JointDistribution:
     n: int
     probe_dim: int
     table: dict
-
-    def marginal_over_step(self, j: int) -> dict:
-        """Sum out step ``j`` (1-based); keys keep the remaining steps' time order."""
-        if not 1 <= j <= self.n:
-            raise ProtocolError(f"step {j} out of range 1..{self.n}")
-        out: dict = {}
-        for seq, p in self.table.items():
-            key = seq[: j - 1] + seq[j:]
-            out[key] = out.get(key, 0.0) + p
-        return out
 
 
 def history_operator(protocol: MeasurementProtocol, seq) -> HistoryOperator:
@@ -154,45 +163,40 @@ def _block_len(d: int) -> int:
     return max(1, PREFIX_BLOCK_BYTES // (16 * d * d))
 
 
-def _heads(d_p: int, steps: int, count: int):
-    """``(start, head)`` for the outcomes ``head`` of the fewest leading steps of
-    ``steps`` that leave at most ``count`` (at least one) sequences of the trailing
-    steps to each, in lexicographic order; ``start`` indexes the first of those
-    sequences among all ``d_p ** steps``."""
+def _lead(d_p: int, steps: int, count: int) -> int:
+    """The fewest leading steps of ``steps`` that leave at most ``count`` (at
+    least one) sequences of the trailing steps."""
     lead = 0
     while lead < steps and d_p ** (steps - lead) > count:
         lead += 1
+    return lead
+
+
+def _heads(d_p: int, steps: int, count: int):
+    """``(start, head)`` for the outcomes ``head`` of the :func:`_lead` leading
+    steps of ``steps``, in lexicographic order; ``start`` indexes the first of
+    the sequences that start with ``head`` among all ``d_p ** steps``."""
+    lead = _lead(d_p, steps, count)
     heads = itertools.product(range(d_p), repeat=lead)
     return zip(itertools.count(0, d_p ** (steps - lead)), heads)
 
 
-def _grow_prefixes(protocol: MeasurementProtocol, head: tuple, stop: int, start: int = 0):
-    """Kraus products of every outcome sequence of the 0-based steps
-    ``start .. stop - 1`` that starts with the outcomes ``head``, as a
-    ``(d_P ** (stop - start - len(head)), d, d)`` stack in lexicographic
-    order, or ``None`` if there is no step.  Each step is one batched
-    product, ``R_{k+1}[a d_P + m] = K_m R_k[a]`` (``m`` trailing), over the
-    outcome of ``head`` alone at a step of ``head``.  Every Kraus product of
-    this module comes from here.
+def _grow_prefixes(protocol: MeasurementProtocol, head: tuple, stop: int):
+    """Kraus products of every outcome sequence of the first ``stop`` steps
+    that starts with the outcomes ``head``, as a ``(d_P ** (stop - len(head)),
+    d, d)`` stack in lexicographic order, or ``None`` if there is no step.
+    Each step is one batched product,
+    ``R_{k+1}[a d_P + m] = K_m R_k[a]`` (``m`` trailing), over the outcome of
+    ``head`` alone at a step of ``head``.
     """
     d = protocol.system_dim
     r = None
-    for k in range(start, stop):
+    for k in range(stop):
         kraus = np.asarray(protocol.step_measurements[k].kraus)
-        if k - start < len(head):
-            kraus = kraus[head[k - start]][None]
+        if k < len(head):
+            kraus = kraus[head[k]][None]
         r = kraus if r is None else (kraus @ r[:, None]).reshape(-1, d, d)
     return r
-
-
-def _pull_back(products: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    """The Heisenberg step ``C_c^H X_b C_c`` for every product ``C_c`` of the
-    stack ``products`` and every ``X_b`` of the stack ``x``, as a
-    ``(len(products), len(x), d, d)`` array with ``c`` leading; ``x`` itself
-    if ``products`` is ``None``."""
-    if products is None:
-        return x
-    return products.conj().swapaxes(1, 2)[:, None] @ (x @ products[:, None])
 
 
 def _probabilities(
@@ -389,57 +393,180 @@ class KCReport(Record):
 
 
 # Most blocks of PREFIX_BLOCK_BYTES that :func:`_defect_blocks` holds at once.
-# Its stacks of suffix products, suffix effects and defects hold at most
-# ``1 / d_P`` of a block each, so the most is held while step ``j`` pulls the
-# suffix effects back: the effects, and two products ``d_P`` times as long.
+# Its stacks hold at most ``1 / (2 d_P)`` of a block as matrices (half that
+# as coordinates) before a pull-back, so the most is held while a stack is
+# pulled back through a step above _TRANSFER_MAX_DIM: the product and its
+# pull-back, each ``d_P`` times as long, the next suffix level, as long, and
+# the stacks being pulled.  The transfers of the steps are not counted: they
+# are built once per measurement, whatever the block.
 SCAN_BLOCKS = 3
 
+# Largest system dimension whose scan pulls its stacks back through the real
+# transfer of each step.  Per operator, one pull-back took 2.1, 14, 188 and
+# 3262 ns at d = 2, 4, 8 and 16 through a transfer against 602, 888, 1926
+# and 6248 ns through ``K_m^H X K_m`` (one BLAS thread, a 2-core x86 box).  A
+# transfer holds ``8 d_P d**4`` bytes, at most 128 KiB up to here; at d = 32
+# it is 16 MiB a step, and a 5-nucleus nv scan to n_max = 4 took 40.5 ms
+# through transfers against 2.1 ms.  The rule reads ``d`` alone, so no value
+# depends on the chunking.
+_TRANSFER_MAX_DIM = 8
 
-def _defect_blocks(protocol: MeasurementProtocol, n: int, j: int):
-    """Yield the operator defects ``D[a, b] = pre_a^H M_b pre_a`` of one
-    ``(n, j)`` in entry order, block by block, each as the slice of the
-    ``(n, j)`` entries it holds, a ``(B, d * d)`` stack of Hermitian
-    ``(D + D^H) / 2`` and its ``B`` Frobenius norms; a non-finite norm raises
-    :class:`NumericalFault` naming the first such ``(n, j, fixed)``."""
-    d_p, d = protocol.probe_dim, protocol.system_dim
-    kraus = np.asarray(protocol.step_measurements[j - 1].kraus)
-    for start, head in _heads(d_p, n - 1, _block_len(d) // d_p):
+
+def _pull_back(products: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Heisenberg step ``C_c^H X_b C_c`` for every matrix ``C_c`` of the
+    stack ``products`` and every matrix ``X_b`` of the stack ``x``, as a
+    ``(len(products), len(x), d, d)`` array with ``c`` leading."""
+    return products.conj().swapaxes(1, 2)[:, None] @ (x @ products[:, None])
+
+
+def _pull(protocol: MeasurementProtocol, k: int, stack: np.ndarray, m: int | None = None) -> np.ndarray:
+    """The Heisenberg step ``X -> K_m^H X K_m`` of the 0-based step ``k`` for
+    each operator ``X`` of ``stack`` and each outcome ``m`` (only ``m`` if
+    given), as an array with the outcome leading and the operators of
+    ``stack`` next, so that the pairs flatten in lexicographic order.
+
+    An operator is held as :func:`_last_effects` holds it: as its row of
+    coordinates, and the step is one product with ``T[m]^T`` per outcome for
+    the transfer ``T`` of the step; or as its ``d x d`` matrix."""
+    measurement = protocol.step_measurements[k]
+    outcomes = slice(None) if m is None else slice(m, m + 1)
+    if stack.ndim == 3:
+        return _pull_back(np.asarray(measurement.kraus)[outcomes], stack)
+    transfer = _transfer(measurement)[outcomes]
+    # The columns c(X) of a C-ordered (d**2, N) array times each whole T[m]^T:
+    # OpenBLAS (Haswell kernels) rounds each column of that product alike for
+    # every N > 1 (checked bit for bit at d = 1..8, N up to 30000), but not a
+    # row of a (N, d**2) product at d = 5..7, nor a product of one column.
+    columns = np.ascontiguousarray(stack.T)
+    count = len(stack)
+    if count == 1:
+        columns = np.concatenate((columns, columns), axis=1)
+    out = np.empty((len(columns), len(transfer), columns.shape[1]))
+    np.matmul(transfer.transpose(0, 2, 1), columns, out=out.transpose(1, 0, 2))
+    return out.transpose(1, 2, 0)[:, :count]
+
+
+def _pull_prefixes(protocol: MeasurementProtocol, stack: np.ndarray, head: tuple, stop: int) -> np.ndarray:
+    """``pre_a^H X_b pre_a`` for each operator ``X_b`` of ``stack`` and each
+    Kraus product ``pre_a`` of the steps ``1 .. stop`` whose leading outcomes
+    are ``head``, with ``a`` leading: the pull-back through the steps ``stop``
+    down to ``1``, one step at a time on coordinates, in one product with the
+    matrices ``pre_a`` from :func:`_grow_prefixes` on matrices."""
+    if stack.ndim == 3:
+        pre = _grow_prefixes(protocol, head, stop)
+        return stack if pre is None else _flat(_pull_back(pre, stack))
+    for s in range(stop, 0, -1):
+        stack = _flat(_pull(protocol, s - 1, stack, head[s - 1] if s <= len(head) else None))
+    return stack
+
+
+def _flat(pulled: np.ndarray) -> np.ndarray:
+    """A pull-back's ``(outcome, operator)`` pairs as one stack of operators."""
+    return pulled.reshape((-1,) + pulled.shape[2:])
+
+
+def _step_defects(pulled: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """``M_b = sum_m K_m^H P_b K_m - P_b`` for each operator ``P_b`` of ``post``,
+    from ``pulled``, the :func:`_pull` of ``post`` through step ``j``."""
+    return sum(pulled[1:], pulled[0]) - post
+
+
+def _last_effects(protocol: MeasurementProtocol, n: int) -> np.ndarray:
+    """The effects ``E_m = K_m^H 1 K_m`` of step ``n``, the first suffix
+    effects of a sweep, as the scan holds operators at the protocol's ``d``:
+    up to :data:`_TRANSFER_MAX_DIM` as the rows ``c(1) @ T[m]`` of
+    coordinates, the sums of the rows of ``T[m]`` at the diagonal
+    coordinates; above it as ``d x d`` matrices."""
+    measurement = protocol.step_measurements[n - 1]
+    d = protocol.system_dim
+    if d > _TRANSFER_MAX_DIM:
+        return np.asarray(measurement.effects)
+    return _transfer(measurement)[:, :d].sum(axis=1)
+
+
+def _sweep(protocol: MeasurementProtocol, n: int, js, count: int):
+    """Yield ``(j, start, stack)`` for each ``j`` of ``js``, from ``n - 1`` down:
+    ``stack`` holds the operator defects ``D`` of the entries ``start ..
+    start + len(stack) - 1`` of ``(n, j)``, as :func:`_pull` holds operators.
+    The leading :func:`_lead` outcomes of the entries are walked, so that a
+    stack holds at most ``count`` operators before a pull-back.
+
+    One backward sweep serves every ``j``: ``post`` holds the suffix effect
+    ``P_b`` of every outcome ``b`` of the steps ``j + 1 .. n``, from ``1``
+    pulled back through step ``n``, and each ``j`` pulls it back through step
+    ``j`` once, for both ``M_b`` and the next ``post``; then ``D[a, b]`` is
+    ``M_b`` pulled back through the steps before ``j``.  While ``post`` would
+    hold more than ``count``, it stays at the last level that fits, and each
+    head pulls its own suffix outcomes back from there."""
+    d_p = protocol.probe_dim
+    lead = _lead(d_p, n - 1, count)
+    width = d_p ** (n - 1 - lead)
+    post = _last_effects(protocol, n)
+    for j in range(n - 1, max(lead, min(js) - 1), -1):
+        pulled = _pull(protocol, j - 1, post)
+        if j in js:
+            m_ops = _step_defects(pulled, post)
+            for start, head in _heads(d_p, n - 1, count):  # head: outcomes of steps 1 .. lead
+                yield j, start, _pull_prefixes(protocol, m_ops, head, j - 1)
+        post = _flat(pulled)
+    for j in sorted((j for j in js if j <= lead), reverse=True):
+        # head: the outcomes of steps 1 .. j - 1, then of steps j + 1 .. lead + 1
+        for start, head in _heads(d_p, n - 1, count):
+            b = head[lead - 1]
+            stack = post[b * width : (b + 1) * width]
+            for s in range(lead, j, -1):
+                stack = _pull(protocol, s - 1, stack, head[s - 2])[0]
+            m_ops = _step_defects(_pull(protocol, j - 1, stack), stack)
+            yield j, start, _pull_prefixes(protocol, m_ops, head[: j - 1], j - 1)
+
+
+def _defect_blocks(protocol: MeasurementProtocol, n: int, js):
+    """Yield the operator defects of ``(n, j)`` for each ``j`` of ``js``, block
+    by block, as ``(j, part, defects, norms)``: ``part`` is the slice of the
+    ``(n, j)`` entries the block holds, ``defects`` the ``(B, d**2)`` stack of
+    their coordinates (each ``D`` is Hermitian by construction) and ``norms``
+    their ``B`` Frobenius norms.  A non-finite norm raises
+    :class:`NumericalFault` once the sweep is done, naming the first such
+    ``(n, j, fixed)`` in entry order; no block is yielded after one is found."""
+    d_p = protocol.probe_dim
+    blocks = _sweep(protocol, n, js, _block_len(protocol.system_dim) // (2 * d_p))
+    fault = None
+    while True:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
-            post = _grow_prefixes(protocol, head[j - 1 :], n, start=j)
-            m_ops = post.conj().swapaxes(1, 2) @ post  # the suffix effects P_b
-            del post  # freed before the pull-back, to keep the bound
-            m_ops = _pull_back(kraus, m_ops).sum(axis=0) - m_ops
-            defects = _pull_back(_grow_prefixes(protocol, head[: j - 1], j - 1), m_ops).reshape(-1, d, d)
-            defects += defects.conj().swapaxes(1, 2)  # (D + D^H) / 2
-            defects /= 2
-            defects = defects.reshape(len(defects), -1)
-            parts = defects.view(float)  # real and imaginary parts
-            norms = np.sqrt(np.einsum("ak,ak->a", parts, parts))
-            del parts
-        if not math.isfinite(float(norms.max())):  # NaN if any norm is NaN
+            j, start, stack = next(blocks, (None, None, None))
+            if j is None:
+                break
+            defects = _coordinates(stack) if stack.ndim == 3 else np.ascontiguousarray(stack)
+            del stack
+            norms = np.sqrt(np.einsum("ak,ak->a", defects, defects))
+        if math.isfinite(float(norms.max())):  # NaN if any norm is NaN
+            if fault is None:
+                yield j, slice(start, start + len(norms)), defects, norms
+        elif fault is None or fault[0] > j:  # the sweep runs j down, each j's blocks in order
             i = int(np.argmin(np.isfinite(norms)))
-            fixed = tuple(map(int, np.unravel_index(start + i, (d_p,) * (n - 1))))
-            raise NumericalFault(
-                f"defect norm {norms[i]} at n={n}, j={j}, fixed={fixed} is not finite"
-            )
-        yield slice(start, start + len(norms)), defects, norms
+            fault = j, start + i, norms[i]
         del defects  # freed before the next block is built, to keep the bound
+    if fault is not None:
+        j, k, value = fault
+        fixed = tuple(map(int, np.unravel_index(k, (d_p,) * (n - 1))))
+        raise NumericalFault(f"defect norm {value} at n={n}, j={j}, fixed={fixed} is not finite")
 
 
 def _scan(protocol: MeasurementProtocol, pairs: list, states: list) -> _KCEntries:
     """The entries of the operator defects of every ``(n, j)`` of ``pairs``,
     with ``tr(rho D)`` for each validated state of ``states``: the one loop
-    over :func:`_defect_blocks`, filling the arrays of the layout that
-    :class:`_KCEntries` sizes first, block by block."""
+    over :func:`_defect_blocks`, one sweep per ``n``, filling the arrays of the
+    layout that :class:`_KCEntries` sizes first, block by block."""
     d = protocol.system_dim
-    # the entries of each rho^T, so that tr(rho D) is a dot product with those of D
-    states = np.array([r.T for r in states], dtype=complex).reshape(len(states), d * d)
+    # c(rho) for each state, so that tr(rho D) is a dot product with c(D)
+    states = _coordinates(np.array(states, dtype=complex)) if states else np.empty((0, d * d))
     entries = _KCEntries(protocol.probe_dim, pairs, len(states))
-    for n, j in pairs:
-        norms, traces = entries._pair(n, j)
-        for part, defects, block in _defect_blocks(protocol, n, j):
+    for n in dict.fromkeys(n for n, _ in pairs):
+        js = {j for m, j in pairs if m == n}
+        for j, part, defects, block in _defect_blocks(protocol, n, js):
+            norms, traces = entries._pair(n, j)
             norms[part] = block
-            traces[part] = np.einsum("ak,sk->as", defects, states).real
+            traces[part] = np.einsum("ak,sk->as", defects, states)
             del defects  # freed before the next block is built, to keep the bound
     return entries
 
@@ -479,10 +606,7 @@ def check_kc_all(
     8 bytes per norm and per state defect, and a :class:`KCEntry` is made
     only when one is read.
     """
-    if n_max < 2:
-        raise ProtocolError(f"n_max must be at least 2, got {n_max}")
-    if n_max > protocol.n_steps:
-        raise ProtocolError(f"n_max = {n_max} exceeds protocol length {protocol.n_steps}")
+    _n_max(protocol, n_max, 2)
     _check_capacity(protocol.probe_dim, n_max, tol)
     try:
         one_state = np.ndim(rho) == 2

@@ -41,10 +41,6 @@ class WitnessReport(Record):
     model_fingerprint: str
     tolerances: dict
 
-    @property
-    def nonzero(self) -> bool:
-        return self.verdict == "nonzero"
-
 
 def witness_report(
     kind: str,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
+from kcprobe.linalg import _basis, _coordinates
 from kcprobe.oracle import _chain_effects
 from kcprobe.sequences import _defect_blocks
 
@@ -58,11 +59,19 @@ def zero_amplitude_cycle(rng, d_p, d_s, n_steps=1):
     return model, kp.PreparationState(amps / np.linalg.norm(amps)), bases
 
 
-def transposed_pull_back(products, x):
-    """The scan's Heisenberg step with ``C^T`` in place of ``C^H``."""
-    if products is None:
-        return x
-    return products.swapaxes(1, 2)[:, None] @ (x @ products[:, None])
+def transposed_pull_back(kraus, x):
+    """The scan's Heisenberg step on matrices (d > 8) with ``K^T`` in place of ``K^H``."""
+    return kraus.swapaxes(1, 2)[:, None] @ (x @ kraus[:, None])
+
+
+def transposed_transfer(measurement):
+    """The scan's transfer of a step (d <= 8), built with ``K^T`` in place of
+    ``K^H`` and kept nowhere."""
+    kraus = np.asarray(measurement.kraus)
+    d_p, d = kraus.shape[:2]
+    pairs = (kraus[:, :, None, :, None] * kraus[:, None, :, None, :]).reshape(d_p, d * d, d * d)
+    basis = _basis(d)
+    return (basis @ pairs).view(float) @ basis.view(float).T
 
 
 def nan_chain(steps, row):
@@ -79,11 +88,11 @@ def nan_chain(steps, row):
 
 
 def shifted_blocks(shift):
-    """The scan's ``_defect_blocks`` with the ``d x d`` matrix ``shift`` added
-    to every operator defect it yields."""
+    """The scan's ``_defect_blocks`` with the Hermitian ``d x d`` matrix ``shift``
+    added to every operator defect it yields, as coordinates."""
 
-    def blocks(protocol, n, j):
-        for part, defects, norms in _defect_blocks(protocol, n, j):
-            yield part, defects + shift.reshape(-1), norms
+    def blocks(protocol, n, js):
+        for j, part, defects, norms in _defect_blocks(protocol, n, js):
+            yield j, part, defects + _coordinates(shift), norms
 
     return blocks

@@ -22,7 +22,7 @@ from kcprobe.linalg import check_density
 from kcprobe.oracle import OracleReport
 from kcprobe.serialize import complex_pair, matrix_rows, pairs_vector, rows_matrix, write_json
 
-from conftest import nan_chain, shifted_blocks, transposed_pull_back
+from conftest import nan_chain, shifted_blocks, transposed_transfer
 
 
 def write_config(path, data):
@@ -1135,7 +1135,7 @@ class TestRunOracleCheck:
         assert row["max_defect_discrepancy"] == pytest.approx(eps * np.sqrt(2), rel=1e-9)
 
     def test_a_slip_in_the_scan_fails_the_oracle_command(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("kcprobe.sequences._pull_back", transposed_pull_back)
+        monkeypatch.setattr("kcprobe.sequences._transfer", transposed_transfer)
         path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))
         assert main(["oracle", path, "--out", str(tmp_path / "o")]) == 3
         rows = json.loads((tmp_path / "o" / "oracle.json").read_text())["reports"]

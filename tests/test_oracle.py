@@ -18,9 +18,16 @@ from kcprobe.oracle import (
     _effect_products,
     _naive_defects,
 )
-from kcprobe.sequences import PREFIX_BLOCK_BYTES
+from kcprobe.sequences import _TRANSFER_MAX_DIM, PREFIX_BLOCK_BYTES
 
-from conftest import nan_chain, random_density, random_hermitian, shifted_blocks, transposed_pull_back
+from conftest import (
+    nan_chain,
+    random_density,
+    random_hermitian,
+    shifted_blocks,
+    transposed_pull_back,
+    transposed_transfer,
+)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -146,14 +153,25 @@ def test_a_traceless_slip_disagrees_at_the_maximally_mixed_state(monkeypatch, ep
 
 
 def test_a_slip_in_the_scan_disagrees(monkeypatch):
-    # the defect gate reads the operator scan, so a wrong pull-back there
+    # the defect gate reads the operator scan, so a wrong transfer there
     # shows against the naive Kraus chains, on every random qubit model
-    monkeypatch.setattr("kcprobe.sequences._pull_back", transposed_pull_back)
+    monkeypatch.setattr("kcprobe.sequences._transfer", transposed_transfer)
     for seed in range(5):
         protocol = kp.qubit_xy_protocol(kp.random_model(seed, 2, 2, commuting=False), "XYX")
         report = kp.oracle_compare(protocol, random_density(np.random.default_rng(seed), 2), 3)
         assert report.max_abs_discrepancy <= 1e-11
         assert not report.agrees
+
+
+def test_a_slip_in_the_matrix_pull_back_disagrees(monkeypatch):
+    # above _TRANSFER_MAX_DIM the scan pulls matrices back, and a wrong
+    # Heisenberg step there shows the same way
+    monkeypatch.setattr("kcprobe.sequences._pull_back", transposed_pull_back)
+    d_s = _TRANSFER_MAX_DIM + 1
+    protocol = kp.qubit_xy_protocol(kp.random_model(0, 2, d_s, commuting=False), "XYX")
+    report = kp.oracle_compare(protocol, random_density(np.random.default_rng(0), d_s), 3)
+    assert report.max_abs_discrepancy <= 1e-11
+    assert not report.agrees
 
 
 def reversed_grow_prefixes(protocol, head, stop, start=0):

@@ -72,6 +72,7 @@ ONE_CHECK_PER_RULE = {
     "n": (r"n = \{n\} not in 2\.\.", {("model", "_defect_args")}),
     "final step": (r"marginalizing the final step", {("model", "_defect_args")}),
     "j": (r"j = \{j\} not in 1\.\.", {("model", "_defect_args")}),
+    "n_max": (r"n_max = \{n_max\} not in", {("model", "_n_max")}),
 }
 
 
@@ -84,18 +85,12 @@ def test_each_input_rule_is_checked_in_one_function():
     assert found == {rule: where for rule, (_, where) in ONE_CHECK_PER_RULE.items()}
 
 
-def unread_public_names(init: Path, readers: list[Path]) -> set[str]:
-    """Every name that ``init`` imports for export and that no file of
-    ``readers`` reads outside its own definition, as a bare name, an imported
-    name or an attribute.  A name read off a module from outside the package
-    (``np.kron``) or imported from one is a homonym, not a reader."""
-    exported = {
-        alias.asname or alias.name
-        for node in ast.parse(init.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    read = set()
+def read_names(readers: list[Path]) -> dict[str, set]:
+    """Every name that a file of ``readers`` reads, as a bare name, an imported
+    name or an attribute, each with the module-level definitions (or None)
+    it is read in.  A name read off a module from outside the package
+    (``np.kron``) or imported from one is a homonym, not a read."""
+    read: dict[str, set] = {}
     for path in readers:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         foreign = set()  # the names bound to what is imported from outside the package
@@ -109,17 +104,51 @@ def unread_public_names(init: Path, readers: list[Path]) -> set[str]:
             elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] != "kcprobe":
                 foreign.update(alias.asname or alias.name for alias in node.names)
         for top in tree.body:
-            names = set()
+            owner = (path.stem, getattr(top, "name", None))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and node.id not in foreign:
-                    names.add(node.id)
+                    read.setdefault(node.id, set()).add(owner)
                 elif isinstance(node, ast.Attribute):
                     if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
-                        names.add(node.attr)
+                        read.setdefault(node.attr, set()).add(owner)
                 elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("kcprobe")):
-                    names.update(alias.name for alias in node.names)
-            read |= names - {getattr(top, "name", None)}
-    return exported - read
+                    for alias in node.names:
+                        read.setdefault(alias.name, set()).add(owner)
+    return read
+
+
+def exported_names(init: Path) -> set[str]:
+    return {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def unread_public_names(init: Path, readers: list[Path]) -> set[str]:
+    """Every name that ``init`` imports for export and that no file of
+    ``readers`` reads outside its own definition."""
+    read = read_names(readers)
+    return {name for name in exported_names(init) if all(top == name for _, top in read.get(name, ()))}
+
+
+def unread_public_members(package: Path, readers: list[Path]) -> set[str]:
+    """``Class.member`` for every public method or property of a class that
+    the package exports, whose name no file of ``readers`` reads outside the
+    class's own definition."""
+    exported = exported_names(package / "__init__.py")
+    read = read_names(readers)
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not (isinstance(top, ast.ClassDef) and top.name in exported):
+                continue
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    if read.get(node.name, set()) <= {(path.stem, top.name)}:
+                        found.add(f"{top.name}.{node.name}")
+    return found
 
 
 # Public names with no reader in the package, the CLI, the acceptance tests
@@ -142,8 +171,23 @@ KEPT_PUBLIC_NAMES = {
 }
 
 
-def test_every_public_name_has_a_reader():
+# Public methods and properties of exported classes with no reader there,
+# each kept for the reason given.
+KEPT_PUBLIC_MEMBERS = {
+    "AlgebraBasis.contains": "algebra API: membership in the span, read by tests/test_algebra.py",
+}
+
+
+def public_readers() -> list[Path]:
     readers = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
-    readers += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").rglob("*.py"))]
+    return readers + [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").rglob("*.py"))]
+
+
+def test_every_public_name_has_a_reader():
     # a kept name that gains a reader leaves the list
-    assert unread_public_names(PACKAGE / "__init__.py", readers) == set(KEPT_PUBLIC_NAMES)
+    assert unread_public_names(PACKAGE / "__init__.py", public_readers()) == set(KEPT_PUBLIC_NAMES)
+
+
+def test_every_public_method_has_a_reader():
+    # the public methods and properties of the exported classes, likewise
+    assert unread_public_members(PACKAGE, public_readers()) == set(KEPT_PUBLIC_MEMBERS)

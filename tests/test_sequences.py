@@ -17,14 +17,31 @@ from kcprobe.errors import (
     PreconditionError,
     ProtocolError,
 )
-from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
-from kcprobe.sequences import PREFIX_BLOCK_BYTES, SCAN_BLOCKS, _probabilities, _state_defects
+from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, _coordinates, _matrices, frobenius
+from kcprobe.model import _transfer
+from kcprobe.sequences import (
+    _TRANSFER_MAX_DIM,
+    PREFIX_BLOCK_BYTES,
+    SCAN_BLOCKS,
+    _probabilities,
+    _state_defects,
+)
 from kcprobe.serialize import canonical_json
 from kcprobe.witnesses import PLUS_MINUS_VALUES
 
-from conftest import random_density, zero_amplitude_cycle
+from conftest import random_density, random_hermitian, zero_amplitude_cycle
 
 I2 = np.eye(2, dtype=complex)
+
+
+def marginal_over_step(table, j):
+    """Sum step ``j`` (1-based) out of a distribution table; keys keep the
+    remaining steps' time order."""
+    out = {}
+    for seq, p in table.items():
+        key = seq[: j - 1] + seq[j:]
+        out[key] = out.get(key, 0.0) + p
+    return out
 
 
 def trivial_x_protocol(n=3):
@@ -127,7 +144,7 @@ class TestFullDistribution:
         rho = random_density(np.random.default_rng(5), 2)
         dist2 = kp.full_distribution(protocol, rho, 2)
         dist1 = kp.full_distribution(protocol.drop_step(1), rho, 1)
-        marginal = dist2.marginal_over_step(1)
+        marginal = marginal_over_step(dist2.table, 1)
         for key, value in dist1.table.items():
             assert marginal[key] == pytest.approx(value, abs=1e-12)
 
@@ -308,25 +325,31 @@ def test_defect_operator_matches_the_per_outcome_loop(d_p, d_s):
 
 def test_two_routes_to_a_defect_share_no_product():
     # every product of Kraus operators in sequences.py comes from
-    # _grow_prefixes, and the scan hands step j's operators to the pull-back
-    # only; the single-entry routes read the oracle's chains at call time
+    # _grow_prefixes; the scan reads a step's operators in _pull alone, which
+    # hands them to the matrix pull-back only and otherwise reads the step's
+    # transfer, built in model.py, as does the first step of a sweep; the
+    # single-entry routes read the oracle's chains at call time
     tree = ast.parse(inspect.getsource(kcprobe.sequences))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
     def nodes(name, kind):
         return [node for node in ast.walk(functions[name]) if isinstance(node, kind)]
 
-    readers = {name for name in functions if any(node.attr == "kraus" for node in nodes(name, ast.Attribute))}
-    assert readers == {"_grow_prefixes", "_defect_blocks"}
-    uses = [n for n in nodes("_defect_blocks", ast.Name) if n.id == "kraus" and isinstance(n.ctx, ast.Load)]
-    pulled = [
-        arg
-        for call in nodes("_defect_blocks", ast.Call)
-        if isinstance(call.func, ast.Name) and call.func.id == "_pull_back"
-        for arg in call.args
-        if isinstance(arg, ast.Name) and arg.id == "kraus"
-    ]
-    assert uses and uses == pulled
+    def calls(name, callee):
+        return [
+            call for call in nodes(name, ast.Call) if isinstance(call.func, ast.Name) and call.func.id == callee
+        ]
+
+    def kraus_reads(node):
+        return [sub for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and sub.attr == "kraus"]
+
+    readers = {name for name in functions if kraus_reads(functions[name])}
+    assert readers == {"_grow_prefixes", "_pull"}
+    pulled = [read for call in calls("_pull", "_pull_back") for read in kraus_reads(call.args[0])]
+    assert pulled and pulled == kraus_reads(functions["_pull"])
+    assert [ast.unparse(call) for call in calls("_pull", "_transfer")] == ["_transfer(measurement)"]
+    readers = {name for name in functions if "_transfer" in {n.id for n in nodes(name, ast.Name)}}
+    assert readers == {"_pull", "_last_effects"}
     for name in ("history_operator", "kc_defect_state", "kc_defect_operator"):
         assert [(node.module, node.level) for node in nodes(name, ast.ImportFrom)] == [("oracle", 1)]
 
@@ -529,7 +552,7 @@ class TestCheckKCAll:
             for n in (2, 3):
                 dist_n = kp.full_distribution(protocol, rho, n)
                 dist_prev = kp.full_distribution(protocol, rho, n - 1)
-                marginal = dist_n.marginal_over_step(n)
+                marginal = marginal_over_step(dist_n.table, n)
                 for key, value in dist_prev.table.items():
                     assert abs(marginal[key] - value) <= 1e-10
 
@@ -894,3 +917,82 @@ STATE_READERS = {
 def test_every_state_reader_refuses_a_state_of_the_wrong_size_alike(x_protocol, reader):
     with pytest.raises(ProtocolError, match=r"^state shape \(3, 3\) does not match operator \(2, 2\)$"):
         STATE_READERS[reader](x_protocol, np.eye(3) / 3)
+
+
+class TestTransfer:
+    """The scan's operators as real coordinates, pulled back through each step's transfer."""
+
+    @pytest.mark.parametrize("d_s", range(1, _TRANSFER_MAX_DIM + 1))
+    def test_coordinates_are_an_isometry(self, d_s):
+        rng = np.random.default_rng(d_s)
+        x, y = random_hermitian(rng, d_s), random_hermitian(rng, d_s)
+        c = _coordinates(np.array([x, y]))
+        assert c.dtype == float and c.shape == (2, d_s * d_s)
+        assert np.array_equal(_matrices(c[0]), _matrices(c)[0])
+        assert np.abs(_matrices(c) - [x, y]).max() <= 1e-15 * frobenius(x)
+        assert abs(np.linalg.norm(c[0]) - frobenius(x)) <= 1e-15 * frobenius(x)
+        assert abs(c[0] @ c[1] - np.trace(x @ y).real) <= 1e-14 * frobenius(x) * frobenius(y)
+        # a non-Hermitian X reads as its Hermitian part
+        z = x + 1j * y
+        assert np.abs(_coordinates(z) - _coordinates((z + z.conj().T) / 2)).max() <= 1e-15 * frobenius(z)
+
+    @pytest.mark.parametrize("d_p", [2, 3, 4])
+    @pytest.mark.parametrize("d_s", range(1, _TRANSFER_MAX_DIM + 1))
+    def test_the_transfer_is_the_heisenberg_step(self, d_p, d_s):
+        rng = np.random.default_rng([d_p, d_s])
+        model, zero_prep, bases = zero_amplitude_cycle(rng, d_p, d_s, n_steps=1)
+        amps = rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)
+        full_prep = kp.PreparationState(amps / np.linalg.norm(amps))
+        x = random_hermitian(rng, d_s)
+        for prep in (zero_prep, full_prep):
+            measurement = kp.MeasurementProtocol(model, prep, bases).step_measurements[0]
+            transfer = _transfer(measurement)
+            assert transfer.shape == (d_p, d_s * d_s, d_s * d_s)
+            assert _transfer(measurement) is transfer  # kept on the measurement
+            for k, effect, t in zip(measurement.kraus, measurement.effects, transfer, strict=True):
+                scale = frobenius(x) * max(1.0, frobenius(k) ** 2)
+                assert np.abs(_coordinates(x) @ t - _coordinates(k.conj().T @ x @ k)).max() <= 1e-15 * scale
+                assert np.abs(_coordinates(np.eye(d_s)) @ t - _coordinates(effect)).max() <= 1e-15 * d_s
+
+    @pytest.mark.parametrize("d_s", [_TRANSFER_MAX_DIM + 1, 16])
+    def test_the_matrix_branch_matches_the_single_entry_routes(self, d_s):
+        rng = np.random.default_rng(d_s)
+        protocol = random_basis_protocol(rng, 2, d_s, 3, commuting=False)
+        states = [np.eye(d_s, dtype=complex) / d_s, random_density(rng, d_s)]
+        report = kp.check_kc_all(protocol, 3, states)
+        assert len(report.entries) == len(scan_order(2, 3))
+        for e in report.entries:
+            defect = kp.kc_defect_operator(protocol, e.n, e.j, e.fixed)
+            norm = frobenius(defect)
+            assert abs(e.operator_defect - norm) <= 1e-15 * max(1.0, norm)
+            for rho, got in zip(states, e.state_defects, strict=True):
+                assert abs(got - np.trace(rho @ defect).real) <= 1e-14
+
+    @pytest.mark.parametrize("block_bytes", [1, 16 * 16 * 5, PREFIX_BLOCK_BYTES])
+    @pytest.mark.parametrize("d_s", [4, 5, 7, _TRANSFER_MAX_DIM + 1])
+    def test_the_report_does_not_depend_on_the_chunking(self, monkeypatch, d_s, block_bytes):
+        # at d_S = 5 and 7 a plain product of a stack of rows with T[m] rounds
+        # a row by the stack's length on some BLAS builds, which the scan's
+        # column products do not; above _TRANSFER_MAX_DIM the scan holds matrices
+        rng = np.random.default_rng(d_s)
+        protocol = random_basis_protocol(rng, 2, d_s, 5, commuting=False)
+        states = [np.eye(d_s, dtype=complex) / d_s, random_density(rng, d_s)]
+        want = canonical_json(kp.check_kc_all(protocol, 5, states).to_dict())
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        assert canonical_json(kp.check_kc_all(protocol, 5, states).to_dict()) == want
+
+    @pytest.mark.parametrize("block_bytes", [1, 16 * 3, PREFIX_BLOCK_BYTES])
+    def test_a_classical_noise_report_does_not_depend_on_the_chunking(self, monkeypatch, block_bytes):
+        protocol = kp.classical_noise_model(kp.random_noise_realization(5, 6), 6)
+        assert protocol.system_dim == 1
+        states = [np.eye(1, dtype=complex)]
+        want = canonical_json(kp.check_kc_all(protocol, 6, states).to_dict())
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        assert canonical_json(kp.check_kc_all(protocol, 6, states).to_dict()) == want
+
+    def test_one_pair_reads_as_in_the_all_pairs_scan(self):
+        protocol = kp.fourier_protocol(kp.random_model(5, 3, 2, commuting=False), 4)
+        rho = random_density(np.random.default_rng(5), 2)
+        pairs = [(n, j) for n in range(2, 5) for j in range(1, n)]
+        (alone,) = _state_defects(protocol, [rho], [(3, 2)], kp.DEFAULT)
+        assert np.array_equal(alone, _state_defects(protocol, [rho], pairs, kp.DEFAULT)[pairs.index((3, 2))])
