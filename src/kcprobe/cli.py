@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import algebra_report, is_commutative, zero_entanglement_condition
 from .config import SCHEMA_VERSION, Experiment, build_experiment, load_run_config
 from .errors import ConfigError, InvariantViolation, KCProbeError, NumericalFault
-from .model import DephasingModel, MeasurementProtocol, PreparationState, xy_meter_basis
+from .model import DephasingModel, MeasurementProtocol, PreparationState, _qubit, xy_meter_basis
 from .oracle import OracleReport, oracle_compare
 from .scenarios import (
     ScenarioSpec,
@@ -133,8 +133,7 @@ def _oracle_rows(experiment: Experiment) -> list[dict]:
 
 def _witness_steps(model: DephasingModel) -> dict[str, int]:
     """``{axis: steps}`` of the protocols that :func:`_witness_protocols` builds for ``model``."""
-    if model.probe_dim != 2:
-        raise ConfigError("witnesses need a qubit probe")
+    _qubit(model.probe_dim)
     return dict.fromkeys("XY", 3)
 
 
@@ -175,7 +174,7 @@ def _delta_columns(by_axis: dict[str, MeasurementProtocol], states: list, tol) -
     read = {}
     for axis, protocol in by_axis.items():
         ns = [n for n, a in names.values() if a == axis]
-        read.update(zip([(n, axis) for n in ns], _axis_deltas(protocol, states, ns, tol)))
+        read.update(zip([(n, axis) for n in ns], _axis_deltas(protocol, states, ns, tol, "XY")))
     return {name: (n, a, *read[n, a]) for name, (n, a) in names.items()}
 
 

@@ -23,6 +23,7 @@ from .model import (
     MeasurementProtocol,
     MeterBasis,
     PreparationState,
+    _n_max,
     fourier_meter_basis,
     uniform_preparation,
     xy_meter_basis,
@@ -213,8 +214,7 @@ def build_experiment(config: RunConfig) -> Experiment:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"scenario parameters are incomplete: {exc}") from exc
         protocol = _resolve_protocol(built, config.protocol_spec, n_max)
-        if n_max > protocol.n_steps:
-            raise ConfigError(f"n_max = {n_max} exceeds the protocol length {protocol.n_steps}")
+        _n_max(protocol, n_max, 1)
         states = tuple(
             (spec["name"], _resolve_state(spec, protocol.system_dim)) for spec in config.states
         )

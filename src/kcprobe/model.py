@@ -349,11 +349,8 @@ class MeasurementProtocol:
         return sub
 
     def prefix(self, n: int) -> "MeasurementProtocol":
-        if not 1 <= n <= self.n_steps:
-            raise ProtocolError(f"cannot take {n}-step prefix of {self.n_steps}-step protocol")
-        if n == self.n_steps:
-            return self
-        return self._with_steps(lambda steps: steps[:n])
+        _prefix(self, n)
+        return self if n == self.n_steps else self._with_steps(lambda steps: steps[:n])
 
     def drop_step(self, j: int) -> "MeasurementProtocol":
         """Protocol with step ``j`` (1-based) removed; remaining steps unchanged."""
@@ -456,14 +453,19 @@ def fourier_meter_basis(d: int) -> MeterBasis:
     return MeterBasis(states, tuple(str(k) for k in idx), name="F")
 
 
+def _qubit(probe_dim: int) -> None:
+    """Raise :class:`DimensionError` unless ``probe_dim`` is 2, as the X/Y meters and witnesses need."""
+    if probe_dim != 2:
+        raise DimensionError(f"X/Y protocols need a qubit probe, got dimension {probe_dim}")
+
+
 def qubit_xy_protocol(model: DephasingModel, axes, step_times=None) -> MeasurementProtocol:
     """Protocol with ``|+x>`` re-preparations and per-step X or Y meter bases.
 
     Steps along the same axis have equal meter kets, so a protocol such as
     ``"XXX"`` builds one induced measurement per distinct step time.
     """
-    if model.probe_dim != 2:
-        raise DimensionError(f"X/Y protocols need a qubit probe, got dimension {model.probe_dim}")
+    _qubit(model.probe_dim)
     bases = tuple(map(xy_meter_basis, axes))
     return MeasurementProtocol(model, plus_x_preparation(), bases, step_times)
 

@@ -8,14 +8,14 @@ intermediate shared between sequences, and read through its effect
 most ``PREFIX_BLOCK_BYTES // (16 d**2)`` matrices (at least one), one
 batched product per step.  A defect's reduced chain reads the protocol's
 own steps with step ``j`` left out.  The probabilities are compared with
-the optimized enumeration, and every operator defect ``D`` of the scan with
-its naive reassembly in Frobenius norm, which bounds the gap in
-``tr(rho D)`` for every state.  For commutative models the effect-product
-form of the probability is a third route.  No product or pull-back code is
-shared with :mod:`kcprobe.sequences`, whose single-entry routes call the
-helpers here.  Both routes check their inputs with the same functions,
-:func:`~kcprobe.linalg.check_density` and the outcome and ``(n, j)`` checks
-of :mod:`kcprobe.model`.
+the optimized enumeration, and every operator defect ``D`` of the scan,
+one sweep per ``n`` for every ``j``, with its naive reassembly in Frobenius
+norm, which bounds the gap in ``tr(rho D)`` for every state.  For
+commutative models the effect-product form of the probability is a third
+route.  No product or pull-back code is shared with :mod:`kcprobe.sequences`,
+whose single-entry routes call the helpers here.  Both routes check their
+inputs with the same functions, :func:`~kcprobe.linalg.check_density` and
+the outcome and ``(n, j)`` checks of :mod:`kcprobe.model`.
 """
 
 from __future__ import annotations
@@ -96,18 +96,18 @@ def _naive_defects(protocol: MeasurementProtocol, j: int, fixed: np.ndarray) -> 
     return out
 
 
-def _defect_gaps(protocol: MeasurementProtocol, n: int, j: int, fixed: np.ndarray) -> np.ndarray:
-    """``|D - D_naive|_F`` for each operator defect ``D`` of ``(n, j)``, whose rows
-    are ``fixed``, with the scan's coordinates of ``D`` turned back into
-    matrices; a block's naive slice is built only after the scan has yielded,
-    and so checked, the block."""
-    out = np.empty(len(fixed))
-    for _, part, defects, _ in _defect_blocks(protocol, n, {j}):
+def _defect_gaps(protocol: MeasurementProtocol, n: int, fixed: np.ndarray) -> np.ndarray:
+    """The largest ``|D - D_naive|_F`` of each ``(n, j)``, at ``j - 1``, over its
+    operator defects ``D`` (rows ``fixed``) from one scan sweep, ``D`` turned
+    back into matrices; ``np.maximum`` keeps a NaN.  A block's naive slice is
+    built only once the scan has yielded, and so checked, the block."""
+    out = np.zeros(n - 1)
+    for j, part, defects, _ in _defect_blocks(protocol, n, range(1, n)):
         gap = _matrices(defects)
         del defects
         gap -= _naive_defects(protocol, j, fixed[part])
         gap = gap.reshape(len(gap), -1).view(float)  # real and imaginary parts
-        out[part] = np.sqrt(np.einsum("ak,ak->a", gap, gap))
+        out[j - 1] = np.maximum(out[j - 1], np.max(np.sqrt(np.einsum("ak,ak->a", gap, gap))))
         del gap  # freed before the next block is built, to keep the bound
     return out
 
@@ -216,8 +216,7 @@ def oracle_compare(
     defect_gaps = [0.0]
     for n in range(2, n_max + 1):
         _check_capacity(d_p, n, tol)
-        fixed = _all_outcomes(d_p, n - 1)
-        defect_gaps += (np.max(_defect_gaps(protocol, n, j, fixed)) for j in range(1, n))
+        defect_gaps.append(np.max(_defect_gaps(protocol, n, _all_outcomes(d_p, n - 1))))
     per_n = []
     commutative, _ = is_commutative(protocol.model.hamiltonians, tol)
     product_gaps = [0.0]

@@ -20,6 +20,7 @@ from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .model import (
     DephasingModel,
     MeasurementProtocol,
+    _n_max,
     conditional_unitaries,
     fourier_protocol,
     qubit_xy_protocol,
@@ -180,8 +181,6 @@ def classical_noise_model(realization: NoiseRealization, n_steps: int) -> Measur
     a pair of opposite-sign scalar Hamiltonians with the accumulated phase
     as the per-step duration.
     """
-    if n_steps < 1:
-        raise PreconditionError("need at least one step")
     if realization.n_segments < n_steps:
         raise PreconditionError(
             f"realization has {realization.n_segments} segments, protocol needs {n_steps}"
@@ -236,10 +235,9 @@ def ensemble_kc_max_defect(
     defects are linear in the distribution, so this is the weighted sum of
     the realizations' state-defect tensors, from one scan per realization.
     """
-    if n_max < 2:
-        raise PreconditionError(f"n_max must be >= 2, got {n_max}")
     weights = _ensemble_weights(realizations, weights, tol)
     protocols = [classical_noise_model(r, n_max) for r in realizations]
+    _n_max(protocols[0], n_max, 2)  # every protocol has n_max steps
     rho = np.array([[1.0]], dtype=complex)
     pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
     mixed = [0.0] * len(pairs)
@@ -302,6 +300,12 @@ def _evaluate_candidate(model, axis, t, source, seed, index, tol) -> Counterexam
     )
 
 
+def _trials(trials: int) -> None:
+    """Raise :class:`PreconditionError` unless a seeded search has a trial."""
+    if trials < 1:
+        raise PreconditionError(f"trials must be >= 1, got {trials}")
+
+
 def counterexample_search(
     seed: int,
     trials: int,
@@ -320,8 +324,7 @@ def counterexample_search(
     otherwise.  Findings carry full reproduction data; an empty result is a
     valid outcome.
     """
-    if trials < 1:
-        raise PreconditionError(f"trials must be >= 1, got {trials}")
+    _trials(trials)
     findings = []
     for idx, (model, axis) in enumerate(include):
         for t in t_grid:

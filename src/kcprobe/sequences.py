@@ -53,13 +53,13 @@ walked so that a stack holds at most ``PREFIX_BLOCK_BYTES // (32 d**2 d_P)``
 operators (at least one) before a pull-back, fixed before it is built; while
 ``P`` would hold more, it stays at the last level that fits, and each head
 pulls its own suffix outcomes back from there.  So the work space stays
-below ``SCAN_BLOCKS * PREFIX_BLOCK_BYTES`` besides the results, which the
-scan lays out once per ``(n, j)`` in the :class:`_KCEntries` it fills, and
-besides the transfers, whose first build holds about six times a
-transfer's size for a moment.  No value depends on the chunking: each
-product is computed alike whatever the length of its stack.  The other
-route to a defect is the oracle's Kraus chains, read as a batch of one by
-:func:`history_operator`, :func:`kc_defect_operator` and
+below ``SCAN_BLOCKS * PREFIX_BLOCK_BYTES + SCAN_OVERHEAD_BYTES`` (4 KiB)
+besides the results, which the scan lays out once per ``(n, j)`` in the
+:class:`_KCEntries` it fills, and the transfers, whose first build holds
+about six times a transfer's size for a moment.  No value depends on the
+chunking: each product is computed alike whatever the length of its stack.
+The other route to a defect is the oracle's Kraus chains, read as a batch
+of one by :func:`history_operator`, :func:`kc_defect_operator` and
 :func:`kc_defect_state`.
 """
 
@@ -147,8 +147,8 @@ def joint_probability(rho: np.ndarray, q, tol: Tolerances = DEFAULT) -> float:
 # may hold, ``16 d**2`` for each ``d x d`` complex matrix in it.  Evaluating a
 # block of probabilities holds two prefix tensors, so the work space of
 # :func:`_probabilities` stays below twice this bound, and that of
-# :func:`_defect_blocks` below :data:`SCAN_BLOCKS` times it.  It only trades
-# speed for memory, so it is not a tolerance.
+# :func:`_defect_blocks` below :data:`SCAN_BLOCKS` times it (and 4 KiB).  It
+# only trades speed for memory, so it is not a tolerance.
 PREFIX_BLOCK_BYTES = 16 * 2**20
 
 
@@ -398,8 +398,11 @@ class KCReport(Record):
 # pulled back through a step above _TRANSFER_MAX_DIM: the product and its
 # pull-back, each ``d_P`` times as long, the next suffix level, as long, and
 # the stacks being pulled.  The transfers of the steps are not counted: they
-# are built once per measurement, whatever the block.
+# are built once per measurement.  A block is at least one stack, 32 d**2 d_P
+# bytes.  The scan's own objects add a fixed SCAN_OVERHEAD_BYTES: at 1 KiB
+# blocks (d_S <= 4, 2-3 states) ``tracemalloc`` saw at most 3.9 KiB.
 SCAN_BLOCKS = 3
+SCAN_OVERHEAD_BYTES = 4 * 2**10
 
 # Largest system dimension whose scan pulls its stacks back through the real
 # transfer of each step.  Per operator, one pull-back took 2.1, 14, 188 and

@@ -10,8 +10,9 @@ value assignment of its experimental convention.
 The correlation witnesses contract the state-defect tensor of one ``(n, j)``,
 ``tr(rho D)`` for every operator defect ``D`` of the KC scan, with the
 outcome values on each remaining step, so they are linear in the ``D``
-that decides the KC verdict; the inequality check reads its ``delta`` off
-the ``(2, 1)`` tensor at ``fixed = (+,)``.
+that decides the KC verdict.  The inequality check is Δ21's route on X
+steps, read at ``fixed = (+,)``; the qubit, axis and step-count rules are
+stated once, by :func:`~kcprobe.model._qubit`, :func:`_axis_deltas` and the scan.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import is_commutative
-from .errors import DimensionError, PreconditionError, ProtocolError
-from .model import MeasurementProtocol, qubit_xy_protocol
+from .errors import ProtocolError
+from .model import MeasurementProtocol, _qubit, qubit_xy_protocol
 from .linalg import check_density
 from .sequences import _probabilities, _state_defects
-from .scenarios import random_model
+from .scenarios import _trials, random_model
 from .serialize import Record, fingerprint, protocol_payload
 from .tolerances import DEFAULT, Tolerances
 
@@ -102,7 +103,7 @@ def delta_2_1(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = 
     nonselective measurement minus the single-step average at the same
     remaining duration, i.e. :func:`delta_correlation` at ``(n, j) = (2, 1)``.
     Values are ``+1/-1``."""
-    [(delta, _)] = _axis_deltas(protocol, [check_density(rho, protocol.system_dim, tol)], (2,), tol)
+    [(delta, _)] = _axis_deltas(protocol, [check_density(rho, protocol.system_dim, tol)], (2,), tol, "XY")
     return float(delta[0])
 
 
@@ -110,21 +111,21 @@ def delta_3_2(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = 
     """Three-measurement witness: first/third-step correlation defect when
     the middle measurement is marginalized, i.e. :func:`delta_correlation`
     at ``(n, j) = (3, 2)``.  Values are ``+1/-1``."""
-    [(delta, _)] = _axis_deltas(protocol, [check_density(rho, protocol.system_dim, tol)], (3,), tol)
+    [(delta, _)] = _axis_deltas(protocol, [check_density(rho, protocol.system_dim, tol)], (3,), tol, "XY")
     return float(delta[0])
 
 
-def _axis_deltas(protocol: MeasurementProtocol, states, ns, tol: Tolerances) -> list:
+def _axis_deltas(protocol: MeasurementProtocol, states, ns, tol: Tolerances, allowed: str) -> list:
     """Δ21 (``n = 2``) and/or Δ32 (``n = 3``) of every validated state from one
-    scan: per ``n`` of ``ns``, the values and the state-defect tensor they contract."""
-    if protocol.probe_dim != 2:
-        raise DimensionError("axis witnesses need a qubit probe")
+    scan: per ``n`` of ``ns``, the values and the state-defect tensor they
+    contract.  Steps ``1 .. n`` of the qubit protocol share one axis of
+    ``allowed``, ``"XY"`` for the witnesses and ``"X"`` for :func:`lg_check`."""
+    _qubit(protocol.probe_dim)
     for n in ns:
-        if protocol.n_steps < n:
-            raise ProtocolError(f"protocol has {protocol.n_steps} steps, need {n}")
         axes = set(protocol.axes[:n])
-        if len(axes) != 1 or axes & {"X", "Y"} != axes:
-            raise ProtocolError(f"steps 1..{n} must share one axis in X/Y, got {protocol.axes[:n]}")
+        if len(axes) != 1 or not axes <= set(allowed):
+            one_of = "/".join(allowed)
+            raise ProtocolError(f"steps 1..{n} must share one axis in {one_of}, got {protocol.axes[:n]}")
     tensors = _state_defects(protocol, states, [(n, n - 1) for n in ns], tol)
     return [(_correlation(t, PLUS_MINUS_VALUES), t) for t in tensors]
 
@@ -154,21 +155,14 @@ class LGResult(Record):
 def lg_check(protocol: MeasurementProtocol, rho: np.ndarray, tol: Tolerances = DEFAULT) -> LGResult:
     """Evaluate the two-measurement inequality on an X-axis protocol.
 
-    ``delta`` is the ``{0, 1}``-valued correlation difference, which equals
-    the consistency defect ``P2(+,+) + P2(m1=-, m2=+) - P1(+)``, read off the
-    KC scan at ``(n, j) = (2, 1)``, ``fixed = (+,)``; it vanishes for every
-    commutative model, and together with nonnegativity of the cross term
-    implies ``P2(+,+) <= P1(+)``.  Both probabilities are exposed so either
-    post-selection reading of the inequality can be applied.
+    ``delta`` is the ``{0, 1}``-valued correlation difference, the consistency
+    defect ``P2(+,+) + P2(m1=-, m2=+) - P1(+)``: Δ21's route on X steps, read
+    at ``fixed = (+,)``.  It vanishes for every commutative model and, as the
+    cross term is nonnegative, implies ``P2(+,+) <= P1(+)``.  Both
+    probabilities are exposed so either post-selection reading applies.
     """
     rho = check_density(rho, protocol.system_dim, tol)
-    if protocol.probe_dim != 2:
-        raise DimensionError("the inequality check needs a qubit probe")
-    if protocol.n_steps < 2:
-        raise ProtocolError("need two measurement steps")
-    if protocol.axes[0] != "X" or protocol.axes[1] != "X":
-        raise ProtocolError(f"steps 1..2 must both be X measurements, got {protocol.axes[:2]}")
-    (defects,) = _state_defects(protocol, [rho], [(2, 1)], tol)
+    [(_, defects)] = _axis_deltas(protocol, [rho], (2,), tol, "X")
     return _lg(protocol, rho, float(defects[0, 0]), tol)
 
 
@@ -229,8 +223,7 @@ def lg_violation_search(seed: int, trials: int, tol: Tolerances = DEFAULT) -> li
     Each finding is reproducible through :func:`lg_search_instance` with the
     recorded ``(seed, index)``.
     """
-    if trials < 1:
-        raise PreconditionError(f"trials must be >= 1, got {trials}")
+    _trials(trials)
     findings = []
     for index in range(trials):
         protocol, rho = lg_search_instance(seed, index)

@@ -407,7 +407,7 @@ def test_fourier_steps_below_n_max_is_a_config_error(tmp_path, capsys, fourier_s
     assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == code
     err = capsys.readouterr().err
     if code == 2:
-        assert err == "config error: n_max = 4 exceeds the protocol length 2\n"
+        assert err == "config error: n_max = 4 not in 1..2\n"
         assert not out.exists()
     else:
         report = json.loads((out / "report.json").read_text())
@@ -982,7 +982,7 @@ class TestSweepCommand:
         out = tmp_path / "out"
         argv = ["sweep", write_config(tmp_path / "q.json", cfg), "--param", "t", "--grid", grid]
         assert main([*argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "config error: witnesses need a qubit probe\n"
+        assert capsys.readouterr().err == "config error: X/Y protocols need a qubit probe, got dimension 3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

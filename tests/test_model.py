@@ -300,8 +300,8 @@ class TestProtocolSlicing:
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda p: p.prefix(0), "cannot take 0-step prefix of 3-step protocol"),
-            (lambda p: p.prefix(4), "cannot take 4-step prefix of 3-step protocol"),
+            (lambda p: p.prefix(0), "n = 0 not in 1..3"),
+            (lambda p: p.prefix(4), "n = 4 not in 1..3"),
             (lambda p: p.drop_step(0), "step 0 out of range 1..3"),
             (lambda p: p.drop_step(4), "step 4 out of range 1..3"),
             (lambda p: p.prefix(1).drop_step(1), "cannot drop the only step of a protocol"),

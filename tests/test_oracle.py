@@ -299,18 +299,20 @@ def test_naive_work_space_stays_within_the_block_bound(monkeypatch):
     # of the same rows and its difference, each at most 1 / d_P of a block,
     # and the chains of that slice, 3 / d_P blocks: 3.5 blocks at d_P = 2,
     # while the scan holds at most SCAN_BLOCKS = 3 as it builds a block.  So
-    # four blocks beyond the result bound every read, whatever n is
+    # four blocks beyond the result bound every read, whatever n is; the gate
+    # reads each n in one call, one sweep for every j
     block_bytes = 2**16  # 16 matrices of 16 x 16
     d_s, n = 16, 9
     monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
     protocol = kp.qubit_xy_protocol(kp.random_model(8, 2, d_s, commuting=False), "XY" * 5)
     rho = np.eye(d_s, dtype=complex) / d_s
-    seqs, fixed = _all_outcomes(2, n), _all_outcomes(2, n - 1)
+    seqs = _all_outcomes(2, n)
+    fixed = {k: _all_outcomes(2, k - 1) for k in range(2, n + 1)}
     reads = [
         lambda: _chain_probabilities(protocol, rho, seqs, range(n)),
         lambda: _effect_products(protocol, rho, seqs),
-        *(lambda j=j: _naive_defects(protocol, j, fixed) for j in range(1, n)),
-        *(lambda j=j: _defect_gaps(protocol, n, j, fixed) for j in range(1, n)),
+        *(lambda j=j: _naive_defects(protocol, j, fixed[n]) for j in range(1, n)),
+        *(lambda k=k: _defect_gaps(protocol, k, fixed[k]) for k in range(2, n + 1)),
     ]
     for read in reads:
         tracemalloc.start()
@@ -319,8 +321,24 @@ def test_naive_work_space_stays_within_the_block_bound(monkeypatch):
             result_bytes, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert values.shape in {(2**n,), (2 ** (n - 1),), (2 ** (n - 1), d_s, d_s)}
+        assert values.shape in {(2**n,), (2 ** (n - 1), d_s, d_s), *((k - 1,) for k in fixed)}
         assert peak - result_bytes <= 4 * block_bytes
+
+
+def test_the_operator_gate_sweeps_each_n_once(monkeypatch):
+    # one sweep of the scan per n serves every j, so n_max - 1 sweeps where
+    # one per (n, j) made n_max (n_max - 1) / 2
+    sweeps = []
+    blocks = kcprobe.oracle._defect_blocks
+    monkeypatch.setattr(
+        "kcprobe.oracle._defect_blocks",
+        lambda protocol, n, js: sweeps.append((n, list(js))) or blocks(protocol, n, js),
+    )
+    protocol = kp.qubit_xy_protocol(kp.random_model(6, 2, 3, commuting=False), "XYXYX")
+    for n_max in range(1, 6):
+        sweeps.clear()
+        assert kp.oracle_compare(protocol, np.eye(3) / 3, n_max).agrees
+        assert sweeps == [(n, list(range(1, n))) for n in range(2, n_max + 1)]
 
 
 def test_the_naive_route_reads_no_code_of_the_fast_route():

@@ -59,9 +59,11 @@ def raise_statements(package: Path) -> list[tuple[str, str, str]]:
     return found
 
 
-# Each input rule has one check, which both defect routes read.  The label
-# rule has two messages; ``joint_probability`` takes a raw ``rho`` on purpose
-# and checks it against the operator it is given.
+# Each input rule has one check, which every reader of the input calls.  The
+# label rule has two messages; ``joint_probability`` takes a raw ``rho`` on
+# purpose and checks it against the operator it is given.  A message that a
+# folded check used to give is listed with no owner, so that a second
+# statement of its rule, put back, fails.
 ONE_CHECK_PER_RULE = {
     "state shape": (r"state shape", {("linalg", "check_density"), ("sequences", "joint_probability")}),
     "integer labels": (r"must be integers", {("model", "_labels")}),
@@ -73,6 +75,21 @@ ONE_CHECK_PER_RULE = {
     "final step": (r"marginalizing the final step", {("model", "_defect_args")}),
     "j": (r"j = \{j\} not in 1\.\.", {("model", "_defect_args")}),
     "n_max": (r"n_max = \{n_max\} not in", {("model", "_n_max")}),
+    "qubit probe": (r"needs? a qubit probe", {("model", "_qubit")}),
+    "one axis": (r"must share one axis", {("witnesses", "_axis_deltas")}),
+    "trials": (r"trials must be", {("scenarios", "_trials")}),
+    "a step": (r"needs? at least one step", {("model", "__post_init__")}),
+    # retired messages
+    "witness qubit": (r"axis witnesses need a qubit probe", set()),
+    "inequality qubit": (r"inequality check needs a qubit probe", set()),
+    "CLI qubit": (r"\('witnesses need a qubit probe", set()),
+    "witness steps": (r"steps, need \{n\}", set()),
+    "inequality steps": (r"need two measurement steps", set()),
+    "inequality axis": (r"must both be X measurements", set()),
+    "protocol prefix": (r"-step prefix of", set()),
+    "config n_max": (r"exceeds the protocol length", set()),
+    "ensemble n_max": (r"n_max must be", set()),
+    "noise steps": (r"\('need at least one step", set()),
 }
 
 

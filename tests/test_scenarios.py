@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
-from kcprobe.errors import CapacityError, DimensionError, PreconditionError
+from kcprobe.errors import CapacityError, DimensionError, PreconditionError, ProtocolError
 from kcprobe.linalg import SIGMA_X, SIGMA_Z, frobenius
 from kcprobe.serialize import fingerprint, model_payload
 
@@ -120,6 +120,11 @@ class TestClassicalNoise:
         with pytest.raises(PreconditionError):
             kp.classical_noise_model(realization, 3)
 
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_needs_a_step_as_every_protocol_does(self, n_steps):
+        with pytest.raises(ProtocolError, match="^a protocol needs at least one step$"):
+            kp.classical_noise_model(kp.random_noise_realization(0, 2), n_steps)
+
 
 class TestNoiseEnsemble:
     def test_single_realization_matches_direct_distribution(self):
@@ -144,6 +149,11 @@ class TestNoiseEnsemble:
         dist = kp.noise_ensemble_average(realizations, weights, 4)
         assert sum(dist.table.values()) == pytest.approx(1.0, abs=1e-10)
         assert kp.ensemble_kc_max_defect(realizations, weights, 4) <= 1e-10
+
+    def test_n_max_is_checked_on_the_built_protocols(self):
+        realizations = [kp.random_noise_realization(s, 2) for s in (1, 2)]
+        with pytest.raises(ProtocolError, match=r"^n_max = 1 not in 2\.\.1$"):
+            kp.ensemble_kc_max_defect(realizations, [0.5, 0.5], 1)
 
     def test_weights_must_normalize(self):
         realization = kp.random_noise_realization(0, 2)

@@ -23,7 +23,9 @@ from kcprobe.sequences import (
     _TRANSFER_MAX_DIM,
     PREFIX_BLOCK_BYTES,
     SCAN_BLOCKS,
+    SCAN_OVERHEAD_BYTES,
     _probabilities,
+    _scan,
     _state_defects,
 )
 from kcprobe.serialize import canonical_json
@@ -849,6 +851,28 @@ class TestBlockScan:
         # besides the entries' arrays, which entry_bytes counts, the scan
         # holds its blocks
         assert peak - entry_bytes <= SCAN_BLOCKS * block_bytes + 16 * entries
+
+    @pytest.mark.parametrize("d_p, d_s, n", [(2, 2, 7), (2, 2, 9), (3, 3, 5), (4, 2, 4), (2, 4, 8)])
+    def test_small_blocks_add_a_fixed_overhead(self, monkeypatch, d_p, d_s, n):
+        # at 1 KiB a block is small against the scan's own Python and numpy
+        # objects, which add a fixed SCAN_OVERHEAD_BYTES to the block bound
+        block_bytes = 2**10
+        assert 32 * d_s * d_s * d_p <= block_bytes  # a block holds a stack
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        model = kp.random_model(3, d_p, d_s, commuting=False)
+        protocol = kp.qubit_xy_protocol(model, "XY" * n) if d_p == 2 else kp.fourier_protocol(model, n)
+        states = [np.eye(d_s, dtype=complex) / d_s, random_density(np.random.default_rng(2), d_s)]
+        _scan(protocol, [(n, 1)], states)  # the transfers, built once per measurement
+        every = [(k, j) for k in range(2, n + 1) for j in range(1, k)]
+        for pairs in [*([(n, j)] for j in range(1, n)), every]:
+            tracemalloc.start()
+            try:
+                entries = _scan(protocol, pairs, states)
+                entry_bytes, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(entries) == sum(d_p ** (k - 1) for k, _ in pairs)
+            assert peak - entry_bytes <= SCAN_BLOCKS * block_bytes + SCAN_OVERHEAD_BYTES
 
 
 class TestFixedPointCheck:

@@ -1,10 +1,13 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
 
 import kcprobe as kp
-from kcprobe.errors import CapacityError, PreconditionError, ProtocolError
+from kcprobe.cli import main
+from kcprobe.errors import CapacityError, DimensionError, PreconditionError, ProtocolError
 from kcprobe.linalg import check_density
 from conftest import random_density, random_pure_state
 
@@ -281,3 +284,50 @@ class TestWitnessReport:
         protocol = trivial_x_protocol()
         report = kp.witness_report("delta21_x", 0.0, protocol)
         assert report.verdict == "zero"
+
+
+class TestOneRulePerInput:
+    QUBIT = "X/Y protocols need a qubit probe, got dimension 3"
+
+    @pytest.mark.parametrize("reader", ["qubit_xy_protocol", "delta_2_1", "delta_3_2", "lg_check", "sweep"])
+    def test_a_qutrit_probe_meets_the_one_qubit_message(self, tmp_path, capsys, reader):
+        model = kp.random_model(1, 3, 2, commuting=False)
+        if reader == "sweep":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"schema_version": 1, "scenario": {"kind": "random", "probe_dim": 3}}))
+            argv = ["sweep", str(path), "--param", "t", "--grid", "0.5", "--out", str(tmp_path / "out")]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"config error: {self.QUBIT}\n"
+            return
+        with pytest.raises(DimensionError, match=f"^{re.escape(self.QUBIT)}$"):
+            if reader == "qubit_xy_protocol":
+                kp.qubit_xy_protocol(model, "XX")
+            else:
+                getattr(kp, reader)(kp.fourier_protocol(model, 3), I2 / 2)
+
+    @pytest.mark.parametrize(
+        "reader, axes, message",
+        [
+            ("delta_2_1", "Y", "n = 2 not in 2..1"),
+            ("delta_3_2", "XX", "n = 3 not in 2..2"),
+            ("lg_check", "X", "n = 2 not in 2..1"),
+        ],
+    )
+    def test_a_short_protocol_meets_the_scan_message(self, sigma_model, reader, axes, message):
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            getattr(kp, reader)(kp.qubit_xy_protocol(sigma_model, axes), I2 / 2)
+
+    def test_lg_check_is_the_x_route_of_delta_2_1(self, monkeypatch):
+        # one scan, of (2, 1) alone, through the witnesses' checks
+        scans = []
+        state_defects = kp.witnesses._state_defects
+        monkeypatch.setattr(
+            "kcprobe.witnesses._state_defects",
+            lambda protocol, states, pairs, tol: scans.append(pairs) or state_defects(protocol, states, pairs, tol),
+        )
+        protocol, rho = kp.lg_search_instance(0, 0)
+        result = kp.lg_check(protocol, rho)
+        assert scans == [[(2, 1)]]
+        with pytest.raises(ProtocolError, match=r"^steps 1\.\.2 must share one axis in X, got \('X', 'Y'\)$"):
+            kp.lg_check(kp.qubit_xy_protocol(protocol.model, "XY"), rho)
+        assert result.delta == kp.delta_correlation(protocol, rho, 2, 1, {0: 1.0, 1: 0.0})
