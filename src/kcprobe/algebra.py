@@ -1,10 +1,10 @@
 """Measurement-free analysis of the system operator algebra.
 
 Covers the algebra generated by the conditional Hamiltonians (as a double
-commutant), commutativity and classicality predicates, commutant computation
-by null-space methods on the vectorized operator space, effect nondegeneracy,
-the level-spacing condition that forces degenerate effects for commuting
-families, and the zero-entanglement predicate for dephasing evolutions.
+commutant), commutativity and classicality predicates, commutants by one
+real SVD on Hermitian coordinates, effect nondegeneracy, the level-spacing
+condition that forces degenerate effects for commuting families, and the
+zero-entanglement predicate for dephasing evolutions.
 """
 
 from __future__ import annotations
@@ -16,12 +16,14 @@ import numpy as np
 
 from .errors import DimensionError, NumericalFault, PreconditionError
 from .linalg import (
+    _basis,
+    _coordinates,
+    _matrices,
     as_complex_matrix,
     check_density,
     check_hermitian,
     commutator,
     frobenius,
-    is_hermitian,
 )
 from .model import DephasingModel, MeasurementProtocol, conditional_unitaries
 from .serialize import Record
@@ -65,13 +67,10 @@ def generate_algebra(generators, tol: Tolerances = DEFAULT) -> AlgebraBasis:
     """Unital *-algebra generated by ``generators``, as a double commutant.
 
     Von Neumann: the *-algebra generated by {1} u {G} u {G^H} is ``(A')'``,
-    so a non-Hermitian generator brings its adjoint in; a Hermitian one
-    enters the commutant stack once.
+    and :func:`commutant_basis` takes the adjoints in itself.
     """
-    gens = tuple(as_complex_matrix(g) for g in generators)
-    adjoints = [g.conj().T for g in gens if not is_hermitian(g, tol)]
-    algebra = _second_commutant(commutant_basis([*gens, *adjoints], tol), tol)
-    return AlgebraBasis(gens, algebra.basis)
+    commutant = commutant_basis(generators, tol)
+    return AlgebraBasis(commutant.generators, _second_commutant(commutant, tol).basis)
 
 
 def _random_hermitian(ops, count: int) -> list[np.ndarray]:
@@ -91,12 +90,12 @@ def _second_commutant(commutant: AlgebraBasis, tol: Tolerances) -> AlgebraBasis:
     stack is ``2 d^2 x d^2``, not ``dim(A') d^2 x d^2`` (up to d^6).  They are
     drawn from the traceless part of ``A'``, so the rounding of an identity
     in the basis cannot shrink ``(A')'``; for ``A' = C 1`` they are zero and
-    ``(A')'`` is all of ``M_d``."""
-    basis = np.array(commutant.basis)
-    d = basis.shape[1]
-    traceless = basis - np.einsum("kii->k", basis)[:, None, None] * np.eye(d) / d
-    vh = np.linalg.svd(traceless.reshape(len(basis), d * d), full_matrices=False)[2]
-    return commutant_basis(_random_hermitian(vh[: len(basis) - 1].reshape(-1, d, d), 2), tol)
+    ``(A')'`` is all of ``M_d``.  Coordinates hold Hermitian members whole."""
+    coords = _coordinates(np.array(commutant.basis))
+    d = commutant.basis[0].shape[0]
+    coords[:, :d] -= coords[:, :d].mean(axis=1, keepdims=True)
+    vh = np.linalg.svd(coords, full_matrices=False)[2]
+    return commutant_basis(_random_hermitian(_matrices(vh[: len(coords) - 1]), 2), tol)
 
 
 def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:
@@ -166,26 +165,31 @@ def spacing_degeneracy_predicate(hams, tol: Tolerances = DEFAULT) -> list[tuple[
 
 
 def commutant_basis(ops, tol: Tolerances = DEFAULT) -> AlgebraBasis:
-    """Orthonormal basis of all operators commuting with every given operator.
-
-    Stacks the vectorized maps ``A -> [A, G]`` and reads the commutant off
-    the null space of the stack; singular values below the cut define the
-    null space and are recorded on the result.  The identity always
-    commutes, so an empty null space is a :class:`NumericalFault`.
-    """
+    """Orthonormal Hermitian basis of the commutant of the *-algebra that
+    ``ops`` generate: of each op's nonzero parts ``(g + g^H) / 2`` and
+    ``(g - g^H) / 2i``.  A part ``P`` gives ``X -> i[X, P]`` as a real
+    ``d^2 x d^2`` block in the coordinates of :func:`_coordinates`; one real
+    SVD of the QR-reduced stack gives the singular values (for Hermitian
+    ``ops``, those of ``X -> [X, G]``), recorded on the result, and the null
+    space below the cut.  An empty one is a :class:`NumericalFault`, since
+    the identity always commutes."""
     mats = [as_complex_matrix(op) for op in ops]
     d = _common_dimension(mats)
-    eye = np.eye(d)
-    stacked = np.concatenate([np.kron(eye, g.T) - np.kron(g, eye) for g in mats], axis=0)
-    # >= d^2 rows: the reduced SVD keeps every singular value and right vector
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    members = [vh[i].conj().reshape(d, d) for i in range(d * d) if svals[i] < tol.nullspace]
-    if not members:
+    parts = [(g + g.conj().T) / 2 for g in mats] + [(g - g.conj().T) / 2j for g in mats]
+    parts = np.array([p for p in parts if p.any()] or [np.zeros((d, d))])
+    # row a of a block is c(i[B_a, P]) = 2 c(i B_a P) (c reads the Hermitian part); an
+    # antisymmetric block's rows do for its columns.  All-zero ops keep one zero block.
+    products = (_basis(d).reshape(d**3, d) @ (2j * parts)).reshape(-1, d, d)
+    stacked = _coordinates(products).reshape(-1, d * d)
+    if len(stacked) > d * d:
+        stacked = np.linalg.qr(stacked, mode="r")
+    _, svals, vh = np.linalg.svd(stacked)
+    if not svals[-1] < tol.nullspace:
         raise NumericalFault(
             f"empty commutant: smallest singular value {svals[-1]:.3e} is not below "
             f"the nullspace cut {tol.nullspace:.3e}"
         )
-    return AlgebraBasis(tuple(mats), tuple(members), svals)
+    return AlgebraBasis(tuple(mats), tuple(_matrices(vh[svals < tol.nullspace])), svals)
 
 
 def zero_entanglement_condition(rho: np.ndarray, model: DephasingModel, tol: Tolerances = DEFAULT):

@@ -142,20 +142,23 @@ def _witness_protocols(
 ) -> tuple[dict[str, MeasurementProtocol], MeasurementProtocol]:
     """The protocols the witnesses read: ``{axis: protocol}`` and the LG check's.
 
-    ``timed``, if it has its own step times, is read as it is.  Otherwise one
-    protocol per axis of :func:`_witness_steps` is built, and Δ21, Δ32 and
-    the LG check (on ``XXX``) read its prefixes.  The LG check needs X
-    steps; if ``timed`` has none, it reads ``XX`` at the model's step time.
+    ``timed``, if it has its own step times and every step on one of X and Y,
+    is read as it is.  Otherwise one protocol per axis of :func:`_witness_steps`
+    is built, at ``timed``'s step times if it has them, and Δ21, Δ32 and the LG
+    check (on ``XXX``) read its prefixes.  The LG check needs X steps; if ``timed``
+    has none, it reads ``XX`` at the model's step time.
     """
     own_steps = _witness_steps(model)
+    times = timed and timed.step_times
 
-    def steps(axis: str, n: int) -> MeasurementProtocol:
-        return MeasurementProtocol(model, preparation, (xy_meter_basis(axis),) * n)
+    def steps(axis: str, n: int, step_times=None) -> MeasurementProtocol:
+        return MeasurementProtocol(model, preparation, (xy_meter_basis(axis),) * n, step_times)
 
-    if timed is not None and timed.step_times is not None:
+    if times and set(timed.axes) in ({"X"}, {"Y"}):
         by_axis = {timed.axes[0]: timed}
     else:
-        by_axis = {axis: steps(axis, n) for axis, n in own_steps.items()}
+        counts = dict.fromkeys(own_steps, len(times)) if times else own_steps
+        by_axis = {axis: steps(axis, n, times) for axis, n in counts.items()}
     return by_axis, by_axis.get("X") or steps("X", 2)
 
 

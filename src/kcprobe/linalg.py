@@ -114,20 +114,13 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(a.conj() * b))
 
 
-def is_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT) -> bool:
-    """``|M - M^H|_F <= tol.hermiticity * max(|M|_F, 1)``; False if ``|M|_F`` overflows."""
-    with np.errstate(over="ignore"):
-        scale = frobenius(m)
-    if not math.isfinite(scale):
-        return False
-    return frobenius(m - m.conj().T) <= tol.hermiticity * max(scale, 1.0)
-
-
 def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT, what: str = "matrix") -> np.ndarray:
+    """``m`` as a complex matrix if ``|M - M^H|_F <= tol.hermiticity * max(|M|_F, 1)``;
+    a matrix whose ``|M|_F`` overflows is not Hermitian."""
     m = as_complex_matrix(m)
-    if not is_hermitian(m, tol):
-        with np.errstate(over="ignore"):
-            defect, scale = frobenius(m - m.conj().T), frobenius(m)
+    with np.errstate(over="ignore"):
+        defect, scale = frobenius(m - m.conj().T), frobenius(m)
+    if not (math.isfinite(scale) and defect <= tol.hermiticity * max(scale, 1.0)):
         raise InvariantViolation(
             f"{what} is not Hermitian: |M - M^H|_F = {defect:.3e}, |M|_F = {scale:.3e}"
         )

@@ -375,10 +375,96 @@ class TestCommutantBasis:
                 assert max(frobenius(kp.commutator(member, g)) for g in ops) <= 1e-8
 
     def test_empty_null_space_is_a_numerical_fault(self):
-        # the identity always commutes, so a cut below every singular value is a fault
+        # the identity always commutes, so a cut below every singular value is
+        # a fault; the Hamiltonians of configs/commuting_random.json round
+        # their null space to positive values (sigma_z and sigma_x give an
+        # exact zero, below every positive cut)
+        hams = kp.random_model(42, 2, 4, commuting=True).hamiltonians
+        assert 1e-17 < kp.commutant_basis(hams).singular_values[-1] < 1e-14
         tol = kp.DEFAULT.replace(nullspace=1e-17)
         with pytest.raises(NumericalFault, match=r"smallest singular value .* cut 1\.000e-17"):
-            kp.commutant_basis([SIGMA_Z, SIGMA_X], tol)
+            kp.commutant_basis(hams, tol)
+
+
+def kron_stack_commutant(ops, tol=kp.DEFAULT):
+    """Reference: the commutant of ``ops`` alone, read off one complex SVD of
+    the stacked ``kron`` maps ``X -> [X, G]``; its singular values and members."""
+    d = ops[0].shape[0]
+    eye = np.eye(d)
+    stacked = np.concatenate([np.kron(eye, g.T) - np.kron(g, eye) for g in ops], axis=0)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    return svals, [v.conj().reshape(d, d) for v, s in zip(vh, svals) if s < tol.nullspace]
+
+
+def _hermitian_sets():
+    """Random, commuting and block-structured Hermitian sets for d = 2..8, and
+    a coupling near the null-space cut."""
+    rng = np.random.default_rng(28)
+    for d in range(2, 9):
+        yield pytest.param([random_hermitian(rng, d)], id=f"one-random-d{d}")
+        yield pytest.param([random_hermitian(rng, d) for _ in range(2)], id=f"random-pair-d{d}")
+        hams = kp.random_model(int(rng.integers(1 << 30)), 3, d, commuting=True).hamiltonians
+        yield pytest.param(hams, id=f"commuting-d{d}")
+        if d >= 3:
+            pair = [(random_hermitian(rng, d // 2), random_hermitian(rng, d - d // 2)) for _ in range(2)]
+            yield pytest.param([_block_diag(a, b) for a, b in pair], id=f"direct-sum-d{d}")
+        if d % 2 == 0:
+            pair = [np.kron(random_hermitian(rng, 2), np.eye(d // 2)) for _ in range(2)]
+            yield pytest.param(pair, id=f"m2-tensor-identity-d{d}")
+    yield pytest.param([np.diag([0.0, 1.0]).astype(complex), 4e-10 * SIGMA_X], id="near-cut")
+
+
+class TestRealCommutant:
+    @pytest.mark.parametrize("ops", list(_hermitian_sets()))
+    def test_hermitian_sets_match_the_kron_stack(self, ops):
+        svals, members = kron_stack_commutant(ops)
+        commutant = kp.commutant_basis(ops)
+        assert commutant.dimension == len(members)
+        assert commutant.singular_values.shape == svals.shape
+        assert np.max(np.abs(commutant.singular_values - svals)) <= 1e-13 * svals[0]
+        basis = np.array(commutant.basis)
+        assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+        gram = np.einsum("iab,jab->ij", basis.conj(), basis)
+        assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-12
+        assert max(frobenius(kp.commutator(b, g)) for b in basis for g in ops) <= 1e-9
+        # the reference's members lie in the span: the two commutants are one
+        assert max(commutant.projection_residual(m) for m in members) <= 1e-8
+
+    def test_conditional_unitaries_give_the_kron_stack_dimension(self):
+        # normal operators: the commutant of U is that of U and U^H (Fuglede)
+        rng = np.random.default_rng(29)
+        dims = set()
+        for _ in range(12):
+            d_s = int(rng.integers(2, 6))
+            commuting = bool(rng.integers(2))
+            model = kp.random_model(int(rng.integers(1 << 30)), int(rng.integers(2, 4)), d_s, commuting)
+            unitaries = kp.conditional_unitaries(model)
+            want = len(kron_stack_commutant(unitaries)[1])
+            assert kp.commutant_basis(unitaries).dimension == want
+            dims.add(want > 1)
+        assert dims == {True, False}
+
+    def test_raising_operator_gives_the_commutant_of_its_star_closure(self):
+        raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        assert len(kron_stack_commutant([raising])[1]) == 2  # span{1, raising}
+        commutant = kp.commutant_basis([raising])
+        assert commutant.dimension == 1
+        assert commutant.projection_residual(np.eye(2) / np.sqrt(2.0)) <= 1e-12
+
+    def test_one_real_svd_of_the_reduced_stack(self, monkeypatch):
+        # d = 16: the complex 2 d^2 x d^2 stack took about twice the time
+        svd = np.linalg.svd
+        seen = []
+
+        def recording(a, *args, **kwargs):
+            seen.append((a.shape, a.dtype))
+            return svd(a, *args, **kwargs)
+
+        couplings = np.random.default_rng(30).uniform(-1.0, 1.0, size=(4, 3))
+        hams = kp.nv_center_model(4, 1.0, 0.0, couplings).hamiltonians
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        kp.commutant_basis(hams)
+        assert seen == [((256, 256), np.dtype(float))]
 
 
 class TestFixedPointCommutantDuality:

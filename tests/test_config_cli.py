@@ -364,8 +364,10 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command, config, seed
 
 
 def test_empty_commutant_is_a_numerical_fault(tmp_path, capsys):
+    # its Hamiltonians round the commutant's null space to values above 1e-17
     out = tmp_path / "out"
-    argv = ["run", str(SIGMA_PAIR_Y), "--tol", "nullspace=1e-17", "--out", str(out)]
+    config = CONFIGS / "commuting_random.json"
+    argv = ["run", str(config), "--tol", "nullspace=1e-17", "--out", str(out)]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical fault: empty commutant") and err.count("\n") == 1
@@ -725,6 +727,34 @@ class TestWitnessProtocols:
         for key, n in (("delta_y_21", 2), ("delta_y_32", 3)):
             want = kp.serialize.fingerprint(kp.serialize.protocol_payload(protocol.prefix(n)))
             assert row[key]["model_fingerprint"] == want
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            {"fourier_steps": 3},
+            {"meter_bases": [matrix_rows(np.eye(2))] * 3},
+            {"axes": ["X", "Y", "X"]},
+            {"axes": ["X", "X", "Y"]},
+        ],
+    )
+    def test_timed_protocol_off_one_axis_reads_x_and_y_at_its_step_times(self, tmp_path, form):
+        # its steps are named F, nothing or two axes, so no one axis reads it as it is
+        times = {"step_times": [0.5, 1.0, 1.5], "n_max": 3}
+        rows = {}
+        for name, protocol in (("form", form), ("axes", {"axes": ["X", "X", "X"]})):
+            cfg = {
+                "schema_version": 1,
+                "scenario": {"kind": "random", "seed": 1},
+                "protocol": {**protocol, **times},
+                "checks": ["kc", "witnesses"],
+            }
+            out = tmp_path / name
+            assert main(["run", write_config(tmp_path / f"{name}.json", cfg), "--out", str(out)]) == 0
+            rows[name] = json.loads((out / "report.json").read_text())["results"]["witnesses"]
+        x_keys = ["delta_x_21", "delta_x_32", "lg"]
+        assert {"delta_y_21", "delta_y_32", *x_keys} <= set(rows["form"][0])
+        for got, want in zip(rows["form"], rows["axes"], strict=True):
+            assert {k: got[k] for k in x_keys} == {k: want[k] for k in x_keys}
 
     def test_each_column_takes_its_protocol_and_fingerprint_once(self, tmp_path, monkeypatch):
         # sigma_pair_y has two states and four Δ columns, plus the config's own fingerprint
