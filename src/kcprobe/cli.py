@@ -131,65 +131,47 @@ def _oracle_rows(experiment: Experiment) -> list[dict]:
     return rows
 
 
-def _witness_steps(model: DephasingModel) -> dict[str, int]:
-    """``{axis: steps}`` of the protocols that :func:`_witness_protocols` builds for ``model``."""
+def _witness_steps(model: DephasingModel, step_times=None) -> int:
+    """Steps of each protocol that :func:`_witness_protocols` builds for ``model``."""
     _qubit(model.probe_dim)
-    return dict.fromkeys("XY", 3)
+    return 3 if step_times is None else len(step_times)
 
 
 def _witness_protocols(
-    model: DephasingModel, preparation: PreparationState, timed: MeasurementProtocol | None = None
-) -> tuple[dict[str, MeasurementProtocol], MeasurementProtocol]:
-    """The protocols the witnesses read: ``{axis: protocol}`` and the LG check's.
-
-    ``timed``, if it has its own step times and every step on one of X and Y,
-    is read as it is.  Otherwise one protocol per axis of :func:`_witness_steps`
-    is built, at ``timed``'s step times if it has them, and Δ21, Δ32 and the LG
-    check (on ``XXX``) read its prefixes.  The LG check needs X steps; if ``timed``
-    has none, it reads ``XX`` at the model's step time.
-    """
-    own_steps = _witness_steps(model)
-    times = timed and timed.step_times
-
-    def steps(axis: str, n: int, step_times=None) -> MeasurementProtocol:
-        return MeasurementProtocol(model, preparation, (xy_meter_basis(axis),) * n, step_times)
-
-    if times and set(timed.axes) in ({"X"}, {"Y"}):
-        by_axis = {timed.axes[0]: timed}
-    else:
-        counts = dict.fromkeys(own_steps, len(times)) if times else own_steps
-        by_axis = {axis: steps(axis, n, times) for axis, n in counts.items()}
-    return by_axis, by_axis.get("X") or steps("X", 2)
+    model: DephasingModel, preparation: PreparationState, step_times=None
+) -> dict[str, MeasurementProtocol]:
+    """``{"X": X...X, "Y": Y...Y}``, the protocols the witnesses read: each prepared
+    in ``preparation``, with :func:`_witness_steps` steps at ``step_times`` (the
+    model's step time if None).  Δ21, Δ32 and the LG check (on X) read their prefixes."""
+    n = _witness_steps(model, step_times)
+    return {
+        axis: MeasurementProtocol(model, preparation, (xy_meter_basis(axis),) * n, step_times)
+        for axis in "XY"
+    }
 
 
-def _delta_names(steps: dict[str, int]) -> dict[str, tuple[int, str]]:
-    """``{name: (n, axis)}`` of Δ21 (``n = 2``) and Δ32 (``n = 3``) on protocols of
-    ``{axis: steps}``, in column order: ``delta_x_21``, ``delta_y_21``, ..."""
+def _delta_names(steps: int) -> dict[str, tuple[int, str]]:
+    """``{name: (n, axis)}`` of Δ21 (``n = 2``) and Δ32 (``n = 3``) on X and Y
+    protocols of ``steps`` steps, in column order: ``delta_x_21``, ``delta_y_21``, ..."""
     # Δ21 raises on fewer than two steps
-    keys = sorted((n, a) for a, k in steps.items() for n in ((2, 3) if k >= 3 else (2,)))
-    return {f"delta_{a.lower()}_{n}{n - 1}": (n, a) for n, a in keys}
+    ns = (2, 3) if steps >= 3 else (2,)
+    return {f"delta_{a.lower()}_{n}{n - 1}": (n, a) for n in ns for a in "XY"}
 
 
 def _delta_columns(by_axis: dict[str, MeasurementProtocol], states: list, tol) -> dict:
     """``{name: (n, axis, values, tensor)}`` of the columns of :func:`_delta_names`
     for every validated state, one scan per axis protocol."""
-    names = _delta_names({axis: protocol.n_steps for axis, protocol in by_axis.items()})
-    read = {}
-    for axis, protocol in by_axis.items():
-        ns = [n for n, a in names.values() if a == axis]
-        read.update(zip([(n, axis) for n in ns], _axis_deltas(protocol, states, ns, tol, "XY")))
-    return {name: (n, a, *read[n, a]) for name, (n, a) in names.items()}
+    names = _delta_names(by_axis["X"].n_steps)
+    ns = sorted({n for n, _ in names.values()})
+    read = {a: dict(zip(ns, _axis_deltas(p, states, ns, tol, "XY"))) for a, p in by_axis.items()}
+    return {name: (n, a, *read[a][n]) for name, (n, a) in names.items()}
 
 
 def _witness_rows(experiment: Experiment) -> list[dict]:
     tol = experiment.config.tolerances
     configured = experiment.protocol
-    by_axis, lg_protocol = _witness_protocols(configured.model, configured.preparation, configured)
-    states = [rho for _, rho in experiment.states]
-    columns = _delta_columns(by_axis, states, tol)
-    # the LG check reads the X protocol's Δ21 tensor; off X, that of its own XX
-    x_columns = columns if "X" in by_axis else _delta_columns({"X": lg_protocol}, states, tol)
-    lg_defects = x_columns["delta_x_21"][3]
+    by_axis = _witness_protocols(configured.model, configured.preparation, configured.step_times)
+    columns = _delta_columns(by_axis, [rho for _, rho in experiment.states], tol)
     rows = [{"state": state} for state, _ in experiment.states]
     for name, (n, axis, values, _) in columns.items():
         # one protocol and fingerprint per column, shared by its states
@@ -198,8 +180,9 @@ def _witness_rows(experiment: Experiment) -> list[dict]:
         for entry, value in zip(rows, values):
             report = _witness_report(kind, value, model_fingerprint, {"state": entry["state"]}, tol)
             entry[name] = report.to_dict()
-    for entry, (_, rho), defects in zip(rows, experiment.states, lg_defects):
-        entry["lg"] = _lg(lg_protocol, rho, float(defects[0]), tol).to_dict()
+    # the LG check reads the X protocol's Δ21 tensor
+    for entry, (_, rho), defects in zip(rows, experiment.states, columns["delta_x_21"][3]):
+        entry["lg"] = _lg(by_axis["X"], rho, float(defects[0]), tol).to_dict()
     return rows
 
 
@@ -321,7 +304,7 @@ def _sweep_row(experiment: Experiment, param: str, value: float) -> dict:
     tol = experiment.config.tolerances
     try:  # a grid value that breaks an invariant is a config error, as in the config
         model = _sweep_model(experiment, param, value)
-        protocols = _witness_protocols(model, experiment.protocol.preparation)[0]
+        protocols = _witness_protocols(model, experiment.protocol.preparation)
     except InvariantViolation as exc:
         raise ConfigError(str(exc)) from exc
     rho = experiment.states[0][1]  # the first state only, validated once by build_experiment

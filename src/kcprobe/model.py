@@ -61,7 +61,7 @@ class PreparationState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > DEFAULT.density_trace:
+        if not abs(norm - 1.0) <= DEFAULT.density_trace:  # NaN fails too
             raise InvariantViolation(f"preparation amplitudes have norm^2 = {norm}, expected 1")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -88,8 +88,9 @@ class MeterBasis:
         if states.ndim != 2 or states.shape[0] != states.shape[1]:
             raise DimensionError(f"meter basis must be square, got shape {states.shape}")
         d = states.shape[0]
-        gram = states @ states.conj().T
-        if frobenius(gram - np.eye(d)) > DEFAULT.unitarity:
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite state fails below
+            gram = states @ states.conj().T
+        if not frobenius(gram - np.eye(d)) <= DEFAULT.unitarity:  # NaN fails too
             raise InvariantViolation("meter states do not form an orthonormal basis")
         if len(self.labels) != d:
             raise DimensionError(f"{len(self.labels)} labels for {d} meter states")

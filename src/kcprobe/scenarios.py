@@ -198,9 +198,9 @@ def _ensemble_weights(realizations, weights, tol: Tolerances) -> np.ndarray:
         raise PreconditionError(f"{len(realizations)} realizations for {weights.size} weights")
     if weights.size == 0:
         raise PreconditionError("need at least one realization")
-    if float(weights.min()) < 0.0:
+    if not float(weights.min()) >= 0.0:  # NaN fails too
         raise PreconditionError("weights must be nonnegative")
-    if abs(float(weights.sum()) - 1.0) > tol.weight_sum:
+    if not abs(float(weights.sum()) - 1.0) <= tol.weight_sum:
         raise PreconditionError(f"weights sum to {float(weights.sum())}, expected 1")
     return weights
 

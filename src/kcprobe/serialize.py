@@ -85,15 +85,6 @@ def model_payload(model) -> dict:
     }
 
 
-def explicit_scenario(model) -> dict:
-    """Config-format scenario block that reconstructs this model exactly."""
-    return {
-        "kind": "explicit",
-        "hamiltonians": [matrix_rows(h) for h in model.hamiltonians],
-        "step_time": model.step_time,
-    }
-
-
 def protocol_payload(protocol) -> dict:
     payload = {
         "model": model_payload(protocol.model),

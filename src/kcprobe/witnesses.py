@@ -17,12 +17,13 @@ stated once, by :func:`~kcprobe.model._qubit`, :func:`_axis_deltas` and the scan
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import is_commutative
-from .errors import ProtocolError
+from .errors import NumericalFault, ProtocolError
 from .model import MeasurementProtocol, _qubit, qubit_xy_protocol
 from .linalg import check_density
 from .sequences import _probabilities, _state_defects
@@ -56,7 +57,10 @@ def witness_report(
 def _witness_report(
     kind: str, value: float, model_fingerprint: str, parameters: dict | None, tol: Tolerances
 ) -> WitnessReport:
-    """:func:`witness_report` of a protocol whose fingerprint is ``model_fingerprint``."""
+    """:func:`witness_report` of a protocol whose fingerprint is ``model_fingerprint``.
+    A non-finite value has no verdict: it raises :class:`NumericalFault`."""
+    if not math.isfinite(value):
+        raise NumericalFault(f"{kind} witness value {value} is not finite")
     verdict = "nonzero" if abs(value) > tol.witness else "zero"
     return WitnessReport(
         kind=kind,

@@ -84,7 +84,12 @@ class TestSerialize:
         model = kp.random_model(91, 2, 3, commuting=False, step_time=0.4)
         cfg = {
             "schema_version": 1,
-            "scenario": kp.serialize.explicit_scenario(model),
+            # the config-format scenario block that rebuilds this model exactly
+            "scenario": {
+                "kind": "explicit",
+                "hamiltonians": [matrix_rows(h) for h in model.hamiltonians],
+                "step_time": model.step_time,
+            },
             "protocol": {"axes": ["X", "X"], "n_max": 2},
         }
         path = write_config(tmp_path / "cfg.json", cfg)
@@ -738,7 +743,8 @@ class TestWitnessProtocols:
         ],
     )
     def test_timed_protocol_off_one_axis_reads_x_and_y_at_its_step_times(self, tmp_path, form):
-        # its steps are named F, nothing or two axes, so no one axis reads it as it is
+        # its steps are named F, nothing or two axes; the witnesses read XXX and YYY
+        # at its step times all the same
         times = {"step_times": [0.5, 1.0, 1.5], "n_max": 3}
         rows = {}
         for name, protocol in (("form", form), ("axes", {"axes": ["X", "X", "X"]})):
@@ -755,6 +761,34 @@ class TestWitnessProtocols:
         assert {"delta_y_21", "delta_y_32", *x_keys} <= set(rows["form"][0])
         for got, want in zip(rows["form"], rows["axes"], strict=True):
             assert {k: got[k] for k in x_keys} == {k: want[k] for k in x_keys}
+
+    def test_witness_rows_do_not_depend_on_the_configured_axes(self, tmp_path):
+        # one rule for every config: XXX and YYY at the configured step times
+        rows = {}
+        for axes in ("XXX", "YYY", "XYX"):
+            cfg = {
+                "schema_version": 1,
+                "scenario": {"kind": "random", "seed": 1},
+                "protocol": {"axes": list(axes), "step_times": [0.4, 0.9, 1.3], "n_max": 3},
+                "checks": ["witnesses"],
+            }
+            out = tmp_path / axes
+            assert main(["run", write_config(tmp_path / f"{axes}.json", cfg), "--out", str(out)]) == 0
+            rows[axes] = json.loads((out / "report.json").read_text())["results"]["witnesses"]
+        assert rows["XXX"] == rows["YYY"] == rows["XYX"]
+        (row,) = rows["XXX"]
+        assert sorted(row) == ["delta_x_21", "delta_x_32", "delta_y_21", "delta_y_32", "lg", "state"]
+
+    def test_timed_one_axis_protocol_builds_xxx_and_yyy(self, tmp_path, monkeypatch):
+        cfg = sigma_pair_config(
+            protocol={"axes": ["Y"] * 3, "step_times": [0.4, 0.9, 1.3], "n_max": 3},
+            checks=["witnesses"],
+        )
+        path = write_config(tmp_path / "cfg.json", cfg)
+        builds = count_protocol_builds(monkeypatch)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        # the configured protocol, then the witnesses' own
+        assert builds == [("Y", "Y", "Y"), ("X", "X", "X"), ("Y", "Y", "Y")]
 
     def test_each_column_takes_its_protocol_and_fingerprint_once(self, tmp_path, monkeypatch):
         # sigma_pair_y has two states and four Δ columns, plus the config's own fingerprint
@@ -884,15 +918,28 @@ class TestWitnessProtocols:
         assert len(json.loads((out / "report.json").read_text())["results"]["witnesses"]) == 2
         assert calls == []
 
-    @pytest.mark.parametrize("config", ["sigma_pair_y", "commuting_random"])
-    def test_run_scans_once_per_protocol(self, tmp_path, monkeypatch, config):
+    @pytest.mark.parametrize(
+        "config, step_times",
+        [("sigma_pair_y", None), ("commuting_random", None), ("sigma_pair_y", [0.4, 0.9, 1.3])],
+        ids=["sigma_pair_y", "commuting_random", "timed_yyy"],
+    )
+    def test_run_scans_once_per_protocol(self, tmp_path, monkeypatch, config, step_times):
         # the KC check, then one scan per witness axis gives every state's
-        # Δ21, Δ32 and LG delta: 3 + 2 + 2 (n, j)
+        # Δ21, Δ32 and LG delta: 3 + 2 + 2 (n, j); a timed Y protocol too
+        cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+        if step_times is not None:
+            cfg["protocol"]["step_times"] = step_times
         scans = []
         scan = kp.sequences._scan
-        monkeypatch.setattr("kcprobe.sequences._scan", lambda *args: scans.append(args[1]) or scan(*args))
-        assert main(["run", str(CONFIGS / f"{config}.json"), "--out", str(tmp_path / "out")]) == 0
-        assert scans == [[(2, 1), (3, 1), (3, 2)], [(2, 1), (3, 2)], [(2, 1), (3, 2)]]
+        monkeypatch.setattr(
+            "kcprobe.sequences._scan", lambda *args: scans.append((args[0].axes, args[1])) or scan(*args)
+        )
+        assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(tmp_path / "out")]) == 0
+        assert scans == [
+            (tuple(cfg["protocol"]["axes"]), [(2, 1), (3, 1), (3, 2)]),
+            (("X",) * 3, [(2, 1), (3, 2)]),
+            (("Y",) * 3, [(2, 1), (3, 2)]),
+        ]
 
     def test_sweep_columns_are_the_witness_names_of_run(self, tmp_path):
         # with one state and with two, whose first the sweep reads alone

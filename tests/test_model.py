@@ -97,6 +97,16 @@ class TestInducedKraus:
         with pytest.raises(InvariantViolation):
             kp.MeterBasis(np.array([[s, s], [s, 0.9 * s]], dtype=complex), ("+", "-"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_meter_with_a_non_finite_state_is_not_orthonormal(self, bad):
+        with pytest.raises(InvariantViolation, match="^meter states do not form an orthonormal basis$"):
+            kp.MeterBasis([[bad, 0], [0, 1]], ("0", "1"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_preparation_with_a_non_finite_amplitude_is_not_normalized(self, bad):
+        with pytest.raises(InvariantViolation, match=r"^preparation amplitudes have norm\^2 = (nan|inf), expected 1$"):
+            kp.PreparationState([bad, 1])
+
 
 def loop_induced_kraus(model, preparation, meter):
     """Per-outcome reference: each K_m summed weight by weight, zero weights skipped."""

@@ -168,6 +168,19 @@ def unread_public_members(package: Path, readers: list[Path]) -> set[str]:
     return found
 
 
+def unread_module_functions(package: Path, readers: list[Path]) -> set[str]:
+    """``module.name`` of every public module-level function of ``package``
+    whose name no file of ``readers`` reads outside its own definition."""
+    read = read_names(readers)
+    return {
+        f"{path.stem}.{top.name}"
+        for path in sorted(package.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+        if read.get(top.name, set()) <= {(path.stem, top.name)}
+    }
+
+
 # Public names with no reader in the package, the CLI, the acceptance tests
 # or perfbench, each kept for the reason given.
 KEPT_PUBLIC_NAMES = {
@@ -208,3 +221,9 @@ def test_every_public_name_has_a_reader():
 def test_every_public_method_has_a_reader():
     # the public methods and properties of the exported classes, likewise
     assert unread_public_members(PACKAGE, public_readers()) == set(KEPT_PUBLIC_MEMBERS)
+
+
+def test_every_module_function_has_a_reader():
+    # exported or not: an unread function is kept by the list above, or it goes
+    unread = unread_module_functions(PACKAGE, public_readers())
+    assert {name.partition(".")[2] for name in unread} <= set(KEPT_PUBLIC_NAMES)

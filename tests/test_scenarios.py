@@ -160,6 +160,14 @@ class TestNoiseEnsemble:
         with pytest.raises(PreconditionError):
             kp.noise_ensemble_average([realization], [0.9], 2)
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0], [np.inf, -np.inf]])
+    def test_non_finite_weights_are_rejected(self, weights):
+        realizations = [kp.random_noise_realization(s, 2) for s in (1, 2)]
+        with pytest.raises(PreconditionError):
+            kp.noise_ensemble_average(realizations, weights, 2)
+        with pytest.raises(PreconditionError):
+            kp.ensemble_kc_max_defect(realizations, weights, 2)
+
     def test_cap_is_checked_before_any_defect(self, monkeypatch):
         calls = []
         monkeypatch.setattr("kcprobe.sequences._scan", lambda *args: calls.append(args))

@@ -7,7 +7,7 @@ import pytest
 
 import kcprobe as kp
 from kcprobe.cli import main
-from kcprobe.errors import CapacityError, DimensionError, PreconditionError, ProtocolError
+from kcprobe.errors import CapacityError, DimensionError, NumericalFault, PreconditionError, ProtocolError
 from kcprobe.linalg import check_density
 from conftest import random_density, random_pure_state
 
@@ -284,6 +284,11 @@ class TestWitnessReport:
         protocol = trivial_x_protocol()
         report = kp.witness_report("delta21_x", 0.0, protocol)
         assert report.verdict == "zero"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_has_no_verdict(self, value):
+        with pytest.raises(NumericalFault, match=r"^delta21_x witness value (nan|inf|-inf) is not finite$"):
+            kp.witness_report("delta21_x", value, trivial_x_protocol())
 
 
 class TestOneRulePerInput:
