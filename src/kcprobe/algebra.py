@@ -126,13 +126,16 @@ def classical_wrt_state(rho: np.ndarray, algebra: AlgebraBasis, tol: Tolerances 
 
 def effect_nondegenerate(e: np.ndarray, tol: Tolerances = DEFAULT):
     """Whether all eigenvalues of an effect are separated by more than
-    ``tol.gap``, and the smallest separation (None for one eigenvalue)."""
-    e = check_hermitian(e, tol, what="effect")
-    w = np.linalg.eigvalsh(e)
-    if w.size < 2:
-        return True, None
-    min_gap = float(np.min(np.diff(w)))
-    return min_gap > tol.gap, min_gap
+    ``tol.gap``, and the smallest separation (None for one eigenvalue).
+
+    Of a stack ``(..., d, d)`` of effects, both per effect, as arrays over
+    the leading axes (the separation ``inf`` for one eigenvalue)."""
+    e = check_hermitian(e, tol, what="effect", stack=True)
+    gaps = np.min(np.diff(np.linalg.eigvalsh(e), axis=-1), axis=-1, initial=np.inf)
+    ok = gaps > tol.gap
+    if e.ndim > 2:
+        return ok, gaps
+    return bool(ok), (float(gaps) if e.shape[-1] > 1 else None)
 
 
 def spacing_degeneracy_predicate(hams, tol: Tolerances = DEFAULT) -> list[tuple[int, int]]:

@@ -299,8 +299,9 @@ def _sweep_model(experiment: Experiment, param: str, value: float):
     return build_scenario(ScenarioSpec("nv", scenario.seed, {**scenario.params, "omega": value}))
 
 
-def _sweep_row(experiment: Experiment, param: str, value: float) -> dict:
-    """One ``sweep.csv`` row by column name."""
+def _sweep_row(experiment: Experiment, param: str, value: float, commutator: float | None) -> dict:
+    """One ``sweep.csv`` row by column name; ``commutator`` is the row's
+    ``commutator_norm`` when it does not depend on ``value``, else ``None``."""
     tol = experiment.config.tolerances
     try:  # a grid value that breaks an invariant is a config error, as in the config
         model = _sweep_model(experiment, param, value)
@@ -309,13 +310,15 @@ def _sweep_row(experiment: Experiment, param: str, value: float) -> dict:
         raise ConfigError(str(exc)) from exc
     rho = experiment.states[0][1]  # the first state only, validated once by build_experiment
     n_max = max(2, min(experiment.n_max, 3))
+    if commutator is None:
+        commutator = is_commutative(model.hamiltonians, tol)[1]
     return {
         param: value,
         "max_kc_defect": max(
             check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols.values()
         ),
         **{name: column[2][0] for name, column in _delta_columns(protocols, [rho], tol).items()},
-        "commutator_norm": is_commutative(model.hamiltonians, tol)[1],
+        "commutator_norm": commutator,
     }
 
 
@@ -329,9 +332,13 @@ def _cmd_sweep(args, config) -> int:
     # every grid's columns, an empty one's too; a row's witness steps do not depend on its value
     deltas = _delta_names(_witness_steps(experiment.model))
     header = [args.param, "max_kc_defect", *deltas, "commutator_norm"]
+    # the step time leaves the Hamiltonians, and so their commutator, as they are
+    commutator = None
+    if args.param == "t":
+        commutator = is_commutative(experiment.model.hamiltonians, config.tolerances)[1]
     # one worker, since more were no faster; perfbench counts one executor task per row
     with ThreadPoolExecutor(max_workers=1) as pool:
-        rows = list(pool.map(lambda v: _sweep_row(experiment, args.param, v), grid))
+        rows = list(pool.map(lambda v: _sweep_row(experiment, args.param, v, commutator), grid))
 
     def write_csv(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:

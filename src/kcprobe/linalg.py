@@ -19,14 +19,16 @@ from .tolerances import DEFAULT, Tolerances
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_EPS = float(np.finfo(float).eps)
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a finite square complex128 array."""
+def as_complex_matrix(a, *, stack: bool = False) -> np.ndarray:
+    """Coerce to a finite square complex128 array; with ``stack``, to a
+    finite stack ``(..., d, d)`` of them."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvariantViolation("matrix contains non-finite entries")
     return m
 
@@ -39,6 +41,18 @@ def require_same_dim(a: np.ndarray, b: np.ndarray) -> int:
 
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of the stack ``a``, shape ``a.shape[:-2]``."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat).real)
+
+
+def _first(bad: np.ndarray) -> tuple:
+    """The index of the first true entry of ``bad`` in C order: the element
+    of a stack whose failed check a stacked call reports."""
+    return np.unravel_index(int(np.argmax(bad)), bad.shape)
 
 
 @functools.cache
@@ -114,15 +128,21 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(a.conj() * b))
 
 
-def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT, what: str = "matrix") -> np.ndarray:
+def check_hermitian(
+    m: np.ndarray, tol: Tolerances = DEFAULT, what: str = "matrix", *, stack: bool = False
+) -> np.ndarray:
     """``m`` as a complex matrix if ``|M - M^H|_F <= tol.hermiticity * max(|M|_F, 1)``;
-    a matrix whose ``|M|_F`` overflows is not Hermitian."""
-    m = as_complex_matrix(m)
-    with np.errstate(over="ignore"):
-        defect, scale = frobenius(m - m.conj().T), frobenius(m)
-    if not (math.isfinite(scale) and defect <= tol.hermiticity * max(scale, 1.0)):
+    a matrix whose ``|M|_F`` overflows is not Hermitian.  With ``stack``, ``m``
+    is a stack ``(..., d, d)`` and the first matrix in C order that is not
+    Hermitian raises."""
+    m = as_complex_matrix(m, stack=stack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect, scale = _frobenius(m - m.conj().swapaxes(-1, -2)), _frobenius(m)
+        hermitian = (defect <= tol.hermiticity * np.maximum(scale, 1.0)) & (scale < math.inf)
+    if not hermitian.all():
+        k = _first(~hermitian)
         raise InvariantViolation(
-            f"{what} is not Hermitian: |M - M^H|_F = {defect:.3e}, |M|_F = {scale:.3e}"
+            f"{what} is not Hermitian: |M - M^H|_F = {defect[k]:.3e}, |M|_F = {scale[k]:.3e}"
         )
     return m
 
@@ -155,28 +175,40 @@ def hermitian_eig(h: np.ndarray, tol: Tolerances = DEFAULT):
     return w, v
 
 
-def unitary_from_eigensystem(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+def unitary_from_eigensystem(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
     """Return ``exp(-i t h) = v diag(exp(-i w t)) v^H`` for ``h = v diag(w) v^H``.
 
-    ``(w, v)`` is an eigendecomposition as returned by :func:`hermitian_eig`;
-    ``t == 0`` gives the identity exactly.  A phase ``w t`` that overflows
+    ``(w, v)`` is an eigendecomposition as returned by :func:`hermitian_eig`,
+    or a stack of them, ``(..., d)`` and ``(..., d, d)``; ``t`` is a time or
+    an array of times that broadcasts against their leading axes, as numpy
+    broadcasts, and the result is ``(*leading, d, d)`` for the broadcast
+    leading shape.  A time at which every phase ``|w t|`` is at most
+    ``eps / 2``, ``t == 0`` among them, gives the identity exactly: the
+    unitary is then within half an ulp of it.  A phase ``w t`` that overflows
     raises :class:`InvariantViolation`, and so does a phase whose rounding
     error, ``|w t| * eps``, exceeds the default unitarity cut (``|w t|``
-    above about 4.5e5 rad): the unitary would then be arbitrary.
+    above about 4.5e5 rad): the unitary would then be arbitrary.  A
+    non-finite time raises too; of a stack, the first element in C order
+    that fails a check raises, naming its time.
     """
-    if not np.isfinite(t):
-        raise InvariantViolation(f"time must be finite, got {t}")
-    if t == 0.0:
-        return np.eye(v.shape[0], dtype=complex)
-    phase = float(np.max(np.abs(w))) * abs(t)
-    if not math.isfinite(phase):
-        raise InvariantViolation(f"phases w*t overflow at time {t}")
-    if phase * np.finfo(float).eps > DEFAULT.unitarity:
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.abs(w).max(axis=-1) * np.abs(t)
+    if not phase.max() * _EPS <= DEFAULT.unitarity:  # a non-finite time or phase fails too
+        k = _first(~(phase * _EPS <= DEFAULT.unitarity))
+        time, worst = float(np.broadcast_to(t, phase.shape)[k]), float(phase[k])
+        if not math.isfinite(time):
+            raise InvariantViolation(f"time must be finite, got {time}")
+        if not math.isfinite(worst):
+            raise InvariantViolation(f"phases w*t overflow at time {time}")
         raise InvariantViolation(
-            f"phase |w*t| = {phase:.3e} rad at time {t} has a rounding error above "
+            f"phase |w*t| = {worst:.3e} rad at time {time} has a rounding error above "
             f"the unitarity cut {DEFAULT.unitarity:g}"
         )
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    u = (v * np.exp(-1j * w * t[..., None])[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
+    if phase.min() <= _EPS / 2:
+        u[phase <= _EPS / 2] = np.eye(u.shape[-1])
+    return u
 
 
 def unitary_from_hamiltonian(h: np.ndarray, t: float, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -32,6 +32,8 @@ import numpy as np
 from .errors import DimensionError, InvariantViolation, LabelError, ProtocolError
 from .linalg import (
     _basis,
+    _first,
+    _frobenius,
     as_complex_matrix,
     check_hermitian,
     frobenius,
@@ -106,16 +108,17 @@ class MeterBasis:
 class DephasingModel:
     """Pure-dephasing coupling: one system Hamiltonian per probe pointer state.
 
-    ``eigensystems[i]`` is ``eigh(hamiltonians[i])``, computed once here, so
-    every conditional unitary of the model is formed without a new
-    diagonalization.
+    ``eigenvalues[i], eigenvectors[i]`` is ``eigh(hamiltonians[i])``, computed
+    once here as read-only ``(d_P, d)`` and ``(d_P, d, d)`` stacks, so every
+    conditional unitary of the model is formed without a new diagonalization.
     """
 
     probe_dim: int
     system_dim: int
     hamiltonians: tuple[np.ndarray, ...]
     step_time: float
-    eigensystems: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.probe_dim < 1 or self.system_dim < 1:
@@ -126,22 +129,20 @@ class DephasingModel:
             )
         step_time = _finite_step_time(self.step_time)
         hams = []
-        eigensystems = []
         for i, h in enumerate(self.hamiltonians):
             h = check_hermitian(h, what=f"conditional Hamiltonian {i}")
             if h.shape[0] != self.system_dim:
                 raise DimensionError(
                     f"conditional Hamiltonian {i} has dimension {h.shape[0]}, expected {self.system_dim}"
                 )
-            h = _frozen(h)
-            w, v = np.linalg.eigh(h)
-            w.setflags(write=False)
-            v.setflags(write=False)
-            hams.append(h)
-            eigensystems.append((w, v))
+            hams.append(_frozen(h))
+        w, v = np.linalg.eigh(np.array(hams))
+        w.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "hamiltonians", tuple(hams))
         object.__setattr__(self, "step_time", step_time)
-        object.__setattr__(self, "eigensystems", tuple(eigensystems))
+        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvectors", v)
 
     def with_step_time(self, t: float) -> "DephasingModel":
         """The same model at step time ``t``; the eigensystems are shared."""
@@ -220,11 +221,12 @@ def build_conditional_hamiltonians(
     return DephasingModel(eps.size, d, hams, step_time)
 
 
-def conditional_unitaries(model: DephasingModel, t: float | None = None) -> tuple[np.ndarray, ...]:
-    """Per-pointer-state evolution operators ``U_i = exp(-i t H_i)``."""
+def conditional_unitaries(model: DephasingModel, t: float | None = None) -> np.ndarray:
+    """Per-pointer-state evolution operators ``U_i = exp(-i t H_i)``, as one
+    ``(d_P, d, d)`` stack."""
     if t is None:
         t = model.step_time
-    return tuple(unitary_from_eigensystem(w, v, t) for w, v in model.eigensystems)
+    return unitary_from_eigensystem(model.eigenvalues, model.eigenvectors, t)
 
 
 def induced_kraus(
@@ -247,22 +249,36 @@ def induced_kraus(
         )
     if unitaries is None:
         unitaries = conditional_unitaries(model)
-    # K_m = sum_i g_i conj(m_i) U_i for every outcome m at once
-    weights = preparation.amplitudes * meter.states.conj()
-    kraus = np.einsum("mi,ikl->mkl", weights, np.asarray(unitaries))
-    effects = kraus.conj().swapaxes(1, 2) @ kraus
-    effects = (effects + effects.conj().swapaxes(1, 2)) / 2
-    completeness = frobenius(effects.sum(axis=0) - np.eye(model.system_dim))
-    if not completeness <= tol.povm_completeness:
-        raise InvariantViolation(
-            f"effects do not sum to the identity: defect {completeness:.3e}"
-        )
-    lowest = np.linalg.eigvalsh(effects)[:, 0]
-    bad = ~(lowest >= -tol.effect_psd)
-    if bad.any():
-        m = int(np.argmax(bad))
-        raise InvariantViolation(f"effect {m} has negative eigenvalue {lowest[m]:.3e}")
+    kraus, effects = _cycles(_cycle_weights(preparation, meter), np.asarray(unitaries), tol)
     return InducedMeasurement(kraus, effects, meter.labels)
+
+
+def _cycle_weights(preparation: PreparationState, meter: MeterBasis) -> np.ndarray:
+    """The ``(d_P, d_P)`` weights ``g_i conj(m_i)`` of ``K_m = sum_i weights[m, i] U_i``."""
+    return preparation.amplitudes * meter.states.conj()
+
+
+def _cycles(weights: np.ndarray, unitaries: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The Kraus operators and effects of a stack of probe cycles, each
+    ``(..., d_P, d, d)``, from their weights ``(..., d_P, d_P)`` (see
+    :func:`_cycle_weights`) and conditional unitaries ``(..., d_P, d, d)``,
+    whose leading axes broadcast.  Every cycle's effects must sum to the
+    identity and be positive; the first cycle in C order that fails raises
+    :class:`InvariantViolation`."""
+    # K_m = sum_i g_i conj(m_i) U_i for every outcome m at once
+    kraus = np.einsum("...mi,...ikl->...mkl", weights, unitaries)
+    effects = kraus.conj().swapaxes(-1, -2) @ kraus
+    effects += effects.conj().swapaxes(-1, -2)  # in place: the stack holds one effects array
+    effects /= 2
+    completeness = _frobenius(effects.sum(axis=-3) - np.eye(effects.shape[-1]))
+    if not completeness.max() <= tol.povm_completeness:  # NaN fails too
+        k = _first(~(completeness <= tol.povm_completeness))
+        raise InvariantViolation(f"effects do not sum to the identity: defect {completeness[k]:.3e}")
+    lowest = np.linalg.eigvalsh(effects)[..., 0]
+    if not lowest.min() >= -tol.effect_psd:
+        k = _first(~(lowest >= -tol.effect_psd))
+        raise InvariantViolation(f"effect {k[-1]} has negative eigenvalue {lowest[k]:.3e}")
+    return kraus, effects
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,7 +319,7 @@ class MeasurementProtocol:
             key = (basis.states.tobytes(), basis.labels, t)
             if key not in built:
                 if t not in unitaries:
-                    unitaries[t] = np.asarray(conditional_unitaries(self.model, t))
+                    unitaries[t] = conditional_unitaries(self.model, t)
                 built[key] = induced_kraus(
                     self.model, self.preparation, basis, unitaries=unitaries[t]
                 )

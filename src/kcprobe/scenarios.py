@@ -14,16 +14,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sequences
 from .errors import DimensionError, PreconditionError
 from .algebra import effect_nondegenerate, is_commutative
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, unitary_from_eigensystem
 from .model import (
     DephasingModel,
     MeasurementProtocol,
+    _cycle_weights,
+    _cycles,
+    _finite_step_time,
     _n_max,
     conditional_unitaries,
-    fourier_protocol,
+    fourier_meter_basis,
+    plus_x_preparation,
     qubit_xy_protocol,
+    uniform_preparation,
+    xy_meter_basis,
 )
 from .sequences import (
     JointDistribution,
@@ -267,13 +274,20 @@ class CounterexampleFinding(Record):
     model_fingerprint: str
 
 
+def _candidate_cycle(probe_dim: int, axis: str):
+    """The preparation and meter basis of every step of a search candidate
+    read along ``axis``: ``|+x>`` and the X or Y basis on a qubit probe, and
+    the uniform superposition and the Fourier basis otherwise."""
+    if probe_dim == 2 and axis in ("X", "Y"):
+        return plus_x_preparation(), xy_meter_basis(axis)
+    return uniform_preparation(probe_dim), fourier_meter_basis(probe_dim)
+
+
 def _evaluate_candidate(model, axis, t, source, seed, index, tol) -> CounterexampleFinding | None:
     """The finding of ``model`` at step time ``t`` on three steps of ``axis``, or ``None``."""
     candidate = model.with_step_time(t)
-    if model.probe_dim == 2 and axis in ("X", "Y"):
-        protocol = qubit_xy_protocol(candidate, axis * 3)
-    else:
-        protocol = fourier_protocol(candidate, 3)
+    preparation, meter = _candidate_cycle(model.probe_dim, axis)
+    protocol = MeasurementProtocol(candidate, preparation, (meter,) * 3)
     gaps = []
     for effect in protocol.step_measurements[0].effects:
         ok, gap = effect_nondegenerate(effect, tol=tol)
@@ -306,6 +320,53 @@ def _trials(trials: int) -> None:
         raise PreconditionError(f"trials must be >= 1, got {trials}")
 
 
+def _screen_pairs(probe_dim: int, system_dim: int) -> int:
+    """How many (candidate, time) pairs one screened chunk holds: their
+    conditional unitaries, Kraus operators and effects, ``48 d_P d**2`` bytes
+    a pair, fill at most ``PREFIX_BLOCK_BYTES``; at least one pair."""
+    pair_bytes = 3 * 16 * probe_dim * system_dim**2
+    return max(1, sequences.PREFIX_BLOCK_BYTES // max(1, pair_bytes))
+
+
+def _screen(models, axes, t_grid, tol: Tolerances) -> np.ndarray:
+    """The ``(len(models), len(t_grid))`` mask of the candidates whose
+    first-step effects, each model read along its axis of ``axes`` at each
+    time, are all degenerate: the only ones :func:`_evaluate_candidate` can
+    keep.  The models share one shape.  The unitaries, Kraus operators and
+    effects of every pair are built, with their checks, in one stack per
+    slice of the grid; a slice is the whole grid unless one model's grid
+    alone outgrows :func:`_screen_pairs`."""
+    d_p, d = models[0].probe_dim, models[0].system_dim
+    w = np.stack([m.eigenvalues for m in models])[:, None]  # (C, 1, d_P, d)
+    v = np.stack([m.eigenvectors for m in models])[:, None]
+    by_axis = {a: _cycle_weights(*_candidate_cycle(d_p, a)) for a in set(axes)}
+    weights = np.stack([by_axis[a] for a in axes])[:, None]  # (C, 1, d_P, d_P)
+    times = np.asarray(t_grid, dtype=float)
+    screened = np.zeros((len(models), times.size), dtype=bool)
+    width = max(1, _screen_pairs(d_p, d) // len(models))
+    for start in range(0, times.size, width):
+        # the checks read (C, G, d_P) stacks in C order, the search order:
+        # model, time, pointer state; only the effects outlive _cycles
+        unitaries = unitary_from_eigensystem(w, v, times[start : start + width, None])
+        effects = _cycles(weights, unitaries, tol)[1]
+        del unitaries
+        ok, _ = effect_nondegenerate(effects, tol=tol)
+        screened[:, start : start + width] = ~np.broadcast_to(ok, effects.shape[:-2]).any(axis=-1)
+    return screened
+
+
+def _findings(models, axes, t_grid, source, seed, indices, tol: Tolerances) -> list:
+    """The findings among ``models`` (reproduced by ``indices``), each read
+    along its axis of ``axes`` at every time of ``t_grid``, in search order;
+    only the candidates that :func:`_screen` keeps are built and scanned."""
+    kept = zip(*np.nonzero(_screen(models, axes, t_grid, tol)))
+    found = (
+        _evaluate_candidate(models[c], axes[c], t_grid[g], source, seed, indices[c], tol)
+        for c, g in kept
+    )
+    return [f for f in found if f is not None]
+
+
 def counterexample_search(
     seed: int,
     trials: int,
@@ -323,24 +384,28 @@ def counterexample_search(
     read along X or Y on a qubit probe and along the Fourier meter
     otherwise.  Findings carry full reproduction data; an empty result is a
     valid outcome.
+
+    Every candidate is first screened on its first-step effects, a chunk of
+    trials (or one included model, whose shape may differ) across the whole
+    grid at a time, within ``PREFIX_BLOCK_BYTES``; only a candidate whose
+    effects are all degenerate gets its protocol built and scanned.
     """
     _trials(trials)
+    t_grid = tuple(map(_finite_step_time, t_grid))
     findings = []
     for idx, (model, axis) in enumerate(include):
-        for t in t_grid:
-            found = _evaluate_candidate(model, axis, t, "include", None, idx, tol)
-            if found is not None:
-                findings.append(found)
+        findings += _findings([model], [axis], t_grid, "include", None, [idx], tol)
     axes = ("X", "Y") if probe_dim == 2 else ("F",)
-    for index in range(trials):
-        rng = np.random.default_rng([seed, index])
-        model_seed = int(rng.integers(0, 2**63 - 1))
-        model = random_model(model_seed, probe_dim, system_dim, commuting=False)
-        axis = axes[int(rng.integers(0, len(axes)))]
-        for t in t_grid:
-            found = _evaluate_candidate(model, axis, t, "random", seed, index, tol)
-            if found is not None:
-                findings.append(found)
+    chunk = max(1, _screen_pairs(probe_dim, system_dim) // max(1, len(t_grid)))
+    for start in range(0, trials, chunk):
+        indices = range(start, min(start + chunk, trials))
+        models, picked = [], []
+        for index in indices:
+            rng = np.random.default_rng([seed, index])
+            model_seed = int(rng.integers(0, 2**63 - 1))
+            models.append(random_model(model_seed, probe_dim, system_dim, commuting=False))
+            picked.append(axes[int(rng.integers(0, len(axes)))])
+        findings += _findings(models, picked, t_grid, "random", seed, indices, tol)
     return findings
 
 

@@ -85,18 +85,29 @@ def delta_correlation(
     Sums ``prod_{k != j} value(m_k) * deltaP_{n,j}(fixed)`` over every
     assignment of the non-marginalized outcomes; ``rho`` is validated once.
     """
-    missing = [m for m in range(protocol.probe_dim) if m not in value_map]
-    if missing:
-        raise ProtocolError(f"value map lacks outcomes {missing}")
+    values = _values(value_map, protocol.probe_dim)
     rho = check_density(rho, protocol.system_dim, tol)
     (defects,) = _state_defects(protocol, [rho], [(n, j)], tol)
-    return float(_correlation(defects, value_map)[0])
+    return float(_correlation(defects, values)[0])
 
 
-def _correlation(defects: np.ndarray, value_map) -> np.ndarray:
-    """Per state, the sum of ``prod_k value(fixed_k) * defects[state, fixed]``
+def _values(value_map, probe_dim: int) -> np.ndarray:
+    """The values of outcomes ``0 .. probe_dim - 1`` in ``value_map``; a map
+    that lacks an outcome or gives one a non-finite value raises
+    :class:`ProtocolError`."""
+    missing = [m for m in range(probe_dim) if m not in value_map]
+    if missing:
+        raise ProtocolError(f"value map lacks outcomes {missing}")
+    values = np.array([value_map[m] for m in range(probe_dim)], dtype=float)
+    if not np.isfinite(values).all():
+        m = int(np.argmin(np.isfinite(values)))
+        raise ProtocolError(f"value map gives outcome {m} the non-finite value {values[m]}")
+    return values
+
+
+def _correlation(defects: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per state, the sum of ``prod_k values[fixed_k] * defects[state, fixed]``
     over every entry of an ``(s,) + (d_P,) * (n - 1)`` state-defect tensor."""
-    values = np.array([value_map[m] for m in range(defects.shape[-1])], dtype=float)
     for _ in range(defects.ndim - 1):
         defects = defects @ values
     return defects
@@ -131,7 +142,8 @@ def _axis_deltas(protocol: MeasurementProtocol, states, ns, tol: Tolerances, all
             one_of = "/".join(allowed)
             raise ProtocolError(f"steps 1..{n} must share one axis in {one_of}, got {protocol.axes[:n]}")
     tensors = _state_defects(protocol, states, [(n, n - 1) for n in ns], tol)
-    return [(_correlation(t, PLUS_MINUS_VALUES), t) for t in tensors]
+    values = _values(PLUS_MINUS_VALUES, 2)
+    return [(_correlation(t, values), t) for t in tensors]
 
 
 _LG_NOTE = (

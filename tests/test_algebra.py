@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
-from kcprobe.errors import NumericalFault, PreconditionError
+from kcprobe.errors import InvariantViolation, NumericalFault, PreconditionError
 from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
 
 from conftest import random_density, random_hermitian
@@ -237,6 +237,25 @@ class TestEffectNondegenerate:
 
     def test_one_eigenvalue_has_no_gap(self):
         assert kp.effect_nondegenerate(np.array([[0.5]])) == (True, None)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_a_stack_reads_as_each_effect_alone(self, d):
+        rng = np.random.default_rng(d)
+        effects = np.array([random_hermitian(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
+        effects[0, 1] = np.eye(d) / 2  # degenerate unless d = 1
+        ok, gaps = kp.effect_nondegenerate(effects)
+        assert ok.shape == gaps.shape == (2, 3)
+        for k in np.ndindex(2, 3):
+            alone_ok, alone_gap = kp.effect_nondegenerate(effects[k])
+            assert ok[k] == alone_ok
+            assert gaps[k] == (np.inf if alone_gap is None else alone_gap)
+        assert ok[0, 1] == (d == 1)
+
+    def test_a_stack_names_its_first_non_hermitian_effect(self):
+        effects = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
+        effects[1, 0, 1], effects[2, 0, 1] = 1.0, 2.0
+        with pytest.raises(InvariantViolation, match=r"^effect is not Hermitian: \|M - M\^H\|_F = 1\.414e\+00"):
+            kp.effect_nondegenerate(effects)
 
 
 class TestSpacingDegeneracy:

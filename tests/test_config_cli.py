@@ -994,6 +994,18 @@ class TestSweepCommand:
         }
         return write_config(tmp_path / "nv.json", cfg)
 
+    @pytest.mark.parametrize("param, grid, calls", [("t", "0.5:2:5", 1), ("omega", "0:2:5", 5)])
+    def test_commutator_norm_is_read_once_per_step_time_sweep(self, tmp_path, monkeypatch, param, grid, calls):
+        # the step time leaves the Hamiltonians as they are; omega changes them
+        seen = []
+        is_commutative = cli.is_commutative
+        monkeypatch.setattr(cli, "is_commutative", lambda hams, tol: seen.append(1) or is_commutative(hams, tol))
+        out = tmp_path / "out"
+        assert main(["sweep", self.nv_config(tmp_path), "--param", param, "--grid", grid, "--out", str(out)]) == 0
+        assert len(seen) == calls
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        assert len(rows) == 5 and len({row["commutator_norm"] for row in rows}) == (1 if param == "t" else 5)
+
     def test_omega_grid_has_commutative_zero_row(self, tmp_path):
         path = self.nv_config(tmp_path)
         out = tmp_path / "out"

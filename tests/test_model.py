@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import kcprobe as kp
 from kcprobe.errors import DimensionError, InvariantViolation, ProtocolError
-from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
+from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius, unitary_from_eigensystem
 
 from conftest import random_hermitian, zero_amplitude_cycle
 
@@ -239,6 +239,37 @@ class TestNonselectiveApply:
             kp.nonselective_apply(sigma_model, kp.plus_x_preparation(), I2, "sideways")
 
 
+class TestStackedCycles:
+    def test_a_stack_of_cycles_is_each_cycle_alone(self):
+        # the search's screen: (model, time) stacks of X, Y and Fourier cycles
+        times = np.array([0.3, np.pi / 2, 2.0])
+        for d_p, d_s, meters in ((2, 3, ("X", "Y")), (3, 2, ("F",)), (4, 4, ("F",))):
+            models = [kp.random_model(seed, d_p, d_s, commuting=False) for seed in range(3)]
+            cycles = [
+                (kp.plus_x_preparation(), kp.xy_meter_basis(a)) if a in "XY"
+                else (kp.uniform_preparation(d_p), kp.fourier_meter_basis(d_p))
+                for a in (meters * 3)[:3]
+            ]
+            w = np.stack([m.eigenvalues for m in models])[:, None]
+            v = np.stack([m.eigenvectors for m in models])[:, None]
+            weights = np.stack([kp.model._cycle_weights(*cycle) for cycle in cycles])[:, None]
+            unitaries = unitary_from_eigensystem(w, v, times[:, None])
+            kraus, effects = kp.model._cycles(weights, unitaries, kp.DEFAULT)
+            assert kraus.shape == effects.shape == (3, 3, d_p, d_s, d_s)
+            for c, (m, (prep, meter)) in enumerate(zip(models, cycles)):
+                for g, t in enumerate(times):
+                    alone = kp.induced_kraus(m.with_step_time(t), prep, meter)
+                    assert np.max(np.abs(kraus[c, g] - alone.kraus)) <= 1e-15
+                    assert np.max(np.abs(effects[c, g] - alone.effects)) <= 1e-15
+
+    def test_a_stack_names_its_first_incomplete_cycle(self):
+        weights = kp.model._cycle_weights(kp.plus_x_preparation(), kp.xy_meter_basis("X"))
+        # cycle 0 is complete; cycles 1 and 2 scale the unitaries by 2 and 3
+        unitaries = np.array([1.0, 2.0, 3.0])[:, None, None, None] * np.eye(2, dtype=complex)
+        with pytest.raises(InvariantViolation, match=r"^effects do not sum to the identity: defect 4\.243e\+00$"):
+            kp.model._cycles(weights, np.broadcast_to(unitaries, (3, 2, 2, 2)), kp.DEFAULT)
+
+
 class TestProtocolShape:
     def test_prefix_and_drop_step(self, sigma_model):
         protocol = kp.qubit_xy_protocol(sigma_model, "XYX")
@@ -372,7 +403,7 @@ class TestEigensystems:
         return kp.DephasingModel(3, 4, tuple(random_hermitian(rng, 4) for _ in range(3)), 0.6)
 
     def test_eigensystems_diagonalize_the_hamiltonians(self, model):
-        for h, (w, v) in zip(model.hamiltonians, model.eigensystems, strict=True):
+        for h, w, v in zip(model.hamiltonians, model.eigenvalues, model.eigenvectors, strict=True):
             assert frobenius((v * w) @ v.conj().T - h) <= 1e-12
             assert not w.flags.writeable and not v.flags.writeable
 
@@ -391,10 +422,49 @@ class TestEigensystems:
         with pytest.raises(InvariantViolation, match="time must be finite"):
             kp.unitary_from_hamiltonian(model.hamiltonians[0], t)
 
+    def test_grid_unitaries_are_the_per_time_ones(self, model):
+        rng = np.random.default_rng(9)
+        models = [model] + [
+            kp.DephasingModel(3, 4, tuple(random_hermitian(rng, 4) for _ in range(3)), 1.0) for _ in range(2)
+        ]
+        times = np.array([0.0, 0.6, -1.7, np.pi / 2, np.pi, 12.5])
+        w = np.stack([m.eigenvalues for m in models])[:, None]
+        v = np.stack([m.eigenvectors for m in models])[:, None]
+        grid = unitary_from_eigensystem(w, v, times[:, None])
+        assert grid.shape == (3, 6, 3, 4, 4)
+        for c, m in enumerate(models):
+            for g, t in enumerate(times):
+                for i in range(3):
+                    alone = unitary_from_eigensystem(m.eigenvalues[i], m.eigenvectors[i], t)
+                    assert np.max(np.abs(grid[c, g, i] - alone)) <= 1e-15
+
+    @pytest.mark.parametrize("t", [0.0, 1e-320])
+    def test_a_time_without_phase_gives_the_exact_identity(self, model, t):
+        # every |w t| at most eps / 2: exp(-i t H) is within half an ulp of 1
+        grid = unitary_from_eigensystem(model.eigenvalues, model.eigenvectors, np.array([[t], [0.6]]))
+        assert np.array_equal(grid[0], np.broadcast_to(np.eye(4), (3, 4, 4)))
+        assert not np.array_equal(grid[1, 0], np.eye(4))
+        assert all(np.array_equal(u, np.eye(4)) for u in kp.conditional_unitaries(model, t))
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            # |w| is 3 and 1: the first failing (time, eigensystem) in C order is (2e5, 3)
+            ([1e5, 2e5, 1e6], r"^phase \|w\*t\| = 6\.000e\+05 rad at time 200000\.0 has a rounding error"),
+            ([1e5, 1e308], r"^phases w\*t overflow at time 1e\+308$"),
+            ([1e5, np.nan, 1e6], r"^time must be finite, got nan$"),
+        ],
+    )
+    def test_a_stack_names_its_first_failing_time(self, times, message):
+        w = np.array([[3.0, 0.0], [1.0, -1.0]])
+        v = np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2))
+        with pytest.raises(InvariantViolation, match=message):
+            unitary_from_eigensystem(w, v, np.array(times)[:, None])
+
     def test_with_step_time_shares_the_eigensystems(self, model):
         moved = model.with_step_time(2.5)
         assert moved.step_time == 2.5 and model.step_time == 0.6
-        assert moved.eigensystems is model.eigensystems
+        assert moved.eigenvalues is model.eigenvalues and moved.eigenvectors is model.eigenvectors
         assert moved.hamiltonians is model.hamiltonians
         for u, ref in zip(kp.conditional_unitaries(moved), kp.conditional_unitaries(model, 2.5)):
             assert np.array_equal(u, ref)

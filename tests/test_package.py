@@ -79,6 +79,14 @@ ONE_CHECK_PER_RULE = {
     "one axis": (r"must share one axis", {("witnesses", "_axis_deltas")}),
     "trials": (r"trials must be", {("scenarios", "_trials")}),
     "a step": (r"needs? at least one step", {("model", "__post_init__")}),
+    "value map outcomes": (r"value map lacks outcomes", {("witnesses", "_values")}),
+    "value map values": (r"value map gives outcome", {("witnesses", "_values")}),
+    # the Kraus layer's rules, which the search's batched screen reads too
+    "hermitian": (r"is not Hermitian", {("linalg", "check_hermitian")}),
+    "phase overflow": (r"phases w\*t overflow", {("linalg", "unitary_from_eigensystem")}),
+    "phase rounding": (r"has a rounding error above", {("linalg", "unitary_from_eigensystem")}),
+    "completeness": (r"effects do not sum to the identity", {("model", "_cycles")}),
+    "effect positivity": (r"effect \{.*\} has negative eigenvalue", {("model", "_cycles")}),
     # retired messages
     "witness qubit": (r"axis witnesses need a qubit probe", set()),
     "inequality qubit": (r"inequality check needs a qubit probe", set()),

@@ -1,8 +1,14 @@
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import kcprobe as kp
-from kcprobe.errors import CapacityError, DimensionError, PreconditionError, ProtocolError
+from kcprobe import scenarios, sequences
+from kcprobe.cli import main
+from kcprobe.errors import CapacityError, DimensionError, InvariantViolation, PreconditionError, ProtocolError
 from kcprobe.linalg import SIGMA_X, SIGMA_Z, frobenius
 from kcprobe.serialize import fingerprint, model_payload
 
@@ -261,6 +267,157 @@ class TestCounterexampleSearch:
         assert kp.is_commutative(kp.conditional_unitaries(model, np.pi))[0]
         findings = kp.counterexample_search(0, 1, t_grid=(np.pi, np.pi / 2), include=[(model, "X")])
         assert [f.step_time for f in findings if f.source == "include"] == [np.pi / 2]
+
+
+def search_candidates(seed, trials, probe_dim, system_dim, t_grid, include):
+    """Every candidate of a search, in search order, as the arguments of
+    ``_evaluate_candidate`` before ``tol``: include models first, then the
+    trials by index, each at every time in grid order."""
+    for idx, (model, axis) in enumerate(include):
+        for t in t_grid:
+            yield model, axis, t, "include", None, idx
+    axes = ("X", "Y") if probe_dim == 2 else ("F",)
+    for index in range(trials):
+        rng = np.random.default_rng([seed, index])
+        model = kp.random_model(int(rng.integers(0, 2**63 - 1)), probe_dim, system_dim, commuting=False)
+        axis = axes[int(rng.integers(0, len(axes)))]
+        for t in t_grid:
+            yield model, axis, t, "random", seed, index
+
+
+def reference_search(*args, tol=kp.DEFAULT):
+    """The search as one ``_evaluate_candidate`` call per candidate, no screen."""
+    found = (scenarios._evaluate_candidate(*candidate, tol) for candidate in search_candidates(*args))
+    return [f.to_dict() for f in found if f is not None]
+
+
+def sigma_pair_plus_level():
+    """(sigma_z (+) 0, sigma_x (+) 1): degenerate Y effects at pi/2, a violated scan."""
+    h0, h1 = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    h0[:2, :2], h1[:2, :2], h1[2, 2] = SIGMA_Z, SIGMA_X, 1.0
+    return kp.DephasingModel(2, 3, (h0, h1), 1.0)
+
+
+CANONICAL = (kp.degenerate_qubit_instance(), "X")
+INCLUDES = [
+    CANONICAL,
+    (sigma_pair_plus_level(), "Y"),
+    (kp.DephasingModel(2, 2, (SIGMA_Z, SIGMA_Z), 1.0), "X"),
+    (kp.DephasingModel(3, 2, (SIGMA_Z, SIGMA_X, SIGMA_Z), 1.0), "X"),
+]
+GRID = (0.0, np.pi / 4, np.pi / 2, np.pi)
+# (seed, trials, probe_dim, system_dim, t_grid, include): qubit X/Y and
+# Fourier trials, d_S 2-4, include models of other shapes than the trials'
+SEARCHES = [
+    (11, 12, 2, 2, GRID, INCLUDES),
+    (5, 8, 2, 3, GRID, INCLUDES),
+    (7, 6, 2, 4, (np.pi / 2, 0.0, 1.3), INCLUDES[::-1]),
+    (3, 8, 3, 2, GRID, INCLUDES),
+    (2, 5, 3, 3, (np.pi, np.pi / 2), [CANONICAL]),
+    (4, 4, 4, 2, (0.0, 0.8), []),
+]
+
+
+class TestSearchScreen:
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_findings_are_the_reference_loops(self, search):
+        seed, trials, probe_dim, system_dim, t_grid, include = search
+        found = kp.counterexample_search(seed, trials, probe_dim, system_dim, t_grid, include)
+        assert [f.to_dict() for f in found] == reference_search(*search)
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_the_screen_keeps_the_candidates_with_all_effects_degenerate(self, search):
+        # the include models one by one, the trials in one stack, as the search screens them
+        t_grid = search[4]
+        models = {(c[3], c[5]): c[:2] for c in search_candidates(*search)}
+        groups = [[pair] for key, pair in models.items() if key[0] == "include"]
+        groups.append([pair for key, pair in models.items() if key[0] == "random"])
+        for group in groups:
+            screened = scenarios._screen(*zip(*group), t_grid, kp.DEFAULT)
+            for (model, axis), row in zip(group, screened, strict=True):
+                preparation, meter = scenarios._candidate_cycle(model.probe_dim, axis)
+                for t, kept in zip(t_grid, row, strict=True):
+                    effects = kp.induced_kraus(model.with_step_time(t), preparation, meter).effects
+                    assert kept == (not any(kp.effect_nondegenerate(e)[0] for e in effects))
+
+    def test_every_candidate_reaches_the_evaluation_in_search_order(self, monkeypatch):
+        # with every effect read as degenerate, each candidate is evaluated
+        seen = []
+        monkeypatch.setattr("kcprobe.scenarios.effect_nondegenerate", lambda e, tol: (False, 0.0))
+        monkeypatch.setattr(
+            "kcprobe.scenarios._evaluate_candidate",
+            lambda model, axis, t, source, seed, index, tol: seen.append((source, index, axis, t)),
+        )
+        # chunks of 3 trials (13 pairs of 384 bytes over 4 times), each screened in one stack
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", 5000)
+        search = (9, 7, 2, 2, GRID, INCLUDES)
+        assert kp.counterexample_search(*search) == []
+        assert seen == [(c[3], c[5], c[1], c[2]) for c in search_candidates(*search)]
+
+    @pytest.mark.parametrize("block_bytes", [1, 2000, 20000])
+    def test_chunking_leaves_the_findings(self, monkeypatch, block_bytes):
+        expected = [kp.counterexample_search(*search) for search in SEARCHES]
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        assert [kp.counterexample_search(*search) for search in SEARCHES] == expected
+
+    @pytest.mark.parametrize(
+        "probe_dim, system_dim, trials, t_grid",
+        [(2, 2, 600, 8), (2, 4, 300, 8), (3, 3, 200, 5), (4, 6, 20, 40)],
+    )
+    def test_a_chunk_stays_within_the_block_bound(self, monkeypatch, probe_dim, system_dim, trials, t_grid):
+        # a chunk's unitaries, Kraus operators and effects fill at most one
+        # block; the products' temporaries and the chunk's models at most two more
+        block = 128 * 2**10
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block)
+        grid = tuple(np.linspace(0.1, 3.0, t_grid))
+        assert trials * t_grid * 48 * probe_dim * system_dim**2 >= 8 * block  # unchunked stacks
+        kp.counterexample_search(1, 2, probe_dim, system_dim, grid)  # imports and caches first
+        tracemalloc.start()
+        try:
+            kp.counterexample_search(1, trials, probe_dim, system_dim, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * block
+
+    def test_only_screened_in_candidates_are_built(self, monkeypatch, tmp_path):
+        # search_degenerate.json: 402 candidates, of which the canonical
+        # model's two grid times are the only ones with degenerate effects
+        screened, builds = [], []
+        screen, post_init = scenarios._screen, kp.MeasurementProtocol.__post_init__
+
+        def counting_screen(*args):
+            mask = screen(*args)
+            screened.append(int(mask.sum()))
+            return mask
+
+        def counting_post_init(protocol):
+            builds.append(protocol.axes)
+            post_init(protocol)
+
+        monkeypatch.setattr("kcprobe.scenarios._screen", counting_screen)
+        monkeypatch.setattr(kp.MeasurementProtocol, "__post_init__", counting_post_init)
+        config = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "search_degenerate.json"
+        assert main(["search", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len(builds) == sum(screened) == 2
+
+    @pytest.mark.parametrize("block_bytes", [1, sequences.PREFIX_BLOCK_BYTES])
+    @pytest.mark.parametrize("t_grid", [(1e6,), (2e5, 1e6), (1e5, 5e5), (0.5, 1.85e5), (1.85e5, 2e5)])
+    def test_a_broken_phase_names_the_reference_loops_first_candidate(self, monkeypatch, block_bytes, t_grid):
+        # |w| is 0.1 and 1 for the included pairs; among the trials, 2.37 for
+        # trial 0 and 2.52 for trial 9, the only one that breaks at 1.85e5
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        small = kp.DephasingModel(2, 2, (0.1 * SIGMA_Z, 0.1 * SIGMA_X), 1.0)
+        for include in ([], [(small, "X")], [(small, "X"), CANONICAL]):
+            search = (3, 20, 2, 3, t_grid, include)
+            with pytest.raises(InvariantViolation) as expected:
+                reference_search(*search)
+            with pytest.raises(InvariantViolation, match=f"^{re.escape(str(expected.value))}$"):
+                kp.counterexample_search(*search)
+
+    def test_a_non_finite_time_is_a_step_time_error(self):
+        with pytest.raises(InvariantViolation, match="^step time must be finite, got nan$"):
+            kp.counterexample_search(0, 2, t_grid=(0.5, np.nan), include=[CANONICAL])
 
 
 class TestScenarioSpec:

@@ -86,6 +86,15 @@ class TestDeltaCorrelation:
         with pytest.raises(ProtocolError, match=r"^value map lacks outcomes \[1\]$"):
             kp.delta_correlation(y_protocol, I2 / 2, 1, 1, {0: 1.0})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_is_rejected(self, y_protocol, plus_y_state, bad):
+        # a finite witness needs finite outcome values, checked with the outcomes
+        message = rf"^value map gives outcome 0 the non-finite value {bad}$"
+        with pytest.raises(ProtocolError, match=message):
+            kp.delta_correlation(y_protocol, plus_y_state, 2, 1, {0: bad, 1: 1.0})
+        with pytest.raises(ProtocolError, match=message):
+            kp.delta_correlation(y_protocol, I2 / 2, 1, 1, {0: bad, 1: 1.0})
+
     def test_keeps_to_the_enumeration_cap(self, y_protocol, plus_y_state):
         tol = kp.DEFAULT.replace(enumeration_cap=4)
         with pytest.raises(CapacityError, match=r"^2\^3 = 8 sequences exceeds cap 4$"):
