@@ -49,6 +49,12 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat).real)
 
 
+def _finite_step_time(t) -> float:
+    if not np.isfinite(t):
+        raise InvariantViolation(f"step time must be finite, got {t}")
+    return float(t)
+
+
 def _first(bad: np.ndarray) -> tuple:
     """The index of the first true entry of ``bad`` in C order: the element
     of a stack whose failed check a stacked call reports."""
@@ -197,8 +203,7 @@ def unitary_from_eigensystem(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
     if not phase.max() * _EPS <= DEFAULT.unitarity:  # a non-finite time or phase fails too
         k = _first(~(phase * _EPS <= DEFAULT.unitarity))
         time, worst = float(np.broadcast_to(t, phase.shape)[k]), float(phase[k])
-        if not math.isfinite(time):
-            raise InvariantViolation(f"time must be finite, got {time}")
+        _finite_step_time(time)
         if not math.isfinite(worst):
             raise InvariantViolation(f"phases w*t overflow at time {time}")
         raise InvariantViolation(

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import DimensionError, InvariantViolation, LabelError, ProtocolError
 from .linalg import (
     _basis,
+    _finite_step_time,
     _first,
     _frobenius,
     as_complex_matrix,
@@ -46,12 +47,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex, copy=True)
     out.setflags(write=False)
     return out
-
-
-def _finite_step_time(t) -> float:
-    if not np.isfinite(t):
-        raise InvariantViolation(f"step time must be finite, got {t}")
-    return float(t)
 
 
 @dataclass(frozen=True, eq=False)

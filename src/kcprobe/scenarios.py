@@ -17,13 +17,12 @@ import numpy as np
 from . import sequences
 from .errors import DimensionError, PreconditionError
 from .algebra import effect_nondegenerate, is_commutative
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, unitary_from_eigensystem
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, _finite_step_time, unitary_from_eigensystem
 from .model import (
     DephasingModel,
     MeasurementProtocol,
     _cycle_weights,
     _cycles,
-    _finite_step_time,
     _n_max,
     conditional_unitaries,
     fourier_meter_basis,

@@ -5,16 +5,17 @@ An outcome sequence is a tuple of integer labels in time order,
 ``R = K_{m_n} ... K_{m_1}`` (later steps applied on the left), and the
 sequence probability is ``tr(rho Q)``.
 
-The probabilities of all ``d_P ** n`` sequences come from one batched route,
-:func:`_probabilities`, which :func:`full_distribution` reads.  It grows
-level-by-level prefix tensors, ``R_{k+1}[a d_P + m] = K_m R_k[a]``
-(:func:`_grow_prefixes`, one batched product per step, so index ``a`` runs
-over the prefixes in lexicographic order), and reads every
-``tr(rho R^H R)`` at once.  Every batched stack of this module is sized by
-one rule, :func:`_heads`: the leading outcomes are walked in lexicographic
-order, each such ``head`` leaving at most a given count of sequences of the
-trailing steps to one stack at the offset the walk gives, so the memory is
-bounded before allocation and the stacks are lexicographic by construction.
+Every fast-route number is read off operators pulled back (Heisenberg
+picture) one step at a time, ``X -> K_m^H X K_m`` by :func:`_pull`, the
+observable recursion of Jaeger (Neural Computation 12, 1371, 2000): ``Q``
+is the identity pulled back through the steps ``n .. 1``.  So the
+probabilities of all ``d_P ** n`` sequences, which :func:`full_distribution`
+reads, are the ``tr(rho Q)`` of :func:`_probabilities`.  Every batched stack
+of this module is sized by one rule, :func:`_heads`: the leading outcomes
+are walked in lexicographic order, each such ``head`` leaving at most a
+given count of sequences of the trailing steps to one stack at the offset
+the walk gives, so the memory is bounded before allocation; each pull-back
+puts its outcome first, so the stacks are lexicographic by construction.
 
 Kolmogorov consistency asks that summing out an intermediate step of the
 n-step distribution gives that of the protocol without the step.  Its
@@ -39,7 +40,7 @@ the Heisenberg step of a step's Kraus operators is a real
 and kept on it, ``8 d_P d**4`` bytes), so pulling a stack back through a
 step is one BLAS product per outcome (:func:`_pull`).  Above it the scan
 holds ``d x d`` matrices and pulls them back through ``K_m^H X K_m``
-(:func:`_pull_back`), the steps before ``j`` through their Kraus products.
+(:func:`_pull_back`), one step at a time alike.
 
 Each ``n`` is one backward sweep (:func:`_sweep`): ``P = 1`` pulled back
 through step ``n``; then for ``j = n - 1 .. 1``, ``X`` is ``P`` pulled back
@@ -75,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericalFault, PreconditionError, ProtocolError
-from .linalg import _coordinates, check_density, commutator, frobenius
+from .linalg import _basis, _coordinates, check_density, commutator, frobenius
 from .model import (
     DephasingModel,
     MeasurementProtocol,
@@ -143,12 +144,14 @@ def joint_probability(rho: np.ndarray, q, tol: Tolerances = DEFAULT) -> float:
     return float(_born_rule(np.array([np.trace(rho @ mat)]), tol)[0])
 
 
-# Most bytes one block of Kraus products, suffix effects or operator defects
-# may hold, ``16 d**2`` for each ``d x d`` complex matrix in it.  Evaluating a
-# block of probabilities holds two prefix tensors, so the work space of
-# :func:`_probabilities` stays below twice this bound, and that of
-# :func:`_defect_blocks` below :data:`SCAN_BLOCKS` times it (and 4 KiB).  It
-# only trades speed for memory, so it is not a tolerance.
+# Most bytes one block of effects or operator defects may hold, ``16 d**2``
+# for each ``d x d`` complex matrix in it.  A pull-back in
+# :func:`_probabilities` holds four stacks of at most a quarter block (the
+# trailing effects, the stack, the product and its pull-back; ``tracemalloc``
+# saw 1.13 blocks at 64 KiB blocks and d = 16), so its work space stays below
+# twice this bound, and that of :func:`_defect_blocks` below
+# :data:`SCAN_BLOCKS` times it (and 4 KiB).  It only trades speed for memory,
+# so it is not a tolerance.
 PREFIX_BLOCK_BYTES = 16 * 2**20
 
 
@@ -181,24 +184,6 @@ def _heads(d_p: int, steps: int, count: int):
     return zip(itertools.count(0, d_p ** (steps - lead)), heads)
 
 
-def _grow_prefixes(protocol: MeasurementProtocol, head: tuple, stop: int):
-    """Kraus products of every outcome sequence of the first ``stop`` steps
-    that starts with the outcomes ``head``, as a ``(d_P ** (stop - len(head)),
-    d, d)`` stack in lexicographic order, or ``None`` if there is no step.
-    Each step is one batched product,
-    ``R_{k+1}[a d_P + m] = K_m R_k[a]`` (``m`` trailing), over the outcome of
-    ``head`` alone at a step of ``head``.
-    """
-    d = protocol.system_dim
-    r = None
-    for k in range(stop):
-        kraus = np.asarray(protocol.step_measurements[k].kraus)
-        if k < len(head):
-            kraus = kraus[head[k]][None]
-        r = kraus if r is None else (kraus @ r[:, None]).reshape(-1, d, d)
-    return r
-
-
 def _probabilities(
     protocol: MeasurementProtocol, rho: np.ndarray, n: int, tol: Tolerances
 ) -> np.ndarray:
@@ -208,17 +193,29 @@ def _probabilities(
     ``d_P ** n`` within the enumeration cap.  Each entry passes the guards of
     :func:`joint_probability`, the one :func:`_born_rule`.  A vector whose sum is
     farther than ``distribution_sum`` from 1 raises :class:`NumericalFault`.
+
+    The effects of the trailing steps are pulled back once, then on through
+    each head's own outcomes (:func:`_pull_prefixes`); ``tr(rho E)`` is
+    ``c(E) . z`` on coordinates.
     """
     d_p, d = protocol.probe_dim, protocol.system_dim
+    count = _block_len(d) // (4 * d_p)  # a stack holds at most d_P count, a quarter block
+    lead = _lead(d_p, n - 1, count)
+    post = _last_effects(protocol, n)
+    for k in range(n - 1, lead, -1):
+        post = _flat(_pull(protocol, k - 1, post))
+    if post.ndim == 2:
+        # z_a = tr(B_a rho), complex for a non-Hermitian rho, so tr(rho E) = c(E) . z
+        z = (_basis(d) @ rho.T.ravel()).view(float).reshape(-1, 2)
     out = np.empty(d_p**n)
-    for start, head in _heads(d_p, n, _block_len(d)):
-        r = _grow_prefixes(protocol, head, n)
-        # sum_{k,i} conj((R rho)_{ki}) R_{ki} = conj(tr(rho R^H R))
-        r_rho = r @ rho
-        np.conjugate(r_rho, out=r_rho)
-        vals = np.einsum("aki,aki->a", r_rho, r)
-        del r, r_rho  # freed before the next block is built, to keep the bound
-        out[start : start + len(vals)] = _born_rule(vals.conj(), tol)
+    for start, head in _heads(d_p, n - 1, count):  # head: outcomes of steps 1 .. lead
+        effects = _pull_prefixes(protocol, post, head, lead)
+        if post.ndim == 3:
+            vals = np.einsum("aij,ji->a", effects, rho)
+        else:
+            vals = np.einsum("ak,ks->as", effects, z).view(complex)[:, 0]
+        del effects  # freed before the next head is pulled, to keep the bound
+        out[d_p * start : d_p * start + len(vals)] = _born_rule(vals, tol)
     total = float(out.sum())
     if not abs(total - 1.0) <= tol.distribution_sum:
         raise NumericalFault(f"distribution sums to {total}, expected 1")
@@ -234,9 +231,9 @@ def full_distribution(
     """Enumerate all ``d_P ** n`` sequences of the first ``n`` steps.
 
     The table is keyed lexicographically in ``(m_1, ..., m_n)`` and is
-    byte-stable.  Its values come from the batched prefix-tensor route of
-    :func:`_probabilities`, whose work space stays below
-    ``2 * PREFIX_BLOCK_BYTES`` whatever ``n`` is.
+    byte-stable.  Its values are ``tr(rho Q)`` for the history operators
+    ``Q`` that the batched pull-back route of :func:`_probabilities` makes,
+    whose work space stays below ``2 * PREFIX_BLOCK_BYTES`` whatever ``n`` is.
     """
     _prefix(protocol, n)
     _check_capacity(protocol.probe_dim, n, tol)
@@ -394,13 +391,17 @@ class KCReport(Record):
 
 # Most blocks of PREFIX_BLOCK_BYTES that :func:`_defect_blocks` holds at once.
 # Its stacks hold at most ``1 / (2 d_P)`` of a block as matrices (half that
-# as coordinates) before a pull-back, so the most is held while a stack is
-# pulled back through a step above _TRANSFER_MAX_DIM: the product and its
-# pull-back, each ``d_P`` times as long, the next suffix level, as long, and
-# the stacks being pulled.  The transfers of the steps are not counted: they
-# are built once per measurement.  A block is at least one stack, 32 d**2 d_P
-# bytes.  The scan's own objects add a fixed SCAN_OVERHEAD_BYTES: at 1 KiB
-# blocks (d_S <= 4, 2-3 states) ``tracemalloc`` saw at most 3.9 KiB.
+# as coordinates) before a pull-back, and ``post`` at most ``d_P`` times that.
+# The most is held while :func:`_sweep` pulls a suffix stack back through step
+# ``j`` for every outcome above _TRANSFER_MAX_DIM: ``post``, the stack, the
+# last head's ``M``, and the product and its pull-back, each ``d_P`` times as
+# long as the stack.  ``tracemalloc`` saw 2.2 blocks at 64 KiB blocks (d_P 2,
+# d 16) and 1.5 at 256 KiB (d_P 3, d 9), besides the entries; a pull-back
+# through the steps before ``j`` holds less.  The transfers of the steps are
+# not counted: they are built once per measurement.  A block is at least one
+# stack, 32 d**2 d_P bytes.  The scan's own objects add a fixed
+# SCAN_OVERHEAD_BYTES: at 1 KiB blocks (d_S <= 4, 2-3 states) ``tracemalloc``
+# saw at most 3.9 KiB.
 SCAN_BLOCKS = 3
 SCAN_OVERHEAD_BYTES = 4 * 2**10
 
@@ -453,11 +454,8 @@ def _pull_prefixes(protocol: MeasurementProtocol, stack: np.ndarray, head: tuple
     """``pre_a^H X_b pre_a`` for each operator ``X_b`` of ``stack`` and each
     Kraus product ``pre_a`` of the steps ``1 .. stop`` whose leading outcomes
     are ``head``, with ``a`` leading: the pull-back through the steps ``stop``
-    down to ``1``, one step at a time on coordinates, in one product with the
-    matrices ``pre_a`` from :func:`_grow_prefixes` on matrices."""
-    if stack.ndim == 3:
-        pre = _grow_prefixes(protocol, head, stop)
-        return stack if pre is None else _flat(_pull_back(pre, stack))
+    down to ``1``, one :func:`_pull` a step, of the outcome of ``head`` alone
+    at a step of ``head``."""
     for s in range(stop, 0, -1):
         stack = _flat(_pull(protocol, s - 1, stack, head[s - 1] if s <= len(head) else None))
     return stack

@@ -4,7 +4,8 @@ import pytest
 import kcprobe as kp
 from kcprobe.linalg import _basis, _coordinates
 from kcprobe.oracle import _chain_effects
-from kcprobe.sequences import _defect_blocks
+from kcprobe.model import _transfer
+from kcprobe.sequences import _defect_blocks, _pull_back
 
 
 @pytest.fixture
@@ -72,6 +73,17 @@ def transposed_transfer(measurement):
     pairs = (kraus[:, :, None, :, None] * kraus[:, None, :, None, :]).reshape(d_p, d * d, d * d)
     basis = _basis(d)
     return (basis @ pairs).view(float) @ basis.view(float).T
+
+
+def swapped_transfer(measurement):
+    """The scan's transfer of a step (d <= 8) with its outcomes in reverse order."""
+    return _transfer(measurement)[::-1]
+
+
+def swapped_pull_back(kraus, x):
+    """The scan's Heisenberg step on matrices (d > 8) with the outcomes of
+    ``kraus`` in reverse order."""
+    return _pull_back(kraus[::-1], x)
 
 
 def nan_chain(steps, row):

@@ -22,7 +22,7 @@ from kcprobe.linalg import check_density
 from kcprobe.oracle import OracleReport
 from kcprobe.serialize import complex_pair, matrix_rows, pairs_vector, rows_matrix, write_json
 
-from conftest import nan_chain, shifted_blocks, transposed_transfer
+from conftest import nan_chain, shifted_blocks, swapped_transfer, transposed_transfer
 
 
 def write_config(path, data):
@@ -1224,11 +1224,20 @@ class TestRunOracleCheck:
         assert row["max_defect_discrepancy"] == pytest.approx(eps * np.sqrt(2), rel=1e-9)
 
     def test_a_slip_in_the_scan_fails_the_oracle_command(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("kcprobe.sequences._transfer", transposed_transfer)
+        # swapped outcomes give a valid distribution, which only the oracle sees
+        monkeypatch.setattr("kcprobe.sequences._transfer", swapped_transfer)
         path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))
         assert main(["oracle", path, "--out", str(tmp_path / "o")]) == 3
         rows = json.loads((tmp_path / "o" / "oracle.json").read_text())["reports"]
-        assert not any(r["agrees"] for r in rows)
+        assert rows and not any(r["agrees"] for r in rows)
+
+    def test_a_transposed_transfer_stops_the_oracle_command(self, tmp_path, monkeypatch, capsys):
+        # K^T X K breaks the fast probabilities, so the Born-rule guard stops the command
+        monkeypatch.setattr("kcprobe.sequences._transfer", transposed_transfer)
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))
+        assert main(["oracle", path, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numerical fault: ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("steps", [(0,), (1,)], ids=["probabilities", "defects"])
     def test_a_nan_discrepancy_fails_both_commands(self, tmp_path, monkeypatch, capsys, steps):

@@ -452,7 +452,7 @@ class TestEigensystems:
             # |w| is 3 and 1: the first failing (time, eigensystem) in C order is (2e5, 3)
             ([1e5, 2e5, 1e6], r"^phase \|w\*t\| = 6\.000e\+05 rad at time 200000\.0 has a rounding error"),
             ([1e5, 1e308], r"^phases w\*t overflow at time 1e\+308$"),
-            ([1e5, np.nan, 1e6], r"^time must be finite, got nan$"),
+            ([1e5, np.nan, 1e6], r"^step time must be finite, got nan$"),
         ],
     )
     def test_a_stack_names_its_first_failing_time(self, times, message):

@@ -3,13 +3,14 @@ import dataclasses
 import inspect
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import kcprobe as kp
 import kcprobe.oracle
-from kcprobe.errors import InvariantViolation, LabelError, ProtocolError
+from kcprobe.errors import InvariantViolation, LabelError, NumericalFault, ProtocolError
 from kcprobe.oracle import (
     _all_outcomes,
     _chain_effects,
@@ -18,13 +19,15 @@ from kcprobe.oracle import (
     _effect_products,
     _naive_defects,
 )
-from kcprobe.sequences import _TRANSFER_MAX_DIM, PREFIX_BLOCK_BYTES
+from kcprobe.sequences import _TRANSFER_MAX_DIM, PREFIX_BLOCK_BYTES, _pull
 
 from conftest import (
     nan_chain,
     random_density,
     random_hermitian,
     shifted_blocks,
+    swapped_pull_back,
+    swapped_transfer,
     transposed_pull_back,
     transposed_transfer,
 )
@@ -152,48 +155,55 @@ def test_a_traceless_slip_disagrees_at_the_maximally_mixed_state(monkeypatch, ep
     assert not report.agrees
 
 
-def test_a_slip_in_the_scan_disagrees(monkeypatch):
-    # the defect gate reads the operator scan, so a wrong transfer there
-    # shows against the naive Kraus chains, on every random qubit model
-    monkeypatch.setattr("kcprobe.sequences._transfer", transposed_transfer)
+@pytest.mark.parametrize(
+    "target, d_s, slip",
+    [("_transfer", 2, transposed_transfer), ("_pull_back", _TRANSFER_MAX_DIM + 1, transposed_pull_back)],
+    ids=["transfer", "matrices"],
+)
+def test_a_transposed_step_is_a_numerical_fault(monkeypatch, target, d_s, slip):
+    # K^T X K in place of K^H X K breaks the fast probabilities too, which
+    # read the same pull-back, so the Born-rule guard raises on every model
+    monkeypatch.setattr(f"kcprobe.sequences.{target}", slip)
     for seed in range(5):
-        protocol = kp.qubit_xy_protocol(kp.random_model(seed, 2, 2, commuting=False), "XYX")
-        report = kp.oracle_compare(protocol, random_density(np.random.default_rng(seed), 2), 3)
-        assert report.max_abs_discrepancy <= 1e-11
+        protocol = kp.qubit_xy_protocol(kp.random_model(seed, 2, d_s, commuting=False), "XYX")
+        with pytest.raises(NumericalFault, match="probability|distribution"):
+            kp.oracle_compare(protocol, random_density(np.random.default_rng(seed), d_s), 3)
+
+
+@pytest.mark.parametrize(
+    "target, d_s, slip",
+    [("_transfer", 2, swapped_transfer), ("_pull_back", _TRANSFER_MAX_DIM + 1, swapped_pull_back)],
+    ids=["transfer", "matrices"],
+)
+def test_an_outcome_swap_in_the_scan_disagrees(monkeypatch, target, d_s, slip):
+    # swapped outcomes keep every probability in [0, 1] and their sum at 1,
+    # so only the naive Kraus chains show them, on every random model
+    monkeypatch.setattr(f"kcprobe.sequences.{target}", slip)
+    for seed in range(5):
+        protocol = kp.qubit_xy_protocol(kp.random_model(seed, 2, d_s, commuting=False), "XYX")
+        report = kp.oracle_compare(protocol, random_density(np.random.default_rng(seed), d_s), 3)
+        assert report.max_abs_discrepancy > 1e-2
+        assert report.max_defect_discrepancy > 1e-2
         assert not report.agrees
 
 
-def test_a_slip_in_the_matrix_pull_back_disagrees(monkeypatch):
-    # above _TRANSFER_MAX_DIM the scan pulls matrices back, and a wrong
-    # Heisenberg step there shows the same way
-    monkeypatch.setattr("kcprobe.sequences._pull_back", transposed_pull_back)
-    d_s = _TRANSFER_MAX_DIM + 1
-    protocol = kp.qubit_xy_protocol(kp.random_model(0, 2, d_s, commuting=False), "XYX")
-    report = kp.oracle_compare(protocol, random_density(np.random.default_rng(0), d_s), 3)
-    assert report.max_abs_discrepancy <= 1e-11
-    assert not report.agrees
+def adjoint_pull(protocol, k, stack, m=None):
+    """The scan's Heisenberg step with ``K_m X K_m^H`` in place of
+    ``K_m^H X K_m``, the products in the wrong order."""
+    kraus = np.asarray(protocol.step_measurements[k].kraus)
+    step = SimpleNamespace(kraus=kraus.conj().swapaxes(1, 2))
+    return _pull(SimpleNamespace(step_measurements={k: step}), k, stack, m)
 
 
-def reversed_grow_prefixes(protocol, head, stop, start=0):
-    """The scan's prefix recursion with ``R_k K_m`` in place of ``K_m R_k``,
-    for the steps of ``head`` too."""
-    d = protocol.system_dim
-    r = None
-    for k in range(start, stop):
-        kraus = np.asarray(protocol.step_measurements[k].kraus)
-        if k - start < len(head):
-            kraus = kraus[head[k - start]][None]
-        r = kraus if r is None else (r[:, None] @ kraus).reshape(-1, d, d)
-    return r
-
-
-def test_a_wrong_product_order_disagrees(monkeypatch):
+@pytest.mark.parametrize("d_s", [3, _TRANSFER_MAX_DIM + 1])
+def test_a_wrong_product_order_disagrees(monkeypatch, d_s):
     # the stacked naive chains share no product with the fast route, so a
-    # product taken in the wrong order there shows on every random model
-    monkeypatch.setattr("kcprobe.sequences._grow_prefixes", reversed_grow_prefixes)
+    # product taken in the wrong order there shows on every random model;
+    # the dephasing channel is unital, so each distribution still sums to 1
+    monkeypatch.setattr("kcprobe.sequences._pull", adjoint_pull)
     for seed in range(5):
-        protocol = kp.qubit_xy_protocol(kp.random_model(seed, 2, 3, commuting=False), "XYX")
-        report = kp.oracle_compare(protocol, random_density(np.random.default_rng(seed), 3), 3)
+        protocol = kp.qubit_xy_protocol(kp.random_model(seed, 2, d_s, commuting=False), "XYX")
+        report = kp.oracle_compare(protocol, random_density(np.random.default_rng(seed), d_s), 3)
         assert not report.agrees
 
 

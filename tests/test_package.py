@@ -83,6 +83,7 @@ ONE_CHECK_PER_RULE = {
     "value map values": (r"value map gives outcome", {("witnesses", "_values")}),
     # the Kraus layer's rules, which the search's batched screen reads too
     "hermitian": (r"is not Hermitian", {("linalg", "check_hermitian")}),
+    "finite step time": (r"time must be finite, got", {("linalg", "_finite_step_time")}),
     "phase overflow": (r"phases w\*t overflow", {("linalg", "unitary_from_eigensystem")}),
     "phase rounding": (r"has a rounding error above", {("linalg", "unitary_from_eigensystem")}),
     "completeness": (r"effects do not sum to the identity", {("model", "_cycles")}),

@@ -416,8 +416,11 @@ class TestSearchScreen:
                 kp.counterexample_search(*search)
 
     def test_a_non_finite_time_is_a_step_time_error(self):
+        # the search checks its grid first, the screen's unitaries again: one message
         with pytest.raises(InvariantViolation, match="^step time must be finite, got nan$"):
             kp.counterexample_search(0, 2, t_grid=(0.5, np.nan), include=[CANONICAL])
+        with pytest.raises(InvariantViolation, match="^step time must be finite, got nan$"):
+            scenarios._screen([kp.degenerate_qubit_instance()], ["X"], (0.5, np.nan), kp.DEFAULT)
 
 
 class TestScenarioSpec:

@@ -209,28 +209,43 @@ class TestPrefixTensorProbabilities:
         protocol = kp.classical_noise_model(kp.random_noise_realization(seed, 5), 5)
         assert_matches_walk(protocol, np.array([[1.0]], dtype=complex), 5)
 
-    def test_leading_steps_walked_in_blocks(self, monkeypatch):
-        protocol = kp.fourier_protocol(kp.random_model(6, 3, 2, commuting=False), 4)
-        rho = random_density(np.random.default_rng(6), 2)
-        want = _probabilities(protocol, rho, 4, kp.DEFAULT)
-        for block in (1, 3 * 4 * 16):  # one sequence per block; one trailing step
+    @pytest.mark.parametrize("d_p, d_s", [(3, 2), (2, 5), (2, 7), (2, 9), (3, 9)])
+    def test_leading_steps_walked_in_blocks(self, monkeypatch, d_p, d_s):
+        # rows of an (N, d**2) product round differently at d 5..7, so the
+        # head walk must read each effect alike whatever the stack's length
+        n = 4
+        model = kp.random_model(6, d_p, d_s, commuting=False)
+        protocol = kp.fourier_protocol(model, n) if d_p == 3 else kp.qubit_xy_protocol(model, "XYXY")
+        rho = random_density(np.random.default_rng(6), d_s)
+        want = _probabilities(protocol, rho, n, kp.DEFAULT)
+        # one head per sequence of the first n - 1 steps; then 1, 2 and 3 trailing steps
+        for block in (1, *(16 * d_s * d_s * 4 * d_p**k for k in (1, 2, 3))):
             monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block)
-            assert np.array_equal(_probabilities(protocol, rho, 4, kp.DEFAULT), want)
-        assert_matches_walk(protocol, rho, 4)
+            assert np.array_equal(_probabilities(protocol, rho, n, kp.DEFAULT), want)
+        assert_matches_walk(protocol, rho, n)
 
-    def test_memory_stays_within_the_block_bound(self):
-        d_s, n = 16, 14
-        assert 2**n * d_s * d_s * 16 >= 4 * PREFIX_BLOCK_BYTES  # unblocked, the last level is 64 MiB
+    @pytest.mark.parametrize("block_bytes, n", [(None, 14), (2**16, 9)], ids=["default", "tight"])
+    def test_memory_stays_within_the_block_bound(self, monkeypatch, block_bytes, n):
+        d_s = 16
+        if block_bytes is not None:  # 16 matrices of 16 x 16
+            monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        block = kcprobe.sequences.PREFIX_BLOCK_BYTES
+        assert 2**n * d_s * d_s * 16 >= 4 * block  # unblocked, the last level holds four blocks
         protocol = kp.qubit_xy_protocol(kp.random_model(8, 2, d_s, commuting=False), "X" * n)
         rho = np.eye(d_s, dtype=complex) / d_s
         tracemalloc.start()
         try:
+            probs = _probabilities(protocol, rho, n, kp.DEFAULT)
+            result_bytes, peak = tracemalloc.get_traced_memory()
+            del probs
+            tracemalloc.reset_peak()
             dist = kp.full_distribution(protocol, rho, n)
-            table_bytes, peak = tracemalloc.get_traced_memory()
+            table_bytes, table_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(dist.table) == 2**n
-        assert peak <= 2 * PREFIX_BLOCK_BYTES + table_bytes
+        assert peak <= 2 * block + result_bytes
+        assert table_peak <= 2 * block + table_bytes
 
     def test_nan_kraus_is_a_numerical_fault(self):
         nan = np.full((2, 2), np.nan, dtype=complex)
@@ -326,11 +341,11 @@ def test_defect_operator_matches_the_per_outcome_loop(d_p, d_s):
 
 
 def test_two_routes_to_a_defect_share_no_product():
-    # every product of Kraus operators in sequences.py comes from
-    # _grow_prefixes; the scan reads a step's operators in _pull alone, which
-    # hands them to the matrix pull-back only and otherwise reads the step's
-    # transfer, built in model.py, as does the first step of a sweep; the
-    # single-entry routes read the oracle's chains at call time
+    # every fast-route number in sequences.py reads a step's Kraus operators
+    # in _pull alone, which hands them to the matrix pull-back only and
+    # otherwise reads the step's transfer, built in model.py, as does the
+    # first step of a sweep; the single-entry routes read the oracle's
+    # chains at call time
     tree = ast.parse(inspect.getsource(kcprobe.sequences))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -346,7 +361,7 @@ def test_two_routes_to_a_defect_share_no_product():
         return [sub for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and sub.attr == "kraus"]
 
     readers = {name for name in functions if kraus_reads(functions[name])}
-    assert readers == {"_grow_prefixes", "_pull"}
+    assert readers == {"_pull"}
     pulled = [read for call in calls("_pull", "_pull_back") for read in kraus_reads(call.args[0])]
     assert pulled and pulled == kraus_reads(functions["_pull"])
     assert [ast.unparse(call) for call in calls("_pull", "_transfer")] == ["_transfer(measurement)"]
