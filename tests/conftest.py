@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import kcprobe as kp
-from kcprobe.linalg import _basis, _coordinates
+from kcprobe.errors import NumericalFault
+from kcprobe.linalg import _basis, _coordinates, _matrices, as_complex_matrix
 from kcprobe.oracle import _chain_effects
 from kcprobe.model import _transfer
 from kcprobe.sequences import _defect_blocks, _pull_back
@@ -33,6 +34,24 @@ def plus_y_state():
 def random_hermitian(rng, d, scale=1.0):
     g = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     return (g + g.conj().T) / 2
+
+
+def full_route_commutant(ops, tol=kp.DEFAULT):
+    """Reference: ``commutant_basis`` with all ``d**2`` coordinates unknown,
+    never restricted to a random element's eigenspaces: one real SVD of the
+    QR-reduced stack of the maps ``X -> i[X, P]`` of the Hermitian parts."""
+    mats = [as_complex_matrix(op) for op in ops]
+    d = mats[0].shape[0]
+    parts = [(g + g.conj().T) / 2 for g in mats] + [(g - g.conj().T) / 2j for g in mats]
+    parts = np.array([p for p in parts if p.any()] or [np.zeros((d, d))])
+    products = (_basis(d).reshape(d**3, d) @ (2j * parts)).reshape(-1, d, d)
+    stacked = _coordinates(products).reshape(-1, d * d)
+    if len(stacked) > d * d:
+        stacked = np.linalg.qr(stacked, mode="r")
+    _, svals, vh = np.linalg.svd(stacked)
+    if not svals[-1] < tol.nullspace:
+        raise NumericalFault("empty commutant")
+    return kp.AlgebraBasis(tuple(mats), tuple(_matrices(vh[svals < tol.nullspace])), svals)
 
 
 def random_density(rng, d):

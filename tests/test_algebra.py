@@ -9,7 +9,7 @@ import kcprobe as kp
 from kcprobe.errors import InvariantViolation, NumericalFault, PreconditionError
 from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
 
-from conftest import random_density, random_hermitian
+from conftest import full_route_commutant, random_density, random_hermitian
 
 I2 = np.eye(2, dtype=complex)
 
@@ -439,8 +439,16 @@ class TestRealCommutant:
         svals, members = kron_stack_commutant(ops)
         commutant = kp.commutant_basis(ops)
         assert commutant.dimension == len(members)
-        assert commutant.singular_values.shape == svals.shape
-        assert np.max(np.abs(commutant.singular_values - svals)) <= 1e-13 * svals[0]
+        # from d = 6 on the recorded values are those of the restricted stack:
+        # as many below cut / 100, and the same near the cut wherever the full
+        # stack has any there
+        cut = kp.DEFAULT.nullspace
+        got = commutant.singular_values
+        assert np.sum(got < cut / 100) == np.sum(svals < cut / 100)
+        near = (cut / 100 <= svals) & (svals <= 100 * cut)
+        if near.any():
+            assert got.shape == svals.shape
+            assert np.max(np.abs(got - svals)) <= 1e-13 * svals[0]
         basis = np.array(commutant.basis)
         assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
         gram = np.einsum("iab,jab->ij", basis.conj(), basis)
@@ -471,7 +479,8 @@ class TestRealCommutant:
         assert commutant.projection_residual(np.eye(2) / np.sqrt(2.0)) <= 1e-12
 
     def test_one_real_svd_of_the_reduced_stack(self, monkeypatch):
-        # d = 16: the complex 2 d^2 x d^2 stack took about twice the time
+        # d = 16: the full stack's SVD was 256 x 256; on the eigenspaces of a
+        # random element of a generic pair it is d x d
         svd = np.linalg.svd
         seen = []
 
@@ -483,7 +492,99 @@ class TestRealCommutant:
         hams = kp.nv_center_model(4, 1.0, 0.0, couplings).hamiltonians
         monkeypatch.setattr(np.linalg, "svd", recording)
         kp.commutant_basis(hams)
-        assert seen == [((256, 256), np.dtype(float))]
+        assert seen == [((16, 16), np.dtype(float))]
+
+    def test_all_zero_parts_run_no_svd(self, monkeypatch):
+        # A' = C 1 gives zero draws for the second commutant: all of M_d, with
+        # the members and singular values that the SVD of the zero stack gave
+        ops = {d: [np.zeros((d, d))] * 2 for d in (2, 8, 16)}
+        want = {d: full_route_commutant(zeros) for d, zeros in ops.items()}
+        monkeypatch.setattr(np.linalg, "svd", None)
+        for d, zeros in ops.items():
+            commutant = kp.commutant_basis(zeros)
+            assert np.array_equal(commutant.singular_values, want[d].singular_values)
+            assert not commutant.singular_values.any()
+            assert np.array_equal(np.array(commutant.basis), np.array(want[d].basis))
+
+
+def block_structure(rng, blocks, count=2, twin=None):
+    """``count`` Hermitian generators ``V (+)_k (A_ik (x) 1_{m_k}) V^H`` of
+    ``A = (+)_k M_{n_k} (x) 1_{m_k}`` for ``blocks = [(n_k, m_k)]``, with
+    random ``A_ik`` and a Haar ``V``: ``dim A = sum n_k^2`` and
+    ``dim A' = sum m_k^2``, and each eigenvalue of a generic element of the
+    generators' span has multiplicity ``m_k``.  With ``twin``, the last block
+    comes once more, each ``A_ik`` moved by ``twin`` times a random scalar."""
+    d = sum(n * m for n, m in blocks) + (0 if twin is None else blocks[-1][0] * blocks[-1][1])
+    v = kp.haar_unitary(d, rng)
+    hams = []
+    for _ in range(count):
+        h = np.zeros((d, d), dtype=complex)
+        at = 0
+        for n, m in blocks:
+            a = random_hermitian(rng, n)
+            h[at : at + n * m, at : at + n * m] = np.kron(a, np.eye(m))
+            at += n * m
+        if twin is not None:
+            h[at:, at:] = np.kron(a + twin * rng.uniform(0.5, 1.0) * np.eye(n), np.eye(m))
+        h = v @ h @ v.conj().T
+        hams.append((h + h.conj().T) / 2)
+    return hams
+
+
+class TestRestrictedCommutant:
+    STRUCTURES = {
+        "d8": [(2, 2), (1, 2), (2, 1)],
+        "d8-trivial": [(1, 8)],
+        "d8-unequal": [(3, 1), (2, 2), (1, 1)],
+        "d12": [(2, 3), (3, 2)],
+        "d16": [(4, 2), (2, 4)],
+        "d24": [(2, 4), (1, 6), (3, 2), (2, 1)],
+        "d32": [(2, 8), (4, 4)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_rotated_block_structures(self, name, monkeypatch):
+        blocks = self.STRUCTURES[name]
+        d = sum(n * m for n, m in blocks)
+        hams = block_structure(np.random.default_rng([32, d]), blocks)
+        restricted = kp.algebra._restricted
+        stood = []
+
+        def recording(parts, tol):
+            found = restricted(parts, tol)
+            stood.append(found is not None)
+            return found
+
+        monkeypatch.setattr(kp.algebra, "_restricted", recording)
+        report = kp.algebra_report(kp.DephasingModel(2, d, tuple(hams), 1.0))
+        want = (sum(n * n for n, _ in blocks), sum(m * m for _, m in blocks))
+        assert (report.dimension, report.commutant_dimension) == want
+        assert report.commutant_singular_values_near_cut == ()
+        # y is degenerate, one group per eigenvalue of a block; the scalar
+        # generators of "d8-trivial" give y = c 1, one group, every unknown
+        assert all(stood) == (name != "d8-trivial")
+
+    @pytest.mark.parametrize("twin, want", [(1e-13, (6, 12)), (1e-9, None), (1e-6, (7, 10))])
+    def test_near_degenerate_blocks_decide_as_the_full_stack(self, twin, want, monkeypatch):
+        # a block and its twin a distance ``twin`` apart: one block below the
+        # cut, two above it, with a gap of y's spectrum near 1e-6 between them;
+        # at the cut the full stack decides, and reports its near-cut values
+        hams = block_structure(np.random.default_rng(33), [(2, 2), (1, 2), (1, 1)], twin=twin)
+        model = kp.DephasingModel(2, 8, tuple(hams), 1.0)
+        report = kp.algebra_report(model)
+        monkeypatch.setattr(kp.algebra, "commutant_basis", full_route_commutant)
+        reference = kp.algebra_report(model)
+        assert report.to_dict() == reference.to_dict()
+        if want is None:
+            assert report.commutant_singular_values_near_cut
+        else:
+            assert (report.dimension, report.commutant_dimension) == want
+
+    def test_five_identical_nuclei(self):
+        # d = 32: A = M_6 (+) M_4 (x) 1_4 (+) M_2 (x) 1_5
+        couplings = np.tile(np.random.default_rng(34).uniform(0.2, 1.0, size=3), (5, 1))
+        report = kp.algebra_report(kp.nv_center_model(5, 1.1, 0.3, couplings))
+        assert (report.dimension, report.commutant_dimension) == (56, 42)
 
 
 class TestFixedPointCommutantDuality:

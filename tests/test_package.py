@@ -88,6 +88,8 @@ ONE_CHECK_PER_RULE = {
     "phase rounding": (r"has a rounding error above", {("linalg", "unitary_from_eigensystem")}),
     "completeness": (r"effects do not sum to the identity", {("model", "_cycles")}),
     "effect positivity": (r"effect \{.*\} has negative eigenvalue", {("model", "_cycles")}),
+    # the restricted and the full commutant stack share one raise
+    "empty commutant": (r"empty commutant", {("algebra", "commutant_basis")}),
     # retired messages
     "witness qubit": (r"axis witnesses need a qubit probe", set()),
     "inequality qubit": (r"inequality check needs a qubit probe", set()),

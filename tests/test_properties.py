@@ -17,15 +17,19 @@ derandomised, so every run checks the same examples.
 
 The scan must not depend on the units of the generators (``H -> c H`` with
 ``t -> t / c``) nor on a common shift ``H_i -> H_i + s 1``, which only
-multiplies every Kraus operator of a step by one phase.
+multiplies every Kraus operator of a step by one phase.  The commutant
+restricted to the eigenspaces of a random element must report as the full
+stack does, at ``d_S`` 2-8.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import kcprobe as kp
 
-from conftest import random_density, random_hermitian
+from conftest import full_route_commutant, random_density, random_hermitian
 
 FAMILIES = ("far", "commuting", "near_cut", "resonant")
 N_STEPS = 3
@@ -152,3 +156,37 @@ def test_algebra_dimensions_do_not_depend_on_the_system_basis(family, seed, d_p,
     rotated = kp.DephasingModel(d_p, d_s, tuple(v @ h @ v.conj().T for h in model.hamiltonians), model.step_time)
     report, other = kp.algebra_report(model), kp.algebra_report(rotated)
     assert (other.dimension, other.commutant_dimension) == (report.dimension, report.commutant_dimension)
+
+
+def _algebra_fields(report):
+    return report.dimension, report.commutant_dimension, report.commutant_singular_values_near_cut
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(2, 8))
+@example("near_cut", 18, 3, 6)
+@example("near_cut", 8, 3, 7)
+def test_the_restricted_commutant_reports_as_the_full_stack(family, seed, d_p, d_s):
+    """``dimension``, ``commutant_dimension`` and the near-cut singular values
+    are those of the full stack (a test-local copy), with the restriction
+    taken at every ``d_S``.  On the far and commuting families every
+    restriction stands.  Without the fallback the first example reported
+    ``(36, 1)`` in place of ``(6, 3)``; with the window cut at ``100 cut``
+    (no factor ``K``) the second lost its six near-cut values."""
+    model = family_model(family, seed, d_p, d_s)[0]
+    restricted = kp.algebra._restricted
+    stood = []
+
+    def recording(parts, tol):
+        found = restricted(parts, tol)
+        stood.append(found is not None)
+        return found
+
+    restrict_everywhere = mock.patch.object(kp.algebra, "_RESTRICT_MIN_DIM", 2)
+    with restrict_everywhere, mock.patch.object(kp.algebra, "_restricted", recording):
+        report = kp.algebra_report(model)
+    with mock.patch.object(kp.algebra, "commutant_basis", full_route_commutant):
+        want = kp.algebra_report(model)
+    assert _algebra_fields(report) == _algebra_fields(want)
+    if family in ("far", "commuting"):
+        assert stood and all(stood)
