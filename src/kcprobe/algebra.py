@@ -96,15 +96,19 @@ def _gaussian(count: int, n: int) -> np.ndarray:
 def _second_commutant(commutant: AlgebraBasis, tol: Tolerances) -> AlgebraBasis:
     """``(A')'`` from a basis of ``A'``: the commutant of two random Hermitian
     elements of ``A'``, which generate ``A'`` for almost every draw, so the
-    stack has 2 blocks, not ``dim(A')`` (up to d^2).  They are
-    drawn from the traceless part of ``A'``, so the rounding of an identity
-    in the basis cannot shrink ``(A')'``; for ``A' = C 1`` they are zero and
-    ``(A')'`` is all of ``M_d``.  Coordinates hold Hermitian members whole."""
+    stack has 2 blocks, not ``dim(A')`` (up to d^2).  They are drawn from the
+    basis members with their identity component projected off: the basis is
+    orthonormal and holds the identity, so the projected members span the
+    traceless part of ``A'`` and a Gaussian combination of them is a Gaussian
+    element of it, and the rounding of an identity in the basis cannot
+    shrink ``(A')'``.  For ``A' = C 1`` nothing is left and ``(A')'`` is all
+    of ``M_d``.  Coordinates hold Hermitian members whole."""
     coords = _coordinates(np.array(commutant.basis))
     d = commutant.basis[0].shape[0]
     coords[:, :d] -= coords[:, :d].mean(axis=1, keepdims=True)
-    vh = np.linalg.svd(coords, full_matrices=False)[2]
-    return commutant_basis(_random_hermitian(_matrices(vh[: len(coords) - 1]), 2), tol)
+    if len(coords) == 1:  # only the identity's rounding is left
+        coords = coords[:0]
+    return commutant_basis(_random_hermitian(_matrices(coords), 2), tol)
 
 
 def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:
@@ -279,13 +283,28 @@ def _restricted(parts: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndar
     unknowns = np.flatnonzero(group[entry // d] == group[entry % d])
     lift = np.zeros((len(unknowns), d * d))
     lift[np.arange(len(unknowns)), unknowns] = 1.0
-    svals, vh = _stack_svd(vectors.conj().T @ parts @ vectors, _matrices(lift))
+    svals, vh = _stack_svd(vectors.conj().T @ parts @ vectors, _one_hot(d, unknowns))
     l_norm = 2.0 * float(np.linalg.norm(parts))
     top = 100.0 * cut * (1.0 + l_norm * c_norm / gap) / np.sqrt(1.0 - slack**2)
     if np.any((cut / 100.0 <= svals) & (svals <= top)):
         return None
     null = _matrices(vh[svals < cut] @ lift)
     return svals, _matrices(_coordinates(vectors @ null @ vectors.conj().T))
+
+
+def _one_hot(d: int, unknowns: np.ndarray) -> np.ndarray:
+    """The basis elements ``B_u`` of :func:`_coordinates` for the coordinates
+    ``unknowns``, as :func:`_matrices` makes them from one-hot rows, signed
+    zeros included, but with only their one or two nonzero parts written."""
+    *_, written, source, factor = _layout(d)
+    parts = np.zeros(2 * d * d)
+    parts[written] = 0.0 * factor  # -0.0 where the factor is negative
+    parts = np.repeat(parts[None], len(unknowns), axis=0)
+    row = np.full(d * d, -1)
+    row[unknowns] = np.arange(len(unknowns))
+    nonzero = np.flatnonzero(row[source] >= 0)
+    parts[row[source[nonzero]], written[nonzero]] = factor[nonzero]
+    return parts.view(complex).reshape(len(unknowns), d, d)
 
 
 def zero_entanglement_condition(rho: np.ndarray, model: DephasingModel, tol: Tolerances = DEFAULT):
@@ -338,7 +357,7 @@ def algebra_report(
     The algebra is the second commutant of the commutant the report states,
     so ``dimension`` and ``commutant_dimension`` come from one null space.
     When a protocol is given, every step effect is additionally screened for
-    eigenvalue degeneracy.
+    eigenvalue degeneracy, all in one stacked :func:`effect_nondegenerate`.
     """
     commutative, worst = is_commutative(model.hamiltonians, tol)
     commutant = commutant_basis(model.hamiltonians, tol)
@@ -349,14 +368,14 @@ def algebra_report(
     )
     nondegeneracy = None
     if protocol is not None:
-        rows = []
-        for step, measurement in enumerate(protocol.step_measurements, start=1):
-            for label, effect in zip(measurement.labels, measurement.effects):
-                ok, gap = effect_nondegenerate(effect, tol=tol)
-                rows.append(
-                    {"step": step, "outcome": label, "nondegenerate": ok, "min_gap": gap}
-                )
-        nondegeneracy = tuple(rows)
+        steps = protocol.step_measurements
+        oks, gaps = effect_nondegenerate(np.array([m.effects for m in steps]), tol=tol)
+        one = protocol.system_dim == 1  # one eigenvalue: no separation
+        nondegeneracy = tuple(
+            {"step": step, "outcome": label, "nondegenerate": bool(ok), "min_gap": None if one else float(gap)}
+            for step, m, ok_row, gap_row in zip(itertools.count(1), steps, oks, gaps)
+            for label, ok, gap in zip(m.labels, ok_row, gap_row)
+        )
     return AlgebraReport(
         dimension=closed.dimension,
         commutative=commutative,

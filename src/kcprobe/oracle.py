@@ -9,8 +9,9 @@ most ``PREFIX_BLOCK_BYTES // (16 d**2)`` matrices (at least one), one
 batched product per step.  A defect's reduced chain reads the protocol's
 own steps with step ``j`` left out.  The probabilities are compared with
 the optimized enumeration, and every operator defect ``D`` of the scan,
-one sweep per ``n`` for every ``j``, with its naive reassembly in Frobenius
-norm, which bounds the gap in ``tr(rho D)`` for every state.  For
+one scan of every ``(n, j)`` (every smaller ``n`` read off the deepest
+sweep), with its naive reassembly in Frobenius norm, which bounds the gap in
+``tr(rho D)`` for every state.  For
 commutative models the effect-product form of the probability is a third
 route.  No product or pull-back code is shared with :mod:`kcprobe.sequences`,
 whose single-entry routes call the helpers here.  Both routes check their
@@ -96,19 +97,25 @@ def _naive_defects(protocol: MeasurementProtocol, j: int, fixed: np.ndarray) -> 
     return out
 
 
-def _defect_gaps(protocol: MeasurementProtocol, n: int, fixed: np.ndarray) -> np.ndarray:
-    """The largest ``|D - D_naive|_F`` of each ``(n, j)``, at ``j - 1``, over its
-    operator defects ``D`` (rows ``fixed``) from one scan sweep, ``D`` turned
-    back into matrices; ``np.maximum`` keeps a NaN.  A block's naive slice is
-    built only once the scan has yielded, and so checked, the block."""
-    out = np.zeros(n - 1)
-    for j, part, defects, _ in _defect_blocks(protocol, n, range(1, n)):
-        gap = _matrices(defects)
+def _defect_gaps(protocol: MeasurementProtocol, pairs: list) -> np.ndarray:
+    """The largest ``|D - D_naive|_F`` of each ``(n, j)`` of ``pairs``, in their
+    order, over its operator defects ``D`` from one scan of every pair
+    (:func:`~kcprobe.sequences._defect_blocks`), ``D`` turned back into
+    matrices; ``np.maximum`` keeps a NaN.  A block's naive slices are built
+    only once the scan has yielded, and so checked, the block."""
+    d_p = protocol.probe_dim
+    out = np.zeros(len(pairs))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    fixed = {n: _all_outcomes(d_p, n - 1) for n, _ in pairs}
+    for j, pieces, defects, _ in _defect_blocks(protocol, pairs):
+        for n, first, row, size in pieces:
+            gap = _matrices(defects[row : row + size])
+            gap -= _naive_defects(protocol, j, fixed[n][first : first + size])
+            gap = gap.reshape(len(gap), -1).view(float)  # real and imaginary parts
+            k = index[n, j]
+            out[k] = np.maximum(out[k], np.max(np.sqrt(np.einsum("ak,ak->a", gap, gap))))
+            del gap  # freed before the next slice is built, to keep the bound
         del defects
-        gap -= _naive_defects(protocol, j, fixed[part])
-        gap = gap.reshape(len(gap), -1).view(float)  # real and imaginary parts
-        out[j - 1] = np.maximum(out[j - 1], np.max(np.sqrt(np.einsum("ak,ak->a", gap, gap))))
-        del gap  # freed before the next block is built, to keep the bound
     return out
 
 
@@ -213,10 +220,8 @@ def oracle_compare(
     _n_max(protocol, n_max, 1)
     rho = check_density(rho, protocol.system_dim, tol)
     d_p = protocol.probe_dim
-    defect_gaps = [0.0]
-    for n in range(2, n_max + 1):
-        _check_capacity(d_p, n, tol)
-        defect_gaps.append(np.max(_defect_gaps(protocol, n, _all_outcomes(d_p, n - 1))))
+    _check_capacity(d_p, n_max, tol)
+    defect_gaps = _defect_gaps(protocol, [(n, j) for n in range(2, n_max + 1) for j in range(1, n)])
     per_n = []
     commutative, _ = is_commutative(protocol.model.hamiltonians, tol)
     product_gaps = [0.0]
@@ -231,7 +236,7 @@ def oracle_compare(
         n_max=n_max,
         max_abs_discrepancy=float(np.max(per_n)),
         per_n=tuple(per_n),
-        max_defect_discrepancy=float(np.max(defect_gaps)),
+        max_defect_discrepancy=float(np.max(defect_gaps, initial=0.0)),
         commutative=commutative,
         max_product_form_discrepancy=float(np.max(product_gaps)) if commutative else None,
         tolerances=tol.as_dict(),

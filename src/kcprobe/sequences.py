@@ -42,23 +42,41 @@ step is one BLAS product per outcome (:func:`_pull`).  Above it the scan
 holds ``d x d`` matrices and pulls them back through ``K_m^H X K_m``
 (:func:`_pull_back`), one step at a time alike.
 
-Each ``n`` is one backward sweep (:func:`_sweep`): ``P = 1`` pulled back
-through step ``n``; then for ``j = n - 1 .. 1``, ``X`` is ``P`` pulled back
-through step ``j`` (every outcome), ``M = sum_m X[m] - P``, ``D(n, j)`` is
-``M`` pulled back through the steps ``j - 1 .. 1``, and ``P`` becomes ``X``.
-With ``a`` the outcomes before step ``j`` and ``b`` those after it,
-``D[a, b] = pre_a^H M_b pre_a`` for the Kraus products ``pre_a``, and each
-pull-back puts its outcome first, so the entries come out in the
-lexicographic order of ``fixed``.  The leading outcomes of ``fixed`` are
-walked so that a stack holds at most ``PREFIX_BLOCK_BYTES // (32 d**2 d_P)``
-operators (at least one) before a pull-back, fixed before it is built; while
-``P`` would hold more, it stays at the last level that fits, and each head
-pulls its own suffix outcomes back from there.  So the work space stays
-below ``SCAN_BLOCKS * PREFIX_BLOCK_BYTES + SCAN_OVERHEAD_BYTES`` (4 KiB)
-besides the results, which the scan lays out once per ``(n, j)`` in the
+Each ``j`` is swept once (:func:`_sweep`), at the largest ``n`` asked of it,
+``n_j``, and the ``j`` that share ``n_j`` share one backward sweep: ``P = 1``
+pulled back through step ``n_j``; then for ``j = n_j - 1 .. 1``, ``X`` is
+``P`` pulled back through step ``j`` (every outcome), ``M = sum_m X[m] - P``,
+``D(n_j, j)`` is ``M`` pulled back through the steps ``j - 1 .. 1``, and
+``P`` becomes ``X``.  With ``a`` the outcomes before step ``j`` and ``b``
+those after it, ``D[a, b] = pre_a^H M_b pre_a`` for the Kraus products
+``pre_a``, and each pull-back puts its outcome first, so the entries come out
+in the lexicographic order of ``fixed``.  Every smaller ``n`` of ``j`` is read
+off that sweep (:func:`_levels`): summing out the final step is consistent
+by POVM completeness, so ``D(n, j)[a, b] = sum_c D(n + 1, j)[a, b, c]``, the
+sum of ``d_P`` adjacent entries, added left to right, level by level from
+``n_j`` down.  So :func:`check_kc_all` makes one sweep, at ``n_max``.  If
+the effects of step ``k`` sum to ``1 + Delta_k`` (rounding), a level ``n``
+differs from the sweep of ``n`` alone by at most ``2 sum_{k=n+1}^{n_j}
+|Delta_k|_F``: the Kraus products are contractions, and the dual of a
+unital, trace-preserving step is a Frobenius contraction; for a commutative
+model the term vanishes to first order.  A non-finite defect stops the
+sweep, and the sweeps of one ``n`` each then run for their faults alone, so
+the fault names the first non-finite ``(n, j, fixed)`` in entry order as
+they find it.
+
+The leading outcomes of ``fixed`` are walked so that a stack holds at most
+``PREFIX_BLOCK_BYTES // (32 d**2 d_P)`` operators (at least one) before a
+pull-back, fixed before it is built; while ``P`` would hold more, it stays
+at the last level that fits, and each head pulls its own suffix outcomes
+back from there.  A block's entries fill whole runs of each level down to
+one entry; below that, each level's partial sum carries over from block to
+block.  So the work space stays below
+``SCAN_BLOCKS * PREFIX_BLOCK_BYTES + SCAN_OVERHEAD_BYTES`` (4 KiB) besides
+the results, which the scan lays out once per ``(n, j)`` in the
 :class:`_KCEntries` it fills, and the transfers, whose first build holds
 about six times a transfer's size for a moment.  No value depends on the
-chunking: each product is computed alike whatever the length of its stack.
+chunking: each product is computed alike whatever the length of its stack,
+and each level's entry adds the same terms in the same order, carried or not.
 The other route to a defect is the oracle's Kraus chains, read as a batch
 of one by :func:`history_operator`, :func:`kc_defect_operator` and
 :func:`kc_defect_state`.
@@ -310,6 +328,12 @@ class _KCEntries(Sequence):
         part = slice(self._starts[k], self._starts[k + 1])
         return self._norms[part], self._traces[part]
 
+    def _write(self, n: int, j: int, first: int, norms: np.ndarray, traces: np.ndarray) -> None:
+        """Fill the entries ``first ..`` of ``(n, j)`` with ``norms`` and the rows ``traces``."""
+        at = self._starts[self._pairs.index((n, j))] + first
+        self._norms[at : at + len(norms)] = norms
+        self._traces[at : at + len(norms)] = traces
+
     def _max(self) -> tuple[float, float | None]:
         """The largest norm and the largest ``|tr(rho D)|`` (None for no state)."""
         max_state = float(np.abs(self._traces).max()) if self._traces.shape[1] else None
@@ -395,13 +419,16 @@ class KCReport(Record):
 # The most is held while :func:`_sweep` pulls a suffix stack back through step
 # ``j`` for every outcome above _TRANSFER_MAX_DIM: ``post``, the stack, the
 # last head's ``M``, and the product and its pull-back, each ``d_P`` times as
-# long as the stack.  ``tracemalloc`` saw 2.2 blocks at 64 KiB blocks (d_P 2,
-# d 16) and 1.5 at 256 KiB (d_P 3, d 9), besides the entries; a pull-back
-# through the steps before ``j`` holds less.  The transfers of the steps are
-# not counted: they are built once per measurement.  A block is at least one
-# stack, 32 d**2 d_P bytes.  The scan's own objects add a fixed
-# SCAN_OVERHEAD_BYTES: at 1 KiB blocks (d_S <= 4, 2-3 states) ``tracemalloc``
-# saw at most 3.9 KiB.
+# long as the stack.  A swept block and its levels (:func:`_levels`) are at
+# most ``d_P / (d_P - 1)`` times the block's rows of coordinates, a quarter of
+# a block at most, and each level below a block carries one row.
+# ``tracemalloc`` saw 2.4 blocks at 64 KiB blocks (d_P 2, d 16, every pair up
+# to n 9; 2.2 for one pair) and 1.5 at 256 KiB (d_P 3, d 9), besides the
+# entries; a pull-back through the steps before ``j`` holds less.  The
+# transfers of the steps are not counted: they are built once per
+# measurement.  A block is at least one stack, 32 d**2 d_P bytes.  The scan's
+# own objects add a fixed SCAN_OVERHEAD_BYTES: at 1 KiB blocks (d_S <= 4, 2-3
+# states) ``tracemalloc`` saw at most 3.8 KiB beside the three blocks.
 SCAN_BLOCKS = 3
 SCAN_OVERHEAD_BYTES = 4 * 2**10
 
@@ -498,7 +525,9 @@ def _sweep(protocol: MeasurementProtocol, n: int, js, count: int):
     ``j`` once, for both ``M_b`` and the next ``post``; then ``D[a, b]`` is
     ``M_b`` pulled back through the steps before ``j``.  While ``post`` would
     hold more than ``count``, it stays at the last level that fits, and each
-    head pulls its own suffix outcomes back from there."""
+    head pulls its own suffix outcomes back from there.  The scan sweeps each
+    ``j`` at the deepest ``n`` asked of it alone (:func:`_defect_blocks`);
+    only a fault sweeps every ``n`` (:func:`_raise_fault`)."""
     d_p = protocol.probe_dim
     lead = _lead(d_p, n - 1, count)
     width = d_p ** (n - 1 - lead)
@@ -521,54 +550,176 @@ def _sweep(protocol: MeasurementProtocol, n: int, js, count: int):
             yield j, start, _pull_prefixes(protocol, m_ops, head[: j - 1], j - 1)
 
 
-def _defect_blocks(protocol: MeasurementProtocol, n: int, js):
-    """Yield the operator defects of ``(n, j)`` for each ``j`` of ``js``, block
-    by block, as ``(j, part, defects, norms)``: ``part`` is the slice of the
-    ``(n, j)`` entries the block holds, ``defects`` the ``(B, d**2)`` stack of
-    their coordinates (each ``D`` is Hermitian by construction) and ``norms``
-    their ``B`` Frobenius norms.  A non-finite norm raises
-    :class:`NumericalFault` once the sweep is done, naming the first such
-    ``(n, j, fixed)`` in entry order; no block is yielded after one is found."""
+def _rows(stack: np.ndarray) -> np.ndarray:
+    """A swept stack of defects as the C-ordered ``(B, d**2)`` rows of their coordinates."""
+    return _coordinates(stack) if stack.ndim == 3 else np.ascontiguousarray(stack)
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row, the Frobenius norm of its operator."""
+    return np.sqrt(np.einsum("ak,ak->a", rows, rows))
+
+
+def _sum_runs(runs: np.ndarray, out: np.ndarray, d_p: int) -> None:
+    """``out[i] = runs[d_P i] + runs[d_P i + 1] + ...``, added left to right, as
+    a carried partial sum adds them too."""
+    if d_p == 1:
+        out[:] = runs
+        return
+    np.add(runs[0::d_p], runs[1::d_p], out=out)
+    for c in range(2, d_p):
+        out += runs[c::d_p]
+
+
+def _levels(rows: np.ndarray, start: int, top: int, bits: int, d_p: int, carry: np.ndarray | None):
+    """The rows of a swept block of ``D(top, j)``, entries ``start ..``, and of
+    its marginal levels ``D(n, j)`` down to the lowest ``n`` of ``bits`` (the
+    ``n`` asked of ``j``, as the set bits of an int), as one ``(R, d**2)``
+    stack, with ``(n, first entry, first row, row count)`` of each asked
+    level it holds.
+
+    An entry of a level is the sum of ``d_P`` adjacent entries of the level
+    above (:func:`_sum_runs`).  The block's ``d_P ** w`` entries fill whole
+    runs down to the level of one entry; below it each level's sum is carried
+    over from block to block in a row of ``carry``, the first for the first
+    level below the block, and joins the stack in the block that completes it."""
+    width = len(rows)
+    depth = top - _lowest(bits)
+    if depth == 0:
+        return rows, [(top, start, 0, width)]
+    sizes = [width]
+    while len(sizes) <= depth and sizes[-1] >= d_p:
+        sizes.append(sizes[-1] // d_p)
+    entry = start // d_p ** (len(sizes) - 1)  # the one of the block's last level
+    done = 0  # the levels below the block that it completes
+    while len(sizes) + done <= depth and entry // d_p**done % d_p == d_p - 1:
+        done += 1
+    if len(sizes) + done == 1:
+        stack = rows
+    else:
+        stack = np.empty((sum(sizes) + done, rows.shape[1]))
+        stack[:width] = rows
+    levels, row = [(top, start, 0, width)], 0
+    for k in range(1, len(sizes)):
+        runs = stack[row : row + sizes[k - 1]]
+        row += sizes[k - 1]
+        _sum_runs(runs, stack[row : row + sizes[k]], d_p)
+        levels.append((top - k, start // d_p**k, row, sizes[k]))
+    for k in range(len(sizes), depth + 1):  # the entry of level k - 1 joins its sum
+        if entry % d_p == 0:
+            carry[k - len(sizes)] = stack[row]
+        else:
+            carry[k - len(sizes)] += stack[row]
+        if entry % d_p != d_p - 1:
+            break
+        entry //= d_p
+        row += 1
+        stack[row] = carry[k - len(sizes)]
+        levels.append((top - k, entry, row, 1))
+    return stack, [level for level in levels if bits >> level[0] & 1]
+
+
+def _lowest(bits: int) -> int:
+    """The lowest set bit of ``bits``."""
+    return (bits & -bits).bit_length() - 1
+
+
+def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
+    """Yield the operator defects of every ``(n, j)`` of ``pairs``, block by
+    block, as ``(j, pieces, defects, norms)``: ``defects`` is a ``(R, d**2)``
+    stack of coordinates (each ``D`` is Hermitian by construction), ``norms``
+    their ``R`` Frobenius norms, and each ``(n, first, row, size)`` of
+    ``pieces`` says that the ``size`` entries of ``(n, j)`` from ``first`` on
+    are the rows from ``row`` on.
+
+    Each ``j`` is swept once (:func:`_sweep`), at the largest ``n`` of
+    ``pairs`` with that ``j``, and every smaller ``n`` of that ``j`` is read
+    off the sweep level by level (:func:`_levels`): summing out the final
+    step is consistent by POVM completeness, so ``D(n, j)[a, b] = sum_c
+    D(n + 1, j)[a, b, c]``.  The norms of a swept block and of all its levels
+    come from one pass.  A non-finite norm of an entry of ``pairs`` stops the
+    sweep: the per-``n`` sweeps of ``pairs`` then run for their faults alone,
+    and :class:`NumericalFault` names the first non-finite ``(n, j, fixed)``
+    in entry order, as they find it; no block is yielded after one is found."""
     d_p = protocol.probe_dim
-    blocks = _sweep(protocol, n, js, _block_len(protocol.system_dim) // (2 * d_p))
-    fault = None
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
-            j, start, stack = next(blocks, (None, None, None))
-            if j is None:
-                break
-            defects = _coordinates(stack) if stack.ndim == 3 else np.ascontiguousarray(stack)
+    count = _block_len(protocol.system_dim) // (2 * d_p)
+    # the n of pairs with each j, as the bits of an int (a list: the scan's
+    # own objects are a fixed overhead beside its blocks)
+    asked = [0] * max(pairs, default=(0,))[0]  # j < n
+    for n, j in pairs:
+        asked[j] |= 1 << n
+    for top in range(2, len(asked) + 1):
+        js = [j for j, bits in enumerate(asked) if bits.bit_length() - 1 == top]  # swept at top
+        if not js:
+            continue
+        blocks = _sweep(protocol, top, js, count)
+        # a block is one head of the lead walked steps, whole runs of the
+        # levels down to n = lead + 1; below, down to the smallest n of a j,
+        # each level's sum carries over from block to block in one row
+        lead = _lead(d_p, top - 1, count)
+        below = lead + 1 - min(_lowest(asked[j]) for j in js) if lead > 1 else 0
+        carry = np.empty((below, protocol.system_dim**2)) if below > 0 else None
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
+                j, start, stack = next(blocks, (None, None, None))
+                if j is None:
+                    break
+                defects, pieces = _levels(_rows(stack), start, top, asked[j], d_p, carry)
+                del stack
+                norms = _norms(defects)
+            if not math.isfinite(float(norms.max())):  # NaN if any norm is NaN
+                for n, first, row, size in pieces:
+                    bad = np.flatnonzero(~np.isfinite(norms[row : row + size]))
+                    if len(bad):
+                        _raise_fault(protocol, pairs, count, (n, j, first + bad[0], norms[row + bad[0]]))
+            yield j, pieces, defects, norms
+            del pieces, defects, norms  # freed before the next block is built, to keep the bound
+
+
+def _raise_fault(protocol: MeasurementProtocol, pairs: list, count: int, found: tuple):
+    """Raise the :class:`NumericalFault` of the first non-finite operator
+    defect of ``pairs`` in entry order: the sweep of each ``n`` of ``pairs``
+    in turn, for its faults alone, runs ``j`` down, so the first bad entry of
+    its smallest bad ``j`` is kept once the sweep is done.  ``found``,
+    ``(n, j, entry, norm)`` of the swept route, is raised if none is bad."""
+    d_p = protocol.probe_dim
+    for n in dict.fromkeys(n for n, _ in pairs):
+        fault = None
+        blocks = _sweep(protocol, n, {j for m, j in pairs if m == n}, count)
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                j, start, stack = next(blocks, (None, None, None))
+                if j is None:
+                    break
+                norms = _norms(_rows(stack))
             del stack
-            norms = np.sqrt(np.einsum("ak,ak->a", defects, defects))
-        if math.isfinite(float(norms.max())):  # NaN if any norm is NaN
-            if fault is None:
-                yield j, slice(start, start + len(norms)), defects, norms
-        elif fault is None or fault[0] > j:  # the sweep runs j down, each j's blocks in order
-            i = int(np.argmin(np.isfinite(norms)))
-            fault = j, start + i, norms[i]
-        del defects  # freed before the next block is built, to keep the bound
-    if fault is not None:
-        j, k, value = fault
-        fixed = tuple(map(int, np.unravel_index(k, (d_p,) * (n - 1))))
-        raise NumericalFault(f"defect norm {value} at n={n}, j={j}, fixed={fixed} is not finite")
+            if not math.isfinite(float(norms.max())) and (fault is None or fault[1] > j):
+                i = int(np.argmin(np.isfinite(norms)))
+                fault = n, j, start + i, norms[i]
+        if fault is not None:
+            found = fault
+            break
+    n, j, k, value = found
+    fixed = tuple(map(int, np.unravel_index(k, (d_p,) * (n - 1))))
+    raise NumericalFault(f"defect norm {value} at n={n}, j={j}, fixed={fixed} is not finite")
 
 
 def _scan(protocol: MeasurementProtocol, pairs: list, states: list) -> _KCEntries:
     """The entries of the operator defects of every ``(n, j)`` of ``pairs``,
     with ``tr(rho D)`` for each validated state of ``states``: the one loop
-    over :func:`_defect_blocks`, one sweep per ``n``, filling the arrays of the
-    layout that :class:`_KCEntries` sizes first, block by block."""
+    over :func:`_defect_blocks`, which sweeps each ``j`` at its deepest ``n``,
+    filling the arrays of the layout that :class:`_KCEntries` sizes first,
+    block by block, the traces of a block and all its levels in one pass."""
     d = protocol.system_dim
     # c(rho) for each state, so that tr(rho D) is a dot product with c(D)
     states = _coordinates(np.array(states, dtype=complex)) if states else np.empty((0, d * d))
     entries = _KCEntries(protocol.probe_dim, pairs, len(states))
-    for n in dict.fromkeys(n for n, _ in pairs):
-        js = {j for m, j in pairs if m == n}
-        for j, part, defects, block in _defect_blocks(protocol, n, js):
-            norms, traces = entries._pair(n, j)
-            norms[part] = block
-            traces[part] = np.einsum("ak,sk->as", defects, states)
-            del defects  # freed before the next block is built, to keep the bound
+    for j, pieces, defects, block in _defect_blocks(protocol, pairs):
+        traced = np.einsum("ak,sk->as", defects, states)
+        del defects  # freed before the next block is built, to keep the bound
+        for n, first, row, size in pieces:
+            entries._write(n, j, first, block[row : row + size], traced[row : row + size])
+        del pieces, block, traced  # likewise
     return entries
 
 
@@ -602,8 +753,11 @@ def check_kc_all(
     a sequence of states) is supplied, per-state defects ``tr(rho D)`` are
     recorded alongside; an empty sequence of states is read as ``rho=None``.  The
     report also notes whether the ``(n=2, j=1)`` conditions already decide
-    the verdict on their own.  Each entry agrees with
-    :func:`kc_defect_operator` to rounding.  The entries are held as arrays,
+    the verdict on their own.  The scan is one backward sweep, at
+    ``n_max``, and every smaller ``n`` is read off it by summing out the final
+    steps, so an entry of ``n < n_max`` agrees with :func:`kc_defect_operator`
+    to rounding and to ``2 sum_{k=n+1}^{n_max} |Delta_k|_F``, with ``1 +
+    Delta_k`` the sum of step ``k``'s effects.  The entries are held as arrays,
     8 bytes per norm and per state defect, and a :class:`KCEntry` is made
     only when one is read.
     """

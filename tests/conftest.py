@@ -6,7 +6,8 @@ from kcprobe.errors import NumericalFault
 from kcprobe.linalg import _basis, _coordinates, _matrices, as_complex_matrix
 from kcprobe.oracle import _chain_effects
 from kcprobe.model import _transfer
-from kcprobe.sequences import _defect_blocks, _pull_back
+import kcprobe.sequences
+from kcprobe.sequences import _defect_blocks, _pull_back, _sweep
 
 
 @pytest.fixture
@@ -52,6 +53,24 @@ def full_route_commutant(ops, tol=kp.DEFAULT):
     if not svals[-1] < tol.nullspace:
         raise NumericalFault("empty commutant")
     return kp.AlgebraBasis(tuple(mats), tuple(_matrices(vh[svals < tol.nullspace])), svals)
+
+
+def per_n_scan(protocol, pairs, states):
+    """Reference: the norms and ``tr(rho D)`` (rows by state) of the operator
+    defects of each ``(n, j)`` of ``pairs``, from one backward sweep per
+    ``n``, each ``D`` swept at its own ``n`` and never read off a deeper
+    sweep: the scan before it read every smaller ``n`` off the deepest."""
+    d_p, d = protocol.probe_dim, protocol.system_dim
+    count = max(1, kcprobe.sequences.PREFIX_BLOCK_BYTES // (16 * d * d)) // (2 * d_p)
+    states = _coordinates(np.array(states, dtype=complex)).reshape(-1, d * d)
+    found = {}
+    for n in dict.fromkeys(n for n, _ in pairs):
+        for j, start, stack in _sweep(protocol, n, {j for m, j in pairs if m == n}, count):
+            rows = _coordinates(stack) if stack.ndim == 3 else np.ascontiguousarray(stack)
+            norms, traces = found.setdefault((n, j), (np.empty(d_p ** (n - 1)), np.empty((d_p ** (n - 1), len(states)))))
+            norms[start : start + len(rows)] = np.sqrt(np.einsum("ak,ak->a", rows, rows))
+            traces[start : start + len(rows)] = np.einsum("ak,sk->as", rows, states)
+    return [found[pair] for pair in pairs]
 
 
 def random_density(rng, d):
@@ -122,8 +141,8 @@ def shifted_blocks(shift):
     """The scan's ``_defect_blocks`` with the Hermitian ``d x d`` matrix ``shift``
     added to every operator defect it yields, as coordinates."""
 
-    def blocks(protocol, n, js):
-        for j, part, defects, norms in _defect_blocks(protocol, n, js):
-            yield j, part, defects + _coordinates(shift), norms
+    def blocks(protocol, pairs):
+        for j, pieces, defects, norms in _defect_blocks(protocol, pairs):
+            yield j, pieces, defects + _coordinates(shift), norms
 
     return blocks

@@ -7,7 +7,7 @@ import pytest
 
 import kcprobe as kp
 from kcprobe.errors import InvariantViolation, NumericalFault, PreconditionError
-from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
+from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, _matrices, frobenius
 
 from conftest import full_route_commutant, random_density, random_hermitian
 
@@ -507,6 +507,36 @@ class TestRealCommutant:
             assert np.array_equal(np.array(commutant.basis), np.array(want[d].basis))
 
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 16, 32])
+    def test_one_hot_members_are_the_matrices_of_one_hot_rows(self, d):
+        # the restricted stack's basis elements, signed zeros and all
+        rng = np.random.default_rng(d)
+        for size in (1, d, d * d):
+            unknowns = np.sort(rng.choice(d * d, size=size, replace=False))
+            lift = np.zeros((size, d * d))
+            lift[np.arange(size), unknowns] = 1.0
+            want, got = _matrices(lift).view(float), kp.algebra._one_hot(d, unknowns).view(float)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_the_second_commutant_runs_no_svd_of_the_commutant_basis(self, monkeypatch):
+        # A' = M_8 (+) M_8 at d = 16: the identity is projected off its 128
+        # members, with no (128, 256) SVD; the two SVDs left are those of the
+        # commutant and of the second commutant, each on the eigenspaces of
+        # a random element
+        svd = np.linalg.svd
+        seen = []
+
+        def recording(a, *args, **kwargs):
+            seen.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        algebra = kp.generate_algebra([np.eye(16), np.kron(SIGMA_Z, np.eye(8))])
+        assert algebra.dimension == 2
+        assert seen == [(128, 128), (16, 16)]
+
+
 def block_structure(rng, blocks, count=2, twin=None):
     """``count`` Hermitian generators ``V (+)_k (A_ik (x) 1_{m_k}) V^H`` of
     ``A = (+)_k M_{n_k} (x) 1_{m_k}`` for ``blocks = [(n_k, m_k)]``, with
@@ -657,6 +687,31 @@ class TestAlgebraReport:
         assert report.commutant_dimension == 2
         assert report.dimension == 2
         assert kp.generate_algebra(hams).dimension == 2
+
+    def test_the_effect_screen_is_one_stacked_call(self, monkeypatch):
+        # every step's effects in one call, each row as the effect alone gives it
+        model = kp.random_model(5, 2, 8, commuting=False)
+        protocol = kp.qubit_xy_protocol(model, "XYX")
+        calls = []
+        real = kp.algebra.effect_nondegenerate
+        monkeypatch.setattr(
+            kp.algebra, "effect_nondegenerate", lambda e, tol: calls.append(np.shape(e)) or real(e, tol)
+        )
+        rows = kp.algebra_report(model, protocol).effect_nondegeneracy
+        assert calls == [(3, 2, 8, 8)]
+        alone = [
+            (step, label, *real(effect))
+            for step, m in enumerate(protocol.step_measurements, start=1)
+            for label, effect in zip(m.labels, m.effects)
+        ]
+        assert [(r["step"], r["outcome"], r["nondegenerate"]) for r in rows] == [a[:3] for a in alone]
+        assert all(type(r["nondegenerate"]) is bool and type(r["min_gap"]) is float for r in rows)
+        assert np.array_equal([r["min_gap"] for r in rows], [a[3] for a in alone])
+
+    def test_a_one_dimensional_system_screens_no_gap(self):
+        model = kp.DephasingModel(2, 1, (np.array([[1.0]]), np.array([[-1.0]])), 0.7)
+        rows = kp.algebra_report(model, kp.qubit_xy_protocol(model, "XY")).effect_nondegeneracy
+        assert [(r["nondegenerate"], r["min_gap"]) for r in rows] == [(True, None)] * 4
 
     def test_one_commutant_and_one_second_commutant(self, sigma_model, monkeypatch):
         stacks = []

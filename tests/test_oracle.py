@@ -310,7 +310,7 @@ def test_naive_work_space_stays_within_the_block_bound(monkeypatch):
     # and the chains of that slice, 3 / d_P blocks: 3.5 blocks at d_P = 2,
     # while the scan holds at most SCAN_BLOCKS = 3 as it builds a block.  So
     # four blocks beyond the result bound every read, whatever n is; the gate
-    # reads each n in one call, one sweep for every j
+    # reads every (n, j) up to an n_max in one call, one sweep for every j
     block_bytes = 2**16  # 16 matrices of 16 x 16
     d_s, n = 16, 9
     monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
@@ -318,11 +318,15 @@ def test_naive_work_space_stays_within_the_block_bound(monkeypatch):
     rho = np.eye(d_s, dtype=complex) / d_s
     seqs = _all_outcomes(2, n)
     fixed = {k: _all_outcomes(2, k - 1) for k in range(2, n + 1)}
+
+    def pairs(n_max):
+        return [(k, j) for k in range(2, n_max + 1) for j in range(1, k)]
+
     reads = [
         lambda: _chain_probabilities(protocol, rho, seqs, range(n)),
         lambda: _effect_products(protocol, rho, seqs),
         *(lambda j=j: _naive_defects(protocol, j, fixed[n]) for j in range(1, n)),
-        *(lambda k=k: _defect_gaps(protocol, k, fixed[k]) for k in range(2, n + 1)),
+        *(lambda k=k: _defect_gaps(protocol, pairs(k)) for k in range(2, n + 1)),
     ]
     for read in reads:
         tracemalloc.start()
@@ -331,24 +335,31 @@ def test_naive_work_space_stays_within_the_block_bound(monkeypatch):
             result_bytes, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert values.shape in {(2**n,), (2 ** (n - 1), d_s, d_s), *((k - 1,) for k in fixed)}
+        assert values.shape in {(2**n,), (2 ** (n - 1), d_s, d_s), *((len(pairs(k)),) for k in fixed)}
         assert peak - result_bytes <= 4 * block_bytes
 
 
-def test_the_operator_gate_sweeps_each_n_once(monkeypatch):
-    # one sweep of the scan per n serves every j, so n_max - 1 sweeps where
-    # one per (n, j) made n_max (n_max - 1) / 2
-    sweeps = []
-    blocks = kcprobe.oracle._defect_blocks
+def test_the_operator_gate_reads_one_scan(monkeypatch):
+    # one call of the scan's blocks serves every (n, j), and it sweeps once:
+    # every smaller n is read off the deepest sweep, where one sweep per n
+    # made n_max - 1
+    calls, sweeps = [], []
+    blocks, sweep = kcprobe.oracle._defect_blocks, kcprobe.sequences._sweep
     monkeypatch.setattr(
         "kcprobe.oracle._defect_blocks",
-        lambda protocol, n, js: sweeps.append((n, list(js))) or blocks(protocol, n, js),
+        lambda protocol, pairs: calls.append(list(pairs)) or blocks(protocol, pairs),
+    )
+    monkeypatch.setattr(
+        "kcprobe.sequences._sweep",
+        lambda protocol, n, js, count: sweeps.append((n, sorted(js))) or sweep(protocol, n, js, count),
     )
     protocol = kp.qubit_xy_protocol(kp.random_model(6, 2, 3, commuting=False), "XYXYX")
     for n_max in range(1, 6):
+        calls.clear()
         sweeps.clear()
         assert kp.oracle_compare(protocol, np.eye(3) / 3, n_max).agrees
-        assert sweeps == [(n, list(range(1, n))) for n in range(2, n_max + 1)]
+        assert calls == [[(n, j) for n in range(2, n_max + 1) for j in range(1, n)]]
+        assert sweeps == ([(n_max, list(range(1, n_max)))] if n_max > 1 else [])
 
 
 def test_the_naive_route_reads_no_code_of_the_fast_route():

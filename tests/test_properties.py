@@ -17,9 +17,11 @@ derandomised, so every run checks the same examples.
 
 The scan must not depend on the units of the generators (``H -> c H`` with
 ``t -> t / c``) nor on a common shift ``H_i -> H_i + s 1``, which only
-multiplies every Kraus operator of a step by one phase.  The commutant
-restricted to the eigenspaces of a random element must report as the full
-stack does, at ``d_S`` 2-8.
+multiplies every Kraus operator of a step by one phase.  Every ``n`` that
+the scan reads off its deepest sweep must agree with a sweep of that ``n``
+alone, at ``d_P`` 2-4 and ``d_S`` 1-9 (both the transfer and the matrix
+branch).  The commutant restricted to the eigenspaces of a random element
+must report as the full stack does, at ``d_S`` 2-8.
 """
 
 from unittest import mock
@@ -28,8 +30,10 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import kcprobe as kp
+import kcprobe.sequences
+from kcprobe.sequences import _scan
 
-from conftest import full_route_commutant, random_density, random_hermitian
+from conftest import full_route_commutant, per_n_scan, random_density, random_hermitian
 
 FAMILIES = ("far", "commuting", "near_cut", "resonant")
 N_STEPS = 3
@@ -156,6 +160,57 @@ def test_algebra_dimensions_do_not_depend_on_the_system_basis(family, seed, d_p,
     rotated = kp.DephasingModel(d_p, d_s, tuple(v @ h @ v.conj().T for h in model.hamiltonians), model.step_time)
     report, other = kp.algebra_report(model), kp.algebra_report(rotated)
     assert (other.dimension, other.commutant_dimension) == (report.dimension, report.commutant_dimension)
+
+
+def deep_protocol(seed, d_p, d_s, n_steps):
+    """A random model read through ``n_steps`` random meter bases, or at
+    ``d_S = 1`` a classical-noise protocol (qubit probe), and two states."""
+    rng = np.random.default_rng(seed)
+    if d_s == 1:
+        noise = kp.NoiseRealization(tuple(rng.normal(size=n_steps)), tuple(rng.uniform(0.1, 2.0, n_steps)))
+        return kp.classical_noise_model(noise, n_steps), [np.eye(1)] * 2
+    model = kp.random_model(int(rng.integers(1 << 30)), d_p, d_s, bool(rng.integers(2)))
+    labels = tuple(map(str, range(d_p)))
+    bases = tuple(kp.MeterBasis(kp.haar_unitary(d_p, rng), labels) for _ in range(n_steps))
+    amps = rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)
+    protocol = kp.MeasurementProtocol(model, kp.PreparationState(amps / np.linalg.norm(amps)), bases)
+    return protocol, [np.eye(d_s) / d_s, random_density(rng, d_s)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(1, 9),
+    st.integers(2, 8),
+    st.sampled_from([None, 2**10, 2**13]),
+)
+@example(3, 2, 1, 8, 2**10)
+@example(5, 3, 9, 6, 2**13)
+@example(7, 4, 9, 5, None)
+def test_every_n_read_off_the_deepest_sweep_matches_its_own_sweep(seed, d_p, d_s, n_max, block_bytes):
+    """Each entry of every ``(n, j)`` up to ``n_max`` agrees with a sweep of
+    its own ``n`` (a test-local copy of the scan of one sweep per ``n``)
+    within ``1e-13 max(1, norm)``, at the default blocks and at blocks small
+    enough that the sums of a level carry over from block to block.  An
+    ``(n, j)`` at the deepest ``n`` is that sweep's block, bit for bit."""
+    d_p = 2 if d_s == 1 else d_p
+    while d_p ** (n_max - 1) > 512:  # at most 512 entries an (n, j)
+        n_max -= 1
+    protocol, states = deep_protocol(seed, d_p, d_s, n_max)
+    pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
+    blocks = mock.patch.object(kcprobe.sequences, "PREFIX_BLOCK_BYTES", block_bytes or kcprobe.sequences.PREFIX_BLOCK_BYTES)
+    with blocks:
+        entries = _scan(protocol, pairs, states)
+        want = per_n_scan(protocol, pairs, states)
+    for (n, j), (norms, traces) in zip(pairs, want, strict=True):
+        got_norms, got_traces = entries._pair(n, j)
+        if n == n_max:
+            assert np.array_equal(got_norms, norms)
+            assert np.array_equal(got_traces, traces)
+        scale = 1e-13 * np.maximum(1.0, norms)
+        assert np.all(np.abs(got_norms - norms) <= scale)
+        assert np.all(np.abs(got_traces - traces) <= scale[:, None])
 
 
 def _algebra_fields(report):
