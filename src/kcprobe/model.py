@@ -190,6 +190,21 @@ def _transfer(measurement) -> np.ndarray:
     return kept["_transfer"]
 
 
+def _residual(measurement) -> float:
+    """``|sum_m E_m - 1|_F``, the completeness residual of ``measurement``,
+    with ``E_m`` the Hermitian part of ``K_m^H K_m`` for its Kraus operators
+    ``K_m``, which the scan pulls back through.  :func:`induced_kraus` keeps
+    the residual it checked on the measurement it builds; for any other it is
+    computed at the first call and kept likewise, as a transfer is."""
+    kept = vars(measurement)
+    if "_residual" not in kept:
+        kraus = np.asarray(measurement.kraus)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite one fails in the scan
+            total = np.einsum("mki,mkj->ij", kraus.conj(), kraus)
+            kept["_residual"] = float(np.linalg.norm((total + total.conj().T) / 2 - np.eye(len(total))))
+    return kept["_residual"]
+
+
 def build_conditional_hamiltonians(
     h_system: np.ndarray,
     v_system: np.ndarray,
@@ -244,8 +259,10 @@ def induced_kraus(
         )
     if unitaries is None:
         unitaries = conditional_unitaries(model)
-    kraus, effects = _cycles(_cycle_weights(preparation, meter), np.asarray(unitaries), tol)
-    return InducedMeasurement(kraus, effects, meter.labels)
+    kraus, effects, completeness = _cycles(_cycle_weights(preparation, meter), np.asarray(unitaries), tol)
+    measurement = InducedMeasurement(kraus, effects, meter.labels)
+    vars(measurement)["_residual"] = float(completeness)  # see _residual
+    return measurement
 
 
 def _cycle_weights(preparation: PreparationState, meter: MeterBasis) -> np.ndarray:
@@ -253,12 +270,15 @@ def _cycle_weights(preparation: PreparationState, meter: MeterBasis) -> np.ndarr
     return preparation.amplitudes * meter.states.conj()
 
 
-def _cycles(weights: np.ndarray, unitaries: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _cycles(
+    weights: np.ndarray, unitaries: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Kraus operators and effects of a stack of probe cycles, each
     ``(..., d_P, d, d)``, from their weights ``(..., d_P, d_P)`` (see
     :func:`_cycle_weights`) and conditional unitaries ``(..., d_P, d, d)``,
-    whose leading axes broadcast.  Every cycle's effects must sum to the
-    identity and be positive; the first cycle in C order that fails raises
+    whose leading axes broadcast, and each cycle's completeness residual
+    ``|sum_m E_m - 1|_F``, shape ``(...)``.  Every cycle's effects must sum to
+    the identity and be positive; the first cycle in C order that fails raises
     :class:`InvariantViolation`."""
     # K_m = sum_i g_i conj(m_i) U_i for every outcome m at once
     kraus = np.einsum("...mi,...ikl->...mkl", weights, unitaries)
@@ -273,7 +293,7 @@ def _cycles(weights: np.ndarray, unitaries: np.ndarray, tol: Tolerances) -> tupl
     if not lowest.min() >= -tol.effect_psd:
         k = _first(~(lowest >= -tol.effect_psd))
         raise InvariantViolation(f"effect {k[-1]} has negative eigenvalue {lowest[k]:.3e}")
-    return kraus, effects
+    return kraus, effects, completeness
 
 
 @dataclass(frozen=True, eq=False)

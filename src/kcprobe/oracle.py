@@ -106,7 +106,7 @@ def _defect_gaps(protocol: MeasurementProtocol, pairs: list) -> np.ndarray:
     d_p = protocol.probe_dim
     out = np.zeros(len(pairs))
     index = {pair: k for k, pair in enumerate(pairs)}
-    fixed = {n: _all_outcomes(d_p, n - 1) for n, _ in pairs}
+    fixed = {n: _all_outcomes(d_p, n - 1) for n in dict.fromkeys(n for n, _ in pairs)}
     for j, pieces, defects, _ in _defect_blocks(protocol, pairs):
         for n, first, row, size in pieces:
             gap = _matrices(defects[row : row + size])

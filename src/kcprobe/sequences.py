@@ -55,14 +55,19 @@ off that sweep (:func:`_levels`): summing out the final step is consistent
 by POVM completeness, so ``D(n, j)[a, b] = sum_c D(n + 1, j)[a, b, c]``, the
 sum of ``d_P`` adjacent entries, added left to right, level by level from
 ``n_j`` down.  So :func:`check_kc_all` makes one sweep, at ``n_max``.  If
-the effects of step ``k`` sum to ``1 + Delta_k`` (rounding), a level ``n``
-differs from the sweep of ``n`` alone by at most ``2 sum_{k=n+1}^{n_j}
-|Delta_k|_F``: the Kraus products are contractions, and the dual of a
-unital, trace-preserving step is a Frobenius contraction; for a commutative
-model the term vanishes to first order.  A non-finite defect stops the
-sweep, and the sweeps of one ``n`` each then run for their faults alone, so
-the fault names the first non-finite ``(n, j, fixed)`` in entry order as
-they find it.
+the effects of step ``k`` sum to ``1 + Delta_k``, a level ``n`` differs from
+the sweep of ``n`` alone by at most ``2 sum_{k=n+1}^{n_j} |Delta_k|_F``: the
+Kraus products are contractions, and the dual of a unital,
+trace-preserving step is a Frobenius contraction; for a commutative model
+the term vanishes to first order.  A built step's ``Delta_k`` is rounding,
+but a preparation or meter basis read from a file is checked to 1e-10 only,
+so a level is read off the sweep only while that bound, from the residuals
+kept on the steps (:func:`~kcprobe.model._residual`), stays within
+:data:`_LEVEL_BOUND` (1e-13); past it, that ``n`` is swept itself and the
+smaller ``n`` read off its sweep (:func:`_tops`).  A non-finite defect stops
+the sweep, which is freed, and the sweeps of one ``n`` each then run for
+their faults alone, so the fault names the first non-finite ``(n, j,
+fixed)`` in entry order as they find it.
 
 The leading outcomes of ``fixed`` are walked so that a stack holds at most
 ``PREFIX_BLOCK_BYTES // (32 d**2 d_P)`` operators (at least one) before a
@@ -102,6 +107,7 @@ from .model import (
     _defect_args,
     _n_max,
     _prefix,
+    _residual,
     _sequence,
     _transfer,
     nonselective_apply,
@@ -624,6 +630,33 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
+# Largest bound ``2 sum_{k=n+1}^{top} |Delta_k|_F`` (the completeness
+# residuals of the steps summed out) under which :func:`_defect_blocks` reads
+# a level ``n`` off the sweep of a deeper ``top``; above it ``n`` is swept
+# itself.  A built step's effects sum to 1 within rounding: on the ten
+# ``kc_deep`` cases of perfbench seeds 1-59 (d_S 2-4, n_max 5-10) the bound
+# of ``n = 2`` was at most 5.8e-14, and over 300 random models (d_S 2-16)
+# one step's residual at most 9.2e-15, so a d_S = 16 scan to n_max 9 may
+# sweep twice.  A preparation or meter basis read from a file is checked to
+# 1e-10 only, which would move a level by about that much a step.
+_LEVEL_BOUND = 1e-13
+
+
+def _tops(protocol: MeasurementProtocol, bits: int) -> int:
+    """The ``n`` of ``bits`` (its set bits, the ``n`` asked of one ``j``) that
+    :func:`_defect_blocks` sweeps, as the bits of an int: the largest, and
+    each ``n`` whose level, read off the sweep of the ``top`` above it, could
+    differ from its own sweep by more than :data:`_LEVEL_BOUND`, by the bound
+    ``2 sum_{k=n+1}^{top} |Delta_k|_F``."""
+    top = bits.bit_length() - 1
+    tops, bound = 1 << top, 0.0
+    for n in range(top - 1, _lowest(bits) - 1, -1):
+        bound += 2.0 * _residual(protocol.step_measurements[n])  # step n + 1, summed out
+        if bits >> n & 1 and bound > _LEVEL_BOUND:
+            tops, bound = tops | 1 << n, 0.0
+    return tops
+
+
 def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
     """Yield the operator defects of every ``(n, j)`` of ``pairs``, block by
     block, as ``(j, pieces, defects, norms)``: ``defects`` is a ``(R, d**2)``
@@ -632,26 +665,33 @@ def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
     ``pieces`` says that the ``size`` entries of ``(n, j)`` from ``first`` on
     are the rows from ``row`` on.
 
-    Each ``j`` is swept once (:func:`_sweep`), at the largest ``n`` of
-    ``pairs`` with that ``j``, and every smaller ``n`` of that ``j`` is read
-    off the sweep level by level (:func:`_levels`): summing out the final
-    step is consistent by POVM completeness, so ``D(n, j)[a, b] = sum_c
-    D(n + 1, j)[a, b, c]``.  The norms of a swept block and of all its levels
-    come from one pass.  A non-finite norm of an entry of ``pairs`` stops the
-    sweep: the per-``n`` sweeps of ``pairs`` then run for their faults alone,
-    and :class:`NumericalFault` names the first non-finite ``(n, j, fixed)``
-    in entry order, as they find it; no block is yielded after one is found."""
+    Each ``j`` is swept (:func:`_sweep`) at the largest ``n`` of ``pairs``
+    with that ``j``, and every smaller ``n`` of that ``j`` is read off the
+    sweep level by level (:func:`_levels`): summing out the final step is
+    consistent by POVM completeness, so ``D(n, j)[a, b] = sum_c D(n + 1,
+    j)[a, b, c]``.  Only where the completeness residuals of the steps summed
+    out could move a level by more than :data:`_LEVEL_BOUND` is that ``n``
+    swept itself, and the smaller ``n`` read off its sweep (:func:`_tops`).
+    The norms of a swept block and of all its levels come from one pass.  A
+    non-finite norm of an entry of ``pairs`` stops the sweep, which is freed:
+    the per-``n`` sweeps of ``pairs`` then run for their faults alone, and
+    :class:`NumericalFault` names the first non-finite ``(n, j, fixed)`` in
+    entry order, as they find it; no block is yielded after one is found."""
     d_p = protocol.probe_dim
     count = _block_len(protocol.system_dim) // (2 * d_p)
-    # the n of pairs with each j, as the bits of an int (a list: the scan's
-    # own objects are a fixed overhead beside its blocks)
+    # the n of pairs with each j, and the n swept of them, as the bits of an int
+    # (lists: the scan's own objects are a fixed overhead beside its blocks)
     asked = [0] * max(pairs, default=(0,))[0]  # j < n
     for n, j in pairs:
         asked[j] |= 1 << n
+    tops = [_tops(protocol, bits) if bits & bits - 1 else bits for bits in asked]  # one n: swept
     for top in range(2, len(asked) + 1):
-        js = [j for j, bits in enumerate(asked) if bits.bit_length() - 1 == top]  # swept at top
+        js = [j for j, swept in enumerate(tops) if swept >> top & 1]
         if not js:
             continue
+        # the n of each j read off this sweep: those of asked[j] up to top,
+        # whose smaller n earlier sweeps have cleared
+        upto = (1 << top + 1) - 1
         blocks = _sweep(protocol, top, js, count)
         # a block is one head of the lead walked steps, whole runs of the
         # levels down to n = lead + 1; below, down to the smallest n of a j,
@@ -659,21 +699,32 @@ def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
         lead = _lead(d_p, top - 1, count)
         below = lead + 1 - min(_lowest(asked[j]) for j in js) if lead > 1 else 0
         carry = np.empty((below, protocol.system_dim**2)) if below > 0 else None
+        found = None
         while True:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
                 j, start, stack = next(blocks, (None, None, None))
                 if j is None:
                     break
-                defects, pieces = _levels(_rows(stack), start, top, asked[j], d_p, carry)
+                defects, pieces = _levels(_rows(stack), start, top, asked[j] & upto, d_p, carry)
                 del stack
                 norms = _norms(defects)
             if not math.isfinite(float(norms.max())):  # NaN if any norm is NaN
                 for n, first, row, size in pieces:
                     bad = np.flatnonzero(~np.isfinite(norms[row : row + size]))
                     if len(bad):
-                        _raise_fault(protocol, pairs, count, (n, j, first + bad[0], norms[row + bad[0]]))
+                        found = n, j, first + bad[0], norms[row + bad[0]]
+                        break
+                if found is not None:
+                    break
             yield j, pieces, defects, norms
             del pieces, defects, norms  # freed before the next block is built, to keep the bound
+        for j in js:
+            asked[j] &= ~upto
+        if found is not None:
+            # the sweep, its block and the carried sums are freed first, to keep the bound
+            blocks.close()
+            del blocks, pieces, defects, norms, carry
+            _raise_fault(protocol, pairs, count, found)
 
 
 def _raise_fault(protocol: MeasurementProtocol, pairs: list, count: int, found: tuple):
@@ -757,9 +808,10 @@ def check_kc_all(
     ``n_max``, and every smaller ``n`` is read off it by summing out the final
     steps, so an entry of ``n < n_max`` agrees with :func:`kc_defect_operator`
     to rounding and to ``2 sum_{k=n+1}^{n_max} |Delta_k|_F``, with ``1 +
-    Delta_k`` the sum of step ``k``'s effects.  The entries are held as arrays,
-    8 bytes per norm and per state defect, and a :class:`KCEntry` is made
-    only when one is read.
+    Delta_k`` the sum of step ``k``'s effects; where that bound would pass
+    1e-13, an ``n`` is swept itself (:func:`_defect_blocks`).  The entries
+    are held as arrays, 8 bytes per norm and per state defect, and a
+    :class:`KCEntry` is made only when one is read.
     """
     _n_max(protocol, n_max, 2)
     _check_capacity(protocol.probe_dim, n_max, tol)

@@ -61,9 +61,8 @@ class Tolerances:
         return dataclasses.replace(self, **overrides)
 
     def as_dict(self) -> dict:
-        # the fields are plain numbers, so asdict's deep copy is only cost; a
-        # frozen instance holds its fields alone, in field order, in __dict__
-        return dict(vars(self))
+        # the fields are plain numbers, so asdict's deep copy is only cost
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 DEFAULT = Tolerances()

@@ -254,13 +254,15 @@ class TestStackedCycles:
             v = np.stack([m.eigenvectors for m in models])[:, None]
             weights = np.stack([kp.model._cycle_weights(*cycle) for cycle in cycles])[:, None]
             unitaries = unitary_from_eigensystem(w, v, times[:, None])
-            kraus, effects = kp.model._cycles(weights, unitaries, kp.DEFAULT)
+            kraus, effects, completeness = kp.model._cycles(weights, unitaries, kp.DEFAULT)
             assert kraus.shape == effects.shape == (3, 3, d_p, d_s, d_s)
+            assert completeness.shape == (3, 3)
             for c, (m, (prep, meter)) in enumerate(zip(models, cycles)):
                 for g, t in enumerate(times):
                     alone = kp.induced_kraus(m.with_step_time(t), prep, meter)
                     assert np.max(np.abs(kraus[c, g] - alone.kraus)) <= 1e-15
                     assert np.max(np.abs(effects[c, g] - alone.effects)) <= 1e-15
+                    assert abs(completeness[c, g] - kp.model._residual(alone)) <= 1e-15
 
     def test_a_stack_names_its_first_incomplete_cycle(self):
         weights = kp.model._cycle_weights(kp.plus_x_preparation(), kp.xy_meter_basis("X"))

@@ -819,12 +819,11 @@ class TestBlockScan:
 
     @pytest.mark.parametrize("d_s", [3, _TRANSFER_MAX_DIM + 1])
     @pytest.mark.parametrize("r", [1e-6, 1e-9])
-    def test_a_completeness_residual_bounds_the_levels(self, d_s, r):
+    def test_a_completeness_residual_bounds_the_levels(self, monkeypatch, d_s, r):
         # with the effects of step k summing to 1 + Delta_k, a level n read
         # off the sweep of n_max differs from its own sweep by at most
         # 2 sum_{k=n+1}^{n_max} |Delta_k|_F, besides rounding.  Step 4's Kraus
-        # operators scaled by sqrt(1 - r / sqrt(d)) make |Delta_4|_F = r: the
-        # levels n = 2, 3 move by a fair part of 2 r, while n = 4 only rounds
+        # operators scaled by sqrt(1 - r / sqrt(d)) make |Delta_4|_F = r
         rng = np.random.default_rng(40 + d_s)
         protocol = random_basis_protocol(rng, 2, d_s, 5, commuting=False)
         steps = [np.array(m.kraus) for m in protocol.step_measurements]
@@ -832,18 +831,43 @@ class TestBlockScan:
         effects = [np.einsum("mki,mkj->mij", k.conj(), k) for k in steps]
         residual = [frobenius(e.sum(axis=0) - np.eye(d_s)) for e in effects]
         assert residual[3] == pytest.approx(r, rel=1e-6)
-        perturbed = SimpleNamespace(
-            model=protocol.model,
-            probe_dim=2,
-            system_dim=d_s,
-            n_steps=5,
-            step_measurements=tuple(SimpleNamespace(kraus=k, effects=e) for k, e in zip(steps, effects)),
-        )
+
+        def perturbed():  # fresh measurements: nothing kept from an earlier scan
+            return SimpleNamespace(
+                model=protocol.model,
+                probe_dim=2,
+                system_dim=d_s,
+                n_steps=5,
+                step_measurements=tuple(SimpleNamespace(kraus=k, effects=e) for k, e in zip(steps, effects)),
+            )
+
         states = [np.eye(d_s) / d_s, random_density(rng, d_s)]
         pairs = [(n, j) for n in range(2, 6) for j in range(1, n)]
-        entries = _scan(perturbed, pairs, states)
+        reference = per_n_scan(perturbed(), pairs, states)
+        sweeps = []
+        sweep = kcprobe.sequences._sweep
+        monkeypatch.setattr(
+            "kcprobe.sequences._sweep",
+            lambda protocol, n, js, count: sweeps.append((n, sorted(js))) or sweep(protocol, n, js, count),
+        )
+        # r is far above rounding, so n = 3, whose level would sum step 4
+        # out, is swept itself, and n = 2 read off it: every entry is within
+        # rounding of its own sweep, and each swept n reads as it bit for bit
+        entries = _scan(perturbed(), pairs, states)
+        assert sweeps == [(3, [1, 2]), (5, [1, 2, 3, 4])]
+        for (n, j), (norms, traces) in zip(pairs, reference, strict=True):
+            got_norms, got_traces = entries._pair(n, j)
+            if n in (3, 5):
+                assert np.array_equal(got_norms, norms) and np.array_equal(got_traces, traces)
+            assert np.all(np.abs(got_norms - norms) <= 1e-13 * np.maximum(1.0, norms))
+            assert np.all(np.abs(got_traces - traces) <= 1e-13 * np.maximum(1.0, norms)[:, None])
+        # every level read off the sweep of n = 5 regardless moves within the bound
+        sweeps.clear()
+        monkeypatch.setattr("kcprobe.sequences._LEVEL_BOUND", np.inf)
+        entries = _scan(perturbed(), pairs, states)
+        assert sweeps == [(5, [1, 2, 3, 4])]
         moved = {}
-        for (n, j), (norms, traces) in zip(pairs, per_n_scan(perturbed, pairs, states), strict=True):
+        for (n, j), (norms, traces) in zip(pairs, reference, strict=True):
             got_norms, got_traces = entries._pair(n, j)
             bound = 2.0 * sum(residual[n:]) + 1e-13 * np.maximum(1.0, norms)
             assert np.all(np.abs(got_norms - norms) <= bound)
@@ -851,6 +875,32 @@ class TestBlockScan:
             moved[n] = max(moved.get(n, 0.0), float(np.abs(got_norms - norms).max()))
         assert min(moved[2], moved[3]) >= 0.01 * r
         assert moved[4] <= 1e-14 and moved[5] == 0.0
+
+    def test_a_loose_preparation_sweeps_each_n(self):
+        # a preparation given to about ten digits, norm^2 = 1 + 5e-11, passes
+        # validation, and every step's effects then sum to (1 + 5e-11) 1: each
+        # level read off a deeper sweep would be off by that much a step
+        # summed out, beyond the oracle's agreement.  So each n is swept
+        # itself, and the scan reads as the sweeps of one n and agrees with
+        # the oracle's naive chains
+        rng = np.random.default_rng(33)
+        model = kp.random_model(int(rng.integers(1 << 30)), 2, 3, commuting=False)
+        amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        amps *= np.sqrt(1.0 + 5e-11) / np.linalg.norm(amps)
+        bases = tuple(kp.MeterBasis(kp.haar_unitary(2, rng), ("0", "1")) for _ in range(4))
+        protocol = kp.MeasurementProtocol(model, kp.PreparationState(amps), bases)
+        residual = completeness_residuals(protocol)
+        assert min(residual) >= 5e-11  # (1 + 5e-11) sqrt(3) - sqrt(3)
+        states = [np.eye(3) / 3, random_density(rng, 3)]
+        report = kp.check_kc_all(protocol, 4, states)
+        pairs = [(n, j) for n in range(2, 5) for j in range(1, n)]
+        for (n, j), (norms, traces) in zip(pairs, per_n_scan(protocol, pairs, states), strict=True):
+            got_norms, got_traces = report.entries._pair(n, j)
+            assert np.abs(got_norms - norms).max() <= 1e-13
+            assert np.abs(got_traces - traces).max() <= 1e-13
+        oracle = kp.oracle_compare(protocol, states[1], 4)
+        assert oracle.agrees
+        assert oracle.max_defect_discrepancy <= 1e-13
 
     def test_state_defects_stay_within_the_block_bound(self, monkeypatch):
         # the witnesses' reader walks the scan's blocks too, within its bound
@@ -1080,13 +1130,23 @@ class TestTransfer:
         states = [np.eye(d_s, dtype=complex) / d_s, random_density(rng, d_s)]
         report = kp.check_kc_all(protocol, 3, states)
         assert len(report.entries) == len(scan_order(2, 3))
-        # an n = 2 entry is read off the n = 3 sweep, so it also carries the
-        # completeness residual of step 3, at most 2 |Delta_3|_F
-        residual = completeness_residuals(protocol)
-        for e in report.entries:
+        # each n swept itself: the n = 3 entries of the scan to 3, and the
+        # n = 2 entries of the scan to 2
+        swept = [e for e in report.entries if e.n == 3] + list(kp.check_kc_all(protocol, 2, states).entries)
+        assert len(swept) == len(report.entries)
+        for e in swept:
             defect = kp.kc_defect_operator(protocol, e.n, e.j, e.fixed)
             norm = frobenius(defect)
-            marginal = 2.0 * sum(residual[e.n : 3])
+            assert abs(e.operator_defect - norm) <= 1e-15 * max(1.0, norm)
+            for rho, got in zip(states, e.state_defects, strict=True):
+                assert abs(got - np.trace(rho @ defect).real) <= 1e-14
+        # an n = 2 entry of the scan to 3 is read off the n = 3 sweep, so it
+        # also carries the completeness residual of step 3, at most 2 |Delta_3|_F
+        marginal = 2.0 * completeness_residuals(protocol)[2]
+        for e in report.entries[:2]:
+            assert e.n == 2
+            defect = kp.kc_defect_operator(protocol, e.n, e.j, e.fixed)
+            norm = frobenius(defect)
             assert abs(e.operator_defect - norm) <= 1e-15 * max(1.0, norm) + marginal
             for rho, got in zip(states, e.state_defects, strict=True):
                 assert abs(got - np.trace(rho @ defect).real) <= 1e-14 + marginal
@@ -1113,15 +1173,20 @@ class TestTransfer:
         monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
         assert canonical_json(kp.check_kc_all(protocol, 6, states).to_dict()) == want
 
-    def test_one_pair_reads_as_in_the_all_pairs_scan(self):
-        # a pair that an all-pairs scan sweeps, at its deepest n, reads alike
-        # alone; one that it reads off a deeper sweep agrees to rounding
+    def test_one_pair_reads_as_in_the_all_pairs_scan(self, monkeypatch):
         protocol = kp.fourier_protocol(kp.random_model(5, 3, 2, commuting=False), 4)
         rho = random_density(np.random.default_rng(5), 2)
-        for n_max, pair in [(3, (3, 2)), (4, (4, 2)), (4, (4, 1))]:
-            pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
-            (alone,) = _state_defects(protocol, [rho], [pair], kp.DEFAULT)
-            assert np.array_equal(alone, _state_defects(protocol, [rho], pairs, kp.DEFAULT)[pairs.index(pair)])
         pairs = [(n, j) for n in range(2, 5) for j in range(1, n)]
         (alone,) = _state_defects(protocol, [rho], [(3, 2)], kp.DEFAULT)
-        assert np.abs(alone - _state_defects(protocol, [rho], pairs, kp.DEFAULT)[pairs.index((3, 2))]).max() <= 1e-14
+        # the all-pairs scan reads (3, 2) off the n = 4 sweep, to rounding
+        scanned = _state_defects(protocol, [rho], pairs, kp.DEFAULT)[pairs.index((3, 2))]
+        assert np.abs(alone - scanned).max() <= 1e-14
+        # a pair that an all-pairs scan sweeps, at its deepest n, reads alike alone
+        for n_max, pair in [(3, (3, 2)), (4, (4, 2)), (4, (4, 1))]:
+            swept = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
+            (one,) = _state_defects(protocol, [rho], [pair], kp.DEFAULT)
+            assert np.array_equal(one, _state_defects(protocol, [rho], swept, kp.DEFAULT)[swept.index(pair)])
+        # and so does every pair of a scan that sweeps each n itself, as one
+        # does where the completeness residuals are above rounding
+        monkeypatch.setattr("kcprobe.sequences._LEVEL_BOUND", -1.0)
+        assert np.array_equal(alone, _state_defects(protocol, [rho], pairs, kp.DEFAULT)[pairs.index((3, 2))])
