@@ -281,14 +281,14 @@ def _restricted(parts: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndar
     group = np.concatenate(([0], np.cumsum(split)))
     entry = _layout(d)[0] // 2
     unknowns = np.flatnonzero(group[entry // d] == group[entry % d])
-    lift = np.zeros((len(unknowns), d * d))
-    lift[np.arange(len(unknowns)), unknowns] = 1.0
     svals, vh = _stack_svd(vectors.conj().T @ parts @ vectors, _one_hot(d, unknowns))
     l_norm = 2.0 * float(np.linalg.norm(parts))
     top = 100.0 * cut * (1.0 + l_norm * c_norm / gap) / np.sqrt(1.0 - slack**2)
     if np.any((cut / 100.0 <= svals) & (svals <= top)):
         return None
-    null = _matrices(vh[svals < cut] @ lift)
+    null = np.zeros((np.count_nonzero(svals < cut), d * d))
+    null[:, unknowns] = vh[svals < cut] + 0.0  # scattered to all d**2 coordinates; -0.0 reads +0.0
+    null = _matrices(null)
     return svals, _matrices(_coordinates(vectors @ null @ vectors.conj().T))
 
 

@@ -142,15 +142,23 @@ def check_hermitian(
     is a stack ``(..., d, d)`` and the first matrix in C order that is not
     Hermitian raises."""
     m = as_complex_matrix(m, stack=stack)
-    with np.errstate(over="ignore", invalid="ignore"):
-        defect, scale = _frobenius(m - m.conj().swapaxes(-1, -2)), _frobenius(m)
+    if stack:
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect, scale = _frobenius(m - m.conj().swapaxes(-1, -2)), _frobenius(m)
         hermitian = (defect <= tol.hermiticity * np.maximum(scale, 1.0)) & (scale < math.inf)
-    if not hermitian.all():
+        if hermitian.all():
+            return m
         k = _first(~hermitian)
-        raise InvariantViolation(
-            f"{what} is not Hermitian: |M - M^H|_F = {defect[k]:.3e}, |M|_F = {scale[k]:.3e}"
-        )
-    return m
+        defect, scale = defect[k], scale[k]
+    else:  # one matrix: :func:`_frobenius`'s sums under one errstate, compared as floats
+        flat = m.ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = (m - m.conj().T).ravel()
+            squares = np.vecdot(diff, diff).real, np.vecdot(flat, flat).real
+        defect, scale = map(math.sqrt, squares)
+        if defect <= tol.hermiticity * max(scale, 1.0) and scale < math.inf:
+            return m
+    raise InvariantViolation(f"{what} is not Hermitian: |M - M^H|_F = {defect:.3e}, |M|_F = {scale:.3e}")
 
 
 def check_density(rho: np.ndarray, dim: int, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -158,8 +166,8 @@ def check_density(rho: np.ndarray, dim: int, tol: Tolerances = DEFAULT) -> np.nd
     not a density matrix raises :class:`InvariantViolation`, and a valid one of
     another size the :class:`ProtocolError` every state reader shares."""
     rho = check_hermitian(rho, tol, what="density matrix")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > tol.density_trace:
+    tr = rho.trace()
+    if abs(complex(tr) - 1.0) > tol.density_trace:
         raise InvariantViolation(f"density matrix trace {tr} is not 1")
     lo = float(np.linalg.eigvalsh(rho)[0])
     if lo < -tol.density_eig:

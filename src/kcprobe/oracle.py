@@ -7,16 +7,21 @@ intermediate shared between sequences, and read through its effect
 ``K^H K`` (:func:`_chain_effects`).  The chains go through in stacks of at
 most ``PREFIX_BLOCK_BYTES // (16 d**2)`` matrices (at least one), one
 batched product per step.  A defect's reduced chain reads the protocol's
-own steps with step ``j`` left out.  The probabilities are compared with
-the optimized enumeration, and every operator defect ``D`` of the scan,
-one scan of every ``(n, j)`` (every smaller ``n`` read off the deepest
-sweep), with its naive reassembly in Frobenius norm, which bounds the gap in
-``tr(rho D)`` for every state.  For
-commutative models the effect-product form of the probability is a third
-route.  No product or pull-back code is shared with :mod:`kcprobe.sequences`,
-whose single-entry routes call the helpers here.  Both routes check their
-inputs with the same functions, :func:`~kcprobe.linalg.check_density` and
-the outcome and ``(n, j)`` checks of :mod:`kcprobe.model`.
+own steps with step ``j`` left out.  Within one :func:`oracle_compare`,
+the chains of each distinct step list (keyed by its step measurements, so
+that the reduced list of a uniform protocol is that of ``n - 1``) are
+multiplied out once, into one table of effects that both gates read
+(:func:`_effect_tables`), while all the tables fit in one block; past that,
+each gate builds its own chains piece by piece.  The probabilities are
+compared with the optimized enumeration, and every operator defect ``D``
+of the scan, one scan of every ``(n, j)`` (every smaller ``n`` read off
+the deepest sweep), with its naive reassembly in Frobenius norm, which
+bounds the gap in ``tr(rho D)`` for every state.  For commutative models
+the effect-product form of the probability is a third route.  No product
+or pull-back code is shared with :mod:`kcprobe.sequences`, whose
+single-entry routes call the helpers here.  Both routes check their inputs
+with the same functions, :func:`~kcprobe.linalg.check_density` and the
+outcome and ``(n, j)`` checks of :mod:`kcprobe.model`.
 """
 
 from __future__ import annotations
@@ -77,6 +82,13 @@ def _chain_probabilities(
     return out
 
 
+def _steps(n: int, j: int = 0) -> list:
+    """The 0-based steps of a chain of the first ``n`` steps with step ``j``
+    (1-based) left out, the reduced chain of ``(n, j)``; ``j = 0`` leaves
+    none out."""
+    return [s for s in range(n) if s != j - 1]
+
+
 def _naive_defects(protocol: MeasurementProtocol, j: int, fixed: np.ndarray) -> np.ndarray:
     """The operator defects ``sum_{m_j} E(m_1 .. m_n) - E'(fixed)``, one for each
     row of the ``n - 1`` checked outcomes ``fixed``, from one chain per ``m_j``
@@ -91,26 +103,81 @@ def _naive_defects(protocol: MeasurementProtocol, j: int, fixed: np.ndarray) -> 
         for lo, effects in _chain_effects(protocol, m_j_rows, range(n)):
             out[lo : lo + len(effects)] += effects
             del effects  # freed before the next stack is built, to keep the bound
-    for lo, effects in _chain_effects(protocol, fixed, [s for s in range(n) if s != j - 1]):
+    for lo, effects in _chain_effects(protocol, fixed, _steps(n, j)):
         out[lo : lo + len(effects)] -= effects
         del effects  # likewise
     return out
 
 
-def _defect_gaps(protocol: MeasurementProtocol, pairs: list) -> np.ndarray:
+def _key(protocol: MeasurementProtocol, steps) -> tuple:
+    """The identities of the step measurements of the 0-based ``steps``:
+    step lists with the same key have the same chains."""
+    return tuple(id(protocol.step_measurements[s]) for s in steps)
+
+
+def _effect_tables(protocol: MeasurementProtocol, n_max: int) -> dict | None:
+    """The effects ``K^H K`` of every outcome sequence of each distinct step
+    list that :func:`oracle_compare` reads up to ``n_max`` (the first ``n``
+    steps, and those with step ``j`` left out), one ``(d_P**k, d, d)`` table
+    in the order of :func:`_all_outcomes` per :func:`_key`, each from one
+    :func:`_chain_effects` call over the first step list with that key.  None
+    where the tables, counted before any is built, would not fit in one
+    block of ``PREFIX_BLOCK_BYTES``.  They are built before the scan has
+    checked its defects, so a non-finite effect raises no warning here: it
+    fails the gate that reads it, and the scan raises its fault before the
+    operator gate reads a defect it found non-finite."""
+    d_p, d = protocol.probe_dim, protocol.system_dim
+    lists = {}
+    for n in range(1, n_max + 1):
+        for j in range(n):
+            steps = _steps(n, j)
+            lists.setdefault(_key(protocol, steps), steps)
+    if sum(d_p ** len(steps) for steps in lists.values()) * 16 * d * d > sequences.PREFIX_BLOCK_BYTES:
+        return None
+    tables = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, steps in lists.items():
+            ((_, tables[key]),) = _chain_effects(protocol, _all_outcomes(d_p, len(steps)), steps)
+    return tables
+
+
+def _table_defects(
+    protocol: MeasurementProtocol, tables: dict, n: int, j: int, rows: slice
+) -> np.ndarray:
+    """The operator defects ``sum_{m_j} E - E'`` of ``(n, j)`` for the ``rows``
+    of :func:`_all_outcomes` of the ``n - 1`` fixed outcomes, as
+    :func:`_naive_defects` forms them, read off :func:`_effect_tables`."""
+    d_p, d = protocol.probe_dim, protocol.system_dim
+    after = d_p ** (n - j)  # the outcome sequences of the steps after j
+    full = tables[_key(protocol, _steps(n))].reshape(-1, d_p, after, d, d)  # m_j on axis 1
+    before, later = np.divmod(np.arange(rows.start, rows.stop), after)
+    out = full[before, 0, later]
+    for m_j in range(1, d_p):
+        out += full[before, m_j, later]
+    out -= tables[_key(protocol, _steps(n, j))][rows]
+    return out
+
+
+def _defect_gaps(protocol: MeasurementProtocol, pairs: list, tables: dict | None = None) -> np.ndarray:
     """The largest ``|D - D_naive|_F`` of each ``(n, j)`` of ``pairs``, in their
     order, over its operator defects ``D`` from one scan of every pair
     (:func:`~kcprobe.sequences._defect_blocks`), ``D`` turned back into
-    matrices; ``np.maximum`` keeps a NaN.  A block's naive slices are built
-    only once the scan has yielded, and so checked, the block."""
+    matrices; ``np.maximum`` keeps a NaN.  ``D_naive`` is read off ``tables``
+    (:func:`_effect_tables`) where given, else built per slice from its own
+    chains (:func:`_naive_defects`).  A block's naive slices are built only
+    once the scan has yielded, and so checked, the block."""
     d_p = protocol.probe_dim
     out = np.zeros(len(pairs))
     index = {pair: k for k, pair in enumerate(pairs)}
-    fixed = {n: _all_outcomes(d_p, n - 1) for n in dict.fromkeys(n for n, _ in pairs)}
+    if tables is None:  # the fixed outcomes of each n, for the per-piece chains
+        fixed = {n: _all_outcomes(d_p, n - 1) for n in dict.fromkeys(n for n, _ in pairs)}
     for j, pieces, defects, _ in _defect_blocks(protocol, pairs):
         for n, first, row, size in pieces:
             gap = _matrices(defects[row : row + size])
-            gap -= _naive_defects(protocol, j, fixed[n][first : first + size])
+            if tables is None:
+                gap -= _naive_defects(protocol, j, fixed[n][first : first + size])
+            else:
+                gap -= _table_defects(protocol, tables, n, j, slice(first, first + size))
             gap = gap.reshape(len(gap), -1).view(float)  # real and imaginary parts
             k = index[n, j]
             out[k] = np.maximum(out[k], np.max(np.sqrt(np.einsum("ak,ak->a", gap, gap))))
@@ -221,14 +288,19 @@ def oracle_compare(
     rho = check_density(rho, protocol.system_dim, tol)
     d_p = protocol.probe_dim
     _check_capacity(d_p, n_max, tol)
-    defect_gaps = _defect_gaps(protocol, [(n, j) for n in range(2, n_max + 1) for j in range(1, n)])
+    tables = _effect_tables(protocol, n_max)
+    pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
+    defect_gaps = _defect_gaps(protocol, pairs, tables)
     per_n = []
     commutative, _ = is_commutative(protocol.model.hamiltonians, tol)
     product_gaps = [0.0]
     for n in range(1, n_max + 1):
         fast = np.array(list(full_distribution(protocol, rho, n, tol).table.values()))
         seqs = _all_outcomes(d_p, n)
-        naive = _chain_probabilities(protocol, rho, seqs, range(n))
+        if tables is None:
+            naive = _chain_probabilities(protocol, rho, seqs, range(n))
+        else:
+            naive = np.einsum("ij,aji->a", rho, tables[_key(protocol, _steps(n))]).real
         per_n.append(float(np.max(np.abs(fast - naive))))
         if commutative:
             product_gaps.append(np.max(np.abs(fast - _effect_products(protocol, rho, seqs))))

@@ -1242,9 +1242,13 @@ class TestRunOracleCheck:
     @pytest.mark.parametrize("steps", [(0,), (1,)], ids=["probabilities", "defects"])
     def test_a_nan_discrepancy_fails_both_commands(self, tmp_path, monkeypatch, capsys, steps):
         # a NaN at the second sequence of the n = 1 chains or of the reduced
-        # chains of (n, j) = (2, 1); it has no JSON form, so no bundle either
+        # chains of (n, j) = (2, 1); it has no JSON form, so no bundle either.
+        # The steps measure along X and Y, so that each of those step lists
+        # has its own chains, which one gate alone reads: along Y and Y the
+        # n = 1 chains are also the reduced chains of (2, 1)
         monkeypatch.setattr("kcprobe.oracle._chain_effects", nan_chain(steps, (1,)))
-        path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["oracle"]))
+        cfg = sigma_pair_config(checks=["oracle"], protocol={"axes": ["X", "Y"], "n_max": 2})
+        path = write_config(tmp_path / "cfg.json", cfg)
         for command in ("oracle", "run"):
             out = tmp_path / command
             assert main([command, path, "--out", str(out)]) == 3

@@ -17,6 +17,7 @@ from kcprobe.oracle import (
     _chain_probabilities,
     _defect_gaps,
     _effect_products,
+    _effect_tables,
     _naive_defects,
 )
 from kcprobe.sequences import _TRANSFER_MAX_DIM, PREFIX_BLOCK_BYTES, _pull
@@ -322,6 +323,7 @@ def test_naive_work_space_stays_within_the_block_bound(monkeypatch):
     def pairs(n_max):
         return [(k, j) for k in range(2, n_max + 1) for j in range(1, k)]
 
+    assert _effect_tables(protocol, n) is None  # 1022 matrices of a 16-matrix block: per piece
     reads = [
         lambda: _chain_probabilities(protocol, rho, seqs, range(n)),
         lambda: _effect_products(protocol, rho, seqs),
@@ -337,6 +339,117 @@ def test_naive_work_space_stays_within_the_block_bound(monkeypatch):
             tracemalloc.stop()
         assert values.shape in {(2**n,), (2 ** (n - 1), d_s, d_s), *((len(pairs(k)),) for k in fixed)}
         assert peak - result_bytes <= 4 * block_bytes
+
+
+def table_bytes(protocol, n_max):
+    """The bytes of the effect tables of ``protocol`` up to ``n_max``, counted as
+    :func:`_effect_tables` counts them: ``16 d**2`` a sequence of each distinct
+    tuple of step measurements."""
+    d_p, d = protocol.probe_dim, protocol.system_dim
+    keys = {
+        tuple(protocol.step_measurements[s] for s in range(n) if s != j - 1)
+        for n in range(1, n_max + 1)
+        for j in range(n)  # j = 0 leaves no step out
+    }
+    return sum(d_p ** len(key) for key in keys) * 16 * d * d
+
+
+def table_protocol(kind, d_p, d_s, n_steps=4):
+    """A protocol of ``n_steps`` X steps (``"XXXX"``), Fourier steps or
+    distinct steps on a random model, and the generator that drew it."""
+    rng = np.random.default_rng(100 * d_p + 10 * d_s + len(kind))
+    if kind == "distinct":
+        return distinct_steps_protocol(rng, d_p, d_s, n_steps), rng
+    model = kp.DephasingModel(d_p, d_s, tuple(random_hermitian(rng, d_s) for _ in range(d_p)), 1.0)
+    if kind == "XXXX":
+        return kp.qubit_xy_protocol(model, "X" * n_steps), rng
+    return kp.fourier_protocol(model, n_steps), rng
+
+
+@pytest.mark.parametrize("d_s", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "kind, d_p", [("XXXX", 2), ("fourier", 2), ("fourier", 3), ("distinct", 2), ("distinct", 3)]
+)
+def test_held_tables_report_as_the_per_piece_chains(monkeypatch, kind, d_p, d_s):
+    # the same report with every effect table held as with a block one byte
+    # too small for them, where each gate builds its own chains per piece
+    protocol, rng = table_protocol(kind, d_p, d_s)
+    rho = random_density(rng, d_s)
+    for n_max in range(1, 5):
+        tables = _effect_tables(protocol, n_max)
+        assert sum(table.nbytes for table in tables.values()) == table_bytes(protocol, n_max)
+        held = kp.oracle_compare(protocol, rho, n_max).to_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", table_bytes(protocol, n_max) - 1)
+            assert _effect_tables(protocol, n_max) is None
+            assert kp.oracle_compare(protocol, rho, n_max).to_dict() == held
+        assert held["agrees"]
+
+
+@pytest.mark.parametrize("kind, d_p, n_max", [("XXXX", 2, 4), ("fourier", 3, 4), ("distinct", 2, 4)])
+def test_the_tables_are_the_chains_of_their_step_lists(kind, d_p, n_max):
+    # each table is the effects of every outcome sequence of each step list
+    # with its key, in the order of the outcome rows
+    protocol, _ = table_protocol(kind, d_p, 3)
+    tables = _effect_tables(protocol, n_max)
+    for n in range(1, n_max + 1):
+        for j in range(n):  # j = 0 leaves no step out
+            steps = [s for s in range(n) if s != j - 1]
+            seqs = list(itertools.product(range(d_p), repeat=len(steps)))
+            want = np.array([loop_chain_effect(protocol, seq, steps) for seq in seqs])
+            assert np.abs(tables[kcprobe.oracle._key(protocol, steps)] - want).max() <= 1e-15
+
+
+def test_each_sequence_effect_is_built_once(monkeypatch):
+    # one table per distinct step list, 2 + 4 + 8 + 16 chains for XXXX to
+    # n 4, where each gate building its own chains made 22 calls over 132;
+    # with distinct steps, one call for each of the 10 step lists
+    built = []
+    monkeypatch.setattr(
+        "kcprobe.oracle._chain_effects",
+        lambda protocol, seqs, steps: built.append(len(seqs)) or _chain_effects(protocol, seqs, steps),
+    )
+    protocol, rng = table_protocol("XXXX", 2, 2)
+    assert kp.oracle_compare(protocol, random_density(rng, 2), 4).agrees
+    assert sorted(built) == [2, 4, 8, 16]
+    built.clear()
+    protocol, rng = table_protocol("distinct", 2, 2)
+    assert kp.oracle_compare(protocol, random_density(rng, 2), 4).agrees
+    assert sorted(built) == [2, 2, 4, 4, 4, 8, 8, 8, 8, 16]
+
+
+def test_a_nan_in_a_shared_table_fails_every_gate_that_reads_it(monkeypatch):
+    # along X, X and X the n = 1 chains are also the reduced chains of (2, 1),
+    # so the probabilities at n = 1 and the defects read one table
+    monkeypatch.setattr("kcprobe.oracle._chain_effects", nan_chain((0,), (1,)))
+    protocol = kp.qubit_xy_protocol(kp.random_model(3, 2, 2, commuting=False), "XXX")
+    report = kp.oracle_compare(protocol, random_density(np.random.default_rng(3), 2), 3)
+    assert np.isnan(report.per_n[0]) and max(report.per_n[1:]) <= 1e-11
+    assert np.isnan(report.max_abs_discrepancy) and np.isnan(report.max_defect_discrepancy)
+    assert not report.agrees
+
+
+@pytest.mark.parametrize(
+    "kind, d_p, d_s, n_max", [("XXXX", 2, 4, 7), ("distinct", 2, 4, 5), ("fourier", 3, 3, 4)]
+)
+def test_held_tables_stay_within_the_block_bound(monkeypatch, kind, d_p, d_s, n_max):
+    # with the block just large enough for the tables (254 matrices of 4 x 4
+    # at n 7 on one measurement: 63.5 KiB), the oracle holds them beside the
+    # scan (at most SCAN_BLOCKS = 3 blocks) and the distribution (below 2),
+    # and no more than 4 blocks beyond its result; tracemalloc saw 1.6-1.9 blocks
+    protocol, rng = table_protocol(kind, d_p, d_s, n_max)
+    rho = random_density(rng, d_s)
+    block_bytes = table_bytes(protocol, n_max)
+    monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+    assert _effect_tables(protocol, n_max) is not None
+    tracemalloc.start()
+    try:
+        report = kp.oracle_compare(protocol, rho, n_max)
+        result_bytes, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.agrees
+    assert peak - result_bytes <= 4 * block_bytes
 
 
 def test_the_operator_gate_reads_one_scan(monkeypatch):
