@@ -33,8 +33,18 @@ import numpy as np
 from .algebra import algebra_report, is_commutative, zero_entanglement_condition
 from .config import SCHEMA_VERSION, Experiment, build_experiment, load_run_config
 from .errors import ConfigError, InvariantViolation, KCProbeError, NumericalFault
-from .model import DephasingModel, MeasurementProtocol, PreparationState, _qubit, xy_meter_basis
-from .oracle import OracleReport, oracle_compare
+from . import sequences
+from .model import (
+    DephasingModel,
+    MeasurementProtocol,
+    MeterBasis,
+    PreparationState,
+    _Grid,
+    _grids,
+    _qubit,
+    xy_meter_basis,
+)
+from .oracle import OracleReport, _oracle_reports
 from .scenarios import (
     ScenarioSpec,
     build_scenario,
@@ -118,12 +128,13 @@ def _header(config) -> dict:
 
 
 def _oracle_rows(experiment: Experiment) -> list[dict]:
-    """One oracle report per state.  A non-finite discrepancy disagrees and
-    has no JSON form, so it is a numerical fault and no bundle is written."""
-    tol = experiment.config.tolerances
+    """One oracle report per state, from one operator gate for all of them.  A
+    non-finite discrepancy disagrees and has no JSON form, so it is a
+    numerical fault and no bundle is written."""
+    states = [rho for _, rho in experiment.states]
+    reports = _oracle_reports(experiment.protocol, states, experiment.n_max, experiment.config.tolerances)
     rows = []
-    for name, rho in experiment.states:
-        report = oracle_compare(experiment.protocol, rho, experiment.n_max, tol)
+    for (name, _), report in zip(experiment.states, reports):
         row = {"state": name, **report.to_dict()}
         if not all(math.isfinite(row[key]) for key in OracleReport.GATED if row[key] is not None):
             raise NumericalFault(f"oracle disagrees for state {name!r}: a discrepancy is not finite")
@@ -137,16 +148,22 @@ def _witness_steps(model: DephasingModel, step_times=None) -> int:
     return 3 if step_times is None else len(step_times)
 
 
+def _witness_bases(model: DephasingModel, step_times=None) -> dict[str, tuple[MeterBasis, ...]]:
+    """``{"X": (X, ..., X), "Y": (Y, ..., Y)}``, the step bases of the protocols
+    the witnesses read: :func:`_witness_steps` steps each."""
+    n = _witness_steps(model, step_times)
+    return {axis: (xy_meter_basis(axis),) * n for axis in "XY"}
+
+
 def _witness_protocols(
     model: DephasingModel, preparation: PreparationState, step_times=None
 ) -> dict[str, MeasurementProtocol]:
     """``{"X": X...X, "Y": Y...Y}``, the protocols the witnesses read: each prepared
-    in ``preparation``, with :func:`_witness_steps` steps at ``step_times`` (the
-    model's step time if None).  Δ21, Δ32 and the LG check (on X) read their prefixes."""
-    n = _witness_steps(model, step_times)
+    in ``preparation``, with the steps of :func:`_witness_bases` at ``step_times``
+    (the model's step time if None).  Δ21, Δ32 and the LG check (on X) read their prefixes."""
     return {
-        axis: MeasurementProtocol(model, preparation, (xy_meter_basis(axis),) * n, step_times)
-        for axis in "XY"
+        axis: MeasurementProtocol(model, preparation, bases, step_times)
+        for axis, bases in _witness_bases(model, step_times).items()
     }
 
 
@@ -158,9 +175,10 @@ def _delta_names(steps: int) -> dict[str, tuple[int, str]]:
     return {f"delta_{a.lower()}_{n}{n - 1}": (n, a) for n in ns for a in "XY"}
 
 
-def _delta_columns(by_axis: dict[str, MeasurementProtocol], states: list, tol) -> dict:
+def _delta_columns(by_axis: dict, states: list, tol) -> dict:
     """``{name: (n, axis, values, tensor)}`` of the columns of :func:`_delta_names`
-    for every validated state, one scan per axis protocol."""
+    for every validated state, one scan per axis protocol, or per axis grid of
+    protocols (:class:`~kcprobe.model._Grid`), whose point leads each array."""
     names = _delta_names(by_axis["X"].n_steps)
     ns = sorted({n for n, _ in names.values()})
     read = {a: dict(zip(ns, _axis_deltas(p, states, ns, tol, "XY"))) for a, p in by_axis.items()}
@@ -299,27 +317,75 @@ def _sweep_model(experiment: Experiment, param: str, value: float):
     return build_scenario(ScenarioSpec("nv", scenario.seed, {**scenario.params, "omega": value}))
 
 
-def _sweep_row(experiment: Experiment, param: str, value: float, commutator: float | None) -> dict:
-    """One ``sweep.csv`` row by column name; ``commutator`` is the row's
-    ``commutator_norm`` when it does not depend on ``value``, else ``None``."""
-    tol = experiment.config.tolerances
-    try:  # a grid value that breaks an invariant is a config error, as in the config
-        model = _sweep_model(experiment, param, value)
-        protocols = _witness_protocols(model, experiment.protocol.preparation)
+# Bytes of the objects that a sweep point keeps while its chunk is swept,
+# whatever ``d``: its model, its task and its row (``tracemalloc`` saw about
+# 2 KiB a point at d = 2).
+SWEEP_POINT_OVERHEAD_BYTES = 2 * 2**10
+
+
+def _sweep_points(system_dim: int) -> int:
+    """How many grid points one sweep chunk holds: what a point keeps while
+    its chunk is swept, its conditional unitaries and the Kraus operators and
+    effects of its X and Y cycles, ``80 d_P d**2`` bytes, up to
+    ``_TRANSFER_MAX_DIM`` their two transfers, ``16 d_P d**4`` bytes, and
+    :data:`SWEEP_POINT_OVERHEAD_BYTES`, fill at most ``PREFIX_BLOCK_BYTES``;
+    at least one point.  The chunk's scans count its points against their
+    own blocks."""
+    d_p, d = 2, system_dim
+    point_bytes = 80 * d_p * d**2 + SWEEP_POINT_OVERHEAD_BYTES
+    if d <= sequences._TRANSFER_MAX_DIM:
+        point_bytes += 16 * d_p * d**4
+    return max(1, sequences.PREFIX_BLOCK_BYTES // point_bytes)
+
+
+def _sweep_grids(experiment: Experiment, param: str, values) -> dict[str, _Grid]:
+    """The witness protocols (:func:`_witness_bases`) of the models at
+    ``values`` of ``param``, as one grid per axis from one stacked build.  A
+    value that breaks an invariant is a config error, as in the config, and
+    the first such point names it, as building the points one by one would."""
+    bases = _witness_bases(experiment.model)
+    preparation = experiment.protocol.preparation
+    models = []
+    try:
+        for value in values:
+            try:
+                models.append(_sweep_model(experiment, param, value))
+            except InvariantViolation:
+                if models:  # the points before it raise their own violation first
+                    _grids(models, preparation, bases)
+                raise
+        return _grids(models, preparation, bases)
     except InvariantViolation as exc:
         raise ConfigError(str(exc)) from exc
-    rho = experiment.states[0][1]  # the first state only, validated once by build_experiment
+
+
+def _sweep_chunk(experiment: Experiment, param: str, values: list, commutator, pool) -> list[dict]:
+    """The ``sweep.csv`` rows, by column name, of the grid points ``values``:
+    one stacked build and one batched witness scan per axis for the whole
+    chunk run on this thread (the scans read the first configured state
+    only); then each row is one task on ``pool``, whose X and Y protocols,
+    assembled from the stacks, each get one KC scan, with no state, for
+    ``max_kc_defect``.  ``commutator`` is every row's ``commutator_norm`` when
+    that does not depend on the value, else ``None``."""
+    tol = experiment.config.tolerances
     n_max = max(2, min(experiment.n_max, 3))
-    if commutator is None:
-        commutator = is_commutative(model.hamiltonians, tol)[1]
-    return {
-        param: value,
-        "max_kc_defect": max(
-            check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols.values()
-        ),
-        **{name: column[2][0] for name, column in _delta_columns(protocols, [rho], tol).items()},
-        "commutator_norm": commutator,
-    }
+    grids = _sweep_grids(experiment, param, values)
+    rho = experiment.states[0][1]  # validated once by build_experiment
+    deltas = {name: column[2][:, 0] for name, column in _delta_columns(grids, [rho], tol).items()}
+
+    def row(g: int) -> dict:
+        protocols = [grid.protocol(g) for grid in grids.values()]
+        norm = commutator
+        if norm is None:
+            norm = is_commutative(protocols[0].model.hamiltonians, tol)[1]
+        return {
+            param: values[g],
+            "max_kc_defect": max(check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols),
+            **{name: column[g] for name, column in deltas.items()},
+            "commutator_norm": norm,
+        }
+
+    return list(pool.map(row, range(len(values))))
 
 
 def _cmd_sweep(args, config) -> int:
@@ -336,9 +402,13 @@ def _cmd_sweep(args, config) -> int:
     commutator = None
     if args.param == "t":
         commutator = is_commutative(experiment.model.hamiltonians, config.tolerances)[1]
-    # one worker, since more were no faster; perfbench counts one executor task per row
+    # chunks sized before any is built; one worker, since more were no faster,
+    # and perfbench counts one executor task per row
+    points = _sweep_points(experiment.model.system_dim)
+    rows = []
     with ThreadPoolExecutor(max_workers=1) as pool:
-        rows = list(pool.map(lambda v: _sweep_row(experiment, args.param, v, commutator), grid))
+        for start in range(0, len(grid), points):
+            rows += _sweep_chunk(experiment, args.param, grid[start : start + points], commutator, pool)
 
     def write_csv(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:

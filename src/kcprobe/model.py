@@ -168,34 +168,44 @@ class InducedMeasurement:
         object.__setattr__(self, "effects", effects)
 
 
+def _transfers(kraus: np.ndarray) -> np.ndarray:
+    """The real ``(..., d_P, d**2, d**2)`` transfers ``T`` of a stack of Kraus
+    operators ``(..., d_P, d, d)`` in the coordinates ``c`` of
+    :func:`~kcprobe.linalg._coordinates`: ``c(K_m^H X K_m) = c(X) @ T[m]`` for
+    every Hermitian ``X``, so row ``a`` of ``T[m]`` is ``c(K_m^H B_a K_m)``.
+    Each transfer is the same two matrix products whatever the leading axes,
+    so a stack's transfers are bit for bit those of its members alone."""
+    *lead, d_p, d, _ = kraus.shape
+    # pairs[..., m, (k, l), (i, j)] = conj(K_m)_ki (K_m)_lj, so that
+    # (K_m^H X K_m)_ij = sum_kl X_kl pairs[..., m, (k, l), (i, j)]
+    pairs = kraus.conj()[..., :, :, None, :, None] * kraus[..., None, :, None, :]
+    pairs = pairs.reshape(*lead, d_p, d * d, d * d)
+    basis = _basis(d)
+    # row a of basis @ pairs[m] is the flattened K_m^H B_a K_m; its
+    # coordinates are the dot products of its real and imaginary parts
+    # with those of each B_b
+    return (basis @ pairs).view(float) @ basis.view(float).T
+
+
 def _transfer(measurement) -> np.ndarray:
-    """The real ``(d_P, d**2, d**2)`` transfer ``T`` of the Kraus operators of
-    ``measurement`` in the coordinates ``c`` of :func:`~kcprobe.linalg._coordinates`:
-    ``c(K_m^H X K_m) = c(X) @ T[m]`` for every Hermitian ``X``, so row ``a`` of
-    ``T[m]`` is ``c(K_m^H B_a K_m)``.  It is built at the first call and kept on
-    the measurement, ``8 d_P d**4`` bytes, so the steps that share a
-    measurement share one transfer across every scan of them."""
+    """The transfers (:func:`_transfers`) of the Kraus operators of
+    ``measurement``, ``(d_P, d**2, d**2)``, or ``(d_P, G, d**2, d**2)`` for a
+    :class:`_Stacked` grid of them.  They are built at the first call and kept
+    on the measurement, ``8 d_P d**4`` bytes a member, so the steps that share
+    a measurement share one transfer across every scan of them."""
     kept = vars(measurement)
     if "_transfer" not in kept:
-        kraus = np.asarray(measurement.kraus)
-        d_p, d = kraus.shape[:2]
-        # pairs[m, (k, l), (i, j)] = conj(K_m)_ki (K_m)_lj, so that
-        # (K_m^H X K_m)_ij = sum_kl X_kl pairs[m, (k, l), (i, j)]
-        pairs = (kraus.conj()[:, :, None, :, None] * kraus[:, None, :, None, :]).reshape(d_p, d * d, d * d)
-        basis = _basis(d)
-        # row a of basis @ pairs[m] is the flattened K_m^H B_a K_m; its
-        # coordinates are the dot products of its real and imaginary parts
-        # with those of each B_b
-        kept["_transfer"] = (basis @ pairs).view(float) @ basis.view(float).T
+        kept["_transfer"] = _transfers(np.asarray(measurement.kraus))
     return kept["_transfer"]
 
 
 def _residual(measurement) -> float:
     """``|sum_m E_m - 1|_F``, the completeness residual of ``measurement``,
     with ``E_m`` the Hermitian part of ``K_m^H K_m`` for its Kraus operators
-    ``K_m``, which the scan pulls back through.  :func:`induced_kraus` keeps
-    the residual it checked on the measurement it builds; for any other it is
-    computed at the first call and kept likewise, as a transfer is."""
+    ``K_m``, which the scan pulls back through.  Every measurement that
+    :func:`_cycles` builds keeps the residual it checked (a :class:`_Stacked`
+    grid the largest of its points'); for any other it is computed at the
+    first call and kept likewise, as a transfer is."""
     kept = vars(measurement)
     if "_residual" not in kept:
         kraus = np.asarray(measurement.kraus)
@@ -253,33 +263,40 @@ def induced_kraus(
     a failure indicates a non-orthonormal meter basis or a numerical fault
     and raises :class:`InvariantViolation`.
     """
-    if preparation.dim != model.probe_dim or meter.dim != model.probe_dim:
-        raise DimensionError(
-            f"preparation/meter dimension must equal probe dimension {model.probe_dim}"
-        )
+    weights = _cycle_weights(model.probe_dim, preparation, meter)
     if unitaries is None:
         unitaries = conditional_unitaries(model)
-    kraus, effects, completeness = _cycles(_cycle_weights(preparation, meter), np.asarray(unitaries), tol)
-    measurement = InducedMeasurement(kraus, effects, meter.labels)
-    vars(measurement)["_residual"] = float(completeness)  # see _residual
-    return measurement
+    kraus, effects, completeness = _cycles(weights, np.asarray(unitaries), tol)
+    return _measurement(kraus, effects, meter.labels, completeness)
 
 
-def _cycle_weights(preparation: PreparationState, meter: MeterBasis) -> np.ndarray:
-    """The ``(d_P, d_P)`` weights ``g_i conj(m_i)`` of ``K_m = sum_i weights[m, i] U_i``."""
+def _cycle_weights(probe_dim: int, preparation: PreparationState, meter: MeterBasis) -> np.ndarray:
+    """The ``(d_P, d_P)`` weights ``g_i conj(m_i)`` of ``K_m = sum_i weights[m, i] U_i``;
+    a preparation or meter of another dimension than ``probe_dim`` raises
+    :class:`DimensionError`."""
+    if preparation.dim != probe_dim or meter.dim != probe_dim:
+        raise DimensionError(f"preparation/meter dimension must equal probe dimension {probe_dim}")
     return preparation.amplitudes * meter.states.conj()
 
 
 def _cycles(
     weights: np.ndarray, unitaries: np.ndarray, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Kraus operators and effects of a stack of probe cycles, each
-    ``(..., d_P, d, d)``, from their weights ``(..., d_P, d_P)`` (see
-    :func:`_cycle_weights`) and conditional unitaries ``(..., d_P, d, d)``,
-    whose leading axes broadcast, and each cycle's completeness residual
-    ``|sum_m E_m - 1|_F``, shape ``(...)``.  Every cycle's effects must sum to
-    the identity and be positive; the first cycle in C order that fails raises
-    :class:`InvariantViolation`."""
+    """The one builder of Kraus data: the read-only Kraus operators and effects
+    of a stack of probe cycles, each ``(..., d_P, d, d)``, from their weights
+    ``(..., d_P, d_P)`` (see :func:`_cycle_weights`) and conditional unitaries
+    ``(..., d_P, d, d)``, whose leading axes broadcast, and each cycle's
+    completeness residual ``|sum_m E_m - 1|_F``, shape ``(...)``.  Every
+    cycle's effects must sum to the identity and be positive; the first cycle
+    in C order that fails raises :class:`InvariantViolation`.
+
+    A protocol builds its distinct measurements in one call
+    (:class:`MeasurementProtocol`), a grid of protocols in one call with the
+    grid point leading (:func:`_grids`), and so does the search screen.  Each
+    cycle is the same elementwise steps and matrix products whatever the
+    leading axes, so a member of a stack is bit for bit the cycle built
+    alone, its unitaries too
+    (:func:`~kcprobe.linalg.unitary_from_eigensystem`)."""
     # K_m = sum_i g_i conj(m_i) U_i for every outcome m at once
     kraus = np.einsum("...mi,...ikl->...mkl", weights, unitaries)
     effects = kraus.conj().swapaxes(-1, -2) @ kraus
@@ -293,7 +310,38 @@ def _cycles(
     if not lowest.min() >= -tol.effect_psd:
         k = _first(~(lowest >= -tol.effect_psd))
         raise InvariantViolation(f"effect {k[-1]} has negative eigenvalue {lowest[k]:.3e}")
+    kraus.setflags(write=False)
+    effects.setflags(write=False)
     return kraus, effects, completeness
+
+
+def _measurement(kraus: np.ndarray, effects: np.ndarray, labels, residual) -> InducedMeasurement:
+    """The :class:`InducedMeasurement` of one cycle of read-only arrays that
+    :func:`_cycles` made, without the copies and checks of ``__init__``, with
+    its completeness residual kept (see :func:`_residual`)."""
+    measurement = object.__new__(InducedMeasurement)
+    object.__setattr__(measurement, "kraus", kraus)
+    object.__setattr__(measurement, "effects", effects)
+    object.__setattr__(measurement, "labels", labels)
+    vars(measurement)["_residual"] = float(residual)
+    return measurement
+
+
+def _assemble(model, preparation, step_bases, step_times, step_measurements) -> "MeasurementProtocol":
+    """A :class:`MeasurementProtocol` of steps whose measurements are already
+    built and checked, skipping ``__init__``: a slice of a protocol
+    (:meth:`MeasurementProtocol._with_steps`) or a point of a grid
+    (:meth:`_Grid.protocol`)."""
+    protocol = object.__new__(MeasurementProtocol)
+    for name, value in (
+        ("model", model),
+        ("preparation", preparation),
+        ("step_bases", step_bases),
+        ("step_times", step_times),
+        ("step_measurements", step_measurements),
+    ):
+        object.__setattr__(protocol, name, value)
+    return protocol
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,21 +374,24 @@ class MeasurementProtocol:
                 raise ProtocolError(
                     f"{len(self.step_times)} step times for {len(self.step_bases)} steps"
                 )
-        # steps with equal meter kets, labels and duration share one measurement
-        unitaries: dict[float, np.ndarray] = {}
-        built: dict[tuple[bytes, tuple[str, ...], float], InducedMeasurement] = {}
-        measurements = []
+        # steps with equal meter kets, labels and duration share one measurement,
+        # and every distinct one is a cycle of one stacked build
+        distinct: dict[tuple[bytes, tuple[str, ...], float], int] = {}
+        cycles, picks = [], []
         for basis, t in zip(self.step_bases, self.effective_step_times()):
             key = (basis.states.tobytes(), basis.labels, t)
-            if key not in built:
-                if t not in unitaries:
-                    unitaries[t] = conditional_unitaries(self.model, t)
-                built[key] = induced_kraus(
-                    self.model, self.preparation, basis, unitaries=unitaries[t]
-                )
-            measurements.append(built[key])
+            if key not in distinct:
+                distinct[key] = len(cycles)
+                cycles.append((basis, t))
+            picks.append(distinct[key])
+        model = self.model
+        weights = np.array([_cycle_weights(model.probe_dim, self.preparation, b) for b, _ in cycles])
+        times = np.array([[t] for _, t in cycles])
+        unitaries = unitary_from_eigensystem(model.eigenvalues, model.eigenvectors, times)
+        kraus, effects, completeness = _cycles(weights, unitaries, DEFAULT)
+        built = [_measurement(kraus[c], effects[c], b.labels, completeness[c]) for c, (b, _) in enumerate(cycles)]
         object.__setattr__(self, "step_bases", tuple(self.step_bases))
-        object.__setattr__(self, "step_measurements", tuple(measurements))
+        object.__setattr__(self, "step_measurements", tuple(built[c] for c in picks))
 
     @property
     def n_steps(self) -> int:
@@ -369,16 +420,13 @@ class MeasurementProtocol:
         The selected steps were validated and their measurements built when
         this protocol was, so the result reuses them and skips ``__init__``.
         """
-        sub = object.__new__(MeasurementProtocol)
-        for name, value in (
-            ("model", self.model),
-            ("preparation", self.preparation),
-            ("step_bases", pick(self.step_bases)),
-            ("step_times", None if self.step_times is None else pick(self.step_times)),
-            ("step_measurements", pick(self.step_measurements)),
-        ):
-            object.__setattr__(sub, name, value)
-        return sub
+        return _assemble(
+            self.model,
+            self.preparation,
+            pick(self.step_bases),
+            None if self.step_times is None else pick(self.step_times),
+            pick(self.step_measurements),
+        )
 
     def prefix(self, n: int) -> "MeasurementProtocol":
         _prefix(self, n)
@@ -391,6 +439,102 @@ class MeasurementProtocol:
         if self.n_steps == 1:
             raise ProtocolError("cannot drop the only step of a protocol")
         return self._with_steps(lambda steps: steps[: j - 1] + steps[j:])
+
+
+@dataclass(frozen=True, eq=False)
+class _Stacked:
+    """The measurements of one cycle at every point of a grid, as
+    :func:`_grids` builds them: read-only ``(d_P, G, d, d)`` Kraus operators
+    and effects, each outcome's matrix at every point, and the ``(G,)``
+    completeness residuals.  :func:`_transfer` reads it as it reads one
+    measurement, and :func:`_residual` as the largest residual of its
+    points, so that the scan's level rule holds at every point."""
+
+    kraus: np.ndarray
+    effects: np.ndarray
+    labels: tuple[str, ...]
+    residuals: np.ndarray
+
+    def __post_init__(self):
+        vars(self)["_residual"] = float(self.residuals.max())
+
+
+def _member(stacked: _Stacked, g: int) -> InducedMeasurement:
+    """The measurement of point ``g`` of ``stacked``, views of its arrays, with
+    its residual and, if the stack keeps them, its transfer."""
+    kept = vars(stacked)
+    measurement = _measurement(stacked.kraus[:, g], stacked.effects[:, g], stacked.labels, stacked.residuals[g])
+    if "_transfer" in kept:
+        vars(measurement)["_transfer"] = kept["_transfer"][:, g]
+    return measurement
+
+
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """Protocols of one shape, one per point of a grid, as the scan of
+    :mod:`kcprobe.sequences` reads them: point ``g`` prepares ``preparation``
+    and measures ``step_bases`` on ``models[g]`` at its step time, and each
+    step holds the :class:`_Stacked` measurements of its cycle (steps with
+    equal meter kets and labels share one)."""
+
+    models: tuple[DephasingModel, ...]
+    preparation: PreparationState
+    step_bases: tuple[MeterBasis, ...]
+    step_measurements: tuple[_Stacked, ...]
+
+    @property
+    def probe_dim(self) -> int:
+        return self.models[0].probe_dim
+
+    @property
+    def system_dim(self) -> int:
+        return self.models[0].system_dim
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.step_bases)
+
+    @property
+    def axes(self) -> tuple[str, ...]:
+        return tuple(b.name for b in self.step_bases)
+
+    def protocol(self, g: int) -> MeasurementProtocol:
+        """The protocol of point ``g``, assembled from the stacks, with no build:
+        bit for bit the protocol that its model, preparation and bases build."""
+        members = {s: _member(s, g) for s in dict.fromkeys(self.step_measurements)}
+        steps = tuple(map(members.__getitem__, self.step_measurements))
+        return _assemble(self.models[g], self.preparation, self.step_bases, None, steps)
+
+
+def _grids(models, preparation: PreparationState, protocols: dict) -> dict:
+    """``{key: _Grid}`` for the step bases ``protocols[key]`` of each key, on
+    ``models`` (of one shape) each at its own step time: one :func:`_cycles`
+    call builds every distinct cycle at every model from their stacked
+    eigensystems, the grid point leading, with the checks of a protocol
+    build, so the first point, and then cycle, that fails one raises, as
+    building the protocols point by point would."""
+    cycles: dict[tuple[bytes, tuple[str, ...]], MeterBasis] = {}
+    for bases in protocols.values():
+        for basis in bases:
+            cycles.setdefault((basis.states.tobytes(), basis.labels), basis)
+    probe_dim = models[0].probe_dim
+    weights = np.array([_cycle_weights(probe_dim, preparation, b) for b in cycles.values()])
+    unitaries = unitary_from_eigensystem(
+        np.stack([m.eigenvalues for m in models])[:, None],  # (G, 1, d_P, d)
+        np.stack([m.eigenvectors for m in models])[:, None],
+        np.array([m.step_time for m in models])[:, None, None],
+    )
+    kraus, effects, completeness = _cycles(weights, unitaries, DEFAULT)  # (G, C, d_P, d, d)
+    del unitaries
+    stacks = {  # each cycle's outcome first, then the point
+        key: _Stacked(kraus[:, c].swapaxes(0, 1), effects[:, c].swapaxes(0, 1), basis.labels, completeness[:, c])
+        for c, (key, basis) in enumerate(cycles.items())
+    }
+    models = tuple(models)
+    return {
+        name: _Grid(models, preparation, tuple(bases), tuple(stacks[b.states.tobytes(), b.labels] for b in bases))
+        for name, bases in protocols.items()
+    }
 
 
 def _labels(protocol: MeasurementProtocol, seq) -> tuple[int, ...]:

@@ -12,7 +12,10 @@ the chains of each distinct step list (keyed by its step measurements, so
 that the reduced list of a uniform protocol is that of ``n - 1``) are
 multiplied out once, into one table of effects that both gates read
 (:func:`_effect_tables`), while all the tables fit in one block; past that,
-each gate builds its own chains piece by piece.  The probabilities are
+each gate builds its own chains piece by piece.  The states of one command
+share one call (:func:`_oracle_reports`), so that the tables, the operator
+gate and the model's commutativity, which read no state, are built once
+for all of them.  The probabilities are
 compared with the optimized enumeration, and every operator defect ``D``
 of the scan, one scan of every ``(n, j)`` (every smaller ``n`` read off
 the deepest sweep), with its naive reassembly in Frobenius norm, which
@@ -282,34 +285,50 @@ def oracle_compare(
     form.  ``rho`` is validated once.  Each gate takes its maximum with
     ``np.max``, so a NaN discrepancy anywhere makes the report disagree.
     """
+    (report,) = _oracle_reports(protocol, [rho], n_max, tol)
+    return report
+
+
+def _oracle_reports(
+    protocol: MeasurementProtocol, states: list, n_max: int | None, tol: Tolerances
+) -> list[OracleReport]:
+    """:func:`oracle_compare` of each state of ``states``, each validated once.
+    What reads no state is done once for all of them: the effect tables, the
+    operator gate, whose scan and naive defects hold for every state, and the
+    commutativity of the model."""
     if n_max is None:
         n_max = protocol.n_steps
     _n_max(protocol, n_max, 1)
-    rho = check_density(rho, protocol.system_dim, tol)
+    states = [check_density(rho, protocol.system_dim, tol) for rho in states]
     d_p = protocol.probe_dim
     _check_capacity(d_p, n_max, tol)
     tables = _effect_tables(protocol, n_max)
     pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
-    defect_gaps = _defect_gaps(protocol, pairs, tables)
-    per_n = []
+    max_defect = float(np.max(_defect_gaps(protocol, pairs, tables), initial=0.0))
     commutative, _ = is_commutative(protocol.model.hamiltonians, tol)
-    product_gaps = [0.0]
-    for n in range(1, n_max + 1):
-        fast = np.array(list(full_distribution(protocol, rho, n, tol).table.values()))
-        seqs = _all_outcomes(d_p, n)
-        if tables is None:
-            naive = _chain_probabilities(protocol, rho, seqs, range(n))
-        else:
-            naive = np.einsum("ij,aji->a", rho, tables[_key(protocol, _steps(n))]).real
-        per_n.append(float(np.max(np.abs(fast - naive))))
-        if commutative:
-            product_gaps.append(np.max(np.abs(fast - _effect_products(protocol, rho, seqs))))
-    return OracleReport(
-        n_max=n_max,
-        max_abs_discrepancy=float(np.max(per_n)),
-        per_n=tuple(per_n),
-        max_defect_discrepancy=float(np.max(defect_gaps, initial=0.0)),
-        commutative=commutative,
-        max_product_form_discrepancy=float(np.max(product_gaps)) if commutative else None,
-        tolerances=tol.as_dict(),
-    )
+    reports = []
+    for rho in states:
+        per_n = []
+        product_gaps = [0.0]
+        for n in range(1, n_max + 1):
+            fast = np.array(list(full_distribution(protocol, rho, n, tol).table.values()))
+            seqs = _all_outcomes(d_p, n)
+            if tables is None:
+                naive = _chain_probabilities(protocol, rho, seqs, range(n))
+            else:
+                naive = np.einsum("ij,aji->a", rho, tables[_key(protocol, _steps(n))]).real
+            per_n.append(float(np.max(np.abs(fast - naive))))
+            if commutative:
+                product_gaps.append(np.max(np.abs(fast - _effect_products(protocol, rho, seqs))))
+        reports.append(
+            OracleReport(
+                n_max=n_max,
+                max_abs_discrepancy=float(np.max(per_n)),
+                per_n=tuple(per_n),
+                max_defect_discrepancy=max_defect,
+                commutative=commutative,
+                max_product_form_discrepancy=float(np.max(product_gaps)) if commutative else None,
+                tolerances=tol.as_dict(),
+            )
+        )
+    return reports

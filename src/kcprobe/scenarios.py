@@ -338,7 +338,7 @@ def _screen(models, axes, t_grid, tol: Tolerances) -> np.ndarray:
     d_p, d = models[0].probe_dim, models[0].system_dim
     w = np.stack([m.eigenvalues for m in models])[:, None]  # (C, 1, d_P, d)
     v = np.stack([m.eigenvectors for m in models])[:, None]
-    by_axis = {a: _cycle_weights(*_candidate_cycle(d_p, a)) for a in set(axes)}
+    by_axis = {a: _cycle_weights(d_p, *_candidate_cycle(d_p, a)) for a in set(axes)}
     weights = np.stack([by_axis[a] for a in axes])[:, None]  # (C, 1, d_P, d_P)
     times = np.asarray(t_grid, dtype=float)
     screened = np.zeros((len(models), times.size), dtype=bool)

@@ -39,8 +39,8 @@ the Heisenberg step of a step's Kraus operators is a real
 (:func:`~kcprobe.model._transfer`, built once per distinct step measurement
 and kept on it, ``8 d_P d**4`` bytes), so pulling a stack back through a
 step is one BLAS product per outcome (:func:`_pull`).  Above it the scan
-holds ``d x d`` matrices and pulls them back through ``K_m^H X K_m``
-(:func:`_pull_back`), one step at a time alike.
+holds each operator's ``d x d`` matrix, flattened to one row, and pulls it
+back through ``K_m^H X K_m`` (:func:`_pull_back`), one step at a time alike.
 
 Each ``j`` is swept once (:func:`_sweep`), at the largest ``n`` asked of it,
 ``n_j``, and the ``j`` that share ``n_j`` share one backward sweep: ``P = 1``
@@ -85,6 +85,21 @@ and each level's entry adds the same terms in the same order, carried or not.
 The other route to a defect is the oracle's Kraus chains, read as a batch
 of one by :func:`history_operator`, :func:`kc_defect_operator` and
 :func:`kc_defect_state`.
+
+A grid axis runs through :func:`_pull`, :func:`_sweep`,
+:func:`_defect_blocks` and :func:`_scan`: a :class:`~kcprobe.model._Grid`
+of ``G`` protocols of one shape (a sweep's chunk of step times or models)
+holds each step's Kraus operators, effects and transfer as one stack, the
+point after the outcome, and every operator of the scan holds one row per
+point, ``(N, G, d**2)``, so that every slice and sum along the operators
+and outcomes reads as for one protocol.  Each point is pulled back through
+its own steps by the same matrix products as alone (one BLAS call per
+point and outcome, on the point's own columns), and every other step is
+elementwise or a reduction along the point's own rows, so a point's entries
+are bit for bit those of its protocol scanned alone; the ``G`` points share
+the block, each stack holding at most ``1 / G`` of what one protocol's
+would.  One protocol carries no grid axis.  The state-defect tensors of a
+grid lead with its point.
 """
 
 from __future__ import annotations
@@ -104,6 +119,7 @@ from .model import (
     DephasingModel,
     MeasurementProtocol,
     PreparationState,
+    _Grid,
     _defect_args,
     _n_max,
     _prefix,
@@ -228,14 +244,14 @@ def _probabilities(
     post = _last_effects(protocol, n)
     for k in range(n - 1, lead, -1):
         post = _flat(_pull(protocol, k - 1, post))
-    if post.ndim == 2:
+    if d <= _TRANSFER_MAX_DIM:
         # z_a = tr(B_a rho), complex for a non-Hermitian rho, so tr(rho E) = c(E) . z
         z = (_basis(d) @ rho.T.ravel()).view(float).reshape(-1, 2)
     out = np.empty(d_p**n)
     for start, head in _heads(d_p, n - 1, count):  # head: outcomes of steps 1 .. lead
         effects = _pull_prefixes(protocol, post, head, lead)
-        if post.ndim == 3:
-            vals = np.einsum("aij,ji->a", effects, rho)
+        if d > _TRANSFER_MAX_DIM:
+            vals = np.einsum("aij,ji->a", effects.reshape(-1, d, d), rho)
         else:
             vals = np.einsum("ak,ks->as", effects, z).view(complex)[:, 0]
         del effects  # freed before the next head is pulled, to keep the bound
@@ -319,14 +335,16 @@ class _KCEntries(Sequence):
     per entry in ``norms`` and, per state, one ``tr(rho D)`` in the rows of
     the ``(entries, s)`` array ``traces`` (``s = 0`` for no state), laid out
     before the scan fills them: ``starts[k]`` is the first entry of
-    ``(n, j) = pairs[k]``.  A :class:`KCEntry` is made only when one is read."""
+    ``(n, j) = pairs[k]``.  A :class:`KCEntry` is made only when one is read.
+    The scan of a grid of ``G`` protocols holds ``(entries, G)`` norms and
+    ``(entries, G, s)`` traces, which only :meth:`_pair` reads."""
 
-    def __init__(self, d_p: int, pairs: list, states: int):
+    def __init__(self, d_p: int, pairs: list, states: int, grid: tuple = ()):
         self._d_p = d_p
         self._pairs = pairs
         self._starts = list(itertools.accumulate((d_p ** (n - 1) for n, _ in pairs), initial=0))
-        self._norms = np.empty(self._starts[-1])
-        self._traces = np.empty((self._starts[-1], states))
+        self._norms = np.empty((self._starts[-1],) + grid)
+        self._traces = np.empty((self._starts[-1],) + grid + (states,))
 
     def _pair(self, n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The norms and the rows of ``traces`` of the entries of ``(n, j)``, as views."""
@@ -452,32 +470,45 @@ _TRANSFER_MAX_DIM = 8
 def _pull_back(products: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The Heisenberg step ``C_c^H X_b C_c`` for every matrix ``C_c`` of the
     stack ``products`` and every matrix ``X_b`` of the stack ``x``, as a
-    ``(len(products), len(x), d, d)`` array with ``c`` leading."""
-    return products.conj().swapaxes(1, 2)[:, None] @ (x @ products[:, None])
+    ``(len(products), len(x), ..., d, d)`` array with ``c`` leading; of a
+    grid, ``products`` and each ``X_b`` hold one matrix per point, ``...``."""
+    return products.conj().swapaxes(-1, -2)[:, None] @ (x @ products[:, None])
 
 
 def _pull(protocol: MeasurementProtocol, k: int, stack: np.ndarray, m: int | None = None) -> np.ndarray:
     """The Heisenberg step ``X -> K_m^H X K_m`` of the 0-based step ``k`` for
     each operator ``X`` of ``stack`` and each outcome ``m`` (only ``m`` if
     given), as an array with the outcome leading and the operators of
-    ``stack`` next, so that the pairs flatten in lexicographic order.
+    ``stack`` next, so that the pairs flatten in lexicographic order.  Of a
+    grid (:class:`~kcprobe.model._Grid`), an operator holds one row per
+    point, ``(N, G, d**2)``, and each point is pulled back through its own
+    step.
 
-    An operator is held as :func:`_last_effects` holds it: as its row of
-    coordinates, and the step is one product with ``T[m]^T`` per outcome for
-    the transfer ``T`` of the step; or as its ``d x d`` matrix."""
+    An operator is held as :func:`_last_effects` holds it, as rows of ``d**2``
+    reals: up to :data:`_TRANSFER_MAX_DIM` its coordinates, and the step is
+    one product with ``T[m]^T`` per outcome (and point) for the transfer
+    ``T`` of the step; above it its flattened ``d x d`` matrix."""
     measurement = protocol.step_measurements[k]
     outcomes = slice(None) if m is None else slice(m, m + 1)
-    if stack.ndim == 3:
-        return _pull_back(np.asarray(measurement.kraus)[outcomes], stack)
+    if stack.shape[-1] > _TRANSFER_MAX_DIM**2:
+        d = math.isqrt(stack.shape[-1])
+        pulled = _pull_back(np.asarray(measurement.kraus)[outcomes], stack.reshape(stack.shape[:-1] + (d, d)))
+        return pulled.reshape(pulled.shape[:-2] + (d * d,))
     transfer = _transfer(measurement)[outcomes]
     # The columns c(X) of a C-ordered (d**2, N) array times each whole T[m]^T:
     # OpenBLAS (Haswell kernels) rounds each column of that product alike for
     # every N > 1 (checked bit for bit at d = 1..8, N up to 30000), but not a
-    # row of a (N, d**2) product at d = 5..7, nor a product of one column.
-    columns = np.ascontiguousarray(stack.T)
+    # row of a (N, d**2) product at d = 5..7, nor a product of one column.  A
+    # grid's point makes this product with its own (d**2, N) columns.
+    grid = stack.ndim == 3
+    columns = np.ascontiguousarray(stack.transpose(1, 2, 0) if grid else stack.T)
     count = len(stack)
     if count == 1:
-        columns = np.concatenate((columns, columns), axis=1)
+        columns = np.concatenate((columns, columns), axis=-1)
+    if grid:  # out is (d**2, G, outcome, N), each product where the swapped view puts it
+        out = np.empty((columns.shape[1], len(columns), len(transfer), columns.shape[2]))
+        np.matmul(transfer.swapaxes(-1, -2), columns, out=out.swapaxes(0, -2))
+        return out.transpose(2, 3, 1, 0)[:, :count]
     out = np.empty((len(columns), len(transfer), columns.shape[1]))
     np.matmul(transfer.transpose(0, 2, 1), columns, out=out.transpose(1, 0, 2))
     return out.transpose(1, 2, 0)[:, :count]
@@ -510,12 +541,13 @@ def _last_effects(protocol: MeasurementProtocol, n: int) -> np.ndarray:
     effects of a sweep, as the scan holds operators at the protocol's ``d``:
     up to :data:`_TRANSFER_MAX_DIM` as the rows ``c(1) @ T[m]`` of
     coordinates, the sums of the rows of ``T[m]`` at the diagonal
-    coordinates; above it as ``d x d`` matrices."""
+    coordinates; above it as flattened ``d x d`` matrices."""
     measurement = protocol.step_measurements[n - 1]
     d = protocol.system_dim
     if d > _TRANSFER_MAX_DIM:
-        return np.asarray(measurement.effects)
-    return _transfer(measurement)[:, :d].sum(axis=1)
+        effects = np.asarray(measurement.effects)
+        return effects.reshape(effects.shape[:-2] + (d * d,))
+    return _transfer(measurement)[..., :d, :].sum(axis=-2)
 
 
 def _sweep(protocol: MeasurementProtocol, n: int, js, count: int):
@@ -523,7 +555,8 @@ def _sweep(protocol: MeasurementProtocol, n: int, js, count: int):
     ``stack`` holds the operator defects ``D`` of the entries ``start ..
     start + len(stack) - 1`` of ``(n, j)``, as :func:`_pull` holds operators.
     The leading :func:`_lead` outcomes of the entries are walked, so that a
-    stack holds at most ``count`` operators before a pull-back.
+    stack holds at most ``count`` operators before a pull-back (each of a
+    grid's with one row per point).
 
     One backward sweep serves every ``j``: ``post`` holds the suffix effect
     ``P_b`` of every outcome ``b`` of the steps ``j + 1 .. n``, from ``1``
@@ -556,14 +589,16 @@ def _sweep(protocol: MeasurementProtocol, n: int, js, count: int):
             yield j, start, _pull_prefixes(protocol, m_ops, head[: j - 1], j - 1)
 
 
-def _rows(stack: np.ndarray) -> np.ndarray:
-    """A swept stack of defects as the C-ordered ``(B, d**2)`` rows of their coordinates."""
-    return _coordinates(stack) if stack.ndim == 3 else np.ascontiguousarray(stack)
+def _rows(stack: np.ndarray, d: int) -> np.ndarray:
+    """A swept stack of defects as the C-ordered ``(B, ..., d**2)`` rows of their coordinates."""
+    if d > _TRANSFER_MAX_DIM:
+        return _coordinates(stack.reshape(stack.shape[:-1] + (d, d)))
+    return np.ascontiguousarray(stack)
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each row, the Frobenius norm of its operator."""
-    return np.sqrt(np.einsum("ak,ak->a", rows, rows))
+    return np.sqrt(np.einsum("...k,...k->...", rows, rows))
 
 
 def _sum_runs(runs: np.ndarray, out: np.ndarray, d_p: int) -> None:
@@ -603,7 +638,7 @@ def _levels(rows: np.ndarray, start: int, top: int, bits: int, d_p: int, carry: 
     if len(sizes) + done == 1:
         stack = rows
     else:
-        stack = np.empty((sum(sizes) + done, rows.shape[1]))
+        stack = np.empty((sum(sizes) + done,) + rows.shape[1:])
         stack[:width] = rows
     levels, row = [(top, start, 0, width)], 0
     for k in range(1, len(sizes)):
@@ -647,7 +682,7 @@ def _tops(protocol: MeasurementProtocol, bits: int) -> int:
     :func:`_defect_blocks` sweeps, as the bits of an int: the largest, and
     each ``n`` whose level, read off the sweep of the ``top`` above it, could
     differ from its own sweep by more than :data:`_LEVEL_BOUND`, by the bound
-    ``2 sum_{k=n+1}^{top} |Delta_k|_F``."""
+    ``2 sum_{k=n+1}^{top} |Delta_k|_F`` (at any point of a grid)."""
     top = bits.bit_length() - 1
     tops, bound = 1 << top, 0.0
     for n in range(top - 1, _lowest(bits) - 1, -1):
@@ -657,13 +692,22 @@ def _tops(protocol: MeasurementProtocol, bits: int) -> int:
     return tops
 
 
+def _grid(protocol) -> tuple:
+    """The grid axis of a scanned ``protocol``: ``(G,)`` for a
+    :class:`~kcprobe.model._Grid` of ``G`` points, ``()`` for one protocol."""
+    return (len(protocol.models),) if isinstance(protocol, _Grid) else ()
+
+
 def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
     """Yield the operator defects of every ``(n, j)`` of ``pairs``, block by
     block, as ``(j, pieces, defects, norms)``: ``defects`` is a ``(R, d**2)``
     stack of coordinates (each ``D`` is Hermitian by construction), ``norms``
     their ``R`` Frobenius norms, and each ``(n, first, row, size)`` of
     ``pieces`` says that the ``size`` entries of ``(n, j)`` from ``first`` on
-    are the rows from ``row`` on.
+    are the rows from ``row`` on.  Of a grid of ``G`` protocols
+    (:class:`~kcprobe.model._Grid`) they hold one row per point, ``(R, G,
+    d**2)`` and ``(R, G)``, and its points share a block: a stack holds at
+    most ``count / G`` operators of each point (at least one).
 
     Each ``j`` is swept (:func:`_sweep`) at the largest ``n`` of ``pairs``
     with that ``j``, and every smaller ``n`` of that ``j`` is read off the
@@ -676,9 +720,16 @@ def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
     non-finite norm of an entry of ``pairs`` stops the sweep, which is freed:
     the per-``n`` sweeps of ``pairs`` then run for their faults alone, and
     :class:`NumericalFault` names the first non-finite ``(n, j, fixed)`` in
-    entry order, as they find it; no block is yielded after one is found."""
-    d_p = protocol.probe_dim
-    count = _block_len(protocol.system_dim) // (2 * d_p)
+    entry order, as they find it; no block is yielded after one is found.  Of
+    a grid, the first point whose own scan finds one raises its fault
+    (:func:`_raise_point_fault`).  A grid reads a level off a deeper sweep
+    only where the bound holds at every point, so where its points would
+    split it differently, a point may differ from its own scan within the
+    bound; with one ``n`` for each ``j``, as the witnesses ask, every point
+    is bit for bit its own scan."""
+    d_p, d = protocol.probe_dim, protocol.system_dim
+    grid = _grid(protocol)
+    count = _block_len(d) // (2 * d_p * math.prod(grid))  # the points of a grid share the block
     # the n of pairs with each j, and the n swept of them, as the bits of an int
     # (lists: the scan's own objects are a fixed overhead beside its blocks)
     asked = [0] * max(pairs, default=(0,))[0]  # j < n
@@ -698,21 +749,23 @@ def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
         # each level's sum carries over from block to block in one row
         lead = _lead(d_p, top - 1, count)
         below = lead + 1 - min(_lowest(asked[j]) for j in js) if lead > 1 else 0
-        carry = np.empty((below, protocol.system_dim**2)) if below > 0 else None
+        carry = np.empty((below,) + grid + (d * d,)) if below > 0 else None
         found = None
         while True:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
                 j, start, stack = next(blocks, (None, None, None))
                 if j is None:
                     break
-                defects, pieces = _levels(_rows(stack), start, top, asked[j] & upto, d_p, carry)
+                defects, pieces = _levels(_rows(stack, d), start, top, asked[j] & upto, d_p, carry)
                 del stack
                 norms = _norms(defects)
             if not math.isfinite(float(norms.max())):  # NaN if any norm is NaN
                 for n, first, row, size in pieces:
-                    bad = np.flatnonzero(~np.isfinite(norms[row : row + size]))
-                    if len(bad):
-                        found = n, j, first + bad[0], norms[row + bad[0]]
+                    bad = ~np.isfinite(norms[row : row + size])
+                    if bad.any():
+                        # the first bad entry; of a grid, the first point with one
+                        k = int(np.argmax(bad.any(axis=0) if grid else bad))
+                        found = (k,) if grid else (n, j, first + k, norms[row + k])
                         break
                 if found is not None:
                     break
@@ -724,7 +777,20 @@ def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
             # the sweep, its block and the carried sums are freed first, to keep the bound
             blocks.close()
             del blocks, pieces, defects, norms, carry
+            if grid:
+                _raise_point_fault(protocol, pairs, found[0])
             _raise_fault(protocol, pairs, count, found)
+
+
+def _raise_point_fault(protocol, pairs: list, k: int):
+    """Raise the :class:`NumericalFault` of the first point of a grid, up to
+    point ``k``, whose own scan of ``pairs`` finds a non-finite defect: the
+    fault of that point scanned alone.  Point ``k`` is one that the batched
+    scan found, which is bit for bit its own scan, so its scan raises, if
+    none before it does."""
+    for g in range(k + 1):
+        _scan(protocol.protocol(g), pairs, [])
+    raise NumericalFault(f"a defect norm of grid point {k} is not finite")
 
 
 def _raise_fault(protocol: MeasurementProtocol, pairs: list, count: int, found: tuple):
@@ -742,7 +808,7 @@ def _raise_fault(protocol: MeasurementProtocol, pairs: list, count: int, found: 
                 j, start, stack = next(blocks, (None, None, None))
                 if j is None:
                     break
-                norms = _norms(_rows(stack))
+                norms = _norms(_rows(stack, protocol.system_dim))
             del stack
             if not math.isfinite(float(norms.max())) and (fault is None or fault[1] > j):
                 i = int(np.argmin(np.isfinite(norms)))
@@ -760,13 +826,14 @@ def _scan(protocol: MeasurementProtocol, pairs: list, states: list) -> _KCEntrie
     with ``tr(rho D)`` for each validated state of ``states``: the one loop
     over :func:`_defect_blocks`, which sweeps each ``j`` at its deepest ``n``,
     filling the arrays of the layout that :class:`_KCEntries` sizes first,
-    block by block, the traces of a block and all its levels in one pass."""
+    block by block, the traces of a block and all its levels in one pass.  A
+    grid's entries hold one row per point."""
     d = protocol.system_dim
     # c(rho) for each state, so that tr(rho D) is a dot product with c(D)
     states = _coordinates(np.array(states, dtype=complex)) if states else np.empty((0, d * d))
-    entries = _KCEntries(protocol.probe_dim, pairs, len(states))
+    entries = _KCEntries(protocol.probe_dim, pairs, len(states), _grid(protocol))
     for j, pieces, defects, block in _defect_blocks(protocol, pairs):
-        traced = np.einsum("ak,sk->as", defects, states)
+        traced = np.einsum("a...k,sk->a...s", defects, states)
         del defects  # freed before the next block is built, to keep the bound
         for n, first, row, size in pieces:
             entries._write(n, j, first, block[row : row + size], traced[row : row + size])
@@ -780,14 +847,20 @@ def _state_defects(
     """Every state-level defect ``sum_{m_j} P_n - P_{n-1}`` of each ``(n, j)``
     of ``pairs`` and each validated state, from one :func:`_scan`: per pair,
     ``tr(rho D)`` for each operator defect as an ``(s,) + (d_P,) * (n - 1)``
-    tensor indexed by state, then ``fixed``.  Each ``(n, j)`` and the cap of
-    the largest ``d_P ** n`` are checked here."""
+    tensor indexed by state, then ``fixed`` (``(G, s) + ...`` for a grid of
+    ``G`` protocols).  Each ``(n, j)`` and the cap of the largest
+    ``d_P ** n`` are checked here."""
     for n, j in pairs:
         _defect_args(protocol, n, j)
     d_p = protocol.probe_dim
     _check_capacity(d_p, max(n for n, _ in pairs), tol)
     entries = _scan(protocol, pairs, states)
-    return [entries._pair(n, j)[1].T.reshape((len(states),) + (d_p,) * (n - 1)) for n, j in pairs]
+    lead = _grid(protocol) + (len(states),)
+    tensors = []
+    for n, j in pairs:
+        traces = entries._pair(n, j)[1]  # (entries,) + lead: the entries go last
+        tensors.append(traces.transpose(*range(1, traces.ndim), 0).reshape(lead + (d_p,) * (n - 1)))
+    return tensors
 
 
 def check_kc_all(

@@ -88,7 +88,7 @@ def delta_correlation(
     values = _values(value_map, protocol.probe_dim)
     rho = check_density(rho, protocol.system_dim, tol)
     (defects,) = _state_defects(protocol, [rho], [(n, j)], tol)
-    return float(_correlation(defects, values)[0])
+    return float(_correlation(defects, values, n - 1)[0])
 
 
 def _values(value_map, probe_dim: int) -> np.ndarray:
@@ -105,10 +105,11 @@ def _values(value_map, probe_dim: int) -> np.ndarray:
     return values
 
 
-def _correlation(defects: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per state, the sum of ``prod_k values[fixed_k] * defects[state, fixed]``
-    over every entry of an ``(s,) + (d_P,) * (n - 1)`` state-defect tensor."""
-    for _ in range(defects.ndim - 1):
+def _correlation(defects: np.ndarray, values: np.ndarray, steps: int) -> np.ndarray:
+    """Per state, the sum of ``prod_k values[fixed_k] * defects[..., state, fixed]``
+    over every entry of an ``(..., s) + (d_P,) * steps`` state-defect tensor,
+    one contraction per trailing outcome axis."""
+    for _ in range(steps):
         defects = defects @ values
     return defects
 
@@ -134,7 +135,10 @@ def _axis_deltas(protocol: MeasurementProtocol, states, ns, tol: Tolerances, all
     """Δ21 (``n = 2``) and/or Δ32 (``n = 3``) of every validated state from one
     scan: per ``n`` of ``ns``, the values and the state-defect tensor they
     contract.  Steps ``1 .. n`` of the qubit protocol share one axis of
-    ``allowed``, ``"XY"`` for the witnesses and ``"X"`` for :func:`lg_check`."""
+    ``allowed``, ``"XY"`` for the witnesses and ``"X"`` for :func:`lg_check`.
+    A grid of protocols (:class:`~kcprobe.model._Grid`) is one scan too, its
+    point leading every array, each point's values bit for bit its own
+    protocol's."""
     _qubit(protocol.probe_dim)
     for n in ns:
         axes = set(protocol.axes[:n])
@@ -143,7 +147,7 @@ def _axis_deltas(protocol: MeasurementProtocol, states, ns, tol: Tolerances, all
             raise ProtocolError(f"steps 1..{n} must share one axis in {one_of}, got {protocol.axes[:n]}")
     tensors = _state_defects(protocol, states, [(n, n - 1) for n in ns], tol)
     values = _values(PLUS_MINUS_VALUES, 2)
-    return [(_correlation(t, values), t) for t in tensors]
+    return [(_correlation(t, values, n - 1), t) for n, t in zip(ns, tensors)]
 
 
 _LG_NOTE = (

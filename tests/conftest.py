@@ -7,7 +7,7 @@ from kcprobe.linalg import _basis, _coordinates, _matrices, as_complex_matrix
 from kcprobe.oracle import _chain_effects
 from kcprobe.model import _transfer
 import kcprobe.sequences
-from kcprobe.sequences import _defect_blocks, _pull_back, _sweep
+from kcprobe.sequences import _TRANSFER_MAX_DIM, _defect_blocks, _pull_back, _sweep
 
 
 @pytest.fixture
@@ -66,7 +66,8 @@ def per_n_scan(protocol, pairs, states):
     found = {}
     for n in dict.fromkeys(n for n, _ in pairs):
         for j, start, stack in _sweep(protocol, n, {j for m, j in pairs if m == n}, count):
-            rows = _coordinates(stack) if stack.ndim == 3 else np.ascontiguousarray(stack)
+            # above _TRANSFER_MAX_DIM the sweep holds flattened matrices
+            rows = _coordinates(stack.reshape(-1, d, d)) if d > _TRANSFER_MAX_DIM else np.ascontiguousarray(stack)
             norms, traces = found.setdefault((n, j), (np.empty(d_p ** (n - 1)), np.empty((d_p ** (n - 1), len(states)))))
             norms[start : start + len(rows)] = np.sqrt(np.einsum("ak,ak->a", rows, rows))
             traces[start : start + len(rows)] = np.einsum("ak,sk->as", rows, states)

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -1022,12 +1023,117 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "param, grid, points", [("t", "0.1:2:7", 7), ("omega", "0,0.5,1", 3), ("t", "", 0)]
     )
-    def test_builds_two_protocols_per_point(self, tmp_path, monkeypatch, param, grid, points):
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_builds_two_protocols_per_point(self, tmp_path, monkeypatch, param, grid, points, chunk):
+        # one stacked build per chunk, from which each point's X and Y
+        # protocols are assembled; only the configured protocol is built alone
         path = self.nv_config(tmp_path)
+        if chunk is not None:  # blocks that hold `chunk` points of this d = 2 model
+            point_bytes = 80 * 2 * 2**2 + 16 * 2 * 2**4 + cli.SWEEP_POINT_OVERHEAD_BYTES
+            monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", chunk * point_bytes)
         builds = count_protocol_builds(monkeypatch)
+        stacked, assembled = [], []
+        grids, protocol = cli._grids, kp.model._Grid.protocol
+        monkeypatch.setattr(cli, "_grids", lambda models, *args: stacked.append(len(models)) or grids(models, *args))
+        monkeypatch.setattr(kp.model._Grid, "protocol", lambda grid, g: assembled.append(g) or protocol(grid, g))
         out = tmp_path / "out"
         assert main(["sweep", path, "--param", param, "--grid", grid, "--out", str(out)]) == 0
-        assert len(builds) == 1 + 2 * points
+        assert len(builds) == 1
+        per_chunk = chunk or max(1, points)
+        assert stacked == [min(per_chunk, points - start) for start in range(0, points, per_chunk)]
+        assert sorted(assembled) == sorted([g for size in stacked for g in range(size)] * 2)
+
+    @pytest.mark.parametrize("param, grid", [("t", "0.05:20:40"), ("omega", "0:2:21")])
+    @pytest.mark.parametrize("block_bytes", [1, 5000])
+    def test_a_chunked_sweep_writes_the_bytes_of_one_chunk(self, tmp_path, monkeypatch, param, grid, block_bytes):
+        # every point's row is bit for bit that point alone, so chunks of one
+        # point, or of a few, write the file that one chunk of the grid does
+        argv = ["sweep", str(CONFIGS / "nv_sweep.json"), "--param", param, "--grid", grid]
+        assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+        chunks = []
+        chunk = cli._sweep_chunk
+        monkeypatch.setattr(cli, "_sweep_chunk", lambda e, p, values, *args: chunks.append(len(values)) or chunk(e, p, values, *args))
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        assert main([*argv, "--out", str(tmp_path / "chunked")]) == 0
+        assert len(chunks) > 1 and max(chunks) < sum(chunks)
+        assert (tmp_path / "chunked" / "sweep.csv").read_bytes() == (tmp_path / "one" / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("block_bytes", [None, 5000])
+    def test_a_non_finite_point_raises_its_own_fault(self, tmp_path, monkeypatch, capsys, block_bytes):
+        # NaN transfers at t = 0.5 alone (X steps): the sweep exits 3 with the
+        # fault that the point gives swept alone, and writes no sweep.csv
+        experiment = build_experiment(load_run_config(str(CONFIGS / "nv_sweep.json")))
+        target = kp.qubit_xy_protocol(experiment.model.with_step_time(0.5), "X").step_measurements[0].kraus
+        transfers = kp.model._transfers
+
+        def poisoned(kraus):
+            out = transfers(kraus)
+            if kraus.ndim == 3:  # one measurement
+                out[...] = np.nan if np.array_equal(kraus, target) else out
+            for g in range(kraus.shape[1] if kraus.ndim == 4 else 0):  # a grid: outcome, then point
+                if np.array_equal(kraus[:, g], target):
+                    out[:, g] = np.nan
+            return out
+
+        monkeypatch.setattr(kp.model, "_transfers", poisoned)
+        if block_bytes is not None:  # 0.5 in the second chunk
+            monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        argv = ["sweep", str(CONFIGS / "nv_sweep.json"), "--param", "t"]
+        assert main([*argv, "--grid", "0.5", "--out", str(tmp_path / "alone")]) == 3
+        alone = capsys.readouterr().err
+        assert alone == "numerical fault: defect norm nan at n=2, j=1, fixed=(0,) is not finite\n"
+        out = tmp_path / "grid"
+        assert main([*argv, "--grid", "0.1,0.2,1.0,0.7,0.5,1.5,0.5", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == alone
+        assert not (out / "sweep.csv").exists()
+        assert main([*argv, "--grid", "0.1,0.2,1.0", "--out", str(tmp_path / "fine")]) == 0
+
+    @pytest.mark.parametrize("grid, first", [("1e7,1e200", "1e7"), ("0.5,1e200,1e7", "1e200")])
+    def test_the_first_bad_point_names_the_config_error(self, tmp_path, capsys, grid, first):
+        # omega = 1e7 breaks the phase rule of its unitaries, 1e200 its
+        # Hamiltonian's norm: the chunk's first bad point names the error,
+        # as building the points one by one would
+        argv = ["sweep", str(CONFIGS / "nv_sweep.json"), "--param", "omega"]
+        assert main([*argv, "--grid", first, "--out", str(tmp_path / "alone")]) == 2
+        alone = capsys.readouterr().err
+        assert main([*argv, "--grid", grid, "--out", str(tmp_path / "grid")]) == 2
+        assert capsys.readouterr().err == alone
+        assert not (tmp_path / "grid").exists()
+
+    @pytest.mark.parametrize("d_s, block, points", [(2, 16 * 2**10, 200), (4, 64 * 2**10, 100), (8, 512 * 2**10, 40), (16, 128 * 2**10, 40)])
+    def test_a_chunk_stays_within_the_block_bound(self, tmp_path, monkeypatch, d_s, block, points):
+        # a chunk's stacks fill at most one block; the temporaries of its build
+        # and its scans, its rows and their tasks at most two more
+        cfg = {
+            "schema_version": 1,
+            "scenario": {"kind": "random", "seed": 3, "probe_dim": 2, "system_dim": d_s},
+            "protocol": {"n_max": 3},
+            "states": [{"name": "maximally_mixed"}],
+        }
+        path = write_config(tmp_path / "cfg.json", cfg)
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block)
+        point_bytes = 80 * 2 * d_s**2 + cli.SWEEP_POINT_OVERHEAD_BYTES + (16 * 2 * d_s**4 if d_s <= 8 else 0)
+        assert points * point_bytes >= 8 * block  # the stacks of one chunk of the whole grid
+        argv = ["sweep", path, "--param", "t", "--grid", f"0.1:3:{points}"]
+        assert main([*argv[:-1], "0.1,0.2", "--out", str(tmp_path / "warm")]) == 0  # imports and caches first
+        peaks = []
+        chunk = cli._sweep_chunk
+
+        def measured(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            rows = chunk(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return rows
+
+        monkeypatch.setattr(cli, "_sweep_chunk", measured)
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == -(-points // cli._sweep_points(d_s)) > 1
+        assert max(peaks) <= 3 * block
 
     def test_validates_the_state_once_per_sweep(self, tmp_path, monkeypatch):
         calls = []
@@ -1159,11 +1265,33 @@ class TestOracleCommand:
         report = json.loads((out / "oracle.json").read_text())
         assert all(r["max_abs_discrepancy"] <= 1e-11 for r in report["reports"])
 
-    def test_oracle_disagreement_exits_three(self, tmp_path, monkeypatch):
-        def disagreeing(protocol, rho, n_max, tol):
-            return OracleReport(n_max, 1.0, (1.0,) * n_max, 0.0, False, None, tol.as_dict())
+    def test_the_state_free_gates_run_once_for_every_state(self, tmp_path, monkeypatch):
+        # sigma_pair_y.json: Y, Y, Y to n 3 and two states, whose reports share
+        # the naive effect tables (3 step lists, 2 + 4 + 8 chains), the
+        # operator gate's one scan and the model's commutativity
+        chains, scans, commutes = [], [], []
+        oracle = kp.oracle
+        chain_effects, blocks, is_commutative = oracle._chain_effects, oracle._defect_blocks, oracle.is_commutative
+        monkeypatch.setattr(oracle, "_chain_effects", lambda p, seqs, steps: chains.append(len(seqs)) or chain_effects(p, seqs, steps))
+        monkeypatch.setattr(oracle, "_defect_blocks", lambda p, pairs: scans.append(pairs) or blocks(p, pairs))
+        monkeypatch.setattr(oracle, "is_commutative", lambda hams, tol: commutes.append(1) or is_commutative(hams, tol))
+        out = tmp_path / "out"
+        assert main(["oracle", str(SIGMA_PAIR_Y), "--out", str(out)]) == 0
+        assert (len(chains), sum(chains), len(scans), len(commutes)) == (3, 14, 1, 1)
+        rows = json.loads((out / "oracle.json").read_text())["reports"]
+        experiment = build_experiment(load_run_config(str(SIGMA_PAIR_Y)))
+        tol = experiment.config.tolerances
+        want = [
+            {"state": name, **kp.oracle_compare(experiment.protocol, rho, experiment.n_max, tol).to_dict()}
+            for name, rho in experiment.states
+        ]
+        assert len(rows) == 2 and rows == want
 
-        monkeypatch.setattr("kcprobe.cli.oracle_compare", disagreeing)
+    def test_oracle_disagreement_exits_three(self, tmp_path, monkeypatch):
+        def disagreeing(protocol, states, n_max, tol):
+            return [OracleReport(n_max, 1.0, (1.0,) * n_max, 0.0, False, None, tol.as_dict()) for _ in states]
+
+        monkeypatch.setattr("kcprobe.cli._oracle_reports", disagreeing)
         path = write_config(tmp_path / "cfg.json", sigma_pair_config())
         out = tmp_path / "out"
         assert main(["oracle", path, "--out", str(out)]) == 3
@@ -1184,10 +1312,10 @@ class TestOracleCommand:
 
 class TestRunOracleCheck:
     def test_run_exits_three_when_the_oracle_disagrees(self, tmp_path, monkeypatch, capsys):
-        def disagreeing(protocol, rho, n_max, tol):
-            return OracleReport(n_max, 1.0, (1.0,) * n_max, 0.0, False, None, tol.as_dict())
+        def disagreeing(protocol, states, n_max, tol):
+            return [OracleReport(n_max, 1.0, (1.0,) * n_max, 0.0, False, None, tol.as_dict()) for _ in states]
 
-        monkeypatch.setattr("kcprobe.cli.oracle_compare", disagreeing)
+        monkeypatch.setattr("kcprobe.cli._oracle_reports", disagreeing)
         path = write_config(tmp_path / "cfg.json", sigma_pair_config(checks=["kc", "oracle"]))
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 3

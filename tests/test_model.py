@@ -252,7 +252,7 @@ class TestStackedCycles:
             ]
             w = np.stack([m.eigenvalues for m in models])[:, None]
             v = np.stack([m.eigenvectors for m in models])[:, None]
-            weights = np.stack([kp.model._cycle_weights(*cycle) for cycle in cycles])[:, None]
+            weights = np.stack([kp.model._cycle_weights(d_p, *cycle) for cycle in cycles])[:, None]
             unitaries = unitary_from_eigensystem(w, v, times[:, None])
             kraus, effects, completeness = kp.model._cycles(weights, unitaries, kp.DEFAULT)
             assert kraus.shape == effects.shape == (3, 3, d_p, d_s, d_s)
@@ -260,12 +260,13 @@ class TestStackedCycles:
             for c, (m, (prep, meter)) in enumerate(zip(models, cycles)):
                 for g, t in enumerate(times):
                     alone = kp.induced_kraus(m.with_step_time(t), prep, meter)
-                    assert np.max(np.abs(kraus[c, g] - alone.kraus)) <= 1e-15
-                    assert np.max(np.abs(effects[c, g] - alone.effects)) <= 1e-15
-                    assert abs(completeness[c, g] - kp.model._residual(alone)) <= 1e-15
+                    # bit for bit: each cycle is the same steps whatever the stack
+                    assert np.array_equal(kraus[c, g], alone.kraus)
+                    assert np.array_equal(effects[c, g], alone.effects)
+                    assert completeness[c, g] == kp.model._residual(alone)
 
     def test_a_stack_names_its_first_incomplete_cycle(self):
-        weights = kp.model._cycle_weights(kp.plus_x_preparation(), kp.xy_meter_basis("X"))
+        weights = kp.model._cycle_weights(2, kp.plus_x_preparation(), kp.xy_meter_basis("X"))
         # cycle 0 is complete; cycles 1 and 2 scale the unitaries by 2 and 3
         unitaries = np.array([1.0, 2.0, 3.0])[:, None, None, None] * np.eye(2, dtype=complex)
         with pytest.raises(InvariantViolation, match=r"^effects do not sum to the identity: defect 4\.243e\+00$"):
@@ -292,16 +293,17 @@ class TestProtocolShape:
         assert frobenius(protocol.step_measurements[0].kraus[0] - expected) <= 1e-12
 
 
-def _count_induced_kraus(monkeypatch) -> list:
-    """Count the calls protocol builds make to ``induced_kraus``."""
+def _count_cycles(monkeypatch) -> list:
+    """The cycles that each call of the one Kraus builder, ``_cycles``, builds."""
     calls = []
-    original = kp.model.induced_kraus
+    original = kp.model._cycles
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(weights, unitaries, tol):
+        built = original(weights, unitaries, tol)
+        calls.append(built[2].size)
+        return built
 
-    monkeypatch.setattr(kp.model, "induced_kraus", counting)
+    monkeypatch.setattr(kp.model, "_cycles", counting)
     return calls
 
 
@@ -357,16 +359,16 @@ class TestProtocolSlicing:
     def test_oracle_builds_no_measurement_after_the_protocol(self, monkeypatch):
         model = kp.random_model(4, 3, 2, commuting=False)
         protocol = kp.fourier_protocol(model, 4)
-        calls = _count_induced_kraus(monkeypatch)
+        calls = _count_cycles(monkeypatch)
         report = kp.oracle_compare(protocol, np.eye(2) / 2, 4)
         assert report.agrees
         assert calls == []
 
     @pytest.mark.parametrize("axes, builds", [("XXX", 1), ("XYX", 2), ("YXYY", 2), ("Y", 1)])
     def test_identical_steps_share_one_measurement(self, sigma_model, monkeypatch, axes, builds):
-        calls = _count_induced_kraus(monkeypatch)
+        calls = _count_cycles(monkeypatch)
         protocol = kp.qubit_xy_protocol(sigma_model, axes)
-        assert len(calls) == builds
+        assert calls == [builds]  # one stacked build of the distinct cycles
         for a, m in zip(protocol.axes, protocol.step_measurements):
             assert m is protocol.step_measurements[protocol.axes.index(a)]
 
@@ -379,22 +381,22 @@ class TestProtocolSlicing:
         assert first is third and first is not second
 
     def test_distinct_bases_with_equal_kets_and_labels_share(self, sigma_model, monkeypatch):
-        calls = _count_induced_kraus(monkeypatch)
+        calls = _count_cycles(monkeypatch)
         first = kp.xy_meter_basis("X")
         second = kp.MeterBasis(first.states.copy(), first.labels)
         protocol = kp.MeasurementProtocol(
             sigma_model, kp.plus_x_preparation(), (first, second, first, second), (0.3, 0.3, 0.9, 0.9)
         )
-        assert len(calls) == 2  # one per duration
+        assert calls == [2]  # one per duration
         a, b, c, d = protocol.step_measurements
         assert a is b and c is d and a is not c
 
     def test_bases_with_different_labels_do_not_share(self, sigma_model, monkeypatch):
-        calls = _count_induced_kraus(monkeypatch)
+        calls = _count_cycles(monkeypatch)
         x = kp.xy_meter_basis("X")
         relabelled = kp.MeterBasis(x.states, ("0", "1"), name="X")
         protocol = kp.MeasurementProtocol(sigma_model, kp.plus_x_preparation(), (x, relabelled))
-        assert len(calls) == 2
+        assert calls == [2]
         assert [m.labels for m in protocol.step_measurements] == [("+", "-"), ("0", "1")]
 
 

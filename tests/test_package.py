@@ -201,6 +201,7 @@ KEPT_PUBLIC_NAMES = {
     "joint_probability": "traced by perfbench/tracer.py TARGETS",
     "witness_report": "traced by perfbench/tracer.py TARGETS",
     "generate_algebra": "traced by perfbench/tracer.py TARGETS",
+    "induced_kraus": "traced by perfbench/tracer.py TARGETS; protocols build their cycles in one stacked call",
     "naive_sequence_probability": "traced by perfbench/tracer.py TARGETS",
     "effect_product_probability": "traced by perfbench/tracer.py TARGETS",
     "build_conditional_hamiltonians": "paper API: the conditional Hamiltonians of a probe-system coupling",

@@ -21,7 +21,9 @@ multiplies every Kraus operator of a step by one phase.  Every ``n`` that
 the scan reads off its deepest sweep must agree with a sweep of that ``n``
 alone, at ``d_P`` 2-4 and ``d_S`` 1-9 (both the transfer and the matrix
 branch).  The commutant restricted to the eigenspaces of a random element
-must report as the full stack does, at ``d_S`` 2-8.
+must report as the full stack does, at ``d_S`` 2-8.  A grid of protocols
+(a sweep's chunk) must read each of its points bit for bit as that point's
+protocol alone, at ``d_S`` 2-4 and 9.
 """
 
 from unittest import mock
@@ -32,6 +34,7 @@ from hypothesis import example, given, settings, strategies as st
 import kcprobe as kp
 import kcprobe.sequences
 from kcprobe.sequences import _scan
+from kcprobe.witnesses import _axis_deltas
 
 from conftest import full_route_commutant, per_n_scan, random_density, random_hermitian
 
@@ -211,6 +214,45 @@ def test_every_n_read_off_the_deepest_sweep_matches_its_own_sweep(seed, d_p, d_s
         scale = 1e-13 * np.maximum(1.0, norms)
         assert np.all(np.abs(got_norms - norms) <= scale)
         assert np.all(np.abs(got_traces - traces) <= scale[:, None])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.sampled_from([1, 2, 37]),
+    st.booleans(),
+)
+@example("far", 11, 9, 37, False)  # the matrix branch
+@example("near_cut", 3, 4, 37, True)
+@example("resonant", 5, 3, 2, False)
+def test_a_grid_reads_each_point_as_that_point_alone(family, seed, d_s, points, by_model):
+    """Δ21 and Δ32 of two states, and their state-defect tensors, from one
+    witness scan of a grid of ``XXX`` (and of ``YYY``) protocols, are bit for
+    bit those of each point's protocol built and scanned alone; so are the
+    Kraus operators and the KC report of a point's assembled protocol.  The
+    grid varies the step time of one model, or the model at one step time."""
+    model, rng = family_model(family, seed, 2, d_s)
+    if by_model:
+        models = [family_model(family, seed + k, 2, d_s)[0].with_step_time(model.step_time) for k in range(points)]
+    else:
+        models = [model.with_step_time(model.step_time * f) for f in rng.uniform(0.5, 1.5, points)]
+    states = [kp.linalg.check_density(random_density(rng, d_s), d_s) for _ in range(2)]
+    bases = {axis: (kp.xy_meter_basis(axis),) * N_STEPS for axis in "XY"}
+    for axis, grid in kp.model._grids(models, kp.plus_x_preparation(), bases).items():
+        batched = _axis_deltas(grid, states, (2, 3), kp.DEFAULT, "XY")
+        for g, point in enumerate(models):
+            alone = kp.qubit_xy_protocol(point, axis * N_STEPS)
+            want = _axis_deltas(alone, states, (2, 3), kp.DEFAULT, "XY")
+            for (values, tensor), (want_values, want_tensor) in zip(batched, want, strict=True):
+                assert values[g].tobytes() == want_values.tobytes()
+                assert tensor[g].tobytes() == want_tensor.tobytes()
+            assembled = grid.protocol(g)
+            assert len(set(map(id, assembled.step_measurements))) == 1  # its equal steps share one
+            assert assembled.step_measurements[0].kraus.tobytes() == alone.step_measurements[0].kraus.tobytes()
+            report = kp.check_kc_all(assembled, N_STEPS, states).to_dict()
+            assert report == kp.check_kc_all(alone, N_STEPS, states).to_dict()
 
 
 def _algebra_fields(report):

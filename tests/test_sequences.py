@@ -767,6 +767,34 @@ class TestBlockScan:
                 read()
             assert str(got.value) == message
 
+    @pytest.mark.parametrize("block_bytes", [1, PREFIX_BLOCK_BYTES])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad, raised", [({1: 2, 3: 1}, 1), ({3: 1}, 3), ({2: 2, 0: 2}, 0)])
+    def test_a_grid_raises_its_first_bad_point_s_own_fault(self, sigma_model, monkeypatch, block_bytes, value, bad, raised):
+        # point g's Kraus operator 1 of step bad[g] is filled with value: the
+        # batched scan raises the fault of the first bad point scanned alone,
+        # though a later point (a bad second step) faults in an earlier block
+        times = (0.4, 0.9, 1.3, 1.7)
+        protocols = [kp.qubit_xy_protocol(sigma_model.with_step_time(t), "YYY") for t in times]
+        stacks = []
+        for k in range(3):
+            kraus = np.array([p.step_measurements[k].kraus for p in protocols]).swapaxes(0, 1)
+            for g, step in bad.items():
+                if step == k:
+                    kraus[1, g] = value
+            effects = np.array([p.step_measurements[k].effects for p in protocols]).swapaxes(0, 1)
+            stacks.append(kp.model._Stacked(kraus, effects, ("+", "-"), np.zeros(len(times))))
+        models = tuple(p.model for p in protocols)
+        grid = kp.model._Grid(models, protocols[0].preparation, protocols[0].step_bases, tuple(stacks))
+        pairs = [(n, j) for n in range(2, 4) for j in range(1, n)]
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        with pytest.raises(NumericalFault) as alone:
+            kcprobe.sequences._scan(grid.protocol(raised), pairs, [])
+        with pytest.raises(NumericalFault) as batched:
+            _state_defects(grid, [I2 / 2], pairs, kp.DEFAULT)
+        assert str(batched.value) == str(alone.value)
+        assert "grid point" not in str(batched.value)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_a_non_finite_single_entry_defect_is_a_fault(self, y_protocol, value):
         # the single-entry state route reads the oracle's chains, which would
