@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -359,31 +360,30 @@ def _sweep_grids(experiment: Experiment, param: str, values) -> dict[str, _Grid]
         raise ConfigError(str(exc)) from exc
 
 
-def _sweep_chunk(experiment: Experiment, param: str, values: list, commutator, pool) -> list[dict]:
-    """The ``sweep.csv`` rows, by column name, of the grid points ``values``:
-    one stacked build and one batched witness scan per axis for the whole
-    chunk run on this thread (the scans read the first configured state
-    only); then each row is one task on ``pool``, whose X and Y protocols,
-    assembled from the stacks, each get one KC scan, with no state, for
-    ``max_kc_defect``.  ``commutator`` is every row's ``commutator_norm`` when
-    that does not depend on the value, else ``None``."""
+def _sweep_chunk(experiment: Experiment, param: str, values: list, commutator, pool) -> list[list[str]]:
+    """The ``sweep.csv`` rows of the grid points ``values``, each the
+    ``repr`` of its columns in the header's order (the value,
+    ``max_kc_defect``, the columns of :func:`_delta_names`,
+    ``commutator_norm``).  One stacked build and one batched witness scan per
+    axis for the whole chunk run on this thread (the scans read the first
+    configured state only); then each row is one task on ``pool``, whose X
+    and Y protocols, assembled from the stacks, each get one KC scan, with no
+    state, for ``max_kc_defect``, and which formats its own row.
+    ``commutator`` is every row's ``commutator_norm`` when that does not
+    depend on the value, else ``None``."""
     tol = experiment.config.tolerances
     n_max = max(2, min(experiment.n_max, 3))
     grids = _sweep_grids(experiment, param, values)
     rho = experiment.states[0][1]  # validated once by build_experiment
-    deltas = {name: column[2][:, 0] for name, column in _delta_columns(grids, [rho], tol).items()}
+    deltas = [column[2][:, 0] for column in _delta_columns(grids, [rho], tol).values()]
 
-    def row(g: int) -> dict:
+    def row(g: int) -> list[str]:
         protocols = [grid.protocol(g) for grid in grids.values()]
         norm = commutator
         if norm is None:
             norm = is_commutative(protocols[0].model.hamiltonians, tol)[1]
-        return {
-            param: values[g],
-            "max_kc_defect": max(check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols),
-            **{name: column[g] for name, column in deltas.items()},
-            "commutator_norm": norm,
-        }
+        kc = max(check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols)
+        return [repr(float(x)) for x in (values[g], kc, *(column[g] for column in deltas), norm)]
 
     return list(pool.map(row, range(len(values))))
 
@@ -412,10 +412,9 @@ def _cmd_sweep(args, config) -> int:
 
     def write_csv(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, header)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({name: repr(float(x)) for name, x in row.items()})
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
     _write_outputs(args, config, {"sweep.csv": write_csv})
     return EXIT_OK
@@ -507,6 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing reads it and leaves it as it
+    was (each call gets a new namespace and its own ``--tol`` list), so it
+    is built once, not once per command."""
+    return build_parser()
+
+
 def _joined_grid(argv: list[str]) -> list[str]:
     """Write ``--grid VALUE`` as ``--grid=VALUE``, so that argparse does not
     take a value such as ``-1,0`` for an option."""
@@ -517,8 +524,7 @@ def _joined_grid(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_joined_grid(list(sys.argv[1:] if argv is None else argv)))
+    args = _parser().parse_args(_joined_grid(list(sys.argv[1:] if argv is None else argv)))
     try:
         config = load_run_config(args.config, _parse_tol_overrides(args.tol), args.seed)
         return args.handler(args, config)

@@ -22,7 +22,6 @@ the fast route of :mod:`kcprobe.sequences` and the naive one of
 
 from __future__ import annotations
 
-import copy
 import functools
 import operator
 from dataclasses import dataclass, field
@@ -141,8 +140,8 @@ class DephasingModel:
 
     def with_step_time(self, t: float) -> "DephasingModel":
         """The same model at step time ``t``; the eigensystems are shared."""
-        out = copy.copy(self)
-        object.__setattr__(out, "step_time", _finite_step_time(t))
+        out = object.__new__(type(self))
+        vars(out).update(vars(self), step_time=_finite_step_time(t))
         return out
 
 
@@ -461,11 +460,13 @@ class _Stacked:
 
 def _member(stacked: _Stacked, g: int) -> InducedMeasurement:
     """The measurement of point ``g`` of ``stacked``, views of its arrays, with
-    its residual and, if the stack keeps them, its transfer."""
+    its residual and, if the stack keeps them, its transfer and the scan's
+    first suffix effects (:func:`~kcprobe.sequences._last_effects`)."""
     kept = vars(stacked)
     measurement = _measurement(stacked.kraus[:, g], stacked.effects[:, g], stacked.labels, stacked.residuals[g])
-    if "_transfer" in kept:
-        vars(measurement)["_transfer"] = kept["_transfer"][:, g]
+    for name in ("_transfer", "_last_effects"):
+        if name in kept:
+            vars(measurement)[name] = kept[name][:, g]
     return measurement
 
 

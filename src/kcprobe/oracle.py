@@ -174,7 +174,7 @@ def _defect_gaps(protocol: MeasurementProtocol, pairs: list, tables: dict | None
     index = {pair: k for k, pair in enumerate(pairs)}
     if tables is None:  # the fixed outcomes of each n, for the per-piece chains
         fixed = {n: _all_outcomes(d_p, n - 1) for n in dict.fromkeys(n for n, _ in pairs)}
-    for j, pieces, defects, _ in _defect_blocks(protocol, pairs):
+    for j, pieces, defects, _, _ in _defect_blocks(protocol, pairs):
         for n, first, row, size in pieces:
             gap = _matrices(defects[row : row + size])
             if tables is None:

@@ -38,7 +38,9 @@ the Heisenberg step of a step's Kraus operators is a real
 ``(d_P, d**2, d**2)`` transfer ``T``, ``c(K_m^H X K_m) = c(X) @ T[m]``
 (:func:`~kcprobe.model._transfer`, built once per distinct step measurement
 and kept on it, ``8 d_P d**4`` bytes), so pulling a stack back through a
-step is one BLAS product per outcome (:func:`_pull`).  Above it the scan
+step is one BLAS product per outcome (:func:`_pull`); the step's effects,
+``c(1)`` pulled back through it, are kept on it alike (:func:`_last_effects`),
+so a later scan of the step builds neither again.  Above it the scan
 holds each operator's ``d x d`` matrix, flattened to one row, and pulls it
 back through ``K_m^H X K_m`` (:func:`_pull_back`), one step at a time alike.
 
@@ -215,11 +217,11 @@ def _lead(d_p: int, steps: int, count: int) -> int:
     return lead
 
 
-def _heads(d_p: int, steps: int, count: int):
-    """``(start, head)`` for the outcomes ``head`` of the :func:`_lead` leading
-    steps of ``steps``, in lexicographic order; ``start`` indexes the first of
-    the sequences that start with ``head`` among all ``d_p ** steps``."""
-    lead = _lead(d_p, steps, count)
+def _heads(d_p: int, steps: int, lead: int):
+    """``(start, head)`` for the outcomes ``head`` of the ``lead`` leading
+    steps of ``steps`` (as :func:`_lead` counts them), in lexicographic order;
+    ``start`` indexes the first of the sequences that start with ``head``
+    among all ``d_p ** steps``."""
     heads = itertools.product(range(d_p), repeat=lead)
     return zip(itertools.count(0, d_p ** (steps - lead)), heads)
 
@@ -241,14 +243,14 @@ def _probabilities(
     d_p, d = protocol.probe_dim, protocol.system_dim
     count = _block_len(d) // (4 * d_p)  # a stack holds at most d_P count, a quarter block
     lead = _lead(d_p, n - 1, count)
-    post = _last_effects(protocol, n)
+    post = np.ascontiguousarray(_last_effects(protocol, n))  # C-ordered rows, for the trace products below
     for k in range(n - 1, lead, -1):
         post = _flat(_pull(protocol, k - 1, post))
     if d <= _TRANSFER_MAX_DIM:
         # z_a = tr(B_a rho), complex for a non-Hermitian rho, so tr(rho E) = c(E) . z
         z = (_basis(d) @ rho.T.ravel()).view(float).reshape(-1, 2)
     out = np.empty(d_p**n)
-    for start, head in _heads(d_p, n - 1, count):  # head: outcomes of steps 1 .. lead
+    for start, head in _heads(d_p, n - 1, lead):  # head: outcomes of steps 1 .. lead
         effects = _pull_prefixes(protocol, post, head, lead)
         if d > _TRANSFER_MAX_DIM:
             vals = np.einsum("aij,ji->a", effects.reshape(-1, d, d), rho)
@@ -342,9 +344,12 @@ class _KCEntries(Sequence):
     def __init__(self, d_p: int, pairs: list, states: int, grid: tuple = ()):
         self._d_p = d_p
         self._pairs = pairs
-        self._starts = list(itertools.accumulate((d_p ** (n - 1) for n, _ in pairs), initial=0))
-        self._norms = np.empty((self._starts[-1],) + grid)
-        self._traces = np.empty((self._starts[-1],) + grid + (states,))
+        self._starts = starts = [0]
+        for n, _ in pairs:
+            starts.append(starts[-1] + d_p ** (n - 1))
+        self._norms = np.empty((starts[-1],) + grid)
+        self._traces = np.empty((starts[-1],) + grid + (states,))
+        self._largest = -math.inf  # of the norms filled in
 
     def _pair(self, n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """The norms and the rows of ``traces`` of the entries of ``(n, j)``, as views."""
@@ -352,16 +357,24 @@ class _KCEntries(Sequence):
         part = slice(self._starts[k], self._starts[k + 1])
         return self._norms[part], self._traces[part]
 
-    def _write(self, n: int, j: int, first: int, norms: np.ndarray, traces: np.ndarray) -> None:
-        """Fill the entries ``first ..`` of ``(n, j)`` with ``norms`` and the rows ``traces``."""
-        at = self._starts[self._pairs.index((n, j))] + first
-        self._norms[at : at + len(norms)] = norms
-        self._traces[at : at + len(norms)] = traces
+    def _fill(self, j: int, pieces: list, norms: np.ndarray, traces: np.ndarray | None, largest: float) -> None:
+        """Fill the entries of one block of :func:`_defect_blocks`: for each
+        ``(n, first, row, size)`` of ``pieces``, the entries ``first ..`` of
+        ``(n, j)`` from the rows ``row ..`` of ``norms`` and of ``traces``
+        (None when the scan has no state); ``largest`` is the largest of
+        ``norms``."""
+        self._largest = max(self._largest, largest)
+        for n, first, row, size in pieces:
+            at = self._starts[self._pairs.index((n, j))] + first
+            self._norms[at : at + size] = norms[row : row + size]
+            if traces is not None:
+                self._traces[at : at + size] = traces[row : row + size]
 
     def _max(self) -> tuple[float, float | None]:
-        """The largest norm and the largest ``|tr(rho D)|`` (None for no state)."""
+        """The largest norm, as the blocks gave it, and the largest
+        ``|tr(rho D)|`` (None for no state)."""
         max_state = float(np.abs(self._traces).max()) if self._traces.shape[1] else None
-        return float(self._norms.max()), max_state
+        return self._largest, max_state
 
     def __len__(self) -> int:
         return len(self._norms)
@@ -494,7 +507,9 @@ def _pull(protocol: MeasurementProtocol, k: int, stack: np.ndarray, m: int | Non
         d = math.isqrt(stack.shape[-1])
         pulled = _pull_back(np.asarray(measurement.kraus)[outcomes], stack.reshape(stack.shape[:-1] + (d, d)))
         return pulled.reshape(pulled.shape[:-2] + (d * d,))
-    transfer = _transfer(measurement)[outcomes]
+    transfer = _transfer(measurement)
+    if m is not None:
+        transfer = transfer[outcomes]
     # The columns c(X) of a C-ordered (d**2, N) array times each whole T[m]^T:
     # OpenBLAS (Haswell kernels) rounds each column of that product alike for
     # every N > 1 (checked bit for bit at d = 1..8, N up to 30000), but not a
@@ -532,8 +547,14 @@ def _flat(pulled: np.ndarray) -> np.ndarray:
 
 def _step_defects(pulled: np.ndarray, post: np.ndarray) -> np.ndarray:
     """``M_b = sum_m K_m^H P_b K_m - P_b`` for each operator ``P_b`` of ``post``,
-    from ``pulled``, the :func:`_pull` of ``post`` through step ``j``."""
-    return sum(pulled[1:], pulled[0]) - post
+    from ``pulled``, the :func:`_pull` of ``post`` through step ``j``: the
+    outcomes added in order, ``(X_0 + X_1) + X_2 + ...``, then ``P_b`` taken off."""
+    # a new array: pulled becomes the next post, so it is not written to
+    total = pulled[0] + pulled[1] if len(pulled) > 1 else pulled[0].copy()
+    for m in range(2, len(pulled)):
+        total += pulled[m]
+    total -= post
+    return total
 
 
 def _last_effects(protocol: MeasurementProtocol, n: int) -> np.ndarray:
@@ -541,13 +562,25 @@ def _last_effects(protocol: MeasurementProtocol, n: int) -> np.ndarray:
     effects of a sweep, as the scan holds operators at the protocol's ``d``:
     up to :data:`_TRANSFER_MAX_DIM` as the rows ``c(1) @ T[m]`` of
     coordinates, the sums of the rows of ``T[m]`` at the diagonal
-    coordinates; above it as flattened ``d x d`` matrices."""
+    coordinates, laid out with the outcome innermost, as :func:`_pull` lays
+    out a pull-back, so that their first pull-back reads them in place; above
+    it as flattened ``d x d`` matrices.  They are built at the first call and
+    kept on the measurement, read-only, as its transfer is (a grid's point
+    reads its own rows of the stack's)."""
     measurement = protocol.step_measurements[n - 1]
-    d = protocol.system_dim
-    if d > _TRANSFER_MAX_DIM:
-        effects = np.asarray(measurement.effects)
-        return effects.reshape(effects.shape[:-2] + (d * d,))
-    return _transfer(measurement)[..., :d, :].sum(axis=-2)
+    kept = vars(measurement)
+    if "_last_effects" not in kept:
+        d = protocol.system_dim
+        if d > _TRANSFER_MAX_DIM:
+            effects = np.asarray(measurement.effects)
+            effects = effects.reshape(effects.shape[:-2] + (d * d,))
+        else:
+            effects = _transfer(measurement)[..., :d, :].sum(axis=-2)
+            lead = effects.ndim - 1  # the outcome axis goes last in memory, the others keep their order
+            effects = np.ascontiguousarray(effects.transpose(*range(1, lead + 1), 0)).transpose(lead, *range(lead))
+        effects.flags.writeable = False
+        kept["_last_effects"] = effects
+    return kept["_last_effects"]
 
 
 def _sweep(protocol: MeasurementProtocol, n: int, js, count: int):
@@ -575,12 +608,14 @@ def _sweep(protocol: MeasurementProtocol, n: int, js, count: int):
         pulled = _pull(protocol, j - 1, post)
         if j in js:
             m_ops = _step_defects(pulled, post)
-            for start, head in _heads(d_p, n - 1, count):  # head: outcomes of steps 1 .. lead
+            for start, head in _heads(d_p, n - 1, lead):  # head: outcomes of steps 1 .. lead
                 yield j, start, _pull_prefixes(protocol, m_ops, head, j - 1)
         post = _flat(pulled)
-    for j in sorted((j for j in js if j <= lead), reverse=True):
+    for j in range(lead, 0, -1):
+        if j not in js:
+            continue
         # head: the outcomes of steps 1 .. j - 1, then of steps j + 1 .. lead + 1
-        for start, head in _heads(d_p, n - 1, count):
+        for start, head in _heads(d_p, n - 1, lead):
             b = head[lead - 1]
             stack = post[b * width : (b + 1) * width]
             for s in range(lead, j, -1):
@@ -700,9 +735,10 @@ def _grid(protocol) -> tuple:
 
 def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
     """Yield the operator defects of every ``(n, j)`` of ``pairs``, block by
-    block, as ``(j, pieces, defects, norms)``: ``defects`` is a ``(R, d**2)``
-    stack of coordinates (each ``D`` is Hermitian by construction), ``norms``
-    their ``R`` Frobenius norms, and each ``(n, first, row, size)`` of
+    block, as ``(j, pieces, defects, norms, largest)``: ``defects`` is a
+    ``(R, d**2)`` stack of coordinates (each ``D`` is Hermitian by
+    construction), ``norms`` their ``R`` Frobenius norms and ``largest`` the
+    largest of them, as a float, and each ``(n, first, row, size)`` of
     ``pieces`` says that the ``size`` entries of ``(n, j)`` from ``first`` on
     are the rows from ``row`` on.  Of a grid of ``G`` protocols
     (:class:`~kcprobe.model._Grid`) they hold one row per point, ``(R, G,
@@ -751,15 +787,14 @@ def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
         below = lead + 1 - min(_lowest(asked[j]) for j in js) if lead > 1 else 0
         carry = np.empty((below,) + grid + (d * d,)) if below > 0 else None
         found = None
-        while True:
+        for _ in range(len(js) * d_p**lead):  # _sweep's blocks: one per head of each j
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect fails below
-                j, start, stack = next(blocks, (None, None, None))
-                if j is None:
-                    break
+                j, start, stack = next(blocks)
                 defects, pieces = _levels(_rows(stack, d), start, top, asked[j] & upto, d_p, carry)
                 del stack
                 norms = _norms(defects)
-            if not math.isfinite(float(norms.max())):  # NaN if any norm is NaN
+            largest = float(norms.max())
+            if not math.isfinite(largest):  # NaN if any norm is NaN
                 for n, first, row, size in pieces:
                     bad = ~np.isfinite(norms[row : row + size])
                     if bad.any():
@@ -769,7 +804,7 @@ def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
                         break
                 if found is not None:
                     break
-            yield j, pieces, defects, norms
+            yield j, pieces, defects, norms, largest
             del pieces, defects, norms  # freed before the next block is built, to keep the bound
         for j in js:
             asked[j] &= ~upto
@@ -828,16 +863,15 @@ def _scan(protocol: MeasurementProtocol, pairs: list, states: list) -> _KCEntrie
     filling the arrays of the layout that :class:`_KCEntries` sizes first,
     block by block, the traces of a block and all its levels in one pass.  A
     grid's entries hold one row per point."""
-    d = protocol.system_dim
-    # c(rho) for each state, so that tr(rho D) is a dot product with c(D)
-    states = _coordinates(np.array(states, dtype=complex)) if states else np.empty((0, d * d))
     entries = _KCEntries(protocol.probe_dim, pairs, len(states), _grid(protocol))
-    for j, pieces, defects, block in _defect_blocks(protocol, pairs):
-        traced = np.einsum("a...k,sk->a...s", defects, states)
+    # c(rho) for each state, so that tr(rho D) is a dot product with c(D);
+    # without a state the traces are empty and the product is not made
+    coords = _coordinates(np.array(states, dtype=complex)) if states else None
+    for j, pieces, defects, norms, largest in _defect_blocks(protocol, pairs):
+        traced = None if coords is None else np.einsum("a...k,sk->a...s", defects, coords)
         del defects  # freed before the next block is built, to keep the bound
-        for n, first, row, size in pieces:
-            entries._write(n, j, first, block[row : row + size], traced[row : row + size])
-        del pieces, block, traced  # likewise
+        entries._fill(j, pieces, norms, traced, largest)
+        del pieces, norms, traced  # likewise
     return entries
 
 
@@ -885,11 +919,20 @@ def check_kc_all(
     1e-13, an ``n`` is swept itself (:func:`_defect_blocks`).  The entries
     are held as arrays, 8 bytes per norm and per state defect, and a
     :class:`KCEntry` is made only when one is read.
+
+    Without a state the scan sizes no state defects and makes no trace
+    product; its norms, verdict, ``decided_by_n2_j1`` and entries are bit for
+    bit those of the same scan with states, which only adds their traces.
+    Each step keeps what the scan builds of it (its transfer and first
+    suffix effects), the largest defect is the largest of the blocks', which
+    the non-finite check reads anyway, and the tolerances the report echoes
+    are a copy of a dict built once per :class:`Tolerances`, so a small scan
+    costs little beyond its arithmetic.
     """
     _n_max(protocol, n_max, 2)
     _check_capacity(protocol.probe_dim, n_max, tol)
     try:
-        one_state = np.ndim(rho) == 2
+        one_state = rho is not None and np.ndim(rho) == 2
     except ValueError:  # states of different shapes make no array
         one_state = False
     states = [rho] if one_state else [] if rho is None else rho
@@ -897,7 +940,8 @@ def check_kc_all(
     pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
     entries = _scan(protocol, pairs, states)
     max_defect, max_state = entries._max()
-    max_defect_n2 = float(entries._pair(2, 1)[0].max())
+    # at n_max 2 the entries of (2, 1) are all the entries
+    max_defect_n2 = max_defect if n_max == 2 else float(entries._pair(2, 1)[0].max())
     verdict = "consistent" if max_defect <= tol.kc else "violated"
     decided = (max_defect_n2 > tol.kc) == (max_defect > tol.kc)
     return KCReport(

@@ -53,6 +53,9 @@ class Tolerances:
                 object.__setattr__(self, f.name, int(value))
             elif not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"tolerance {f.name} must be finite and > 0, got {value!r}")
+        # every report echoes the fields, so their dict is built once; the
+        # fields are plain numbers, so asdict's deep copy would be only cost
+        object.__setattr__(self, "_fields", {f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
 
     def replace(self, **overrides) -> "Tolerances":
         unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}
@@ -61,8 +64,8 @@ class Tolerances:
         return dataclasses.replace(self, **overrides)
 
     def as_dict(self) -> dict:
-        # the fields are plain numbers, so asdict's deep copy is only cost
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        """The fields by name, in field order, as a dict of the caller's own."""
+        return dict(self._fields)
 
 
 DEFAULT = Tolerances()

@@ -143,7 +143,7 @@ def shifted_blocks(shift):
     added to every operator defect it yields, as coordinates."""
 
     def blocks(protocol, pairs):
-        for j, pieces, defects, norms in _defect_blocks(protocol, pairs):
-            yield j, pieces, defects + _coordinates(shift), norms
+        for j, pieces, defects, *norms in _defect_blocks(protocol, pairs):
+            yield j, pieces, defects + _coordinates(shift), *norms
 
     return blocks

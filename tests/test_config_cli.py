@@ -150,6 +150,24 @@ class TestConfigLoading:
         assert list(first) == list(dataclasses.asdict(tol))
         assert tol.as_dict() is not first
 
+    def test_each_report_echoes_tolerances_of_its_own(self):
+        # as_dict's dict is built once per Tolerances, and each caller gets a copy
+        protocol = kp.qubit_xy_protocol(kp.random_model(3, 2, 2, commuting=False), "XY")
+        first, second = kp.check_kc_all(protocol, 2), kp.check_kc_all(protocol, 2)
+        first.tolerances["kc"] = 1.0
+        first.tolerances["extra"] = 2.0
+        assert second.tolerances == kp.DEFAULT.as_dict() == dataclasses.asdict(kp.DEFAULT)
+        assert kp.DEFAULT.as_dict()["kc"] == kp.DEFAULT.kc == 1e-9
+
+    def test_a_replaced_tolerance_echoes_its_override(self):
+        tol = kp.DEFAULT.replace(kc=1e-6, enumeration_cap=7.0)
+        echoed = tol.as_dict()
+        assert echoed == {**kp.DEFAULT.as_dict(), "kc": 1e-6, "enumeration_cap": 7}
+        assert type(echoed["enumeration_cap"]) is int
+        protocol = kp.qubit_xy_protocol(kp.random_model(3, 2, 2, commuting=False), "XY")
+        assert kp.check_kc_all(protocol, 2, tol=tol).tolerances == echoed
+        assert kp.DEFAULT.as_dict()["kc"] == 1e-9
+
     def test_random_scenario_seed_override(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -459,6 +477,52 @@ class TestExitCodes:
         code, err = run_raising(RuntimeError("unexpected"))
         assert code == 4
         assert err.startswith("Traceback") and err.endswith("RuntimeError: unexpected\n")
+
+
+class TestParser:
+    """``main`` parses every call with one parser per process."""
+
+    def test_the_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            path = write_config(tmp_path / "cfg.json", sigma_pair_config())
+            for k in range(3):
+                assert main(["run", path, "--out", str(tmp_path / f"out{k}")]) == 0
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()
+
+    def test_no_option_reaches_the_next_call(self, tmp_path, capsys):
+        # --tol, --seed and --param of one call are not defaults of the next
+        path = str(CONFIGS / "commuting_random.json")
+        reports = {}
+        for name, extra in [("plain", []), ("overridden", ["--tol", "kc=1e-6", "--seed", "5"]), ("again", [])]:
+            assert main(["run", path, *extra, "--out", str(tmp_path / name)]) == 0
+            reports[name] = (tmp_path / name / "report.json").read_bytes()
+        assert reports["again"] == reports["plain"] != reports["overridden"]
+        assert json.loads(reports["overridden"])["tolerances"]["kc"] == 1e-6
+        assert json.loads(reports["again"])["tolerances"]["kc"] == kp.DEFAULT.kc
+        nv = str(CONFIGS / "nv_sweep.json")
+        assert main(["sweep", nv, "--param", "omega", "--grid", "0.5", "--out", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as missing:
+            main(["sweep", nv, "--grid", "0.5", "--out", str(tmp_path / "t")])
+        assert missing.value.code == 2
+        assert "--param" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("argv", [[], ["run"], ["sweep", "cfg.json"], ["run", "cfg.json", "--seed", "x"], ["fly"]])
+    def test_a_bad_argv_exits_two_every_time(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path / "cfg.json", sigma_pair_config())
+        for _ in range(2):
+            with pytest.raises(SystemExit) as bad:
+                main(argv)
+            assert bad.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: kcprobe")
+            assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
 
 
 FUZZ_BASE = sigma_pair_config(checks=["kc", "witnesses", "algebra", "entanglement", "oracle"])

@@ -1,7 +1,9 @@
 import ast
 import inspect
 import itertools
+import re
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -527,6 +529,35 @@ class TestCheckKCAll:
         report = kp.check_kc_all(x_protocol, 4)
         assert report.verdict == "consistent"
         assert report.max_operator_defect <= 1e-10
+
+    def test_a_blind_middle_step_leaves_the_verdict_to_n3(self):
+        # a pointer-basis meter reads effects proportional to 1, so the (2, 1)
+        # defects of X Z X vanish, while summing the Z step out at n = 3 does not
+        z_meter = kp.MeterBasis(np.eye(2, dtype=complex), ("0", "1"))
+        model = kp.random_model(1, 2, 2, commuting=False)
+        steps = (kp.xy_meter_basis("X"), z_meter, kp.xy_meter_basis("X"))
+        protocol = kp.MeasurementProtocol(model, kp.plus_x_preparation(), steps)
+        report = kp.check_kc_all(protocol, 3)
+        assert report.verdict == "violated"
+        assert max(e.operator_defect for e in report.entries if e.n == 2) <= 1e-14
+        assert not report.decided_by_n2_j1
+        two = kp.check_kc_all(protocol, 2)
+        assert two.verdict == "consistent" and two.decided_by_n2_j1
+
+    @pytest.mark.parametrize("d_p", [1, 2, 3, 4])
+    def test_a_step_s_outcomes_add_in_order(self, d_p):
+        # M = ((X_0 + X_1) + X_2) + ... - P, bit for bit, in whatever layout
+        # a pull-back leaves its stacks
+        rng = np.random.default_rng(d_p)
+        scale = 10.0 ** rng.integers(-8, 8, (d_p, 5, 9))
+        pulled = (rng.standard_normal((d_p, 5, 9)) * scale).transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        post = rng.standard_normal((5, 9)) * 10.0 ** rng.integers(-8, 8, (5, 9))
+        want = pulled[0].copy()
+        for m in range(1, d_p):
+            want = want + pulled[m]
+        want = want - post
+        for stack in (pulled, np.ascontiguousarray(pulled)):
+            assert kcprobe.sequences._step_defects(stack, post).tobytes() == want.tobytes()
 
     def test_non_finite_defect_is_a_numerical_fault(self, y_protocol):
         protocol = poisoned_protocol(y_protocol, 1, 0, np.nan)
@@ -1218,3 +1249,89 @@ class TestTransfer:
         # does where the completeness residuals are above rounding
         monkeypatch.setattr("kcprobe.sequences._LEVEL_BOUND", -1.0)
         assert np.array_equal(alone, _state_defects(protocol, [rho], pairs, kp.DEFAULT)[pairs.index((3, 2))])
+
+
+class TestStateFreeScan:
+    """A scan without a state sizes no traces and makes no trace product; its
+    norms, verdict and entries are bit for bit those of the same scan with
+    states, on either side of ``_TRANSFER_MAX_DIM``, and a grid point's are
+    those of its protocol built alone."""
+
+    @staticmethod
+    def model(rng, d_p, d_s):
+        if d_s == 1:  # random_model starts at 2; a scalar model commutes
+            hams = tuple(np.array([[h]], dtype=complex) for h in rng.standard_normal(d_p))
+            return kp.DephasingModel(d_p, 1, hams, 1.0)
+        return kp.random_model(int(rng.integers(1 << 30)), d_p, d_s, commuting=False)
+
+    @staticmethod
+    def bases(d_p, n_max):
+        if d_p == 2:
+            return tuple(kp.xy_meter_basis(a) for a in "XYYXY"[:n_max])
+        return (kp.fourier_meter_basis(d_p),) * n_max
+
+    @staticmethod
+    def without_states(report):
+        """``report.to_dict()`` without its state fields."""
+        data = report.to_dict()
+        del data["max_state_defect"]
+        data["entries"] = [{k: v for k, v in e.items() if k != "state_defects"} for e in data["entries"]]
+        return canonical_json(data)
+
+    @pytest.mark.parametrize("n_max", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d_p", [2, 3])
+    @pytest.mark.parametrize("d_s", range(1, _TRANSFER_MAX_DIM + 2))
+    def test_a_state_free_scan_reads_as_with_states(self, d_s, d_p, n_max):
+        rng = np.random.default_rng([d_s, d_p, n_max])
+        model = self.model(rng, d_p, d_s)
+        preparation = kp.uniform_preparation(d_p)
+        bases = self.bases(d_p, n_max)
+        states = [np.eye(d_s, dtype=complex) / d_s, random_density(rng, d_s)]
+        protocol = kp.MeasurementProtocol(model, preparation, bases)
+        bare = kp.check_kc_all(protocol, n_max)  # the first scan builds what the steps keep
+        stated = kp.check_kc_all(protocol, n_max, states)
+        assert bare.max_state_defect is None and stated.max_state_defect is not None
+        assert bare.entries._norms.tobytes() == stated.entries._norms.tobytes()
+        assert bare.decided_by_n2_j1 == stated.decided_by_n2_j1
+        assert self.without_states(bare) == self.without_states(stated)
+        assert self.without_states(kp.check_kc_all(protocol, n_max)) == self.without_states(bare)
+        # a grid's point, after the grid's own scan has built what its stacks
+        # keep, reads as its protocol built and scanned alone
+        models = [model.with_step_time(t) for t in (0.7, 1.0, 1.3)]
+        (grid,) = kp.model._grids(models, preparation, {"steps": bases}).values()
+        pairs = [(n, j) for n in range(2, n_max + 1) for j in range(1, n)]
+        _state_defects(grid, states[:1], pairs, kp.DEFAULT)
+        for g, point in enumerate(models):
+            alone = kp.check_kc_all(kp.MeasurementProtocol(point, preparation, bases), n_max)
+            assembled = kp.check_kc_all(grid.protocol(g), n_max)
+            assert assembled.entries._norms.tobytes() == alone.entries._norms.tobytes()
+            assert canonical_json(assembled.to_dict()) == canonical_json(alone.to_dict())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("d_s", [2, _TRANSFER_MAX_DIM + 1])
+    def test_a_non_finite_step_raises_alike_without_a_warning(self, d_s, value):
+        # the second step's transfer (its matrices above _TRANSFER_MAX_DIM)
+        # is poisoned: the scan with states and without raise the same fault,
+        # and no RuntimeWarning escapes either
+        rng = np.random.default_rng(d_s)
+        protocol = random_basis_protocol(rng, 2, d_s, 3, commuting=False)
+        steps = list(protocol.step_measurements)
+        kraus = np.array(steps[1].kraus)
+        kraus[1] = value
+        steps[1] = SimpleNamespace(kraus=kraus, effects=steps[1].effects)
+        poisoned = SimpleNamespace(
+            model=protocol.model,
+            probe_dim=2,
+            system_dim=d_s,
+            n_steps=3,
+            step_measurements=tuple(steps),
+        )
+        messages = []
+        for states in (None, [np.eye(d_s, dtype=complex) / d_s]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalFault) as fault:
+                    kp.check_kc_all(poisoned, 3, states)
+            messages.append(str(fault.value))
+        assert messages[0] == messages[1]
+        assert re.fullmatch(r"defect norm (nan|inf) at n=[23], j=[12], fixed=\([01, ]+\) is not finite", messages[0])
