@@ -57,8 +57,89 @@ class Mutant:
 
 
 SEQUENCES = "src/kcprobe/sequences.py"
+MODEL = "src/kcprobe/model.py"
 
 MUTANTS = (
+    Mutant(
+        name="meter_ket_without_conj",
+        path=MODEL,
+        snippet="    return preparation.amplitudes * meter.states.conj()\n",
+        replacement="    return preparation.amplitudes * meter.states\n",
+        killers=("tests/test_acceptance.py",),
+        breaks="a cycle's Kraus operators read the meter ket, not its bra, so a complex meter (Y) measures the wrong basis",
+    ),
+    Mutant(
+        name="probability_stacks_twice_as_long",
+        path=SEQUENCES,
+        snippet="    count = _block_len(d) // (4 * d_p)  # a stack holds at most d_P count, a quarter block\n",
+        replacement="    count = _block_len(d) // (2 * d_p)  # a stack holds at most d_P count, a quarter block\n",
+        killers=("tests/test_sequences.py::TestPrefixTensorProbabilities::test_memory_stays_within_the_block_bound",),
+        breaks="the probability route's stacks fill half a block each, past its two-block bound",
+    ),
+    Mutant(
+        name="probability_state_made_real",
+        path=SEQUENCES,
+        snippet="        z = (_basis(d) @ rho.T.ravel()).view(float).reshape(-1, 2)\n",
+        replacement="        z = np.stack([(_basis(d) @ rho.T.ravel()).real, np.zeros(d * d)], axis=1)\n",
+        killers=("tests/test_sequences.py::TestPrefixTensorProbabilities", "tests/test_sequences.py::TestOneBornRuleGuard"),
+        breaks="tr(rho E) loses its imaginary part, so a non-Hermitian state passes the Born-rule guard",
+    ),
+    Mutant(
+        name="probability_head_offset",
+        path=SEQUENCES,
+        snippet="        out[d_p * start : d_p * start + len(vals)] = _born_rule(vals, tol)\n",
+        replacement="        out[start : start + len(vals)] = _born_rule(vals, tol)\n",
+        killers=("tests/test_sequences.py::TestPrefixTensorProbabilities::test_leading_steps_walked_in_blocks",),
+        breaks="a walked head's probabilities land at the offset of its prefix, not of its sequences",
+    ),
+    Mutant(
+        name="commutant_fallback_dropped",
+        path="src/kcprobe/algebra.py",
+        snippet="    if np.any((cut / 100.0 <= svals) & (svals <= top)):\n        return None\n",
+        replacement="    if False:\n        return None\n",
+        killers=("tests/test_properties.py::test_the_restricted_commutant_reports_as_the_full_stack",),
+        breaks="a restricted commutant stands even where its singular values cannot decide as the full stack's",
+    ),
+    Mutant(
+        name="commutant_window_without_k",
+        path="src/kcprobe/algebra.py",
+        snippet="    top = 100.0 * cut * (1.0 + l_norm * c_norm / gap) / np.sqrt(1.0 - slack**2)\n",
+        replacement="    top = 100.0 * cut\n",
+        killers=("tests/test_properties.py::test_the_restricted_commutant_reports_as_the_full_stack",),
+        breaks="the fallback window ignores how far the restriction can lower a singular value",
+    ),
+    Mutant(
+        name="oracle_tables_keyed_by_length",
+        path="src/kcprobe/oracle.py",
+        snippet="    return tuple(id(protocol.step_measurements[s]) for s in steps)\n",
+        replacement="    return len(steps)\n",
+        killers=("tests/test_oracle.py",),
+        breaks="step lists of one length share a chain table, so distinct steps read another list's effects",
+    ),
+    Mutant(
+        name="sweep_chunk_without_transfers",
+        path="src/kcprobe/cli.py",
+        snippet="        point_bytes += 16 * d_p * d**4\n",
+        replacement="        point_bytes += 0\n",
+        killers=("tests/test_config_cli.py::TestSweepCommand::test_a_chunk_stays_within_the_block_bound",),
+        breaks="a sweep chunk is sized without its transfers, so it holds more than its block bound",
+    ),
+    Mutant(
+        name="grid_points_on_the_first_model",
+        path=MODEL,
+        snippet="        return _assemble(self.models[g], self.preparation, self.step_bases, None, steps)\n",
+        replacement="        return _assemble(self.models[0], self.preparation, self.step_bases, None, steps)\n",
+        killers=("tests/test_cli_golden.py",),
+        breaks="every assembled grid point carries the first point's model, so sweep omega reads one commutator norm",
+    ),
+    Mutant(
+        name="grid_step_times_one_ulp_up",
+        path=MODEL,
+        snippet="        np.array([m.step_time for m in models])[:, None, None],\n",
+        replacement="        np.nextafter(np.array([m.step_time for m in models]), np.inf)[:, None, None],\n",
+        killers=("tests/test_properties.py::test_a_grid_reads_each_point_as_that_point_alone",),
+        breaks="a grid's unitaries are one ulp off its points' own, so its points are not bit for bit their protocols",
+    ),
     Mutant(
         name="carried_sum_overwritten",
         path=SEQUENCES,
@@ -170,7 +251,11 @@ def run(mutant: Mutant) -> tuple[str, float]:
         command = [sys.executable, "-m", "pytest", "-q", "-x", *plugins, *mutant.killers]
         done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
     if done.returncode == 1:
-        failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+        failed = [
+            line.partition(" ")[2].split(" - ")[0]
+            for line in done.stdout.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))
+        ]
         outcome = f"killed by {failed[0] if failed else 'a failing test'}"
     else:
         outcome = "survived" if done.returncode == 0 else f"error (pytest exit {done.returncode})"
