@@ -326,17 +326,20 @@ SWEEP_POINT_OVERHEAD_BYTES = 2 * 2**10
 
 def _sweep_points(system_dim: int) -> int:
     """How many grid points one sweep chunk holds: what a point keeps while
-    its chunk is swept, its conditional unitaries and the Kraus operators and
-    effects of its X and Y cycles, ``80 d_P d**2`` bytes, up to
-    ``_TRANSFER_MAX_DIM`` their two transfers, ``16 d_P d**4`` bytes, and
-    :data:`SWEEP_POINT_OVERHEAD_BYTES`, fill at most ``PREFIX_BLOCK_BYTES``;
-    at least one point.  The chunk's scans count its points against their
-    own blocks."""
+    its chunk is swept fills at most ``PREFIX_BLOCK_BYTES`` (the block-fit
+    rule :func:`~kcprobe.sequences._fit`); at least one point.  A point keeps
+    the Kraus operators and effects of its X and Y cycles, ``64 d_P d**2``
+    bytes, and :data:`SWEEP_POINT_OVERHEAD_BYTES`; besides, first its
+    conditional unitaries, ``16 d_P d**2`` bytes, which
+    :func:`~kcprobe.model._grids` frees once the cycles are built, then what
+    the two cycles keep once scanned
+    (:func:`~kcprobe.sequences._kept_bytes`): up to the transfer cut their
+    first suffix effects, ``16 d_P d**2`` bytes, so ``80 d_P d**2`` in all
+    still holds, and their transfers, ``16 d_P d**4`` bytes.  The chunk's
+    scans count its points against their own blocks."""
     d_p, d = 2, system_dim
-    point_bytes = 80 * d_p * d**2 + SWEEP_POINT_OVERHEAD_BYTES
-    if d <= sequences._TRANSFER_MAX_DIM:
-        point_bytes += 16 * d_p * d**4
-    return max(1, sequences.PREFIX_BLOCK_BYTES // point_bytes)
+    kept = max(16 * d_p * d**2, 2 * sequences._kept_bytes(d_p, d))  # the unitaries are freed before the scans
+    return sequences._fit(64 * d_p * d**2 + kept + SWEEP_POINT_OVERHEAD_BYTES)
 
 
 def _sweep_grids(experiment: Experiment, param: str, values) -> dict[str, _Grid]:

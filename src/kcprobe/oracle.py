@@ -52,7 +52,7 @@ def _all_outcomes(d_p: int, k: int) -> np.ndarray:
 def _stacks(seqs: np.ndarray, d: int):
     """``seqs`` in row slices of at most ``PREFIX_BLOCK_BYTES // (16 d**2)``
     (at least one), each with its offset; the bound is read at call time."""
-    count = max(1, sequences.PREFIX_BLOCK_BYTES // (16 * d * d))
+    count = sequences._fit(16 * d * d)
     for lo in range(0, len(seqs), count):
         yield lo, seqs[lo : lo + count]
 
@@ -135,7 +135,7 @@ def _effect_tables(protocol: MeasurementProtocol, n_max: int) -> dict | None:
         for j in range(n):
             steps = _steps(n, j)
             lists.setdefault(_key(protocol, steps), steps)
-    if sum(d_p ** len(steps) for steps in lists.values()) * 16 * d * d > sequences.PREFIX_BLOCK_BYTES:
+    if sum(d_p ** len(steps) for steps in lists.values()) > sequences._fit(16 * d * d):
         return None
     tables = {}
     with np.errstate(over="ignore", invalid="ignore"):

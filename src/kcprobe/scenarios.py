@@ -323,8 +323,7 @@ def _screen_pairs(probe_dim: int, system_dim: int) -> int:
     """How many (candidate, time) pairs one screened chunk holds: their
     conditional unitaries, Kraus operators and effects, ``48 d_P d**2`` bytes
     a pair, fill at most ``PREFIX_BLOCK_BYTES``; at least one pair."""
-    pair_bytes = 3 * 16 * probe_dim * system_dim**2
-    return max(1, sequences.PREFIX_BLOCK_BYTES // max(1, pair_bytes))
+    return sequences._fit(3 * 16 * probe_dim * system_dim**2)
 
 
 def _screen(models, axes, t_grid, tol: Tolerances) -> np.ndarray:

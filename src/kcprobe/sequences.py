@@ -40,9 +40,12 @@ the Heisenberg step of a step's Kraus operators is a real
 and kept on it, ``8 d_P d**4`` bytes), so pulling a stack back through a
 step is one BLAS product per outcome (:func:`_pull`); the step's effects,
 ``c(1)`` pulled back through it, are kept on it alike (:func:`_last_effects`),
-so a later scan of the step builds neither again.  Above it the scan
-holds each operator's ``d x d`` matrix, flattened to one row, and pulls it
-back through ``K_m^H X K_m`` (:func:`_pull_back`), one step at a time alike.
+so a later scan of the step builds neither again (:func:`_kept_bytes`).
+Above it the scan holds each operator's ``d x d`` matrix, flattened to one
+row, and pulls it back through ``K_m^H X K_m`` (:func:`_pull_back`), one step
+at a time alike, the identity to the step's effects too.  So the scan reads
+a step's Kraus operators in :func:`_pull` alone, through its transfer or
+directly, and never its stored effects.
 
 Each ``j`` is swept once (:func:`_sweep`), at the largest ``n`` asked of it,
 ``n_j``, and the ``j`` that share ``n_j`` share one backward sweep: ``P = 1``
@@ -67,9 +70,10 @@ so a level is read off the sweep only while that bound, from the residuals
 kept on the steps (:func:`~kcprobe.model._residual`), stays within
 :data:`_LEVEL_BOUND` (1e-13); past it, that ``n`` is swept itself and the
 smaller ``n`` read off its sweep (:func:`_tops`).  A non-finite defect stops
-the sweep, which is freed, and the sweeps of one ``n`` each then run for
-their faults alone, so the fault names the first non-finite ``(n, j,
-fixed)`` in entry order as they find it.
+the sweep, which is freed, and each ``(n, j)`` is then scanned alone, in
+entry order, for its fault (:func:`_raise_fault`), so the fault names the
+first non-finite ``(n, j, fixed)`` in entry order, as the sweep of that
+``n`` alone finds it, on either side of :data:`_TRANSFER_MAX_DIM`.
 
 The leading outcomes of ``fixed`` are walked so that a stack holds at most
 ``PREFIX_BLOCK_BYTES // (32 d**2 d_P)`` operators (at least one) before a
@@ -203,9 +207,16 @@ def _check_capacity(probe_dim: int, n: int, tol: Tolerances) -> None:
         raise CapacityError(f"{probe_dim}^{n} = {count} sequences exceeds cap {tol.enumeration_cap}")
 
 
+def _fit(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` bytes one block of
+    :data:`PREFIX_BLOCK_BYTES`, read at call time, may hold (at least one):
+    the one block-fit rule of every stack and chunk of the package."""
+    return max(1, PREFIX_BLOCK_BYTES // item_bytes)
+
+
 def _block_len(d: int) -> int:
     """How many ``d x d`` complex matrices one block may hold (at least one)."""
-    return max(1, PREFIX_BLOCK_BYTES // (16 * d * d))
+    return _fit(16 * d * d)
 
 
 def _lead(d_p: int, steps: int, count: int) -> int:
@@ -557,27 +568,35 @@ def _step_defects(pulled: np.ndarray, post: np.ndarray) -> np.ndarray:
     return total
 
 
+def _kept_bytes(d_p: int, d: int) -> int:
+    """Bytes that a step measurement keeps for the scan once scanned: up to
+    :data:`_TRANSFER_MAX_DIM` its transfer, ``8 d_P d**4``, and its first
+    suffix effects, ``8 d_P d**2`` (:func:`_last_effects`); above it nothing."""
+    return 8 * d_p * d * d * (d * d + 1) if d <= _TRANSFER_MAX_DIM else 0
+
+
 def _last_effects(protocol: MeasurementProtocol, n: int) -> np.ndarray:
     """The effects ``E_m = K_m^H 1 K_m`` of step ``n``, the first suffix
-    effects of a sweep, as the scan holds operators at the protocol's ``d``:
-    up to :data:`_TRANSFER_MAX_DIM` as the rows ``c(1) @ T[m]`` of
-    coordinates, the sums of the rows of ``T[m]`` at the diagonal
-    coordinates, laid out with the outcome innermost, as :func:`_pull` lays
-    out a pull-back, so that their first pull-back reads them in place; above
-    it as flattened ``d x d`` matrices.  They are built at the first call and
-    kept on the measurement, read-only, as its transfer is (a grid's point
-    reads its own rows of the stack's)."""
+    effects of a sweep: the identity pulled back through the step, from its
+    Kraus operators as every other pull-back is, held as the scan holds
+    operators at the protocol's ``d``.  Up to :data:`_TRANSFER_MAX_DIM` they
+    are the rows ``c(1) @ T[m]`` of coordinates, the sums of the rows of
+    ``T[m]`` at the diagonal coordinates, laid out with the outcome
+    innermost, as :func:`_pull` lays out a pull-back, so that their first
+    pull-back reads them in place; they are built at the first call and kept
+    on the measurement, read-only, as its transfer is (a grid's point reads
+    its own rows of the stack's).  Above it they are the flattened ``d x d``
+    matrices of :func:`_pull` of the identity, pulled back at each call and
+    kept nowhere (:func:`_kept_bytes`)."""
+    d = protocol.system_dim
+    if d > _TRANSFER_MAX_DIM:
+        return _pull(protocol, n - 1, np.eye(d).reshape(1, d * d))[:, 0]
     measurement = protocol.step_measurements[n - 1]
     kept = vars(measurement)
     if "_last_effects" not in kept:
-        d = protocol.system_dim
-        if d > _TRANSFER_MAX_DIM:
-            effects = np.asarray(measurement.effects)
-            effects = effects.reshape(effects.shape[:-2] + (d * d,))
-        else:
-            effects = _transfer(measurement)[..., :d, :].sum(axis=-2)
-            lead = effects.ndim - 1  # the outcome axis goes last in memory, the others keep their order
-            effects = np.ascontiguousarray(effects.transpose(*range(1, lead + 1), 0)).transpose(lead, *range(lead))
+        effects = _transfer(measurement)[..., :d, :].sum(axis=-2)
+        lead = effects.ndim - 1  # the outcome axis goes last in memory, the others keep their order
+        effects = np.ascontiguousarray(effects.transpose(*range(1, lead + 1), 0)).transpose(lead, *range(lead))
         effects.flags.writeable = False
         kept["_last_effects"] = effects
     return kept["_last_effects"]
@@ -597,9 +616,10 @@ def _sweep(protocol: MeasurementProtocol, n: int, js, count: int):
     ``j`` once, for both ``M_b`` and the next ``post``; then ``D[a, b]`` is
     ``M_b`` pulled back through the steps before ``j``.  While ``post`` would
     hold more than ``count``, it stays at the last level that fits, and each
-    head pulls its own suffix outcomes back from there.  The scan sweeps each
-    ``j`` at the deepest ``n`` asked of it alone (:func:`_defect_blocks`);
-    only a fault sweeps every ``n`` (:func:`_raise_fault`)."""
+    head pulls its own suffix outcomes back from there.  Its one reader is
+    :func:`_defect_blocks`, which sweeps each ``j`` at the deepest ``n``
+    asked of it, and through which a fault scans each pair alone
+    (:func:`_raise_fault`)."""
     d_p = protocol.probe_dim
     lead = _lead(d_p, n - 1, count)
     width = d_p ** (n - 1 - lead)
@@ -753,16 +773,15 @@ def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
     out could move a level by more than :data:`_LEVEL_BOUND` is that ``n``
     swept itself, and the smaller ``n`` read off its sweep (:func:`_tops`).
     The norms of a swept block and of all its levels come from one pass.  A
-    non-finite norm of an entry of ``pairs`` stops the sweep, which is freed:
-    the per-``n`` sweeps of ``pairs`` then run for their faults alone, and
-    :class:`NumericalFault` names the first non-finite ``(n, j, fixed)`` in
-    entry order, as they find it; no block is yielded after one is found.  Of
-    a grid, the first point whose own scan finds one raises its fault
-    (:func:`_raise_point_fault`).  A grid reads a level off a deeper sweep
-    only where the bound holds at every point, so where its points would
-    split it differently, a point may differ from its own scan within the
-    bound; with one ``n`` for each ``j``, as the witnesses ask, every point
-    is bit for bit its own scan."""
+    non-finite norm of an entry of ``pairs`` stops the sweep, which is freed,
+    and :func:`_raise_fault` raises the :class:`NumericalFault` of the first
+    non-finite ``(n, j, fixed)`` in entry order, as the scan of its pair
+    alone finds it (of a grid, that of the first point whose own scan finds
+    one); no block is yielded after one is found.  A grid reads a level off
+    a deeper sweep only where the bound holds at every point, so where its
+    points would split it differently, a point may differ from its own scan
+    within the bound; with one ``n`` for each ``j``, as the witnesses ask,
+    every point is bit for bit its own scan."""
     d_p, d = protocol.probe_dim, protocol.system_dim
     grid = _grid(protocol)
     count = _block_len(d) // (2 * d_p * math.prod(grid))  # the points of a grid share the block
@@ -812,48 +831,33 @@ def _defect_blocks(protocol: MeasurementProtocol, pairs: list):
             # the sweep, its block and the carried sums are freed first, to keep the bound
             blocks.close()
             del blocks, pieces, defects, norms, carry
-            if grid:
-                _raise_point_fault(protocol, pairs, found[0])
-            _raise_fault(protocol, pairs, count, found)
+            _raise_fault(protocol, pairs, found)
 
 
-def _raise_point_fault(protocol, pairs: list, k: int):
-    """Raise the :class:`NumericalFault` of the first point of a grid, up to
-    point ``k``, whose own scan of ``pairs`` finds a non-finite defect: the
-    fault of that point scanned alone.  Point ``k`` is one that the batched
-    scan found, which is bit for bit its own scan, so its scan raises, if
-    none before it does."""
-    for g in range(k + 1):
-        _scan(protocol.protocol(g), pairs, [])
-    raise NumericalFault(f"a defect norm of grid point {k} is not finite")
-
-
-def _raise_fault(protocol: MeasurementProtocol, pairs: list, count: int, found: tuple):
+def _raise_fault(protocol, pairs: list, found: tuple):
     """Raise the :class:`NumericalFault` of the first non-finite operator
-    defect of ``pairs`` in entry order: the sweep of each ``n`` of ``pairs``
-    in turn, for its faults alone, runs ``j`` down, so the first bad entry of
-    its smallest bad ``j`` is kept once the sweep is done.  ``found``,
-    ``(n, j, entry, norm)`` of the swept route, is raised if none is bad."""
-    d_p = protocol.probe_dim
-    for n in dict.fromkeys(n for n, _ in pairs):
-        fault = None
-        blocks = _sweep(protocol, n, {j for m, j in pairs if m == n}, count)
-        while True:
-            with np.errstate(over="ignore", invalid="ignore"):
-                j, start, stack = next(blocks, (None, None, None))
-                if j is None:
-                    break
-                norms = _norms(_rows(stack, protocol.system_dim))
-            del stack
-            if not math.isfinite(float(norms.max())) and (fault is None or fault[1] > j):
-                i = int(np.argmin(np.isfinite(norms)))
-                fault = n, j, start + i, norms[i]
-        if fault is not None:
-            found = fault
-            break
-    n, j, k, value = found
-    fixed = tuple(map(int, np.unravel_index(k, (d_p,) * (n - 1))))
-    raise NumericalFault(f"defect norm {value} at n={n}, j={j}, fixed={fixed} is not finite")
+    defect of ``pairs`` in entry order, of which the scan of
+    :func:`_defect_blocks` found ``found``: ``(n, j, entry, norm)``, or of a
+    grid ``(point,)``.  Each scan below runs through :func:`_defect_blocks`
+    again, which raises the fault it finds.  A grid's points are scanned
+    alone up to that point: the found point's entries are bit for bit its own
+    scan's, so it raises if none before it does.  More than one pair are
+    scanned one pair alone at a time, in the order of ``pairs``: a bad step
+    beyond ``n`` spoils the levels read off a deeper sweep, but not the
+    sweep of ``n`` alone.  One pair's blocks come in entry order, so
+    ``found`` is its first bad entry, and is raised, as it is if no pair
+    alone raises."""
+    if isinstance(protocol, _Grid):
+        for g in range(found[0] + 1):
+            for block in _defect_blocks(protocol.protocol(g), pairs):
+                del block  # freed before the next block is built, to keep the bound
+        raise NumericalFault(f"a defect norm of grid point {found[0]} is not finite")
+    for pair in pairs if len(pairs) > 1 else ():
+        for block in _defect_blocks(protocol, [pair]):
+            del block  # likewise
+    n, j, entry, norm = found
+    fixed = tuple(map(int, np.unravel_index(entry, (protocol.probe_dim,) * (n - 1))))
+    raise NumericalFault(f"defect norm {norm} at n={n}, j={j}, fixed={fixed} is not finite")
 
 
 def _scan(protocol: MeasurementProtocol, pairs: list, states: list) -> _KCEntries:

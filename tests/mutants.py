@@ -119,8 +119,8 @@ MUTANTS = (
     Mutant(
         name="sweep_chunk_without_transfers",
         path="src/kcprobe/cli.py",
-        snippet="        point_bytes += 16 * d_p * d**4\n",
-        replacement="        point_bytes += 0\n",
+        snippet="    kept = max(16 * d_p * d**2, 2 * sequences._kept_bytes(d_p, d))  # the unitaries are freed before the scans\n",
+        replacement="    kept = 16 * d_p * d**2\n",
         killers=("tests/test_config_cli.py::TestSweepCommand::test_a_chunk_stays_within_the_block_bound",),
         breaks="a sweep chunk is sized without its transfers, so it holds more than its block bound",
     ),
@@ -178,10 +178,35 @@ MUTANTS = (
     Mutant(
         name="grid_fault_rescans_the_found_point_only",
         path=SEQUENCES,
-        snippet="    for g in range(k + 1):\n",
-        replacement="    for g in (k,):\n",
-        killers=("tests/test_sequences.py::TestBlockScan::test_a_grid_raises_its_first_bad_point_s_own_fault",),
+        snippet="        for g in range(found[0] + 1):\n",
+        replacement="        for g in (found[0],):\n",
+        killers=(
+            "tests/test_sequences.py::TestBlockScan::test_a_grid_raises_its_first_bad_point_s_own_fault",
+            "tests/test_sequences.py::TestBlockScan::test_a_grid_above_the_cut_raises_its_first_bad_point_s_own_fault",
+        ),
         breaks="a grid raises the fault of the point its batched scan found, not of the first bad point",
+    ),
+    Mutant(
+        name="fault_pairs_not_scanned_alone",
+        path=SEQUENCES,
+        snippet="    for pair in pairs if len(pairs) > 1 else ():\n",
+        replacement="    for pair in ():\n",
+        killers=(
+            "tests/test_sequences.py::TestStateFreeScan::test_a_non_finite_step_raises_alike_without_a_warning",
+            "tests/test_sequences.py::TestBlockScan::test_a_bad_final_step_names_one_entry_on_both_sides_of_the_cut",
+        ),
+        breaks="a fault of several pairs names the entry the deepest sweep met first, not the first in entry order",
+    ),
+    Mutant(
+        name="fault_pairs_walked_in_reverse",
+        path=SEQUENCES,
+        snippet="    for pair in pairs if len(pairs) > 1 else ():\n",
+        replacement="    for pair in reversed(pairs) if len(pairs) > 1 else ():\n",
+        killers=(
+            "tests/test_sequences.py::TestStateFreeScan::test_a_non_finite_step_raises_alike_without_a_warning",
+            "tests/test_sequences.py::TestBlockScan::test_a_bad_final_step_names_one_entry_on_both_sides_of_the_cut",
+        ),
+        breaks="a fault of several pairs names the first bad entry of the last bad pair",
     ),
     Mutant(
         name="block_errstate_dropped",
@@ -220,6 +245,39 @@ MUTANTS = (
         breaks="decided_by_n2_j1 reads the largest defect of every pair, so it is always true",
     ),
     Mutant(
+        name="table_defect_m_j_on_the_last_step",
+        path="src/kcprobe/oracle.py",
+        snippet=(
+            "    full = tables[_key(protocol, _steps(n))].reshape(-1, d_p, after, d, d)  # m_j on axis 1\n"
+            "    before, later = np.divmod(np.arange(rows.start, rows.stop), after)\n"
+            "    out = full[before, 0, later]\n"
+            "    for m_j in range(1, d_p):\n"
+            "        out += full[before, m_j, later]\n"
+        ),
+        replacement=(
+            "    full = tables[_key(protocol, _steps(n))].reshape(-1, after, d_p, d, d)\n"
+            "    before, later = np.divmod(np.arange(rows.start, rows.stop), after)\n"
+            "    out = full[before, later, 0]\n"
+            "    for m_j in range(1, d_p):\n"
+            "        out += full[before, later, m_j]\n"
+        ),
+        killers=("tests/test_oracle.py::test_held_tables_report_as_the_per_piece_chains",),
+        breaks="a naive defect read off the tables sums the last step's outcome, not step j's",
+    ),
+    Mutant(
+        name="sweep_models_before_the_first_stacks",
+        path="src/kcprobe/cli.py",
+        snippet=(
+            "            except InvariantViolation:\n"
+            "                if models:  # the points before it raise their own violation first\n"
+            "                    _grids(models, preparation, bases)\n"
+            "                raise\n"
+        ),
+        replacement="            except InvariantViolation:\n                raise\n",
+        killers=("tests/test_config_cli.py::TestSweepCommand::test_the_first_bad_point_names_the_config_error",),
+        breaks="a chunk's model that fails to build is named before an earlier point whose stacks fail",
+    ),
+    Mutant(
         name="shared_tolerance_dict",
         path="src/kcprobe/tolerances.py",
         snippet="        return dict(self._fields)\n",
@@ -244,11 +302,7 @@ def run(mutant: Mutant) -> tuple[str, float]:
         _copy_tree(root)
         mutant.apply(root)
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
-        # hypothesis's plugin imports libcst to print a failing example's
-        # patch, which warns under the suite's warning filters, so a killing
-        # property test would end as a pytest internal error
-        plugins = ["-p", "no:cacheprovider", "-p", "no:hypothesispytest"]
-        command = [sys.executable, "-m", "pytest", "-q", "-x", *plugins, *mutant.killers]
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.killers]
         done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
     if done.returncode == 1:
         failed = [

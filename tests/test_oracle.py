@@ -477,8 +477,8 @@ def test_the_operator_gate_reads_one_scan(monkeypatch):
 
 def test_the_naive_route_reads_no_code_of_the_fast_route():
     # from kcprobe.sequences the oracle takes its fast side (the scan's
-    # blocks and the distribution), the cap check and the block bound, which
-    # it reads at call time; no product or pull-back
+    # blocks and the distribution), the cap check and the block-fit rule,
+    # which reads the block bound at call time; no product or pull-back
     tree = ast.parse(inspect.getsource(kcprobe.oracle))
     imported = {
         alias.name
@@ -492,7 +492,7 @@ def test_the_naive_route_reads_no_code_of_the_fast_route():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sequences"
     }
     assert imported == {"_check_capacity", "_defect_blocks", "full_distribution"}
-    assert read == {"PREFIX_BLOCK_BYTES"}
+    assert read == {"_fit"}
 
 
 @pytest.mark.parametrize("n_max", [0, -1])

@@ -346,8 +346,9 @@ def test_two_routes_to_a_defect_share_no_product():
     # every fast-route number in sequences.py reads a step's Kraus operators
     # in _pull alone, which hands them to the matrix pull-back only and
     # otherwise reads the step's transfer, built in model.py, as does the
-    # first step of a sweep; the single-entry routes read the oracle's
-    # chains at call time
+    # first step of a sweep; no function reads a step's stored effects, so
+    # a step is scanned from one source on both sides of the transfer cut;
+    # the single-entry routes read the oracle's chains at call time
     tree = ast.parse(inspect.getsource(kcprobe.sequences))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -364,6 +365,7 @@ def test_two_routes_to_a_defect_share_no_product():
 
     readers = {name for name in functions if kraus_reads(functions[name])}
     assert readers == {"_pull"}
+    assert not [name for name in functions if "effects" in {n.attr for n in nodes(name, ast.Attribute)}]
     pulled = [read for call in calls("_pull", "_pull_back") for read in kraus_reads(call.args[0])]
     assert pulled and pulled == kraus_reads(functions["_pull"])
     assert [ast.unparse(call) for call in calls("_pull", "_transfer")] == ["_transfer(measurement)"]
@@ -374,7 +376,8 @@ def test_two_routes_to_a_defect_share_no_product():
 
 
 def test_one_loop_reads_the_scan():
-    # _defect_blocks has two readers, the scan's one loop and the oracle's
+    # _defect_blocks has three readers, the scan's one loop, the fault path,
+    # which scans each pair or grid point alone through it, and the oracle's
     # gate; check_kc_all and _state_defects reach it only through _scan, and
     # no witness forms a defect by subtracting two distributions
     package = Path(inspect.getsourcefile(kcprobe.sequences)).parent
@@ -396,9 +399,15 @@ def test_one_loop_reads_the_scan():
         for top in tree.body
         if not isinstance(top, ast.ImportFrom) and "_defect_blocks" in set(names(top))
     }
-    assert readers == {("sequences", "_scan"), ("oracle", "_defect_gaps")}
+    assert readers == {("sequences", "_scan"), ("sequences", "_raise_fault"), ("oracle", "_defect_gaps")}
     assert not {"full_distribution", "prefix", "drop_step"} & set(names(trees["witnesses"]))
     functions = {top.name: top for top in trees["sequences"].body if isinstance(top, ast.FunctionDef)}
+    # the sweep has one reader, and the fault path builds no entries
+    sweepers = {
+        (module, getattr(top, "name", None)) for module, tree in trees.items() for top in tree.body if "_sweep" in set(names(top))
+    }
+    assert sweepers == {("sequences", "_defect_blocks")}
+    assert not {"_KCEntries", "_scan"} & set(names(functions["_raise_fault"]))
     for name in ("check_kc_all", "_state_defects"):
         loops = [node.iter for node in ast.walk(functions[name]) if isinstance(node, (ast.For, ast.comprehension))]
         assert not any("_defect_blocks" in set(names(it)) for it in loops)
@@ -825,6 +834,48 @@ class TestBlockScan:
             _state_defects(grid, [I2 / 2], pairs, kp.DEFAULT)
         assert str(batched.value) == str(alone.value)
         assert "grid point" not in str(batched.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("outcome", [0, 1])
+    @pytest.mark.parametrize("d_s", [2, _TRANSFER_MAX_DIM + 1])
+    def test_a_bad_final_step_names_one_entry_on_both_sides_of_the_cut(self, d_s, outcome, value):
+        # Kraus operator `outcome` of the fourth step is bad, its stored
+        # effects are gone: no pair of n <= 3 reads the step, and the first
+        # bad entry is the first of (4, 1) whose last outcome is `outcome`,
+        # through the transfer (d = 2) as through the matrices (d = 9)
+        rng = np.random.default_rng([4, d_s])
+        protocol = poisoned_protocol(random_basis_protocol(rng, 2, d_s, 4, commuting=False), 3, outcome, value)
+        with pytest.raises(NumericalFault, match=rf"at n=4, j=1, fixed=\(0, 0, {outcome}\) is not finite$"):
+            kp.check_kc_all(protocol, 4)
+
+    @pytest.mark.parametrize("block_bytes", [1, PREFIX_BLOCK_BYTES])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_grid_above_the_cut_raises_its_first_bad_point_s_own_fault(self, monkeypatch, block_bytes, value):
+        # d = 9, three points, four steps: Kraus operator 1 of point 1's
+        # fourth step and of point 2's third step is bad.  In walked blocks
+        # point 2 faults first, but point 1 is the first whose own scan
+        # faults, at (4, 1); point 2 alone would name (3, 1)
+        d_s = _TRANSFER_MAX_DIM + 1
+        model = kp.random_model(37, 2, d_s, commuting=False)
+        models = [model.with_step_time(t) for t in (0.6, 1.1, 1.4)]
+        bases = tuple(kp.xy_meter_basis(a) for a in "XYXY")
+        (grid,) = kp.model._grids(models, kp.plus_x_preparation(), {"steps": bases}).values()
+        stacks = []
+        for k, stacked in enumerate(grid.step_measurements):  # one stack a step, so each is poisoned alone
+            kraus = np.array(stacked.kraus)
+            for g, step in {1: 3, 2: 2}.items():
+                if step == k:
+                    kraus[1, g] = value
+            stacks.append(kp.model._Stacked(kraus, stacked.effects, stacked.labels, stacked.residuals))
+        grid = kp.model._Grid(grid.models, grid.preparation, grid.step_bases, tuple(stacks))
+        pairs = [(n, j) for n in range(2, 5) for j in range(1, n)]
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+        with pytest.raises(NumericalFault) as alone:
+            _scan(grid.protocol(1), pairs, [])
+        assert str(alone.value).endswith("at n=4, j=1, fixed=(0, 0, 1) is not finite")
+        with pytest.raises(NumericalFault) as batched:
+            _state_defects(grid, [np.eye(d_s) / d_s], pairs, kp.DEFAULT)
+        assert str(batched.value) == str(alone.value)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_a_non_finite_single_entry_defect_is_a_fault(self, y_protocol, value):
@@ -1310,9 +1361,10 @@ class TestStateFreeScan:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("d_s", [2, _TRANSFER_MAX_DIM + 1])
     def test_a_non_finite_step_raises_alike_without_a_warning(self, d_s, value):
-        # the second step's transfer (its matrices above _TRANSFER_MAX_DIM)
-        # is poisoned: the scan with states and without raise the same fault,
-        # and no RuntimeWarning escapes either
+        # the second step's Kraus operator 1 is poisoned, its stored effects
+        # left finite: the scan with states and without raise the same fault,
+        # naming the same first bad entry through the transfer (d = 2) as
+        # through the matrices (d = 9), and no RuntimeWarning escapes either
         rng = np.random.default_rng(d_s)
         protocol = random_basis_protocol(rng, 2, d_s, 3, commuting=False)
         steps = list(protocol.step_measurements)
@@ -1334,4 +1386,4 @@ class TestStateFreeScan:
                     kp.check_kc_all(poisoned, 3, states)
             messages.append(str(fault.value))
         assert messages[0] == messages[1]
-        assert re.fullmatch(r"defect norm (nan|inf) at n=[23], j=[12], fixed=\([01, ]+\) is not finite", messages[0])
+        assert re.fullmatch(r"defect norm (nan|inf) at n=2, j=1, fixed=\(1,\) is not finite", messages[0])
