@@ -34,9 +34,10 @@ from .tolerances import DEFAULT, Tolerances
 
 SCHEMA_VERSION = 1
 
-# Tolerances that no command reads (``unitarity``, ``povm_completeness`` and
-# ``effect_psd`` are read only at their defaults), so a setting would change
-# nothing: a config or ``--tol`` naming one is refused.
+# Tolerances that no command reads (``unitarity`` and ``povm_completeness``
+# are read only at their defaults, and nothing reads ``effect_psd``: an effect
+# is positive once completeness holds), so a setting would change nothing: a
+# config or ``--tol`` naming one is refused.
 _INERT_TOLERANCES = frozenset({
     "closure", "effect_psd", "fixed_point", "kraus_effect", "povm_completeness",
     "rank", "spacing", "unitarity", "weight_sum",

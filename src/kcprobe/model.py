@@ -10,7 +10,9 @@ prepare-evolve-measure cycle on the probe (preparation ``|g>``, meter basis
 where ``g_i`` and ``m_i`` are ket coefficients in the pointer basis.  The
 effects ``E_m = K_m^H K_m`` form a POVM; completeness is enforced when a
 measurement is constructed, so downstream sequence probabilities are always
-normalized.
+normalized, and positivity holds by construction.  One assembly,
+:func:`_cycle_stacks`, builds the Kraus data of every protocol and of every
+grid of protocols, so a grid's point is its protocol built alone.
 
 Outcome labels are integers ``0 .. d_P-1`` throughout; meter bases carry
 display labels (``+``/``-`` for the qubit X/Y bases) and witnesses apply
@@ -256,11 +258,14 @@ def induced_kraus(
     unitaries: np.ndarray | tuple[np.ndarray, ...] | None = None,
     tol: Tolerances = DEFAULT,
 ) -> InducedMeasurement:
-    """Build the induced measurement ``{K_m, E_m}`` for one probe cycle.
+    """Build the induced measurement ``{K_m, E_m}`` for one probe cycle, at
+    the given ``unitaries`` (the model's own at its step time if None).
 
-    POVM completeness and positivity of every effect are verified here;
-    a failure indicates a non-orthonormal meter basis or a numerical fault
-    and raises :class:`InvariantViolation`.
+    POVM completeness is verified here at ``tol.povm_completeness``, the one
+    place a caller's value of it is read (every protocol build and the search
+    screen check at :data:`DEFAULT`); a failure indicates a non-orthonormal
+    meter basis or a numerical fault and raises :class:`InvariantViolation`.
+    Each effect is positive as built (see :func:`_cycles`).
     """
     weights = _cycle_weights(model.probe_dim, preparation, meter)
     if unitaries is None:
@@ -286,15 +291,18 @@ def _cycles(
     ``(..., d_P, d_P)`` (see :func:`_cycle_weights`) and conditional unitaries
     ``(..., d_P, d, d)``, whose leading axes broadcast, and each cycle's
     completeness residual ``|sum_m E_m - 1|_F``, shape ``(...)``.  Every
-    cycle's effects must sum to the identity and be positive; the first cycle
-    in C order that fails raises :class:`InvariantViolation`.
+    cycle's effects must sum to the identity; the first cycle in C order that
+    fails raises :class:`InvariantViolation`.  That is the one check: each
+    effect is the Hermitian part of a Gram matrix ``K_m^H K_m``, so its lowest
+    eigenvalue is at least ``-O(d eps) |K_m|^2``, and completeness, which a
+    NaN fails too, bounds ``|K_m|^2`` by ``1 + povm_completeness``; no
+    spectrum is computed.
 
-    A protocol builds its distinct measurements in one call
-    (:class:`MeasurementProtocol`), a grid of protocols in one call with the
-    grid point leading (:func:`_grids`), and so does the search screen.  Each
-    cycle is the same elementwise steps and matrix products whatever the
-    leading axes, so a member of a stack is bit for bit the cycle built
-    alone, its unitaries too
+    Every protocol and every grid of protocols is built in one call of
+    :func:`_cycle_stacks`; the search screen and :func:`induced_kraus` call
+    it directly.  Each cycle is the same elementwise steps and matrix products
+    whatever the leading axes, so a member of a stack is bit for bit the
+    cycle built alone, its unitaries too
     (:func:`~kcprobe.linalg.unitary_from_eigensystem`)."""
     # K_m = sum_i g_i conj(m_i) U_i for every outcome m at once
     kraus = np.einsum("...mi,...ikl->...mkl", weights, unitaries)
@@ -305,10 +313,6 @@ def _cycles(
     if not completeness.max() <= tol.povm_completeness:  # NaN fails too
         k = _first(~(completeness <= tol.povm_completeness))
         raise InvariantViolation(f"effects do not sum to the identity: defect {completeness[k]:.3e}")
-    lowest = np.linalg.eigvalsh(effects)[..., 0]
-    if not lowest.min() >= -tol.effect_psd:
-        k = _first(~(lowest >= -tol.effect_psd))
-        raise InvariantViolation(f"effect {k[-1]} has negative eigenvalue {lowest[k]:.3e}")
     kraus.setflags(write=False)
     effects.setflags(write=False)
     return kraus, effects, completeness
@@ -324,6 +328,35 @@ def _measurement(kraus: np.ndarray, effects: np.ndarray, labels, residual) -> In
     object.__setattr__(measurement, "labels", labels)
     vars(measurement)["_residual"] = float(residual)
     return measurement
+
+
+def _cycle_stacks(models, preparation: PreparationState, step_bases, step_times=None):
+    """The one assembly of a protocol's Kraus data: ``(picks, kraus, effects,
+    residuals)`` for the steps ``step_bases`` prepared in ``preparation`` on
+    each of ``models`` (of one shape), where ``picks[k]`` is the cycle of step
+    ``k`` and the rest is what one :func:`_cycles` call returns for every
+    cycle at every model, ``(G, C, d_P, d, d)`` and ``(G, C)``, the model
+    leading.  Steps with equal meter kets, labels and step time share one
+    cycle.  Without ``step_times`` every step of a model runs at its model's
+    step time, from one stack of unitaries a model; with them ``models`` holds
+    one model, with one stack of unitaries per distinct time."""
+    keys: dict[tuple[bytes, tuple[str, ...], float | None], int] = {}
+    times = step_times if step_times is not None else (None,) * len(step_bases)
+    picks = [keys.setdefault((b.states.tobytes(), b.labels, t), len(keys)) for b, t in zip(step_bases, times)]
+    cycles = dict(zip(picks, step_bases))
+    weights = np.array([_cycle_weights(models[0].probe_dim, preparation, b) for b in cycles.values()])
+    if step_times is None:
+        unitaries = unitary_from_eigensystem(
+            np.stack([m.eigenvalues for m in models])[:, None],  # (G, 1, d_P, d)
+            np.stack([m.eigenvectors for m in models])[:, None],
+            np.array([m.step_time for m in models])[:, None, None],
+        )
+    else:
+        (model,) = models
+        distinct = {t: k for k, t in enumerate(dict.fromkeys(step_times))}  # in order of first use
+        unitaries = unitary_from_eigensystem(model.eigenvalues, model.eigenvectors, np.array([*distinct])[:, None])
+        unitaries = unitaries[[distinct[t] for *_, t in keys]][None]  # each cycle's, (1, C, d_P, d, d)
+    return (picks, *_cycles(weights, unitaries, DEFAULT))
 
 
 def _assemble(model, preparation, step_bases, step_times, step_measurements) -> "MeasurementProtocol":
@@ -373,24 +406,13 @@ class MeasurementProtocol:
                 raise ProtocolError(
                     f"{len(self.step_times)} step times for {len(self.step_bases)} steps"
                 )
-        # steps with equal meter kets, labels and duration share one measurement,
-        # and every distinct one is a cycle of one stacked build
-        distinct: dict[tuple[bytes, tuple[str, ...], float], int] = {}
-        cycles, picks = [], []
-        for basis, t in zip(self.step_bases, self.effective_step_times()):
-            key = (basis.states.tobytes(), basis.labels, t)
-            if key not in distinct:
-                distinct[key] = len(cycles)
-                cycles.append((basis, t))
-            picks.append(distinct[key])
-        model = self.model
-        weights = np.array([_cycle_weights(model.probe_dim, self.preparation, b) for b, _ in cycles])
-        times = np.array([[t] for _, t in cycles])
-        unitaries = unitary_from_eigensystem(model.eigenvalues, model.eigenvectors, times)
-        kraus, effects, completeness = _cycles(weights, unitaries, DEFAULT)
-        built = [_measurement(kraus[c], effects[c], b.labels, completeness[c]) for c, (b, _) in enumerate(cycles)]
+        picks, kraus, effects, residuals = _cycle_stacks((self.model,), self.preparation, self.step_bases, self.step_times)
+        built = {
+            c: _measurement(kraus[0, c], effects[0, c], basis.labels, residuals[0, c])
+            for c, basis in dict(zip(picks, self.step_bases)).items()
+        }
         object.__setattr__(self, "step_bases", tuple(self.step_bases))
-        object.__setattr__(self, "step_measurements", tuple(built[c] for c in picks))
+        object.__setattr__(self, "step_measurements", tuple(map(built.__getitem__, picks)))
 
     @property
     def n_steps(self) -> int:
@@ -509,31 +531,19 @@ class _Grid:
 
 def _grids(models, preparation: PreparationState, protocols: dict) -> dict:
     """``{key: _Grid}`` for the step bases ``protocols[key]`` of each key, on
-    ``models`` (of one shape) each at its own step time: one :func:`_cycles`
-    call builds every distinct cycle at every model from their stacked
-    eigensystems, the grid point leading, with the checks of a protocol
-    build, so the first point, and then cycle, that fails one raises, as
-    building the protocols point by point would."""
-    cycles: dict[tuple[bytes, tuple[str, ...]], MeterBasis] = {}
-    for bases in protocols.values():
-        for basis in bases:
-            cycles.setdefault((basis.states.tobytes(), basis.labels), basis)
-    probe_dim = models[0].probe_dim
-    weights = np.array([_cycle_weights(probe_dim, preparation, b) for b in cycles.values()])
-    unitaries = unitary_from_eigensystem(
-        np.stack([m.eigenvalues for m in models])[:, None],  # (G, 1, d_P, d)
-        np.stack([m.eigenvectors for m in models])[:, None],
-        np.array([m.step_time for m in models])[:, None, None],
-    )
-    kraus, effects, completeness = _cycles(weights, unitaries, DEFAULT)  # (G, C, d_P, d, d)
-    del unitaries
+    ``models`` (of one shape) each at its own step time: every distinct cycle
+    at every model comes from one :func:`_cycle_stacks`, the assembly of a
+    protocol build, so the first point, and then cycle, that fails a check
+    raises, as building the protocols point by point would."""
+    steps = [basis for bases in protocols.values() for basis in bases]
+    picks, kraus, effects, residuals = _cycle_stacks(models, preparation, steps)
     stacks = {  # each cycle's outcome first, then the point
-        key: _Stacked(kraus[:, c].swapaxes(0, 1), effects[:, c].swapaxes(0, 1), basis.labels, completeness[:, c])
-        for c, (key, basis) in enumerate(cycles.items())
+        c: _Stacked(kraus[:, c].swapaxes(0, 1), effects[:, c].swapaxes(0, 1), basis.labels, residuals[:, c])
+        for c, basis in dict(zip(picks, steps)).items()
     }
-    models = tuple(models)
+    picks, models = iter(picks), tuple(models)
     return {
-        name: _Grid(models, preparation, tuple(bases), tuple(stacks[b.states.tobytes(), b.labels] for b in bases))
+        name: _Grid(models, preparation, tuple(bases), tuple(stacks[next(picks)] for _ in bases))
         for name, bases in protocols.items()
     }
 

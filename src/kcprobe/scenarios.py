@@ -333,7 +333,8 @@ def _screen(models, axes, t_grid, tol: Tolerances) -> np.ndarray:
     keep.  The models share one shape.  The unitaries, Kraus operators and
     effects of every pair are built, with their checks, in one stack per
     slice of the grid; a slice is the whole grid unless one model's grid
-    alone outgrows :func:`_screen_pairs`."""
+    alone outgrows :func:`_screen_pairs`.  Completeness is checked at
+    :data:`DEFAULT`, as a protocol build checks it; ``tol`` gives the gap."""
     d_p, d = models[0].probe_dim, models[0].system_dim
     w = np.stack([m.eigenvalues for m in models])[:, None]  # (C, 1, d_P, d)
     v = np.stack([m.eigenvectors for m in models])[:, None]
@@ -346,7 +347,7 @@ def _screen(models, axes, t_grid, tol: Tolerances) -> np.ndarray:
         # the checks read (C, G, d_P) stacks in C order, the search order:
         # model, time, pointer state; only the effects outlive _cycles
         unitaries = unitary_from_eigensystem(w, v, times[start : start + width, None])
-        effects = _cycles(weights, unitaries, tol)[1]
+        effects = _cycles(weights, unitaries, DEFAULT)[1]
         del unitaries
         ok, _ = effect_nondegenerate(effects, tol=tol)
         screened[:, start : start + width] = ~np.broadcast_to(ok, effects.shape[:-2]).any(axis=-1)

@@ -254,21 +254,22 @@ def _probabilities(
     d_p, d = protocol.probe_dim, protocol.system_dim
     count = _block_len(d) // (4 * d_p)  # a stack holds at most d_P count, a quarter block
     lead = _lead(d_p, n - 1, count)
-    post = np.ascontiguousarray(_last_effects(protocol, n))  # C-ordered rows, for the trace products below
-    for k in range(n - 1, lead, -1):
-        post = _flat(_pull(protocol, k - 1, post))
-    if d <= _TRANSFER_MAX_DIM:
-        # z_a = tr(B_a rho), complex for a non-Hermitian rho, so tr(rho E) = c(E) . z
-        z = (_basis(d) @ rho.T.ravel()).view(float).reshape(-1, 2)
-    out = np.empty(d_p**n)
-    for start, head in _heads(d_p, n - 1, lead):  # head: outcomes of steps 1 .. lead
-        effects = _pull_prefixes(protocol, post, head, lead)
-        if d > _TRANSFER_MAX_DIM:
-            vals = np.einsum("aij,ji->a", effects.reshape(-1, d, d), rho)
-        else:
-            vals = np.einsum("ak,ks->as", effects, z).view(complex)[:, 0]
-        del effects  # freed before the next head is pulled, to keep the bound
-        out[d_p * start : d_p * start + len(vals)] = _born_rule(vals, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value fails the Born rule
+        post = np.ascontiguousarray(_last_effects(protocol, n))  # C-ordered rows, for the trace products below
+        for k in range(n - 1, lead, -1):
+            post = _flat(_pull(protocol, k - 1, post))
+        if d <= _TRANSFER_MAX_DIM:
+            # z_a = tr(B_a rho), complex for a non-Hermitian rho, so tr(rho E) = c(E) . z
+            z = (_basis(d) @ rho.T.ravel()).view(float).reshape(-1, 2)
+        out = np.empty(d_p**n)
+        for start, head in _heads(d_p, n - 1, lead):  # head: outcomes of steps 1 .. lead
+            effects = _pull_prefixes(protocol, post, head, lead)
+            if d > _TRANSFER_MAX_DIM:
+                vals = np.einsum("aij,ji->a", effects.reshape(-1, d, d), rho)
+            else:
+                vals = np.einsum("ak,ks->as", effects, z).view(complex)[:, 0]
+            del effects  # freed before the next head is pulled, to keep the bound
+            out[d_p * start : d_p * start + len(vals)] = _born_rule(vals, tol)
     total = float(out.sum())
     if not abs(total - 1.0) <= tol.distribution_sum:
         raise NumericalFault(f"distribution sums to {total}, expected 1")

@@ -23,7 +23,7 @@ class Tolerances:
     rank: float = 1e-9                # residual cut when orthonormalizing operator sets
     kraus_effect: float = 1e-12       # |E - K^H K|_F per outcome
     povm_completeness: float = 1e-10  # |sum_m E_m - 1|_F
-    effect_psd: float = 1e-10
+    effect_psd: float = 1e-10        # read by no check: an effect is positive once complete
     probability_imag: float = 1e-12
     probability_clip: float = 1e-10
     distribution_sum: float = 1e-9

@@ -135,10 +135,28 @@ MUTANTS = (
     Mutant(
         name="grid_step_times_one_ulp_up",
         path=MODEL,
-        snippet="        np.array([m.step_time for m in models])[:, None, None],\n",
-        replacement="        np.nextafter(np.array([m.step_time for m in models]), np.inf)[:, None, None],\n",
-        killers=("tests/test_properties.py::test_a_grid_reads_each_point_as_that_point_alone",),
-        breaks="a grid's unitaries are one ulp off its points' own, so its points are not bit for bit their protocols",
+        snippet="            np.array([m.step_time for m in models])[:, None, None],\n",
+        replacement="            np.nextafter(np.array([m.step_time for m in models]), np.inf)[:, None, None],\n",
+        killers=(
+            "tests/test_model.py::TestStackedCycles::test_each_protocol_step_is_its_cycle_built_alone",
+            "tests/test_scenarios.py::TestSearchScreen::test_a_broken_phase_names_the_reference_loops_first_candidate",
+        ),
+        breaks="every cycle at its model's own step time is built one ulp later than that step time",
+    ),
+    Mutant(
+        name="effects_traded_between_outcomes",
+        path=MODEL,
+        snippet="    effects /= 2\n",
+        replacement=(
+            "    effects /= 2\n"
+            "    effects[..., 0, :, :] -= np.eye(effects.shape[-1])\n"
+            "    effects[..., 1, :, :] += np.eye(effects.shape[-1])\n"
+        ),
+        killers=(
+            "tests/test_model.py::TestStackedCycles::test_a_complete_cycle_has_positive_effects",
+            "tests/test_cli_golden.py",
+        ),
+        breaks="a Hermitian piece moves from outcome 0's effect to outcome 1's: complete, but not positive",
     ),
     Mutant(
         name="carried_sum_overwritten",
@@ -276,6 +294,73 @@ MUTANTS = (
         replacement="            except InvariantViolation:\n                raise\n",
         killers=("tests/test_config_cli.py::TestSweepCommand::test_the_first_bad_point_names_the_config_error",),
         breaks="a chunk's model that fails to build is named before an earlier point whose stacks fail",
+    ),
+    Mutant(
+        name="one_column_pull_not_doubled",
+        path=SEQUENCES,
+        snippet="    if count == 1:\n        columns = np.concatenate((columns, columns), axis=-1)\n",
+        replacement="    if False:\n        columns = np.concatenate((columns, columns), axis=-1)\n",
+        killers=(
+            "tests/test_sequences.py::TestBlockScan::test_chunked_scan_gives_the_same_report",
+            "tests/test_sequences.py::TestTransfer::test_the_report_does_not_depend_on_the_chunking",
+        ),
+        breaks="a one-operator pull-back is a matrix-vector product, rounded otherwise than a column of a longer stack",
+    ),
+    Mutant(
+        name="commutant_without_anti_hermitian_parts",
+        path="src/kcprobe/algebra.py",
+        snippet="    parts = [(g + g.conj().T) / 2 for g in mats] + [(g - g.conj().T) / 2j for g in mats]\n",
+        replacement="    parts = [(g + g.conj().T) / 2 for g in mats]\n",
+        killers=(
+            "tests/test_algebra.py::TestDoubleCommutant::test_non_hermitian_generator_yields_star_algebra",
+            "tests/test_algebra.py::TestRealCommutant::test_raising_operator_gives_the_commutant_of_its_star_closure",
+        ),
+        breaks="a non-Hermitian generator's commutant is that of its Hermitian part alone",
+    ),
+    Mutant(
+        name="screen_states_completeness_again",
+        path="src/kcprobe/scenarios.py",
+        snippet="        effects = _cycles(weights, unitaries, DEFAULT)[1]\n",
+        replacement=(
+            "        effects = _cycles(weights, unitaries, DEFAULT)[1]\n"
+            "        if not effects.size:\n"
+            '            raise InvariantViolation("effects do not sum to the identity")\n'
+        ),
+        killers=("tests/test_package.py::test_each_input_rule_is_checked_in_one_function",),
+        breaks="the completeness rule is stated a second time, outside the one Kraus builder",
+    ),
+    Mutant(
+        name="oracle_defect_gate_dropped",
+        path="src/kcprobe/oracle.py",
+        snippet="    max_defect = float(np.max(_defect_gaps(protocol, pairs, tables), initial=0.0))\n",
+        replacement="    max_defect = 0.0\n",
+        killers=(
+            "tests/test_oracle.py::test_a_shifted_defect_route_disagrees",
+            "tests/test_config_cli.py::TestRunOracleCheck::test_a_shifted_defect_route_fails_both_commands",
+        ),
+        breaks="the oracle compares no operator defect, so a wrong scan still agrees",
+    ),
+    Mutant(
+        name="staged_outputs_not_cleaned_up",
+        path="src/kcprobe/cli.py",
+        snippet="    finally:\n        for tmp, _ in staged:\n            tmp.unlink(missing_ok=True)\n",
+        replacement="",
+        killers=(
+            "tests/test_config_cli.py::TestOutputErrors::test_a_failed_write_keeps_the_earlier_bundle",
+            "tests/test_config_cli.py::TestStrictJSON::test_a_non_finite_result_writes_no_bundle",
+        ),
+        breaks="a failed write leaves its temporary files in the output directory",
+    ),
+    Mutant(
+        name="witness_axes_swapped",
+        path="src/kcprobe/cli.py",
+        snippet='    return {axis: (xy_meter_basis(axis),) * n for axis in "XY"}\n',
+        replacement='    return {axis: (xy_meter_basis("XY".replace(axis, "")),) * n for axis in "XY"}\n',
+        killers=(
+            "tests/test_cli_golden.py",
+            "tests/test_config_cli.py::TestWitnessProtocols::test_witnesses_read_the_configured_preparation",
+        ),
+        breaks="the X witnesses read the Y protocol and the Y witnesses the X protocol",
     ),
     Mutant(
         name="shared_tolerance_dict",

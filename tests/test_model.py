@@ -265,12 +265,77 @@ class TestStackedCycles:
                     assert np.array_equal(effects[c, g], alone.effects)
                     assert completeness[c, g] == kp.model._residual(alone)
 
+    @pytest.mark.parametrize("step_times", [None, (0.3, 0.9, 0.3, 1.7)])
+    def test_each_protocol_step_is_its_cycle_built_alone(self, step_times):
+        # the one assembly, at the model's own step time or at each step's
+        model = kp.random_model(5, 3, 3, commuting=False)
+        other = kp.MeterBasis(kp.haar_unitary(3, np.random.default_rng(5)), ("a", "b", "c"))
+        steps = (kp.fourier_meter_basis(3), other, kp.fourier_meter_basis(3), other)
+        protocol = kp.MeasurementProtocol(model, kp.uniform_preparation(3), steps, step_times)
+        for basis, t, built in zip(steps, protocol.effective_step_times(), protocol.step_measurements, strict=True):
+            alone = kp.induced_kraus(model.with_step_time(t), protocol.preparation, basis)
+            assert built.kraus.tobytes() == alone.kraus.tobytes()
+            assert built.effects.tobytes() == alone.effects.tobytes()
+            assert kp.model._residual(built) == kp.model._residual(alone)
+            assert built.labels == basis.labels
+
     def test_a_stack_names_its_first_incomplete_cycle(self):
         weights = kp.model._cycle_weights(2, kp.plus_x_preparation(), kp.xy_meter_basis("X"))
         # cycle 0 is complete; cycles 1 and 2 scale the unitaries by 2 and 3
         unitaries = np.array([1.0, 2.0, 3.0])[:, None, None, None] * np.eye(2, dtype=complex)
         with pytest.raises(InvariantViolation, match=r"^effects do not sum to the identity: defect 4\.243e\+00$"):
             kp.model._cycles(weights, np.broadcast_to(unitaries, (3, 2, 2, 2)), kp.DEFAULT)
+
+    def test_a_complete_cycle_has_positive_effects(self):
+        # _cycles checks completeness alone: each effect is the Hermitian part
+        # of K^H K, so lambda_min(E) >= -O(d eps) |K|^2, and completeness (which
+        # a NaN fails too) bounds |K|^2 by 1 + 1e-10.  The cycles are made to
+        # sit at that edge: integer spectra at norms 1e-6..1e5, in one shared
+        # eigenbasis or not, at t = 0, at resonances (pi / scale, where every
+        # U_i is +-1 on its eigenspaces and K_m can be exactly singular), at
+        # random times and at 0.999 of the phase-rounding cap; pointer,
+        # Fourier and Haar meters and uniform, random and zero-amplitude
+        # preparations, each perturbed within its 1e-10 acceptance
+        rng = np.random.default_rng(38)
+        cap = kp.DEFAULT.unitarity / np.finfo(float).eps  # the largest |w t| a unitary is formed at
+        complete = incomplete = 0
+        for d_p in (2, 3, 4):
+            labels = tuple(map(str, range(d_p)))
+            meters = (np.eye(d_p), kp.fourier_meter_basis(d_p).states, kp.haar_unitary(d_p, rng))
+            for d_s in (1, 2, 3, 5, 8, 16, 32):
+                scale = 10 ** rng.uniform(-6.0, 5.0)
+                shared = kp.haar_unitary(d_s, rng)
+                for v in (shared, None):
+                    hams = []
+                    for _ in range(d_p):  # few levels: degenerate spectra
+                        basis = kp.haar_unitary(d_s, rng) if v is None else v
+                        hams.append(scale * (basis * rng.integers(-2, 3, d_s)) @ basis.conj().T)
+                    model = kp.DephasingModel(d_p, d_s, tuple((h + h.conj().T) / 2 for h in hams), 1.0)
+                    top = max(float(np.abs(model.eigenvalues).max()), scale)
+                    times = np.array([0.0, np.pi / scale, np.pi / (2 * scale), 0.999 * cap / top])
+                    times = np.concatenate((times, rng.uniform(0.0, 0.999, 2) * cap / top))
+                    unitaries = unitary_from_eigensystem(model.eigenvalues, model.eigenvectors, times[:, None])
+                    for states in meters:
+                        for amps in (np.ones(d_p), rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)):
+                            amps = amps * (np.arange(d_p) > 0) if rng.integers(2) else amps
+                            try:
+                                size = 10 ** rng.uniform(-13.0, -10.8)
+                                meter = kp.MeterBasis(states + size * random_hermitian(rng, d_p), labels)
+                                amps = amps * np.sqrt(1.0 + rng.uniform(-1e-10, 1e-10)) / np.linalg.norm(amps)
+                                preparation = kp.PreparationState(amps)
+                            except InvariantViolation:  # outside their acceptance: not a cycle
+                                continue
+                            weights = kp.model._cycle_weights(d_p, preparation, meter)
+                            try:
+                                effects = kp.model._cycles(weights, unitaries, kp.DEFAULT)[1]
+                            except InvariantViolation:
+                                incomplete += len(times)
+                                continue
+                            complete += len(times)
+                            lowest = np.linalg.eigvalsh(effects)[..., 0]
+                            norms = np.linalg.norm(effects, 2, axis=(-2, -1))
+                            assert np.all(lowest >= -1e-13 * np.maximum(1.0, norms))
+        assert complete > 500 and incomplete > 0, (complete, incomplete)
 
 
 class TestProtocolShape:

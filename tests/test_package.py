@@ -87,7 +87,6 @@ ONE_CHECK_PER_RULE = {
     "phase overflow": (r"phases w\*t overflow", {("linalg", "unitary_from_eigensystem")}),
     "phase rounding": (r"has a rounding error above", {("linalg", "unitary_from_eigensystem")}),
     "completeness": (r"effects do not sum to the identity", {("model", "_cycles")}),
-    "effect positivity": (r"effect \{.*\} has negative eigenvalue", {("model", "_cycles")}),
     # the restricted and the full commutant stack share one raise
     "empty commutant": (r"empty commutant", {("algebra", "commutant_basis")}),
     # retired messages
@@ -101,6 +100,8 @@ ONE_CHECK_PER_RULE = {
     "config n_max": (r"exceeds the protocol length", set()),
     "ensemble n_max": (r"n_max must be", set()),
     "noise steps": (r"\('need at least one step", set()),
+    # an effect is the Hermitian part of K^H K, so past completeness it is positive
+    "effect positivity": (r"effect \{.*\} has negative eigenvalue", set()),
 }
 
 
@@ -111,6 +112,42 @@ def test_each_input_rule_is_checked_in_one_function():
         for rule, (pattern, _) in ONE_CHECK_PER_RULE.items()
     }
     assert found == {rule: where for rule, (_, where) in ONE_CHECK_PER_RULE.items()}
+
+
+def calls(package: Path) -> dict[tuple[str, str], list[str]]:
+    """``{(module, function): names}``: the name of each call in each
+    module-level function or method (``Class.method``) of ``package``, as a
+    bare name or the attribute called, once a call."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if isinstance(top, ast.ClassDef):
+                owned = [(f"{top.name}.{fn.name}", fn) for fn in top.body if isinstance(fn, functions)]
+            else:
+                owned = [(top.name, top)] if isinstance(top, functions) else []
+            for name, fn in owned:
+                found[path.stem, name] = [
+                    getattr(node.func, "id", getattr(node.func, "attr", None))
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                ]
+    return found
+
+
+def test_one_assembler_builds_every_protocol_s_and_grid_s_kraus_data():
+    # a grid point is its protocol by construction: both wrap one assembly
+    found = calls(PACKAGE)
+    for owner in (("model", "MeasurementProtocol.__post_init__"), ("model", "_grids")):
+        assert found[owner].count("_cycle_stacks") == 1
+        assert not {"_cycles", "_cycle_weights", "unitary_from_eigensystem"} & set(found[owner])
+    assert {owner for owner, names in found.items() if "_cycles" in names} == {
+        ("model", "_cycle_stacks"),
+        ("model", "induced_kraus"),
+        ("scenarios", "_screen"),
+    }
+    # completeness is the one check of a cycle: no spectrum is computed
+    assert not {"eigvalsh", "eigh", "eigvals", "eig", "svd", "svdvals"} & set(found["model", "_cycles"])
 
 
 def read_names(readers: list[Path]) -> dict[str, set]:

@@ -17,7 +17,8 @@ derandomised, so every run checks the same examples.
 
 The scan must not depend on the units of the generators (``H -> c H`` with
 ``t -> t / c``) nor on a common shift ``H_i -> H_i + s 1``, which only
-multiplies every Kraus operator of a step by one phase.  Every ``n`` that
+multiplies every Kraus operator of a step by one phase.  The maximally
+mixed state must see no ``(n, 1)`` defect, up to four steps.  Every ``n`` that
 the scan reads off its deepest sweep must agree with a sweep of that ``n``
 alone, at ``d_P`` 2-4 and ``d_S`` 1-9 (both the transfer and the matrix
 branch).  The commutant restricted to the eigenspaces of a random element
@@ -69,16 +70,17 @@ def family_model(family, seed, d_p, d_s):
     return kp.DephasingModel(d_p, d_s, hams, t), rng
 
 
-def family_protocol(family, seed, d_p, d_s, unequal_times, scale=1.0, shift=0.0):
-    """The protocol of one draw, read on the generators ``scale * H_i + shift * 1``
-    at the step times divided by ``scale``, and a random state."""
+def family_protocol(family, seed, d_p, d_s, unequal_times, scale=1.0, shift=0.0, n_steps=N_STEPS):
+    """The protocol of ``n_steps`` steps (at most four) of one draw, read on
+    the generators ``scale * H_i + shift * 1`` at the step times divided by
+    ``scale``, and a random state."""
     model, rng = family_model(family, seed, d_p, d_s)
     hams = tuple(scale * h + shift * np.eye(d_s) for h in model.hamiltonians)
     model = kp.DephasingModel(d_p, d_s, hams, model.step_time / scale)
     labels = tuple(map(str, range(d_p)))
-    bases = tuple(kp.MeterBasis(kp.haar_unitary(d_p, rng), labels) for _ in range(N_STEPS))
+    bases = tuple(kp.MeterBasis(kp.haar_unitary(d_p, rng), labels) for _ in range(n_steps))
     amps = rng.standard_normal(d_p) + 1j * rng.standard_normal(d_p)
-    times = tuple(model.step_time * f for f in (1.0, 0.5, 1.5)) if unequal_times else None
+    times = tuple(model.step_time * f for f in (1.0, 0.5, 1.5, 0.8)[:n_steps]) if unequal_times else None
     protocol = kp.MeasurementProtocol(model, kp.PreparationState(amps / np.linalg.norm(amps)), bases, times)
     return protocol, random_density(rng, d_s)
 
@@ -101,6 +103,28 @@ def test_scan_state_defects_match_the_single_entry_route(family, seed, d_p, d_s,
     for e in report.entries:
         (got,) = e.state_defects
         assert abs(got - kp.kc_defect_state(protocol, rho, e.n, e.j, e.fixed)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(2, 4),
+)
+def test_the_maximally_mixed_state_is_blind_at_j_1(family, seed, d_p, d_s, unequal_times, n_max):
+    """``tr(1/d D(n, 1)) = 0`` within 1e-14 at every ``n``: the first step's
+    nonselective map ``sum_m K_m X K_m^H`` is unital (``sum_m K_m K_m^H = sum_i
+    |g_i|^2 U_i U_i^H = 1``), so ``tr D(n, 1) = tr(X) - tr(X) = 0`` for the
+    rest ``X`` of the history, and the maximally mixed state sees no
+    ``(n, 1)`` defect."""
+    protocol, _ = family_protocol(family, seed, d_p, d_s, unequal_times, n_steps=n_max)
+    report = kp.check_kc_all(protocol, n_max, np.eye(d_s) / d_s)
+    for e in report.entries:
+        if e.j == 1:
+            assert abs(e.state_defects[0]) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

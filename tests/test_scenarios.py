@@ -261,6 +261,16 @@ class TestCounterexampleSearch:
         # with no evolution every defect is exactly 0, so a finding is vacuous
         assert kp.counterexample_search(3, 5, t_grid=(t,)) == []
 
+    @pytest.mark.parametrize("include", [(), ((kp.degenerate_qubit_instance(), "X"),)])
+    def test_the_screen_checks_completeness_as_a_protocol_build_does(self, include):
+        # every protocol build checks completeness at DEFAULT, so a caller's
+        # povm_completeness is read by no check of the search, the screen's included
+        search = (11, 50, 2, 2, (np.pi / 4, np.pi / 2), include)
+        strict = kp.counterexample_search(*search, tol=kp.DEFAULT.replace(povm_completeness=1e-300))
+        want = kp.counterexample_search(*search)
+        assert len(want) == 2 * len(include)
+        assert [f.to_dict() for f in strict] == [f.to_dict() for f in want]
+
     def test_canonical_include_at_pi_is_rejected(self):
         # exp(-i pi sigma) = -1 for both generators: the unitaries commute
         model = kp.degenerate_qubit_instance()

@@ -1364,26 +1364,35 @@ class TestStateFreeScan:
         # the second step's Kraus operator 1 is poisoned, its stored effects
         # left finite: the scan with states and without raise the same fault,
         # naming the same first bad entry through the transfer (d = 2) as
-        # through the matrices (d = 9), and no RuntimeWarning escapes either
-        rng = np.random.default_rng(d_s)
-        protocol = random_basis_protocol(rng, 2, d_s, 3, commuting=False)
-        steps = list(protocol.step_measurements)
-        kraus = np.array(steps[1].kraus)
-        kraus[1] = value
-        steps[1] = SimpleNamespace(kraus=kraus, effects=steps[1].effects)
-        poisoned = SimpleNamespace(
-            model=protocol.model,
-            probe_dim=2,
-            system_dim=d_s,
-            n_steps=3,
-            step_measurements=tuple(steps),
-        )
+        # through the matrices (d = 9), and no RuntimeWarning escapes either;
+        # the probabilities, on a copy that keeps no transfer yet, raise the
+        # Born rule's fault alone
+        protocol = random_basis_protocol(np.random.default_rng(d_s), 2, d_s, 3, commuting=False)
+
+        def poisoned():
+            steps = list(protocol.step_measurements)
+            kraus = np.array(steps[1].kraus)
+            kraus[1] = value
+            steps[1] = SimpleNamespace(kraus=kraus, effects=steps[1].effects)
+            return SimpleNamespace(
+                model=protocol.model,
+                probe_dim=2,
+                system_dim=d_s,
+                n_steps=3,
+                step_measurements=tuple(steps),
+            )
+
+        scanned, mixed = poisoned(), np.eye(d_s, dtype=complex) / d_s
         messages = []
-        for states in (None, [np.eye(d_s, dtype=complex) / d_s]):
+        for states in (None, [mixed]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NumericalFault) as fault:
-                    kp.check_kc_all(poisoned, 3, states)
+                    kp.check_kc_all(scanned, 3, states)
             messages.append(str(fault.value))
         assert messages[0] == messages[1]
         assert re.fullmatch(r"defect norm (nan|inf) at n=2, j=1, fixed=\(1,\) is not finite", messages[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFault, match=r"^probability has imaginary residue nan$"):
+                kp.full_distribution(poisoned(), mixed, 3)
