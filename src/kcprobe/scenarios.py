@@ -9,6 +9,7 @@ pairs, which keeps individual trials reproducible in isolation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,15 @@ import numpy as np
 from . import sequences
 from .errors import DimensionError, PreconditionError
 from .algebra import effect_nondegenerate, is_commutative
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, _finite_step_time, unitary_from_eigensystem
+from .linalg import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _finite_step_time,
+    _frobenius,
+    check_hermitian,
+    unitary_from_eigensystem,
+)
 from .model import (
     DephasingModel,
     MeasurementProtocol,
@@ -59,6 +68,69 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (phases / np.abs(phases))
 
 
+# A noncommuting draw whose largest commutator norm is below this times
+# ``scale**2`` is too close to commuting to be a useful sample: it is redrawn.
+_REDRAW_CUT = 1e-6
+# The largest ``|scale|`` that :func:`random_model` draws at.  numpy's normal
+# draw stays below 13.71 in magnitude (its ziggurat's tail ends there), so at
+# d_S <= 16 every entry of a Hamiltonian stays below 1.4e65, of a commutator
+# below 1e132, and every squared Frobenius norm below 1e267: no step of a
+# draw, of its redraw test or of the model's Hermitian check can overflow.
+_MAX_SCALE = 1e64
+
+
+def _hermitian_parts(draws: np.ndarray, scale: float) -> np.ndarray:
+    """The Hermitian parts ``(G + G^H) / 2`` of ``G = scale (X + iY) / sqrt(2)``
+    for the standard-normal draws ``(..., d_P, 2, d, d)``, whose axis ``-3``
+    holds ``X`` and then ``Y`` of each Hamiltonian: ``(..., d_P, d, d)``."""
+    g = scale * (draws[..., 0, :, :] + 1j * draws[..., 1, :, :]) / np.sqrt(2.0)
+    return (g + g.conj().swapaxes(-1, -2)) / 2
+
+
+def _noncommuting_hamiltonians(seeds, probe_dim: int, system_dim: int, scale: float = 1.0) -> np.ndarray:
+    """The conditional Hamiltonians of :func:`random_model`'s noncommuting
+    branch for each seed of ``seeds``, one ``(C, d_P, d, d)`` stack.
+
+    A seed's generator ``default_rng(seed)`` makes one
+    ``standard_normal((d_P, 2, d, d))`` draw: the same numbers, in the same
+    order, as a real and then an imaginary ``(d, d)`` block per Hamiltonian.
+    The Hermitian parts and the commutator norms of every pair of
+    Hamiltonians are formed over the whole stack.  A trial whose largest
+    norm is not clearly above the cut ``_REDRAW_CUT * scale**2`` (within
+    1e-12 relative of it, where the stacked norm's summation order could
+    decide otherwise) is decided again by :func:`is_commutative` on its own
+    draw, from a new generator of its seed, and redrawn from that generator
+    while below the cut.  So every trial's Hamiltonians are those of a draw
+    of its seed alone."""
+    d_p, d = probe_dim, system_dim
+    draws = np.empty((len(seeds), d_p, 2, d, d))
+    for c, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=draws[c])
+    hams = _hermitian_parts(draws, scale)
+    del draws
+    worst = np.zeros(len(seeds))
+    for i, j in itertools.combinations(range(d_p), 2):
+        a, b = hams[:, i], hams[:, j]
+        worst = np.maximum(worst, _frobenius(a @ b - b @ a))
+    cut = _REDRAW_CUT * scale**2
+    for c in np.flatnonzero(~(worst > cut * (1 + 1e-12))):
+        rng = np.random.default_rng(seeds[c])
+        while True:
+            h = _hermitian_parts(rng.standard_normal((d_p, 2, d, d)), scale)
+            if is_commutative(h)[1] >= cut:
+                break
+        hams[c] = h
+    return hams
+
+
+def _random_shape(probe_dim: int, system_dim: int) -> None:
+    """Raise :class:`DimensionError` unless random models of this shape are drawn."""
+    if not 2 <= probe_dim <= 4:
+        raise DimensionError(f"probe dimension {probe_dim} not in 2..4")
+    if not 2 <= system_dim <= 16:
+        raise DimensionError(f"system dimension {system_dim} not in 2..16")
+
+
 def random_model(
     seed: int,
     probe_dim: int,
@@ -70,37 +142,32 @@ def random_model(
     """Seeded random dephasing model.
 
     ``commuting=True`` draws one Haar basis and independent spectra in
-    ``[-scale, scale]``, so the conditional Hamiltonians commute exactly.
+    ``[-|scale|, |scale|]``, so the conditional Hamiltonians commute exactly.
     Otherwise they are independent Gaussian Hermitian matrices of entries of
     size ``scale``, redrawn in the (measure-zero) event that their largest
     commutator norm is below ``1e-6 * scale**2``, too close to commuting to
-    be a useful noncommutative sample.  ``scale`` must be finite and nonzero.
+    be a useful noncommutative sample; the draw is
+    :func:`_noncommuting_hamiltonians` of the one seed.  ``scale`` must be
+    finite and nonzero, and at most ``1e64`` in magnitude, so that no draw,
+    commutator or squared norm of it can overflow; any other raises
+    :class:`PreconditionError` before anything is drawn.
     """
     if not (math.isfinite(scale) and scale != 0):
         raise PreconditionError(f"scale must be finite and nonzero, got {scale}")
-    if not 2 <= probe_dim <= 4:
-        raise DimensionError(f"probe dimension {probe_dim} not in 2..4")
-    if not 2 <= system_dim <= 16:
-        raise DimensionError(f"system dimension {system_dim} not in 2..16")
-    rng = np.random.default_rng(seed)
+    if not abs(scale) <= _MAX_SCALE:
+        raise PreconditionError(f"|scale| must be at most {_MAX_SCALE:g}, got {scale}")
+    _random_shape(probe_dim, system_dim)
     if commuting:
+        rng = np.random.default_rng(seed)
         v = haar_unitary(system_dim, rng)
         hams = []
         for _ in range(probe_dim):
-            spectrum = rng.uniform(-scale, scale, size=system_dim)
+            spectrum = rng.uniform(-abs(scale), abs(scale), size=system_dim)
             h = (v * spectrum) @ v.conj().T
             hams.append((h + h.conj().T) / 2)
         return DephasingModel(probe_dim, system_dim, tuple(hams), step_time)
-    while True:
-        hams = []
-        for _ in range(probe_dim):
-            g = scale * (
-                rng.standard_normal((system_dim, system_dim))
-                + 1j * rng.standard_normal((system_dim, system_dim))
-            ) / np.sqrt(2.0)
-            hams.append((g + g.conj().T) / 2)
-        if is_commutative(hams)[1] >= 1e-6 * scale**2:
-            return DephasingModel(probe_dim, system_dim, tuple(hams), step_time)
+    hams = _noncommuting_hamiltonians([seed], probe_dim, system_dim, scale)[0]
+    return DephasingModel(probe_dim, system_dim, tuple(hams), step_time)
 
 
 def _site_operator(n_sites: int, site: int, op: np.ndarray) -> np.ndarray:
@@ -322,30 +389,35 @@ def _trials(trials: int) -> None:
 def _screen_pairs(probe_dim: int, system_dim: int) -> int:
     """How many (candidate, time) pairs one screened chunk holds: their
     conditional unitaries, Kraus operators and effects, ``48 d_P d**2`` bytes
-    a pair, fill at most ``PREFIX_BLOCK_BYTES``; at least one pair."""
+    a pair, fill at most ``PREFIX_BLOCK_BYTES``; at least one pair.  A drawn
+    trial's own stacks count as one more pair: its draws and Hamiltonians,
+    then its Hamiltonians and eigensystems, hold at most ``48 d_P d**2``
+    bytes at a time."""
     return sequences._fit(3 * 16 * probe_dim * system_dim**2)
 
 
-def _screen(models, axes, t_grid, tol: Tolerances) -> np.ndarray:
-    """The ``(len(models), len(t_grid))`` mask of the candidates whose
-    first-step effects, each model read along its axis of ``axes`` at each
-    time, are all degenerate: the only ones :func:`_evaluate_candidate` can
-    keep.  The models share one shape.  The unitaries, Kraus operators and
-    effects of every pair are built, with their checks, in one stack per
-    slice of the grid; a slice is the whole grid unless one model's grid
-    alone outgrows :func:`_screen_pairs`.  Completeness is checked at
-    :data:`DEFAULT`, as a protocol build checks it; ``tol`` gives the gap."""
-    d_p, d = models[0].probe_dim, models[0].system_dim
-    w = np.stack([m.eigenvalues for m in models])[:, None]  # (C, 1, d_P, d)
-    v = np.stack([m.eigenvectors for m in models])[:, None]
+def _screen(eigenvalues, eigenvectors, axes, t_grid, tol: Tolerances) -> np.ndarray:
+    """The ``(C, len(t_grid))`` mask of the candidates whose first-step
+    effects, each candidate read along its axis of ``axes`` at each time, are
+    all degenerate: the only ones :func:`_evaluate_candidate` can keep.  The
+    candidates are the eigensystems of their conditional Hamiltonians, one
+    ``(C, d_P, d)`` and one ``(C, d_P, d, d)`` stack (an included model's
+    own, as a one-model stack), so no model is built to screen it.  The
+    unitaries, Kraus operators and effects of every pair are built, with
+    their checks, in one stack per slice of the grid; a slice is the whole
+    grid unless one candidate's grid alone outgrows :func:`_screen_pairs`.
+    Completeness is checked at :data:`DEFAULT`, as a protocol build checks
+    it; ``tol`` gives the gap."""
+    count, d_p, d = eigenvalues.shape
+    w, v = eigenvalues[:, None], eigenvectors[:, None]  # (C, 1, d_P, d), (C, 1, d_P, d, d)
     by_axis = {a: _cycle_weights(d_p, *_candidate_cycle(d_p, a)) for a in set(axes)}
     weights = np.stack([by_axis[a] for a in axes])[:, None]  # (C, 1, d_P, d_P)
     times = np.asarray(t_grid, dtype=float)
-    screened = np.zeros((len(models), times.size), dtype=bool)
-    width = max(1, _screen_pairs(d_p, d) // len(models))
+    screened = np.zeros((count, times.size), dtype=bool)
+    width = max(1, _screen_pairs(d_p, d) // count)
     for start in range(0, times.size, width):
         # the checks read (C, G, d_P) stacks in C order, the search order:
-        # model, time, pointer state; only the effects outlive _cycles
+        # candidate, time, pointer state; only the effects outlive _cycles
         unitaries = unitary_from_eigensystem(w, v, times[start : start + width, None])
         effects = _cycles(weights, unitaries, DEFAULT)[1]
         del unitaries
@@ -354,16 +426,21 @@ def _screen(models, axes, t_grid, tol: Tolerances) -> np.ndarray:
     return screened
 
 
-def _findings(models, axes, t_grid, source, seed, indices, tol: Tolerances) -> list:
-    """The findings among ``models`` (reproduced by ``indices``), each read
-    along its axis of ``axes`` at every time of ``t_grid``, in search order;
-    only the candidates that :func:`_screen` keeps are built and scanned."""
-    kept = zip(*np.nonzero(_screen(models, axes, t_grid, tol)))
-    found = (
-        _evaluate_candidate(models[c], axes[c], t_grid[g], source, seed, indices[c], tol)
-        for c, g in kept
-    )
-    return [f for f in found if f is not None]
+def _findings(eigensystems, axes, t_grid, model, source, seed, indices, tol: Tolerances) -> list:
+    """The findings among the candidates of the stacks ``eigensystems``
+    (reproduced by ``indices``), each read along its axis of ``axes`` at
+    every time of ``t_grid``, in search order.  Only the candidates that
+    :func:`_screen` keeps are evaluated, and ``model(c)`` builds candidate
+    ``c``'s model only for them, once each."""
+    screened = _screen(*eigensystems, axes, t_grid, tol)
+    findings = []
+    for c in np.flatnonzero(screened.any(axis=1)):
+        built = model(c)
+        for g in np.flatnonzero(screened[c]):
+            found = _evaluate_candidate(built, axes[c], t_grid[g], source, seed, indices[c], tol)
+            if found is not None:
+                findings.append(found)
+    return findings
 
 
 def counterexample_search(
@@ -386,25 +463,40 @@ def counterexample_search(
 
     Every candidate is first screened on its first-step effects, a chunk of
     trials (or one included model, whose shape may differ) across the whole
-    grid at a time, within ``PREFIX_BLOCK_BYTES``; only a candidate whose
-    effects are all degenerate gets its protocol built and scanned.
+    grid at a time, within ``PREFIX_BLOCK_BYTES``.  A chunk's trials are
+    drawn as one stack (:func:`_noncommuting_hamiltonians`) with one
+    Hermitian check and one stacked ``eigh``, in the draw order of
+    :func:`random_model`; only a candidate whose effects are all degenerate
+    gets its model and protocol built and scanned.
     """
     _trials(trials)
     t_grid = tuple(map(_finite_step_time, t_grid))
     findings = []
     for idx, (model, axis) in enumerate(include):
-        findings += _findings([model], [axis], t_grid, "include", None, [idx], tol)
+        eigensystems = model.eigenvalues[None], model.eigenvectors[None]
+        findings += _findings(eigensystems, [axis], t_grid, lambda c: model, "include", None, [idx], tol)
+    _random_shape(probe_dim, system_dim)
     axes = ("X", "Y") if probe_dim == 2 else ("F",)
-    chunk = max(1, _screen_pairs(probe_dim, system_dim) // max(1, len(t_grid)))
+    chunk = max(1, _screen_pairs(probe_dim, system_dim) // (len(t_grid) + 1))
     for start in range(0, trials, chunk):
         indices = range(start, min(start + chunk, trials))
-        models, picked = [], []
+        seeds, picked = [], []
         for index in indices:
             rng = np.random.default_rng([seed, index])
-            model_seed = int(rng.integers(0, 2**63 - 1))
-            models.append(random_model(model_seed, probe_dim, system_dim, commuting=False))
+            seeds.append(int(rng.integers(0, 2**63 - 1)))
             picked.append(axes[int(rng.integers(0, len(axes)))])
-        findings += _findings(models, picked, t_grid, "random", seed, indices, tol)
+        hams = _noncommuting_hamiltonians(seeds, probe_dim, system_dim)
+        eigensystems = np.linalg.eigh(check_hermitian(hams, what="conditional Hamiltonian", stack=True))
+        findings += _findings(
+            eigensystems,
+            picked,
+            t_grid,
+            lambda c: DephasingModel(probe_dim, system_dim, tuple(hams[c]), 1.0),
+            "random",
+            seed,
+            indices,
+            tol,
+        )
     return findings
 
 

@@ -58,6 +58,7 @@ class Mutant:
 
 SEQUENCES = "src/kcprobe/sequences.py"
 MODEL = "src/kcprobe/model.py"
+SCENARIOS = "src/kcprobe/scenarios.py"
 
 MUTANTS = (
     Mutant(
@@ -319,7 +320,7 @@ MUTANTS = (
     ),
     Mutant(
         name="screen_states_completeness_again",
-        path="src/kcprobe/scenarios.py",
+        path=SCENARIOS,
         snippet="        effects = _cycles(weights, unitaries, DEFAULT)[1]\n",
         replacement=(
             "        effects = _cycles(weights, unitaries, DEFAULT)[1]\n"
@@ -369,6 +370,62 @@ MUTANTS = (
         replacement="        return self._fields\n",
         killers=("tests/test_config_cli.py::TestConfigLoading::test_each_report_echoes_tolerances_of_its_own",),
         breaks="every report shares one tolerance dict, so editing one report's edits all, DEFAULT's too",
+    ),
+    Mutant(
+        name="draw_blocks_swapped",
+        path=SCENARIOS,
+        snippet="    g = scale * (draws[..., 0, :, :] + 1j * draws[..., 1, :, :]) / np.sqrt(2.0)\n",
+        replacement="    g = scale * (draws[..., 1, :, :] + 1j * draws[..., 0, :, :]) / np.sqrt(2.0)\n",
+        killers=("tests/test_scenarios.py::TestRandomModel::test_the_draw_is_the_reference_loop",),
+        breaks="a noncommuting draw reads its imaginary block as the real one, so no model is the recorded draw of its seed",
+    ),
+    Mutant(
+        name="redraw_on_the_wrong_trial",
+        path=SCENARIOS,
+        snippet="        hams[c] = h\n",
+        replacement="        hams[c - 1] = h\n",
+        killers=("tests/test_scenarios.py::TestRandomModel::test_a_forced_redraw_lands_on_its_own_trial",),
+        breaks="a redrawn trial's Hamiltonians overwrite the trial before it in the stack",
+    ),
+    Mutant(
+        name="redraw_cut_decided_on_the_stacked_norm",
+        path=SCENARIOS,
+        snippet="    for c in np.flatnonzero(~(worst > cut * (1 + 1e-12))):\n",
+        replacement="    for c in np.flatnonzero(~(worst >= cut)):\n",
+        killers=("tests/test_scenarios.py::TestRandomModel::test_a_trial_at_the_cut_is_decided_as_alone",),
+        breaks="a trial at the redraw cut is decided by the stacked norm, whose summation order can keep a draw that is_commutative redraws",
+    ),
+    Mutant(
+        name="screen_axes_misaligned",
+        path=SCENARIOS,
+        snippet="    weights = np.stack([by_axis[a] for a in axes])[:, None]  # (C, 1, d_P, d_P)\n",
+        replacement="    weights = np.stack([by_axis[a] for a in axes[::-1]])[:, None]  # (C, 1, d_P, d_P)\n",
+        killers=("tests/test_scenarios.py::TestSearchScreen::test_each_candidate_is_screened_along_its_own_axis",),
+        breaks="the screen reads each trial's eigensystems along another trial's meter axis",
+    ),
+    Mutant(
+        name="trial_stacks_not_counted",
+        path=SCENARIOS,
+        snippet="    chunk = max(1, _screen_pairs(probe_dim, system_dim) // (len(t_grid) + 1))\n",
+        replacement="    chunk = max(1, _screen_pairs(probe_dim, system_dim) // max(1, len(t_grid)))\n",
+        killers=("tests/test_scenarios.py::TestSearchScreen::test_a_chunk_counts_its_trials_own_stacks",),
+        breaks="a chunk is sized without its trials' draws, Hamiltonians and eigensystems, past its block on a short grid",
+    ),
+    Mutant(
+        name="search_shape_unchecked",
+        path=SCENARIOS,
+        snippet="    _random_shape(probe_dim, system_dim)\n    axes = ",
+        replacement="    axes = ",
+        killers=("tests/test_scenarios.py::TestCounterexampleSearch::test_trials_keep_random_model_s_shape_limits",),
+        breaks="the search draws trials of a shape that random_model refuses (a probe of one level redraws forever)",
+    ),
+    Mutant(
+        name="scale_bound_dropped",
+        path=SCENARIOS,
+        snippet="    if not abs(scale) <= _MAX_SCALE:\n",
+        replacement="    if False:\n",
+        killers=("tests/test_scenarios.py::TestRandomModel::test_a_scale_whose_draw_could_overflow_is_refused",),
+        breaks="a scale whose draw overflows is drawn: an OverflowError, a RuntimeWarning or a misleading Hermitian fault",
     ),
 )
 

@@ -1671,6 +1671,20 @@ def test_zero_energy_scale_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e300, 1e308, -1e308])
+@pytest.mark.parametrize("commuting", [False, True])
+def test_an_energy_scale_whose_draw_could_overflow_is_a_config_error(tmp_path, capsys, scale, commuting):
+    # refused before the draw, with one message: no OverflowError (exit 4), no
+    # RuntimeWarning (an error under the suite's filters) and no Hermitian check
+    # failed on an overflowed norm
+    cfg = json.loads((CONFIGS / "commuting_random.json").read_text())
+    cfg["scenario"].update(commuting=commuting, scale=scale)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: |scale| must be at most 1e+64, got {scale}\n"
+    assert not out.exists()
+
+
 FORMS = ("axes", "meter_bases", "fourier_steps")
 RESOLVER_CASES = [
     (form, d, prep, times)

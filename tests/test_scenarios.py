@@ -9,8 +9,44 @@ import kcprobe as kp
 from kcprobe import scenarios, sequences
 from kcprobe.cli import main
 from kcprobe.errors import CapacityError, DimensionError, InvariantViolation, PreconditionError, ProtocolError
-from kcprobe.linalg import SIGMA_X, SIGMA_Z, frobenius
+from kcprobe.linalg import SIGMA_X, SIGMA_Z, _frobenius, frobenius
 from kcprobe.serialize import fingerprint, model_payload
+
+
+def reference_hamiltonians(seed, probe_dim, system_dim, commuting, scale=1.0):
+    """``random_model``'s Hamiltonians drawn by a loop of their own, with the
+    number of noncommuting draws taken: each Hamiltonian from a real and then
+    an imaginary ``standard_normal((d, d))`` block, the whole draw redrawn by
+    ``is_commutative`` while its norm is below ``_REDRAW_CUT * scale**2``
+    (read at call time); or one Haar basis and a uniform spectrum each."""
+    rng = np.random.default_rng(seed)
+    d = system_dim
+    if commuting:
+        v = kp.haar_unitary(d, rng)
+        hams = []
+        for _ in range(probe_dim):
+            h = (v * rng.uniform(-abs(scale), abs(scale), size=d)) @ v.conj().T
+            hams.append((h + h.conj().T) / 2)
+        return hams, 0
+    draws = 0
+    while True:
+        draws += 1
+        hams = []
+        for _ in range(probe_dim):
+            g = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+            hams.append((g + g.conj().T) / 2)
+        if kp.is_commutative(hams)[1] >= scenarios._REDRAW_CUT * scale**2:
+            return hams, draws
+
+
+def reference_model(seed, probe_dim, system_dim, commuting, scale=1.0):
+    hams, _ = reference_hamiltonians(seed, probe_dim, system_dim, commuting, scale)
+    return kp.DephasingModel(probe_dim, system_dim, tuple(hams), 1.0)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestRandomModel:
@@ -47,6 +83,81 @@ class TestRandomModel:
     def test_zero_or_non_finite_scale_is_refused(self, scale, commuting):
         with pytest.raises(PreconditionError, match="scale must be finite and nonzero"):
             kp.random_model(0, 2, 2, commuting, scale=scale)
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300, 1e308, -1e308, np.nextafter(1e64, np.inf)])
+    @pytest.mark.parametrize("commuting", [False, True])
+    def test_a_scale_whose_draw_could_overflow_is_refused(self, monkeypatch, scale, commuting):
+        # refused before anything is drawn, with one message (the suite turns
+        # a RuntimeWarning into an error, so none is emitted either)
+        monkeypatch.setattr("numpy.random.default_rng", lambda *args: pytest.fail("drew"))
+        with pytest.raises(PreconditionError, match=r"^\|scale\| must be at most 1e\+64, got "):
+            kp.random_model(0, 2, 2, commuting, scale=scale)
+
+    @pytest.mark.parametrize("scale", [1e64, -1e64, -1.0])
+    @pytest.mark.parametrize("commuting", [False, True])
+    def test_a_scale_within_the_bound_draws_without_overflow(self, scale, commuting):
+        # the largest draws: four Hamiltonians of d_S 16; a negative scale
+        # draws the commuting spectra in [scale, -scale]
+        for seed in range(3):
+            model = kp.random_model(seed, 4, 16, commuting, scale=scale, step_time=1e-70)
+            assert np.isfinite(model.eigenvalues).all()
+            assert np.abs(model.eigenvalues).max() <= 16 * 14 * abs(scale)
+            hams, _ = reference_hamiltonians(seed, 4, 16, commuting, scale)
+            assert same_bits(model.hamiltonians, hams)
+
+    @pytest.mark.parametrize("commuting", [False, True])
+    @pytest.mark.parametrize("probe_dim", [2, 3, 4])
+    def test_the_draw_is_the_reference_loop(self, probe_dim, commuting):
+        # seeds 0-49 at d_S 2-8: Hamiltonians and eigensystems bit for bit
+        for seed in range(50):
+            for system_dim in range(2, 9):
+                model = kp.random_model(seed, probe_dim, system_dim, commuting)
+                reference = reference_model(seed, probe_dim, system_dim, commuting)
+                for name in ("hamiltonians", "eigenvalues", "eigenvectors"):
+                    assert same_bits(getattr(model, name), getattr(reference, name)), (seed, system_dim, name)
+
+    @pytest.mark.parametrize("probe_dim, system_dim", [(2, 2), (3, 3), (4, 2)])
+    def test_a_forced_redraw_lands_on_its_own_trial(self, monkeypatch, probe_dim, system_dim):
+        # at the median first-draw norm about half of the trials redraw, some
+        # more than once, each from its own generator, in one stack of trials
+        seeds = list(range(40))
+        first = [kp.is_commutative(reference_hamiltonians(s, probe_dim, system_dim, False)[0])[1] for s in seeds]
+        monkeypatch.setattr("kcprobe.scenarios._REDRAW_CUT", float(np.median(first)))
+        drawn = [reference_hamiltonians(s, probe_dim, system_dim, False) for s in seeds]
+        assert {draws for _, draws in drawn} >= {1, 2, 3}
+        stack = scenarios._noncommuting_hamiltonians(seeds, probe_dim, system_dim)
+        for seed, hams, (reference, _) in zip(seeds, stack, drawn, strict=True):
+            assert same_bits(hams, reference), seed
+        # the search's trials: at t = 0 every trial is screened in and built
+        built = {}
+        monkeypatch.setattr(
+            "kcprobe.scenarios._evaluate_candidate",
+            lambda model, axis, t, source, seed, index, tol: built.setdefault(index, model.hamiltonians),
+        )
+        search = (8, 40, probe_dim, system_dim, (0.0,), [])
+        kp.counterexample_search(*search)
+        candidates = list(search_candidates(*search))
+        assert list(built) == [c[5] for c in candidates]
+        for model, *_, index in candidates:
+            assert same_bits(built[index], model.hamiltonians), index
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_a_trial_at_the_cut_is_decided_as_alone(self, monkeypatch, above):
+        # the stacked commutator norm sums otherwise than is_commutative's; a
+        # trial at the cut is kept, and one ulp below it redrawn, as alone
+        ties = []
+        for seed in range(100):
+            (a, b), _ = reference_hamiltonians(seed, 2, 4, False)
+            exact = kp.is_commutative([a, b])[1]
+            stacked = float(_frobenius((a @ b - b @ a)[None])[0])
+            if stacked != exact and (stacked > exact) == above:
+                ties.append((seed, np.nextafter(exact, np.inf) if above else exact))
+        assert len(ties) >= 5
+        for seed, cut in ties:
+            monkeypatch.setattr("kcprobe.scenarios._REDRAW_CUT", cut)
+            reference, draws = reference_hamiltonians(seed, 2, 4, False)
+            assert (draws > 1) == above
+            assert same_bits(scenarios._noncommuting_hamiltonians([seed], 2, 4)[0], reference), seed
 
     def test_dimension_limits(self):
         with pytest.raises(DimensionError):
@@ -211,6 +322,15 @@ class TestCounterexampleSearch:
         with pytest.raises(PreconditionError):
             kp.counterexample_search(0, 0)
 
+    @pytest.mark.parametrize(
+        "probe_dim, system_dim, message",
+        [(5, 2, "probe dimension 5 not in 2..4"), (2, 17, "system dimension 17 not in 2..16")],
+    )
+    def test_trials_keep_random_model_s_shape_limits(self, probe_dim, system_dim, message):
+        # after the included models, as when each trial was a random_model call
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            kp.counterexample_search(0, 3, probe_dim, system_dim, include=[CANONICAL])
+
     def test_qutrit_trials_read_fourier_protocols(self, monkeypatch):
         # every effect passes as degenerate, so that each candidate reaches the scan
         read = []
@@ -289,7 +409,7 @@ def search_candidates(seed, trials, probe_dim, system_dim, t_grid, include):
     axes = ("X", "Y") if probe_dim == 2 else ("F",)
     for index in range(trials):
         rng = np.random.default_rng([seed, index])
-        model = kp.random_model(int(rng.integers(0, 2**63 - 1)), probe_dim, system_dim, commuting=False)
+        model = reference_model(int(rng.integers(0, 2**63 - 1)), probe_dim, system_dim, commuting=False)
         axis = axes[int(rng.integers(0, len(axes)))]
         for t in t_grid:
             yield model, axis, t, "random", seed, index
@@ -343,12 +463,22 @@ class TestSearchScreen:
         groups = [[pair] for key, pair in models.items() if key[0] == "include"]
         groups.append([pair for key, pair in models.items() if key[0] == "random"])
         for group in groups:
-            screened = scenarios._screen(*zip(*group), t_grid, kp.DEFAULT)
+            stacked, axes = zip(*group)
+            eigensystems = np.stack([m.eigenvalues for m in stacked]), np.stack([m.eigenvectors for m in stacked])
+            screened = scenarios._screen(*eigensystems, axes, t_grid, kp.DEFAULT)
             for (model, axis), row in zip(group, screened, strict=True):
                 preparation, meter = scenarios._candidate_cycle(model.probe_dim, axis)
                 for t, kept in zip(t_grid, row, strict=True):
                     effects = kp.induced_kraus(model.with_step_time(t), preparation, meter).effects
                     assert kept == (not any(kp.effect_nondegenerate(e)[0] for e in effects))
+
+    def test_each_candidate_is_screened_along_its_own_axis(self):
+        # the canonical pair's X effects are degenerate at every time, its Y effects at none
+        model = kp.degenerate_qubit_instance()
+        axes = ["X", "Y", "Y", "X", "Y"]
+        stack = np.stack([model.eigenvalues] * 5), np.stack([model.eigenvectors] * 5)
+        screened = scenarios._screen(*stack, axes, (np.pi / 4, np.pi / 2, 1.0), kp.DEFAULT)
+        assert screened.tolist() == [[axis == "X"] * 3 for axis in axes]
 
     def test_every_candidate_reaches_the_evaluation_in_search_order(self, monkeypatch):
         # with every effect read as degenerate, each candidate is evaluated
@@ -390,11 +520,35 @@ class TestSearchScreen:
             tracemalloc.stop()
         assert peak <= 3 * block
 
+    @pytest.mark.parametrize(
+        "probe_dim, system_dim, trials, t_grid",
+        [(2, 2, 1200, 1), (2, 4, 300, 1), (3, 3, 250, 1), (4, 6, 60, 2)],
+    )
+    def test_a_chunk_counts_its_trials_own_stacks(self, monkeypatch, probe_dim, system_dim, trials, t_grid):
+        # on a short grid a trial's draws, Hamiltonians and eigensystems weigh
+        # as much as its (trial, time) pairs: they count as one more pair, so
+        # that the chunk's stacks fill one block and its temporaries one more
+        block = 128 * 2**10
+        monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block)
+        grid = tuple(np.linspace(0.1, 3.0, t_grid))
+        assert trials * (t_grid + 1) * 48 * probe_dim * system_dim**2 >= 4 * block  # unchunked stacks
+        kp.counterexample_search(1, 2, probe_dim, system_dim, grid)  # imports and caches first
+        tracemalloc.start()
+        try:
+            kp.counterexample_search(1, trials, probe_dim, system_dim, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block
+
     def test_only_screened_in_candidates_are_built(self, monkeypatch, tmp_path):
         # search_degenerate.json: 402 candidates, of which the canonical
-        # model's two grid times are the only ones with degenerate effects
-        screened, builds = [], []
+        # model's two grid times are the only ones with degenerate effects;
+        # no model is built for a random trial, and each chunk of trials
+        # (one of 200, then four of 50) is diagonalized by one stacked eigh
+        screened, builds, models, eighs = [], [], [], []
         screen, post_init = scenarios._screen, kp.MeasurementProtocol.__post_init__
+        model_init, eigh = kp.DephasingModel.__post_init__, np.linalg.eigh
 
         def counting_screen(*args):
             mask = screen(*args)
@@ -405,11 +559,24 @@ class TestSearchScreen:
             builds.append(protocol.axes)
             post_init(protocol)
 
+        def counting_model_init(model):
+            models.append(model.hamiltonians)
+            model_init(model)
+
         monkeypatch.setattr("kcprobe.scenarios._screen", counting_screen)
         monkeypatch.setattr(kp.MeasurementProtocol, "__post_init__", counting_post_init)
+        monkeypatch.setattr(kp.DephasingModel, "__post_init__", counting_model_init)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
         config = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "search_degenerate.json"
-        assert main(["search", str(config), "--out", str(tmp_path / "out")]) == 0
-        assert len(builds) == sum(screened) == 2
+        chunks = {sequences.PREFIX_BLOCK_BYTES: [200], 150 * 48 * 2 * 2**2: [50] * 4}
+        for block_bytes, sizes in chunks.items():
+            for seen in (screened, builds, models, eighs):
+                seen.clear()
+            monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", block_bytes)
+            assert main(["search", str(config), "--out", str(tmp_path / str(block_bytes))]) == 0
+            assert len(builds) == sum(screened) == 2
+            assert len(models) == 1 and same_bits(models[0], (SIGMA_Z, SIGMA_X))  # the canonical include
+            assert eighs == [(2, 2, 2)] + [(size, 2, 2, 2) for size in sizes]
 
     @pytest.mark.parametrize("block_bytes", [1, sequences.PREFIX_BLOCK_BYTES])
     @pytest.mark.parametrize("t_grid", [(1e6,), (2e5, 1e6), (1e5, 5e5), (0.5, 1.85e5), (1.85e5, 2e5)])
@@ -429,8 +596,9 @@ class TestSearchScreen:
         # the search checks its grid first, the screen's unitaries again: one message
         with pytest.raises(InvariantViolation, match="^step time must be finite, got nan$"):
             kp.counterexample_search(0, 2, t_grid=(0.5, np.nan), include=[CANONICAL])
+        model = kp.degenerate_qubit_instance()
         with pytest.raises(InvariantViolation, match="^step time must be finite, got nan$"):
-            scenarios._screen([kp.degenerate_qubit_instance()], ["X"], (0.5, np.nan), kp.DEFAULT)
+            scenarios._screen(model.eigenvalues[None], model.eigenvectors[None], ["X"], (0.5, np.nan), kp.DEFAULT)
 
 
 class TestScenarioSpec:
