@@ -12,6 +12,7 @@ evolutions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import DimensionError, NumericalFault, PreconditionError
 from .linalg import (
     _basis,
     _coordinates,
+    _frobenius,
     _layout,
     _matrices,
     as_complex_matrix,
@@ -55,8 +57,9 @@ class AlgebraBasis:
         return frobenius(op - np.tensordot(coeffs, self.basis, axes=1))
 
 
-def _common_dimension(ops) -> int:
-    mats = [as_complex_matrix(op) for op in ops]
+def _common_dimension(mats) -> int:
+    """The dimension shared by the square matrices ``mats``, each already
+    checked by :func:`~kcprobe.linalg.as_complex_matrix`."""
     if not mats:
         raise DimensionError("need at least one operator")
     d = mats[0].shape[0]
@@ -111,20 +114,41 @@ def _second_commutant(commutant: AlgebraBasis, tol: Tolerances) -> AlgebraBasis:
     return commutant_basis(_random_hermitian(_matrices(coords), 2), tol)
 
 
+def _commutator_norms(stack: np.ndarray) -> np.ndarray:
+    """``|[a, b]|_F`` (:func:`~kcprobe.linalg._frobenius`) of every generator
+    pair ``(a, b)`` of each set of the ``(..., k, d, d)`` stack, in
+    ``itertools.combinations`` order: ``(..., k (k - 1) / 2)``, with one
+    batched product per pair.  A product or norm that overflows reads
+    ``inf`` or ``nan``, without a warning."""
+    pairs = list(itertools.combinations(range(stack.shape[-3]), 2))
+    norms = np.empty(stack.shape[:-3] + (len(pairs),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, (i, j) in enumerate(pairs):
+            a, b = stack[..., i, :, :], stack[..., j, :, :]
+            norms[..., n] = _frobenius(a @ b - b @ a)
+    return norms
+
+
 def is_commutative(generators, tol: Tolerances = DEFAULT) -> tuple[bool, float]:
     """Pairwise commutativity of a generator set; sufficient for the whole
     generated algebra when the generators are Hermitian.
 
-    Returns the verdict and the largest ``|[a, b]|_F``.  The verdict cuts that
-    norm at ``tol.commutator`` times the largest ``|g|_F ** 2``, so it does
-    not depend on the units of the generators; all-zero generators commute.
+    Returns the verdict and the largest ``|[a, b]|_F`` (:func:`_commutator_norms`).
+    The verdict cuts that norm at ``tol.commutator`` times the largest
+    ``|g|_F ** 2``, so it does not depend on the units of the generators;
+    all-zero generators commute.  A largest norm or squared ``|g|_F`` that
+    overflows raises :class:`NumericalFault`: no verdict can be read from it.
     """
     gens = [as_complex_matrix(g) for g in generators]
     _common_dimension(gens)
-    worst = 0.0
-    for a, b in itertools.combinations(gens, 2):
-        worst = max(worst, frobenius(commutator(a, b)))
-    scale = max(map(frobenius, gens), default=0.0) ** 2
+    gens = np.array(gens)
+    worst = float(_commutator_norms(gens).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        scale = float(_frobenius(gens).max() ** 2)
+    if not (math.isfinite(worst) and math.isfinite(scale)):
+        raise NumericalFault(
+            f"largest commutator norm {worst:.3e} or squared generator norm {scale:.3e} is not finite"
+        )
     return worst <= tol.commutator * scale, worst
 
 

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import algebra_report, is_commutative, zero_entanglement_condition
+from .algebra import _commutator_norms, algebra_report, zero_entanglement_condition
 from .config import SCHEMA_VERSION, Experiment, build_experiment, load_run_config
 from .errors import ConfigError, InvariantViolation, KCProbeError, NumericalFault
 from . import sequences
@@ -363,30 +363,30 @@ def _sweep_grids(experiment: Experiment, param: str, values) -> dict[str, _Grid]
         raise ConfigError(str(exc)) from exc
 
 
-def _sweep_chunk(experiment: Experiment, param: str, values: list, commutator, pool) -> list[list[str]]:
+def _sweep_chunk(experiment: Experiment, param: str, values: list, pool) -> list[list[str]]:
     """The ``sweep.csv`` rows of the grid points ``values``, each the
     ``repr`` of its columns in the header's order (the value,
     ``max_kc_defect``, the columns of :func:`_delta_names`,
     ``commutator_norm``).  One stacked build and one batched witness scan per
     axis for the whole chunk run on this thread (the scans read the first
-    configured state only); then each row is one task on ``pool``, whose X
-    and Y protocols, assembled from the stacks, each get one KC scan, with no
-    state, for ``max_kc_defect``, and which formats its own row.
-    ``commutator`` is every row's ``commutator_norm`` when that does not
-    depend on the value, else ``None``."""
+    configured state only), and one stacked read of every point's largest
+    generator commutator norm (:func:`~kcprobe.algebra._commutator_norms`,
+    bit for bit :func:`~kcprobe.algebra.is_commutative`'s); then each row
+    is one task on ``pool``, whose X and Y protocols, assembled from the
+    stacks, each get one KC scan, with no state, for ``max_kc_defect``, and
+    which formats its own row."""
     tol = experiment.config.tolerances
     n_max = max(2, min(experiment.n_max, 3))
     grids = _sweep_grids(experiment, param, values)
     rho = experiment.states[0][1]  # validated once by build_experiment
     deltas = [column[2][:, 0] for column in _delta_columns(grids, [rho], tol).values()]
+    models = next(iter(grids.values())).models
+    norms = _commutator_norms(np.array([m.hamiltonians for m in models])).max(axis=-1, initial=0.0)
 
     def row(g: int) -> list[str]:
         protocols = [grid.protocol(g) for grid in grids.values()]
-        norm = commutator
-        if norm is None:
-            norm = is_commutative(protocols[0].model.hamiltonians, tol)[1]
         kc = max(check_kc_all(p, n_max, tol=tol).max_operator_defect for p in protocols)
-        return [repr(float(x)) for x in (values[g], kc, *(column[g] for column in deltas), norm)]
+        return [repr(float(x)) for x in (values[g], kc, *(column[g] for column in deltas), norms[g])]
 
     return list(pool.map(row, range(len(values))))
 
@@ -401,17 +401,13 @@ def _cmd_sweep(args, config) -> int:
     # every grid's columns, an empty one's too; a row's witness steps do not depend on its value
     deltas = _delta_names(_witness_steps(experiment.model))
     header = [args.param, "max_kc_defect", *deltas, "commutator_norm"]
-    # the step time leaves the Hamiltonians, and so their commutator, as they are
-    commutator = None
-    if args.param == "t":
-        commutator = is_commutative(experiment.model.hamiltonians, config.tolerances)[1]
     # chunks sized before any is built; one worker, since more were no faster,
     # and perfbench counts one executor task per row
     points = _sweep_points(experiment.model.system_dim)
     rows = []
     with ThreadPoolExecutor(max_workers=1) as pool:
         for start in range(0, len(grid), points):
-            rows += _sweep_chunk(experiment, args.param, grid[start : start + points], commutator, pool)
+            rows += _sweep_chunk(experiment, args.param, grid[start : start + points], pool)
 
     def write_csv(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:

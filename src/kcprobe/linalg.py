@@ -44,9 +44,13 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of the stack ``a``, shape ``a.shape[:-2]``."""
-    flat = a.reshape(a.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(flat, flat).real)
+    """The Frobenius norm of each matrix of the stack ``a``, shape ``a.shape[:-2]``:
+    the real parts and the imaginary parts each dotted with themselves, as
+    :func:`frobenius` (``np.linalg.norm``) sums them, so each norm is
+    :func:`frobenius` of its matrix bit for bit.  An empty stack, such as
+    the commutators of one generator, gives an empty result."""
+    flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))  # -1 is ambiguous for an empty stack
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def _finite_step_time(t) -> float:
@@ -150,12 +154,9 @@ def check_hermitian(
             return m
         k = _first(~hermitian)
         defect, scale = defect[k], scale[k]
-    else:  # one matrix: :func:`_frobenius`'s sums under one errstate, compared as floats
-        flat = m.ravel()
+    else:  # one matrix: both norms from one call, compared as floats
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = (m - m.conj().T).ravel()
-            squares = np.vecdot(diff, diff).real, np.vecdot(flat, flat).real
-        defect, scale = map(math.sqrt, squares)
+            defect, scale = _frobenius(np.array((m - m.conj().T, m))).tolist()
         if defect <= tol.hermiticity * max(scale, 1.0) and scale < math.inf:
             return m
     raise InvariantViolation(f"{what} is not Hermitian: |M - M^H|_F = {defect:.3e}, |M|_F = {scale:.3e}")

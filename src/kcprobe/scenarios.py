@@ -9,7 +9,6 @@ pairs, which keeps individual trials reproducible in isolation.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,13 +16,12 @@ import numpy as np
 
 from . import sequences
 from .errors import DimensionError, PreconditionError
-from .algebra import effect_nondegenerate, is_commutative
+from .algebra import _commutator_norms, effect_nondegenerate, is_commutative
 from .linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     _finite_step_time,
-    _frobenius,
     check_hermitian,
     unitary_from_eigensystem,
 )
@@ -95,31 +93,23 @@ def _noncommuting_hamiltonians(seeds, probe_dim: int, system_dim: int, scale: fl
     ``standard_normal((d_P, 2, d, d))`` draw: the same numbers, in the same
     order, as a real and then an imaginary ``(d, d)`` block per Hamiltonian.
     The Hermitian parts and the commutator norms of every pair of
-    Hamiltonians are formed over the whole stack.  A trial whose largest
-    norm is not clearly above the cut ``_REDRAW_CUT * scale**2`` (within
-    1e-12 relative of it, where the stacked norm's summation order could
-    decide otherwise) is decided again by :func:`is_commutative` on its own
-    draw, from a new generator of its seed, and redrawn from that generator
-    while below the cut.  So every trial's Hamiltonians are those of a draw
-    of its seed alone."""
-    d_p, d = probe_dim, system_dim
-    draws = np.empty((len(seeds), d_p, 2, d, d))
+    Hamiltonians (:func:`~kcprobe.algebra._commutator_norms`, bit for bit
+    :func:`is_commutative`'s) are formed over the whole stack.  A trial whose
+    largest norm is below the cut ``_REDRAW_CUT * scale**2`` is redrawn from
+    a new generator of its seed, past the draw just decided, while below the
+    cut.  So every trial's Hamiltonians are those of a draw of its seed alone."""
+    shape = (probe_dim, 2, system_dim, system_dim)
+    draws = np.empty((len(seeds),) + shape)
     for c, seed in enumerate(seeds):
         np.random.default_rng(seed).standard_normal(out=draws[c])
     hams = _hermitian_parts(draws, scale)
     del draws
-    worst = np.zeros(len(seeds))
-    for i, j in itertools.combinations(range(d_p), 2):
-        a, b = hams[:, i], hams[:, j]
-        worst = np.maximum(worst, _frobenius(a @ b - b @ a))
     cut = _REDRAW_CUT * scale**2
-    for c in np.flatnonzero(~(worst > cut * (1 + 1e-12))):
+    for c in np.flatnonzero(_commutator_norms(hams).max(axis=-1) < cut):
         rng = np.random.default_rng(seeds[c])
-        while True:
-            h = _hermitian_parts(rng.standard_normal((d_p, 2, d, d)), scale)
-            if is_commutative(h)[1] >= cut:
-                break
-        hams[c] = h
+        rng.standard_normal(shape)
+        while _commutator_norms(hams[c]).max() < cut:
+            hams[c] = _hermitian_parts(rng.standard_normal(shape), scale)
     return hams
 
 
@@ -349,17 +339,13 @@ def _candidate_cycle(probe_dim: int, axis: str):
     return uniform_preparation(probe_dim), fourier_meter_basis(probe_dim)
 
 
-def _evaluate_candidate(model, axis, t, source, seed, index, tol) -> CounterexampleFinding | None:
-    """The finding of ``model`` at step time ``t`` on three steps of ``axis``, or ``None``."""
+def _evaluate_candidate(model, axis, t, gap, source, seed, index, tol) -> CounterexampleFinding | None:
+    """The finding of ``model`` at step time ``t`` on three steps of ``axis``,
+    or ``None``: a candidate that :func:`_screen` keeps, whose first-step
+    effects are all degenerate with ``gap`` the largest of their gaps."""
     candidate = model.with_step_time(t)
     preparation, meter = _candidate_cycle(model.probe_dim, axis)
     protocol = MeasurementProtocol(candidate, preparation, (meter,) * 3)
-    gaps = []
-    for effect in protocol.step_measurements[0].effects:
-        ok, gap = effect_nondegenerate(effect, tol=tol)
-        if ok:
-            return None
-        gaps.append(gap)
     commutative, worst = is_commutative(candidate.hamiltonians, tol)
     # commuting unitaries (as at t = 0) make every defect exactly 0
     if commutative or is_commutative(conditional_unitaries(candidate), tol)[0]:
@@ -374,7 +360,7 @@ def _evaluate_candidate(model, axis, t, source, seed, index, tol) -> Counterexam
         axis=axis,
         step_time=float(t),
         max_operator_defect=report.max_operator_defect,
-        max_effect_gap=float(max(gaps)),
+        max_effect_gap=float(gap),
         generator_commutator=worst,
         model_fingerprint=fingerprint(model_payload(candidate)),
     )
@@ -396,10 +382,12 @@ def _screen_pairs(probe_dim: int, system_dim: int) -> int:
     return sequences._fit(3 * 16 * probe_dim * system_dim**2)
 
 
-def _screen(eigenvalues, eigenvectors, axes, t_grid, tol: Tolerances) -> np.ndarray:
+def _screen(eigenvalues, eigenvectors, axes, t_grid, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The ``(C, len(t_grid))`` mask of the candidates whose first-step
     effects, each candidate read along its axis of ``axes`` at each time, are
-    all degenerate: the only ones :func:`_evaluate_candidate` can keep.  The
+    all degenerate: the only ones :func:`_evaluate_candidate` can keep; and,
+    of the same shape, the largest of those effects' gaps
+    (:func:`effect_nondegenerate`), the one each finding reports.  The
     candidates are the eigensystems of their conditional Hamiltonians, one
     ``(C, d_P, d)`` and one ``(C, d_P, d, d)`` stack (an included model's
     own, as a one-model stack), so no model is built to screen it.  The
@@ -414,6 +402,7 @@ def _screen(eigenvalues, eigenvectors, axes, t_grid, tol: Tolerances) -> np.ndar
     weights = np.stack([by_axis[a] for a in axes])[:, None]  # (C, 1, d_P, d_P)
     times = np.asarray(t_grid, dtype=float)
     screened = np.zeros((count, times.size), dtype=bool)
+    largest = np.zeros((count, times.size))
     width = max(1, _screen_pairs(d_p, d) // count)
     for start in range(0, times.size, width):
         # the checks read (C, G, d_P) stacks in C order, the search order:
@@ -421,23 +410,24 @@ def _screen(eigenvalues, eigenvectors, axes, t_grid, tol: Tolerances) -> np.ndar
         unitaries = unitary_from_eigensystem(w, v, times[start : start + width, None])
         effects = _cycles(weights, unitaries, DEFAULT)[1]
         del unitaries
-        ok, _ = effect_nondegenerate(effects, tol=tol)
+        ok, gaps = effect_nondegenerate(effects, tol=tol)
         screened[:, start : start + width] = ~np.broadcast_to(ok, effects.shape[:-2]).any(axis=-1)
-    return screened
+        largest[:, start : start + width] = np.broadcast_to(gaps, effects.shape[:-2]).max(axis=-1)
+    return screened, largest
 
 
 def _findings(eigensystems, axes, t_grid, model, source, seed, indices, tol: Tolerances) -> list:
     """The findings among the candidates of the stacks ``eigensystems``
     (reproduced by ``indices``), each read along its axis of ``axes`` at
     every time of ``t_grid``, in search order.  Only the candidates that
-    :func:`_screen` keeps are evaluated, and ``model(c)`` builds candidate
-    ``c``'s model only for them, once each."""
-    screened = _screen(*eigensystems, axes, t_grid, tol)
+    :func:`_screen` keeps are evaluated, with the gap it read, and
+    ``model(c)`` builds candidate ``c``'s model only for them, once each."""
+    screened, gaps = _screen(*eigensystems, axes, t_grid, tol)
     findings = []
     for c in np.flatnonzero(screened.any(axis=1)):
         built = model(c)
         for g in np.flatnonzero(screened[c]):
-            found = _evaluate_candidate(built, axes[c], t_grid[g], source, seed, indices[c], tol)
+            found = _evaluate_candidate(built, axes[c], t_grid[g], gaps[c, g], source, seed, indices[c], tol)
             if found is not None:
                 findings.append(found)
     return findings

@@ -59,6 +59,8 @@ class Mutant:
 SEQUENCES = "src/kcprobe/sequences.py"
 MODEL = "src/kcprobe/model.py"
 SCENARIOS = "src/kcprobe/scenarios.py"
+LINALG = "src/kcprobe/linalg.py"
+ALGEBRA = "src/kcprobe/algebra.py"
 
 MUTANTS = (
     Mutant(
@@ -130,8 +132,11 @@ MUTANTS = (
         path=MODEL,
         snippet="        return _assemble(self.models[g], self.preparation, self.step_bases, None, steps)\n",
         replacement="        return _assemble(self.models[0], self.preparation, self.step_bases, None, steps)\n",
-        killers=("tests/test_cli_golden.py",),
-        breaks="every assembled grid point carries the first point's model, so sweep omega reads one commutator norm",
+        killers=(
+            "tests/test_cli_golden.py",
+            "tests/test_properties.py::test_a_grid_reads_each_point_as_that_point_alone",
+        ),
+        breaks="every assembled grid point carries the first point's model",
     ),
     Mutant(
         name="grid_step_times_one_ulp_up",
@@ -382,18 +387,10 @@ MUTANTS = (
     Mutant(
         name="redraw_on_the_wrong_trial",
         path=SCENARIOS,
-        snippet="        hams[c] = h\n",
-        replacement="        hams[c - 1] = h\n",
+        snippet="        rng = np.random.default_rng(seeds[c])\n",
+        replacement="        rng = np.random.default_rng(seeds[c - 1])\n",
         killers=("tests/test_scenarios.py::TestRandomModel::test_a_forced_redraw_lands_on_its_own_trial",),
-        breaks="a redrawn trial's Hamiltonians overwrite the trial before it in the stack",
-    ),
-    Mutant(
-        name="redraw_cut_decided_on_the_stacked_norm",
-        path=SCENARIOS,
-        snippet="    for c in np.flatnonzero(~(worst > cut * (1 + 1e-12))):\n",
-        replacement="    for c in np.flatnonzero(~(worst >= cut)):\n",
-        killers=("tests/test_scenarios.py::TestRandomModel::test_a_trial_at_the_cut_is_decided_as_alone",),
-        breaks="a trial at the redraw cut is decided by the stacked norm, whose summation order can keep a draw that is_commutative redraws",
+        breaks="a trial below the redraw cut is redrawn from the generator of the trial before it in the stack",
     ),
     Mutant(
         name="screen_axes_misaligned",
@@ -426,6 +423,43 @@ MUTANTS = (
         replacement="    if False:\n",
         killers=("tests/test_scenarios.py::TestRandomModel::test_a_scale_whose_draw_could_overflow_is_refused",),
         breaks="a scale whose draw overflows is drawn: an OverflowError, a RuntimeWarning or a misleading Hermitian fault",
+    ),
+    Mutant(
+        name="frobenius_complex_sum",
+        path=LINALG,
+        snippet="    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))\n",
+        replacement="    return np.sqrt(np.vecdot(flat, flat).real)\n",
+        killers=("tests/test_linalg.py::test_stacked_norm_is_the_norm_bit_for_bit",),
+        breaks="the stacked norm sums one complex dot, which rounds otherwise than np.linalg.norm for about one matrix in five",
+    ),
+    Mutant(
+        name="commutator_norms_misaligned",
+        path=ALGEBRA,
+        snippet="            norms[..., n] = _frobenius(a @ b - b @ a)\n",
+        replacement="            norms[..., n] = np.flip(_frobenius(a @ b - b @ a))\n",
+        killers=(
+            "tests/test_scenarios.py::TestRandomModel::test_a_forced_redraw_lands_on_its_own_trial",
+            "tests/test_config_cli.py::TestSweepCommand::test_commutator_norm_is_read_once_per_chunk",
+        ),
+        breaks="a stack's norms land on its sets in reverse order, so a trial is redrawn on another's norm and a sweep row reads another point's",
+    ),
+    Mutant(
+        name="commutator_overflow_unchecked",
+        path=ALGEBRA,
+        snippet="    if not (math.isfinite(worst) and math.isfinite(scale)):\n",
+        replacement="    if False:\n",
+        killers=("tests/test_algebra.py::TestIsCommutative::test_an_overflowing_norm_is_a_numerical_fault",),
+        breaks="an overflowing commutator or generator norm gives a verdict: sigma_x and sigma_z commute from 1e154 on",
+    ),
+    Mutant(
+        name="screen_gap_from_the_wrong_time",
+        path=SCENARIOS,
+        snippet="        largest[:, start : start + width] = np.broadcast_to(gaps, effects.shape[:-2]).max(axis=-1)\n",
+        replacement="        largest[:, start : start + width] = np.broadcast_to(gaps, effects.shape[:-2])[:, ::-1].max(axis=-1)\n",
+        killers=(
+            "tests/test_scenarios.py::TestSearchScreen::test_the_screen_keeps_the_candidates_with_all_effects_degenerate",
+        ),
+        breaks="the gap a finding reports is read at another time of the candidate's grid",
     ),
 )
 

@@ -183,6 +183,56 @@ class TestIsCommutative:
         zero = np.zeros((2, 2), dtype=complex)
         assert kp.is_commutative([zero, zero]) == (True, 0.0)
 
+    @pytest.mark.parametrize("commuting", [False, True])
+    @pytest.mark.parametrize("probe_dim", [2, 3, 4])
+    def test_the_verdict_and_norm_are_the_pair_loop_s(self, probe_dim, commuting):
+        # seeds 0-49 at d_S 2-8, bit for bit
+        for seed in range(50):
+            for system_dim in range(2, 9):
+                hams = kp.random_model(seed, probe_dim, system_dim, commuting).hamiltonians
+                assert kp.is_commutative(hams) == reference_is_commutative(hams), (seed, system_dim)
+                scaled = [1e-3 * hams[0], *hams[1:]]
+                assert kp.is_commutative(scaled) == reference_is_commutative(scaled), (seed, system_dim)
+
+    @pytest.mark.parametrize("n_nuclei", [1, 2, 3])
+    def test_nv_verdicts_are_the_pair_loop_s(self, n_nuclei):
+        rng = np.random.default_rng(n_nuclei)
+        longitudinal = np.c_[np.zeros((n_nuclei, 2)), rng.standard_normal(n_nuclei)]  # commuting
+        for omega in (0.0, 0.3, 1.0, 2.5):
+            for couplings in (rng.standard_normal((n_nuclei, 3)), longitudinal):
+                hams = kp.nv_center_model(n_nuclei, omega, 0.7, couplings).hamiltonians
+                assert kp.is_commutative(hams) == reference_is_commutative(hams)
+
+    @pytest.mark.parametrize("scale", [1e80, 1e100, 1e150, 1e154, 1e155, 1e200])
+    def test_an_overflowing_norm_is_a_numerical_fault(self, scale):
+        # the norms overflow: a verdict read from them would be (False, inf),
+        # (True, inf) or, where Python's max drops a NaN, (True, 0.0); the
+        # suite turns a RuntimeWarning into an error, so none is emitted either
+        with pytest.raises(NumericalFault, match=r"^largest commutator norm .* is not finite$"):
+            kp.is_commutative([scale * SIGMA_X, scale * SIGMA_Z])
+
+    def test_an_overflowing_commuting_pair_is_a_numerical_fault(self):
+        # the products of the diagonal pair overflow, and inf - inf is NaN
+        with pytest.raises(NumericalFault, match=r"^largest commutator norm nan or squared generator norm inf "):
+            kp.is_commutative([1e200 * SIGMA_Z, 2e200 * SIGMA_Z])
+
+    @pytest.mark.parametrize("scale", [1e-60, 1e-3, 1e3, 1e76])
+    def test_a_finite_norm_decides_at_any_scale(self, scale):
+        # |[x, z]|_F = 2 sqrt(2) scale**2, 2.83e152 at 1e76
+        ok, worst = kp.is_commutative([scale * SIGMA_X, scale * SIGMA_Z])
+        assert not ok and worst == pytest.approx(2 * np.sqrt(2) * scale**2, rel=1e-15)
+        assert kp.is_commutative([scale * SIGMA_Z, 2 * scale * SIGMA_Z]) == (True, 0.0)
+
+
+def reference_is_commutative(hams, tol=kp.DEFAULT):
+    """``is_commutative`` as a loop over the generator pairs, each norm one
+    ``frobenius`` (``np.linalg.norm``) of its commutator."""
+    worst = 0.0
+    for a, b in itertools.combinations(hams, 2):
+        worst = max(worst, frobenius(a @ b - b @ a))
+    scale = max(map(frobenius, hams)) ** 2
+    return worst <= tol.commutator * scale, worst
+
 
 class TestClassicalWrtState:
     def test_commutative_algebra_any_state(self):

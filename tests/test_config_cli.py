@@ -1059,17 +1059,25 @@ class TestSweepCommand:
         }
         return write_config(tmp_path / "nv.json", cfg)
 
-    @pytest.mark.parametrize("param, grid, calls", [("t", "0.5:2:5", 1), ("omega", "0:2:5", 5)])
-    def test_commutator_norm_is_read_once_per_step_time_sweep(self, tmp_path, monkeypatch, param, grid, calls):
-        # the step time leaves the Hamiltonians as they are; omega changes them
+    @pytest.mark.parametrize("chunk, shapes", [(None, [5]), (2, [2, 2, 1])])
+    @pytest.mark.parametrize("param, grid", [("t", "0.5:2:5"), ("omega", "0:2:5")])
+    def test_commutator_norm_is_read_once_per_chunk(self, tmp_path, monkeypatch, param, grid, chunk, shapes):
+        # one stacked read of the chunk's Hamiltonians, whichever parameter
+        # moves; each row's norm is is_commutative's of its point's model
         seen = []
-        is_commutative = cli.is_commutative
-        monkeypatch.setattr(cli, "is_commutative", lambda hams, tol: seen.append(1) or is_commutative(hams, tol))
-        out = tmp_path / "out"
-        assert main(["sweep", self.nv_config(tmp_path), "--param", param, "--grid", grid, "--out", str(out)]) == 0
-        assert len(seen) == calls
+        norms = cli._commutator_norms
+        monkeypatch.setattr(cli, "_commutator_norms", lambda stack: seen.append(stack.shape[0]) or norms(stack))
+        if chunk is not None:
+            monkeypatch.setattr(cli, "_sweep_points", lambda system_dim: chunk)
+        path, out = self.nv_config(tmp_path), tmp_path / "out"
+        assert main(["sweep", path, "--param", param, "--grid", grid, "--out", str(out)]) == 0
+        assert seen == shapes
         rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert len(rows) == 5 and len({row["commutator_norm"] for row in rows}) == (1 if param == "t" else 5)
+        experiment = build_experiment(load_run_config(path))
+        for row in rows:
+            model = cli._sweep_model(experiment, param, float(row[param]))
+            assert row["commutator_norm"] == repr(kp.is_commutative(model.hamiltonians)[1])
 
     def test_omega_grid_has_commutative_zero_row(self, tmp_path):
         path = self.nv_config(tmp_path)

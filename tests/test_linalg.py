@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import kcprobe as kp
 from kcprobe.errors import DimensionError, InvariantViolation
-from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, frobenius
+from kcprobe.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, _frobenius, frobenius
 
 from conftest import random_hermitian
 
@@ -155,3 +155,39 @@ def test_orthonormalize_gram_identity(seed):
         for j, b in enumerate(basis):
             expected = 1.0 if i == j else 0.0
             assert abs(kp.hs_inner(a, b) - expected) <= 1e-9
+
+
+def frobenius_each(stack: np.ndarray) -> list[float]:
+    """:func:`frobenius` of each matrix of ``stack``, one call a matrix."""
+    return [frobenius(m) for m in stack.reshape((-1,) + stack.shape[-2:])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 16), st.booleans(), st.sampled_from([(), (1,), (6,), (2, 3)]))
+def test_stacked_norm_is_the_norm_bit_for_bit(seed, d, real, leading):
+    # the stacked norm sums as np.linalg.norm does, so each norm is its
+    # matrix's norm to the last bit, for complex and real stacks alike
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal(leading + (d, d)) * 10.0 ** rng.uniform(-3, 3)
+    if not real:
+        stack = stack + 1j * rng.standard_normal(leading + (d, d))
+    norms = _frobenius(stack)
+    assert norms.shape == leading
+    assert norms.ravel().tolist() == frobenius_each(stack)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+def test_an_empty_stack_has_no_norms(d):
+    # one Hamiltonian has no generator pairs: a (0, d, d) stack of commutators
+    for dtype in (float, complex):
+        assert _frobenius(np.zeros((0, d, d), dtype=dtype)).shape == (0,)
+        assert _frobenius(np.zeros((3, 0, d, d), dtype=dtype)).shape == (3, 0)
+
+
+@pytest.mark.parametrize("probe_dim", [2, 3, 4])
+def test_the_stacked_norm_of_drawn_commutators_is_the_norm(probe_dim):
+    for seed in range(20):
+        for system_dim in (2, 3, 5, 8):
+            hams = np.array(kp.random_model(seed, probe_dim, system_dim, commuting=False).hamiltonians)
+            commutators = np.array([a @ b - b @ a for a in hams for b in hams])
+            assert _frobenius(commutators).tolist() == frobenius_each(commutators)

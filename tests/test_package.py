@@ -87,6 +87,8 @@ ONE_CHECK_PER_RULE = {
     "phase overflow": (r"phases w\*t overflow", {("linalg", "unitary_from_eigensystem")}),
     "phase rounding": (r"has a rounding error above", {("linalg", "unitary_from_eigensystem")}),
     "completeness": (r"effects do not sum to the identity", {("model", "_cycles")}),
+    # an overflowing commutator or generator norm decides nothing
+    "commutator overflow": (r"squared generator norm", {("algebra", "is_commutative")}),
     # the restricted and the full commutant stack share one raise
     "empty commutant": (r"empty commutant", {("algebra", "commutant_basis")}),
     # retired messages
@@ -148,6 +150,21 @@ def test_one_assembler_builds_every_protocol_s_and_grid_s_kraus_data():
     }
     # completeness is the one check of a cycle: no spectrum is computed
     assert not {"eigvalsh", "eigh", "eigvals", "eig", "svd", "svdvals"} & set(found["model", "_cycles"])
+
+
+def test_one_commutator_norm_decides_every_commutativity_question():
+    # one stacked Frobenius norm sums every squared entry; one commutator
+    # primitive decides every generator set, the random draw's and the
+    # sweep's included, so their verdicts and columns cannot drift apart
+    found = calls(PACKAGE)
+    assert {owner for owner, names in found.items() if "vecdot" in names} == {("linalg", "_frobenius")}
+    read = read_names(sorted(PACKAGE.glob("*.py")))
+    assert {top for _, top in read["_commutator_norms"]} == {
+        "is_commutative",
+        "_noncommuting_hamiltonians",
+        "_sweep_chunk",
+        None,  # the imports
+    }
 
 
 def read_names(readers: list[Path]) -> dict[str, set]:

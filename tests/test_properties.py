@@ -255,7 +255,8 @@ def test_a_grid_reads_each_point_as_that_point_alone(family, seed, d_s, points, 
     """Δ21 and Δ32 of two states, and their state-defect tensors, from one
     witness scan of a grid of ``XXX`` (and of ``YYY``) protocols, are bit for
     bit those of each point's protocol built and scanned alone; so are the
-    Kraus operators and the KC report of a point's assembled protocol.  The
+    Kraus operators and the KC report of a point's assembled protocol, which
+    carries the point's own model.  The
     grid varies the step time of one model, or the model at one step time."""
     model, rng = family_model(family, seed, 2, d_s)
     if by_model:
@@ -273,6 +274,7 @@ def test_a_grid_reads_each_point_as_that_point_alone(family, seed, d_s, points, 
                 assert values[g].tobytes() == want_values.tobytes()
                 assert tensor[g].tobytes() == want_tensor.tobytes()
             assembled = grid.protocol(g)
+            assert assembled.model is point
             assert len(set(map(id, assembled.step_measurements))) == 1  # its equal steps share one
             assert assembled.step_measurements[0].kraus.tobytes() == alone.step_measurements[0].kraus.tobytes()
             report = kp.check_kc_all(assembled, N_STEPS, states).to_dict()

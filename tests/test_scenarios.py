@@ -132,7 +132,7 @@ class TestRandomModel:
         built = {}
         monkeypatch.setattr(
             "kcprobe.scenarios._evaluate_candidate",
-            lambda model, axis, t, source, seed, index, tol: built.setdefault(index, model.hamiltonians),
+            lambda model, axis, t, gap, source, seed, index, tol: built.setdefault(index, model.hamiltonians),
         )
         search = (8, 40, probe_dim, system_dim, (0.0,), [])
         kp.counterexample_search(*search)
@@ -142,22 +142,44 @@ class TestRandomModel:
             assert same_bits(built[index], model.hamiltonians), index
 
     @pytest.mark.parametrize("above", [False, True])
-    def test_a_trial_at_the_cut_is_decided_as_alone(self, monkeypatch, above):
-        # the stacked commutator norm sums otherwise than is_commutative's; a
-        # trial at the cut is kept, and one ulp below it redrawn, as alone
+    def test_a_trial_at_the_cut_is_kept_and_one_ulp_below_it_redrawn(self, monkeypatch, above):
+        # the draws whose commutator norm a complex sum (the stacked norm of
+        # an earlier draw) rounds otherwise than is_commutative: a cut at the
+        # norm keeps the trial, a cut one ulp above it redraws the trial, in
+        # a stack of trials and through the search, as the reference loop
+        def complex_sum_norm(a, b):
+            flat = (a @ b - b @ a).ravel()
+            return float(np.sqrt(np.vecdot(flat, flat).real))
+
         ties = []
         for seed in range(100):
             (a, b), _ = reference_hamiltonians(seed, 2, 4, False)
             exact = kp.is_commutative([a, b])[1]
-            stacked = float(_frobenius((a @ b - b @ a)[None])[0])
-            if stacked != exact and (stacked > exact) == above:
+            if complex_sum_norm(a, b) != exact:
                 ties.append((seed, np.nextafter(exact, np.inf) if above else exact))
-        assert len(ties) >= 5
+        assert len(ties) >= 10
         for seed, cut in ties:
             monkeypatch.setattr("kcprobe.scenarios._REDRAW_CUT", cut)
             reference, draws = reference_hamiltonians(seed, 2, 4, False)
             assert (draws > 1) == above
-            assert same_bits(scenarios._noncommuting_hamiltonians([seed], 2, 4)[0], reference), seed
+            stack = scenarios._noncommuting_hamiltonians([0, seed, 1], 2, 4)
+            assert same_bits(stack[1], reference), seed
+        # the search's own trials: a cut at one tie trial's norm, or one ulp above it
+        built = {}
+        monkeypatch.setattr(
+            "kcprobe.scenarios._evaluate_candidate",
+            lambda model, axis, t, gap, source, seed, index, tol: built.setdefault(index, model.hamiltonians),
+        )
+        search = (8, 30, 2, 4, (0.0,), [])
+        monkeypatch.setattr("kcprobe.scenarios._REDRAW_CUT", 0.0)
+        first = {c[5]: c[0].hamiltonians for c in search_candidates(*search)}
+        index = next(i for i, hams in first.items() if complex_sum_norm(*hams) != kp.is_commutative(hams)[1])
+        exact = kp.is_commutative(first[index])[1]
+        monkeypatch.setattr("kcprobe.scenarios._REDRAW_CUT", np.nextafter(exact, np.inf) if above else exact)
+        kp.counterexample_search(*search)
+        for model, *_, i in search_candidates(*search):
+            assert same_bits(built[i], model.hamiltonians), i
+        assert same_bits(built[index], first[index]) != above
 
     def test_dimension_limits(self):
         with pytest.raises(DimensionError):
@@ -416,8 +438,16 @@ def search_candidates(seed, trials, probe_dim, system_dim, t_grid, include):
 
 
 def reference_search(*args, tol=kp.DEFAULT):
-    """The search as one ``_evaluate_candidate`` call per candidate, no screen."""
-    found = (scenarios._evaluate_candidate(*candidate, tol) for candidate in search_candidates(*args))
+    """The search as one ``_evaluate_candidate`` call per candidate whose
+    first-step effects are all degenerate, each decided by a protocol build
+    of its own, with the largest of their gaps; no screen."""
+    found = []
+    for model, axis, t, *rest in search_candidates(*args):
+        preparation, meter = scenarios._candidate_cycle(model.probe_dim, axis)
+        protocol = kp.MeasurementProtocol(model.with_step_time(t), preparation, (meter,) * 3)
+        decided = [kp.effect_nondegenerate(e, tol=tol) for e in protocol.step_measurements[0].effects]
+        if not any(ok for ok, _ in decided):
+            found.append(scenarios._evaluate_candidate(model, axis, t, max(gap for _, gap in decided), *rest, tol))
     return [f.to_dict() for f in found if f is not None]
 
 
@@ -465,19 +495,21 @@ class TestSearchScreen:
         for group in groups:
             stacked, axes = zip(*group)
             eigensystems = np.stack([m.eigenvalues for m in stacked]), np.stack([m.eigenvectors for m in stacked])
-            screened = scenarios._screen(*eigensystems, axes, t_grid, kp.DEFAULT)
-            for (model, axis), row in zip(group, screened, strict=True):
+            screened, gaps = scenarios._screen(*eigensystems, axes, t_grid, kp.DEFAULT)
+            for (model, axis), row, row_gaps in zip(group, screened, gaps, strict=True):
                 preparation, meter = scenarios._candidate_cycle(model.probe_dim, axis)
-                for t, kept in zip(t_grid, row, strict=True):
+                for t, kept, gap in zip(t_grid, row, row_gaps, strict=True):
                     effects = kp.induced_kraus(model.with_step_time(t), preparation, meter).effects
-                    assert kept == (not any(kp.effect_nondegenerate(e)[0] for e in effects))
+                    decided = [kp.effect_nondegenerate(e) for e in effects]
+                    assert kept == (not any(ok for ok, _ in decided))
+                    assert same_bits(gap, max(g for _, g in decided))  # the gap a finding reports
 
     def test_each_candidate_is_screened_along_its_own_axis(self):
         # the canonical pair's X effects are degenerate at every time, its Y effects at none
         model = kp.degenerate_qubit_instance()
         axes = ["X", "Y", "Y", "X", "Y"]
         stack = np.stack([model.eigenvalues] * 5), np.stack([model.eigenvectors] * 5)
-        screened = scenarios._screen(*stack, axes, (np.pi / 4, np.pi / 2, 1.0), kp.DEFAULT)
+        screened, _ = scenarios._screen(*stack, axes, (np.pi / 4, np.pi / 2, 1.0), kp.DEFAULT)
         assert screened.tolist() == [[axis == "X"] * 3 for axis in axes]
 
     def test_every_candidate_reaches_the_evaluation_in_search_order(self, monkeypatch):
@@ -486,7 +518,7 @@ class TestSearchScreen:
         monkeypatch.setattr("kcprobe.scenarios.effect_nondegenerate", lambda e, tol: (False, 0.0))
         monkeypatch.setattr(
             "kcprobe.scenarios._evaluate_candidate",
-            lambda model, axis, t, source, seed, index, tol: seen.append((source, index, axis, t)),
+            lambda model, axis, t, gap, source, seed, index, tol: seen.append((source, index, axis, t)),
         )
         # chunks of 3 trials (13 pairs of 384 bytes over 4 times), each screened in one stack
         monkeypatch.setattr("kcprobe.sequences.PREFIX_BLOCK_BYTES", 5000)
@@ -551,9 +583,9 @@ class TestSearchScreen:
         model_init, eigh = kp.DephasingModel.__post_init__, np.linalg.eigh
 
         def counting_screen(*args):
-            mask = screen(*args)
+            mask, gaps = screen(*args)
             screened.append(int(mask.sum()))
-            return mask
+            return mask, gaps
 
         def counting_post_init(protocol):
             builds.append(protocol.axes)
